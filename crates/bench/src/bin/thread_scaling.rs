@@ -1,8 +1,10 @@
 //! Serial-vs-parallel ablation for the pooled rayon shim: wall-clock of
 //! the two kernels the paper's Fig. 5 is most sensitive to — SpGEMM
 //! (setup) and the hybrid GS sweep (solve) — at the fig5 proxy sizes,
-//! plus the fused residual norm, the parallel transpose, and a full
-//! AMG setup + solve whose span profile feeds the telemetry record.
+//! plus the fused residual norm, the parallel transpose, extended+i
+//! interpolation on the 27-point operator (the wide-stencil setup
+//! kernel), and a full AMG setup + solve whose span profile feeds the
+//! telemetry record.
 //!
 //! The pool size is pinned at first use, so one process measures one
 //! size; run the binary once per setting and compare:
@@ -26,13 +28,15 @@
 use famg_bench::arg_scale;
 use famg_bench::telemetry::{maybe_write_chrome_trace, BenchReport};
 use famg_core::coarsen::pmis;
+use famg_core::interp::{extended_i, CfMap, TruncParams};
 use famg_core::reorder::cf_reorder;
 use famg_core::smoother::{Smoother, Workspace};
 use famg_core::solver::AmgSolver;
 use famg_core::strength::strength;
 use famg_core::AmgConfig;
-use famg_matgen::laplace2d;
+use famg_matgen::{laplace2d, laplace3d_27pt};
 use famg_prof::json::Json;
+use famg_sparse::permute::permute_symmetric;
 use famg_sparse::spgemm::spgemm_one_pass;
 use famg_sparse::spmv::residual_norm_sq;
 use famg_sparse::transpose::transpose_par;
@@ -122,6 +126,29 @@ fn main() {
         fingerprint(&[nrm])
     );
 
+    // Extended+i on the CF-ordered 27-point operator, as the hierarchy
+    // calls it. `interp_entries_visited` is the kernel's own count of the
+    // view entries its distance-2 sweeps read: exact, and the same for
+    // every pool size.
+    let side3 = ((64.0 * scale.cbrt()) as usize).max(12);
+    let a3 = laplace3d_27pt(side3, side3, side3);
+    let s3 = strength(&a3, 0.25, 0.8);
+    let coarse3 = pmis(&s3, 1);
+    let (ap3, ord3) = cf_reorder(&a3, &coarse3.is_coarse);
+    let sp3 = permute_symmetric(&s3, &ord3.perm);
+    let cf3 = CfMap::new((0..a3.nrows()).map(|i| i < ord3.nc).collect());
+    let trunc = TruncParams::paper();
+    let span = famg_prof::scope("extended_i");
+    let (t_interp, p3) = time(reps, || extended_i(&ap3, &sp3, &cf3, Some(&trunc)));
+    drop(span);
+    // Every repetition reads the same entries.
+    let visited = famg_prof::take().total_counter("interp_entries_visited") / reps as u64;
+    let fp_interp = fingerprint(p3.values());
+    println!(
+        "extended_i (27pt {side3}^3) {:>7.3} ms   fp {fp_interp:016x}   visited {visited}",
+        t_interp * 1e3
+    );
+
     // Full AMG setup + solve; the span profiles provide the telemetry
     // record's phase buckets and flop counters.
     let cfg = AmgConfig::single_node_paper();
@@ -154,6 +181,15 @@ fn main() {
                 ("transpose_par".into(), Json::Num(t_tr)),
                 ("hybrid_gs_sweep".into(), Json::Num(t_gs)),
                 ("residual_norm_sq".into(), Json::Num(t_res)),
+                ("extended_i".into(), Json::Num(t_interp)),
+            ]),
+        )
+        .extra_json(
+            "extended_i",
+            Json::Obj(vec![
+                ("n".into(), Json::Num(a3.nrows() as f64)),
+                ("fingerprint".into(), Json::Str(format!("{fp_interp:016x}"))),
+                ("interp_entries_visited".into(), Json::Num(visited as f64)),
             ]),
         );
     report.write_if_requested().expect("telemetry write failed");

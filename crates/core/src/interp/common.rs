@@ -73,8 +73,13 @@ impl TruncParams {
 
 /// Truncates one interpolation row in place: drops entries below
 /// `factor * max|row|`, keeps at most `max_elements` largest-magnitude
-/// entries, and rescales the survivors so the row sum is preserved
-/// (constant vectors stay exactly interpolated).
+/// entries (ties go to the smaller column), and rescales the survivors so
+/// the row sum is preserved (constant vectors stay exactly interpolated).
+///
+/// Survivors keep their relative order and the buffers keep their
+/// capacity: the interpolation builders call this once per row inside
+/// their parallel loops, where a heap allocation per row serialises the
+/// pool threads on the allocator.
 pub fn truncate_row(cols: &mut Vec<usize>, vals: &mut Vec<f64>, p: &TruncParams) {
     if cols.is_empty() {
         return;
@@ -82,34 +87,20 @@ pub fn truncate_row(cols: &mut Vec<usize>, vals: &mut Vec<f64>, p: &TruncParams)
     let sum_before: f64 = vals.iter().sum();
     let max_abs = vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let thr = p.factor * max_abs;
-    // Drop below-threshold entries.
-    let mut k = 0usize;
-    for i in 0..cols.len() {
-        if vals[i].abs() >= thr {
-            cols[k] = cols[i];
-            vals[k] = vals[i];
-            k += 1;
-        }
-    }
-    cols.truncate(k);
-    vals.truncate(k);
-    // Cap to the max_elements largest magnitudes (stable by magnitude
-    // then column for determinism).
+    retain_in_order(cols, vals, |_, _, v| v.abs() >= thr);
     if p.max_elements > 0 && cols.len() > p.max_elements {
-        let mut order: Vec<usize> = (0..cols.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            vals[b]
-                .abs()
-                .partial_cmp(&vals[a].abs())
-                .unwrap()
-                .then(cols[a].cmp(&cols[b]))
-        });
-        order.truncate(p.max_elements);
-        order.sort_unstable(); // restore original relative order
-        let new_cols: Vec<usize> = order.iter().map(|&i| cols[i]).collect();
-        let new_vals: Vec<f64> = order.iter().map(|&i| vals[i]).collect();
-        *cols = new_cols;
-        *vals = new_vals;
+        // The `max_elements`-th entry in keep order, found by repeated
+        // selection: each round picks the first entry strictly after the
+        // previous pick. O(len · max_elements), no index array.
+        let mut cut: Option<Rank> = None;
+        for _ in 0..p.max_elements {
+            cut = (0..cols.len())
+                .map(|i| rank(i, cols[i], vals[i]))
+                .filter(|r| cut.is_none_or(|prev| prev < *r))
+                .min();
+        }
+        let cut = cut.expect("len > max_elements: every round finds an entry");
+        retain_in_order(cols, vals, |i, c, v| rank(i, c, v) <= cut);
     }
     // Rescale to preserve the row sum.
     let sum_after: f64 = vals.iter().sum();
@@ -119,6 +110,36 @@ pub fn truncate_row(cols: &mut Vec<usize>, vals: &mut Vec<f64>, p: &TruncParams)
             *v *= scale;
         }
     }
+}
+
+/// Keep order under `max_elements`, as a key that sorts ascending: larger
+/// magnitude first, then smaller column, then earlier position. The bit
+/// pattern of a non-negative float orders like the float (and puts NaN
+/// above infinity), so this is a strict total order on any input and the
+/// kept set is unique.
+type Rank = (std::cmp::Reverse<u64>, usize, usize);
+
+fn rank(at: usize, col: usize, val: f64) -> Rank {
+    (std::cmp::Reverse(val.abs().to_bits()), col, at)
+}
+
+/// Compacts the entries for which `keep(position, col, val)` holds to the
+/// front, in order, and shortens both buffers to them.
+fn retain_in_order(
+    cols: &mut Vec<usize>,
+    vals: &mut Vec<f64>,
+    keep: impl Fn(usize, usize, f64) -> bool,
+) {
+    let mut k = 0usize;
+    for i in 0..cols.len() {
+        if keep(i, cols[i], vals[i]) {
+            cols[k] = cols[i];
+            vals[k] = vals[i];
+            k += 1;
+        }
+    }
+    cols.truncate(k);
+    vals.truncate(k);
 }
 
 /// Truncates a whole interpolation matrix (the baseline, non-fused path:

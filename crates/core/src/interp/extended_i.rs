@@ -15,185 +15,411 @@
 //! the output size is unknown a priori; the same chunked assembly used by
 //! the one-pass SpGEMM is used here. Truncation is fused into row
 //! construction when requested (§3.1.2).
+//!
+//! The distance-2 sweeps over a neighbour row `k` only ever use its
+//! coarse entries of opposite sign to `a_kk` (the middle class of the
+//! paper's three-way row partition) and `ā_ki`. Instead of reordering `A`
+//! in place, one O(nnz) pass gathers that class into a read-only
+//! [`CoarseView`]; `A` keeps its row order, so RAP, SpMV and the
+//! non-permuted baseline see the same matrix as before. The per-row loop
+//! itself does not allocate: on two pool threads a heap allocation per row
+//! serialises the threads on the allocator and costs more than the
+//! arithmetic (DESIGN.md §3).
 
-use super::common::{CfMap, TruncParams};
-use famg_sparse::partition::split_evenly;
+use super::common::{truncate_row, CfMap, TruncParams};
+use famg_sparse::partition::{exclusive_prefix_sum, num_threads, split_evenly};
 use famg_sparse::Csr;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Builds the extended+i interpolation operator (`n × nc`).
 ///
 /// `trunc = Some(p)` applies fused per-row truncation; `None` returns the
 /// untruncated operator (the baseline then truncates as a separate pass).
 pub fn extended_i(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> Csr {
+    build(a, s, cf, trunc, |_| ()).0
+}
+
+/// Observer of the row kernel's arithmetic: every operand is reported by
+/// its nnz position in `A`, in the order the kernel consumes it. The
+/// builder runs with `()` (all calls compile away); the replay tape
+/// ([`super::tape`]) records them, so it repeats the builder's additions
+/// in the builder's order by construction.
+pub(super) trait Sink: Send {
+    /// `ã_ii += a[pos]` (the diagonal or a weak neighbour outside `Ĉ_i`).
+    fn diag_term(&mut self, _pos: usize) {}
+    /// `num[slot] += a[pos]` (`a_ij`, `j ∈ Ĉ_i`).
+    fn direct_term(&mut self, _pos: usize, _slot: usize) {}
+    /// `b_ik += a[pos]`.
+    fn bik_term(&mut self, _pos: usize) {}
+    /// `num[slot] += (a_ik / b_ik) · a[pos]`.
+    fn dist_term(&mut self, _pos: usize, _slot: usize) {}
+    /// Closes strong fine neighbour `k` (`a_ik` at `aik`). `lumped` means
+    /// `b_ik == 0`: its `bik_term`s are void and `ã_ii += a[aik]`.
+    /// Otherwise `ã_ii += (a_ik / b_ik) · a[abar]`, `abar` absent ⇒ 0.
+    fn end_neighbour(&mut self, _aik: usize, _abar: Option<usize>, _lumped: bool) {}
+    /// Numerator `slot` is emitted as the row's next weight.
+    fn emit(&mut self, _slot: usize) {}
+    /// Closes a row that had `nslots = |Ĉ_i|` numerators.
+    fn end_row(&mut self, _nslots: usize) {}
+}
+
+impl Sink for () {}
+
+/// One entry of the coarse opposite-sign view.
+#[derive(Clone, Copy)]
+struct Opp {
+    col: usize,
+    /// nnz position in `A`.
+    pos: usize,
+    val: f64,
+}
+
+/// What the distance-2 sweeps read of a fine row `k`, gathered once: the
+/// entries `a_kl` with `l` coarse and `a_kl · a_kk < 0` (in row order),
+/// `a_kk` itself, and the coarse members of `S_k`. On a 27-point operator
+/// with 8 % coarse points that is ~2 of 27 entries, so a sweep per `(i, k)`
+/// pair stops scanning the fine columns it would discard. Coarse rows get
+/// empty segments: nothing distributes through them.
+struct CoarseView {
+    /// `a_kk`; 0.0 when not stored, which makes every `b_ik` lump.
+    diag: Vec<f64>,
+    opp_ptr: Vec<usize>,
+    opp: Vec<Opp>,
+    strong_ptr: Vec<usize>,
+    strong: Vec<usize>,
+}
+
+impl CoarseView {
+    fn new(a: &Csr, s: &Csr, cf: &CfMap, blocks: &[Range<usize>]) -> Self {
+        struct Part {
+            diag: Vec<f64>,
+            opp_len: Vec<usize>,
+            opp: Vec<Opp>,
+            strong_len: Vec<usize>,
+            strong: Vec<usize>,
+        }
+        let av = a.values();
+        let parts: Vec<Part> = blocks
+            .par_iter()
+            .map(|rows| {
+                let mut p = Part {
+                    diag: Vec::with_capacity(rows.len()),
+                    opp_len: Vec::with_capacity(rows.len()),
+                    opp: Vec::new(),
+                    strong_len: Vec::with_capacity(rows.len()),
+                    strong: Vec::new(),
+                };
+                for k in rows.clone() {
+                    let r = a.row_range(k);
+                    let cols = &a.colidx()[r.clone()];
+                    let akk = cols
+                        .iter()
+                        .position(|&c| c == k)
+                        .map_or(0.0, |o| av[r.start + o]);
+                    p.diag.push(akk);
+                    let (opp0, strong0) = (p.opp.len(), p.strong.len());
+                    if !cf.is_coarse[k] {
+                        // `l` coarse and `k` fine, so `l ≠ k` already.
+                        for (pos, &col) in r.zip(cols) {
+                            let val = av[pos];
+                            if cf.is_coarse[col] && val * akk < 0.0 {
+                                p.opp.push(Opp { col, pos, val });
+                            }
+                        }
+                        let sk = s.row_cols(k).iter().filter(|&&l| cf.is_coarse[l]);
+                        p.strong.extend(sk);
+                    }
+                    p.opp_len.push(p.opp.len() - opp0);
+                    p.strong_len.push(p.strong.len() - strong0);
+                }
+                p
+            })
+            .collect();
+        CoarseView {
+            diag: cat(&parts, |p| &p.diag),
+            opp_ptr: offsets(cat(&parts, |p| &p.opp_len)),
+            opp: cat(&parts, |p| &p.opp),
+            strong_ptr: offsets(cat(&parts, |p| &p.strong_len)),
+            strong: cat(&parts, |p| &p.strong),
+        }
+    }
+
+    fn opp(&self, k: usize) -> &[Opp] {
+        &self.opp[self.opp_ptr[k]..self.opp_ptr[k + 1]]
+    }
+
+    fn strong(&self, k: usize) -> &[usize] {
+        &self.strong[self.strong_ptr[k]..self.strong_ptr[k + 1]]
+    }
+}
+
+/// One field of every block, concatenated in block order.
+fn cat<P, T: Copy>(parts: &[P], field: impl Fn(&P) -> &Vec<T>) -> Vec<T> {
+    let slices: Vec<&[T]> = parts.iter().map(|p| &field(p)[..]).collect();
+    slices.concat()
+}
+
+/// Row pointer from per-row lengths.
+fn offsets(mut lens: Vec<usize>) -> Vec<usize> {
+    let total = exclusive_prefix_sum(&mut lens);
+    lens.push(total);
+    lens
+}
+
+/// Per-chunk row state. Markers are stamped with `row + 1`, so the
+/// zero-initialised (lazily mapped) vectors need no clearing between rows
+/// and a chunk only ever touches the pages near its own rows.
+struct Scratch {
+    /// `S_i` membership stamp.
+    strong: Vec<usize>,
+    /// `Ĉ_i` membership stamp and numerator slot.
+    chat_stamp: Vec<usize>,
+    chat_slot: Vec<usize>,
+    /// `Ĉ_i` in discovery order, and the numerators of `w_ij`.
+    chat: Vec<usize>,
+    num: Vec<f64>,
+    /// View entries read by the distance-2 sweeps.
+    visited: usize,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            strong: vec![0; n],
+            chat_stamp: vec![0; n],
+            chat_slot: vec![0; n],
+            chat: Vec::new(),
+            num: Vec::new(),
+            visited: 0,
+        }
+    }
+
+    fn add_chat(&mut self, c: usize, stamp: usize) {
+        if self.chat_stamp[c] != stamp {
+            self.chat_stamp[c] = stamp;
+            self.chat_slot[c] = self.chat.len();
+            self.chat.push(c);
+            self.num.push(0.0);
+        }
+    }
+}
+
+/// Steps 1–4 of Eq. 1 for fine row `i`: leaves `Ĉ_i` and the numerators
+/// in `sc` and returns `ã_ii` (0.0 also when `Ĉ_i` is empty — either way
+/// the row interpolates from nothing).
+fn fine_row<K: Sink>(
+    i: usize,
+    a: &Csr,
+    s: &Csr,
+    cf: &CfMap,
+    view: &CoarseView,
+    sc: &mut Scratch,
+    sink: &mut K,
+) -> f64 {
+    let stamp = i + 1;
+    let av = a.values();
+    sc.chat.clear();
+    sc.num.clear();
+    // --- Step 1: mark S_i and build Ĉ_i. ---
+    for &j in s.row_cols(i) {
+        sc.strong[j] = stamp;
+    }
+    for &j in s.row_cols(i) {
+        if cf.is_coarse[j] {
+            sc.add_chat(j, stamp);
+        } else {
+            let sj = view.strong(j);
+            sc.visited += sj.len();
+            for &k in sj {
+                sc.add_chat(k, stamp);
+            }
+        }
+    }
+    if sc.chat.is_empty() {
+        // No interpolatory set: empty row, smoother-only point.
+        return 0.0;
+    }
+    // --- Steps 2–4: diagonal, numerators, distribution. ---
+    let mut atilde = 0.0f64;
+    // First pass over A_i: diagonal, weak lumping, direct numerator
+    // contributions.
+    let row_i = a.row_range(i);
+    for (pos, &j) in row_i.clone().zip(a.row_cols(i)) {
+        if j == i {
+            atilde += av[pos];
+            sink.diag_term(pos);
+        } else if sc.chat_stamp[j] == stamp {
+            sc.num[sc.chat_slot[j]] += av[pos];
+            sink.direct_term(pos, sc.chat_slot[j]);
+        } else if sc.strong[j] != stamp {
+            // Weak neighbour outside Ĉ_i: lump into diagonal.
+            atilde += av[pos];
+            sink.diag_term(pos);
+        }
+        // Strong fine neighbours handled below; strong coarse
+        // neighbours are in Ĉ_i (handled above).
+    }
+    // Distribution through strong fine neighbours.
+    for (aik_pos, &k) in row_i.zip(a.row_cols(i)) {
+        if k == i || sc.strong[k] != stamp || cf.is_coarse[k] {
+            continue;
+        }
+        let aik = av[aik_pos];
+        let akk = view.diag[k];
+        let opp = view.opp(k);
+        // ā_ki: `i` is fine, so it is not in the view; a compare-only
+        // scan of row k's columns finds it.
+        let row_k = a.row_range(k);
+        let abar_pos = a.colidx()[row_k.clone()]
+            .iter()
+            .position(|&l| l == i)
+            .map(|o| row_k.start + o)
+            .filter(|&p| av[p] * akk < 0.0);
+        // b_ik = Σ_{l∈Ĉ_i∪{i}} ā_kl, summed in row-k order (ā_ki falls
+        // between the view entries stored before and after it).
+        let (before, after) =
+            opp.split_at(abar_pos.map_or(opp.len(), |p| opp.partition_point(|e| e.pos < p)));
+        let mut bik = sum_members(0.0, before, sc, stamp, sink);
+        let mut abar_ki = 0.0f64;
+        if let Some(p) = abar_pos {
+            abar_ki = av[p];
+            bik += abar_ki;
+            sink.bik_term(p);
+        }
+        bik = sum_members(bik, after, sc, stamp, sink);
+        sc.visited += opp.len();
+        if bik == 0.0 {
+            // Nothing to distribute to: lump a_ik (HYPRE's guard
+            // against zero denominators).
+            atilde += aik;
+            sink.end_neighbour(aik_pos, None, true);
+            continue;
+        }
+        let coef = aik / bik;
+        atilde += coef * abar_ki;
+        for e in opp {
+            if sc.chat_stamp[e.col] == stamp {
+                sc.num[sc.chat_slot[e.col]] += coef * e.val;
+                sink.dist_term(e.pos, sc.chat_slot[e.col]);
+            }
+        }
+        sc.visited += opp.len();
+        sink.end_neighbour(aik_pos, abar_pos, false);
+    }
+    atilde
+}
+
+/// `acc + Σ ā_kl` over the members of `Ĉ_i` in `seg`, in order.
+fn sum_members<K: Sink>(
+    mut acc: f64,
+    seg: &[Opp],
+    sc: &Scratch,
+    stamp: usize,
+    sink: &mut K,
+) -> f64 {
+    for e in seg {
+        if sc.chat_stamp[e.col] == stamp {
+            acc += e.val;
+            sink.bik_term(e.pos);
+        }
+    }
+    acc
+}
+
+/// Runs the row kernel over row blocks in parallel, one sink per block
+/// (`new_sink(first_row)`), and returns the operator with the sinks in row
+/// order. Rows never see the block geometry, so the operator is the same
+/// for every pool size.
+pub(super) fn build<K: Sink>(
+    a: &Csr,
+    s: &Csr,
+    cf: &CfMap,
+    trunc: Option<&TruncParams>,
+    new_sink: impl Fn(usize) -> K + Sync,
+) -> (Csr, Vec<K>) {
     let n = a.nrows();
     assert_eq!(s.nrows(), n);
     assert_eq!(cf.len(), n);
     if n == 0 {
-        return Csr::zero(0, 0);
+        return (Csr::zero(0, 0), Vec::new());
     }
-    let nthreads = famg_sparse::partition::num_threads();
-    let blocks = split_evenly(n, nthreads * 4);
+    // Coarse rows cost nothing and come first under CF ordering, so more
+    // blocks than the pool's default keep the fine rows balanced.
+    let blocks = split_evenly(n, num_threads() * 8);
+    let view = CoarseView::new(a, s, cf, &blocks);
 
-    struct Chunk {
+    struct Chunk<K> {
         row_nnz: Vec<usize>,
         colidx: Vec<usize>,
         values: Vec<f64>,
+        visited: usize,
+        sink: K,
     }
 
-    let chunks: Vec<Chunk> = blocks
+    let chunks: Vec<Chunk<K>> = blocks
         .par_iter()
-        .map(|range| {
+        .map(|rows| {
             let mut ch = Chunk {
-                row_nnz: Vec::with_capacity(range.len()),
+                row_nnz: Vec::with_capacity(rows.len()),
                 colidx: Vec::new(),
                 values: Vec::new(),
+                visited: 0,
+                sink: new_sink(rows.start),
             };
-            // Per-thread markers, epoch-stamped by row index.
-            let mut chat_row = vec![usize::MAX; n]; // membership stamp
-            let mut chat_pos = vec![0usize; n]; // position in chat list
-            let mut strong_row = vec![usize::MAX; n]; // S_i membership
-            let mut chat: Vec<usize> = Vec::new();
-            let mut num: Vec<f64> = Vec::new();
+            let mut sc = Scratch::new(n);
+            // Row buffers live for the whole block: nothing below
+            // allocates per row once they have grown to the widest row.
             let mut out_cols: Vec<usize> = Vec::new();
             let mut out_vals: Vec<f64> = Vec::new();
-
-            for i in range.clone() {
+            for i in rows.clone() {
                 if cf.is_coarse[i] {
-                    out_cols.push(cf.cmap[i]);
-                    out_vals.push(1.0);
                     ch.row_nnz.push(1);
-                    ch.colidx.append(&mut out_cols);
-                    ch.values.append(&mut out_vals);
+                    ch.colidx.push(cf.cmap[i]);
+                    ch.values.push(1.0);
+                    ch.sink.end_row(0);
                     continue;
                 }
-                chat.clear();
-                num.clear();
-                // --- Step 1: mark S_i and build Ĉ_i. ---
-                for &j in s.row_cols(i) {
-                    strong_row[j] = i;
-                }
-                let add_chat = |c: usize,
-                                chat: &mut Vec<usize>,
-                                num: &mut Vec<f64>,
-                                chat_row: &mut [usize],
-                                chat_pos: &mut [usize]| {
-                    if chat_row[c] != i {
-                        chat_row[c] = i;
-                        chat_pos[c] = chat.len();
-                        chat.push(c);
-                        num.push(0.0);
-                    }
-                };
-                for &j in s.row_cols(i) {
-                    if cf.is_coarse[j] {
-                        add_chat(j, &mut chat, &mut num, &mut chat_row, &mut chat_pos);
-                    } else {
-                        for &k in s.row_cols(j) {
-                            if cf.is_coarse[k] {
-                                add_chat(k, &mut chat, &mut num, &mut chat_row, &mut chat_pos);
-                            }
+                let atilde = fine_row(i, a, s, cf, &view, &mut sc, &mut ch.sink);
+                out_cols.clear();
+                out_vals.clear();
+                if atilde != 0.0 {
+                    // --- Step 5: weights. ---
+                    for (slot, &c) in sc.chat.iter().enumerate() {
+                        let w = -sc.num[slot] / atilde;
+                        if w != 0.0 {
+                            out_cols.push(cf.cmap[c]);
+                            out_vals.push(w);
+                            ch.sink.emit(slot);
                         }
                     }
-                }
-                if chat.is_empty() {
-                    // No interpolatory set: empty row, smoother-only point.
-                    ch.row_nnz.push(0);
-                    continue;
-                }
-                // --- Steps 2–4: diagonal, numerators, distribution. ---
-                let mut atilde = 0.0f64;
-                // First pass over A_i: diagonal, weak lumping, direct
-                // numerator contributions.
-                for (j, v) in a.row_iter(i) {
-                    if j == i {
-                        atilde += v;
-                    } else if chat_row[j] == i {
-                        num[chat_pos[j]] += v;
-                    } else if strong_row[j] != i {
-                        // Weak neighbour outside Ĉ_i: lump into diagonal.
-                        atilde += v;
+                    if let Some(t) = trunc {
+                        truncate_row(&mut out_cols, &mut out_vals, t);
                     }
-                    // Strong fine neighbours handled below; strong coarse
-                    // neighbours are in Ĉ_i (handled above).
-                }
-                // Distribution through strong fine neighbours.
-                for (k, aik) in a.row_iter(i) {
-                    if k == i || strong_row[k] != i || cf.is_coarse[k] {
-                        continue;
-                    }
-                    let akk = a.diag(k);
-                    // b_ik and ā_ki in one sweep of row k.
-                    let mut bik = 0.0f64;
-                    let mut abar_ki = 0.0f64;
-                    for (l, v) in a.row_iter(k) {
-                        if v * akk < 0.0 {
-                            if l == i {
-                                bik += v;
-                                abar_ki = v;
-                            } else if chat_row[l] == i {
-                                bik += v;
-                            }
-                        }
-                    }
-                    if bik == 0.0 {
-                        // Nothing to distribute to: lump a_ik (HYPRE's
-                        // guard against zero denominators).
-                        atilde += aik;
-                        continue;
-                    }
-                    let coef = aik / bik;
-                    atilde += coef * abar_ki;
-                    for (l, v) in a.row_iter(k) {
-                        if l != i && v * akk < 0.0 && chat_row[l] == i {
-                            num[chat_pos[l]] += coef * v;
-                        }
-                    }
-                }
-                if atilde == 0.0 {
-                    ch.row_nnz.push(0);
-                    continue;
-                }
-                // --- Step 5: weights. ---
-                for (pos, &c) in chat.iter().enumerate() {
-                    let w = -num[pos] / atilde;
-                    if w != 0.0 {
-                        out_cols.push(cf.cmap[c]);
-                        out_vals.push(w);
-                    }
-                }
-                if let Some(t) = trunc {
-                    super::common::truncate_row(&mut out_cols, &mut out_vals, t);
                 }
                 ch.row_nnz.push(out_cols.len());
-                ch.colidx.append(&mut out_cols);
-                ch.values.append(&mut out_vals);
+                ch.colidx.extend_from_slice(&out_cols);
+                ch.values.extend_from_slice(&out_vals);
+                ch.sink.end_row(sc.chat.len());
             }
+            ch.visited = sc.visited;
             ch
         })
         .collect();
+    drop(view);
 
-    // Stitch chunks.
-    let mut rowptr = vec![0usize; n + 1];
-    let mut idx = 0usize;
-    let mut acc = 0usize;
-    for c in &chunks {
-        for &k in &c.row_nnz {
-            rowptr[idx] = acc;
-            acc += k;
-            idx += 1;
-        }
-    }
-    rowptr[n] = acc;
-    let mut colidx = vec![0usize; acc];
-    let mut values = vec![0.0f64; acc];
-    let mut dst = 0usize;
-    for c in &chunks {
-        colidx[dst..dst + c.colidx.len()].copy_from_slice(&c.colidx);
-        values[dst..dst + c.values.len()].copy_from_slice(&c.values);
-        dst += c.colidx.len();
-    }
-    Csr::from_parts_unchecked(n, cf.nc, rowptr, colidx, values)
+    famg_prof::counter(
+        "interp_entries_visited",
+        chunks.iter().map(|c| c.visited as u64).sum(),
+    );
+    let p = Csr::from_parts_unchecked(
+        n,
+        cf.nc,
+        offsets(cat(&chunks, |c| &c.row_nnz)),
+        cat(&chunks, |c| &c.colidx),
+        cat(&chunks, |c| &c.values),
+    );
+    (p, chunks.into_iter().map(|c| c.sink).collect())
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //! it against new values with no hashing, no marker stamping, and no
 //! per-row allocation.
 //!
-//! Replay performs the *same additions in the same order* as the builder,
-//! so on inputs that induce the same frozen decisions the result is
+//! Capture is the builder's own row kernel run with a recording sink
+//! (one [`TapePart`] per parallel row block), so replay performs the *same
+//! additions in the same order* as the builder by construction, and
+//! on inputs that induce the same frozen decisions the result is
 //! bitwise identical to `extended_i(a, s, cf, None)`. The decisions frozen
 //! into the tape (beyond the sparsity pattern itself) are:
 //!
@@ -25,6 +27,7 @@
 //! [`crate::refresh`]); the `validate` feature's cross-check reports it.
 
 use super::common::CfMap;
+use super::extended_i::{build, Sink};
 use famg_sparse::Csr;
 
 /// One distribution term: `k` is a strong fine neighbour of the row.
@@ -47,22 +50,20 @@ struct KOp {
     dist_end: u32,
 }
 
-/// Frozen numeric circuit of one `extended_i` invocation.
+/// The circuit of one contiguous block of rows, recorded by the row
+/// kernel through [`Sink`].
 ///
 /// All index streams are flat, in capture (= replay) order, with per-row
 /// boundaries in `*_ptr` arrays; `KOp` sub-streams chain via running
 /// cursors. Indices are `u32` — the tape refuses to capture operators
 /// with ≥ 2³² nonzeros, far beyond a single node's memory anyway.
 #[derive(Debug)]
-pub struct ExtITape {
-    /// Frozen untruncated operator: pattern plus capture-time values.
-    /// Replay clones the values (coarse identity rows keep their 1.0)
-    /// and overwrites every fine-row entry.
-    raw: Csr,
+struct TapePart {
+    /// First row of the block; the `*_ptr` arrays and `nslots` are
+    /// indexed by `row - first_row`.
+    first_row: usize,
     /// Numerator slot count (`|Ĉ_i|`) per row.
     nslots: Vec<u32>,
-    /// Largest `nslots`, sizing the replay scratch.
-    max_slots: usize,
     /// Per-row range into `at_idx` (direct diagonal terms).
     at_ptr: Vec<u32>,
     /// nnz indices summed directly into `ã_ii` (diagonal + weak lumps).
@@ -92,18 +93,11 @@ fn idx(x: usize) -> u32 {
     u32::try_from(x).expect("extended+i tape: index stream exceeds u32")
 }
 
-impl ExtITape {
-    /// Runs the extended+i construction once, recording the numeric
-    /// circuit. The by-product `raw` operator is bitwise identical to
-    /// `extended_i(a, s, cf, None)`.
-    pub fn capture(a: &Csr, s: &Csr, cf: &CfMap) -> ExtITape {
-        let n = a.nrows();
-        assert_eq!(s.nrows(), n);
-        assert_eq!(cf.len(), n);
-        let mut t = ExtITape {
-            raw: Csr::zero(0, 0),
-            nslots: Vec::with_capacity(n),
-            max_slots: 0,
+impl TapePart {
+    fn new(first_row: usize) -> Self {
+        TapePart {
+            first_row,
+            nslots: Vec::new(),
             at_ptr: vec![0],
             at_idx: Vec::new(),
             dn_ptr: vec![0],
@@ -116,180 +110,18 @@ impl ExtITape {
             dist_slot: Vec::new(),
             em_ptr: vec![0],
             em_slot: Vec::new(),
-        };
-        let mut rowptr = Vec::with_capacity(n + 1);
-        let mut colidx: Vec<usize> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        rowptr.push(0);
-
-        // Mirrors the builder's per-row state exactly (same stamp
-        // discipline, same traversal order) so the recorded additions
-        // replay in the builder's order.
-        let mut chat_row = vec![usize::MAX; n];
-        let mut chat_pos = vec![0usize; n];
-        let mut strong_row = vec![usize::MAX; n];
-        let mut chat: Vec<usize> = Vec::new();
-        let mut num: Vec<f64> = Vec::new();
-        let mut bik_tmp: Vec<u32> = Vec::new();
-        let mut dist_tmp: Vec<(u32, u32)> = Vec::new();
-
-        let close_row = |t: &mut ExtITape| {
-            t.at_ptr.push(idx(t.at_idx.len()));
-            t.dn_ptr.push(idx(t.dn_idx.len()));
-            t.k_ptr.push(idx(t.kops.len()));
-            t.em_ptr.push(idx(t.em_slot.len()));
-        };
-
-        for i in 0..n {
-            if cf.is_coarse[i] {
-                colidx.push(cf.cmap[i]);
-                values.push(1.0);
-                rowptr.push(colidx.len());
-                t.nslots.push(0);
-                close_row(&mut t);
-                continue;
-            }
-            chat.clear();
-            num.clear();
-            for &j in s.row_cols(i) {
-                strong_row[j] = i;
-            }
-            let add_chat = |c: usize,
-                            chat: &mut Vec<usize>,
-                            num: &mut Vec<f64>,
-                            chat_row: &mut [usize],
-                            chat_pos: &mut [usize]| {
-                if chat_row[c] != i {
-                    chat_row[c] = i;
-                    chat_pos[c] = chat.len();
-                    chat.push(c);
-                    num.push(0.0);
-                }
-            };
-            for &j in s.row_cols(i) {
-                if cf.is_coarse[j] {
-                    add_chat(j, &mut chat, &mut num, &mut chat_row, &mut chat_pos);
-                } else {
-                    for &k in s.row_cols(j) {
-                        if cf.is_coarse[k] {
-                            add_chat(k, &mut chat, &mut num, &mut chat_row, &mut chat_pos);
-                        }
-                    }
-                }
-            }
-            t.nslots.push(idx(chat.len()));
-            t.max_slots = t.max_slots.max(chat.len());
-            if chat.is_empty() {
-                rowptr.push(colidx.len());
-                close_row(&mut t);
-                continue;
-            }
-            let a_row0 = a.row_range(i).start;
-            let mut atilde = 0.0f64;
-            for (off, (j, v)) in a.row_iter(i).enumerate() {
-                if j == i {
-                    atilde += v;
-                    t.at_idx.push(idx(a_row0 + off));
-                } else if chat_row[j] == i {
-                    num[chat_pos[j]] += v;
-                    t.dn_idx.push(idx(a_row0 + off));
-                    t.dn_slot.push(idx(chat_pos[j]));
-                } else if strong_row[j] != i {
-                    atilde += v;
-                    t.at_idx.push(idx(a_row0 + off));
-                }
-            }
-            for (off, (k, aik)) in a.row_iter(i).enumerate() {
-                if k == i || strong_row[k] != i || cf.is_coarse[k] {
-                    continue;
-                }
-                let akk = a.diag(k);
-                let k_row0 = a.row_range(k).start;
-                let mut bik = 0.0f64;
-                let mut abar_ki = 0.0f64;
-                let mut abar_at = u32::MAX;
-                bik_tmp.clear();
-                for (koff, (l, v)) in a.row_iter(k).enumerate() {
-                    if v * akk < 0.0 {
-                        if l == i {
-                            bik += v;
-                            abar_ki = v;
-                            abar_at = idx(k_row0 + koff);
-                            bik_tmp.push(idx(k_row0 + koff));
-                        } else if chat_row[l] == i {
-                            bik += v;
-                            bik_tmp.push(idx(k_row0 + koff));
-                        }
-                    }
-                }
-                if bik == 0.0 {
-                    // Frozen lump decision: empty b_ik range.
-                    atilde += aik;
-                    t.kops.push(KOp {
-                        aik: idx(a_row0 + off),
-                        abar: u32::MAX,
-                        bik_end: idx(t.bik_idx.len()),
-                        dist_end: idx(t.dist_idx.len()),
-                    });
-                    continue;
-                }
-                let coef = aik / bik;
-                atilde += coef * abar_ki;
-                dist_tmp.clear();
-                for (koff, (l, v)) in a.row_iter(k).enumerate() {
-                    if l != i && v * akk < 0.0 && chat_row[l] == i {
-                        num[chat_pos[l]] += coef * v;
-                        dist_tmp.push((idx(k_row0 + koff), idx(chat_pos[l])));
-                    }
-                }
-                t.bik_idx.extend_from_slice(&bik_tmp);
-                for &(di, ds) in &dist_tmp {
-                    t.dist_idx.push(di);
-                    t.dist_slot.push(ds);
-                }
-                t.kops.push(KOp {
-                    aik: idx(a_row0 + off),
-                    abar: abar_at,
-                    bik_end: idx(t.bik_idx.len()),
-                    dist_end: idx(t.dist_idx.len()),
-                });
-            }
-            if atilde == 0.0 {
-                // Frozen empty-row decision: nothing emitted.
-                rowptr.push(colidx.len());
-                close_row(&mut t);
-                continue;
-            }
-            for (pos, &c) in chat.iter().enumerate() {
-                let w = -num[pos] / atilde;
-                if w != 0.0 {
-                    colidx.push(cf.cmap[c]);
-                    values.push(w);
-                    t.em_slot.push(idx(pos));
-                }
-            }
-            rowptr.push(colidx.len());
-            close_row(&mut t);
         }
-        t.raw = Csr::from_parts_unchecked(n, cf.nc, rowptr, colidx, values);
-        t
     }
 
-    /// Re-executes the frozen circuit against `a`'s values. `a` must have
-    /// the sparsity pattern the tape was captured from (same nnz layout —
-    /// the refresh path's finest-level guard establishes this).
-    pub fn replay(&self, a: &Csr) -> Csr {
-        let n = self.raw.nrows();
-        debug_assert_eq!(a.nrows(), n);
-        let av = a.values();
-        let mut values = self.raw.values().to_vec();
-        let mut num = vec![0.0f64; self.max_slots];
+    /// Recomputes this block's fine-row weights from `av` into `values`
+    /// (laid out like `raw`'s); `num` is scratch of `max_slots` entries.
+    fn replay(&self, av: &[f64], raw: &Csr, values: &mut [f64], num: &mut [f64]) {
         // Running cursors into the KOp sub-streams.
         let mut cb = 0usize;
         let mut cd = 0usize;
-        for i in 0..n {
-            let kr = self.k_ptr[i] as usize..self.k_ptr[i + 1] as usize;
-            let er = self.em_ptr[i] as usize..self.em_ptr[i + 1] as usize;
+        for r in 0..self.nslots.len() {
+            let kr = self.k_ptr[r] as usize..self.k_ptr[r + 1] as usize;
+            let er = self.em_ptr[r] as usize..self.em_ptr[r + 1] as usize;
             if er.is_empty() {
                 // Coarse identity row, empty row, or frozen-dead row:
                 // values come from the template; skip the cursors past
@@ -300,14 +132,14 @@ impl ExtITape {
                 }
                 continue;
             }
-            for s in &mut num[..self.nslots[i] as usize] {
+            for s in &mut num[..self.nslots[r] as usize] {
                 *s = 0.0;
             }
             let mut atilde = 0.0f64;
-            for &ix in &self.at_idx[self.at_ptr[i] as usize..self.at_ptr[i + 1] as usize] {
+            for &ix in &self.at_idx[self.at_ptr[r] as usize..self.at_ptr[r + 1] as usize] {
                 atilde += av[ix as usize];
             }
-            let dnr = self.dn_ptr[i] as usize..self.dn_ptr[i + 1] as usize;
+            let dnr = self.dn_ptr[r] as usize..self.dn_ptr[r + 1] as usize;
             for (&ix, &sl) in self.dn_idx[dnr.clone()].iter().zip(&self.dn_slot[dnr]) {
                 num[sl as usize] += av[ix as usize];
             }
@@ -336,10 +168,102 @@ impl ExtITape {
                     num[sl as usize] += coef * av[ix as usize];
                 }
             }
-            let row0 = self.raw.row_range(i).start;
+            let row0 = raw.row_range(self.first_row + r).start;
             for (off, &sl) in self.em_slot[er].iter().enumerate() {
                 values[row0 + off] = -num[sl as usize] / atilde;
             }
+        }
+    }
+}
+
+impl Sink for TapePart {
+    fn diag_term(&mut self, pos: usize) {
+        self.at_idx.push(idx(pos));
+    }
+
+    fn direct_term(&mut self, pos: usize, slot: usize) {
+        self.dn_idx.push(idx(pos));
+        self.dn_slot.push(idx(slot));
+    }
+
+    fn bik_term(&mut self, pos: usize) {
+        self.bik_idx.push(idx(pos));
+    }
+
+    fn dist_term(&mut self, pos: usize, slot: usize) {
+        self.dist_idx.push(idx(pos));
+        self.dist_slot.push(idx(slot));
+    }
+
+    fn end_neighbour(&mut self, aik: usize, abar: Option<usize>, lumped: bool) {
+        if lumped {
+            // Frozen lump decision: empty b_ik range.
+            let op_start = self.kops.last().map_or(0, |op| op.bik_end as usize);
+            self.bik_idx.truncate(op_start);
+        }
+        self.kops.push(KOp {
+            aik: idx(aik),
+            abar: abar.map_or(u32::MAX, idx),
+            bik_end: idx(self.bik_idx.len()),
+            dist_end: idx(self.dist_idx.len()),
+        });
+    }
+
+    fn emit(&mut self, slot: usize) {
+        self.em_slot.push(idx(slot));
+    }
+
+    fn end_row(&mut self, nslots: usize) {
+        self.nslots.push(idx(nslots));
+        self.at_ptr.push(idx(self.at_idx.len()));
+        self.dn_ptr.push(idx(self.dn_idx.len()));
+        self.k_ptr.push(idx(self.kops.len()));
+        self.em_ptr.push(idx(self.em_slot.len()));
+    }
+}
+
+/// Frozen numeric circuit of one `extended_i` invocation: one
+/// `TapePart` per row block of the capturing run, in row order.
+#[derive(Debug)]
+pub struct ExtITape {
+    /// Frozen untruncated operator: pattern plus capture-time values.
+    /// Replay clones the values (coarse identity rows keep their 1.0)
+    /// and overwrites every fine-row entry.
+    raw: Csr,
+    /// Largest `nslots`, sizing the replay scratch.
+    max_slots: usize,
+    parts: Vec<TapePart>,
+}
+
+impl ExtITape {
+    /// Runs the extended+i construction once, recording the numeric
+    /// circuit. The by-product `raw` operator is bitwise identical to
+    /// `extended_i(a, s, cf, None)`: both are the same kernel, here with
+    /// a recording sink.
+    pub fn capture(a: &Csr, s: &Csr, cf: &CfMap) -> ExtITape {
+        let (raw, parts) = build(a, s, cf, None, TapePart::new);
+        let max_slots = parts
+            .iter()
+            .flat_map(|p| &p.nslots)
+            .max()
+            .map_or(0, |&m| m as usize);
+        ExtITape {
+            raw,
+            max_slots,
+            parts,
+        }
+    }
+
+    /// Re-executes the frozen circuit against `a`'s values. `a` must have
+    /// the sparsity pattern the tape was captured from (same nnz layout —
+    /// the refresh path's finest-level guard establishes this).
+    pub fn replay(&self, a: &Csr) -> Csr {
+        let n = self.raw.nrows();
+        debug_assert_eq!(a.nrows(), n);
+        let mut values = self.raw.values().to_vec();
+        let mut num = vec![0.0f64; self.max_slots];
+        for part in &self.parts {
+            part.replay(a.values(), &self.raw, &mut values, &mut num);
         }
         Csr::from_parts_unchecked(
             n,

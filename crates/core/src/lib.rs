@@ -10,7 +10,7 @@
 //! | §3.1.1 SpGEMM          | two-pass                 | one-pass chunked        |
 //! | §3.1.1 RAP fusion      | scalar fusion (Fig 1b)   | row fusion (Fig 1a)     |
 //! | §3.1.1 CF reordering   | full `P` with identity rows interleaved | `P = [I; P_F]` blocks |
-//! | §3.1.2 interpolation   | extended+i, post-truncation | extended+i, fused truncation, 3-way row partition |
+//! | §3.1.2 interpolation   | extended+i, post-truncation | extended+i, fused truncation, coarse opposite-sign view |
 //! | §3.2 smoothing         | hybrid GS with per-nz branches (Fig 2a) | reordered hybrid GS (Fig 2b) |
 //! | §3.2 restriction       | transpose `P` per application | keep `R = Pᵀ` from setup |
 //! | §3.3 residual norm     | SpMV then dot            | fused SpMV+dot          |
@@ -21,7 +21,7 @@
 //! * [`coarsen`] — PMIS coarsening (plus aggressive second-pass PMIS),
 //! * [`interp`] — interpolation operators: direct, extended+i
 //!   (distance-2), multipass, and 2-stage extended+i,
-//! * [`reorder`] — CF permutation plumbing and intra-row 3-way partitions,
+//! * [`reorder`] — CF permutation plumbing and the intra-row GS partition,
 //! * [`smoother`] — Jacobi, hybrid Gauss-Seidel (baseline + optimized),
 //!   lexicographic level-scheduled GS, multicolor GS,
 //! * [`hierarchy`] — multigrid level construction (setup phase),

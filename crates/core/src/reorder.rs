@@ -1,20 +1,19 @@
 //! CF reordering plumbing (§3.1.2, §3.2).
 //!
 //! After coarsening, the optimized path renumbers points so C-points
-//! precede F-points, permutes the operator symmetrically, and partitions
-//! the entries *within* each row:
+//! precede F-points and permutes the operator symmetrically
+//! ([`cf_reorder`]). [`partition_rows_gs`] then partitions the entries
+//! *within* each row for smoothing, Fig. 2(b):
+//! `[diagonal | own-thread lower | own-thread upper | other-thread]`,
+//! which removes the per-nonzero ownership branch from hybrid GS and
+//! enables the zero-initial-guess skip. It only reorders entries within
+//! rows, so SpMV and any other row-order-insensitive kernel keep working
+//! on the same matrix.
 //!
-//! * [`partition_rows_cf_sign`] — the interpolation-construction
-//!   partition: `[coarse same-sign-as-diagonal | coarse opposite-sign |
-//!   fine]`, computed with a single O(nnz) sweep per row (the paper's
-//!   "partial sorting"). Extended+i needs exactly these three classes.
-//! * [`partition_rows_gs`] — the smoothing partition of Fig. 2(b):
-//!   `[diagonal | own-thread lower | own-thread upper | other-thread]`,
-//!   which removes the per-nonzero ownership branch from hybrid GS and
-//!   enables the zero-initial-guess skip.
-//!
-//! Both partitions only reorder entries within rows, so SpMV and any
-//! other row-order-insensitive kernel keep working on the same matrix.
+//! The paper's second row partition, `[coarse same-sign | coarse
+//! opposite-sign | fine]` for interpolation construction, is not done in
+//! place here: extended+i gathers the one class it reads into a side view
+//! (`interp::extended_i`) and leaves the operator's row order alone.
 
 use famg_sparse::permute::{cf_permutation, permute_symmetric, Permutation};
 use famg_sparse::Csr;
@@ -34,62 +33,6 @@ pub fn cf_reorder(a: &Csr, is_coarse: &[bool]) -> (Csr, CfOrdering) {
     let (perm, nc) = cf_permutation(is_coarse);
     let ap = permute_symmetric(a, &perm);
     (ap, CfOrdering { perm, nc })
-}
-
-/// Row-internal partition boundaries produced by
-/// [`partition_rows_cf_sign`].
-#[derive(Debug, Clone)]
-pub struct CfSignPartition {
-    /// Start of the coarse opposite-sign segment of each row.
-    pub opp_start: Vec<usize>,
-    /// Start of the fine segment of each row (= end of opposite-sign).
-    pub fine_start: Vec<usize>,
-}
-
-/// Partitions each row of a CF-permuted matrix (coarse columns `< nc`)
-/// into `[coarse same-sign | coarse opposite-sign | fine]`, where "sign"
-/// is relative to the row's diagonal. One O(nnz) sweep per row — the
-/// paper's partial sort replacing a full O(n log n) sort.
-#[allow(clippy::explicit_counter_loop)] // cursor spans three source buffers
-pub fn partition_rows_cf_sign(a: &mut Csr, nc: usize) -> CfSignPartition {
-    let n = a.nrows();
-    let rowptr = a.rowptr().to_vec();
-    let mut opp_start = vec![0usize; n];
-    let mut fine_start = vec![0usize; n];
-    let diag: Vec<f64> = (0..n).map(|i| a.diag(i)).collect();
-    let (colidx, values) = a.colidx_values_mut();
-    let mut tmp_c: Vec<(usize, f64)> = Vec::new();
-    let mut tmp_o: Vec<(usize, f64)> = Vec::new();
-    let mut tmp_f: Vec<(usize, f64)> = Vec::new();
-    for i in 0..n {
-        let r = rowptr[i]..rowptr[i + 1];
-        tmp_c.clear();
-        tmp_o.clear();
-        tmp_f.clear();
-        let dsign = diag[i] >= 0.0;
-        for k in r.clone() {
-            let (c, v) = (colidx[k], values[k]);
-            if c >= nc {
-                tmp_f.push((c, v));
-            } else if (v >= 0.0) == dsign {
-                tmp_c.push((c, v));
-            } else {
-                tmp_o.push((c, v));
-            }
-        }
-        let mut k = r.start;
-        for &(c, v) in tmp_c.iter().chain(&tmp_o).chain(&tmp_f) {
-            colidx[k] = c;
-            values[k] = v;
-            k += 1;
-        }
-        opp_start[i] = r.start + tmp_c.len();
-        fine_start[i] = r.start + tmp_c.len() + tmp_o.len();
-    }
-    CfSignPartition {
-        opp_start,
-        fine_start,
-    }
 }
 
 /// Thread ownership for the optimized hybrid GS: following Fig. 2(b),
@@ -254,44 +197,6 @@ mod tests {
         // Diagonal values survive the permutation.
         for i in 0..16 {
             assert_eq!(ap.diag(ord.perm.forward[i]), a.diag(i));
-        }
-    }
-
-    #[test]
-    fn cf_sign_partition_classifies() {
-        // Row 0 (diag +2): coarse cols {0, 1}, fine col {2}.
-        let mut a = Csr::from_triplets(
-            3,
-            3,
-            vec![
-                (0, 0, 2.0),
-                (0, 1, -1.0),
-                (0, 2, 0.5),
-                (1, 1, 1.0),
-                (2, 2, 1.0),
-            ],
-        );
-        let p = partition_rows_cf_sign(&mut a, 2);
-        // Row 0: same-sign coarse = {(0, 2.0)}, opp = {(1, -1.0)},
-        // fine = {(2, 0.5)}.
-        assert_eq!(p.opp_start[0], 1);
-        assert_eq!(p.fine_start[0], 2);
-        assert_eq!(a.row_cols(0), &[0, 1, 2]);
-        assert_eq!(a.row_vals(0), &[2.0, -1.0, 0.5]);
-    }
-
-    #[test]
-    fn cf_sign_partition_preserves_spmv() {
-        let mut a = laplace2d(8, 8);
-        let before = a.clone();
-        let _ = partition_rows_cf_sign(&mut a, 20);
-        let x: Vec<f64> = (0..64).map(|i| f64::from(i % 5)).collect();
-        let mut y1 = vec![0.0; 64];
-        let mut y2 = vec![0.0; 64];
-        spmv_seq(&before, &x, &mut y1);
-        spmv_seq(&a, &x, &mut y2);
-        for (u, v) in y1.iter().zip(&y2) {
-            assert!((u - v).abs() < 1e-14);
         }
     }
 

@@ -231,13 +231,16 @@ pub fn dist_extended_i(
     // Gather remote A rows, optionally filtered (§4.3). The owner-side
     // filter keeps the diagonal, and otherwise only entries opposing the
     // diagonal sign whose column is coarse or owned by the requester.
+    // A row with no stored diagonal has `a_kk = 0`: no entry opposes it,
+    // every `b_ik` through it lumps (the serial convention), and nothing of
+    // it needs to travel.
     let diag_sign: Vec<f64> = (0..nl)
         .map(|i| {
             let gi = gi0 + i;
             a.global_row(i, rank)
                 .iter()
                 .find(|&&(c, _)| c == gi)
-                .map_or(1.0, |&(_, v)| v)
+                .map_or(0.0, |&(_, v)| v)
         })
         .collect();
     let col_starts = a.col_starts.clone();
@@ -376,7 +379,7 @@ pub fn dist_extended_i(
                 continue;
             }
             let krow = row_of(k);
-            let akk = krow.iter().find(|&&(c, _)| c == k).map_or(1.0, |&(_, v)| v);
+            let akk = krow.iter().find(|&&(c, _)| c == k).map_or(0.0, |&(_, v)| v);
             let mut bik = 0.0f64;
             let mut abar_ki = 0.0f64;
             for &(l, v) in &krow {
@@ -704,25 +707,45 @@ mod tests {
 
     #[test]
     fn dist_extended_i_matches_serial() {
-        let a = laplace2d(12, 12);
-        let s = strength(&a, 0.25, 0.8);
-        let c_serial = pmis(&s, 9);
-        let p_ref = extended_i(&a, &s, &CfMap::new(c_serial.is_coarse.clone()), None);
-        for nranks in [1usize, 2, 4] {
-            let starts = default_partition(144, nranks);
-            let (parts, _) = run_ranks(nranks, |c| {
-                let pa = split(&a, &starts, c.rank());
-                let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-                let dc = dist_pmis(c, &ps, 9, None);
-                let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
-                dist_extended_i(c, &pa, &plan, &ps, &dc, None, false)
-            });
-            let p = to_global(&parts);
-            assert!(
-                p.frob_diff(&p_ref) < 1e-10,
-                "nranks {nranks}: diff {}",
-                p.frob_diff(&p_ref)
-            );
+        let full = laplace2d(12, 12);
+        // The same operator with every fifth row's diagonal not stored:
+        // `a_kk = 0` there, so every b_ik through such a row lumps, on
+        // every rank and on both sides of the §4.3 wire filter.
+        let holes = famg_sparse::Csr::from_triplets(
+            144,
+            144,
+            (0..144)
+                .flat_map(|i| full.row_iter(i).map(move |(c, v)| (i, c, v)))
+                .filter(|&(i, c, _)| i != c || i % 5 != 2)
+                .collect::<Vec<_>>(),
+        );
+        for a in [&full, &holes] {
+            let s = strength(a, 0.25, 0.8);
+            let c_serial = pmis(&s, 9);
+            if a.nnz() < full.nnz() {
+                let through_hole = (0..144).any(|i| {
+                    let fine = |p: usize| !c_serial.is_coarse[p];
+                    fine(i) && s.row_cols(i).iter().any(|&k| fine(k) && k % 5 == 2)
+                });
+                assert!(through_hole, "no fine row distributes through a hole");
+            }
+            let p_ref = extended_i(a, &s, &CfMap::new(c_serial.is_coarse.clone()), None);
+            for (nranks, filter) in [(1usize, false), (2, false), (4, false), (4, true)] {
+                let starts = default_partition(144, nranks);
+                let (parts, _) = run_ranks(nranks, |c| {
+                    let pa = split(a, &starts, c.rank());
+                    let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
+                    let dc = dist_pmis(c, &ps, 9, None);
+                    let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
+                    dist_extended_i(c, &pa, &plan, &ps, &dc, None, filter)
+                });
+                let p = to_global(&parts);
+                assert!(
+                    p.frob_diff(&p_ref) < 1e-10,
+                    "nranks {nranks}, filter {filter}: diff {}",
+                    p.frob_diff(&p_ref)
+                );
+            }
         }
     }
 

@@ -8,12 +8,11 @@
 //!   interpolation/restriction SpMVs can skip the identity block,
 //! * C-F relaxation sweeps become two loops over contiguous ranges instead
 //!   of a per-row `is_coarse` branch,
-//! * within each permuted row, columns can be *partially sorted* into the
-//!   three groups extended+i interpolation distinguishes (coarse with
-//!   non-negative coefficient / coarse with negative coefficient / fine)
-//!   in one O(nnz) sweep.
+//! * "is this column coarse" becomes `col < nc`.
 
 use crate::csr::Csr;
+use crate::partition::{num_threads, split_rows_by_nnz};
+use rayon::prelude::*;
 
 /// A permutation `new_index = perm[old_index]` together with its inverse.
 #[derive(Debug, Clone)]
@@ -149,45 +148,63 @@ pub fn cf_permutation(is_coarse: &[bool]) -> (Permutation, usize) {
 /// re-partition rows anyway).
 pub fn permute_symmetric(a: &Csr, perm: &Permutation) -> Csr {
     assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(a.nrows(), perm.len());
-    let n = a.nrows();
-    let mut rowptr = vec![0usize; n + 1];
-    for new in 0..n {
-        let old = perm.inverse[new];
-        rowptr[new + 1] = rowptr[new] + a.row_nnz(old);
-    }
-    let nnz = rowptr[n];
-    let mut colidx = vec![0usize; nnz];
-    let mut values = vec![0.0f64; nnz];
-    for new in 0..n {
-        let old = perm.inverse[new];
-        let dst = rowptr[new];
-        for (k, (c, v)) in a.row_iter(old).enumerate() {
-            colidx[dst + k] = perm.forward[c];
-            values[dst + k] = v;
+    move_rows(a, perm, |old, cols, vals| {
+        for (dst, &c) in cols.iter_mut().zip(a.row_cols(old)) {
+            *dst = perm.forward[c];
         }
-    }
-    Csr::from_parts_unchecked(n, n, rowptr, colidx, values)
+        vals.copy_from_slice(a.row_vals(old));
+    })
 }
 
 /// Permutes only the rows of `a`: `B[p(i), j] = A[i, j]`.
 pub fn permute_rows(a: &Csr, perm: &Permutation) -> Csr {
+    move_rows(a, perm, |old, cols, vals| {
+        cols.copy_from_slice(a.row_cols(old));
+        vals.copy_from_slice(a.row_vals(old));
+    })
+}
+
+/// Output nonzeros per parallel block below which a permutation is not
+/// worth splitting further.
+const MIN_BLOCK_NNZ: usize = 1 << 15;
+
+/// Moves row `i` of `a` to row `perm.forward[i]`: row lengths → prefix
+/// sum → nnz-balanced row blocks filled in parallel, each into its own
+/// slice of the output. `fill(old_row, cols, vals)` writes one moved row.
+fn move_rows(
+    a: &Csr,
+    perm: &Permutation,
+    fill: impl Fn(usize, &mut [usize], &mut [f64]) + Sync,
+) -> Csr {
     assert_eq!(a.nrows(), perm.len());
     let n = a.nrows();
     let mut rowptr = vec![0usize; n + 1];
     for new in 0..n {
-        let old = perm.inverse[new];
-        rowptr[new + 1] = rowptr[new] + a.row_nnz(old);
+        rowptr[new + 1] = rowptr[new] + a.row_nnz(perm.inverse[new]);
     }
     let nnz = rowptr[n];
     let mut colidx = vec![0usize; nnz];
     let mut values = vec![0.0f64; nnz];
-    for new in 0..n {
-        let old = perm.inverse[new];
-        let dst = rowptr[new];
-        colidx[dst..dst + a.row_nnz(old)].copy_from_slice(a.row_cols(old));
-        values[dst..dst + a.row_nnz(old)].copy_from_slice(a.row_vals(old));
-    }
+    let nblocks = (nnz / MIN_BLOCK_NNZ).clamp(1, num_threads() * 4);
+    let (mut cols_left, mut vals_left) = (&mut colidx[..], &mut values[..]);
+    let mut blocks: Vec<_> = split_rows_by_nnz(&rowptr, nblocks)
+        .into_iter()
+        .map(|rows| {
+            let len = rowptr[rows.end] - rowptr[rows.start];
+            let (cols, rest) = std::mem::take(&mut cols_left).split_at_mut(len);
+            cols_left = rest;
+            let (vals, rest) = std::mem::take(&mut vals_left).split_at_mut(len);
+            vals_left = rest;
+            (rows, cols, vals)
+        })
+        .collect();
+    blocks.par_iter_mut().for_each(|(rows, cols, vals)| {
+        let base = rowptr[rows.start];
+        for new in rows.clone() {
+            let r = rowptr[new] - base..rowptr[new + 1] - base;
+            fill(perm.inverse[new], &mut cols[r.clone()], &mut vals[r]);
+        }
+    });
     Csr::from_parts_unchecked(n, a.ncols(), rowptr, colidx, values)
 }
 
@@ -327,6 +344,29 @@ mod tests {
         let via_blocks = permute_cols(&permute_rows(&a, &p), &p);
         let direct = permute_symmetric(&a, &p);
         assert_eq!(via_blocks.to_dense(), direct.to_dense());
+    }
+
+    #[test]
+    fn block_parallel_fill_matches_row_by_row_definition() {
+        // Enough nonzeros for several parallel blocks, ragged rows
+        // (including empty ones), and a permutation that interleaves.
+        let n = 30_000usize;
+        let trips: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| (0..i % 7).map(move |d| (i, (i * 31 + d * 977) % n, (i + d) as f64)))
+            .collect();
+        let a = Csr::from_triplets(n, n, trips);
+        assert!(a.nnz() / MIN_BLOCK_NNZ >= 2);
+        let p = Permutation::from_forward((0..n).map(|i| (i * 7919 + 13) % n).collect());
+        let sym = permute_symmetric(&a, &p);
+        let rows = permute_rows(&a, &p);
+        for old in 0..n {
+            let new = p.forward[old];
+            let mapped: Vec<usize> = a.row_cols(old).iter().map(|&c| p.forward[c]).collect();
+            assert_eq!(sym.row_cols(new), &mapped[..]);
+            assert_eq!(sym.row_vals(new), a.row_vals(old));
+            assert_eq!(rows.row_cols(new), a.row_cols(old));
+            assert_eq!(rows.row_vals(new), a.row_vals(old));
+        }
     }
 
     #[test]

@@ -4,11 +4,14 @@
 
 mod common;
 
-use common::{graph_laplacian, FuzzRng};
+use common::{graph_laplacian, random_marker, random_permutation, FuzzRng};
 use famg::core::coarsen::{pmis, validate_cf};
-use famg::core::interp::{extended_i, truncate_row, CfMap, TruncParams};
+use famg::core::interp::{extended_i, truncate_row, CfMap, ExtITape, TruncParams};
 use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver};
+use famg::sparse::permute::{cf_permutation, permute_symmetric};
+use famg::sparse::Csr;
+use std::collections::BTreeSet;
 
 const CASES: u64 = 32;
 
@@ -52,36 +55,264 @@ fn extended_i_rows_sum_to_one_on_zero_rowsum_operators() {
     }
 }
 
-#[test]
-fn truncation_preserves_row_sum_and_caps_length() {
-    for case in 0..CASES {
-        let mut rng = FuzzRng::new(0x200 + case);
-        let len = rng.range(1, 20);
-        let vals: Vec<f64> = (0..len).map(|_| rng.float(-3.0, 3.0)).collect();
-        let factor = rng.float(0.0, 0.5);
-        let max_el = rng.below(8);
-        let mut cols: Vec<usize> = (0..vals.len()).collect();
-        let mut v = vals.clone();
-        let before: f64 = v.iter().sum();
-        truncate_row(
-            &mut cols,
-            &mut v,
-            &TruncParams {
-                factor,
-                max_elements: max_el,
-            },
-        );
-        if max_el > 0 {
-            assert!(v.len() <= max_el.max(1), "case {case}");
+/// How often the inputs of [`eq1_reference`] hit each guarded corner case.
+#[derive(Default)]
+struct Eq1Coverage {
+    lumped_bik: usize,
+    empty_chat: usize,
+    zero_atilde: usize,
+    missing_aki: usize,
+    same_sign_coarse: usize,
+}
+
+/// Eq. 1 evaluated straight from its definitions on a dense copy of `A`,
+/// with the neighbour sets as `BTreeSet`s — no markers, no view, no shared
+/// code with `extended_i`. Returns the dense `n × nc` operator.
+fn eq1_reference(a: &Csr, s: &Csr, cf: &CfMap, cov: &mut Eq1Coverage) -> Vec<Vec<f64>> {
+    let n = a.nrows();
+    let dense = a.to_dense();
+    let at = |i: usize, j: usize| dense[i * n + j];
+    let stored = |i: usize, j: usize| a.row_cols(i).contains(&j);
+    // ā_kl: a_kl where it opposes the sign of a_kk, else 0.
+    let abar = |k: usize, l: usize| {
+        if at(k, l) * at(k, k) < 0.0 {
+            at(k, l)
+        } else {
+            0.0
         }
-        let after: f64 = v.iter().sum();
-        if after != 0.0 && before != 0.0 && !v.is_empty() {
+    };
+    let strong = |i: usize| -> BTreeSet<usize> { s.row_cols(i).iter().copied().collect() };
+    let coarse = |set: &BTreeSet<usize>| -> BTreeSet<usize> {
+        set.iter().copied().filter(|&j| cf.is_coarse[j]).collect()
+    };
+    let mut p = vec![vec![0.0f64; cf.nc]; n];
+    for i in 0..n {
+        if cf.is_coarse[i] {
+            p[i][cf.cmap[i]] = 1.0;
+            continue;
+        }
+        let s_i = strong(i);
+        let f_i: BTreeSet<usize> = s_i.iter().copied().filter(|&j| !cf.is_coarse[j]).collect();
+        let mut chat = coarse(&s_i);
+        for &k in &f_i {
+            chat.extend(coarse(&strong(k)));
+        }
+        if chat.is_empty() {
+            cov.empty_chat += 1;
+            continue;
+        }
+        let b = |k: usize| chat.iter().map(|&l| abar(k, l)).sum::<f64>() + abar(k, i);
+        // ã_ii: diagonal, weak neighbours outside Ĉ_i, the distributed
+        // share that returns to i, and a_ik itself where b_ik = 0.
+        let mut atilde = at(i, i);
+        for nbr in (0..n).filter(|&j| j != i && stored(i, j)) {
+            if !chat.contains(&nbr) && !s_i.contains(&nbr) {
+                atilde += at(i, nbr);
+            }
+        }
+        for &k in &f_i {
+            if !stored(k, i) {
+                cov.missing_aki += 1;
+            }
+            cov.same_sign_coarse += chat
+                .iter()
+                .filter(|&&l| stored(k, l) && abar(k, l) == 0.0)
+                .count();
+            if b(k) == 0.0 {
+                cov.lumped_bik += 1;
+                atilde += at(i, k);
+            } else {
+                atilde += at(i, k) * abar(k, i) / b(k);
+            }
+        }
+        if atilde == 0.0 {
+            cov.zero_atilde += 1;
+            continue;
+        }
+        for &j in &chat {
+            let through: f64 = f_i
+                .iter()
+                .filter(|&&k| b(k) != 0.0)
+                .map(|&k| at(i, k) * abar(k, j) / b(k))
+                .sum();
+            p[i][cf.cmap[j]] = -(at(i, j) + through) / atilde;
+        }
+    }
+    p
+}
+
+#[test]
+fn extended_i_matches_eq1_evaluated_from_the_definitions() {
+    // Small integer-valued operators: sign-mixed, nonsymmetric, some rows
+    // without a stored diagonal, a random strength pattern and a random
+    // C/F marking in the original (not coarse-first) ordering, then the
+    // same problem CF-permuted. Integer entries make exact-zero b_ik and
+    // ã_ii happen often enough to cover the guards.
+    let mut cov = Eq1Coverage::default();
+    for case in 0..400 {
+        let mut rng = FuzzRng::new(0x700 + case);
+        let n = rng.range(3, 14);
+        let mut trips = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                let keep = if i == j {
+                    rng.below(8) > 0
+                } else {
+                    rng.below(3) == 0
+                };
+                if keep {
+                    let mag = rng.range(1, 4) as f64;
+                    let negative = if i == j {
+                        rng.below(6) == 0
+                    } else {
+                        rng.below(4) > 0
+                    };
+                    trips.push((i, j, if negative { -mag } else { mag }));
+                }
+            }
+        }
+        let a = Csr::from_triplets(n, n, trips);
+        let s_trips: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| a.row_iter(i).map(move |(j, v)| (i, j, v)))
+            .filter(|&(i, j, _)| i != j && rng.below(3) > 0)
+            .collect();
+        let s = Csr::from_triplets(n, n, s_trips);
+        let is_coarse = random_marker(&mut rng, n);
+
+        let (perm, _) = cf_permutation(&is_coarse);
+        let orderings = [
+            (a.clone(), s.clone(), is_coarse.clone()),
+            (
+                permute_symmetric(&a, &perm),
+                permute_symmetric(&s, &perm),
+                perm.inverse.iter().map(|&old| is_coarse[old]).collect(),
+            ),
+        ];
+        for (which, (a, s, is_coarse)) in orderings.into_iter().enumerate() {
+            let cf = CfMap::new(is_coarse);
+            let want = eq1_reference(&a, &s, &cf, &mut cov);
+            let got = extended_i(&a, &s, &cf, None).to_dense();
+            let tape = ExtITape::capture(&a, &s, &cf);
+            assert_eq!(tape.raw().to_dense(), got, "case {case}/{which}: capture");
+            assert_eq!(
+                tape.replay(&a).to_dense(),
+                got,
+                "case {case}/{which}: replay"
+            );
+            for i in 0..n {
+                for c in 0..cf.nc {
+                    let (g, w) = (got[i * cf.nc + c], want[i][c]);
+                    assert!(
+                        (g - w).abs() <= 1e-12 * w.abs().max(1.0),
+                        "case {case}/{which}: P[{i}, {c}] = {g}, Eq. 1 gives {w}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(cov.lumped_bik > 0, "no b_ik = 0 case generated");
+    assert!(cov.empty_chat > 0, "no empty Ĉ_i generated");
+    assert!(cov.zero_atilde > 0, "no ã_ii = 0 case generated");
+    assert!(cov.missing_aki > 0, "no missing a_ki generated");
+    assert!(
+        cov.same_sign_coarse > 0,
+        "no same-sign coarse entry generated"
+    );
+}
+
+/// `truncate_row` as its documentation states it, written the obvious way:
+/// threshold, sort an index list by (|w| descending, column ascending),
+/// keep the first `max_elements`, restore the original order, rescale.
+fn truncate_spec(cols: &[usize], vals: &[f64], p: &TruncParams) -> (Vec<usize>, Vec<f64>) {
+    let max_abs = vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let mut kept: Vec<usize> = (0..cols.len())
+        .filter(|&i| vals[i].abs() >= p.factor * max_abs)
+        .collect();
+    if p.max_elements > 0 && kept.len() > p.max_elements {
+        kept.sort_by(|&x, &y| {
+            (vals[y].abs().total_cmp(&vals[x].abs())).then(cols[x].cmp(&cols[y]))
+        });
+        kept.truncate(p.max_elements);
+        kept.sort_unstable();
+    }
+    let before: f64 = vals.iter().sum();
+    let after: f64 = kept.iter().map(|&i| vals[i]).sum();
+    let scale = if before != 0.0 && after != 0.0 {
+        before / after
+    } else {
+        1.0
+    };
+    (
+        kept.iter().map(|&i| cols[i]).collect(),
+        kept.iter().map(|&i| vals[i] * scale).collect(),
+    )
+}
+
+#[test]
+fn truncate_row_matches_its_specification() {
+    let max_elements = 4usize;
+    // Lengths around the cap first, then random ones.
+    let lens = [0, 1, max_elements, max_elements + 1];
+    for case in 0..300u64 {
+        let mut rng = FuzzRng::new(0x200 + case);
+        let len = match lens.get(case as usize) {
+            Some(&l) => l,
+            None => rng.below(40),
+        };
+        // Weights from a handful of magnitudes, so ties (broken by
+        // column) are the rule; columns distinct, in scrambled order.
+        let vals: Vec<f64> = (0..len)
+            .map(|_| {
+                [0.05, 0.25, 0.25, 0.5, 1.0][rng.below(5)] * if rng.bool() { 1.0 } else { -1.0 }
+            })
+            .collect();
+        let cols: Vec<usize> = random_permutation(&mut rng, len).forward;
+        let p = TruncParams {
+            factor: [0.0, 0.1, 0.3][rng.below(3)],
+            max_elements: if case % 7 == 6 { 0 } else { max_elements },
+        };
+        let (want_cols, want_vals) = truncate_spec(&cols, &vals, &p);
+        let (mut got_cols, mut got_vals) = (cols.clone(), vals.clone());
+        let capacity = (got_cols.capacity(), got_vals.capacity());
+        truncate_row(&mut got_cols, &mut got_vals, &p);
+        assert_eq!(got_cols, want_cols, "case {case}: kept set / order");
+        assert_eq!(got_vals, want_vals, "case {case}: rescaled weights");
+        assert_eq!(
+            (got_cols.capacity(), got_vals.capacity()),
+            capacity,
+            "case {case}: the caller's buffers were replaced"
+        );
+        if p.max_elements > 0 {
+            assert!(got_cols.len() <= p.max_elements, "case {case}");
+        }
+        let (before, after): (f64, f64) = (vals.iter().sum(), got_vals.iter().sum());
+        if before != 0.0 && after != 0.0 {
             assert!(
-                (after - before).abs() < 1e-9 * before.abs().max(1.0),
+                (after - before).abs() < 1e-12,
                 "case {case}: row sum {before} -> {after}"
             );
         }
     }
+}
+
+#[test]
+fn truncate_row_orders_nan_weights_instead_of_panicking() {
+    // A NaN weight fails the threshold comparison and is dropped there;
+    // the keep order is total regardless, so no input can panic the
+    // selection. The row sum is NaN, so the survivors are too.
+    for nan_at in 0..7 {
+        let mut cols: Vec<usize> = (0..7).collect();
+        let mut vals = vec![0.4, -0.3, 0.2, 0.6, 0.1, 0.5, -0.7];
+        vals[nan_at] = f64::NAN;
+        truncate_row(&mut cols, &mut vals, &TruncParams::paper());
+        assert_eq!(cols.len(), 4, "NaN at {nan_at}");
+        assert!(!cols.contains(&nan_at), "NaN at {nan_at}");
+    }
+    // All-NaN row, and a NaN threshold factor: everything is dropped.
+    let mut cols = vec![0, 1];
+    let mut vals = vec![f64::NAN, f64::NAN];
+    truncate_row(&mut cols, &mut vals, &TruncParams::paper());
+    assert!(cols.is_empty());
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! re-executes this test binary as subprocesses with `RAYON_NUM_THREADS`
 //! set to 1, 2, and 4, runs [`fingerprint_worker`] in each, and compares
 //! the printed fingerprints. Covered: SpGEMM, fused RAP, parallel
-//! transpose, strength, PMIS, hybrid-GS and Jacobi sweeps (task counts
+//! transpose, strength, PMIS, the CF permutation, extended+i (builder, tape
+//! capture and replay), hybrid-GS and Jacobi sweeps (task counts
 //! pinned — the task decomposition is part of the numerical method),
 //! end-to-end AMG solves (`smoother_tasks` pinned), the parallel sort,
 //! and the fused residual/dot reductions.
@@ -15,11 +16,13 @@ mod common;
 
 use common::{graph_laplacian, random_csr, random_marker, FuzzRng};
 use famg::core::coarsen::pmis;
+use famg::core::interp::{extended_i, CfMap, ExtITape, TruncParams};
 use famg::core::reorder::cf_reorder;
 use famg::core::smoother::{Smoother, Workspace};
 use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver};
-use famg::matgen::laplace2d;
+use famg::matgen::{laplace2d, laplace3d_27pt};
+use famg::sparse::permute::permute_symmetric;
 use famg::sparse::spgemm::spgemm_one_pass;
 use famg::sparse::transpose::{transpose, transpose_par};
 use famg::sparse::triple::rap_row_fused;
@@ -78,6 +81,29 @@ fn fp_setup_kernels() -> u64 {
     let coarse = pmis(&s, 1);
     let h = hash_csr(FNV_SEED, &s);
     hash_u64s(h, coarse.is_coarse.iter().map(|&c| u64::from(c)))
+}
+
+fn fp_interp() -> u64 {
+    // Row blocks follow the pool size; the operator, the tape's by-product
+    // and a replay on drifted values must not.
+    let a0 = laplace3d_27pt(14, 14, 14);
+    let n = a0.nrows();
+    let s0 = strength(&a0, 0.25, 0.8);
+    let coarse = pmis(&s0, 1);
+    let (a, ord) = cf_reorder(&a0, &coarse.is_coarse);
+    let s = permute_symmetric(&s0, &ord.perm);
+    let cf = CfMap::new((0..n).map(|i| i < ord.nc).collect());
+    let mut h = hash_csr(FNV_SEED, &a);
+    h = hash_csr(h, &s);
+    h = hash_csr(h, &extended_i(&a, &s, &cf, Some(&TruncParams::paper())));
+    h = hash_csr(h, &extended_i(&a, &s, &cf, None));
+    let tape = ExtITape::capture(&a, &s, &cf);
+    h = hash_csr(h, tape.raw());
+    let mut drifted = a.clone();
+    for (k, v) in drifted.values_mut().iter_mut().enumerate() {
+        *v *= 1.0 + 1e-6 * (k % 11) as f64;
+    }
+    hash_csr(h, &tape.replay(&drifted))
 }
 
 fn fp_smoother_sweeps() -> u64 {
@@ -166,6 +192,7 @@ fn fp_sort_and_reductions() -> u64 {
 fn fingerprint_worker() {
     println!("FP spgemm_rap_transpose {:016x}", fp_spgemm_rap_transpose());
     println!("FP setup_kernels {:016x}", fp_setup_kernels());
+    println!("FP interp {:016x}", fp_interp());
     println!("FP smoother_sweeps {:016x}", fp_smoother_sweeps());
     println!("FP e2e_solve {:016x}", fp_e2e_solve());
     println!("FP sort_reductions {:016x}", fp_sort_and_reductions());
@@ -197,8 +224,8 @@ fn collect_fingerprints(num_threads: usize) -> Vec<(String, String)> {
         .collect();
     assert_eq!(
         fps.len(),
-        5,
-        "expected 5 fingerprint lines from subprocess, got:\n{stdout}"
+        6,
+        "expected 6 fingerprint lines from subprocess, got:\n{stdout}"
     );
     fps
 }

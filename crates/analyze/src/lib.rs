@@ -19,6 +19,10 @@
 //!   only in the fixed-chunk deterministic modules, preserving the
 //!   workspace's bitwise thread-count independence guarantee.
 //!
+//! A fourth check, **`stale-solve-root`**, keeps the first one honest:
+//! every root name the no-alloc proof starts from must still name a
+//! function.
+//!
 //! The call graph is over-approximate (method and trait calls edge to
 //! every same-named function; see [`model`]), so every rule has a
 //! written escape hatch (`// ALLOC:`, `// PANIC-FREE:`,
@@ -60,8 +64,9 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
 }
 
 /// Walks [`ANALYZED_ROOTS`] under `root`, reads every `.rs` file, and
-/// analyzes them as one workspace. File order is sorted for deterministic
-/// diagnostics.
+/// analyzes them as one workspace — the site rules plus
+/// [`rules::rule_stale_roots`], which only makes sense over the whole
+/// solve stack. File order is sorted for deterministic diagnostics.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
     for sub in ANALYZED_ROOTS {
@@ -80,7 +85,10 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             .replace('\\', "/");
         sources.push((rel, fs::read_to_string(&f)?));
     }
-    Ok(analyze_sources(&sources))
+    let model = Model::build(&sources);
+    let mut diags = rules::rule_stale_roots(&model, rules::SOLVE_ROOTS);
+    diags.extend(rules::run_all(&model));
+    Ok(diags)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -13,6 +13,12 @@
 //!   ([`REDUCTION_BLESSED`]); everywhere else they are
 //!   schedule-dependent and need a `// DETERMINISM:` justification.
 //!
+//! * [`rule_stale_roots`] (`stale-solve-root`) — every name in
+//!   [`SOLVE_ROOTS`] resolves to a function. Roots are matched by bare
+//!   name, so renaming or deleting a body would otherwise silently shrink
+//!   what the no-alloc proof covers. Whole-workspace runs only (a fixture
+//!   holds a handful of functions, not the solve stack).
+//!
 //! Escape hatches: a `// ALLOC:` / `// PANIC-FREE:` / `// DETERMINISM:`
 //! comment on the flagged line (or the comment block directly above it)
 //! suppresses that site; the same marker above a function's signature
@@ -33,6 +39,8 @@ pub mod id {
     pub const PANIC: &str = "panic-in-try-path";
     /// Parallel FP reductions only in blessed modules.
     pub const REDUCTION: &str = "reduction-blessed";
+    /// Every solve root names an existing function.
+    pub const STALE_ROOT: &str = "stale-solve-root";
 }
 
 /// Function names that anchor the solve-path reachability set: cycle
@@ -52,15 +60,12 @@ pub const SOLVE_ROOTS: &[&str] = &[
     "try_dist_amg_solve",
     "try_dist_amg_solve_multi",
     "try_dist_vcycle",
-    "try_dist_vcycle_multi",
     "try_dist_vcycle_with",
-    "try_dist_vcycle_multi_with",
+    "try_dist_vcycle_rows",
     "try_dist_fgmres_amg",
     "try_dist_pcg_amg",
     "sweep",
-    "sweep_batch",
     "smooth",
-    "smooth_multi",
     "spmv",
     "spmm",
     "dist_spmv",
@@ -267,7 +272,31 @@ pub fn rule_reduction(m: &Model) -> Vec<Diagnostic> {
     out
 }
 
-/// Runs all three rules and returns diagnostics sorted by
+/// `stale-solve-root`: flags every name in `roots` that no function in
+/// the model carries — the proof anchored there covers nothing. The
+/// finding points at the entry in this file.
+#[must_use]
+pub fn rule_stale_roots(m: &Model, roots: &[&str]) -> Vec<Diagnostic> {
+    let this_file = include_str!("rules.rs");
+    roots
+        .iter()
+        .filter(|root| !m.fns.iter().any(|f| f.item.name == **root))
+        .map(|root| Diagnostic {
+            path: "crates/analyze/src/rules.rs".to_string(),
+            line: this_file
+                .lines()
+                .position(|l| l.trim() == format!("\"{root}\","))
+                .map_or(0, |i| i + 1),
+            rule: id::STALE_ROOT,
+            message: format!(
+                "solve root `{root}` resolves to no function; rename it with the body it \
+                 anchored or drop it from SOLVE_ROOTS"
+            ),
+        })
+        .collect()
+}
+
+/// Runs the three site rules and returns diagnostics sorted by
 /// `(path, line, rule)`.
 #[must_use]
 pub fn run_all(m: &Model) -> Vec<Diagnostic> {

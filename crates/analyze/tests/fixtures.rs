@@ -99,3 +99,25 @@ fn blessed_module_path_suppresses_reductions() {
             .join("\n")
     );
 }
+
+#[test]
+fn stale_root_is_a_finding() {
+    // A root list is only as good as the functions it still names: the
+    // entry whose body was renamed away must be reported, by name, and
+    // the live ones must not.
+    let (src, _) = load("stale_root.rsfix");
+    let model = famg_analyze::Model::build(&[("crates/core/src/fx_roots.rs".to_string(), src)]);
+    let diags = famg_analyze::rules::rule_stale_roots(&model, &["solve", "sweep", "sweep_batch"]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, famg_analyze::rules::id::STALE_ROOT);
+    assert!(diags[0].message.contains("`sweep_batch`"), "{}", diags[0]);
+}
+
+#[test]
+fn every_shipped_root_is_pinned_to_its_line() {
+    // The finding for a shipped root points at its entry in rules.rs.
+    let model = famg_analyze::Model::build(&[]);
+    let diags = famg_analyze::rules::rule_stale_roots(&model, famg_analyze::rules::SOLVE_ROOTS);
+    assert_eq!(diags.len(), famg_analyze::rules::SOLVE_ROOTS.len());
+    assert!(diags.iter().all(|d| d.line > 0), "{diags:?}");
+}

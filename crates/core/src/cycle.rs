@@ -11,16 +11,20 @@
 //! ordering.
 
 use crate::hierarchy::{Hierarchy, TransferOps};
+use crate::params::CycleKind;
 use crate::smoother::Workspace;
 use famg_sparse::counters::flops;
-use famg_sparse::spmm::{interp_apply_add_multi, restrict_apply_multi, spmm, spmm_axpby};
-use famg_sparse::spmv::{interp_apply_add, restrict_apply, spmv};
+use famg_sparse::multivec::{gather_col, scatter_col};
+use famg_sparse::spmm::{interp_apply_add_rows, restrict_apply_rows, spmm_axpby_rows, spmm_rows};
 use famg_sparse::transpose::transpose_par;
-use famg_sparse::{Csr, MultiVec};
+use famg_sparse::MultiVec;
 
-/// Reusable per-level buffers for V-cycles.
+/// Reusable per-level buffers for V-cycles over `k`-interleaved blocks
+/// (a plain vector is the `k = 1` block).
 #[derive(Debug, Default)]
 pub struct CycleWorkspace {
+    /// Block width the buffers are sized for.
+    k: usize,
     /// Residual per level.
     r: Vec<Vec<f64>>,
     /// Coarse right-hand side per level.
@@ -29,6 +33,8 @@ pub struct CycleWorkspace {
     xc: Vec<Vec<f64>>,
     /// Scratch for permutation scatter/gather.
     scratch: Vec<Vec<f64>>,
+    /// One column of the coarsest level, for the direct solve.
+    coarse_col: Vec<f64>,
     /// Finest-level permuted right-hand side (solver wrapper scratch —
     /// hoisted here so repeated solves allocate nothing in the hot loop).
     pub(crate) fine_b: Vec<f64>,
@@ -41,22 +47,49 @@ pub struct CycleWorkspace {
 }
 
 impl CycleWorkspace {
-    /// Allocates buffers sized for `h`.
+    /// Allocates single-vector buffers sized for `h`.
     pub fn for_hierarchy(h: &Hierarchy) -> Self {
-        let mut ws = CycleWorkspace::default();
+        Self::for_width(h, 1)
+    }
+
+    /// Allocates buffers sized for `h` at block width `k`.
+    pub fn for_width(h: &Hierarchy, k: usize) -> Self {
+        let mut ws = CycleWorkspace {
+            k,
+            ..CycleWorkspace::default()
+        };
         for l in &h.levels {
             let n = l.a.nrows();
             let nc = l.nc;
-            ws.r.push(vec![0.0; n]);
-            ws.bc.push(vec![0.0; nc]);
-            ws.xc.push(vec![0.0; nc]);
-            ws.scratch.push(vec![0.0; n.max(nc)]);
+            ws.r.push(vec![0.0; n * k]);
+            ws.bc.push(vec![0.0; nc * k]);
+            ws.xc.push(vec![0.0; nc * k]);
+            ws.scratch.push(vec![0.0; n.max(nc) * k]);
         }
+        ws.coarse_col = vec![0.0; h.levels.last().map_or(0, |l| l.a.nrows())];
         let n = h.n();
-        ws.fine_b = vec![0.0; n];
-        ws.fine_x = vec![0.0; n];
-        ws.fine_r = vec![0.0; n];
+        ws.fine_b = vec![0.0; n * k];
+        ws.fine_x = vec![0.0; n * k];
+        ws.fine_r = vec![0.0; n * k];
         ws
+    }
+
+    /// Block width the workspace was allocated for.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+}
+
+/// Constructor namespace for a `k`-wide [`CycleWorkspace`], kept for
+/// callers written against the time when batched cycles had a workspace
+/// type of their own.
+#[derive(Debug)]
+pub enum BatchCycleWorkspace {}
+
+impl BatchCycleWorkspace {
+    /// Allocates buffers sized for `h` at batch width `k`.
+    pub fn for_hierarchy(h: &Hierarchy, k: usize) -> CycleWorkspace {
+        CycleWorkspace::for_width(h, k)
     }
 }
 
@@ -68,7 +101,27 @@ impl CycleWorkspace {
 /// smooth/residual/restrict/prolong/coarse sub-spans); the solver
 /// wrapper derives the Fig. 5 buckets from the captured tree.
 pub fn vcycle(h: &Hierarchy, b: &[f64], x: &mut [f64], ws: &mut CycleWorkspace) {
-    cycle_level(h, 0, b, x, ws, false, h.config.cycle);
+    vcycle_rows(h, b, x, 1, ws);
+}
+
+/// Applies one k-wide V-cycle: `X <- Vcycle(B, X)` at the finest stored
+/// level, advancing all `k` right-hand sides per kernel invocation.
+/// Column `j` of the result is bitwise [`vcycle`] on the extracted column.
+pub fn vcycle_batch(h: &Hierarchy, b: &MultiVec, x: &mut MultiVec, ws: &mut CycleWorkspace) {
+    debug_assert_eq!(x.k(), b.k());
+    vcycle_rows(h, b.data(), x.data_mut(), b.k(), ws);
+}
+
+/// One V-cycle over the `k`-interleaved blocks `(b, k)` and `(x, k)`; `ws`
+/// must have been allocated for width `k`. Spans and flop counters are
+/// those of the width: `"smooth"`/`"residual"` at `k = 1`, the batched
+/// kernel names `"gs_batch"`/`"spmm"` otherwise, which the Fig. 5 rollup
+/// buckets together.
+pub fn vcycle_rows(h: &Hierarchy, b: &[f64], x: &mut [f64], k: usize, ws: &mut CycleWorkspace) {
+    debug_assert_eq!(ws.k, k, "cycle workspace allocated for another width");
+    if k != 0 {
+        cycle_level(h, 0, b, x, k, ws, false, h.config.cycle);
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -77,16 +130,23 @@ fn cycle_level(
     level: usize,
     b: &[f64],
     x: &mut [f64],
+    k: usize,
     ws: &mut CycleWorkspace,
     x_is_zero: bool,
-    kind: crate::params::CycleKind,
+    kind: CycleKind,
 ) {
     let _lvl_span = famg_prof::scope_at("vcycle", level);
     let lvl = &h.levels[level];
     let a = &lvl.a;
     let n = a.nrows();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(x.len(), n);
+    debug_assert_eq!(b.len(), n * k);
+    debug_assert_eq!(x.len(), n * k);
+    let (smooth_span, residual_span) = if k == 1 {
+        ("smooth", "residual")
+    } else {
+        ("gs_batch", "spmm")
+    };
+    let sweeps = h.config.num_sweeps;
 
     // Coarsest level: direct solve or heavy smoothing. `ops == None` *is*
     // the coarsest-level marker, so destructuring here leaves no unwrap
@@ -96,17 +156,20 @@ fn cycle_level(
     let Some(ops) = lvl.ops.as_ref() else {
         let _s = famg_prof::scope_at("coarse_solve", level);
         if let Some(lu) = &h.coarse_lu {
-            famg_prof::counter("flops", flops::lu_solve(n));
-            let sol = lu.solve(b);
-            x.copy_from_slice(&sol);
+            famg_prof::counter("flops", flops::lu_solve(n) * k as u64);
+            for j in 0..k {
+                gather_col(b, k, j, &mut ws.coarse_col);
+                let sol = lu.solve(&ws.coarse_col);
+                scatter_col(x, k, j, &sol);
+            }
         } else {
             famg_prof::counter(
                 "flops",
-                flops::gs_sweep(a.nnz()) * (4 * h.config.num_sweeps) as u64,
+                flops::gs_sweep_batch(a.nnz(), k) * (4 * sweeps) as u64,
             );
-            for s in 0..4 * h.config.num_sweeps {
+            for s in 0..4 * sweeps {
                 lvl.smoother
-                    .pre_smooth(a, b, x, &mut ws.smoother_ws, x_is_zero && s == 0);
+                    .pre_smooth_rows(a, b, x, k, &mut ws.smoother_ws, x_is_zero && s == 0);
             }
         }
         return;
@@ -114,265 +177,24 @@ fn cycle_level(
 
     // Pre-smoothing: C then F.
     {
-        let _s = famg_prof::scope_at("smooth", level);
-        famg_prof::counter(
-            "flops",
-            flops::gs_sweep(a.nnz()) * h.config.num_sweeps as u64,
-        );
-        for s in 0..h.config.num_sweeps {
+        let _s = famg_prof::scope_at(smooth_span, level);
+        famg_prof::counter("flops", flops::gs_sweep_batch(a.nnz(), k) * sweeps as u64);
+        for s in 0..sweeps {
             lvl.smoother
-                .pre_smooth(a, b, x, &mut ws.smoother_ws, x_is_zero && s == 0);
+                .pre_smooth_rows(a, b, x, k, &mut ws.smoother_ws, x_is_zero && s == 0);
         }
     }
 
-    // Residual.
+    // Residual. Buffers are taken out of the workspace so `ws` stays
+    // borrowable across the recursion.
+    let mut r = std::mem::take(&mut ws.r[level]);
     {
-        let _s = famg_prof::scope_at("residual", level);
-        famg_prof::counter("flops", flops::spmv(a.nnz()) + n as u64);
-        // Split borrows: take the residual buffer out to appease aliasing.
-        let mut r = std::mem::take(&mut ws.r[level]);
-        spmv(a, x, &mut r);
+        let _s = famg_prof::scope_at(residual_span, level);
+        famg_prof::counter("flops", flops::spmm(a.nnz(), k) + (n * k) as u64);
+        spmm_rows(a, x, k, &mut r);
         for (ri, bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-        ws.r[level] = r;
-    }
-
-    // Restrict into the child's stored ordering.
-    let nc = lvl.nc;
-    let mut bc = std::mem::take(&mut ws.bc[level]);
-    {
-        let _s = famg_prof::scope_at("restrict", level);
-        match ops {
-            TransferOps::CfBlock { pft, .. } => {
-                famg_prof::counter("flops", flops::spmv(pft.nnz()));
-                restrict_apply(pft, nc, &ws.r[level], &mut bc);
-            }
-            TransferOps::Full { p, r } => {
-                famg_prof::counter("flops", flops::spmv(p.nnz()));
-                if let Some(rt) = r {
-                    spmv(rt, &ws.r[level], &mut bc);
-                } else {
-                    // Baseline: transpose P on every restriction.
-                    let rt = transpose_par(p);
-                    spmv(&rt, &ws.r[level], &mut bc);
-                }
-            }
-        }
-    }
-    // Scatter through the child's permutation, if any.
-    let child_perm = h.levels[level + 1].perm.as_ref();
-    if let Some(q) = child_perm {
-        let _s = famg_prof::scope_at("permute", level);
-        let scratch = &mut ws.scratch[level + 1];
-        for (j, &v) in bc.iter().enumerate() {
-            scratch[q.forward[j]] = v;
-        }
-        bc.copy_from_slice(&scratch[..nc]);
-    }
-
-    // Recurse with zero guess; W/F cycles revisit the coarse level.
-    let mut xc = std::mem::take(&mut ws.xc[level]);
-    xc.fill(0.0);
-    match kind {
-        crate::params::CycleKind::V => {
-            cycle_level(h, level + 1, &bc, &mut xc, ws, true, kind);
-        }
-        crate::params::CycleKind::W => {
-            cycle_level(h, level + 1, &bc, &mut xc, ws, true, kind);
-            cycle_level(h, level + 1, &bc, &mut xc, ws, false, kind);
-        }
-        crate::params::CycleKind::F => {
-            // F-cycle: an F-recursion followed by a V-recursion.
-            cycle_level(h, level + 1, &bc, &mut xc, ws, true, kind);
-            cycle_level(
-                h,
-                level + 1,
-                &bc,
-                &mut xc,
-                ws,
-                false,
-                crate::params::CycleKind::V,
-            );
-        }
-    }
-
-    // Gather back out of the child's ordering.
-    if let Some(q) = h.levels[level + 1].perm.as_ref() {
-        let _s = famg_prof::scope_at("permute", level);
-        let scratch = &mut ws.scratch[level + 1];
-        scratch[..nc].copy_from_slice(&xc);
-        for (j, xj) in xc.iter_mut().enumerate() {
-            *xj = scratch[q.forward[j]];
-        }
-    }
-
-    // Prolongate and correct.
-    {
-        let _s = famg_prof::scope_at("prolong", level);
-        match ops {
-            TransferOps::CfBlock { pf, .. } => {
-                famg_prof::counter("flops", flops::spmv(pf.nnz()));
-                interp_apply_add(pf, nc, &xc, x);
-            }
-            TransferOps::Full { p, .. } => {
-                famg_prof::counter("flops", flops::spmv(p.nnz()) + n as u64);
-                add_spmv(p, &xc, x);
-            }
-        }
-    }
-    ws.bc[level] = bc;
-    ws.xc[level] = xc;
-
-    // Post-smoothing: F then C.
-    {
-        let _s = famg_prof::scope_at("smooth", level);
-        famg_prof::counter(
-            "flops",
-            flops::gs_sweep(a.nnz()) * h.config.num_sweeps as u64,
-        );
-        for _ in 0..h.config.num_sweeps {
-            lvl.smoother.post_smooth(a, b, x, &mut ws.smoother_ws);
-        }
-    }
-}
-
-/// `x += P * xc` for the full-operator (baseline) representation.
-fn add_spmv(p: &Csr, xc: &[f64], x: &mut [f64]) {
-    famg_sparse::spmv::spmv_axpby(p, 1.0, xc, 1.0, x);
-}
-
-/// Reusable per-level block-vector buffers for batched V-cycles (the
-/// k-wide twin of [`CycleWorkspace`], sized for one batch width).
-#[derive(Debug)]
-pub struct BatchCycleWorkspace {
-    /// Batch width the buffers are sized for.
-    k: usize,
-    /// Residual per level.
-    r: Vec<MultiVec>,
-    /// Coarse right-hand side per level.
-    bc: Vec<MultiVec>,
-    /// Coarse correction per level.
-    xc: Vec<MultiVec>,
-    /// Scratch for permutation scatter/gather.
-    scratch: Vec<MultiVec>,
-    /// Finest-level permuted right-hand sides (solver wrapper scratch).
-    pub(crate) fine_b: MultiVec,
-    /// Finest-level permuted iterates (solver wrapper scratch).
-    pub(crate) fine_x: MultiVec,
-    /// Finest-level residuals for convergence checks (solver scratch).
-    pub(crate) fine_r: MultiVec,
-    /// Smoother workspace shared across levels.
-    pub smoother_ws: Workspace,
-}
-
-impl BatchCycleWorkspace {
-    /// Allocates buffers sized for `h` at batch width `k`.
-    pub fn for_hierarchy(h: &Hierarchy, k: usize) -> Self {
-        let mut ws = BatchCycleWorkspace {
-            k,
-            r: Vec::new(),
-            bc: Vec::new(),
-            xc: Vec::new(),
-            scratch: Vec::new(),
-            fine_b: MultiVec::new(h.n(), k),
-            fine_x: MultiVec::new(h.n(), k),
-            fine_r: MultiVec::new(h.n(), k),
-            smoother_ws: Workspace::new(),
-        };
-        for l in &h.levels {
-            let n = l.a.nrows();
-            let nc = l.nc;
-            ws.r.push(MultiVec::new(n, k));
-            ws.bc.push(MultiVec::new(nc, k));
-            ws.xc.push(MultiVec::new(nc, k));
-            ws.scratch.push(MultiVec::new(n.max(nc), k));
-        }
-        ws
-    }
-
-    /// Batch width the workspace was allocated for.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// Applies one k-wide V-cycle: `X <- Vcycle(B, X)` at the finest stored
-/// level, advancing all `k` right-hand sides per kernel invocation.
-///
-/// Column `j` of the result is bitwise identical to [`vcycle`] on the
-/// extracted column: every batched kernel preserves the scalar kernel's
-/// per-row arithmetic order lane-wise. Spans use the batched kernel names
-/// (`"gs_batch"`, `"spmm"`) so profiles distinguish the two paths while
-/// the Fig. 5 rollup buckets them with their scalar twins.
-pub fn vcycle_batch(h: &Hierarchy, b: &MultiVec, x: &mut MultiVec, ws: &mut BatchCycleWorkspace) {
-    cycle_level_batch(h, 0, b, x, ws, false, h.config.cycle);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn cycle_level_batch(
-    h: &Hierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-    ws: &mut BatchCycleWorkspace,
-    x_is_zero: bool,
-    kind: crate::params::CycleKind,
-) {
-    let _lvl_span = famg_prof::scope_at("vcycle", level);
-    let lvl = &h.levels[level];
-    let a = &lvl.a;
-    let n = a.nrows();
-    let k = b.k();
-    debug_assert_eq!(b.n(), n);
-    debug_assert_eq!(x.n(), n);
-    debug_assert_eq!(x.k(), k);
-
-    // Coarsest level: direct solve per column or heavy smoothing.
-    let Some(ops) = lvl.ops.as_ref() else {
-        let _s = famg_prof::scope_at("coarse_solve", level);
-        if let Some(lu) = &h.coarse_lu {
-            famg_prof::counter("flops", flops::lu_solve(n) * k as u64);
-            for j in 0..k {
-                let sol = lu.solve(&b.col(j));
-                x.set_col(j, &sol);
-            }
-        } else {
-            famg_prof::counter(
-                "flops",
-                flops::gs_sweep_batch(a.nnz(), k) * (4 * h.config.num_sweeps) as u64,
-            );
-            for s in 0..4 * h.config.num_sweeps {
-                lvl.smoother
-                    .pre_smooth_batch(a, b, x, &mut ws.smoother_ws, x_is_zero && s == 0);
-            }
-        }
-        return;
-    };
-
-    // Pre-smoothing: C then F, k lanes per row traversal.
-    {
-        let _s = famg_prof::scope_at("gs_batch", level);
-        famg_prof::counter(
-            "flops",
-            flops::gs_sweep_batch(a.nnz(), k) * h.config.num_sweeps as u64,
-        );
-        for s in 0..h.config.num_sweeps {
-            lvl.smoother
-                .pre_smooth_batch(a, b, x, &mut ws.smoother_ws, x_is_zero && s == 0);
-        }
-    }
-
-    // Residual, all k columns per matrix traversal.
-    {
-        let _s = famg_prof::scope_at("spmm", level);
-        famg_prof::counter("flops", flops::spmm(a.nnz(), k) + (n * k) as u64);
-        let mut r = std::mem::take(&mut ws.r[level]);
-        spmm(a, x, &mut r);
-        for (ri, bi) in r.data_mut().iter_mut().zip(b.data()) {
-            *ri = bi - *ri;
-        }
-        ws.r[level] = r;
     }
 
     // Restrict into the child's stored ordering.
@@ -383,75 +205,47 @@ fn cycle_level_batch(
         match ops {
             TransferOps::CfBlock { pft, .. } => {
                 famg_prof::counter("flops", flops::spmm(pft.nnz(), k));
-                restrict_apply_multi(pft, nc, &ws.r[level], &mut bc);
+                restrict_apply_rows(pft, nc, &r, k, &mut bc);
             }
-            TransferOps::Full { p, r } => {
+            TransferOps::Full { p, r: rt } => {
                 famg_prof::counter("flops", flops::spmm(p.nnz(), k));
-                if let Some(rt) = r {
-                    spmm(rt, &ws.r[level], &mut bc);
+                if let Some(rt) = rt {
+                    spmm_rows(rt, &r, k, &mut bc);
                 } else {
-                    let rt = transpose_par(p);
-                    spmm(&rt, &ws.r[level], &mut bc);
+                    // Baseline: transpose P on every restriction.
+                    spmm_rows(&transpose_par(p), &r, k, &mut bc);
                 }
             }
         }
     }
+    ws.r[level] = r;
     // Scatter through the child's permutation, if any (whole rows move,
-    // so each column sees the scalar scatter exactly).
+    // so every column sees the same scatter).
     let child_perm = h.levels[level + 1].perm.as_ref();
     if let Some(q) = child_perm {
         let _s = famg_prof::scope_at("permute", level);
-        let scratch = std::mem::take(&mut ws.scratch[level + 1]);
-        let mut scratch = scratch;
-        {
-            let sd = scratch.data_mut();
-            let bd = bc.data();
-            for (j, &fwd) in q.forward.iter().enumerate() {
-                sd[fwd * k..(fwd + 1) * k].copy_from_slice(&bd[j * k..(j + 1) * k]);
-            }
-        }
-        bc.data_mut().copy_from_slice(&scratch.data()[..nc * k]);
-        ws.scratch[level + 1] = scratch;
+        let scratch = &mut ws.scratch[level + 1][..nc * k];
+        q.apply_rows_into(&bc, k, scratch);
+        bc.copy_from_slice(scratch);
     }
 
     // Recurse with zero guess; W/F cycles revisit the coarse level.
     let mut xc = std::mem::take(&mut ws.xc[level]);
     xc.fill(0.0);
+    cycle_level(h, level + 1, &bc, &mut xc, k, ws, true, kind);
     match kind {
-        crate::params::CycleKind::V => {
-            cycle_level_batch(h, level + 1, &bc, &mut xc, ws, true, kind);
-        }
-        crate::params::CycleKind::W => {
-            cycle_level_batch(h, level + 1, &bc, &mut xc, ws, true, kind);
-            cycle_level_batch(h, level + 1, &bc, &mut xc, ws, false, kind);
-        }
-        crate::params::CycleKind::F => {
-            cycle_level_batch(h, level + 1, &bc, &mut xc, ws, true, kind);
-            cycle_level_batch(
-                h,
-                level + 1,
-                &bc,
-                &mut xc,
-                ws,
-                false,
-                crate::params::CycleKind::V,
-            );
-        }
+        CycleKind::V => {}
+        CycleKind::W => cycle_level(h, level + 1, &bc, &mut xc, k, ws, false, kind),
+        // F-cycle: an F-recursion followed by a V-recursion.
+        CycleKind::F => cycle_level(h, level + 1, &bc, &mut xc, k, ws, false, CycleKind::V),
     }
 
     // Gather back out of the child's ordering.
-    if let Some(q) = h.levels[level + 1].perm.as_ref() {
+    if let Some(q) = child_perm {
         let _s = famg_prof::scope_at("permute", level);
-        let mut scratch = std::mem::take(&mut ws.scratch[level + 1]);
-        scratch.data_mut()[..nc * k].copy_from_slice(xc.data());
-        {
-            let sd = scratch.data();
-            let xd = xc.data_mut();
-            for (j, &fwd) in q.forward.iter().enumerate() {
-                xd[j * k..(j + 1) * k].copy_from_slice(&sd[fwd * k..(fwd + 1) * k]);
-            }
-        }
-        ws.scratch[level + 1] = scratch;
+        let scratch = &mut ws.scratch[level + 1][..nc * k];
+        scratch.copy_from_slice(&xc);
+        q.unapply_rows_into(scratch, k, &mut xc);
     }
 
     // Prolongate and correct.
@@ -460,11 +254,11 @@ fn cycle_level_batch(
         match ops {
             TransferOps::CfBlock { pf, .. } => {
                 famg_prof::counter("flops", flops::spmm(pf.nnz(), k));
-                interp_apply_add_multi(pf, nc, &xc, x);
+                interp_apply_add_rows(pf, nc, &xc, k, x);
             }
             TransferOps::Full { p, .. } => {
                 famg_prof::counter("flops", flops::spmm(p.nnz(), k) + (n * k) as u64);
-                spmm_axpby(p, 1.0, &xc, 1.0, x);
+                spmm_axpby_rows(p, 1.0, &xc, 1.0, k, x);
             }
         }
     }
@@ -473,13 +267,11 @@ fn cycle_level_batch(
 
     // Post-smoothing: F then C.
     {
-        let _s = famg_prof::scope_at("gs_batch", level);
-        famg_prof::counter(
-            "flops",
-            flops::gs_sweep_batch(a.nnz(), k) * h.config.num_sweeps as u64,
-        );
-        for _ in 0..h.config.num_sweeps {
-            lvl.smoother.post_smooth_batch(a, b, x, &mut ws.smoother_ws);
+        let _s = famg_prof::scope_at(smooth_span, level);
+        famg_prof::counter("flops", flops::gs_sweep_batch(a.nnz(), k) * sweeps as u64);
+        for _ in 0..sweeps {
+            lvl.smoother
+                .post_smooth_rows(a, b, x, k, &mut ws.smoother_ws);
         }
     }
 }
@@ -490,6 +282,7 @@ mod tests {
     use crate::params::AmgConfig;
     use famg_matgen::{laplace2d, rhs};
     use famg_sparse::spmv::residual_norm_sq;
+    use famg_sparse::Csr;
 
     fn rel_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];

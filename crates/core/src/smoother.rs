@@ -11,19 +11,19 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::reorder::{GsPartition, ThreadOwnership};
-use famg_sparse::{Csr, MultiVec};
+use famg_sparse::multivec::{gather_col, scatter_col, width};
+use famg_sparse::{lanes, Csr, MultiVec};
 use rayon::prelude::*;
 use std::ops::Range;
 
 /// Reusable scratch buffers for smoothing (one per solve context).
 #[derive(Debug, Default)]
 pub struct Workspace {
+    /// Pre-sweep snapshot of the iterate (`n * k` lanes), grown on demand.
     temp: Vec<f64>,
-    /// Snapshot buffer for the k-wide batched sweeps (`n * k` lanes).
-    temp_batch: Vec<f64>,
-    /// Column-extraction scratch for the batched fallback path.
+    /// Column-extraction scratch for the extract-column fallback.
     col_b: Vec<f64>,
-    /// Column-extraction scratch for the batched fallback path.
+    /// Column-extraction scratch for the extract-column fallback.
     col_x: Vec<f64>,
 }
 
@@ -38,13 +38,6 @@ impl Workspace {
             self.temp.resize(n, 0.0);
         }
         &mut self.temp
-    }
-
-    fn temp_batch(&mut self, n: usize) -> &mut Vec<f64> {
-        if self.temp_batch.len() < n {
-            self.temp_batch.resize(n, 0.0);
-        }
-        &mut self.temp_batch
     }
 }
 
@@ -237,28 +230,12 @@ impl Smoother {
         ws: &mut Workspace,
         x_is_zero: bool,
     ) {
-        match self {
-            Smoother::HybridBase { .. } => {
-                self.sweep(a, b, x, ws, Class::Coarse, false);
-                self.sweep(a, b, x, ws, Class::Fine, false);
-            }
-            Smoother::HybridOpt { .. } => {
-                self.sweep(a, b, x, ws, Class::Coarse, x_is_zero);
-                self.sweep(a, b, x, ws, Class::Fine, false);
-            }
-            _ => self.sweep(a, b, x, ws, Class::All, false),
-        }
+        self.pre_smooth_rows(a, b, x, 1, ws, x_is_zero);
     }
 
     /// Post-smoothing: F then C relaxation.
     pub fn post_smooth(&self, a: &Csr, b: &[f64], x: &mut [f64], ws: &mut Workspace) {
-        match self {
-            Smoother::HybridBase { .. } | Smoother::HybridOpt { .. } => {
-                self.sweep(a, b, x, ws, Class::Fine, false);
-                self.sweep(a, b, x, ws, Class::Coarse, false);
-            }
-            _ => self.sweep(a, b, x, ws, Class::All, false),
-        }
+        self.post_smooth_rows(a, b, x, 1, ws);
     }
 
     /// One half-sweep over the given class.
@@ -271,32 +248,132 @@ impl Smoother {
         class: Class,
         x_is_zero: bool,
     ) {
-        let n = a.nrows();
-        assert_eq!(b.len(), n); // PANIC-FREE: shape asserts guard caller contract violations at the public smoother boundary (checked once per sweep).
-        assert_eq!(x.len(), n); // PANIC-FREE: see above.
+        self.sweep_rows(a, b, x, 1, ws, class, x_is_zero);
+    }
+
+    /// [`Smoother::pre_smooth`] over `k` interleaved columns.
+    pub fn pre_smooth_batch(
+        &self,
+        a: &Csr,
+        b: &MultiVec,
+        x: &mut MultiVec,
+        ws: &mut Workspace,
+        x_is_zero: bool,
+    ) {
+        assert_eq!(x.k(), b.k());
+        self.pre_smooth_rows(a, b.data(), x.data_mut(), b.k(), ws, x_is_zero);
+    }
+
+    /// Pre-smoothing of a `k`-interleaved block `(xd, k)` — a plain vector
+    /// is the `k = 1` block: C then F relaxation for the hybrid smoothers,
+    /// one full sweep otherwise.
+    pub fn pre_smooth_rows(
+        &self,
+        a: &Csr,
+        bd: &[f64],
+        xd: &mut [f64],
+        k: usize,
+        ws: &mut Workspace,
+        x_is_zero: bool,
+    ) {
         match self {
-            Smoother::Jacobi { dinv, omega } => {
-                let temp = ws.temp(n);
-                temp[..n].copy_from_slice(x);
-                let temp = &temp[..n];
-                // Row relaxations are a few flops each: keep blocks coarse
-                // enough that block bookkeeping stays negligible.
-                x.par_iter_mut()
-                    .enumerate()
-                    .with_min_len(512)
-                    .for_each(|(i, xi)| {
-                        let mut acc = b[i];
-                        for (c, v) in a.row_iter(i) {
-                            acc -= v * temp[c];
-                        }
-                        *xi = temp[i] + omega * dinv[i] * acc;
-                    });
+            Smoother::HybridBase { .. } => {
+                self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, false);
+                self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
+            }
+            Smoother::HybridOpt { .. } => {
+                self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, x_is_zero);
+                self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
+            }
+            _ => self.sweep_rows(a, bd, xd, k, ws, Class::All, false),
+        }
+    }
+
+    /// Post-smoothing of a `k`-interleaved block: F then C relaxation.
+    pub fn post_smooth_rows(
+        &self,
+        a: &Csr,
+        bd: &[f64],
+        xd: &mut [f64],
+        k: usize,
+        ws: &mut Workspace,
+    ) {
+        match self {
+            Smoother::HybridBase { .. } | Smoother::HybridOpt { .. } => {
+                self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
+                self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, false);
+            }
+            _ => self.sweep_rows(a, bd, xd, k, ws, Class::All, false),
+        }
+    }
+
+    /// One half-sweep over a `k`-interleaved block. The optimized hybrid
+    /// GS and Jacobi kernels advance all lanes per matrix-row traversal
+    /// (k ≤ 8, monomorphized for k ∈ {1, 2, 4, 8}); every other smoother
+    /// runs its single-vector kernel, directly at `k = 1` and per extracted
+    /// column otherwise — as does any batch wider than 8.
+    pub fn sweep_rows(
+        &self,
+        a: &Csr,
+        bd: &[f64],
+        xd: &mut [f64],
+        k: usize,
+        ws: &mut Workspace,
+        class: Class,
+        x_is_zero: bool,
+    ) {
+        let n = a.nrows();
+        assert_eq!(bd.len(), n * k); // PANIC-FREE: shape asserts guard caller contract violations at the public smoother boundary (checked once per sweep).
+        assert_eq!(xd.len(), n * k); // PANIC-FREE: see above.
+        match self {
+            _ if k == 0 => {}
+            Smoother::HybridOpt { part, nc } if k <= 8 => {
+                let nc = *nc;
+                // The zero-guess skip only applies to the coarse sweep
+                // (all processed rows then satisfy `i < nc`, so the
+                // snapshot is never read).
+                let x_is_zero = x_is_zero && class == Class::Coarse;
+                let temp = ws.temp(n * k);
+                if !x_is_zero {
+                    temp[..n * k].copy_from_slice(xd);
+                }
+                let temp = &ws.temp[..n * k];
+                let p = XPtr(xd.as_mut_ptr());
+                let nt = part.own.nthreads();
+                rayon::scope(|s| {
+                    for t in 0..nt {
+                        let (rows, extra) = match class {
+                            Class::Coarse => (part.own.coarse[t].clone(), None), // ALLOC: `Range` clone is a stack copy, no heap
+                            Class::Fine => (part.own.fine[t].clone(), None), // ALLOC: `Range` clone is a stack copy, no heap
+                            Class::All => {
+                                // ALLOC: `Range` clone is a stack copy, no heap
+                                (part.own.coarse[t].clone(), Some(part.own.fine[t].clone()))
+                            }
+                        };
+                        let p = &p;
+                        s.spawn(move |_| {
+                            for rows in std::iter::once(rows).chain(extra) {
+                                lanes!(
+                                    k,
+                                    hybrid_opt_rows(part, nc, a, bd, p, temp, k, x_is_zero, rows)
+                                );
+                            }
+                        });
+                    }
+                });
+            }
+            Smoother::Jacobi { dinv, omega } if k <= 8 => {
+                let temp = ws.temp(n * k);
+                temp[..n * k].copy_from_slice(xd);
+                let temp = &ws.temp[..n * k];
+                lanes!(k, jacobi_rows(a, dinv, *omega, bd, temp, k, xd));
             }
             Smoother::HybridBase {
                 dinv,
                 ranges,
                 is_coarse,
-            } => {
+            } if k == 1 => {
+                let (b, x) = (bd, xd);
                 let temp = ws.temp(n);
                 temp[..n].copy_from_slice(x);
                 let temp = &temp[..n];
@@ -339,114 +416,39 @@ impl Smoother {
                     }
                 });
             }
-            Smoother::HybridOpt { part, nc } => {
-                let nc = *nc;
-                let rowptr = a.rowptr();
-                let colidx = a.colidx();
-                let values = a.values();
-                // The zero-guess skip only applies to the coarse sweep
-                // (all processed rows then satisfy `i < nc`, so the
-                // snapshot is never read).
-                let skip_zero = x_is_zero && class == Class::Coarse;
-                let temp = ws.temp(n);
-                if !skip_zero {
-                    temp[..n].copy_from_slice(x);
-                }
-                let temp = &ws.temp[..n];
-                let x_is_zero = skip_zero;
-                let p = XPtr(x.as_mut_ptr());
-                let nt = part.own.nthreads();
-                rayon::scope(|s| {
-                    for t in 0..nt {
-                        let rows = match class {
-                            Class::Coarse => part.own.coarse[t].clone(), // ALLOC: `Range` clone is a stack copy, no heap
-                            Class::Fine => part.own.fine[t].clone(), // ALLOC: `Range` clone is a stack copy, no heap
-                            Class::All => {
-                                // All = both ranges; run as two loops.
-                                // Handled by the caller issuing two
-                                // sweeps; treat All as coarse+fine here.
-                                part.own.coarse[t].start..part.own.coarse[t].end
-                            }
-                        };
-                        let extra = if class == Class::All {
-                            Some(part.own.fine[t].clone()) // ALLOC: `Range` clone is a stack copy, no heap
-                        } else {
-                            None
-                        };
-                        let p = &p;
-                        s.spawn(move |_| {
-                            let run = |rows: Range<usize>| {
-                                for i in rows {
-                                    let start = rowptr[i];
-                                    let end = rowptr[i + 1];
-                                    let up = part.up_start[i];
-                                    let ext = part.ext_start[i];
-                                    let mut acc = b[i];
-                                    // Own lower: always live x.
-                                    for k in start + 1..up {
-                                        // SAFETY: own column, only this
-                                        // task writes it.
-                                        acc -= values[k] * unsafe { *p.0.add(colidx[k]) };
-                                    }
-                                    if !(x_is_zero && i < nc) {
-                                        // Own upper: live x (still holds
-                                        // pre-sweep values for c > i).
-                                        for k in up..ext {
-                                            // SAFETY: own column, only
-                                            // this task writes it.
-                                            acc -= values[k] * unsafe { *p.0.add(colidx[k]) };
-                                        }
-                                        // External: snapshot.
-                                        for k in ext..end {
-                                            acc -= values[k] * temp[colidx[k]];
-                                        }
-                                    }
-                                    // SAFETY: i is in this task's own
-                                    // range; no other task touches it.
-                                    unsafe { *p.0.add(i) = acc * part.dinv[i] };
-                                }
-                            };
-                            run(rows);
-                            if let Some(f) = extra {
-                                run(f);
-                            }
-                        });
-                    }
-                });
-            }
-            Smoother::Lex { dinv, levels } => {
+            Smoother::Lex { dinv, levels } if k == 1 => {
+                let (b, x) = (bd, xd);
                 let p = XPtr(x.as_mut_ptr());
                 let p = &p;
+                // Lexicographic GS ignores the class.
                 for level in levels {
                     level.par_iter().with_min_len(512).for_each(|&i| {
-                        let keep = true; // lexicographic GS ignores class
-                        if keep {
-                            let mut acc = b[i];
-                            for (c, v) in a.row_iter(i) {
-                                if c != i {
-                                    // SAFETY: rows in a wavefront are
-                                    // mutually independent; their
-                                    // neighbours are in other wavefronts.
-                                    acc -= v * unsafe { *p.0.add(c) };
-                                }
+                        let mut acc = b[i];
+                        for (c, v) in a.row_iter(i) {
+                            if c != i {
+                                // SAFETY: rows in a wavefront are
+                                // mutually independent; their
+                                // neighbours are in other wavefronts.
+                                acc -= v * unsafe { *p.0.add(c) };
                             }
-                            // SAFETY: each row appears in exactly one
-                            // wavefront, so i is written once per level.
-                            unsafe { *p.0.add(i) = acc * dinv[i] };
                         }
+                        // SAFETY: each row appears in exactly one
+                        // wavefront, so i is written once per level.
+                        unsafe { *p.0.add(i) = acc * dinv[i] };
                     });
                 }
             }
-            Smoother::L1Jacobi(sm) => {
-                sm.sweep(a, b, x, ws.temp(a.nrows()));
+            Smoother::L1Jacobi(sm) if k == 1 => {
+                sm.sweep(a, bd, xd, ws.temp(n));
             }
-            Smoother::L1HybridGs(sm) => {
-                sm.sweep(a, b, x, ws.temp(a.nrows()));
+            Smoother::L1HybridGs(sm) if k == 1 => {
+                sm.sweep(a, bd, xd, ws.temp(n));
             }
-            Smoother::Chebyshev(sm) => {
-                sm.sweep(a, b, x);
+            Smoother::Chebyshev(sm) if k == 1 => {
+                sm.sweep(a, bd, xd);
             }
-            Smoother::Multicolor { dinv, colors } => {
+            Smoother::Multicolor { dinv, colors } if k == 1 => {
+                let (b, x) = (bd, xd);
                 let p = XPtr(x.as_mut_ptr());
                 let p = &p;
                 for color in colors {
@@ -466,32 +468,32 @@ impl Smoother {
                     });
                 }
             }
+            _ => {
+                // Extract-column fallback: the `k = 1` sweep per column
+                // (bitwise the solo path by construction).
+                let mut cb = std::mem::take(&mut ws.col_b);
+                let mut cx = std::mem::take(&mut ws.col_x);
+                cb.resize(n, 0.0);
+                cx.resize(n, 0.0);
+                for j in 0..k {
+                    gather_col(bd, k, j, &mut cb[..n]);
+                    gather_col(xd, k, j, &mut cx[..n]);
+                    self.sweep_rows(a, &cb[..n], &mut cx[..n], 1, ws, class, x_is_zero);
+                    scatter_col(xd, k, j, &cx[..n]);
+                }
+                ws.col_b = cb;
+                ws.col_x = cx;
+            }
         }
     }
 }
 
-/// Dispatches a k-wide row kernel with a monomorphized lane count for
-/// k ∈ {1, 2, 4, 8}; `K == 0` is the dynamic fallback (any k ≤ 8). The
-/// per-lane arithmetic order is identical in every arm.
-macro_rules! k_lanes {
-    ($k:expr, $func:ident ( $($arg:expr),* $(,)? )) => {
-        match $k {
-            1 => $func::<1>($($arg),*),
-            2 => $func::<2>($($arg),*),
-            4 => $func::<4>($($arg),*),
-            8 => $func::<8>($($arg),*),
-            _ => $func::<0>($($arg),*),
-        }
-    };
-}
-
-/// The k-wide twin of the optimized hybrid GS row loop (Fig. 2b): one
-/// traversal of the `[diag | own-lower | own-upper | ext]` row partition
-/// advances all `k` lanes. Per lane, the entry order and arithmetic match
-/// the scalar kernel exactly, so batch column `j` stays bitwise identical
-/// to a solo sweep of that column.
+/// The optimized hybrid GS row loop (Fig. 2b) over `K` interleaved lanes:
+/// one traversal of the `[diag | own-lower | own-upper | ext]` row
+/// partition advances every lane, each with the same entry order and
+/// arithmetic — at `K = 1` this is the paper's scalar kernel.
 #[allow(clippy::too_many_arguments)]
-fn hybrid_opt_rows_batch<const K: usize>(
+fn hybrid_opt_rows<const K: usize>(
     part: &GsPartition,
     nc: usize,
     a: &Csr,
@@ -505,7 +507,7 @@ fn hybrid_opt_rows_batch<const K: usize>(
     let rowptr = a.rowptr();
     let colidx = a.colidx();
     let values = a.values();
-    let kk = if K != 0 { K } else { k };
+    let kk = width::<K>(k);
     debug_assert!(kk <= 8);
     for i in rows {
         let start = rowptr[i];
@@ -552,169 +554,37 @@ fn hybrid_opt_rows_batch<const K: usize>(
     }
 }
 
-/// The k-wide weighted-Jacobi row relaxation (same arithmetic order per
-/// lane as the scalar kernel).
-#[allow(clippy::too_many_arguments)]
-fn jacobi_row_batch<const K: usize>(
+/// Weighted-Jacobi relaxation of every row over `K` interleaved lanes
+/// against the snapshot `temp`.
+fn jacobi_rows<const K: usize>(
     a: &Csr,
     dinv: &[f64],
     omega: f64,
     bd: &[f64],
     temp: &[f64],
     k: usize,
-    i: usize,
-    xr: &mut [f64],
+    xd: &mut [f64],
 ) {
-    let kk = if K != 0 { K } else { k };
+    let kk = width::<K>(k);
     debug_assert!(kk <= 8);
-    let mut acc = [0.0f64; 8];
-    acc[..kk].copy_from_slice(&bd[i * kk..i * kk + kk]);
-    for (c, v) in a.row_iter(i) {
-        let cb = c * kk;
-        for j in 0..kk {
-            acc[j] -= v * temp[cb + j];
-        }
-    }
-    let w = omega * dinv[i];
-    let tb = i * kk;
-    for j in 0..kk {
-        xr[j] = temp[tb + j] + w * acc[j];
-    }
-}
-
-impl Smoother {
-    /// Batched pre-smoothing over `k` interleaved columns; the per-class
-    /// sweep sequence matches [`Smoother::pre_smooth`].
-    pub fn pre_smooth_batch(
-        &self,
-        a: &Csr,
-        b: &MultiVec,
-        x: &mut MultiVec,
-        ws: &mut Workspace,
-        x_is_zero: bool,
-    ) {
-        match self {
-            Smoother::HybridBase { .. } => {
-                self.sweep_batch(a, b, x, ws, Class::Coarse, false);
-                self.sweep_batch(a, b, x, ws, Class::Fine, false);
-            }
-            Smoother::HybridOpt { .. } => {
-                self.sweep_batch(a, b, x, ws, Class::Coarse, x_is_zero);
-                self.sweep_batch(a, b, x, ws, Class::Fine, false);
-            }
-            _ => self.sweep_batch(a, b, x, ws, Class::All, false),
-        }
-    }
-
-    /// Batched post-smoothing (F then C, matching
-    /// [`Smoother::post_smooth`]).
-    pub fn post_smooth_batch(&self, a: &Csr, b: &MultiVec, x: &mut MultiVec, ws: &mut Workspace) {
-        match self {
-            Smoother::HybridBase { .. } | Smoother::HybridOpt { .. } => {
-                self.sweep_batch(a, b, x, ws, Class::Fine, false);
-                self.sweep_batch(a, b, x, ws, Class::Coarse, false);
-            }
-            _ => self.sweep_batch(a, b, x, ws, Class::All, false),
-        }
-    }
-
-    /// One k-wide half-sweep. The optimized hybrid GS and Jacobi kernels
-    /// advance all lanes per matrix-row traversal (for k ≤ 8); every
-    /// other smoother — and any wider batch — falls back to extracting
-    /// each column and running the scalar sweep, which is trivially
-    /// bitwise identical to the solo path.
-    pub fn sweep_batch(
-        &self,
-        a: &Csr,
-        b: &MultiVec,
-        x: &mut MultiVec,
-        ws: &mut Workspace,
-        class: Class,
-        x_is_zero: bool,
-    ) {
-        let n = a.nrows();
-        let k = b.k();
-        assert_eq!(b.n(), n); // PANIC-FREE: shape asserts guard caller contract violations at the public smoother boundary (checked once per sweep).
-        assert_eq!(x.n(), n); // PANIC-FREE: see above.
-        assert_eq!(x.k(), k); // PANIC-FREE: see above.
-        if k == 0 {
-            return;
-        }
-        match self {
-            Smoother::HybridOpt { part, nc } if k <= 8 => {
-                let nc = *nc;
-                // Zero-guess skip only applies to the coarse sweep, as in
-                // the scalar kernel.
-                let skip_zero = x_is_zero && class == Class::Coarse;
-                let temp = ws.temp_batch(n * k);
-                if !skip_zero {
-                    temp[..n * k].copy_from_slice(x.data());
+    famg_sparse::spmm::for_row_blocks::<K>(xd, k, |first, rows| {
+        for (o, xr) in rows.chunks_exact_mut(width::<K>(k)).enumerate() {
+            let i = first + o;
+            let mut acc = [0.0f64; 8];
+            acc[..kk].copy_from_slice(&bd[i * kk..i * kk + kk]);
+            for (c, v) in a.row_iter(i) {
+                let cb = c * kk;
+                for j in 0..kk {
+                    acc[j] -= v * temp[cb + j];
                 }
-                let temp = &ws.temp_batch[..n * k];
-                let x_is_zero = skip_zero;
-                let bd = b.data();
-                let p = XPtr(x.data_mut().as_mut_ptr());
-                let nt = part.own.nthreads();
-                rayon::scope(|s| {
-                    for t in 0..nt {
-                        let (rows, extra) = match class {
-                            Class::Coarse => (part.own.coarse[t].clone(), None), // ALLOC: `Range` clone is a stack copy, no heap
-                            Class::Fine => (part.own.fine[t].clone(), None), // ALLOC: `Range` clone is a stack copy, no heap
-                            Class::All => {
-                                // ALLOC: `Range` clone is a stack copy, no heap
-                                (part.own.coarse[t].clone(), Some(part.own.fine[t].clone()))
-                            }
-                        };
-                        let p = &p;
-                        s.spawn(move |_| {
-                            k_lanes!(
-                                k,
-                                hybrid_opt_rows_batch(part, nc, a, bd, p, temp, k, x_is_zero, rows)
-                            );
-                            if let Some(f) = extra {
-                                k_lanes!(
-                                    k,
-                                    hybrid_opt_rows_batch(
-                                        part, nc, a, bd, p, temp, k, x_is_zero, f
-                                    )
-                                );
-                            }
-                        });
-                    }
-                });
             }
-            Smoother::Jacobi { dinv, omega } if k <= 8 => {
-                let temp = ws.temp_batch(n * k);
-                temp[..n * k].copy_from_slice(x.data());
-                let temp = &ws.temp_batch[..n * k];
-                let bd = b.data();
-                let omega = *omega;
-                x.data_mut()
-                    .par_chunks_mut(k)
-                    .enumerate()
-                    .with_min_len(512)
-                    .for_each(|(i, xr)| {
-                        k_lanes!(k, jacobi_row_batch(a, dinv, omega, bd, temp, k, i, xr));
-                    });
-            }
-            _ => {
-                // Extract-column fallback: run the scalar kernel per
-                // column (bitwise the solo path by construction).
-                let mut cb = std::mem::take(&mut ws.col_b);
-                let mut cx = std::mem::take(&mut ws.col_x);
-                cb.resize(n, 0.0);
-                cx.resize(n, 0.0);
-                for j in 0..k {
-                    b.copy_col_into(j, &mut cb[..n]);
-                    x.copy_col_into(j, &mut cx[..n]);
-                    self.sweep(a, &cb[..n], &mut cx[..n], ws, class, x_is_zero);
-                    x.set_col(j, &cx[..n]);
-                }
-                ws.col_b = cb;
-                ws.col_x = cx;
+            let w = omega * dinv[i];
+            let tb = i * kk;
+            for j in 0..kk {
+                xr[j] = temp[tb + j] + w * acc[j];
             }
         }
-    }
+    });
 }
 
 /// Sequential textbook Gauss-Seidel sweep (test oracle).
@@ -798,6 +668,25 @@ mod tests {
         base.post_smooth(&ap, &b, &mut xb, &mut ws);
         opt.post_smooth(&ap, &b, &mut xo, &mut ws);
         assert_eq!(xb, xo);
+    }
+
+    #[test]
+    fn hybrid_opt_one_task_equals_sequential_gs() {
+        // Independent oracle for the K = 1 lane of the k-wide kernel: with
+        // one task nothing is external, so C-then-F relaxation over the
+        // CF-permuted operator is one textbook sweep in row order (the
+        // Laplacian's diagonal is a power of two, so `* dinv` is `/ d`).
+        let a0 = laplace2d(11, 9);
+        let n = a0.nrows();
+        let is_coarse: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+        let (mut ap, ord) = crate::reorder::cf_reorder(&a0, &is_coarse);
+        let opt = Smoother::hybrid_opt(&mut ap, ord.nc, 1);
+        let b = rhs::random(n, 13);
+        let mut x = rhs::random(n, 14);
+        let mut oracle = x.clone();
+        opt.pre_smooth(&ap, &b, &mut x, &mut Workspace::new(), false);
+        gauss_seidel_seq(&ap, &b, &mut oracle);
+        assert_eq!(x, oracle);
     }
 
     #[test]
@@ -913,7 +802,7 @@ mod tests {
         ];
         for (si, sm) in smoothers.iter().enumerate() {
             let a = if si == 0 { &ap } else { &a0 };
-            for k in [1usize, 3, 4, 8] {
+            for k in [1usize, 2, 3, 4, 8, 9] {
                 for zero_guess in [false, true] {
                     let bc: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, j as u64)).collect();
                     let xc: Vec<Vec<f64>> = (0..k)
@@ -929,7 +818,7 @@ mod tests {
                     let mut x = MultiVec::from_columns(&xc);
                     let mut ws = Workspace::new();
                     sm.pre_smooth_batch(a, &b, &mut x, &mut ws, zero_guess);
-                    sm.post_smooth_batch(a, &b, &mut x, &mut ws);
+                    sm.post_smooth_rows(a, b.data(), x.data_mut(), k, &mut ws);
                     for j in 0..k {
                         let mut solo = xc[j].clone();
                         let mut ws2 = Workspace::new();

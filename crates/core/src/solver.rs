@@ -7,24 +7,17 @@
 //! guess, which is how the multi-node evaluation wraps AMG inside
 //! flexible GMRES (Table 4).
 
-use crate::cycle::{vcycle, vcycle_batch, BatchCycleWorkspace, CycleWorkspace};
+use crate::convergence::ColumnTracker;
+use crate::cycle::{vcycle_rows, CycleWorkspace};
 use crate::hierarchy::Hierarchy;
 use crate::params::AmgConfig;
 use crate::refresh::{FrozenSetup, RefreshError};
 use crate::stats::PhaseTimes;
 use famg_sparse::counters::flops;
-use famg_sparse::multivec::{dot_batch, norm2_batch};
-use famg_sparse::spmm::{spmm, spmm_dots};
-use famg_sparse::spmv::{residual_norm_sq, residual_norm_sq_unfused};
-use famg_sparse::vecops;
+use famg_sparse::multivec::dot_rows;
+use famg_sparse::spmm::{residual_rows, spmm_rows};
 use famg_sparse::{Csr, MultiVec};
-use parking_lot_free::Mutex;
-
-/// Minimal internal mutex alias so the cycle workspace can be reused
-/// behind `&self` without taking a `parking_lot` dependency here.
-mod parking_lot_free {
-    pub use std::sync::Mutex;
-}
+use std::sync::{Mutex, MutexGuard};
 
 /// Typed failure of a public solve entry point.
 ///
@@ -72,6 +65,20 @@ impl std::fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
+
+/// `Ok` when `expected == got`, otherwise the typed
+/// [`SolveError::DimensionMismatch`] naming `what` was mis-sized.
+pub fn check_dim(expected: usize, got: usize, what: &'static str) -> Result<(), SolveError> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(SolveError::DimensionMismatch {
+            expected,
+            got,
+            what,
+        })
+    }
+}
 
 /// Outcome of [`AmgSolver::solve`].
 #[derive(Debug, Clone)]
@@ -149,22 +156,50 @@ impl BatchSolveResult {
 pub struct AmgSolver {
     hierarchy: Hierarchy,
     frozen: Option<FrozenSetup>,
-    ws: Mutex<CycleWorkspace>,
-    /// Lazily allocated k-wide workspace, rebuilt when the batch width
-    /// changes between [`AmgSolver::solve_batch`] calls.
-    batch_ws: Mutex<Option<BatchCycleWorkspace>>,
+    ws: Mutex<Workspaces>,
+}
+
+/// The solver's cached cycle workspaces: the width-1 one, resident for the
+/// solver's lifetime, beside at most one wider one (callers interleave
+/// `apply` and `apply_batch` on one solver, so neither evicts the other).
+#[derive(Debug)]
+struct Workspaces {
+    single: CycleWorkspace,
+    /// Allocated on first use, rebuilt only when the batch width changes.
+    wide: Option<CycleWorkspace>,
+}
+
+impl Workspaces {
+    fn new(h: &Hierarchy) -> Mutex<Self> {
+        Mutex::new(Workspaces {
+            single: CycleWorkspace::for_hierarchy(h),
+            wide: None,
+        })
+    }
+
+    fn of_width(&mut self, h: &Hierarchy, k: usize) -> &mut CycleWorkspace {
+        if k == 1 {
+            return &mut self.single;
+        }
+        let wide = self
+            .wide
+            .get_or_insert_with(|| CycleWorkspace::for_width(h, k));
+        if wide.k() != k {
+            *wide = CycleWorkspace::for_width(h, k);
+        }
+        wide
+    }
 }
 
 impl AmgSolver {
     /// Runs the setup phase on `a`.
     pub fn setup(a: &Csr, cfg: &AmgConfig) -> Self {
         let hierarchy = Hierarchy::build(a, cfg);
-        let ws = Mutex::new(CycleWorkspace::for_hierarchy(&hierarchy));
+        let ws = Workspaces::new(&hierarchy);
         AmgSolver {
             hierarchy,
             frozen: None,
             ws,
-            batch_ws: Mutex::new(None),
         }
     }
 
@@ -173,12 +208,11 @@ impl AmgSolver {
     /// [`AmgSolver::refresh`] instead of a full re-setup.
     pub fn setup_refreshable(a: &Csr, cfg: &AmgConfig) -> Self {
         let (hierarchy, frozen) = Hierarchy::build_frozen(a, cfg);
-        let ws = Mutex::new(CycleWorkspace::for_hierarchy(&hierarchy));
+        let ws = Workspaces::new(&hierarchy);
         AmgSolver {
             hierarchy,
             frozen: Some(frozen),
             ws,
-            batch_ws: Mutex::new(None),
         }
     }
 
@@ -197,12 +231,11 @@ impl AmgSolver {
     /// violates the structural invariants the cycle kernels rely on.
     pub fn from_hierarchy(hierarchy: Hierarchy) -> Result<Self, SolveError> {
         hierarchy.check_shape()?;
-        let ws = Mutex::new(CycleWorkspace::for_hierarchy(&hierarchy));
+        let ws = Workspaces::new(&hierarchy);
         Ok(AmgSolver {
             hierarchy,
             frozen: None,
             ws,
-            batch_ws: Mutex::new(None),
         })
     }
 
@@ -231,124 +264,29 @@ impl AmgSolver {
     /// Like [`AmgSolver::solve`], but returns a typed error instead of
     /// panicking on a malformed hierarchy or mis-sized vectors.
     pub fn try_solve(&self, b: &[f64], x: &mut [f64]) -> Result<SolveResult, SolveError> {
-        let h = &self.hierarchy;
-        let cfg = &h.config;
-        h.check_shape()?;
-        let n = h.n();
-        if b.len() != n {
-            return Err(SolveError::DimensionMismatch {
-                expected: n,
-                got: b.len(),
-                what: "right-hand side",
-            });
-        }
-        if x.len() != n {
-            return Err(SolveError::DimensionMismatch {
-                expected: n,
-                got: x.len(),
-                what: "initial guess",
-            });
-        }
-        let mut ws = self
-            .ws
-            .lock()
-            .expect("solver workspace mutex poisoned by a prior panic"); // PANIC-FREE: poisoning requires a prior panic on another thread.
-        let root_span = famg_prof::scope("solve");
-
-        // Move into the stored (possibly CF-permuted) ordering. The
-        // buffers live in the workspace so repeated solves allocate
-        // nothing here; they are taken out so `ws` stays borrowable.
-        let permute_span = famg_prof::scope("permute");
-        let perm = h.levels[0].perm.as_ref();
-        let mut pb = std::mem::take(&mut ws.fine_b);
-        let mut px = std::mem::take(&mut ws.fine_x);
-        let mut r = std::mem::take(&mut ws.fine_r);
-        match perm {
-            Some(q) => q.apply_vec_into(b, &mut pb),
-            None => pb.copy_from_slice(b),
-        }
-        match perm {
-            Some(q) => q.apply_vec_into(x, &mut px),
-            None => px.copy_from_slice(x),
-        }
-        drop(permute_span);
-
-        let a = &h.levels[0].a;
-        let bnorm = {
-            let _s = famg_prof::scope("blas1");
-            famg_prof::counter("flops", flops::dot(n));
-            vecops::norm2(&pb).max(f64::MIN_POSITIVE)
-        };
-
-        let norm_of = |px: &[f64], r: &mut [f64]| {
-            let _s = famg_prof::scope("blas1");
-            famg_prof::counter("flops", flops::spmv(a.nnz()) + flops::dot(n));
-            if cfg.opt.fused_residual_norm {
-                residual_norm_sq(a, px, &pb, r).sqrt() / bnorm
-            } else {
-                residual_norm_sq_unfused(a, px, &pb, r).sqrt() / bnorm
-            }
-        };
-
-        let mut history = Vec::new(); // ALLOC: per-iteration history is part of the returned result.
-        let mut relres = norm_of(&px, &mut r);
-        let mut iterations = 0usize;
-        while relres > cfg.tolerance && iterations < cfg.max_iterations {
-            vcycle(h, &pb, &mut px, &mut ws);
-            iterations += 1;
-            relres = norm_of(&px, &mut r);
-            history.push(relres);
-        }
-
-        let permute_span = famg_prof::scope("permute");
-        match perm {
-            Some(q) => q.unapply_vec_into(&px, x),
-            None => x.copy_from_slice(&px),
-        }
-        ws.fine_b = pb;
-        ws.fine_x = px;
-        ws.fine_r = r;
-        drop(permute_span);
-
-        drop(root_span);
-        let profile = famg_prof::take();
-        let times = profile
-            .find_root("solve")
-            .map(PhaseTimes::from_span)
-            .unwrap_or_default();
-
+        self.hierarchy.check_shape()?;
+        let n = self.n();
+        check_dim(n, b.len(), "right-hand side")?;
+        check_dim(n, x.len(), "initial guess")?;
+        let mut res = self.solve_rows(b, x, 1);
         Ok(SolveResult {
-            iterations,
-            final_relres: relres,
-            converged: relres <= cfg.tolerance,
-            history,
-            times,
-            profile,
+            iterations: res.iterations[0],
+            final_relres: res.final_relres[0],
+            converged: res.converged[0],
+            history: std::mem::take(&mut res.history[0]),
+            times: res.times,
+            profile: res.profile,
         })
     }
 
     /// Applies one V-cycle from a zero initial guess: `z ≈ A⁻¹ r`.
     /// This is the preconditioner interface used by FGMRES.
+    ///
+    /// # Panics
+    /// Panics when `rin` or `z` does not match the finest-level unknown
+    /// count.
     pub fn apply(&self, rin: &[f64], z: &mut [f64]) {
-        let h = &self.hierarchy;
-        let mut ws = self.ws.lock().unwrap();
-        let perm = h.levels[0].perm.as_ref();
-        // Workspace-backed buffers: this is the FGMRES preconditioner hot
-        // path, called once per Krylov iteration.
-        let mut pb = std::mem::take(&mut ws.fine_b);
-        let mut px = std::mem::take(&mut ws.fine_x);
-        match perm {
-            Some(q) => q.apply_vec_into(rin, &mut pb),
-            None => pb.copy_from_slice(rin),
-        }
-        px.fill(0.0);
-        vcycle(h, &pb, &mut px, &mut ws);
-        match perm {
-            Some(q) => q.unapply_vec_into(&px, z),
-            None => z.copy_from_slice(&px),
-        }
-        ws.fine_b = pb;
-        ws.fine_x = px;
+        self.apply_rows(rin, z, 1);
     }
 
     /// Solves `A X = B` for all `k` columns of `b` simultaneously,
@@ -378,67 +316,101 @@ impl AmgSolver {
         b: &MultiVec,
         x: &mut MultiVec,
     ) -> Result<BatchSolveResult, SolveError> {
+        self.hierarchy.check_shape()?;
+        let n = self.n();
+        check_dim(n, b.n(), "right-hand side block")?;
+        check_dim(n, x.n(), "initial guess block")?;
+        check_dim(b.k(), x.k(), "initial guess block width")?;
+        Ok(self.solve_rows(b.data(), x.data_mut(), b.k()))
+    }
+
+    /// Applies one V-cycle from a zero initial guess to all `k` columns:
+    /// `Z ≈ A⁻¹ R`, for preconditioning a block Krylov iteration; column
+    /// `j` is bitwise identical to [`AmgSolver::apply`] on that column.
+    ///
+    /// # Panics
+    /// Panics when `rin` and `z` disagree in shape or do not match the
+    /// finest-level unknown count.
+    pub fn apply_batch(&self, rin: &MultiVec, z: &mut MultiVec) {
+        assert_eq!(z.k(), rin.k(), "apply: output block has wrong width");
+        self.apply_rows(rin.data(), z.data_mut(), rin.k());
+    }
+
+    /// Locks the cached cycle workspaces.
+    fn lock_workspaces(&self) -> MutexGuard<'_, Workspaces> {
+        self.ws
+            .lock()
+            .expect("solver workspace mutex poisoned by a prior panic") // PANIC-FREE: poisoning requires a prior panic on another thread.
+    }
+
+    /// The one V-cycle application behind [`AmgSolver::apply`] and
+    /// [`AmgSolver::apply_batch`], over `k`-interleaved blocks.
+    fn apply_rows(&self, rin: &[f64], z: &mut [f64], k: usize) {
+        let h = &self.hierarchy;
+        let n = h.n();
+        assert_eq!(rin.len(), n * k, "apply: residual block has wrong n");
+        assert_eq!(z.len(), n * k, "apply: output block has wrong n");
+        if k == 0 {
+            return;
+        }
+        let mut guard = self.lock_workspaces();
+        let ws = guard.of_width(h, k);
+        let perm = h.levels[0].perm.as_ref();
+        // Workspace-backed buffers: this is the Krylov preconditioner hot
+        // path, called once per iteration.
+        let mut pb = std::mem::take(&mut ws.fine_b);
+        let mut px = std::mem::take(&mut ws.fine_x);
+        match perm {
+            Some(q) => q.apply_rows_into(rin, k, &mut pb),
+            None => pb.copy_from_slice(rin),
+        }
+        px.fill(0.0);
+        vcycle_rows(h, &pb, &mut px, k, ws);
+        match perm {
+            Some(q) => q.unapply_rows_into(&px, k, z),
+            None => z.copy_from_slice(&px),
+        }
+        ws.fine_b = pb;
+        ws.fine_x = px;
+    }
+
+    /// The one iterate-to-tolerance loop behind [`AmgSolver::try_solve`]
+    /// and [`AmgSolver::try_solve_batch`], over `k`-interleaved blocks of
+    /// validated shape on a validated hierarchy. A column that reaches the
+    /// tolerance stops reporting while the rest keep cycling (see
+    /// [`ColumnTracker`]).
+    fn solve_rows(&self, b: &[f64], x: &mut [f64], k: usize) -> BatchSolveResult {
         let h = &self.hierarchy;
         let cfg = &h.config;
-        h.check_shape()?;
         let n = h.n();
-        if b.n() != n {
-            return Err(SolveError::DimensionMismatch {
-                expected: n,
-                got: b.n(),
-                what: "right-hand side block",
-            });
-        }
-        if x.n() != n {
-            return Err(SolveError::DimensionMismatch {
-                expected: n,
-                got: x.n(),
-                what: "initial guess block",
-            });
-        }
-        let k = b.k();
-        if x.k() != k {
-            return Err(SolveError::DimensionMismatch {
-                expected: k,
-                got: x.k(),
-                what: "initial guess block width",
-            });
-        }
         if k == 0 {
-            return Ok(BatchSolveResult {
+            return BatchSolveResult {
                 iterations: Vec::new(),   // ALLOC: empty Vec, no heap
                 final_relres: Vec::new(), // ALLOC: empty Vec, no heap
                 converged: Vec::new(),    // ALLOC: empty Vec, no heap
                 history: Vec::new(),      // ALLOC: empty Vec, no heap
                 times: PhaseTimes::default(),
                 profile: famg_prof::Profile::default(),
-            });
+            };
         }
-        let mut guard = self
-            .batch_ws
-            .lock()
-            .expect("batch workspace mutex poisoned by a prior panic"); // PANIC-FREE: poisoning requires a prior panic on another thread.
-        if guard.as_ref().is_none_or(|w| w.k() != k) {
-            *guard = Some(BatchCycleWorkspace::for_hierarchy(h, k));
-        }
-        let ws = guard
-            .as_mut()
-            .expect("batch workspace was populated just above"); // PANIC-FREE: the lazy rebuild above guarantees `Some`.
+        let mut guard = self.lock_workspaces();
+        let ws = guard.of_width(h, k);
         let root_span = famg_prof::scope("solve");
 
-        // Move into the stored (possibly CF-permuted) ordering; buffers
-        // are taken out of the workspace so `ws` stays borrowable.
+        // Move into the stored (possibly CF-permuted) ordering. The
+        // buffers live in the workspace so repeated solves allocate
+        // nothing here; they are taken out so `ws` stays borrowable.
         let permute_span = famg_prof::scope("permute");
         let perm = h.levels[0].perm.as_ref();
         let mut pb = std::mem::take(&mut ws.fine_b);
         let mut px = std::mem::take(&mut ws.fine_x);
         let mut r = std::mem::take(&mut ws.fine_r);
         if let Some(q) = perm {
-            q.apply_multi_into(b, &mut pb);
-            q.apply_multi_into(x, &mut px);
+            q.apply_rows_into(b, k, &mut pb);
+            q.apply_rows_into(x, k, &mut px);
         } else {
-            pb.copy_from(b);
-            px.copy_from(x);
+            pb.copy_from_slice(b);
+            px.copy_from_slice(x);
         }
         drop(permute_span);
 
@@ -447,74 +419,48 @@ impl AmgSolver {
         {
             let _s = famg_prof::scope("blas1");
             famg_prof::counter("flops", flops::dot_batch(n, k));
-            norm2_batch(&pb, &mut bnorms);
+            dot_rows(&pb, &pb, k, &mut bnorms);
         }
         for bn in &mut bnorms {
-            *bn = bn.max(f64::MIN_POSITIVE);
+            *bn = bn.sqrt().max(f64::MIN_POSITIVE);
         }
 
-        // Per-column relative residuals; each column's value is bitwise
-        // identical to the scalar `norm_of` closure in `try_solve`.
-        let norm_of = |px: &MultiVec, r: &mut MultiVec, out: &mut [f64]| {
+        // Per-column relative residuals.
+        let norm_of = |px: &[f64], r: &mut [f64], out: &mut [f64]| {
             let _s = famg_prof::scope("blas1");
             famg_prof::counter("flops", flops::spmm(a.nnz(), k) + flops::dot_batch(n, k));
             if cfg.opt.fused_residual_norm {
-                spmm_dots(a, px, &pb, r, out);
+                residual_rows(a, px, &pb, r, k, out);
             } else {
-                spmm(a, px, r);
-                for (ri, bi) in r.data_mut().iter_mut().zip(pb.data()) {
+                // The §3.3 ablation baseline: residual and norm in two sweeps.
+                spmm_rows(a, px, k, r);
+                for (ri, bi) in r.iter_mut().zip(&pb) {
                     *ri = bi - *ri;
                 }
-                dot_batch(r, r, out);
+                dot_rows(r, r, k, out);
             }
             for (o, bn) in out.iter_mut().zip(&bnorms) {
                 *o = o.sqrt() / bn;
             }
         };
 
-        let mut history: Vec<Vec<f64>> = vec![Vec::new(); k]; // ALLOC: result-owned per-column history
         let mut relres = vec![0.0; k]; // ALLOC: k-sized bookkeeping, not O(n)
         norm_of(&px, &mut r, &mut relres);
-        let mut final_relres = relres.clone(); // ALLOC: result-owned copy (k floats)
-        let mut col_iterations = vec![0usize; k]; // ALLOC: k-sized bookkeeping, not O(n)
-                                                  // Columns that hit the tolerance freeze: their iterate is
-                                                  // snapshotted at the convergence iteration (the state the solo
-                                                  // solve would have exited with) while the rest keep cycling.
-        let mut frozen_cols: Vec<Option<Vec<f64>>> = vec![None; k]; // ALLOC: k slots; cols snapshot only on freeze
-        let mut done: Vec<bool> = relres.iter().map(|&rr| rr <= cfg.tolerance).collect(); // ALLOC: k-sized bookkeeping, not O(n)
-        for j in 0..k {
-            if done[j] {
-                frozen_cols[j] = Some(px.col(j));
-            }
-        }
+        let mut cols = ColumnTracker::new(&relres, cfg.tolerance);
         let mut iterations = 0usize;
-        while done.iter().any(|d| !d) && iterations < cfg.max_iterations {
-            vcycle_batch(h, &pb, &mut px, ws);
+        while cols.any_live() && iterations < cfg.max_iterations {
+            cols.freeze_stopped(&px);
+            vcycle_rows(h, &pb, &mut px, k, ws);
             iterations += 1;
             norm_of(&px, &mut r, &mut relres);
-            for j in 0..k {
-                if done[j] {
-                    continue;
-                }
-                history[j].push(relres[j]);
-                final_relres[j] = relres[j];
-                col_iterations[j] = iterations;
-                if relres[j] <= cfg.tolerance {
-                    done[j] = true;
-                    frozen_cols[j] = Some(px.col(j));
-                }
-            }
+            cols.record(iterations, &relres);
         }
-        for (j, frozen) in frozen_cols.iter().enumerate() {
-            if let Some(col) = frozen {
-                px.set_col(j, col);
-            }
-        }
+        let converged = cols.finish(&mut px);
 
         let permute_span = famg_prof::scope("permute");
         match perm {
-            Some(q) => q.unapply_multi_into(&px, x),
-            None => x.copy_from(&px),
+            Some(q) => q.unapply_rows_into(&px, k, x),
+            None => x.copy_from_slice(&px),
         }
         ws.fine_b = pb;
         ws.fine_x = px;
@@ -528,55 +474,14 @@ impl AmgSolver {
             .map(PhaseTimes::from_span)
             .unwrap_or_default();
 
-        let converged = final_relres.iter().map(|&rr| rr <= cfg.tolerance).collect(); // ALLOC: result-owned convergence flags (k bools)
-        Ok(BatchSolveResult {
-            iterations: col_iterations,
-            final_relres,
+        BatchSolveResult {
+            iterations: cols.iterations,
+            final_relres: cols.final_relres,
             converged,
-            history,
+            history: cols.history,
             times,
             profile,
-        })
-    }
-
-    /// Applies one V-cycle from a zero initial guess to all `k` columns:
-    /// `Z ≈ A⁻¹ R`. The batched twin of [`AmgSolver::apply`] for
-    /// preconditioning a block Krylov iteration; column `j` is bitwise
-    /// identical to `apply` on that column alone.
-    ///
-    /// # Panics
-    /// Panics when `rin` and `z` disagree in shape or do not match the
-    /// finest-level unknown count.
-    pub fn apply_batch(&self, rin: &MultiVec, z: &mut MultiVec) {
-        let h = &self.hierarchy;
-        let n = h.n();
-        let k = rin.k();
-        assert_eq!(rin.n(), n, "apply_batch: residual block has wrong n");
-        assert_eq!(z.n(), n, "apply_batch: output block has wrong n");
-        assert_eq!(z.k(), k, "apply_batch: output block has wrong width");
-        if k == 0 {
-            return;
         }
-        let mut guard = self.batch_ws.lock().unwrap();
-        if guard.as_ref().is_none_or(|w| w.k() != k) {
-            *guard = Some(BatchCycleWorkspace::for_hierarchy(h, k));
-        }
-        let ws = guard.as_mut().unwrap();
-        let perm = h.levels[0].perm.as_ref();
-        let mut pb = std::mem::take(&mut ws.fine_b);
-        let mut px = std::mem::take(&mut ws.fine_x);
-        match perm {
-            Some(q) => q.apply_multi_into(rin, &mut pb),
-            None => pb.copy_from(rin),
-        }
-        px.fill(0.0);
-        vcycle_batch(h, &pb, &mut px, ws);
-        match perm {
-            Some(q) => q.unapply_multi_into(&px, z),
-            None => z.copy_from(&px),
-        }
-        ws.fine_b = pb;
-        ws.fine_x = px;
     }
 }
 
@@ -585,6 +490,8 @@ mod tests {
     use super::*;
     use crate::params::{AmgConfig, SmootherKind};
     use famg_matgen::{amg2013_like, laplace2d, laplace3d_7pt, rhs};
+    use famg_sparse::spmv::residual_norm_sq;
+    use famg_sparse::vecops;
 
     fn check_solution(a: &Csr, b: &[f64], x: &[f64], tol: f64) {
         let mut r = vec![0.0; b.len()];
@@ -714,6 +621,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "apply: residual block has wrong n")]
+    fn apply_rejects_mis_sized_residual_by_name() {
+        let a = laplace2d(12, 12);
+        let solver = AmgSolver::setup(&a, &AmgConfig::single_node_paper());
+        let mut z = vec![0.0; a.nrows()];
+        solver.apply(&vec![1.0; a.nrows() - 1], &mut z);
+    }
+
+    #[test]
     fn jumpy_coefficients_converge() {
         let a = amg2013_like(12, 12, 12, 2, 2.0, 7);
         let b = rhs::ones(a.nrows());
@@ -818,7 +734,7 @@ mod tests {
             let mut cfg = AmgConfig::single_node_paper();
             cfg.opt.fused_residual_norm = fused;
             let solver = AmgSolver::setup(&a, &cfg);
-            for k in [1usize, 3, 4, 8] {
+            for k in [1usize, 2, 3, 4, 8, 9] {
                 let cols: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 100 + j as u64)).collect();
                 let b = MultiVec::from_columns(&cols);
                 let mut x = MultiVec::new(n, k);
@@ -919,7 +835,7 @@ mod tests {
         let a = laplace2d(20, 20);
         let n = a.nrows();
         let solver = AmgSolver::setup(&a, &AmgConfig::single_node_paper());
-        for k in [4usize, 2] {
+        for k in [4usize, 2, 1, 3, 8, 9] {
             let cols: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 40 + j as u64)).collect();
             let r = MultiVec::from_columns(&cols);
             let mut z = MultiVec::new(n, k);

@@ -14,7 +14,8 @@
 
 use crate::comm::{wire, Comm, RecvHandle};
 use crate::parcsr::owner_of;
-use famg_sparse::MultiVec;
+use famg_sparse::lanes;
+use famg_sparse::multivec::width;
 
 /// Tags are namespaced per module to avoid collisions between concurrent
 /// exchange phases.
@@ -48,25 +49,30 @@ pub struct VectorExchange {
 }
 
 /// A halo exchange whose sends are on the wire and whose receives are
-/// posted but not yet waited for. Produced by [`VectorExchange::post`];
-/// the external buffer becomes available through
-/// [`finish`](InFlightHalo::finish). While a halo is in flight the caller
-/// is free to compute anything that does not read the external buffer —
-/// the interior rows of an SpMV or smoother sweep — which is what hides
-/// the communication latency.
+/// posted but not yet waited for. Produced by [`VectorExchange::post`] /
+/// [`VectorExchange::post_rows`]; the external buffer becomes available
+/// through [`finish`](InFlightHalo::finish). While a halo is in flight the
+/// caller is free to compute anything that does not read the external
+/// buffer — the interior rows of an SpMV or smoother sweep — which is what
+/// hides the communication latency.
 pub struct InFlightHalo {
-    /// External buffer; self-owned entries already filled.
+    /// External buffer, `k` lanes per planned index; self-owned entries
+    /// already filled.
     ext: Vec<f64>,
-    /// `(peer, ext start, ext end, handle)` per receive, in plan order.
+    /// Block width: every envelope carries `k` values per planned index.
+    k: usize,
+    /// `(peer, ext start, ext end, handle)` per outstanding receive, in
+    /// plan order; the ranges are in planned-index units.
     waits: Vec<(usize, usize, usize, RecvHandle<Vec<f64>>)>,
     /// When the sends went on the wire and the receives were posted — the
-    /// moment a synchronous exchange would start blocking. `finish`
+    /// moment a synchronous exchange would start blocking. `complete`
     /// compares message send times against this mark and its own entry
     /// mark to split the halo wait into hidden and exposed parts.
     posted_at: std::time::Instant,
-    /// Keeps the `halo_inflight` span open until `finish`, so the chrome
-    /// trace shows the window that interior computation can hide under.
-    window: famg_prof::Scope,
+    /// Keeps the `halo_inflight` / `halo_batch` span open until the
+    /// receives complete, so the chrome trace shows the window that
+    /// interior computation can hide under. `None` once completed.
+    window: Option<famg_prof::Scope>,
 }
 
 impl VectorExchange {
@@ -142,36 +148,70 @@ impl VectorExchange {
     /// [`post`](Self::post) immediately followed by
     /// [`finish`](InFlightHalo::finish) — the entire wait is exposed.
     pub fn exchange(&self, comm: &Comm, x_local: &[f64]) -> Vec<f64> {
-        self.post(comm, x_local).finish(comm)
+        self.exchange_rows(comm, x_local, 1)
     }
 
-    /// Starts the exchange: fills self-owned entries, posts one send per
-    /// requesting neighbor, and posts (non-blocking) receives for every
-    /// owning neighbor. The caller may compute on local data while the
-    /// halo is in flight, then call [`InFlightHalo::finish`] for the
-    /// external buffer.
+    /// [`exchange`](Self::exchange) of a `k`-interleaved block: one
+    /// envelope per neighbor carrying all `k` columns.
+    pub fn exchange_rows(&self, comm: &Comm, xd: &[f64], k: usize) -> Vec<f64> {
+        self.post_rows(comm, xd, k).finish(comm)
+    }
+
+    /// Starts the exchange of a single vector (the `k = 1` block of
+    /// [`post_rows`](Self::post_rows)).
+    pub fn post(&self, comm: &Comm, x_local: &[f64]) -> InFlightHalo {
+        self.post_rows(comm, x_local, 1)
+    }
+
+    /// Starts the exchange of the `k`-interleaved block `(xd, k)`: fills
+    /// self-owned entries, posts one send per requesting neighbor, and
+    /// posts (non-blocking) receives for every owning neighbor. The caller
+    /// may compute on local data while the halo is in flight, then call
+    /// [`InFlightHalo::finish`] for the external buffer.
     ///
-    /// All halo spans (`halo_inflight` / `halo_post` / `halo_wait`)
-    /// inherit the enclosing kernel's Fig. 5 bucket in
-    /// `PhaseTimes::from_span` — they exist for the chrome trace and the
-    /// comm-counter attribution, not as buckets of their own.
+    /// Each neighbor receives exactly **one** message per exchange at any
+    /// width — its envelope carries `k` values per planned index, laid out
+    /// row-major like the block — which is the batched path's
+    /// communication amortization: per right-hand side, halo messages
+    /// cost 1/k of the solo solve (the per-message envelope/latency cost
+    /// is what distributed SpMV is bound by at scale, §4.4). The returned
+    /// external buffer is strided like the input: entry `e` of column `j`
+    /// lives at `ext[e * k + j]`.
+    ///
+    /// All halo spans (`halo_inflight` — `halo_batch` when `k > 1` — /
+    /// `halo_post` / `halo_wait`) inherit the enclosing kernel's Fig. 5
+    /// bucket in `PhaseTimes::from_span` — they exist for the chrome trace
+    /// and the comm-counter attribution, not as buckets of their own.
     // ALLOC: the external buffer is owned by the returned InFlightHalo
     // and each neighbor's packed values become that message's payload —
     // halo envelopes are allocated per exchange by design, mirroring
     // MPI send buffers.
-    pub fn post(&self, comm: &Comm, x_local: &[f64]) -> InFlightHalo {
-        let window = famg_prof::scope("halo_inflight");
+    pub fn post_rows(&self, comm: &Comm, xd: &[f64], k: usize) -> InFlightHalo {
+        let window = famg_prof::scope(if k == 1 {
+            "halo_inflight"
+        } else {
+            "halo_batch"
+        });
         let _post = famg_prof::scope("halo_post");
-        let mut ext = vec![0.0f64; self.ext_len];
-        if let Some((idx, s)) = &self.self_copy {
-            for (k, &i) in idx.iter().enumerate() {
-                ext[s + k] = x_local[i];
+        // Packing is dispatched on the lane width: at `k = 1` a row copy
+        // is a register move, not a `memcpy` call per element.
+        fn pack<const K: usize>(idx: &[usize], xd: &[f64], k: usize, out: &mut [f64]) {
+            let kk = width::<K>(k);
+            for (o, &i) in out.chunks_exact_mut(kk).zip(idx) {
+                o.copy_from_slice(&xd[i * kk..(i + 1) * kk]);
             }
         }
-        for (peer, idx) in &self.send_peers {
-            let vals: Vec<f64> = idx.iter().map(|&i| x_local[i]).collect();
-            let b = wire::f64s(vals.len());
-            comm.send(*peer, TAG_VAL, vals, b);
+        let mut ext = vec![0.0f64; self.ext_len * k];
+        if k != 0 {
+            if let Some((idx, s)) = &self.self_copy {
+                lanes!(k, pack(idx, xd, k, &mut ext[s * k..(s + idx.len()) * k]));
+            }
+            for (peer, idx) in &self.send_peers {
+                let mut vals = vec![0.0f64; idx.len() * k];
+                lanes!(k, pack(idx, xd, k, &mut vals));
+                let b = wire::f64s(vals.len());
+                comm.send(*peer, TAG_VAL, vals, b);
+            }
         }
         let waits = self
             .recv_peers
@@ -180,66 +220,10 @@ impl VectorExchange {
             .collect();
         InFlightHalo {
             ext,
-            waits,
-            posted_at: comm.clock_mark(),
-            window,
-        }
-    }
-
-    /// Executes a batched exchange synchronously: one envelope per
-    /// neighbor carrying all `k` columns. See [`post_multi`].
-    ///
-    /// [`post_multi`]: Self::post_multi
-    pub fn exchange_multi(&self, comm: &Comm, x_local: &MultiVec) -> Vec<f64> {
-        self.post_multi(comm, x_local).finish(comm)
-    }
-
-    /// Starts a batched exchange for all `k` columns of `x_local`: each
-    /// neighbor still receives exactly **one** message per exchange —
-    /// its envelope simply carries `k` values per planned index, laid
-    /// out row-major to match [`MultiVec`]. The message *count* is
-    /// therefore identical to the scalar [`post`](Self::post) at any
-    /// width, which is the batched path's communication amortization:
-    /// per right-hand side, halo messages cost 1/k of the solo solve
-    /// (the per-message envelope/latency cost is what distributed SpMV
-    /// is bound by at scale, §4.4).
-    ///
-    /// The returned external buffer is strided like the input: entry
-    /// `e` of column `j` lives at `ext[e * k + j]`, and column `j` is
-    /// bitwise identical to a scalar exchange of that column.
-    // ALLOC: as in `post` — the strided external buffer belongs to the
-    // returned handle and each neighbor's packed block is the message
-    // payload; one envelope per neighbor regardless of k.
-    pub fn post_multi(&self, comm: &Comm, x_local: &MultiVec) -> InFlightHaloMulti {
-        let k = x_local.k();
-        let window = famg_prof::scope("halo_batch");
-        let _post = famg_prof::scope("halo_post");
-        let xd = x_local.data();
-        let mut ext = vec![0.0f64; self.ext_len * k];
-        if let Some((idx, s)) = &self.self_copy {
-            for (e, &i) in idx.iter().enumerate() {
-                ext[(s + e) * k..(s + e + 1) * k].copy_from_slice(&xd[i * k..(i + 1) * k]);
-            }
-        }
-        for (peer, idx) in &self.send_peers {
-            let mut vals = Vec::with_capacity(idx.len() * k);
-            for &i in idx {
-                vals.extend_from_slice(&xd[i * k..(i + 1) * k]);
-            }
-            let b = wire::f64s(vals.len());
-            comm.send(*peer, TAG_VAL, vals, b);
-        }
-        let waits = self
-            .recv_peers
-            .iter()
-            .map(|&(peer, s, e)| (peer, s, e, comm.irecv(peer, TAG_VAL)))
-            .collect();
-        InFlightHaloMulti {
-            ext,
             k,
             waits,
             posted_at: comm.clock_mark(),
-            window,
+            window: Some(window),
         }
     }
 
@@ -260,108 +244,56 @@ impl VectorExchange {
 }
 
 impl InFlightHalo {
-    /// Completes the exchange: waits for every posted receive and returns
-    /// the external vector (parallel to the plan's colmap).
+    /// Waits for every posted receive, so that [`finish`](Self::finish)
+    /// returns at once — what a synchronous kernel calls right after
+    /// posting. A no-op the second time.
     ///
     /// The wait the exchange would have cost synchronously is how late
     /// the last message was relative to the post mark (rank skew; the
     /// in-process channel delivers the instant the peer sends). The part
-    /// still outstanding when `finish` is entered is *exposed*; the part
+    /// still outstanding when this is entered is *exposed*; the part
     /// that elapsed while the caller computed under the in-flight window
     /// is *hidden*. Both go on profiler counters (`halo_exposed_ns` /
     /// `halo_hidden_ns`) so the comm_volume bench can report how much of
-    /// the halo wait the overlap hid. A synchronous `exchange` enters
-    /// `finish` immediately, so its wait is (almost) entirely exposed.
+    /// the halo wait the overlap hid. A synchronous exchange completes
+    /// immediately, so its wait is (almost) entirely exposed.
     ///
     /// # Panics
     /// Panics with peer/tag/length diagnostics if a wire payload does not
-    /// match the planned halo range (a malformed or mismatched plan).
-    pub fn finish(self, comm: &Comm) -> Vec<f64> {
-        let InFlightHalo {
-            mut ext,
-            waits,
-            posted_at,
-            window,
-        } = self;
+    /// match the planned halo range times the block width (a malformed or
+    /// mismatched plan).
+    pub fn complete(&mut self, comm: &Comm) {
+        let Some(window) = self.window.take() else {
+            return;
+        };
+        let k = self.k;
         let entered = comm.clock_mark();
         let mut last_sent: Option<std::time::Instant> = None;
         {
             let _wait = famg_prof::scope("halo_wait");
-            for (peer, s, e, handle) in waits {
+            for (peer, s, e, handle) in self.waits.drain(..) {
                 let (vals, sent_at): (Vec<f64>, _) = comm.wait_timed(handle);
-                check_halo_payload(comm.rank(), peer, TAG_VAL, e - s, vals.len());
-                ext[s..e].copy_from_slice(&vals);
+                check_halo_payload(comm.rank(), peer, TAG_VAL, (e - s) * k, vals.len());
+                self.ext[s * k..e * k].copy_from_slice(&vals);
                 last_sent = Some(last_sent.map_or(sent_at, |m| m.max(sent_at)));
             }
         }
         if let Some(last) = last_sent {
             // `entered >= posted_at`, so exposed <= would_be; saturation
             // only papers over clock-resolution ties.
-            let would_be = last.saturating_duration_since(posted_at);
+            let would_be = last.saturating_duration_since(self.posted_at);
             let exposed = last.saturating_duration_since(entered);
             famg_prof::counter("halo_exposed_ns", nanos(exposed));
             famg_prof::counter("halo_hidden_ns", nanos(would_be.saturating_sub(exposed)));
         }
         drop(window);
-        ext
     }
-}
 
-/// A batched halo exchange in flight (the k-wide twin of
-/// [`InFlightHalo`]): one posted receive per neighbor, each envelope
-/// carrying all `k` columns. Produced by [`VectorExchange::post_multi`].
-pub struct InFlightHaloMulti {
-    /// External buffer, strided `k` per planned index; self-owned
-    /// entries already filled.
-    ext: Vec<f64>,
-    /// Batch width.
-    k: usize,
-    /// `(peer, ext start, ext end, handle)` per receive, in plan order;
-    /// the ranges are in planned-index units, not buffer offsets.
-    waits: Vec<(usize, usize, usize, RecvHandle<Vec<f64>>)>,
-    /// Post mark for the hidden/exposed wait split (see
-    /// [`InFlightHalo::finish`]).
-    posted_at: std::time::Instant,
-    /// Keeps the `halo_batch` span open until `finish`.
-    window: famg_prof::Scope,
-}
-
-impl InFlightHaloMulti {
-    /// Completes the batched exchange: waits for every posted receive
-    /// and returns the strided external buffer (`ext[e * k + j]` is
-    /// planned entry `e`, column `j`). Wait accounting matches
-    /// [`InFlightHalo::finish`].
-    ///
-    /// # Panics
-    /// Panics with peer/tag/length diagnostics if a wire payload does
-    /// not match the planned halo range times the batch width.
-    pub fn finish(self, comm: &Comm) -> Vec<f64> {
-        let InFlightHaloMulti {
-            mut ext,
-            k,
-            waits,
-            posted_at,
-            window,
-        } = self;
-        let entered = comm.clock_mark();
-        let mut last_sent: Option<std::time::Instant> = None;
-        {
-            let _wait = famg_prof::scope("halo_wait");
-            for (peer, s, e, handle) in waits {
-                let (vals, sent_at): (Vec<f64>, _) = comm.wait_timed(handle);
-                check_halo_payload(comm.rank(), peer, TAG_VAL, (e - s) * k, vals.len());
-                ext[s * k..e * k].copy_from_slice(&vals);
-                last_sent = Some(last_sent.map_or(sent_at, |m| m.max(sent_at)));
-            }
-        }
-        if let Some(last) = last_sent {
-            let would_be = last.saturating_duration_since(posted_at);
-            let exposed = last.saturating_duration_since(entered);
-            famg_prof::counter("halo_exposed_ns", nanos(exposed));
-            famg_prof::counter("halo_hidden_ns", nanos(would_be.saturating_sub(exposed)));
-        }
-        drop(window);
-        ext
+    /// Completes the exchange and returns the external buffer (parallel
+    /// to the plan's colmap, `k` lanes per entry).
+    pub fn finish(mut self, comm: &Comm) -> Vec<f64> {
+        self.complete(comm);
+        self.ext
     }
 }
 
@@ -697,6 +629,7 @@ mod tests {
     use crate::comm::run_ranks;
     use crate::parcsr::{default_partition, ParCsr};
     use famg_matgen::laplace2d;
+    use famg_sparse::MultiVec;
 
     #[test]
     fn vector_exchange_gathers_correct_elements() {
@@ -818,28 +751,32 @@ mod tests {
         assert_eq!(report.total_messages(), 2 + 2); // 2 halo + 2 plan requests
     }
 
+    /// Overlapped post/finish is bitwise identical to the synchronous
+    /// exchange, for a plain vector and for a 4-wide block.
     #[test]
     fn post_finish_matches_exchange_bitwise() {
         let a = laplace2d(8, 8);
         let starts = default_partition(64, 4);
-        let (results, _) = run_ranks(4, |c| {
-            let r = c.rank();
-            let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let x: Vec<f64> = (starts[r]..starts[r + 1])
-                .map(|i| 1.0 / (i + 1) as f64)
-                .collect();
-            let plan = VectorExchange::plan(c, &p.colmap, &starts);
-            let sync = plan.exchange(c, &x);
-            let inflight = plan.post(c, &x);
-            // Arbitrary local work while the halo is in flight.
-            let _busy: f64 = x.iter().sum();
-            let over = inflight.finish(c);
-            (sync, over)
-        });
-        for (sync, over) in results {
-            let sb: Vec<u64> = sync.iter().map(|v| v.to_bits()).collect();
-            let ob: Vec<u64> = over.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, ob);
+        for k in [1usize, 4] {
+            let (results, _) = run_ranks(4, |c| {
+                let r = c.rank();
+                let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+                let x: Vec<f64> = (starts[r] * k..starts[r + 1] * k)
+                    .map(|i| 1.0 / (i + 1) as f64)
+                    .collect();
+                let plan = VectorExchange::plan(c, &p.colmap, &starts);
+                let sync = plan.exchange_rows(c, &x, k);
+                let inflight = plan.post_rows(c, &x, k);
+                // Arbitrary local work while the halo is in flight.
+                let _busy: f64 = x.iter().sum();
+                let over = inflight.finish(c);
+                (sync, over)
+            });
+            for (sync, over) in results {
+                let sb: Vec<u64> = sync.iter().map(|v| v.to_bits()).collect();
+                let ob: Vec<u64> = over.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(sb, ob, "k {k}");
+            }
         }
     }
 
@@ -857,71 +794,44 @@ mod tests {
     fn multi_exchange_matches_scalar_columns_same_message_count() {
         let a = laplace2d(8, 8);
         let starts = default_partition(64, 4);
-        let k = 3usize;
-        let (per_rank, _) = run_ranks(4, |c| {
-            let r = c.rank();
-            let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let nl = starts[r + 1] - starts[r];
-            let plan = VectorExchange::plan(c, &p.colmap, &starts);
-            let cols: Vec<Vec<f64>> = (0..k)
-                .map(|j| {
-                    (0..nl)
-                        .map(|i| 1.0 / (starts[r] + i + j + 1) as f64)
-                        .collect()
-                })
-                .collect();
-            let x = MultiVec::from_columns(&cols);
-            let before = c.messages_sent();
-            let ext = plan.exchange_multi(c, &x);
-            let multi_msgs = c.messages_sent() - before;
-            let before = c.messages_sent();
-            let exts: Vec<Vec<f64>> = cols.iter().map(|col| plan.exchange(c, col)).collect();
-            let scalar_msgs = (c.messages_sent() - before) / k as u64;
-            (ext, exts, multi_msgs, scalar_msgs)
-        });
-        for (rank, (ext, exts, multi_msgs, scalar_msgs)) in per_rank.iter().enumerate() {
-            assert_eq!(multi_msgs, scalar_msgs, "rank {rank} message count");
-            for (j, se) in exts.iter().enumerate() {
-                for (e, &v) in se.iter().enumerate() {
-                    assert_eq!(
-                        ext[e * k + j].to_bits(),
-                        v.to_bits(),
-                        "rank {rank} col {j} entry {e}"
-                    );
+        for k in [1usize, 2, 3, 4, 8, 9] {
+            let (per_rank, _) = run_ranks(4, |c| {
+                let r = c.rank();
+                let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+                let nl = starts[r + 1] - starts[r];
+                let plan = VectorExchange::plan(c, &p.colmap, &starts);
+                let cols: Vec<Vec<f64>> = (0..k)
+                    .map(|j| {
+                        (0..nl)
+                            .map(|i| 1.0 / (starts[r] + i + j + 1) as f64)
+                            .collect()
+                    })
+                    .collect();
+                let x = MultiVec::from_columns(&cols);
+                let before = c.messages_sent();
+                let ext = plan.exchange_rows(c, x.data(), k);
+                let multi_msgs = c.messages_sent() - before;
+                let before = c.messages_sent();
+                let exts: Vec<Vec<f64>> = cols.iter().map(|col| plan.exchange(c, col)).collect();
+                let scalar_msgs = (c.messages_sent() - before) / k as u64;
+                (ext, exts, multi_msgs, scalar_msgs, p.colmap.clone())
+            });
+            for (rank, (ext, exts, multi_msgs, scalar_msgs, colmap)) in per_rank.iter().enumerate()
+            {
+                assert_eq!(multi_msgs, scalar_msgs, "k {k} rank {rank} message count");
+                for (j, se) in exts.iter().enumerate() {
+                    for (e, &v) in se.iter().enumerate() {
+                        // The owner's value, straight from the global index.
+                        let owned = 1.0 / (colmap[e] + j + 1) as f64;
+                        assert_eq!(v.to_bits(), owned.to_bits());
+                        assert_eq!(
+                            ext[e * k + j].to_bits(),
+                            owned.to_bits(),
+                            "k {k} rank {rank} col {j} entry {e}"
+                        );
+                    }
                 }
             }
-        }
-    }
-
-    /// Overlapped batched post/finish is bitwise identical to the
-    /// synchronous batched exchange.
-    #[test]
-    fn post_multi_finish_matches_exchange_multi_bitwise() {
-        let a = laplace2d(8, 8);
-        let starts = default_partition(64, 4);
-        let (results, _) = run_ranks(4, |c| {
-            let r = c.rank();
-            let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let nl = starts[r + 1] - starts[r];
-            let cols: Vec<Vec<f64>> = (0..4)
-                .map(|j| {
-                    (0..nl)
-                        .map(|i| (starts[r] + i) as f64 + 0.25 * f64::from(j))
-                        .collect()
-                })
-                .collect();
-            let x = MultiVec::from_columns(&cols);
-            let plan = VectorExchange::plan(c, &p.colmap, &starts);
-            let sync = plan.exchange_multi(c, &x);
-            let inflight = plan.post_multi(c, &x);
-            let _busy: f64 = x.data().iter().sum();
-            let over = inflight.finish(c);
-            (sync, over)
-        });
-        for (sync, over) in results {
-            let sb: Vec<u64> = sync.iter().map(|v| v.to_bits()).collect();
-            let ob: Vec<u64> = over.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, ob);
         }
     }
 

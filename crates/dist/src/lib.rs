@@ -47,6 +47,6 @@ pub mod spgemm;
 pub mod spmv;
 
 pub use comm::{run_ranks, Comm, RecvHandle};
-pub use halo::{InFlightHalo, InFlightHaloMulti, VectorExchange};
+pub use halo::{InFlightHalo, VectorExchange};
 pub use hierarchy::{DistFrozenSetup, DistHierarchy, DistOptFlags};
 pub use parcsr::ParCsr;

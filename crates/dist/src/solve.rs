@@ -16,13 +16,15 @@ use crate::comm::{wire, Comm, CommPhase};
 use crate::hierarchy::DistHierarchy;
 use crate::parcsr::ParCsr;
 use crate::spmv::{
-    dist_dot, dist_norm2, dist_norm2_multi, try_dist_residual, try_dist_residual_multi,
-    try_dist_residual_norm_sq, try_dist_residual_norm_sq_multi, try_dist_spmv, try_dist_spmv_multi,
+    dist_dot, dist_dot_rows, dist_norm2, lane_groups, try_dist_residual_norm_sq,
+    try_dist_residual_norm_sq_rows, try_dist_residual_rows, try_dist_spmv, try_dist_spmv_rows,
 };
-use famg_core::solver::SolveError;
+use famg_core::convergence::ColumnTracker;
+use famg_core::solver::{check_dim as dim, SolveError};
 use famg_core::stats::{CommVolume, PhaseTimes};
 use famg_sparse::counters::flops;
-use famg_sparse::MultiVec;
+use famg_sparse::multivec::{gather_col, scatter_col, width};
+use famg_sparse::{lanes, MultiVec};
 
 /// Snapshot of this rank's sent-traffic counters (for phase windows).
 fn comm_mark(comm: &Comm) -> (u64, u64) {
@@ -47,21 +49,8 @@ fn local_nnz(m: &ParCsr) -> usize {
 fn check_args(h: &DistHierarchy, b: &[f64], x: &[f64]) -> Result<(), SolveError> {
     h.check_shape()?;
     let n = h.levels[0].a.local_rows();
-    if b.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            got: b.len(),
-            what: "local right-hand side",
-        });
-    }
-    if x.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            got: x.len(),
-            what: "local initial guess",
-        });
-    }
-    Ok(())
+    dim(n, b.len(), "local right-hand side")?;
+    dim(n, x.len(), "local initial guess")
 }
 
 /// Smoothing class selector.
@@ -71,188 +60,107 @@ enum Class {
     Fine,
 }
 
-/// One hybrid GS half-sweep on a level: interior rows of the selected
-/// class first (no halo reads), then boundary rows against the halo
-/// snapshot. With `overlap_comm` the interior pass runs while the halo is
-/// in flight; the per-row arithmetic and the sweep order are identical in
-/// both modes, so the result is bitwise mode-independent.
+/// One hybrid GS half-sweep on a level over the `k`-interleaved blocks
+/// `(b, k)` and `(x, k)`: interior rows of the selected class first (no
+/// halo reads), then boundary rows against the halo snapshot — one halo
+/// exchange (one envelope per neighbor) per half-sweep at any width. With
+/// `overlap_comm` the interior pass runs while the halo is in flight; the
+/// per-row, per-lane arithmetic and the sweep order are identical in both
+/// modes and at every width, so the result is bitwise independent of
+/// both.
 fn half_sweep(
     comm: &Comm,
     h: &DistHierarchy,
     level: usize,
     b: &[f64],
     x: &mut [f64],
+    k: usize,
     class: Class,
 ) {
+    #[allow(clippy::too_many_arguments)]
+    fn relax<const K: usize>(
+        lvl: &crate::hierarchy::DistLevel,
+        rows: &[usize],
+        my_c0: usize,
+        want: bool,
+        b: &[f64],
+        x: &mut [f64],
+        ext: Option<&[f64]>,
+        k: usize,
+    ) {
+        let a = &lvl.a;
+        let kk = width::<K>(k);
+        for &i in rows {
+            if lvl.is_coarse[i] != want {
+                continue;
+            }
+            let li = a.row_start + i - my_c0;
+            let d = lvl.dinv[i];
+            lane_groups::<K>(k, |j0, m| {
+                let at = i * kk + j0;
+                let mut acc = [0.0f64; 8];
+                acc[..m].copy_from_slice(&b[at..at + m]);
+                for (c, v) in a.diag.row_iter(i) {
+                    if c != li {
+                        for j in 0..m {
+                            acc[j] -= v * x[c * kk + j0 + j];
+                        }
+                    }
+                }
+                if let Some(ext) = ext {
+                    for (e, v) in a.offd.row_iter(i) {
+                        for j in 0..m {
+                            acc[j] -= v * ext[e * kk + j0 + j];
+                        }
+                    }
+                }
+                for j in 0..m {
+                    x[at + j] = acc[j] * d;
+                }
+            });
+        }
+    }
     let lvl = &h.levels[level];
     let a = &lvl.a;
     let my_c0 = a.col_starts[comm.rank()];
     let want = class == Class::Coarse;
-    let relax_interior = |x: &mut [f64]| {
-        for &i in &a.interior_rows {
-            if lvl.is_coarse[i] != want {
-                continue;
-            }
-            let mut acc = b[i];
-            let li = a.row_start + i - my_c0;
-            for (c, v) in a.diag.row_iter(i) {
-                if c != li {
-                    acc -= v * x[c];
-                }
-            }
-            x[i] = acc * lvl.dinv[i];
-        }
-    };
-    let relax_boundary = |x: &mut [f64], x_ext: &[f64]| {
-        for &i in &a.boundary_rows {
-            if lvl.is_coarse[i] != want {
-                continue;
-            }
-            let mut acc = b[i];
-            let li = a.row_start + i - my_c0;
-            for (c, v) in a.diag.row_iter(i) {
-                if c != li {
-                    acc -= v * x[c];
-                }
-            }
-            for (k, v) in a.offd.row_iter(i) {
-                acc -= v * x_ext[k];
-            }
-            x[i] = acc * lvl.dinv[i];
-        }
-    };
-    if h.dist_opt.overlap_comm {
-        // The halo snapshot is taken at post time (sends carry the
-        // pre-sweep values), exactly as in the synchronous mode — the
-        // across-rank Jacobi coupling is unchanged.
-        let inflight = lvl.plan_a.post(comm, x);
-        relax_interior(x);
-        let x_ext = inflight.finish(comm);
-        relax_boundary(x, &x_ext);
-    } else {
-        let x_ext = lvl.plan_a.exchange(comm, x);
-        relax_interior(x);
-        relax_boundary(x, &x_ext);
+    // The halo snapshot is taken at post time (sends carry the pre-sweep
+    // values) in both modes — the across-rank Jacobi coupling does not
+    // depend on when the wait happens.
+    let mut halo = lvl.plan_a.post_rows(comm, x, k);
+    if !h.dist_opt.overlap_comm {
+        halo.complete(comm);
     }
-}
-
-/// Batched hybrid GS half-sweep: one halo exchange (one envelope per
-/// neighbor, all `k` columns inside) per half-sweep regardless of the
-/// batch width. The per-row, per-lane arithmetic follows [`half_sweep`]
-/// exactly — interior rows of the selected class first, then boundary
-/// rows against the strided halo snapshot — so column `j` is bitwise
-/// identical to the scalar sweep on that column, in both halo modes.
-/// `acc` is caller-owned `k`-sized lane scratch (see
-/// [`DistBatchCycleWorkspace`]).
-fn half_sweep_multi(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-    class: Class,
-    acc: &mut [f64],
-) {
-    let lvl = &h.levels[level];
-    let a = &lvl.a;
-    let k = b.k();
-    let my_c0 = a.col_starts[comm.rank()];
-    let want = class == Class::Coarse;
-    let bd = b.data();
-    debug_assert_eq!(acc.len(), k);
-    let relax_interior = |x: &mut MultiVec, acc: &mut [f64]| {
-        let xd = x.data_mut();
-        for &i in &a.interior_rows {
-            if lvl.is_coarse[i] != want {
-                continue;
-            }
-            acc.copy_from_slice(&bd[i * k..(i + 1) * k]);
-            let li = a.row_start + i - my_c0;
-            for (c, v) in a.diag.row_iter(i) {
-                if c != li {
-                    for (aj, xj) in acc.iter_mut().zip(&xd[c * k..(c + 1) * k]) {
-                        *aj -= v * xj;
-                    }
-                }
-            }
-            let d = lvl.dinv[i];
-            for (xj, aj) in xd[i * k..(i + 1) * k].iter_mut().zip(acc.iter()) {
-                *xj = aj * d;
-            }
-        }
-    };
-    let relax_boundary = |x: &mut MultiVec, x_ext: &[f64], acc: &mut [f64]| {
-        let xd = x.data_mut();
-        for &i in &a.boundary_rows {
-            if lvl.is_coarse[i] != want {
-                continue;
-            }
-            acc.copy_from_slice(&bd[i * k..(i + 1) * k]);
-            let li = a.row_start + i - my_c0;
-            for (c, v) in a.diag.row_iter(i) {
-                if c != li {
-                    for (aj, xj) in acc.iter_mut().zip(&xd[c * k..(c + 1) * k]) {
-                        *aj -= v * xj;
-                    }
-                }
-            }
-            for (e, v) in a.offd.row_iter(i) {
-                for (aj, xj) in acc.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *aj -= v * xj;
-                }
-            }
-            let d = lvl.dinv[i];
-            for (xj, aj) in xd[i * k..(i + 1) * k].iter_mut().zip(acc.iter()) {
-                *xj = aj * d;
-            }
-        }
-    };
-    if h.dist_opt.overlap_comm {
-        let inflight = lvl.plan_a.post_multi(comm, x);
-        relax_interior(x, &mut *acc);
-        let x_ext = inflight.finish(comm);
-        relax_boundary(x, &x_ext, &mut *acc);
-    } else {
-        let x_ext = lvl.plan_a.exchange_multi(comm, x);
-        relax_interior(x, &mut *acc);
-        relax_boundary(x, &x_ext, &mut *acc);
-    }
-}
-
-/// Batched C-F (pre) or F-C (post) smoothing over caller-owned lane
-/// scratch.
-fn smooth_multi(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-    pre: bool,
-    acc: &mut [f64],
-) {
-    if pre {
-        half_sweep_multi(comm, h, level, b, x, Class::Coarse, acc);
-        half_sweep_multi(comm, h, level, b, x, Class::Fine, acc);
-    } else {
-        half_sweep_multi(comm, h, level, b, x, Class::Fine, acc);
-        half_sweep_multi(comm, h, level, b, x, Class::Coarse, acc);
-    }
+    lanes!(k, relax(lvl, &a.interior_rows, my_c0, want, b, x, None, k));
+    let x_ext = halo.finish(comm);
+    lanes!(
+        k,
+        relax(lvl, &a.boundary_rows, my_c0, want, b, x, Some(&x_ext), k)
+    );
 }
 
 /// C-F smoothing (pre) or F-C smoothing (post).
-fn smooth(comm: &Comm, h: &DistHierarchy, level: usize, b: &[f64], x: &mut [f64], pre: bool) {
-    if pre {
-        half_sweep(comm, h, level, b, x, Class::Coarse);
-        half_sweep(comm, h, level, b, x, Class::Fine);
+fn smooth(
+    comm: &Comm,
+    h: &DistHierarchy,
+    level: usize,
+    b: &[f64],
+    x: &mut [f64],
+    k: usize,
+    pre: bool,
+) {
+    let order = if pre {
+        [Class::Coarse, Class::Fine]
     } else {
-        half_sweep(comm, h, level, b, x, Class::Fine);
-        half_sweep(comm, h, level, b, x, Class::Coarse);
+        [Class::Fine, Class::Coarse]
+    };
+    for class in order {
+        half_sweep(comm, h, level, b, x, k, class);
     }
 }
 
-/// Per-level scratch for one scalar V-cycle visit: residual and
-/// correction on the fine side, restricted RHS and coarse iterate on the
-/// coarse side.
+/// Per-level scratch for one V-cycle visit: residual and correction on
+/// the fine side, restricted RHS and coarse iterate on the coarse side.
 #[derive(Debug, Clone)]
 struct CycleBufs {
     r: Vec<f64>,
@@ -261,26 +169,34 @@ struct CycleBufs {
     xc: Vec<f64>,
 }
 
-/// Reusable scratch for [`try_dist_vcycle_with`]: one buffer set per
-/// non-coarsest level. Build it once per solve and reuse it across
-/// cycles — the recursive descent then performs no heap allocation.
+/// Reusable scratch for [`try_dist_vcycle_with`] and the solve drivers:
+/// one set of `k`-interleaved buffers per non-coarsest level. Build it
+/// once per solve and reuse it across cycles — the recursive descent then
+/// performs no heap allocation.
 #[derive(Debug, Clone)]
 pub struct DistCycleWorkspace {
+    k: usize,
     levels: Vec<CycleBufs>,
 }
 
 impl DistCycleWorkspace {
-    /// Scratch sized for every non-coarsest level of `h` (this rank's
-    /// local row counts).
+    /// Single-vector scratch sized for every non-coarsest level of `h`
+    /// (this rank's local row counts).
     #[must_use]
     pub fn for_hierarchy(h: &DistHierarchy) -> Self {
+        Self::for_width(h, 1)
+    }
+
+    /// Scratch for `k`-interleaved blocks.
+    #[must_use]
+    pub fn for_width(h: &DistHierarchy, k: usize) -> Self {
         let mut levels = Vec::new();
         for (l, lvl) in h.levels.iter().enumerate() {
             if lvl.p.is_none() || l + 1 >= h.levels.len() {
                 break;
             }
-            let nf = lvl.a.local_rows();
-            let nc = h.levels[l + 1].a.local_rows();
+            let nf = lvl.a.local_rows() * k;
+            let nc = h.levels[l + 1].a.local_rows() * k;
             levels.push(CycleBufs {
                 r: vec![0.0; nf],
                 corr: vec![0.0; nf],
@@ -288,31 +204,28 @@ impl DistCycleWorkspace {
                 xc: vec![0.0; nc],
             });
         }
-        DistCycleWorkspace { levels }
+        DistCycleWorkspace { k, levels }
     }
 
-    /// Rebuilds the buffers if they were sized for a different hierarchy.
-    fn fit(&mut self, h: &DistHierarchy) {
-        if !cycle_ws_fits(h, self.levels.len(), |l| {
-            (self.levels[l].r.len(), self.levels[l].bc.len())
-        }) {
-            *self = Self::for_hierarchy(h);
+    /// Rebuilds the buffers if they were sized for a different hierarchy
+    /// or width.
+    fn fit(&mut self, h: &DistHierarchy, k: usize) {
+        let cut = h
+            .levels
+            .iter()
+            .position(|l| l.p.is_none())
+            .unwrap_or(h.levels.len());
+        let expected = cut.min(h.levels.len().saturating_sub(1));
+        let fits = self.k == k
+            && self.levels.len() == expected
+            && self.levels.iter().enumerate().all(|(l, bufs)| {
+                bufs.r.len() == h.levels[l].a.local_rows() * k
+                    && bufs.bc.len() == h.levels[l + 1].a.local_rows() * k
+            });
+        if !fits {
+            *self = Self::for_width(h, k);
         }
     }
-}
-
-/// Whether `n_bufs` per-level buffer sets whose fine/coarse lengths are
-/// reported by `dims(l)` match the descent `h` will take.
-fn cycle_ws_fits(h: &DistHierarchy, n_bufs: usize, dims: impl Fn(usize) -> (usize, usize)) -> bool {
-    let cut = h
-        .levels
-        .iter()
-        .position(|l| l.p.is_none())
-        .unwrap_or(h.levels.len());
-    let expected = cut.min(h.levels.len().saturating_sub(1));
-    n_bufs == expected
-        && (0..expected)
-            .all(|l| dims(l) == (h.levels[l].a.local_rows(), h.levels[l + 1].a.local_rows()))
 }
 
 /// Applies one distributed V-cycle at `level`.
@@ -353,18 +266,37 @@ pub fn try_dist_vcycle_with(
     x: &mut [f64],
     ws: &mut DistCycleWorkspace,
 ) -> Result<(), SolveError> {
-    ws.fit(h);
-    let start = level.min(ws.levels.len());
-    vcycle_level(comm, h, level, b, x, &mut ws.levels[start..])
+    try_dist_vcycle_rows(comm, h, level, b, x, 1, ws)
 }
 
-/// Recursive scalar V-cycle body; `bufs[0]` is this level's scratch.
+/// One distributed V-cycle over the `k`-interleaved blocks `(b, k)` and
+/// `(x, k)` (a plain vector is the `k = 1` block): one traversal advances
+/// all columns, and every halo exchange sends one envelope per neighbor,
+/// so the message count is independent of `k`. Column `j` of the result
+/// is bitwise the `k = 1` cycle on column `j`, in both halo modes.
+/// Smoothing windows are named `smooth` at `k = 1` and `gs_batch` beyond.
+pub fn try_dist_vcycle_rows(
+    comm: &Comm,
+    h: &DistHierarchy,
+    level: usize,
+    b: &[f64],
+    x: &mut [f64],
+    k: usize,
+    ws: &mut DistCycleWorkspace,
+) -> Result<(), SolveError> {
+    ws.fit(h, k);
+    let start = level.min(ws.levels.len());
+    vcycle_level(comm, h, level, b, x, k, &mut ws.levels[start..])
+}
+
+/// Recursive V-cycle body; `bufs[0]` is this level's scratch.
 fn vcycle_level(
     comm: &Comm,
     h: &DistHierarchy,
     level: usize,
     b: &[f64],
     x: &mut [f64],
+    k: usize,
     bufs: &mut [CycleBufs],
 ) -> Result<(), SolveError> {
     let _span = famg_prof::scope_at("vcycle", level);
@@ -372,25 +304,13 @@ fn vcycle_level(
     let _scope = comm.scoped(level, CommPhase::Solve);
     let lvl = &h.levels[level];
     let nl = lvl.a.local_rows();
-    if b.len() != nl {
-        return Err(SolveError::DimensionMismatch {
-            expected: nl,
-            got: b.len(),
-            what: "level right-hand side",
-        });
-    }
-    if x.len() != nl {
-        return Err(SolveError::DimensionMismatch {
-            expected: nl,
-            got: x.len(),
-            what: "level iterate",
-        });
-    }
+    dim(nl * k, b.len(), "level right-hand side")?;
+    dim(nl * k, x.len(), "level iterate")?;
     let overlap = h.dist_opt.overlap_comm;
     if lvl.p.is_none() {
         // Coarsest: gather to rank 0, dense solve, scatter back.
         let _s = famg_prof::scope_at("coarse_solve", level);
-        coarse_solve(comm, h, b, x);
+        coarse_solve(comm, h, b, x, k);
         return Ok(());
     }
     // Past the coarsest-level check a level must carry all four transfer
@@ -405,249 +325,37 @@ fn vcycle_level(
         .split_first_mut()
         // PANIC-FREE: fit() sized one buffer set per non-coarsest level.
         .expect("cycle workspace invariant: buffer set missing for a non-coarsest level");
+    let smooth_span = if k == 1 { "smooth" } else { "gs_batch" };
+    let sweep_flops = 2 * h.config.num_sweeps as u64 * flops::gs_sweep_batch(local_nnz(&lvl.a), k);
 
     {
-        let _s = famg_prof::scope_at("smooth", level);
+        let _s = famg_prof::scope_at(smooth_span, level);
         for _ in 0..h.config.num_sweeps {
-            smooth(comm, h, level, b, x, true);
+            smooth(comm, h, level, b, x, k, true);
         }
-        famg_prof::counter(
-            "flops",
-            2 * h.config.num_sweeps as u64 * flops::gs_sweep(local_nnz(&lvl.a)),
-        );
+        famg_prof::counter("flops", sweep_flops);
     }
 
     {
         let _s = famg_prof::scope_at("residual", level);
-        // Residual only — the norm is unused here, so skip its allreduce.
-        try_dist_residual(comm, &lvl.a, &lvl.plan_a, x, b, &mut cur.r, overlap)?;
-        famg_prof::counter("flops", flops::spmv(local_nnz(&lvl.a)));
-    }
-    {
-        let _s = famg_prof::scope_at("restrict", level);
-        try_dist_spmv(comm, rt, plan_r, &cur.r, &mut cur.bc, overlap)?;
-        famg_prof::counter("flops", flops::spmv(local_nnz(rt)));
-    }
-
-    // The coarse cycle starts from a zero iterate, as the fresh
-    // allocation used to provide.
-    cur.xc.fill(0.0);
-    vcycle_level(comm, h, level + 1, &cur.bc, &mut cur.xc, rest)?;
-
-    {
-        let _s = famg_prof::scope_at("prolong", level);
-        try_dist_spmv(comm, p, plan_p, &cur.xc, &mut cur.corr, overlap)?;
-        for (xi, ci) in x.iter_mut().zip(&cur.corr) {
-            *xi += ci;
-        }
-        famg_prof::counter("flops", flops::spmv(local_nnz(p)) + flops::axpy(x.len()));
-    }
-
-    {
-        let _s = famg_prof::scope_at("smooth", level);
-        for _ in 0..h.config.num_sweeps {
-            smooth(comm, h, level, b, x, false);
-        }
-        famg_prof::counter(
-            "flops",
-            2 * h.config.num_sweeps as u64 * flops::gs_sweep(local_nnz(&lvl.a)),
-        );
-    }
-    Ok(())
-}
-
-/// Applies one distributed V-cycle at `level` to a block of `k`
-/// right-hand sides.
-///
-/// # Panics
-/// Panics on mis-sized blocks or a malformed level; use
-/// [`try_dist_vcycle_multi`] for a typed error.
-pub fn dist_vcycle_multi(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-) {
-    try_dist_vcycle_multi(comm, h, level, b, x)
-        .unwrap_or_else(|e| panic!("famg distributed batched V-cycle: {e}"));
-}
-
-/// Per-level scratch for one batched V-cycle visit.
-#[derive(Debug, Clone)]
-struct BatchCycleBufs {
-    r: MultiVec,
-    corr: MultiVec,
-    bc: MultiVec,
-    xc: MultiVec,
-}
-
-/// Reusable scratch for [`try_dist_vcycle_multi_with`]: one `n x k`
-/// buffer set per non-coarsest level plus the `k`-sized lane accumulator
-/// the batched smoother threads through every half-sweep. Build it once
-/// per solve and reuse it across cycles.
-#[derive(Debug, Clone)]
-pub struct DistBatchCycleWorkspace {
-    levels: Vec<BatchCycleBufs>,
-    acc: Vec<f64>,
-}
-
-impl DistBatchCycleWorkspace {
-    /// Scratch sized for every non-coarsest level of `h` at batch width
-    /// `k`.
-    #[must_use]
-    pub fn for_hierarchy(h: &DistHierarchy, k: usize) -> Self {
-        let mut levels = Vec::new();
-        for (l, lvl) in h.levels.iter().enumerate() {
-            if lvl.p.is_none() || l + 1 >= h.levels.len() {
-                break;
-            }
-            let nf = lvl.a.local_rows();
-            let nc = h.levels[l + 1].a.local_rows();
-            levels.push(BatchCycleBufs {
-                r: MultiVec::new(nf, k),
-                corr: MultiVec::new(nf, k),
-                bc: MultiVec::new(nc, k),
-                xc: MultiVec::new(nc, k),
-            });
-        }
-        DistBatchCycleWorkspace {
-            levels,
-            acc: vec![0.0; k],
-        }
-    }
-
-    /// Rebuilds the buffers if sized for a different hierarchy or width.
-    fn fit(&mut self, h: &DistHierarchy, k: usize) {
-        let shapes_ok = cycle_ws_fits(h, self.levels.len(), |l| {
-            (self.levels[l].r.n(), self.levels[l].bc.n())
-        });
-        if !shapes_ok || self.acc.len() != k || self.levels.iter().any(|b| b.r.k() != k) {
-            *self = Self::for_hierarchy(h, k);
-        }
-    }
-}
-
-/// Batched [`try_dist_vcycle`]: one traversal advances all `k` columns,
-/// with every halo exchange sending one envelope per neighbor (the
-/// message count is independent of `k`). Span-for-span it mirrors the
-/// scalar cycle — smoothing windows are named `gs_batch` and transfer /
-/// residual windows run the `*_multi` kernels — and column `j` of the
-/// result is bitwise identical to the scalar V-cycle applied to column
-/// `j` alone, in both halo modes. Allocates its own per-call scratch;
-/// repeated cycles should hold a [`DistBatchCycleWorkspace`] and call
-/// [`try_dist_vcycle_multi_with`] directly.
-pub fn try_dist_vcycle_multi(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-) -> Result<(), SolveError> {
-    let mut ws = DistBatchCycleWorkspace::for_hierarchy(h, b.k());
-    try_dist_vcycle_multi_with(comm, h, level, b, x, &mut ws)
-}
-
-/// [`try_dist_vcycle_multi`] over caller-owned scratch: the descent
-/// reuses the workspace's per-level blocks and lane accumulator and
-/// performs no heap allocation outside the coarsest-level gather.
-pub fn try_dist_vcycle_multi_with(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-    ws: &mut DistBatchCycleWorkspace,
-) -> Result<(), SolveError> {
-    ws.fit(h, b.k());
-    let start = level.min(ws.levels.len());
-    let DistBatchCycleWorkspace { levels, acc } = ws;
-    vcycle_level_multi(comm, h, level, b, x, &mut levels[start..], acc)
-}
-
-/// Recursive batched V-cycle body; `bufs[0]` is this level's scratch.
-fn vcycle_level_multi(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &MultiVec,
-    x: &mut MultiVec,
-    bufs: &mut [BatchCycleBufs],
-    acc: &mut [f64],
-) -> Result<(), SolveError> {
-    let _span = famg_prof::scope_at("vcycle", level);
-    let _scope = comm.scoped(level, CommPhase::Solve);
-    let lvl = &h.levels[level];
-    let nl = lvl.a.local_rows();
-    let k = b.k();
-    if b.n() != nl {
-        return Err(SolveError::DimensionMismatch {
-            expected: nl,
-            got: b.n(),
-            what: "level right-hand side block",
-        });
-    }
-    if x.n() != nl {
-        return Err(SolveError::DimensionMismatch {
-            expected: nl,
-            got: x.n(),
-            what: "level iterate block",
-        });
-    }
-    if x.k() != k {
-        return Err(SolveError::DimensionMismatch {
-            expected: k,
-            got: x.k(),
-            what: "level iterate block width",
-        });
-    }
-    let overlap = h.dist_opt.overlap_comm;
-    if lvl.p.is_none() {
-        let _s = famg_prof::scope_at("coarse_solve", level);
-        coarse_solve_multi(comm, h, b, x, acc);
-        return Ok(());
-    }
-    let (p, plan_p, rt, plan_r) = lvl
-        .transfers()
-        // PANIC-FREE: check_shape (run by every try_* entry) rejects a
-        // non-coarsest level that is missing P/R or their halo plans.
-        .expect("hierarchy invariant: non-coarsest level is missing P/R or their halo plans");
-    let (cur, rest) = bufs
-        .split_first_mut()
-        // PANIC-FREE: fit() sized one buffer set per non-coarsest level.
-        .expect("cycle workspace invariant: buffer set missing for a non-coarsest level");
-
-    {
-        let _s = famg_prof::scope_at("gs_batch", level);
-        for _ in 0..h.config.num_sweeps {
-            smooth_multi(comm, h, level, b, x, true, acc);
-        }
-        famg_prof::counter(
-            "flops",
-            2 * h.config.num_sweeps as u64 * flops::gs_sweep_batch(local_nnz(&lvl.a), k),
-        );
-    }
-
-    {
-        let _s = famg_prof::scope_at("residual", level);
-        try_dist_residual_multi(comm, &lvl.a, &lvl.plan_a, x, b, &mut cur.r, overlap)?;
+        // Residual only — the norm is unused here.
+        try_dist_residual_rows(comm, &lvl.a, &lvl.plan_a, x, b, &mut cur.r, k, overlap)?;
         famg_prof::counter("flops", flops::spmm(local_nnz(&lvl.a), k));
     }
     {
         let _s = famg_prof::scope_at("restrict", level);
-        try_dist_spmv_multi(comm, rt, plan_r, &cur.r, &mut cur.bc, overlap)?;
+        try_dist_spmv_rows(comm, rt, plan_r, &cur.r, k, &mut cur.bc, overlap)?;
         famg_prof::counter("flops", flops::spmm(local_nnz(rt), k));
     }
 
-    // The coarse cycle starts from a zero iterate, as the fresh
-    // allocation used to provide.
+    // The coarse cycle starts from a zero iterate.
     cur.xc.fill(0.0);
-    vcycle_level_multi(comm, h, level + 1, &cur.bc, &mut cur.xc, rest, acc)?;
+    vcycle_level(comm, h, level + 1, &cur.bc, &mut cur.xc, k, rest)?;
 
     {
         let _s = famg_prof::scope_at("prolong", level);
-        try_dist_spmv_multi(comm, p, plan_p, &cur.xc, &mut cur.corr, overlap)?;
-        for (xi, ci) in x.data_mut().iter_mut().zip(cur.corr.data()) {
+        try_dist_spmv_rows(comm, p, plan_p, &cur.xc, k, &mut cur.corr, overlap)?;
+        for (xi, ci) in x.iter_mut().zip(&cur.corr) {
             *xi += ci;
         }
         famg_prof::counter(
@@ -657,87 +365,23 @@ fn vcycle_level_multi(
     }
 
     {
-        let _s = famg_prof::scope_at("gs_batch", level);
+        let _s = famg_prof::scope_at(smooth_span, level);
         for _ in 0..h.config.num_sweeps {
-            smooth_multi(comm, h, level, b, x, false, acc);
+            smooth(comm, h, level, b, x, k, false);
         }
-        famg_prof::counter(
-            "flops",
-            2 * h.config.num_sweeps as u64 * flops::gs_sweep_batch(local_nnz(&lvl.a), k),
-        );
+        famg_prof::counter("flops", sweep_flops);
     }
     Ok(())
 }
 
-/// Batched coarsest-level solve: gather the `n_coarse × k` block to rank
-/// 0 (one message per rank, all columns inside), back-substitute each
-/// column through the same LU, scatter the solution block back. Column
-/// `j` sees exactly the scalar [`coarse_solve`] arithmetic.
+/// Coarsest-level solve of a `k`-interleaved block: gather the
+/// `n_coarse × k` block to rank 0 over the binomial tree (P−1 messages,
+/// all columns inside, none of them empty envelopes), back-substitute
+/// each column through the same LU, tree-scatter the solution block back.
 // ALLOC: coarsest-level gather/solve/scatter — the message payloads and
 // the rank-0 dense back-substitution buffers are per-visit by nature
 // (one rank-0 round trip per cycle over O(n_coarse) data).
-fn coarse_solve_multi(
-    comm: &Comm,
-    h: &DistHierarchy,
-    b: &MultiVec,
-    x: &mut MultiVec,
-    acc: &mut [f64],
-) {
-    let n_global = *h
-        .coarse_starts
-        .last()
-        // PANIC-FREE: coarse_starts always has comm.size()+1 entries by
-        // construction (DistHierarchy::build), never zero.
-        .expect("hierarchy invariant: coarse_starts is never empty");
-    let k = b.k();
-    if n_global == 0 || k == 0 {
-        return;
-    }
-    let has_lu = comm.allreduce_or(h.coarse_lu.is_some(), 0x90);
-    if !has_lu {
-        let mut xl = x.clone();
-        for _ in 0..4 * h.config.num_sweeps {
-            smooth_multi(comm, h, h.levels.len() - 1, b, &mut xl, true, acc);
-        }
-        x.copy_from(&xl);
-        return;
-    }
-    // Row-major blocks concatenate along rows directly: the gathered
-    // parts form the full n_global × k block in rank order.
-    let received = comm.gather_to(0, b.data().to_vec(), 0x91, |v| wire::f64s(v.len()));
-    let slices: Option<Vec<Vec<f64>>> = received.map(|parts| {
-        let full_b: Vec<f64> = parts.into_iter().flatten().collect();
-        debug_assert_eq!(full_b.len(), n_global * k);
-        let lu = h
-            .coarse_lu
-            .as_ref()
-            // PANIC-FREE: gather_to yields Some only on the gather root
-            // (rank 0), the one rank that owns the factorization when
-            // the allreduce above reported has_lu.
-            .expect("coarse-solve invariant: gather root holds the LU factorization");
-        let mut sol = vec![0.0f64; n_global * k];
-        let mut col = vec![0.0f64; n_global];
-        for j in 0..k {
-            for i in 0..n_global {
-                col[i] = full_b[i * k + j];
-            }
-            let solved = lu.solve(&col);
-            for i in 0..n_global {
-                sol[i * k + j] = solved[i];
-            }
-        }
-        (0..comm.size())
-            .map(|r| sol[h.coarse_starts[r] * k..h.coarse_starts[r + 1] * k].to_vec())
-            .collect()
-    });
-    let mine = comm.scatter_from(0, slices, 0x92, |v| wire::f64s(v.len()));
-    x.data_mut().copy_from_slice(&mine);
-}
-
-// ALLOC: coarsest-level gather/solve/scatter — the message payloads and
-// the rank-0 dense back-substitution buffers are per-visit by nature
-// (one rank-0 round trip per cycle over O(n_coarse) data).
-fn coarse_solve(comm: &Comm, h: &DistHierarchy, b: &[f64], x: &mut [f64]) {
+fn coarse_solve(comm: &Comm, h: &DistHierarchy, b: &[f64], x: &mut [f64], k: usize) {
     let n_global = *h
         .coarse_starts
         .last()
@@ -752,29 +396,32 @@ fn coarse_solve(comm: &Comm, h: &DistHierarchy, b: &[f64], x: &mut [f64]) {
     // flag-OR allreduce rather than local inspection.
     let has_lu = comm.allreduce_or(h.coarse_lu.is_some(), 0x90);
     if !has_lu {
-        let mut xl = x.to_vec();
         for _ in 0..4 * h.config.num_sweeps {
-            smooth(comm, h, h.levels.len() - 1, b, &mut xl, true);
+            smooth(comm, h, h.levels.len() - 1, b, x, k, true);
         }
-        x.copy_from_slice(&xl);
         return;
     }
-    // Gather b to rank 0 over the binomial tree (P−1 messages, none of
-    // them empty envelopes), dense-solve there, tree-scatter back.
+    // Row-major blocks concatenate along rows directly: the gathered
+    // parts form the full n_global × k block in rank order.
     let received = comm.gather_to(0, b.to_vec(), 0x91, |v| wire::f64s(v.len()));
     let slices: Option<Vec<Vec<f64>>> = received.map(|parts| {
         let full_b: Vec<f64> = parts.into_iter().flatten().collect();
-        debug_assert_eq!(full_b.len(), n_global);
-        let sol0 = h
+        debug_assert_eq!(full_b.len(), n_global * k);
+        let lu = h
             .coarse_lu
             .as_ref()
             // PANIC-FREE: gather_to yields Some only on the gather root
             // (rank 0), the one rank that owns the factorization when
             // the allreduce above reported has_lu.
-            .expect("coarse-solve invariant: gather root holds the LU factorization")
-            .solve(&full_b);
+            .expect("coarse-solve invariant: gather root holds the LU factorization");
+        let mut sol = vec![0.0f64; n_global * k];
+        let mut col = vec![0.0f64; n_global];
+        for j in 0..k {
+            gather_col(&full_b, k, j, &mut col);
+            scatter_col(&mut sol, k, j, &lu.solve(&col));
+        }
         (0..comm.size())
-            .map(|r| sol0[h.coarse_starts[r]..h.coarse_starts[r + 1]].to_vec())
+            .map(|r| sol[h.coarse_starts[r] * k..h.coarse_starts[r + 1] * k].to_vec())
             .collect()
     });
     let mine = comm.scatter_from(0, slices, 0x92, |v| wire::f64s(v.len()));
@@ -820,54 +467,15 @@ pub fn try_dist_amg_solve(
     x: &mut [f64],
 ) -> Result<DistSolveResult, SolveError> {
     check_args(h, b, x)?;
-    let comm_t0 = comm.comm_time();
-    let mark = comm_mark(comm);
-    let root_span = famg_prof::scope("solve");
-    let scope = comm.scoped(0, CommPhase::Solve);
-    let lvl0 = &h.levels[0];
-    let ov = h.dist_opt.overlap_comm;
-    // ALLOC: per-solve residual buffer and cycle workspace, allocated
-    // once here and reused across every V-cycle of the iteration.
-    let mut r = vec![0.0; b.len()];
-    let mut ws = DistCycleWorkspace::for_hierarchy(h);
-    let (bnorm, mut relres);
-    {
-        let _s = famg_prof::scope("blas1");
-        bnorm = dist_norm2(comm, b).max(f64::MIN_POSITIVE);
-        relres = try_dist_residual_norm_sq(comm, &lvl0.a, &lvl0.plan_a, x, b, &mut r, ov)?.sqrt()
-            / bnorm;
-        famg_prof::counter(
-            "flops",
-            flops::dot(b.len()) + flops::spmv(local_nnz(&lvl0.a)) + flops::dot(b.len()),
-        );
-    }
-    let mut iterations = 0usize;
-    while relres > h.config.tolerance && iterations < h.config.max_iterations {
-        try_dist_vcycle_with(comm, h, 0, b, x, &mut ws)?;
-        iterations += 1;
-        let _s = famg_prof::scope("blas1");
-        relres = try_dist_residual_norm_sq(comm, &lvl0.a, &lvl0.plan_a, x, b, &mut r, ov)?.sqrt()
-            / bnorm;
-        famg_prof::counter(
-            "flops",
-            flops::spmv(local_nnz(&lvl0.a)) + flops::dot(b.len()),
-        );
-    }
-    drop(scope);
-    drop(root_span);
-    let profile = famg_prof::take();
-    let times = profile
-        .find_root("solve")
-        .map(PhaseTimes::from_span)
-        .unwrap_or_default();
+    let res = amg_solve_rows(comm, h, b, x, 1)?;
     Ok(DistSolveResult {
-        iterations,
-        final_relres: relres,
-        converged: relres <= h.config.tolerance,
-        times,
-        solve_comm_time: comm.comm_time_since(comm_t0),
-        solve_comm: comm_since(comm, mark),
-        profile,
+        iterations: res.iterations[0],
+        final_relres: res.final_relres[0],
+        converged: res.converged[0],
+        times: res.times,
+        solve_comm_time: res.solve_comm_time,
+        solve_comm: res.solve_comm,
+        profile: res.profile,
     })
 }
 
@@ -906,34 +514,6 @@ impl DistBatchSolveResult {
     }
 }
 
-/// Validates the hierarchy and the local block shapes.
-fn check_args_multi(h: &DistHierarchy, b: &MultiVec, x: &MultiVec) -> Result<(), SolveError> {
-    h.check_shape()?;
-    let n = h.levels[0].a.local_rows();
-    if b.n() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            got: b.n(),
-            what: "local right-hand side block",
-        });
-    }
-    if x.n() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            got: x.n(),
-            what: "local initial guess block",
-        });
-    }
-    if x.k() != b.k() {
-        return Err(SolveError::DimensionMismatch {
-            expected: b.k(),
-            got: x.k(),
-            what: "local initial guess block width",
-        });
-    }
-    Ok(())
-}
-
 /// Standalone distributed AMG iteration on a block of `k` right-hand
 /// sides.
 ///
@@ -952,25 +532,35 @@ pub fn dist_amg_solve_multi(
 
 /// Batched [`try_dist_amg_solve`]: every V-cycle and every residual
 /// reduction advances all `k` columns at once, so the collective and
-/// halo message counts are those of a single scalar solve running for
-/// `max_j iterations(j)` cycles.
-///
-/// A column that reaches the tolerance (or starts converged) has its
-/// iterate snapshotted at that point and restored on exit; the kernels
-/// keep advancing the lane (lane arithmetic is independent, so a dead
-/// column cannot perturb live ones), but its reported history, residual
-/// and iteration count freeze. Column `j` of the result is bitwise
-/// identical to the scalar `try_dist_amg_solve` on `(b_j, x_j)` —
-/// every rank takes identical masking decisions because the reduced
-/// residuals are identical on every rank.
+/// halo message counts are those of a single-vector solve running for
+/// `max_j iterations(j)` cycles. Column `j` of the result is bitwise
+/// identical to `try_dist_amg_solve` on `(b_j, x_j)`.
 pub fn try_dist_amg_solve_multi(
     comm: &Comm,
     h: &DistHierarchy,
     b: &MultiVec,
     x: &mut MultiVec,
 ) -> Result<DistBatchSolveResult, SolveError> {
-    check_args_multi(h, b, x)?;
-    let k = b.k();
+    h.check_shape()?;
+    let n = h.levels[0].a.local_rows();
+    dim(n, b.n(), "local right-hand side block")?;
+    dim(n, x.n(), "local initial guess block")?;
+    dim(b.k(), x.k(), "local initial guess block width")?;
+    amg_solve_rows(comm, h, b.data(), x.data_mut(), b.k())
+}
+
+/// The one AMG iterate-to-tolerance loop, over validated `k`-interleaved
+/// local blocks. A column that reaches the tolerance (or starts there)
+/// stops reporting while the kernels keep advancing its lanes (see
+/// [`ColumnTracker`]); every rank takes identical masking decisions
+/// because the reduced residuals are identical on every rank.
+fn amg_solve_rows(
+    comm: &Comm,
+    h: &DistHierarchy,
+    b: &[f64],
+    x: &mut [f64],
+    k: usize,
+) -> Result<DistBatchSolveResult, SolveError> {
     let comm_t0 = comm.comm_time();
     let mark = comm_mark(comm);
     if k == 0 {
@@ -991,68 +581,40 @@ pub fn try_dist_amg_solve_multi(
     let nl = lvl0.a.local_rows();
     // ALLOC: per-solve residual block, cycle workspace and k-sized
     // reporting lanes, allocated once here and reused across cycles.
-    let mut r = MultiVec::new(nl, k);
-    let mut ws = DistBatchCycleWorkspace::for_hierarchy(h, k);
-    let mut bnorms;
+    let mut r = vec![0.0; nl * k];
+    let mut ws = DistCycleWorkspace::for_width(h, k);
+    let mut bnorms = vec![0.0f64; k]; // ALLOC: k-sized reporting lanes (once per solve)
     let mut relres = vec![0.0f64; k]; // ALLOC: k-sized reporting lanes (once per solve)
-    {
-        let _s = famg_prof::scope("blas1");
-        bnorms = dist_norm2_multi(comm, b);
-        for bn in &mut bnorms {
-            *bn = bn.max(f64::MIN_POSITIVE);
-        }
-        let sq = try_dist_residual_norm_sq_multi(comm, &lvl0.a, &lvl0.plan_a, x, b, &mut r, ov)?;
-        for (o, (s, bn)) in relres.iter_mut().zip(sq.iter().zip(&bnorms)) {
-            *o = s.sqrt() / bn;
-        }
-        famg_prof::counter(
-            "flops",
-            flops::dot_batch(nl, k) + flops::spmm(local_nnz(&lvl0.a), k) + flops::dot_batch(nl, k),
-        );
+    let residual_flops = flops::spmm(local_nnz(&lvl0.a), k) + flops::dot_batch(nl, k);
+    let blas1 = famg_prof::scope("blas1");
+    dist_dot_rows(comm, b, b, k, &mut bnorms);
+    for bn in &mut bnorms {
+        *bn = bn.sqrt().max(f64::MIN_POSITIVE);
     }
+    // Per-column global relative residuals of the current iterate.
+    let mut relres_of = |x: &[f64], relres: &mut [f64]| {
+        try_dist_residual_norm_sq_rows(comm, &lvl0.a, &lvl0.plan_a, x, b, &mut r, k, ov, relres)?;
+        for (rr, bn) in relres.iter_mut().zip(&bnorms) {
+            *rr = rr.sqrt() / bn;
+        }
+        Ok(())
+    };
+    relres_of(x, &mut relres)?;
+    famg_prof::counter("flops", flops::dot_batch(nl, k) + residual_flops);
+    drop(blas1);
 
-    // ALLOC: per-solve result assembly (k-sized counters, masks and
-    // per-column snapshots) — owned by the returned result.
-    let mut iterations = vec![0usize; k];
-    let mut final_relres = relres.clone(); // ALLOC: result-owned copy (k elements)
-    let mut done: Vec<bool> = relres.iter().map(|&rr| rr <= h.config.tolerance).collect(); // ALLOC: k bools
-                                                                                           // A finished column's iterate is snapshotted at its own stopping
-                                                                                           // point and restored on exit; the kernels keep advancing the lane.
-                                                                                           // ALLOC: one snapshot slot per column, filled on convergence events.
-    let mut frozen_cols: Vec<Option<Vec<f64>>> = vec![None; k];
-    for (j, d) in done.iter().enumerate() {
-        if *d {
-            frozen_cols[j] = Some(x.col(j));
-        }
-    }
+    let mut cols = ColumnTracker::new(&relres, h.config.tolerance);
     let mut cycles = 0usize;
-    while done.iter().any(|d| !d) && cycles < h.config.max_iterations {
-        try_dist_vcycle_multi_with(comm, h, 0, b, x, &mut ws)?;
+    while cols.any_live() && cycles < h.config.max_iterations {
+        cols.freeze_stopped(x);
+        try_dist_vcycle_rows(comm, h, 0, b, x, k, &mut ws)?;
         cycles += 1;
         let _s = famg_prof::scope("blas1");
-        let sq = try_dist_residual_norm_sq_multi(comm, &lvl0.a, &lvl0.plan_a, x, b, &mut r, ov)?;
-        famg_prof::counter(
-            "flops",
-            flops::spmm(local_nnz(&lvl0.a), k) + flops::dot_batch(nl, k),
-        );
-        for j in 0..k {
-            if done[j] {
-                continue;
-            }
-            let rr = sq[j].sqrt() / bnorms[j];
-            final_relres[j] = rr;
-            iterations[j] = cycles;
-            if rr <= h.config.tolerance {
-                done[j] = true;
-                frozen_cols[j] = Some(x.col(j));
-            }
-        }
+        relres_of(x, &mut relres)?;
+        famg_prof::counter("flops", residual_flops);
+        cols.record(cycles, &relres);
     }
-    for (j, frozen) in frozen_cols.into_iter().enumerate() {
-        if let Some(col) = frozen {
-            x.set_col(j, &col);
-        }
-    }
+    let converged = cols.finish(x);
     drop(scope);
     drop(root_span);
     let profile = famg_prof::take();
@@ -1060,13 +622,9 @@ pub fn try_dist_amg_solve_multi(
         .find_root("solve")
         .map(PhaseTimes::from_span)
         .unwrap_or_default();
-    let converged = final_relres
-        .iter()
-        .map(|&rr| rr <= h.config.tolerance)
-        .collect(); // ALLOC: result-owned convergence flags (k bools)
     Ok(DistBatchSolveResult {
-        iterations,
-        final_relres,
+        iterations: cols.iterations,
+        final_relres: cols.final_relres,
         converged,
         times,
         solve_comm_time: comm.comm_time_since(comm_t0),
@@ -1652,9 +1210,14 @@ mod tests {
         // a k-wide solve is bitwise identical to the scalar solve of
         // (b_j, 0), at every rank count and in both halo modes.
         let a = laplace2d(16, 16);
-        let n = a.nrows();
-        let k = 3usize;
         let cfg = AmgConfig::single_node_paper();
+        for k in [1usize, 2, 3, 4, 8, 9] {
+            batch_matches_solo(&a, &cfg, k);
+        }
+    }
+
+    fn batch_matches_solo(a: &famg_sparse::Csr, cfg: &AmgConfig, k: usize) {
+        let n = a.nrows();
         let cols: Vec<Vec<f64>> = (0..k)
             .map(|j| {
                 (0..n)
@@ -1672,8 +1235,8 @@ mod tests {
                 run_ranks(nranks, |c| {
                     let r = c.rank();
                     let (s, e) = (starts[r], starts[r + 1]);
-                    let pa = ParCsr::from_global_rows(&a, s, e, starts.clone(), r);
-                    let h = DistHierarchy::build(c, pa, &cfg, dopt);
+                    let pa = ParCsr::from_global_rows(a, s, e, starts.clone(), r);
+                    let h = DistHierarchy::build(c, pa, cfg, dopt);
                     let local_cols: Vec<Vec<f64>> =
                         cols.iter().map(|col| col[s..e].to_vec()).collect();
                     let bb = famg_sparse::MultiVec::from_columns(&local_cols);
@@ -1685,7 +1248,7 @@ mod tests {
                         let solo = dist_amg_solve(c, &h, bl, &mut xl);
                         assert_eq!(
                             res.iterations[j], solo.iterations,
-                            "iters col {j} ranks {nranks} overlap {overlap}"
+                            "iters k {k} col {j} ranks {nranks} overlap {overlap}"
                         );
                         assert_eq!(
                             res.final_relres[j].to_bits(),
@@ -1797,7 +1360,8 @@ mod tests {
             let bb = famg_sparse::MultiVec::from_columns(&vec![bl.clone(); 4]);
             let mut xb = famg_sparse::MultiVec::new(nl, 4);
             let m1 = c.messages_sent();
-            dist_vcycle_multi(c, &h, 0, &bb, &mut xb);
+            let mut ws = DistCycleWorkspace::for_width(&h, 4);
+            try_dist_vcycle_rows(c, &h, 0, bb.data(), xb.data_mut(), 4, &mut ws).unwrap();
             c.barrier();
             let batch_msgs = c.messages_sent() - m1;
             assert_eq!(

@@ -16,36 +16,47 @@
 use crate::comm::Comm;
 use crate::halo::VectorExchange;
 use crate::parcsr::ParCsr;
-use famg_core::solver::SolveError;
-use famg_sparse::{Csr, MultiVec};
+use famg_core::solver::{check_dim as dim, SolveError};
+use famg_sparse::lanes;
+use famg_sparse::multivec::{dot_rows_seq, width};
 
-/// One row of the block-diagonal product, with the same accumulation
-/// order as `famg_sparse::spmv::spmv_seq` (ascending stored columns).
-#[inline]
-fn diag_row_dot(diag: &Csr, i: usize, x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (c, v) in diag.row_iter(i) {
-        acc += v * x[c];
-    }
-    acc
-}
-
-/// Returns a typed dimension-mismatch error unless `expected == got`.
-fn dim(expected: usize, got: usize, what: &'static str) -> Result<(), SolveError> {
-    if expected == got {
-        Ok(())
+/// Runs `body(j0, m)` once per group of at most 8 lanes of a row: the one
+/// group `(0, K)` when the width is monomorphized, groups of 8 (and a
+/// remainder) in the dynamic arm — so the row kernels keep their lane
+/// accumulators in a fixed stack array at any width, re-walking the
+/// stored row once per group beyond the first.
+#[inline(always)]
+pub(crate) fn lane_groups<const K: usize>(k: usize, mut body: impl FnMut(usize, usize)) {
+    if K != 0 {
+        body(0, K);
     } else {
-        Err(SolveError::DimensionMismatch {
-            expected,
-            got,
-            what,
-        })
+        for j0 in (0..k).step_by(8) {
+            body(j0, (k - j0).min(8));
+        }
     }
 }
 
-/// Validates the operator/plan/vector shapes shared by the kernels.
-fn check_kernel_dims(a: &ParCsr, plan: &VectorExchange, x_len: usize) -> Result<(), SolveError> {
-    dim(a.diag.ncols(), x_len, "local x (owned columns)")?;
+/// All-reduces `k` per-column partials in one collective. Component `j`
+/// is combined in rank order with the same fold as a scalar all-reduce,
+/// and a single lane *is* the scalar all-reduce (no payload vector).
+pub(crate) fn allreduce_lanes(comm: &Comm, lanes: &mut [f64], tag: u64) {
+    if let [v] = lanes {
+        *v = comm.allreduce_sum(*v, tag);
+    } else {
+        // ALLOC: the k-sized partials become the collective's payload.
+        let reduced = comm.allreduce_sum_vec(lanes.to_vec(), tag);
+        lanes.copy_from_slice(&reduced);
+    }
+}
+
+/// Validates the operator/plan/block shapes shared by the kernels.
+fn check_kernel_dims(
+    a: &ParCsr,
+    plan: &VectorExchange,
+    x_len: usize,
+    k: usize,
+) -> Result<(), SolveError> {
+    dim(a.diag.ncols() * k, x_len, "local x (owned columns)")?;
     dim(a.offd.ncols(), plan.ext_len(), "halo plan external length")
 }
 
@@ -70,274 +81,79 @@ pub fn try_dist_spmv(
     y: &mut [f64],
     overlap: bool,
 ) -> Result<(), SolveError> {
-    check_kernel_dims(a, plan, x_local.len())?;
-    dim(a.local_rows(), y.len(), "local y (owned rows)")?;
-    if overlap {
-        let inflight = plan.post(comm, x_local);
-        for &i in &a.interior_rows {
-            y[i] = diag_row_dot(&a.diag, i, x_local);
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            y[i] = diag_row_dot(&a.diag, i, x_local);
-            let mut acc = 0.0;
-            for (k, v) in a.offd.row_iter(i) {
-                acc += v * x_ext[k];
-            }
-            y[i] += acc;
-        }
-    } else {
-        let x_ext = plan.exchange(comm, x_local);
-        // Local block-diagonal product...
-        for i in 0..a.local_rows() {
-            y[i] = diag_row_dot(&a.diag, i, x_local);
-        }
-        // ...plus the off-diagonal contribution (boundary rows only —
-        // interior rows have no offd entries, and skipping their empty
-        // accumulator keeps the arithmetic identical to the overlap path).
-        for &i in &a.boundary_rows {
-            let mut acc = 0.0;
-            for (k, v) in a.offd.row_iter(i) {
-                acc += v * x_ext[k];
-            }
-            y[i] += acc;
+    try_dist_spmv_rows(comm, a, plan, x_local, 1, y, overlap)
+}
+
+/// `Y = A X` over the `k`-interleaved blocks `(xd, k)` and `(yd, k)`: one
+/// halo exchange for all columns (one envelope per neighbor regardless
+/// of width) and one matrix traversal per row. Per lane, a row
+/// accumulates its block-diagonal entries in ascending stored order from
+/// zero and — boundary rows only — adds the off-diagonal product
+/// accumulated the same way, so every column is bitwise the `k = 1`
+/// result in either halo mode.
+pub fn try_dist_spmv_rows(
+    comm: &Comm,
+    a: &ParCsr,
+    plan: &VectorExchange,
+    xd: &[f64],
+    k: usize,
+    yd: &mut [f64],
+    overlap: bool,
+) -> Result<(), SolveError> {
+    check_kernel_dims(a, plan, xd.len(), k)?;
+    dim(a.local_rows() * k, yd.len(), "local y (owned rows)")?;
+    fn rows<const K: usize>(
+        a: &ParCsr,
+        rows: &[usize],
+        xd: &[f64],
+        ext: Option<&[f64]>,
+        k: usize,
+        yd: &mut [f64],
+    ) {
+        let kk = width::<K>(k);
+        for &i in rows {
+            lane_groups::<K>(k, |j0, m| {
+                let mut acc = [0.0f64; 8];
+                for (c, v) in a.diag.row_iter(i) {
+                    for j in 0..m {
+                        acc[j] += v * xd[c * kk + j0 + j];
+                    }
+                }
+                // Interior rows have no offd entries; skipping their empty
+                // accumulator keeps a `-0.0` row sum what it is.
+                if let Some(ext) = ext {
+                    let mut off = [0.0f64; 8];
+                    for (e, v) in a.offd.row_iter(i) {
+                        for j in 0..m {
+                            off[j] += v * ext[e * kk + j0 + j];
+                        }
+                    }
+                    for j in 0..m {
+                        acc[j] += off[j];
+                    }
+                }
+                yd[i * kk + j0..i * kk + j0 + m].copy_from_slice(&acc[..m]);
+            });
         }
     }
+    if k == 0 {
+        return Ok(());
+    }
+    let mut halo = plan.post_rows(comm, xd, k);
+    if !overlap {
+        halo.complete(comm);
+    }
+    lanes!(k, rows(a, &a.interior_rows, xd, None, k, yd));
+    let x_ext = halo.finish(comm);
+    lanes!(k, rows(a, &a.boundary_rows, xd, Some(&x_ext), k, yd));
     Ok(())
 }
 
-/// Lane-wise twin of [`diag_row_dot`]: column `j` of `out` follows the
-/// exact scalar accumulation order (ascending stored columns from a
-/// zero accumulator), so each lane is bitwise identical to the scalar
-/// kernel on the extracted column.
-#[inline]
-fn diag_row_dot_multi(diag: &Csr, i: usize, xd: &[f64], k: usize, out: &mut [f64]) {
-    out.fill(0.0);
-    for (c, v) in diag.row_iter(i) {
-        for (o, xj) in out.iter_mut().zip(&xd[c * k..(c + 1) * k]) {
-            *o += v * xj;
-        }
-    }
-}
-
-/// Validates the operator/plan/block shapes shared by the batched
-/// kernels.
-fn check_kernel_dims_multi(
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-) -> Result<(), SolveError> {
-    dim(a.diag.ncols(), x.n(), "local x block (owned columns)")?;
-    dim(a.offd.ncols(), plan.ext_len(), "halo plan external length")
-}
-
-/// Batched `Y = A X`: one halo exchange for all `k` columns (one
-/// envelope per neighbor regardless of width — see
-/// [`VectorExchange::post_multi`]) and one matrix traversal per row
-/// group. With `overlap` the interior rows are computed while the halo
-/// is in flight, exactly like [`try_dist_spmv`]; column `j` is bitwise
-/// identical to the scalar kernel in either mode.
-pub fn try_dist_spmv_multi(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-    y: &mut MultiVec,
-    overlap: bool,
-) -> Result<(), SolveError> {
-    check_kernel_dims_multi(a, plan, x)?;
-    dim(a.local_rows(), y.n(), "local y block (owned rows)")?;
-    dim(x.k(), y.k(), "local y block width")?;
-    let k = x.k();
-    let xd = x.data();
-    let boundary = |yd: &mut [f64], x_ext: &[f64], acc: &mut [f64]| {
-        for &i in &a.boundary_rows {
-            acc.fill(0.0);
-            for (e, v) in a.offd.row_iter(i) {
-                for (aj, xj) in acc.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *aj += v * xj;
-                }
-            }
-            for (yj, aj) in yd[i * k..(i + 1) * k].iter_mut().zip(acc.iter()) {
-                *yj += aj;
-            }
-        }
-    };
-    // ALLOC: k-sized lane accumulator — O(k) per kernel call, not per
-    // row; threading it from every caller is not worth the coupling.
-    let mut acc = vec![0.0f64; k];
-    if overlap {
-        let inflight = plan.post_multi(comm, x);
-        let yd = y.data_mut();
-        for &i in &a.interior_rows {
-            let (lo, hi) = (i * k, (i + 1) * k);
-            diag_row_dot_multi(&a.diag, i, xd, k, &mut yd[lo..hi]);
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            let (lo, hi) = (i * k, (i + 1) * k);
-            diag_row_dot_multi(&a.diag, i, xd, k, &mut yd[lo..hi]);
-        }
-        boundary(yd, &x_ext, &mut acc);
-    } else {
-        let x_ext = plan.exchange_multi(comm, x);
-        let yd = y.data_mut();
-        for i in 0..a.local_rows() {
-            let (lo, hi) = (i * k, (i + 1) * k);
-            diag_row_dot_multi(&a.diag, i, xd, k, &mut yd[lo..hi]);
-        }
-        boundary(yd, &x_ext, &mut acc);
-    }
-    Ok(())
-}
-
-/// Batched distributed residual: `R = B - A X` with one halo exchange
-/// for all columns; returns the *local* squared norm per column,
-/// accumulated in ascending row order so synchronous and overlapped
-/// runs (and the scalar kernel, per column) are bitwise equal.
-pub fn try_dist_residual_multi(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-    b: &MultiVec,
-    r: &mut MultiVec,
-    overlap: bool,
-) -> Result<Vec<f64>, SolveError> {
-    check_kernel_dims_multi(a, plan, x)?;
-    dim(a.local_rows(), b.n(), "local right-hand side block")?;
-    dim(a.local_rows(), r.n(), "local residual block")?;
-    dim(x.k(), b.k(), "local right-hand side block width")?;
-    dim(x.k(), r.k(), "local residual block width")?;
-    let k = x.k();
-    let xd = x.data();
-    let bd = b.data();
-    let diag_part = |i: usize, rd: &mut [f64]| {
-        let rr = &mut rd[i * k..(i + 1) * k];
-        rr.copy_from_slice(&bd[i * k..(i + 1) * k]);
-        for (c, v) in a.diag.row_iter(i) {
-            for (rj, xj) in rr.iter_mut().zip(&xd[c * k..(c + 1) * k]) {
-                *rj -= v * xj;
-            }
-        }
-    };
-    if overlap {
-        let inflight = plan.post_multi(comm, x);
-        let rd = r.data_mut();
-        for &i in &a.interior_rows {
-            diag_part(i, rd);
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            diag_part(i, rd);
-            let rr = &mut rd[i * k..(i + 1) * k];
-            for (e, v) in a.offd.row_iter(i) {
-                for (rj, xj) in rr.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *rj -= v * xj;
-                }
-            }
-        }
-    } else {
-        let x_ext = plan.exchange_multi(comm, x);
-        let rd = r.data_mut();
-        for i in 0..a.local_rows() {
-            diag_part(i, rd);
-            let rr = &mut rd[i * k..(i + 1) * k];
-            for (e, v) in a.offd.row_iter(i) {
-                for (rj, xj) in rr.iter_mut().zip(&x_ext[e * k..(e + 1) * k]) {
-                    *rj -= v * xj;
-                }
-            }
-        }
-    }
-    // Norm pass in ascending row order, per lane — the same fold the
-    // scalar kernel performs on each extracted column.
-    // ALLOC: k-sized result vector, returned to (and reduced by) the
-    // caller — it is the kernel's output, not scratch.
-    let mut acc_sq = vec![0.0f64; k];
-    for row in r.data().chunks_exact(k.max(1)) {
-        for (aj, rj) in acc_sq.iter_mut().zip(row) {
-            *aj += rj * rj;
-        }
-    }
-    Ok(acc_sq)
-}
-
-/// Batched fused residual + norm: per-column *global* squared norms
-/// finished by a single vector all-reduce
-/// ([`Comm::allreduce_sum_vec`]), so the collective count is
-/// independent of the batch width. Column `j` is bitwise identical to
-/// [`try_dist_residual_norm_sq`] on that column alone.
-pub fn try_dist_residual_norm_sq_multi(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x: &MultiVec,
-    b: &MultiVec,
-    r: &mut MultiVec,
-    overlap: bool,
-) -> Result<Vec<f64>, SolveError> {
-    let acc_sq = try_dist_residual_multi(comm, a, plan, x, b, r, overlap)?;
-    Ok(comm.allreduce_sum_vec(acc_sq, 0x40))
-}
-
-/// Batched distributed dot products (one vector all-reduce): `out[j] =
-/// x[:,j] · y[:,j]` globally, each column bitwise identical to
-/// [`dist_dot`].
-pub fn dist_dot_multi(comm: &Comm, x: &MultiVec, y: &MultiVec) -> Vec<f64> {
-    // PANIC-FREE: shape asserts guard the caller contract at the kernel
-    // boundary; the try_* drivers validate block shapes before calling.
-    assert_eq!(x.n(), y.n());
-    assert_eq!(x.k(), y.k()); // PANIC-FREE: same caller contract
-    let k = x.k();
-    // ALLOC: k-sized result vector — the all-reduce then owns it as the
-    // message payload.
-    let mut acc = vec![0.0f64; k];
-    for (xr, yr) in x
-        .data()
-        .chunks_exact(k.max(1))
-        .zip(y.data().chunks_exact(k.max(1)))
-    {
-        for j in 0..k {
-            acc[j] += xr[j] * yr[j];
-        }
-    }
-    comm.allreduce_sum_vec(acc, 0x41)
-}
-
-/// Batched distributed 2-norms (one vector all-reduce).
-pub fn dist_norm2_multi(comm: &Comm, x: &MultiVec) -> Vec<f64> {
-    let mut out = dist_dot_multi(comm, x, x);
-    for o in &mut out {
-        *o = o.sqrt();
-    }
-    out
-}
-
-/// Distributed residual only: `r = b - A x` with no norm and therefore
-/// no global reduction — one halo exchange is the entire communication.
-/// Use this on V-cycle levels where the norm is unused; it returns the
-/// *local* squared norm so callers that do want the global value can
-/// finish it with one all-reduce (see [`dist_residual_norm_sq`]).
-///
-/// # Panics
-/// Panics on mis-sized vectors or a mismatched plan; use
-/// [`try_dist_residual`] for a typed error.
-pub fn dist_residual(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x_local: &[f64],
-    b_local: &[f64],
-    r: &mut [f64],
-) -> f64 {
-    try_dist_residual(comm, a, plan, x_local, b_local, r, false)
-        .unwrap_or_else(|e| panic!("famg dist_residual: {e}"))
-}
-
-/// [`dist_residual`] with typed shape errors and a selectable halo mode.
-/// The local squared norm is always accumulated over `r` in ascending row
-/// order, so synchronous and overlapped runs return bitwise-equal values.
+/// Distributed residual only: `r = b - A x` with no global reduction —
+/// one halo exchange is the entire communication. Returns the *local*
+/// squared norm so callers that want the global value can finish it with
+/// one all-reduce (see [`try_dist_residual_norm_sq`]). Shape errors are
+/// typed; `overlap` selects the halo mode.
 pub fn try_dist_residual(
     comm: &Comm,
     a: &ParCsr,
@@ -347,71 +163,75 @@ pub fn try_dist_residual(
     r: &mut [f64],
     overlap: bool,
 ) -> Result<f64, SolveError> {
-    check_kernel_dims(a, plan, x_local.len())?;
-    dim(a.local_rows(), b_local.len(), "local right-hand side")?;
-    dim(a.local_rows(), r.len(), "local residual")?;
-    if overlap {
-        let inflight = plan.post(comm, x_local);
-        for &i in &a.interior_rows {
-            let mut acc = b_local[i];
-            for (c, v) in a.diag.row_iter(i) {
-                acc -= v * x_local[c];
-            }
-            r[i] = acc;
-        }
-        let x_ext = inflight.finish(comm);
-        for &i in &a.boundary_rows {
-            let mut acc = b_local[i];
-            for (c, v) in a.diag.row_iter(i) {
-                acc -= v * x_local[c];
-            }
-            for (k, v) in a.offd.row_iter(i) {
-                acc -= v * x_ext[k];
-            }
-            r[i] = acc;
-        }
-    } else {
-        let x_ext = plan.exchange(comm, x_local);
-        for i in 0..a.local_rows() {
-            let mut acc = b_local[i];
-            for (c, v) in a.diag.row_iter(i) {
-                acc -= v * x_local[c];
-            }
-            for (k, v) in a.offd.row_iter(i) {
-                acc -= v * x_ext[k];
-            }
-            r[i] = acc;
+    try_dist_residual_rows(comm, a, plan, x_local, b_local, r, 1, overlap)?;
+    let mut local_sq = [0.0];
+    dot_rows_seq(r, r, 1, &mut local_sq);
+    Ok(local_sq[0])
+}
+
+/// `R = B - A X` over `k`-interleaved blocks with one halo exchange for
+/// all columns and no reduction — what a V-cycle level needs.
+#[allow(clippy::too_many_arguments)]
+pub fn try_dist_residual_rows(
+    comm: &Comm,
+    a: &ParCsr,
+    plan: &VectorExchange,
+    xd: &[f64],
+    bd: &[f64],
+    rd: &mut [f64],
+    k: usize,
+    overlap: bool,
+) -> Result<(), SolveError> {
+    check_kernel_dims(a, plan, xd.len(), k)?;
+    dim(a.local_rows() * k, bd.len(), "local right-hand side")?;
+    dim(a.local_rows() * k, rd.len(), "local residual")?;
+    #[allow(clippy::too_many_arguments)]
+    fn rows<const K: usize>(
+        a: &ParCsr,
+        rows: &[usize],
+        xd: &[f64],
+        ext: Option<&[f64]>,
+        bd: &[f64],
+        k: usize,
+        rd: &mut [f64],
+    ) {
+        let kk = width::<K>(k);
+        for &i in rows {
+            lane_groups::<K>(k, |j0, m| {
+                let at = i * kk + j0;
+                let mut acc = [0.0f64; 8];
+                acc[..m].copy_from_slice(&bd[at..at + m]);
+                for (c, v) in a.diag.row_iter(i) {
+                    for j in 0..m {
+                        acc[j] -= v * xd[c * kk + j0 + j];
+                    }
+                }
+                if let Some(ext) = ext {
+                    for (e, v) in a.offd.row_iter(i) {
+                        for j in 0..m {
+                            acc[j] -= v * ext[e * kk + j0 + j];
+                        }
+                    }
+                }
+                rd[at..at + m].copy_from_slice(&acc[..m]);
+            });
         }
     }
-    // Norm pass in ascending row order regardless of the order the rows
-    // were produced in — keeps the sum bitwise mode-independent.
-    let mut acc_sq = 0.0;
-    for &ri in r.iter() {
-        acc_sq += ri * ri;
+    if k == 0 {
+        return Ok(());
     }
-    Ok(acc_sq)
+    let mut halo = plan.post_rows(comm, xd, k);
+    if !overlap {
+        halo.complete(comm);
+    }
+    lanes!(k, rows(a, &a.interior_rows, xd, None, bd, k, rd));
+    let x_ext = halo.finish(comm);
+    lanes!(k, rows(a, &a.boundary_rows, xd, Some(&x_ext), bd, k, rd));
+    Ok(())
 }
 
 /// Fused distributed residual: `r = b - A x` with `‖r‖²` reduced across
 /// ranks in a single collective. Returns the *global* squared norm.
-///
-/// # Panics
-/// Panics on mis-sized vectors or a mismatched plan; use
-/// [`try_dist_residual_norm_sq`] for a typed error.
-pub fn dist_residual_norm_sq(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x_local: &[f64],
-    b_local: &[f64],
-    r: &mut [f64],
-) -> f64 {
-    try_dist_residual_norm_sq(comm, a, plan, x_local, b_local, r, false)
-        .unwrap_or_else(|e| panic!("famg dist_residual_norm_sq: {e}"))
-}
-
-/// [`dist_residual_norm_sq`] with typed shape errors and a selectable
-/// halo mode.
 pub fn try_dist_residual_norm_sq(
     comm: &Comm,
     a: &ParCsr,
@@ -421,13 +241,47 @@ pub fn try_dist_residual_norm_sq(
     r: &mut [f64],
     overlap: bool,
 ) -> Result<f64, SolveError> {
-    let acc_sq = try_dist_residual(comm, a, plan, x_local, b_local, r, overlap)?;
-    Ok(comm.allreduce_sum(acc_sq, 0x40))
+    let mut norm_sq = [0.0];
+    try_dist_residual_norm_sq_rows(comm, a, plan, x_local, b_local, r, 1, overlap, &mut norm_sq)?;
+    Ok(norm_sq[0])
+}
+
+/// [`try_dist_residual_rows`] plus the per-column global `‖r_j‖²`. The
+/// local norm pass runs over `r` in ascending row order whatever order
+/// the rows were produced in — so synchronous and overlapped runs, and
+/// every width per column, are bitwise equal — and one all-reduce
+/// finishes all `k` norms, so the collective count is independent of `k`.
+#[allow(clippy::too_many_arguments)]
+pub fn try_dist_residual_norm_sq_rows(
+    comm: &Comm,
+    a: &ParCsr,
+    plan: &VectorExchange,
+    xd: &[f64],
+    bd: &[f64],
+    rd: &mut [f64],
+    k: usize,
+    overlap: bool,
+    norms_sq: &mut [f64],
+) -> Result<(), SolveError> {
+    try_dist_residual_rows(comm, a, plan, xd, bd, rd, k, overlap)?;
+    dim(k, norms_sq.len(), "norm lanes")?;
+    dot_rows_seq(rd, rd, k, norms_sq);
+    allreduce_lanes(comm, norms_sq, 0x40);
+    Ok(())
 }
 
 /// Distributed dot product (one all-reduce).
 pub fn dist_dot(comm: &Comm, x: &[f64], y: &[f64]) -> f64 {
-    comm.allreduce_sum(famg_sparse::vecops::dot_seq(x, y), 0x41)
+    let mut out = [0.0];
+    dist_dot_rows(comm, x, y, 1, &mut out);
+    out[0]
+}
+
+/// Distributed per-column dot products of two `k`-interleaved blocks (one
+/// all-reduce at any width): `out[j] = x[:,j] · y[:,j]` globally.
+pub fn dist_dot_rows(comm: &Comm, xd: &[f64], yd: &[f64], k: usize, out: &mut [f64]) {
+    dot_rows_seq(xd, yd, k, out);
+    allreduce_lanes(comm, out, 0x41);
 }
 
 /// Distributed 2-norm.
@@ -441,28 +295,34 @@ mod tests {
     use crate::comm::run_ranks;
     use crate::parcsr::default_partition;
     use famg_matgen::{laplace2d, rhs};
+    use famg_sparse::MultiVec;
 
     #[test]
     fn dist_spmv_matches_serial() {
+        // The dist K = 1 lane against the sequential serial oracle, at
+        // several rank counts and in both halo modes.
         let a = laplace2d(10, 10);
         let n = a.nrows();
         let x = rhs::random(n, 3);
         let mut y_ref = vec![0.0; n];
         famg_sparse::spmv::spmv_seq(&a, &x, &mut y_ref);
-        for nranks in [1usize, 2, 3, 5] {
-            let starts = default_partition(n, nranks);
-            let (results, _) = run_ranks(nranks, |c| {
-                let r = c.rank();
-                let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-                let xl = x[starts[r]..starts[r + 1]].to_vec();
-                let plan = VectorExchange::plan(c, &p.colmap, &starts);
-                let mut y = vec![0.0; p.local_rows()];
-                dist_spmv(c, &p, &plan, &xl, &mut y);
-                y
-            });
-            let y: Vec<f64> = results.concat();
-            for (u, v) in y.iter().zip(&y_ref) {
-                assert!((u - v).abs() < 1e-12, "nranks {nranks}");
+        for nranks in [1usize, 2, 3, 4, 5] {
+            for overlap in [false, true] {
+                let starts = default_partition(n, nranks);
+                let (results, _) = run_ranks(nranks, |c| {
+                    let r = c.rank();
+                    let p =
+                        ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+                    let xl = x[starts[r]..starts[r + 1]].to_vec();
+                    let plan = VectorExchange::plan(c, &p.colmap, &starts);
+                    let mut y = vec![0.0; p.local_rows()];
+                    try_dist_spmv(c, &p, &plan, &xl, &mut y, overlap).unwrap();
+                    y
+                });
+                let y: Vec<f64> = results.concat();
+                for (u, v) in y.iter().zip(&y_ref) {
+                    assert!((u - v).abs() < 1e-12, "nranks {nranks} overlap {overlap}");
+                }
             }
         }
     }
@@ -473,77 +333,103 @@ mod tests {
         let n = a.nrows();
         let x = rhs::random(n, 5);
         let b = rhs::random(n, 6);
+        // Serial oracle: sequential SpMV, then a plain loop.
         let mut r_ref = vec![0.0; n];
-        let norm_ref = famg_sparse::spmv::residual_norm_sq(&a, &x, &b, &mut r_ref);
-        let starts = default_partition(n, 3);
-        let (results, _) = run_ranks(3, |c| {
-            let rk = c.rank();
-            let p = ParCsr::from_global_rows(&a, starts[rk], starts[rk + 1], starts.clone(), rk);
-            let xl = x[starts[rk]..starts[rk + 1]].to_vec();
-            let bl = b[starts[rk]..starts[rk + 1]].to_vec();
-            let plan = VectorExchange::plan(c, &p.colmap, &starts);
-            let mut r = vec![0.0; p.local_rows()];
-            let nsq = dist_residual_norm_sq(c, &p, &plan, &xl, &bl, &mut r);
-            (nsq, r)
-        });
-        for (nsq, _) in &results {
-            assert!((nsq - norm_ref).abs() < 1e-9 * norm_ref.max(1.0));
+        famg_sparse::spmv::spmv_seq(&a, &x, &mut r_ref);
+        for (ri, bi) in r_ref.iter_mut().zip(&b) {
+            *ri = bi - *ri;
         }
-        let r: Vec<f64> = results.into_iter().flat_map(|(_, r)| r).collect();
-        for (u, v) in r.iter().zip(&r_ref) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    /// Batched distributed SpMV/residual: each column bitwise identical
-    /// to the scalar kernel, in both halo modes, with the message count
-    /// of a single scalar exchange.
-    #[test]
-    fn dist_multi_kernels_bitwise_match_scalar_columns() {
-        let a = laplace2d(10, 8);
-        let n = a.nrows();
-        let k = 3usize;
-        let cols_x: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 20 + j as u64)).collect();
-        let cols_b: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 30 + j as u64)).collect();
-        for nranks in [1usize, 2, 4] {
-            let starts = default_partition(n, nranks);
+        let norm_ref: f64 = r_ref.iter().map(|v| v * v).sum();
+        for nranks in [1usize, 2, 3, 4] {
             for overlap in [false, true] {
-                let (per_rank, _) = run_ranks(nranks, |c| {
+                let starts = default_partition(n, nranks);
+                let (results, _) = run_ranks(nranks, |c| {
                     let rk = c.rank();
                     let (s, e) = (starts[rk], starts[rk + 1]);
                     let p = ParCsr::from_global_rows(&a, s, e, starts.clone(), rk);
                     let plan = VectorExchange::plan(c, &p.colmap, &starts);
-                    let xl_cols: Vec<Vec<f64>> =
-                        cols_x.iter().map(|cx| cx[s..e].to_vec()).collect();
-                    let bl_cols: Vec<Vec<f64>> =
-                        cols_b.iter().map(|cb| cb[s..e].to_vec()).collect();
-                    let xm = MultiVec::from_columns(&xl_cols);
-                    let bm = MultiVec::from_columns(&bl_cols);
-                    let nl = p.local_rows();
+                    let mut r = vec![0.0; p.local_rows()];
+                    let nsq = try_dist_residual_norm_sq(
+                        c,
+                        &p,
+                        &plan,
+                        &x[s..e],
+                        &b[s..e],
+                        &mut r,
+                        overlap,
+                    )
+                    .unwrap();
+                    (nsq, r)
+                });
+                for (nsq, _) in &results {
+                    assert!((nsq - norm_ref).abs() < 1e-9 * norm_ref.max(1.0));
+                }
+                let r: Vec<f64> = results.into_iter().flat_map(|(_, r)| r).collect();
+                for (u, v) in r.iter().zip(&r_ref) {
+                    assert!((u - v).abs() < 1e-12, "nranks {nranks} overlap {overlap}");
+                }
+            }
+        }
+    }
 
-                    let before = c.messages_sent();
-                    let mut ym = MultiVec::new(nl, k);
-                    try_dist_spmv_multi(c, &p, &plan, &xm, &mut ym, overlap).unwrap();
-                    let multi_msgs = c.messages_sent() - before;
-                    let mut rm = MultiVec::new(nl, k);
-                    let norms =
-                        try_dist_residual_norm_sq_multi(c, &p, &plan, &xm, &bm, &mut rm, overlap)
-                            .unwrap();
-                    let dots = dist_dot_multi(c, &xm, &bm);
+    /// Block SpMV/residual/dot: each column bitwise identical to the
+    /// single-vector call at every lane width, in both halo modes, with
+    /// the message count of a single exchange.
+    #[test]
+    fn dist_multi_kernels_bitwise_match_scalar_columns() {
+        let a = laplace2d(10, 8);
+        let n = a.nrows();
+        for k in [1usize, 2, 3, 4, 8, 9] {
+            let cols_x: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 20 + j as u64)).collect();
+            let cols_b: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 30 + j as u64)).collect();
+            for nranks in [1usize, 2, 4] {
+                let starts = default_partition(n, nranks);
+                for overlap in [false, true] {
+                    run_ranks(nranks, |c| {
+                        let rk = c.rank();
+                        let (s, e) = (starts[rk], starts[rk + 1]);
+                        let p = ParCsr::from_global_rows(&a, s, e, starts.clone(), rk);
+                        let plan = VectorExchange::plan(c, &p.colmap, &starts);
+                        let xl_cols: Vec<Vec<f64>> =
+                            cols_x.iter().map(|cx| cx[s..e].to_vec()).collect();
+                        let bl_cols: Vec<Vec<f64>> =
+                            cols_b.iter().map(|cb| cb[s..e].to_vec()).collect();
+                        let xm = MultiVec::from_columns(&xl_cols);
+                        let bm = MultiVec::from_columns(&bl_cols);
+                        let nl = p.local_rows();
+                        let tag = format!("k {k} nranks {nranks} rank {rk} overlap {overlap}");
 
-                    let mut scalar_msgs = 0u64;
-                    let mut ys = Vec::new();
-                    let mut rs = Vec::new();
-                    let mut norms_s = Vec::new();
-                    let mut dots_s = Vec::new();
-                    for j in 0..k {
                         let before = c.messages_sent();
-                        let mut y = vec![0.0; nl];
-                        try_dist_spmv(c, &p, &plan, &xl_cols[j], &mut y, overlap).unwrap();
-                        scalar_msgs += c.messages_sent() - before;
-                        let mut r = vec![0.0; nl];
-                        norms_s.push(
-                            try_dist_residual_norm_sq(
+                        let mut ym = MultiVec::new(nl, k);
+                        try_dist_spmv_rows(c, &p, &plan, xm.data(), k, ym.data_mut(), overlap)
+                            .unwrap();
+                        let multi_msgs = c.messages_sent() - before;
+                        let mut rm = MultiVec::new(nl, k);
+                        let mut norms = vec![0.0; k];
+                        try_dist_residual_norm_sq_rows(
+                            c,
+                            &p,
+                            &plan,
+                            xm.data(),
+                            bm.data(),
+                            rm.data_mut(),
+                            k,
+                            overlap,
+                            &mut norms,
+                        )
+                        .unwrap();
+                        let mut dots = vec![0.0; k];
+                        dist_dot_rows(c, xm.data(), bm.data(), k, &mut dots);
+
+                        let mut scalar_msgs = 0u64;
+                        for j in 0..k {
+                            let before = c.messages_sent();
+                            let mut y = vec![0.0; nl];
+                            try_dist_spmv(c, &p, &plan, &xl_cols[j], &mut y, overlap).unwrap();
+                            scalar_msgs += c.messages_sent() - before;
+                            assert_eq!(ym.col(j), y, "spmv {tag} col {j}");
+                            let mut r = vec![0.0; nl];
+                            let norm = try_dist_residual_norm_sq(
                                 c,
                                 &p,
                                 &plan,
@@ -552,40 +438,14 @@ mod tests {
                                 &mut r,
                                 overlap,
                             )
-                            .unwrap(),
-                        );
-                        dots_s.push(dist_dot(c, &xl_cols[j], &bl_cols[j]));
-                        ys.push(y);
-                        rs.push(r);
-                    }
-                    scalar_msgs /= k as u64;
-                    (
-                        ym,
-                        rm,
-                        norms,
-                        dots,
-                        ys,
-                        rs,
-                        norms_s,
-                        dots_s,
-                        multi_msgs,
-                        scalar_msgs,
-                    )
-                });
-                for (rk, (ym, rm, norms, dots, ys, rs, norms_s, dots_s, mm, sm)) in
-                    per_rank.iter().enumerate()
-                {
-                    assert_eq!(mm, sm, "nranks {nranks} rank {rk} message count");
-                    for j in 0..k {
-                        assert_eq!(ym.col(j), ys[j], "spmv nranks {nranks} rank {rk} col {j}");
-                        assert_eq!(rm.col(j), rs[j], "resid nranks {nranks} rank {rk} col {j}");
-                        assert_eq!(
-                            norms[j].to_bits(),
-                            norms_s[j].to_bits(),
-                            "norm nranks {nranks} rank {rk} col {j} overlap {overlap}"
-                        );
-                        assert_eq!(dots[j].to_bits(), dots_s[j].to_bits());
-                    }
+                            .unwrap();
+                            assert_eq!(rm.col(j), r, "resid {tag} col {j}");
+                            assert_eq!(norms[j].to_bits(), norm.to_bits(), "norm {tag} col {j}");
+                            let dot = dist_dot(c, &xl_cols[j], &bl_cols[j]);
+                            assert_eq!(dots[j].to_bits(), dot.to_bits(), "dot {tag} col {j}");
+                        }
+                        assert_eq!(multi_msgs, scalar_msgs / k as u64, "{tag} message count");
+                    });
                 }
             }
         }

@@ -7,10 +7,9 @@
 
 use crate::precond::Preconditioner;
 use crate::{BatchKrylovResult, KrylovResult};
-use famg_sparse::multivec::{axpy_batch, dot_batch, norm2_batch, xpby_batch};
-use famg_sparse::spmm::spmm;
-use famg_sparse::spmv::spmv;
-use famg_sparse::vecops;
+use famg_core::convergence::ColumnTracker;
+use famg_sparse::multivec::{axpy_rows, dot_rows, xpby_rows};
+use famg_sparse::spmm::spmm_rows;
 use famg_sparse::{Csr, MultiVec};
 
 /// CG options.
@@ -31,34 +30,57 @@ impl Default for CgOptions {
     }
 }
 
-/// Reusable buffers for [`cg_with`]: the four length-`n` vectors every CG
-/// iteration touches. Constructing one per solve (what [`cg`] does) is
-/// fine for one-shot use; time-stepping drivers construct it once and
+/// Reusable buffers for [`cg_with`] and [`cg_batch_with`]: the four
+/// `n × k` blocks every CG iteration touches and the per-column scalar
+/// lanes of the recurrence. Constructing one per solve (what [`cg`] does)
+/// is fine for one-shot use; time-stepping drivers construct it once and
 /// keep the steady-state iteration allocation-free.
 #[derive(Debug, Clone)]
 pub struct CgWorkspace {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
+    r: MultiVec,
+    z: MultiVec,
+    p: MultiVec,
+    ap: MultiVec,
+    bnorms: Vec<f64>,
+    rz: Vec<f64>,
+    relres: Vec<f64>,
+    pap: Vec<f64>,
+    rz_new: Vec<f64>,
+    alpha: Vec<f64>,
+    neg_alpha: Vec<f64>,
+    beta: Vec<f64>,
 }
 
 impl CgWorkspace {
-    /// Workspace for an `n`-row system.
+    /// Workspace for an `n`-row system with one right-hand side.
     #[must_use]
     pub fn for_problem(n: usize) -> Self {
+        Self::for_width(n, 1)
+    }
+
+    /// Workspace for an `n`-row system with `k` right-hand sides.
+    #[must_use]
+    pub fn for_width(n: usize, k: usize) -> Self {
         CgWorkspace {
-            r: vec![0.0; n],
-            z: vec![0.0; n],
-            p: vec![0.0; n],
-            ap: vec![0.0; n],
+            r: MultiVec::new(n, k),
+            z: MultiVec::new(n, k),
+            p: MultiVec::new(n, k),
+            ap: MultiVec::new(n, k),
+            bnorms: vec![0.0; k],
+            rz: vec![0.0; k],
+            relres: vec![0.0; k],
+            pap: vec![0.0; k],
+            rz_new: vec![0.0; k],
+            alpha: vec![0.0; k],
+            neg_alpha: vec![0.0; k],
+            beta: vec![0.0; k],
         }
     }
 
-    /// Rebuilds the buffers if sized for a different problem.
-    fn fit(&mut self, n: usize) {
-        if self.r.len() != n {
-            *self = Self::for_problem(n);
+    /// Rebuilds the buffers if sized for a different problem or width.
+    fn fit(&mut self, n: usize, k: usize) {
+        if self.r.n() != n || self.r.k() != k {
+            *self = Self::for_width(n, k);
         }
     }
 }
@@ -87,52 +109,12 @@ pub fn cg_with(
     opts: &CgOptions,
     ws: &mut CgWorkspace,
 ) -> KrylovResult {
-    let n = a.nrows();
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
-    let bnorm = vecops::norm2(b).max(f64::MIN_POSITIVE);
-
-    ws.fit(n);
-    let CgWorkspace { r, z, p, ap } = ws;
-    spmv(a, x, r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    z.fill(0.0);
-    precond.apply(r, z);
-    p.copy_from_slice(z);
-    let mut rz = vecops::dot(r, z);
-    let mut relres = vecops::norm2(r) / bnorm;
-    // ALLOC: convergence history is owned by the returned result and
-    // grows with the iteration count by definition.
-    let mut history = Vec::new();
-    let mut iterations = 0usize;
-
-    while relres > opts.tolerance && iterations < opts.max_iterations {
-        spmv(a, p, ap);
-        let pap = vecops::dot(p, ap);
-        if pap <= 0.0 {
-            break; // not SPD (or breakdown): report what we have
-        }
-        let alpha = rz / pap;
-        vecops::axpy(alpha, p, x);
-        vecops::axpy(-alpha, ap, r);
-        z.fill(0.0);
-        precond.apply(r, z);
-        let rz_new = vecops::dot(r, z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        vecops::xpby(z, beta, p);
-        iterations += 1;
-        relres = vecops::norm2(r) / bnorm;
-        history.push(relres);
-    }
-
+    let mut res = cg_rows(a, b, x, 1, precond, opts, ws);
     KrylovResult {
-        iterations,
-        final_relres: relres,
-        converged: relres <= opts.tolerance,
-        history,
+        iterations: res.iterations[0],
+        final_relres: res.final_relres[0],
+        converged: res.converged[0],
+        history: std::mem::take(&mut res.history[0]),
     }
 }
 
@@ -140,14 +122,12 @@ pub fn cg_with(
 /// advancing every right-hand side through each kernel invocation.
 ///
 /// Column `j` of the result is bitwise identical to [`cg`] on that
-/// column alone: every batched kernel (SpMM, per-column dot/axpy and
-/// the preconditioner's [`Preconditioner::apply_batch`]) preserves the
-/// scalar arithmetic order lane-wise, and the per-column scalars
-/// (`alpha`, `beta`, `rz`) never mix lanes. A column that reaches the
-/// tolerance — or hits the SPD-breakdown guard `p·Ap <= 0` — is frozen:
-/// its iterate is snapshotted at its own stopping point while the
-/// remaining columns keep iterating, so the batch never changes what
-/// any single column converges to.
+/// column alone: every kernel preserves the per-lane arithmetic order at
+/// every width, and the per-column scalars (`alpha`, `beta`, `rz`) never
+/// mix lanes. A column that reaches the tolerance — or hits the
+/// SPD-breakdown guard `p·Ap <= 0` — stops at its own iterate while the
+/// remaining columns keep iterating (see [`ColumnTracker`]), so the batch
+/// never changes what any single column converges to.
 pub fn cg_batch(
     a: &Csr,
     b: &MultiVec,
@@ -155,58 +135,11 @@ pub fn cg_batch(
     precond: &impl Preconditioner,
     opts: &CgOptions,
 ) -> BatchKrylovResult {
-    let mut ws = CgBatchWorkspace::for_problem(a.nrows(), b.k());
+    let mut ws = CgWorkspace::for_width(a.nrows(), b.k());
     cg_batch_with(a, b, x, precond, opts, &mut ws)
 }
 
-/// Reusable buffers for [`cg_batch_with`]: the four `n x k` multivectors
-/// and the eight per-column scalar lanes the batched recurrence uses.
-#[derive(Debug, Clone)]
-pub struct CgBatchWorkspace {
-    r: MultiVec,
-    z: MultiVec,
-    p: MultiVec,
-    ap: MultiVec,
-    bnorms: Vec<f64>,
-    rz: Vec<f64>,
-    relres: Vec<f64>,
-    pap: Vec<f64>,
-    rz_new: Vec<f64>,
-    alpha: Vec<f64>,
-    neg_alpha: Vec<f64>,
-    beta: Vec<f64>,
-}
-
-impl CgBatchWorkspace {
-    /// Workspace for an `n`-row system with `k` right-hand sides.
-    #[must_use]
-    pub fn for_problem(n: usize, k: usize) -> Self {
-        CgBatchWorkspace {
-            r: MultiVec::new(n, k),
-            z: MultiVec::new(n, k),
-            p: MultiVec::new(n, k),
-            ap: MultiVec::new(n, k),
-            bnorms: vec![0.0; k],
-            rz: vec![0.0; k],
-            relres: vec![0.0; k],
-            pap: vec![0.0; k],
-            rz_new: vec![0.0; k],
-            alpha: vec![0.0; k],
-            neg_alpha: vec![0.0; k],
-            beta: vec![0.0; k],
-        }
-    }
-
-    /// Rebuilds the buffers if sized for a different problem or width.
-    fn fit(&mut self, n: usize, k: usize) {
-        if self.r.n() != n || self.r.k() != k {
-            *self = Self::for_problem(n, k);
-        }
-    }
-}
-
-/// Batched CG over caller-owned buffers; see [`cg_batch`] for the
-/// column-wise bitwise-identity contract. The per-iteration hot loop
+/// [`cg_batch`] over caller-owned buffers. The per-iteration hot loop
 /// performs no heap allocation — only per-solve result assembly
 /// (histories, frozen-column snapshots) does.
 pub fn cg_batch_with(
@@ -215,13 +148,26 @@ pub fn cg_batch_with(
     x: &mut MultiVec,
     precond: &impl Preconditioner,
     opts: &CgOptions,
-    ws: &mut CgBatchWorkspace,
+    ws: &mut CgWorkspace,
+) -> BatchKrylovResult {
+    assert_eq!(x.k(), b.k());
+    cg_rows(a, b.data(), x.data_mut(), b.k(), precond, opts, ws)
+}
+
+/// The one CG recurrence, over the `k`-interleaved blocks `(b, k)` and
+/// `(x, k)`; a plain vector is the `k = 1` block.
+fn cg_rows(
+    a: &Csr,
+    b: &[f64],
+    x: &mut [f64],
+    k: usize,
+    precond: &impl Preconditioner,
+    opts: &CgOptions,
+    ws: &mut CgWorkspace,
 ) -> BatchKrylovResult {
     let n = a.nrows();
-    let k = b.k();
-    assert_eq!(b.n(), n);
-    assert_eq!(x.n(), n);
-    assert_eq!(x.k(), k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(x.len(), n * k);
     if k == 0 {
         return BatchKrylovResult {
             iterations: Vec::new(),   // ALLOC: empty Vec, no heap
@@ -231,7 +177,7 @@ pub fn cg_batch_with(
         };
     }
     ws.fit(n, k);
-    let CgBatchWorkspace {
+    let CgWorkspace {
         r,
         z,
         p,
@@ -245,107 +191,78 @@ pub fn cg_batch_with(
         neg_alpha,
         beta,
     } = ws;
-    norm2_batch(b, bnorms);
+    // A width-1 block goes through `Preconditioner::apply`: closures
+    // implement only that, and the trait's default `apply_batch` would
+    // allocate two n-vectors per call.
+    let precondition = |r: &MultiVec, z: &mut MultiVec| {
+        z.fill(0.0);
+        if k == 1 {
+            precond.apply(r.data(), z.data_mut());
+        } else {
+            precond.apply_batch(r, z);
+        }
+    };
+    let norms = |v: &[f64], out: &mut [f64]| {
+        dot_rows(v, v, k, out);
+        for o in out {
+            *o = o.sqrt();
+        }
+    };
+
+    norms(b, bnorms);
     for bn in bnorms.iter_mut() {
         *bn = bn.max(f64::MIN_POSITIVE);
     }
-
-    spmm(a, x, r);
-    for (ri, bi) in r.data_mut().iter_mut().zip(b.data()) {
+    spmm_rows(a, x, k, r.data_mut());
+    for (ri, bi) in r.data_mut().iter_mut().zip(b) {
         *ri = bi - *ri;
     }
-    z.fill(0.0);
-    precond.apply_batch(r, z);
+    precondition(r, z);
     p.data_mut().copy_from_slice(z.data());
-    dot_batch(r, z, rz);
-    norm2_batch(r, relres);
+    dot_rows(r.data(), z.data(), k, rz);
+    norms(r.data(), relres);
     for (rr, bn) in relres.iter_mut().zip(bnorms.iter()) {
         *rr /= bn;
     }
 
-    // Per-solve result assembly: these are owned by (or snapshotted
-    // into) the returned BatchKrylovResult, so they cannot live in the
-    // reused workspace.
-    // ALLOC: per-column history vectors are part of the returned result.
-    let mut history: Vec<Vec<f64>> = vec![Vec::new(); k];
-    // ALLOC: result-owned copy of the entry residuals (k elements).
-    let mut final_relres = relres.clone();
-    // ALLOC: result-owned iteration counters (k elements).
-    let mut col_iterations = vec![0usize; k];
-    // A frozen column stops reporting (its lanes keep being advanced —
-    // the arithmetic is lane-independent, so whatever happens there,
-    // including NaN after a breakdown, never crosses into live lanes)
-    // and its iterate is snapshotted at the solo solver's exit state.
-    // ALLOC: one snapshot slot per column, filled on convergence events.
-    let mut frozen_cols: Vec<Option<Vec<f64>>> = vec![None; k];
-    // ALLOC: per-solve convergence mask (k bools).
-    let mut done: Vec<bool> = relres.iter().map(|&rr| rr <= opts.tolerance).collect();
-    for j in 0..k {
-        if done[j] {
-            frozen_cols[j] = Some(x.col(j));
-        }
-    }
-
+    let mut cols = ColumnTracker::new(relres, opts.tolerance);
     let mut iterations = 0usize;
-    while done.iter().any(|d| !d) && iterations < opts.max_iterations {
-        spmm(a, p, ap);
-        dot_batch(p, ap, pap);
-        // The solo solver exits *before* the update when p·Ap <= 0, so
-        // freeze such columns at their pre-update iterate.
-        for j in 0..k {
-            if !done[j] && pap[j] <= 0.0 {
-                done[j] = true;
-                frozen_cols[j] = Some(x.col(j));
-            }
-        }
-        if done.iter().all(|&d| d) {
+    while cols.any_live() && iterations < opts.max_iterations {
+        spmm_rows(a, p.data(), k, ap.data_mut());
+        dot_rows(p.data(), ap.data(), k, pap);
+        // Not SPD (or breakdown): such a column stops *before* the update
+        // and reports what it has.
+        cols.stop_where(|j| pap[j] <= 0.0);
+        if !cols.any_live() {
             break;
         }
+        cols.freeze_stopped(x);
         for j in 0..k {
             alpha[j] = rz[j] / pap[j];
             neg_alpha[j] = -alpha[j];
         }
-        axpy_batch(alpha, p, x);
-        axpy_batch(neg_alpha, ap, r);
-        z.fill(0.0);
-        precond.apply_batch(r, z);
-        dot_batch(r, z, rz_new);
+        axpy_rows(alpha, p.data(), x, k);
+        axpy_rows(neg_alpha, ap.data(), r.data_mut(), k);
+        precondition(r, z);
+        dot_rows(r.data(), z.data(), k, rz_new);
         for j in 0..k {
             beta[j] = rz_new[j] / rz[j];
         }
         rz.copy_from_slice(rz_new);
-        xpby_batch(z, beta, p);
+        xpby_rows(z.data(), beta, p.data_mut(), k);
         iterations += 1;
-        norm2_batch(r, relres);
-        for j in 0..k {
-            relres[j] /= bnorms[j];
-            if done[j] {
-                continue;
-            }
-            history[j].push(relres[j]);
-            final_relres[j] = relres[j];
-            col_iterations[j] = iterations;
-            if relres[j] <= opts.tolerance {
-                done[j] = true;
-                frozen_cols[j] = Some(x.col(j));
-            }
+        norms(r.data(), relres);
+        for (rr, bn) in relres.iter_mut().zip(bnorms.iter()) {
+            *rr /= bn;
         }
+        cols.record(iterations, relres);
     }
-    for (j, frozen) in frozen_cols.iter().enumerate() {
-        if let Some(col) = frozen {
-            x.set_col(j, col);
-        }
-    }
-
-    let converged = final_relres
-        .iter()
-        .map(|&rr| rr <= opts.tolerance)
-        .collect(); // ALLOC: result-owned convergence flags (k bools)
+    let converged = cols.finish(x);
     BatchKrylovResult {
-        iterations: col_iterations,
-        final_relres,
+        iterations: cols.iterations,
+        final_relres: cols.final_relres,
         converged,
-        history,
+        history: cols.history,
     }
 }
 
@@ -354,6 +271,8 @@ mod tests {
     use super::*;
     use crate::precond::IdentityPrecond;
     use famg_matgen::{laplace2d, laplace3d_7pt, rhs};
+    use famg_sparse::spmv::spmv;
+    use famg_sparse::vecops;
 
     fn relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
@@ -429,7 +348,7 @@ mod tests {
         let n = a.nrows();
         let amg = AmgSolver::setup(&a, &AmgConfig::single_node_paper());
         let opts = CgOptions::default();
-        for k in [1usize, 3, 8] {
+        for k in [1usize, 2, 3, 4, 8, 9] {
             let cols: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 11 + j as u64)).collect();
             let b = famg_sparse::MultiVec::from_columns(&cols);
 

@@ -52,12 +52,6 @@ pub mod flops {
         2 * nnz as u64
     }
 
-    /// One Gauss-Seidel (or Jacobi) sweep: a multiply-add per stored
-    /// off-diagonal entry plus the diagonal solve per row, ≈ `2·nnz`.
-    pub fn gs_sweep(nnz: usize) -> u64 {
-        2 * nnz as u64
-    }
-
     /// Dot product or squared norm of length-`n` vectors.
     pub fn dot(n: usize) -> u64 {
         2 * n as u64
@@ -80,7 +74,9 @@ pub mod flops {
         2 * nnz as u64 * k as u64
     }
 
-    /// One k-wide Gauss-Seidel (or Jacobi) sweep: `k×` the scalar sweep.
+    /// One k-wide Gauss-Seidel (or Jacobi) sweep: per lane, a multiply-add
+    /// per stored off-diagonal entry plus the diagonal solve per row,
+    /// ≈ `2·nnz`.
     pub fn gs_sweep_batch(nnz: usize, k: usize) -> u64 {
         2 * nnz as u64 * k as u64
     }

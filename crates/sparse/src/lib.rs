@@ -8,14 +8,15 @@
 //!
 //! * [`Csr`] — compressed sparse row storage with validation and
 //!   conversion utilities,
-//! * [`spmv`] — sparse matrix–vector products, including the fused
-//!   SpMV + inner-product kernel and identity-block-skipping products for
-//!   CF-permuted interpolation operators,
-//! * [`multivec`] / [`spmm`] — the batched multi-RHS substrate: a strided
-//!   row-major [`MultiVec`] block vector, k-wide SpMM twins of every
-//!   solve-phase SpMV kernel, and per-column deterministic vector
-//!   reductions (column `j` is bitwise identical to the single-vector
-//!   kernel on the extracted column),
+//! * [`multivec`] / [`spmm`] — the solve phase's kernels over
+//!   `k`-interleaved row-major block vectors `(data, k)` ([`MultiVec`]
+//!   owns one): SpMM, the fused residual + norms, identity-block-skipping
+//!   products for CF-permuted interpolation operators, and per-column
+//!   deterministic vector reductions, monomorphized over the lane width
+//!   (column `j` of a `k`-wide result is bitwise the `k = 1` result),
+//! * [`spmv`] — sparse matrix–vector products: the `k = 1` lane of the
+//!   block kernels, plus the sequential oracle, the fused SpMV +
+//!   inner-product kernel and the paper's ablation baselines,
 //! * [`spgemm`] — Gustavson sparse matrix–matrix multiplication in three
 //!   flavours: the classic two-pass (symbolic + numeric) baseline, the
 //!   paper's one-pass variant with per-thread pre-allocated output chunks,
@@ -51,6 +52,8 @@ pub mod spa;
 pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
+#[cfg(test)]
+mod testutil;
 pub mod traffic;
 pub mod transpose;
 pub mod triple;

@@ -1,25 +1,27 @@
-//! Strided row-major block vectors for the batched multi-RHS solve path.
+//! Strided row-major block vectors: the one vector representation of the
+//! solve phase.
 //!
-//! A [`MultiVec`] holds `k` right-hand-side columns interleaved row-major:
-//! row `i` occupies `data[i*k .. (i+1)*k]`, so one matrix-row traversal can
-//! advance all `k` columns with unit-stride lane access. Column `j` of every
-//! batched kernel performs *exactly* the per-row arithmetic (same order,
-//! same chunking) as the corresponding single-vector kernel on the extracted
-//! column — that is the determinism contract the batched solve path is built
-//! on: batch column `j` is bitwise identical to a solo solve of that RHS.
+//! A block vector is `(data, k)`: `k` columns interleaved row-major, row
+//! `i` occupying `data[i*k .. (i+1)*k]`, so one matrix-row traversal
+//! advances all `k` columns with unit-stride lane access. A plain `&[f64]`
+//! *is* the `k = 1` block, so the single-vector kernels in
+//! [`crate::vecops`] and [`crate::spmv`] are the `K = 1` lane of the
+//! kernels here and in [`crate::spmm`], not separate code. [`MultiVec`]
+//! owns such a block; the `*_rows` functions take borrowed ones.
 //!
-//! The batched level-1 kernels here mirror [`crate::vecops`]: the same
-//! fixed 4096-row chunking, the same sequential-below-threshold cutover,
-//! and the same linear chunk-order fold, applied lane-wise. Inner loops are
-//! monomorphized over k ∈ {1, 2, 4, 8} (fixed-width lane arrays the
-//! compiler can keep in registers and vectorize); other widths fall back to
-//! a dynamic-lane loop with identical per-lane arithmetic order.
+//! Per lane, every kernel performs the same arithmetic in the same order
+//! at every width — sequential below `2·CHUNK` rows, fixed 4096-row chunk
+//! partials folded linearly in chunk order above — so column `j` of a
+//! `k`-wide result is bitwise the `k = 1` result on that column. Inner
+//! loops are monomorphized over k ∈ {1, 2, 4, 8} by [`lanes!`](crate::lanes)
+//! (fixed-width lane arrays the compiler keeps in registers); other
+//! widths take a dynamic-lane loop with identical per-lane order.
 
 use rayon::prelude::*;
 
 /// Row-chunk length shared with `vecops`; fixed so reductions are
 /// reproducible across pool sizes.
-const CHUNK: usize = 4096;
+pub(crate) const CHUNK: usize = 4096;
 
 /// `k` right-hand-side columns stored interleaved row-major.
 ///
@@ -34,8 +36,6 @@ pub struct MultiVec {
 
 impl MultiVec {
     /// A zero-filled `n × k` block vector.
-    // ALLOC: constructor — allocation is the point; each solve-path
-    // call site carries its own justification.
     pub fn new(n: usize, k: usize) -> Self {
         MultiVec {
             data: vec![0.0; n * k],
@@ -90,8 +90,6 @@ impl MultiVec {
     }
 
     /// Extracts column `j` into a fresh vector.
-    // ALLOC: returns an owned column; the solve-path use is the
-    // convergence-freeze snapshot, justified at its call site.
     pub fn col(&self, j: usize) -> Vec<f64> {
         let mut out = vec![0.0; self.n];
         self.copy_col_into(j, &mut out);
@@ -100,20 +98,12 @@ impl MultiVec {
 
     /// Extracts column `j` into `out` (length `n`).
     pub fn copy_col_into(&self, j: usize, out: &mut [f64]) {
-        assert!(j < self.k); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(out.len(), self.n); // PANIC-FREE: see above.
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.data[i * self.k + j];
-        }
+        gather_col(&self.data, self.k, j, out);
     }
 
     /// Overwrites column `j` from `src` (length `n`).
     pub fn set_col(&mut self, j: usize, src: &[f64]) {
-        assert!(j < self.k); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(src.len(), self.n); // PANIC-FREE: see above.
-        for (i, s) in src.iter().enumerate() {
-            self.data[i * self.k + j] = *s;
-        }
+        scatter_col(&mut self.data, self.k, j, src);
     }
 
     /// All columns, extracted.
@@ -128,15 +118,36 @@ impl MultiVec {
 
     /// Copies `src` into `self` (shapes must match).
     pub fn copy_from(&mut self, src: &MultiVec) {
-        assert_eq!(self.n, src.n); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(self.k, src.k); // PANIC-FREE: see above.
+        assert_eq!(self.n, src.n);
+        assert_eq!(self.k, src.k);
         crate::vecops::copy(&src.data, &mut self.data);
+    }
+}
+
+/// Extracts column `j` of the `k`-interleaved block `data` into `out`.
+pub fn gather_col(data: &[f64], k: usize, j: usize, out: &mut [f64]) {
+    assert!(j < k); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+    assert_eq!(out.len() * k, data.len()); // PANIC-FREE: see above.
+    for (o, row) in out.iter_mut().zip(data.chunks_exact(k)) {
+        *o = row[j];
+    }
+}
+
+/// Overwrites column `j` of the `k`-interleaved block `data` from `src`.
+pub fn scatter_col(data: &mut [f64], k: usize, j: usize, src: &[f64]) {
+    assert!(j < k); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+    assert_eq!(src.len() * k, data.len()); // PANIC-FREE: see above.
+    for (s, row) in src.iter().zip(data.chunks_exact_mut(k)) {
+        row[j] = *s;
     }
 }
 
 /// Dispatches `body` with a monomorphized lane width for k ∈ {1, 2, 4, 8}
 /// and a dynamic fallback otherwise. The per-lane arithmetic order is
-/// identical in every arm; only code generation differs.
+/// identical in every arm; only code generation differs. Kernels dispatch
+/// once per call, outside their row loops, so `K = 1` compiles to plain
+/// scalar code over a `&[f64]`.
+#[macro_export]
 macro_rules! lanes {
     ($k:expr, $func:ident ( $($arg:expr),* $(,)? )) => {
         match $k {
@@ -148,171 +159,194 @@ macro_rules! lanes {
         }
     };
 }
-pub(crate) use lanes;
 
-/// Accumulates `acc[j] += x[i,j] * y[i,j]` over `rows`, per-column in
-/// ascending row order (the same add sequence `vecops::dot_seq` performs
-/// on the extracted column). `K == 0` means "use the dynamic width `k`".
-fn dot_rows<const K: usize>(
-    xd: &[f64],
-    yd: &[f64],
-    k: usize,
-    rows: std::ops::Range<usize>,
-    acc: &mut [f64],
-) {
+/// The lane count a `lanes!`-dispatched kernel runs at: the const `K`
+/// when monomorphized, the runtime `k` in the dynamic (`K == 0`) arm.
+#[inline(always)]
+pub fn width<const K: usize>(k: usize) -> usize {
     if K != 0 {
         debug_assert_eq!(K, k);
-        let mut a = [0.0f64; 8];
-        for i in rows {
-            let b = i * K;
-            for j in 0..K {
-                a[j] += xd[b + j] * yd[b + j];
-            }
-        }
-        // Callers pass zeroed accumulators; plain assignment keeps the
-        // column's fold exactly `0.0 + x0*y0 + x1*y1 + …` — the same add
-        // sequence as `dot_seq`, with no extra `0.0 +` step.
-        acc[..K].copy_from_slice(&a[..K]);
+        K
     } else {
-        for i in rows {
-            let b = i * k;
-            for (j, aj) in acc.iter_mut().enumerate() {
-                *aj += xd[b + j] * yd[b + j];
-            }
-        }
+        k
     }
 }
 
-/// Per-column dot products: `out[j] = x[:,j] · y[:,j]`.
-///
-/// Bitwise identical, per column, to [`crate::vecops::dot`] on the
-/// extracted columns: the same sequential cutover, the same 4096-row
-/// chunk partials, and the same linear chunk-order fold.
-pub fn dot_batch(x: &MultiVec, y: &MultiVec, out: &mut [f64]) {
-    assert_eq!(x.n, y.n); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(x.k, y.k); // PANIC-FREE: see above.
-    assert_eq!(out.len(), x.k); // PANIC-FREE: see above.
-    let (n, k) = (x.n, x.k);
-    out.fill(0.0);
-    if k == 0 {
-        return;
+/// Slots of the stack buffer the chunked reductions keep their per-chunk
+/// partials in: one super-block covers `PARTIAL_SLOTS / k` chunks, and
+/// longer vectors reuse the buffer — the running totals keep absorbing
+/// partials in ascending chunk order, so the linear fold is the same for
+/// every super-block size.
+pub(crate) const PARTIAL_SLOTS: usize = 512;
+
+/// `out[j] += Σ_rows x[r,j] * y[r,j]` for one chunk, lane by lane — the
+/// allocation-free chunk step for widths beyond [`PARTIAL_SLOTS`].
+pub(crate) fn add_chunk_dots_strided(xd: &[f64], yd: &[f64], k: usize, out: &mut [f64]) {
+    for (j, o) in out.iter_mut().enumerate() {
+        let mut p = 0.0;
+        for (xr, yr) in xd.chunks_exact(k).zip(yd.chunks_exact(k)) {
+            p += xr[j] * yr[j];
+        }
+        *o += p;
     }
-    if n < 2 * CHUNK {
-        lanes!(k, dot_rows(&x.data, &y.data, k, 0..n, out));
-        return;
-    }
-    let nchunks = n.div_ceil(CHUNK);
-    let mut partials = vec![0.0f64; nchunks * k]; // ALLOC: per-chunk partials for the ordered combine, O(k·n/CHUNK)
-    partials.par_chunks_mut(k).enumerate().for_each(|(ci, p)| {
-        let s = ci * CHUNK;
-        let e = (s + CHUNK).min(n);
-        lanes!(k, dot_rows(&x.data, &y.data, k, s..e, p));
-    });
-    for chunk in partials.chunks_exact(k) {
+}
+
+/// Folds per-chunk partials (`out.len()` lanes each, in chunk order) into
+/// the running per-lane totals `out`.
+pub(crate) fn add_partials(out: &mut [f64], partials: &[f64]) {
+    for chunk in partials.chunks_exact(out.len()) {
         for (o, p) in out.iter_mut().zip(chunk) {
             *o += p;
         }
     }
 }
 
-/// Per-column Euclidean norms: `out[j] = ||x[:,j]||`.
-pub fn norm2_batch(x: &MultiVec, out: &mut [f64]) {
-    let mut sq = vec![0.0; x.k]; // ALLOC: k-sized scratch, not O(n)
-    dot_batch(x, x, &mut sq);
-    for (o, s) in out.iter_mut().zip(&sq) {
-        *o = s.sqrt();
-    }
-}
-
-fn axpy_rows<const K: usize>(alpha: &[f64], xd: &[f64], yd: &mut [f64], k: usize) {
+/// Accumulates `acc[j] += x[i,j] * y[i,j]` over `rows`, per-column in
+/// ascending row order. `K == 0` means "use the dynamic width `k`".
+fn dot_range<const K: usize>(
+    xd: &[f64],
+    yd: &[f64],
+    k: usize,
+    rows: std::ops::Range<usize>,
+    acc: &mut [f64],
+) {
+    // Slicing the row range once lets the loops below run without a bounds
+    // check per element.
+    let kk = width::<K>(k);
+    let xs = xd[rows.start * kk..rows.end * kk].chunks_exact(kk);
+    let ys = yd[rows.start * kk..rows.end * kk].chunks_exact(kk);
     if K != 0 {
-        debug_assert_eq!(K, k);
-        let mut al = [0.0f64; 8];
-        al[..K].copy_from_slice(&alpha[..K]);
-        for (yr, xr) in yd.chunks_exact_mut(K).zip(xd.chunks_exact(K)) {
+        let mut a = [0.0f64; K];
+        for (xr, yr) in xs.zip(ys) {
             for j in 0..K {
-                yr[j] += al[j] * xr[j];
+                a[j] += xr[j] * yr[j];
             }
         }
+        // Callers pass zeroed accumulators; plain assignment keeps the
+        // column's fold exactly `0.0 + x0*y0 + x1*y1 + …`.
+        acc[..K].copy_from_slice(&a);
     } else {
-        for (yr, xr) in yd.chunks_exact_mut(k).zip(xd.chunks_exact(k)) {
-            for j in 0..k {
-                yr[j] += alpha[j] * xr[j];
+        for (xr, yr) in xs.zip(ys) {
+            for ((aj, x), y) in acc.iter_mut().zip(xr).zip(yr) {
+                *aj += x * y;
             }
         }
     }
 }
 
-/// Per-column `y[:,j] += alpha[j] * x[:,j]`.
+/// Per-column dot products folded linearly over all rows, whatever the
+/// length — the `k`-lane twin of [`crate::vecops::dot_seq`] (the
+/// distributed kernels reduce their local parts this way).
+pub fn dot_rows_seq(xd: &[f64], yd: &[f64], k: usize, out: &mut [f64]) {
+    assert_eq!(xd.len(), yd.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+    assert_eq!(out.len(), k); // PANIC-FREE: see above.
+    out.fill(0.0);
+    if k != 0 {
+        lanes!(k, dot_range(xd, yd, k, 0..xd.len() / k, out));
+    }
+}
+
+/// Per-column dot products of two `k`-interleaved blocks given as raw
+/// slices: `out[j] = x[:,j] · y[:,j]`. A plain `&[f64]` is the `k = 1`
+/// block, which is how [`crate::vecops::dot`] calls this.
 ///
-/// Elementwise (no reduction), so column `j` is bitwise identical to
-/// [`crate::vecops::axpy`] on the extracted column.
-pub fn axpy_batch(alpha: &[f64], x: &MultiVec, y: &mut MultiVec) {
-    assert_eq!(x.n, y.n);
-    assert_eq!(x.k, y.k);
-    assert_eq!(alpha.len(), x.k);
-    let (n, k) = (x.n, x.k);
-    if k == 0 {
+/// Deterministic for every pool size: below `2·CHUNK` rows one sequential
+/// pass; above, fixed 4096-row chunk partials folded linearly in chunk
+/// order. The partials live in a fixed stack buffer, so the reduction
+/// never allocates.
+pub fn dot_rows(xd: &[f64], yd: &[f64], k: usize, out: &mut [f64]) {
+    if k == 0 || xd.len() / k < 2 * CHUNK {
+        return dot_rows_seq(xd, yd, k, out);
+    }
+    assert_eq!(xd.len(), yd.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+    assert_eq!(out.len(), k); // PANIC-FREE: see above.
+    out.fill(0.0);
+    let n = xd.len() / k;
+    if k > PARTIAL_SLOTS {
+        for (cx, cy) in xd.chunks(CHUNK * k).zip(yd.chunks(CHUNK * k)) {
+            add_chunk_dots_strided(cx, cy, k, out);
+        }
         return;
     }
-    if n < 2 * CHUNK {
-        lanes!(k, axpy_rows(alpha, &x.data, &mut y.data, k));
-    } else {
-        y.data
-            .par_chunks_mut(CHUNK * k)
-            .zip(x.data.par_chunks(CHUNK * k))
-            .for_each(|(cy, cx)| lanes!(k, axpy_rows(alpha, cx, cy, k)));
+    let mut partials = [0.0f64; PARTIAL_SLOTS];
+    let block_rows = PARTIAL_SLOTS / k * CHUNK;
+    for first in (0..n).step_by(block_rows) {
+        let last = (first + block_rows).min(n);
+        let p = &mut partials[..(last - first).div_ceil(CHUNK) * k];
+        p.fill(0.0);
+        p.par_chunks_mut(k).enumerate().for_each(|(ci, p)| {
+            let s = first + ci * CHUNK;
+            lanes!(k, dot_range(xd, yd, k, s..(s + CHUNK).min(last), p));
+        });
+        add_partials(out, p);
     }
 }
 
-fn xpby_rows<const K: usize>(xd: &[f64], beta: &[f64], yd: &mut [f64], k: usize) {
-    if K != 0 {
-        debug_assert_eq!(K, k);
-        let mut be = [0.0f64; 8];
-        be[..K].copy_from_slice(&beta[..K]);
-        for (yr, xr) in yd.chunks_exact_mut(K).zip(xd.chunks_exact(K)) {
-            for j in 0..K {
-                yr[j] = xr[j] + be[j] * yr[j];
-            }
-        }
-    } else {
-        for (yr, xr) in yd.chunks_exact_mut(k).zip(xd.chunks_exact(k)) {
-            for j in 0..k {
-                yr[j] = xr[j] + beta[j] * yr[j];
-            }
+/// `y[i,j] = f(coef[j], x[i,j], y[i,j])` over two `k`-interleaved blocks.
+#[inline(always)]
+fn map_lanes<const K: usize>(
+    coef: &[f64],
+    xd: &[f64],
+    yd: &mut [f64],
+    k: usize,
+    f: impl Fn(f64, f64, f64) -> f64,
+) {
+    let kk = width::<K>(k);
+    for (yr, xr) in yd.chunks_exact_mut(kk).zip(xd.chunks_exact(kk)) {
+        for ((y, x), c) in yr.iter_mut().zip(xr).zip(&coef[..kk]) {
+            *y = f(*c, *x, *y);
         }
     }
 }
 
-/// Per-column `y[:,j] = x[:,j] + beta[j] * y[:,j]`.
-pub fn xpby_batch(x: &MultiVec, beta: &[f64], y: &mut MultiVec) {
-    assert_eq!(x.n, y.n);
-    assert_eq!(x.k, y.k);
-    assert_eq!(beta.len(), x.k);
-    let (n, k) = (x.n, x.k);
+fn axpy_lanes<const K: usize>(alpha: &[f64], xd: &[f64], yd: &mut [f64], k: usize) {
+    map_lanes::<K>(alpha, xd, yd, k, |a, x, y| y + a * x);
+}
+
+fn xpby_lanes<const K: usize>(beta: &[f64], xd: &[f64], yd: &mut [f64], k: usize) {
+    map_lanes::<K>(beta, xd, yd, k, |b, x, y| x + b * y);
+}
+
+/// Runs an elementwise update over two `k`-interleaved blocks: one call
+/// below `2·CHUNK` rows, otherwise one per 4096-row chunk in parallel (no
+/// reduction, so chunking cannot change a bit).
+fn for_row_chunks(
+    xd: &[f64],
+    yd: &mut [f64],
+    k: usize,
+    body: impl Fn(&[f64], &mut [f64]) + Send + Sync,
+) {
+    assert_eq!(xd.len(), yd.len());
     if k == 0 {
         return;
     }
-    if n < 2 * CHUNK {
-        lanes!(k, xpby_rows(&x.data, beta, &mut y.data, k));
+    if xd.len() / k < 2 * CHUNK {
+        body(xd, yd);
     } else {
-        y.data
-            .par_chunks_mut(CHUNK * k)
-            .zip(x.data.par_chunks(CHUNK * k))
-            .for_each(|(cy, cx)| lanes!(k, xpby_rows(cx, beta, cy, k)));
+        yd.par_chunks_mut(CHUNK * k)
+            .zip(xd.par_chunks(CHUNK * k))
+            .for_each(|(cy, cx)| body(cx, cy));
     }
+}
+
+/// Per-column `y[:,j] += alpha[j] * x[:,j]` on raw `k`-interleaved
+/// slices; [`crate::vecops::axpy`] is the `k = 1` call.
+pub fn axpy_rows(alpha: &[f64], xd: &[f64], yd: &mut [f64], k: usize) {
+    assert_eq!(alpha.len(), k);
+    for_row_chunks(xd, yd, k, |cx, cy| lanes!(k, axpy_lanes(alpha, cx, cy, k)));
+}
+
+/// Per-column `y[:,j] = x[:,j] + beta[j] * y[:,j]` on raw
+/// `k`-interleaved slices; [`crate::vecops::xpby`] is the `k = 1` call.
+pub fn xpby_rows(xd: &[f64], beta: &[f64], yd: &mut [f64], k: usize) {
+    assert_eq!(beta.len(), k);
+    for_row_chunks(xd, yd, k, |cx, cy| lanes!(k, xpby_lanes(beta, cx, cy, k)));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vecops;
-
-    fn wave(n: usize, seed: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| ((i * 31 + seed * 7) % 23) as f64 * 0.125 - 1.0)
-            .collect()
-    }
+    use crate::testutil::{chunked_dot, wave, WIDTHS};
 
     #[test]
     fn layout_round_trips_columns() {
@@ -326,57 +360,78 @@ mod tests {
         assert_eq!(mv.row(5), &[cols[0][5], cols[1][5], cols[2][5]]);
     }
 
+    /// The reduction every lane must reproduce.
+    fn dot_oracle(x: &[f64], y: &[f64]) -> f64 {
+        chunked_dot(x, y, 2 * CHUNK)
+    }
+
     #[test]
     fn dot_batch_bitwise_matches_solo_dot() {
-        // Cross the parallel threshold so the chunked fold is exercised,
-        // and cover a monomorphized width (4) and the dynamic fallback (3).
-        for (n, k) in [(100, 4), (3 * CHUNK + 17, 4), (2 * CHUNK + 5, 3), (64, 8)] {
-            let xc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j)).collect();
-            let yc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j + 10)).collect();
-            let x = MultiVec::from_columns(&xc);
-            let y = MultiVec::from_columns(&yc);
-            let mut out = vec![0.0; k];
-            dot_batch(&x, &y, &mut out);
-            for j in 0..k {
-                let solo = vecops::dot(&xc[j], &yc[j]);
-                assert_eq!(out[j].to_bits(), solo.to_bits(), "n={n} k={k} col {j}");
+        // Cross the parallel threshold so the chunked fold is exercised.
+        for n in [100, 2 * CHUNK + 5, 3 * CHUNK + 17] {
+            for k in WIDTHS {
+                let xc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j)).collect();
+                let yc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j + 10)).collect();
+                let x = MultiVec::from_columns(&xc);
+                let y = MultiVec::from_columns(&yc);
+                let mut out = vec![0.0; k];
+                dot_rows(x.data(), y.data(), k, &mut out);
+                for j in 0..k {
+                    let solo = dot_oracle(&xc[j], &yc[j]);
+                    assert_eq!(out[j].to_bits(), solo.to_bits(), "n={n} k={k} col {j}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn dot_wider_than_the_partial_buffer() {
+        // k > PARTIAL_SLOTS takes the chunk-sequential path; same fold.
+        let (n, k) = (2 * CHUNK + 3, PARTIAL_SLOTS + 1);
+        let xc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j)).collect();
+        let x = MultiVec::from_columns(&xc);
+        let mut out = vec![0.0; k];
+        dot_rows(x.data(), x.data(), k, &mut out);
+        for j in [0, 100, k - 1] {
+            assert_eq!(out[j].to_bits(), dot_oracle(&xc[j], &xc[j]).to_bits());
         }
     }
 
     #[test]
     fn norm2_batch_bitwise_matches_solo() {
         let n = 2 * CHUNK + 100;
-        let cols: Vec<Vec<f64>> = (0..2).map(|j| wave(n, j)).collect();
-        let x = MultiVec::from_columns(&cols);
-        let mut out = vec![0.0; 2];
-        norm2_batch(&x, &mut out);
-        for j in 0..2 {
-            assert_eq!(out[j].to_bits(), vecops::norm2(&cols[j]).to_bits());
+        for k in WIDTHS {
+            let cols: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j)).collect();
+            let x = MultiVec::from_columns(&cols);
+            let mut out = vec![0.0; k];
+            dot_rows(x.data(), x.data(), k, &mut out);
+            for j in 0..k {
+                out[j] = out[j].sqrt();
+                let solo = dot_oracle(&cols[j], &cols[j]).sqrt();
+                assert_eq!(out[j].to_bits(), solo.to_bits(), "k={k} col {j}");
+            }
         }
     }
 
     #[test]
     fn axpy_xpby_batch_bitwise_match_solo() {
         for n in [33usize, 2 * CHUNK + 9] {
-            let k = 4;
-            let alpha: Vec<f64> = (0..k).map(|j| 0.5 + j as f64).collect();
-            let xc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j)).collect();
-            let yc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j + 4)).collect();
-            let x = MultiVec::from_columns(&xc);
-            let mut y = MultiVec::from_columns(&yc);
-            axpy_batch(&alpha, &x, &mut y);
-            for j in 0..k {
-                let mut solo = yc[j].clone();
-                vecops::axpy(alpha[j], &xc[j], &mut solo);
-                assert_eq!(y.col(j), solo, "axpy col {j}");
-            }
-            let mut y2 = MultiVec::from_columns(&yc);
-            xpby_batch(&x, &alpha, &mut y2);
-            for j in 0..k {
-                let mut solo = yc[j].clone();
-                vecops::xpby(&xc[j], alpha[j], &mut solo);
-                assert_eq!(y2.col(j), solo, "xpby col {j}");
+            for k in WIDTHS {
+                let alpha: Vec<f64> = (0..k).map(|j| 0.5 + j as f64).collect();
+                let xc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j)).collect();
+                let yc: Vec<Vec<f64>> = (0..k).map(|j| wave(n, j + 4)).collect();
+                let x = MultiVec::from_columns(&xc);
+                let mut y = MultiVec::from_columns(&yc);
+                axpy_rows(&alpha, x.data(), y.data_mut(), k);
+                let mut y2 = MultiVec::from_columns(&yc);
+                xpby_rows(x.data(), &alpha, y2.data_mut(), k);
+                for j in 0..k {
+                    let pairs = || yc[j].iter().zip(&xc[j]);
+                    let solo: Vec<f64> = pairs().map(|(y, x)| y + alpha[j] * x).collect();
+                    assert_eq!(y.col(j), solo, "axpy n={n} k={k} col {j}");
+                    let solo: Vec<f64> = pairs().map(|(y, x)| x + alpha[j] * y).collect();
+                    assert_eq!(y2.col(j), solo, "xpby n={n} k={k} col {j}");
+                }
             }
         }
     }
@@ -386,7 +441,7 @@ mod tests {
         let x = MultiVec::new(10, 0);
         let y = MultiVec::new(10, 0);
         let mut out = vec![];
-        dot_batch(&x, &y, &mut out);
+        dot_rows(x.data(), y.data(), 0, &mut out);
         assert!(out.is_empty());
         assert!(x.columns().is_empty());
     }

@@ -11,6 +11,8 @@
 //! * "is this column coarse" becomes `col < nc`.
 
 use crate::csr::Csr;
+use crate::lanes;
+use crate::multivec::width;
 use crate::partition::{num_threads, split_rows_by_nnz};
 use rayon::prelude::*;
 
@@ -74,50 +76,33 @@ impl Permutation {
         out
     }
 
-    /// Permutes into a caller-provided buffer: `out[perm[i]] = v[i]`
-    /// (the allocation-free twin of [`Permutation::apply_vec`], used by
-    /// solve-phase hot loops).
-    pub fn apply_vec_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(out.len(), self.len()); // PANIC-FREE: see above.
-        for (old, &new) in self.forward.iter().enumerate() {
-            out[new] = v[old];
-        }
+    /// Permutes the rows of a `k`-interleaved block into a caller-provided
+    /// buffer (the allocation-free form the solve phase uses): row
+    /// `perm[i]` of `out` is row `i` of `v`. Whole rows move, so every
+    /// column sees the same scatter; a plain vector is the `k = 1` block.
+    pub fn apply_rows_into(&self, v: &[f64], k: usize, out: &mut [f64]) {
+        self.permute_block(v, k, out, true);
     }
 
-    /// Un-permutes into a caller-provided buffer: `out[i] = v[perm[i]]`.
-    pub fn unapply_vec_into(&self, v: &[f64], out: &mut [f64]) {
-        assert_eq!(v.len(), self.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(out.len(), self.len()); // PANIC-FREE: see above.
-        for (old, &new) in self.forward.iter().enumerate() {
-            out[old] = v[new];
-        }
+    /// Un-permutes the rows of a `k`-interleaved block: row `i` of `out`
+    /// is row `perm[i]` of `v`.
+    pub fn unapply_rows_into(&self, v: &[f64], k: usize, out: &mut [f64]) {
+        self.permute_block(v, k, out, false);
     }
 
-    /// Permutes a block vector row-wise: `out.row(perm[i]) = v.row(i)`.
-    /// Whole rows move, so column `j` sees exactly
-    /// [`Permutation::apply_vec_into`] on the extracted column.
-    pub fn apply_multi_into(&self, v: &crate::MultiVec, out: &mut crate::MultiVec) {
-        assert_eq!(v.n(), self.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(out.n(), self.len()); // PANIC-FREE: see above.
-        assert_eq!(v.k(), out.k()); // PANIC-FREE: see above.
-        let k = v.k();
-        let (vd, od) = (v.data(), out.data_mut());
-        for (old, &new) in self.forward.iter().enumerate() {
-            od[new * k..(new + 1) * k].copy_from_slice(&vd[old * k..(old + 1) * k]);
+    fn permute_block(&self, v: &[f64], k: usize, out: &mut [f64], scatter: bool) {
+        assert_eq!(v.len(), self.len() * k); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+        assert_eq!(out.len(), self.len() * k); // PANIC-FREE: see above.
+                                               // Dispatched on the lane width so a row copy is a register move at
+                                               // k = 1, not a `memcpy` call per element.
+        fn run<const K: usize>(fwd: &[usize], v: &[f64], k: usize, out: &mut [f64], scatter: bool) {
+            let kk = width::<K>(k);
+            for (old, &new) in fwd.iter().enumerate() {
+                let (src, dst) = if scatter { (old, new) } else { (new, old) };
+                out[dst * kk..(dst + 1) * kk].copy_from_slice(&v[src * kk..(src + 1) * kk]);
+            }
         }
-    }
-
-    /// Un-permutes a block vector row-wise: `out.row(i) = v.row(perm[i])`.
-    pub fn unapply_multi_into(&self, v: &crate::MultiVec, out: &mut crate::MultiVec) {
-        assert_eq!(v.n(), self.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-        assert_eq!(out.n(), self.len()); // PANIC-FREE: see above.
-        assert_eq!(v.k(), out.k()); // PANIC-FREE: see above.
-        let k = v.k();
-        let (vd, od) = (v.data(), out.data_mut());
-        for (old, &new) in self.forward.iter().enumerate() {
-            od[old * k..(old + 1) * k].copy_from_slice(&vd[new * k..(new + 1) * k]);
-        }
+        lanes!(k, run(&self.forward, v, k, out, scatter));
     }
 }
 

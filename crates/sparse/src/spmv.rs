@@ -1,22 +1,22 @@
 //! Sparse matrix–vector products.
 //!
-//! Beyond the plain kernel this module implements two solve-phase
-//! optimizations from §3.2/§3.3 of the paper:
-//!
-//! * **Fused SpMV + inner product** (`spmv_dot`, `residual_norm`): when the
-//!   output vector of an SpMV is consumed only by a dot product (the
-//!   residual-norm check every iteration), fusing the two saves one full
-//!   write + read of the output vector.
-//! * **Identity-block skipping** (`interp_apply`, `restrict_apply`): after
-//!   CF permutation the interpolation operator has the form `[I; P_F]`, so
-//!   prolongation copies the coarse part and multiplies only the fine rows,
-//!   and restriction starts from the coarse part of the input.
+//! The solve-phase kernels here — `spmv`, `spmv_axpby`, the fused
+//! `residual_norm_sq` (§3.3: the residual is consumed by its norm while
+//! still in registers, saving one write + read of the vector) and the
+//! identity-block-skipping `interp_apply` / `restrict_apply` (§3.1.2:
+//! after CF permutation `P = [I; P_F]`, so prolongation copies the coarse
+//! part and multiplies only the fine rows) — are the `k = 1` lane of the
+//! block kernels in [`crate::spmm`]: each borrows the caller's slices as
+//! a width-1 block. What is implemented here has no k-wide twin: the
+//! sequential oracle `spmv_seq`, the fused `spmv_dot`, and the paper's
+//! ablation baselines `spmv_unrolled` and `residual_norm_sq_unfused`.
 
 use crate::csr::Csr;
+use crate::spmm::{
+    interp_apply_add_rows, interp_apply_rows, residual_rows, restrict_apply_rows, spmm_axpby_rows,
+    spmm_rows, PAR_THRESHOLD,
+};
 use rayon::prelude::*;
-
-/// Minimum rows before a kernel goes parallel.
-const PAR_THRESHOLD: usize = 512;
 
 #[inline]
 fn row_dot(a: &Csr, i: usize, x: &[f64]) -> f64 {
@@ -27,10 +27,10 @@ fn row_dot(a: &Csr, i: usize, x: &[f64]) -> f64 {
     acc
 }
 
-/// `y = A * x`, sequential.
+/// `y = A * x`, sequential (the test oracle for every SpMV variant).
 pub fn spmv_seq(a: &Csr, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.ncols()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(y.len(), a.nrows()); // PANIC-FREE: see above.
+    assert_eq!(x.len(), a.ncols());
+    assert_eq!(y.len(), a.nrows());
     for i in 0..a.nrows() {
         y[i] = row_dot(a, i, x);
     }
@@ -38,37 +38,12 @@ pub fn spmv_seq(a: &Csr, x: &[f64], y: &mut [f64]) {
 
 /// `y = A * x`, parallel over row blocks.
 pub fn spmv(a: &Csr, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.ncols()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(y.len(), a.nrows()); // PANIC-FREE: see above.
-    if a.nrows() < PAR_THRESHOLD {
-        return spmv_seq(a, x, y);
-    }
-    // Rows are a handful of flops each; coarse blocks keep the pool's
-    // per-block bookkeeping out of the bandwidth-bound inner loop.
-    y.par_iter_mut()
-        .enumerate()
-        .with_min_len(512)
-        .for_each(|(i, yi)| *yi = row_dot(a, i, x));
+    spmm_rows(a, x, 1, y);
 }
 
 /// `y = alpha * A * x + beta * y`.
 pub fn spmv_axpby(a: &Csr, alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), a.ncols()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(y.len(), a.nrows()); // PANIC-FREE: see above.
-    let body = |i: usize, yi: &mut f64| {
-        let v = row_dot(a, i, x);
-        *yi = alpha * v + beta * *yi;
-    };
-    if a.nrows() < PAR_THRESHOLD {
-        for (i, yi) in y.iter_mut().enumerate() {
-            body(i, yi);
-        }
-    } else {
-        y.par_iter_mut()
-            .enumerate()
-            .with_min_len(512)
-            .for_each(|(i, yi)| body(i, yi));
-    }
+    spmm_axpby_rows(a, alpha, x, beta, 1, y);
 }
 
 /// Fused `y = A*x` and `y . z` in one sweep; returns the dot product.
@@ -110,35 +85,9 @@ pub fn spmv_dot(a: &Csr, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
 
 /// Fused residual `r = b - A*x` with `||r||^2` returned in one sweep.
 pub fn residual_norm_sq(a: &Csr, x: &[f64], b: &[f64], r: &mut [f64]) -> f64 {
-    assert_eq!(x.len(), a.ncols()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(b.len(), a.nrows()); // PANIC-FREE: see above.
-    assert_eq!(r.len(), a.nrows()); // PANIC-FREE: see above.
-    if a.nrows() < PAR_THRESHOLD {
-        let mut acc = 0.0;
-        for i in 0..a.nrows() {
-            let v = b[i] - row_dot(a, i, x);
-            r[i] = v;
-            acc += v * v;
-        }
-        return acc;
-    }
-    let chunk = 4096;
-    r.par_chunks_mut(chunk)
-        .enumerate()
-        .map(|(ci, rc)| {
-            let base = ci * chunk;
-            let mut acc = 0.0;
-            for (k, rk) in rc.iter_mut().enumerate() {
-                let i = base + k;
-                let v = b[i] - row_dot(a, i, x);
-                *rk = v;
-                acc += v * v;
-            }
-            acc
-        })
-        .collect::<Vec<_>>() // ALLOC: per-chunk partials for the ordered combine, O(n/4096)
-        .into_iter()
-        .sum() // DETERMINISM: fixed-size chunks combined by an ordered sequential sum.
+    let mut norm_sq = [0.0];
+    residual_rows(a, x, b, r, 1, &mut norm_sq);
+    norm_sq[0]
 }
 
 /// Unfused reference: computes `r = b - A*x` then `||r||^2` in two sweeps.
@@ -197,24 +146,12 @@ pub fn spmv_unrolled(a: &Csr, x: &[f64], y: &mut [f64]) {
 /// `xf[0..nc] = xc` (identity block) and `xf[nc..] = P_F * xc`. `pf` is the
 /// fine-rows-only block with `nrows = n - nc`.
 pub fn interp_apply(pf: &Csr, nc: usize, xc: &[f64], xf: &mut [f64]) {
-    assert_eq!(xc.len(), nc);
-    assert_eq!(pf.ncols(), nc);
-    assert_eq!(xf.len(), nc + pf.nrows());
-    xf[..nc].copy_from_slice(xc);
-    let (_, fine) = xf.split_at_mut(nc);
-    spmv(pf, xc, fine);
+    interp_apply_rows(pf, nc, xc, 1, xf);
 }
 
 /// Prolongation-and-correct: `xf += [I; P_F] * xc` (the V-cycle update).
 pub fn interp_apply_add(pf: &Csr, nc: usize, xc: &[f64], xf: &mut [f64]) {
-    assert_eq!(xc.len(), nc); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(pf.ncols(), nc); // PANIC-FREE: see above.
-    assert_eq!(xf.len(), nc + pf.nrows()); // PANIC-FREE: see above.
-    for (o, c) in xf[..nc].iter_mut().zip(xc) {
-        *o += c;
-    }
-    let (_, fine) = xf.split_at_mut(nc);
-    spmv_axpby(pf, 1.0, xc, 1.0, fine);
+    interp_apply_add_rows(pf, nc, xc, 1, xf);
 }
 
 /// Restriction with a CF-permuted `R = Pᵀ = [I  P_Fᵀ]`.
@@ -223,12 +160,7 @@ pub fn interp_apply_add(pf: &Csr, nc: usize, xc: &[f64], xf: &mut [f64]) {
 /// paper's "keep the transpose" optimization); the result is
 /// `xc = xf[0..nc] + P_Fᵀ * xf[nc..]`.
 pub fn restrict_apply(rf: &Csr, nc: usize, xf: &[f64], xc: &mut [f64]) {
-    assert_eq!(rf.nrows(), nc); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    assert_eq!(xf.len(), nc + rf.ncols()); // PANIC-FREE: see above.
-    assert_eq!(xc.len(), nc); // PANIC-FREE: see above.
-    xc.copy_from_slice(&xf[..nc]);
-    let fine = &xf[nc..];
-    spmv_axpby(rf, 1.0, fine, 1.0, xc);
+    restrict_apply_rows(rf, nc, xf, 1, xc);
 }
 
 #[cfg(test)]
@@ -243,23 +175,7 @@ mod tests {
     }
 
     fn random_csr(nrows: usize, ncols: usize, seed: u64) -> Csr {
-        // Simple LCG-based deterministic sparse matrix.
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut trips = Vec::new();
-        for i in 0..nrows {
-            for _ in 0..3 {
-                let j = (next() as usize) % ncols;
-                let v = ((next() % 100) as f64 - 50.0) / 10.0;
-                trips.push((i, j, v));
-            }
-        }
-        Csr::from_triplets(nrows, ncols, trips)
+        crate::testutil::random_csr(nrows, ncols, 3, seed)
     }
 
     #[test]
@@ -284,6 +200,41 @@ mod tests {
         spmv_seq(&a, &x, &mut y1);
         spmv(&a, &x, &mut y2);
         assert_eq!(y1, y2); // bitwise: same per-row accumulation order
+    }
+
+    #[test]
+    fn k1_lane_matches_sequential_oracles() {
+        // `spmv`, `spmv_axpby` and `residual_norm_sq` are the K = 1 lane
+        // of the block kernels; their oracles are `spmv_seq` plus plain
+        // loops, below and above PAR_THRESHOLD and across a ragged
+        // reduction chunk.
+        for n in [60, PAR_THRESHOLD - 1, PAR_THRESHOLD, 5000, 9000] {
+            let a = random_csr(n, n, n as u64);
+            let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 * 0.1 - 0.7).collect();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 11) as f64 * 0.3 - 1.0).collect();
+            let mut ax = vec![0.0; n];
+            spmv_seq(&a, &x, &mut ax);
+
+            let mut y = vec![f64::NAN; n];
+            spmv(&a, &x, &mut y);
+            assert_eq!(y, ax, "spmv n={n}");
+
+            let mut y = b.clone();
+            spmv_axpby(&a, 1.5, &x, -0.25, &mut y);
+            let expect: Vec<f64> = ax
+                .iter()
+                .zip(&b)
+                .map(|(v, y0)| 1.5 * v + -0.25 * y0)
+                .collect();
+            assert_eq!(y, expect, "spmv_axpby n={n}");
+
+            let mut r = vec![f64::NAN; n];
+            let norm_sq = residual_norm_sq(&a, &x, &b, &mut r);
+            let expect: Vec<f64> = b.iter().zip(&ax).map(|(bi, v)| bi - v).collect();
+            assert_eq!(r, expect, "residual n={n}");
+            let folded = crate::testutil::chunked_dot(&expect, &expect, PAR_THRESHOLD);
+            assert_eq!(norm_sq.to_bits(), folded.to_bits(), "norm n={n}");
+        }
     }
 
     #[test]

@@ -4,55 +4,25 @@
 //! reassociate floating-point additions; famg uses fixed chunking so the
 //! result is deterministic for a given thread count.
 
+use crate::multivec::CHUNK;
 use rayon::prelude::*;
-
-/// Chunk length used by the deterministic parallel reductions. Fixed (not
-/// thread-count dependent) so results are reproducible across pool sizes.
-const CHUNK: usize = 4096;
 
 /// Sequential dot product.
 pub fn dot_seq(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+    assert_eq!(x.len(), y.len());
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
-/// Chunk partials per reduction super-block. Each super-block covers
-/// `PARTIAL_LANES * CHUNK` elements; partials land in a fixed stack array
-/// so the reduction never allocates.
-const PARTIAL_LANES: usize = 512;
-
-/// Deterministic parallel dot product (fixed-chunk tree reduction).
-///
-/// Allocation-free: per-chunk partials are written into a fixed-size stack
-/// array and folded sequentially in chunk order — the same fold shape (and
-/// therefore bitwise the same result) as the historical
-/// `par_chunks(CHUNK).map(dot_seq).collect::<Vec<_>>().sum()` reduction,
-/// which heap-allocated a partials vector on every call. Vectors longer
-/// than one super-block reuse the array: the running total keeps absorbing
-/// partials in ascending chunk order, so the linear fold is unchanged.
+/// Deterministic parallel dot product: the `k = 1` lane of
+/// [`crate::multivec::dot_rows`] — sequential below `2·CHUNK` elements,
+/// fixed-chunk partials in a stack buffer folded in chunk order above.
+/// Differs from [`dot_seq`] in the last bits on long vectors (chunked
+/// fold) and in the sign of an all-zero result (`0.0`, where the iterator
+/// sum starts from `-0.0`).
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
-    if x.len() < 2 * CHUNK {
-        return dot_seq(x, y);
-    }
-    let mut partials = [0.0f64; PARTIAL_LANES];
-    let mut total = 0.0;
-    let block = PARTIAL_LANES * CHUNK;
-    for (bx, by) in x.chunks(block).zip(y.chunks(block)) {
-        let nchunks = bx.len().div_ceil(CHUNK);
-        partials[..nchunks]
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(ci, p)| {
-                let s = ci * CHUNK;
-                let e = (s + CHUNK).min(bx.len());
-                *p = dot_seq(&bx[s..e], &by[s..e]);
-            });
-        for &p in &partials[..nchunks] {
-            total += p;
-        }
-    }
-    total
+    let mut out = [0.0];
+    crate::multivec::dot_rows(x, y, 1, &mut out);
+    out[0]
 }
 
 /// Euclidean norm.
@@ -62,38 +32,12 @@ pub fn norm2(x: &[f64]) -> f64 {
 
 /// `y += alpha * x`.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    if x.len() < 2 * CHUNK {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    } else {
-        y.par_chunks_mut(CHUNK)
-            .zip(x.par_chunks(CHUNK))
-            .for_each(|(cy, cx)| {
-                for (yi, xi) in cy.iter_mut().zip(cx) {
-                    *yi += alpha * xi;
-                }
-            });
-    }
+    crate::multivec::axpy_rows(&[alpha], x, y, 1);
 }
 
 /// `y = x + beta * y` (scaled update used by residual corrections).
 pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len());
-    if x.len() < 2 * CHUNK {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi = xi + beta * *yi;
-        }
-    } else {
-        y.par_chunks_mut(CHUNK)
-            .zip(x.par_chunks(CHUNK))
-            .for_each(|(cy, cx)| {
-                for (yi, xi) in cy.iter_mut().zip(cx) {
-                    *yi = xi + beta * *yi;
-                }
-            });
-    }
+    crate::multivec::xpby_rows(x, &[beta], y, 1);
 }
 
 /// `x *= alpha`.
@@ -113,7 +57,7 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
 
 /// Copies `src` into `dst` (parallel memcpy for large vectors).
 pub fn copy(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len()); // PANIC-FREE: shape guard; solve buffers are sized at setup.
+    assert_eq!(src.len(), dst.len());
     if src.len() < 4 * CHUNK {
         dst.copy_from_slice(src);
     } else {
@@ -149,27 +93,36 @@ mod tests {
 
     #[test]
     fn dot_bitwise_matches_legacy_reduction_order() {
-        // The allocation-free stack-array fold must reproduce the
-        // historical `collect::<Vec<_>>().into_iter().sum()` reduction bit
-        // for bit: same chunk partials, same linear chunk-order fold.
-        // Cover one super-block, a ragged tail, and a second super-block.
+        // `dot` is the k = 1 lane of the block reduction; its oracle is
+        // `dot_seq` below the cutover and, above it, `dot_seq` chunk
+        // partials folded linearly in chunk order (what the historical
+        // `collect::<Vec<_>>().into_iter().sum()` reduction computed).
+        // Lengths straddle the `2·CHUNK` cutover and one super-block of
+        // the stack partial buffer.
+        let block = crate::multivec::PARTIAL_SLOTS * CHUNK;
         for n in [
+            0,
+            1,
+            2 * CHUNK - 1,
             2 * CHUNK,
+            2 * CHUNK + 1,
             3 * CHUNK + 17,
-            PARTIAL_LANES * CHUNK + 5 * CHUNK + 3,
+            block - 1,
+            block,
+            block + 1,
+            block + 5 * CHUNK + 3,
         ] {
             let x: Vec<f64> = (0..n)
                 .map(|i| ((i * 31) % 23) as f64 * 0.125 - 1.0)
                 .collect();
             let y: Vec<f64> = (0..n).map(|i| ((i * 7) % 19) as f64 * 0.25 - 2.0).collect();
-            let legacy: f64 = x
-                .par_chunks(CHUNK)
-                .zip(y.par_chunks(CHUNK))
-                .map(|(cx, cy)| dot_seq(cx, cy))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .sum();
-            assert_eq!(dot(&x, &y).to_bits(), legacy.to_bits(), "n={n}");
+            let legacy = |x: &[f64], y: &[f64]| crate::testutil::chunked_dot(x, y, 2 * CHUNK);
+            assert_eq!(dot(&x, &y).to_bits(), legacy(&x, &y).to_bits(), "n={n}");
+            assert_eq!(
+                norm2(&x).to_bits(),
+                legacy(&x, &x).sqrt().to_bits(),
+                "norm2 n={n}"
+            );
         }
     }
 

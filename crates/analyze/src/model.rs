@@ -22,8 +22,20 @@
 //! or module when one exists in the workspace; qualifiers that match
 //! nothing (e.g. `Vec::new`, `f64::max`) resolve to no edge — std behavior
 //! is captured by site classification instead, never by traversal.
+//!
+//! One refinement keeps shared generic code analyzable. A type that only
+//! its own crate can name (no plain `pub`) and that is stored in no other
+//! type is **gated**: its `impl` methods become call candidates only once
+//! a function already reached names the type (signature or body) — a
+//! value of a type nobody on the path can name cannot exist there. That
+//! is rapid type analysis restricted to the one case where it is sound
+//! without whole-program knowledge: public types may arrive through a
+//! root's arguments and types held in fields arrive inside them, so both
+//! stay ungated. It is what lets one recurrence written over a trait be
+//! instantiated by a fallible distributed space and an infallible serial
+//! one without each side's roots inheriting the other's call tree.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::lex::{self, Kind, Lexed, Tok};
 use crate::parse::{self, FnItem};
@@ -64,6 +76,9 @@ pub struct FnNode {
     pub panics: Vec<Site>,
     /// Parallel floating-point reduction sites.
     pub reductions: Vec<Site>,
+    /// Gated types (see the module docs) this function names, its own
+    /// `impl` type included: reaching it makes them live.
+    pub names_gated: Vec<String>,
 }
 
 /// A lexed source file with its workspace-relative path.
@@ -84,6 +99,7 @@ pub struct Model {
     /// All non-test functions with bodies or declarations.
     pub fns: Vec<FnNode>,
     index: HashMap<String, Vec<usize>>,
+    gated: HashSet<String>,
 }
 
 impl Model {
@@ -94,10 +110,20 @@ impl Model {
     #[must_use]
     pub fn build(sources: &[(String, String)]) -> Model {
         let mut m = Model::default();
+        // Type name -> "every definition is crate-private", and every
+        // identifier that occurs inside some type definition.
+        let mut private: HashMap<String, bool> = HashMap::new();
+        let mut stored: HashSet<String> = HashSet::new();
         for (path, src) in sources {
             let lexed = lex::lex(src);
             let file = m.files.len();
-            for item in parse::parse_items(&lexed) {
+            let (fns, types) = parse::parse_file(&lexed);
+            for ty in types.iter().filter(|t| !t.in_test) {
+                *private.entry(ty.name.clone()).or_insert(true) &= !ty.is_pub;
+                let (s, e) = ty.span;
+                stored.extend(idents(&lexed.toks[s..e]).map(str::to_string));
+            }
+            for item in fns {
                 if item.in_test {
                     continue;
                 }
@@ -112,6 +138,7 @@ impl Model {
                     allocs,
                     panics,
                     reductions,
+                    names_gated: Vec::new(),
                 });
             }
             m.files.push(FileInfo {
@@ -119,10 +146,35 @@ impl Model {
                 lexed,
             });
         }
+        m.gated = private
+            .into_iter()
+            .filter(|(name, all_private)| *all_private && !stored.contains(name))
+            .map(|(name, _)| name)
+            .collect();
+        for f in &mut m.fns {
+            let (s, e) = f.item.span;
+            let mut named: Vec<&str> = idents(&m.files[f.file].lexed.toks[s..e])
+                .chain(f.item.self_ty.as_deref())
+                .filter(|id| m.gated.contains(*id))
+                .collect();
+            named.sort_unstable();
+            named.dedup();
+            f.names_gated = named.into_iter().map(str::to_string).collect();
+        }
         for (i, f) in m.fns.iter().enumerate() {
             m.index.entry(f.item.name.clone()).or_default().push(i);
         }
         m
+    }
+
+    /// The gated type `f` is a method of, if any: `f` can only run once
+    /// that type is live.
+    #[must_use]
+    pub fn gate_of<'f>(&self, f: &'f FnNode) -> Option<&'f str> {
+        f.item
+            .self_ty
+            .as_deref()
+            .filter(|ty| self.gated.contains(*ty))
     }
 
     /// Resolves a call site to candidate callee indices (see module docs
@@ -221,6 +273,13 @@ impl Model {
 fn file_stem(path: &str) -> &str {
     let base = path.rsplit('/').next().unwrap_or(path);
     base.strip_suffix(".rs").unwrap_or(base)
+}
+
+/// The identifier tokens of a token slice.
+fn idents(toks: &[Tok]) -> impl Iterator<Item = &str> {
+    toks.iter()
+        .filter(|t| t.kind == Kind::Ident)
+        .map(|t| t.text.as_str())
 }
 
 /// Keywords that can directly precede `(` without being calls.

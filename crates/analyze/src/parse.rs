@@ -3,8 +3,9 @@
 //! Walks a lexed file and extracts every `fn` item together with its
 //! enclosing context: inline-module path, `impl`/`trait` self type,
 //! visibility, `#[cfg(test)]` shadowing, and the token range of the body.
-//! Everything else (type definitions, consts, uses) is skipped with
-//! bracket-balanced scans — the analyzer only reasons about functions.
+//! Type definitions are recorded by name, visibility and token range only
+//! (the model asks which crate-private types a function can name);
+//! everything else (consts, uses) is skipped with bracket-balanced scans.
 //!
 //! The parser is deliberately forgiving: a construct outside the supported
 //! subset is skipped token-by-token rather than aborting the file, so one
@@ -35,15 +36,33 @@ pub struct FnItem {
     /// Half-open token-index range of the body, `None` for bodyless trait
     /// method declarations.
     pub body: Option<(usize, usize)>,
+    /// Half-open token-index range of the whole item, from the `fn`
+    /// keyword through the body (or the `;`).
+    pub span: (usize, usize),
 }
 
-/// Parses all `fn` items out of a lexed file.
+/// One `struct`/`enum`/`union` definition.
+#[derive(Debug, Clone)]
+pub struct TypeItem {
+    /// Type name.
+    pub name: String,
+    /// True only for plain `pub`: `pub(crate)` and friends keep the type
+    /// unnameable outside its crate.
+    pub is_pub: bool,
+    /// True under `#[cfg(test)]`.
+    pub in_test: bool,
+    /// Half-open token-index range of the definition after its name.
+    pub span: (usize, usize),
+}
+
+/// Parses all `fn` items and type definitions out of a lexed file.
 #[must_use]
-pub fn parse_items(lx: &Lexed) -> Vec<FnItem> {
+pub fn parse_file(lx: &Lexed) -> (Vec<FnItem>, Vec<TypeItem>) {
     let mut p = Parser {
         t: &lx.toks,
         i: 0,
         out: Vec::new(),
+        types: Vec::new(),
     };
     let ctx = Ctx {
         module: Vec::new(),
@@ -51,7 +70,7 @@ pub fn parse_items(lx: &Lexed) -> Vec<FnItem> {
         in_test: false,
     };
     p.items(&ctx);
-    p.out
+    (p.out, p.types)
 }
 
 #[derive(Clone)]
@@ -65,6 +84,7 @@ struct Parser<'a> {
     t: &'a [Tok],
     i: usize,
     out: Vec<FnItem>,
+    types: Vec<TypeItem>,
 }
 
 impl Parser<'_> {
@@ -125,10 +145,12 @@ impl Parser<'_> {
             }
         }
         let mut is_pub = false;
+        let mut restricted = false;
         if self.at_ident() == Some("pub") {
             is_pub = true;
             self.i += 1;
             if self.at('(') {
+                restricted = true;
                 self.skip_balanced('(', ')');
             }
         }
@@ -191,7 +213,7 @@ impl Parser<'_> {
                     }
                 }
             }
-            Some("struct" | "enum" | "union") => self.skip_struct(),
+            Some("struct" | "enum" | "union") => self.type_item(is_pub && !restricted, in_test),
             Some("use" | "static" | "type" | "const" | "extern") => self.skip_to_semi(),
             Some("macro_rules") => {
                 self.i += 1;
@@ -211,6 +233,7 @@ impl Parser<'_> {
 
     fn fn_item(&mut self, ctx: &Ctx, is_pub: bool, in_test: bool, attr_line: Option<usize>) {
         let sig_line = self.t[self.i].line;
+        let start = self.i;
         self.i += 1; // `fn`
         let Some(name) = self.take_ident() else {
             return;
@@ -253,6 +276,7 @@ impl Parser<'_> {
             sig_line,
             attr_line: attr_line.unwrap_or(sig_line),
             body,
+            span: (start, self.i),
         });
     }
 
@@ -308,11 +332,12 @@ impl Parser<'_> {
         }
     }
 
-    /// Skips a struct/enum/union definition: optional generics and tuple
-    /// body, terminated by `;` or a braced body.
-    fn skip_struct(&mut self) {
+    /// Records a struct/enum/union definition: optional generics and
+    /// tuple body, terminated by `;` or a braced body.
+    fn type_item(&mut self, is_pub: bool, in_test: bool) {
         self.i += 1; // keyword
-        let _ = self.take_ident();
+        let name = self.take_ident().unwrap_or_default();
+        let start = self.i;
         while let Some(t) = self.cur() {
             if t.is('<') {
                 self.skip_angles();
@@ -322,14 +347,20 @@ impl Parser<'_> {
                 self.skip_balanced('[', ']');
             } else if t.is(';') {
                 self.i += 1;
-                return;
+                break;
             } else if t.is('{') {
                 self.skip_balanced('{', '}');
-                return;
+                break;
             } else {
                 self.i += 1;
             }
         }
+        self.types.push(TypeItem {
+            name,
+            is_pub,
+            in_test,
+            span: (start, self.i),
+        });
     }
 
     /// Skips to just past a `;` at bracket depth zero, balancing `()`,
@@ -422,7 +453,7 @@ mod tests {
     use crate::lex::lex;
 
     fn fns(src: &str) -> Vec<FnItem> {
-        parse_items(&lex(src))
+        parse_file(&lex(src)).0
     }
 
     #[test]
@@ -524,5 +555,35 @@ mod tests {
         let got = fns(src);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].name, "survivor");
+    }
+
+    #[test]
+    fn type_definitions_carry_name_and_visibility() {
+        let src = "
+            pub struct Open { inner: Hidden }
+            pub(crate) struct Scoped<'a>(&'a [u8]);
+            struct Hidden;
+            #[cfg(test)]
+            enum OnlyInTests { A }
+            fn after() {}
+        ";
+        let lx = lex(src);
+        let (fns, types) = parse_file(&lx);
+        assert_eq!(fns.len(), 1);
+        let got: Vec<(&str, bool, bool)> = types
+            .iter()
+            .map(|t| (t.name.as_str(), t.is_pub, t.in_test))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("Open", true, false),
+                ("Scoped", false, false),
+                ("Hidden", false, false),
+                ("OnlyInTests", false, true),
+            ]
+        );
+        let (s, e) = types[0].span;
+        assert!(lx.toks[s..e].iter().any(|t| t.is_ident("Hidden")));
     }
 }

@@ -25,7 +25,7 @@
 //! vouches for the function and everything it calls — the BFS reports
 //! nothing inside the vouched subtree.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use famg_check::diag::Diagnostic;
 
@@ -57,10 +57,10 @@ pub const SOLVE_ROOTS: &[&str] = &[
     "cg_with",
     "cg_batch_with",
     "fgmres",
+    "cg_rows",
+    "fgmres_in",
     "try_dist_amg_solve",
     "try_dist_amg_solve_multi",
-    "try_dist_vcycle",
-    "try_dist_vcycle_with",
     "try_dist_vcycle_rows",
     "try_dist_fgmres_amg",
     "try_dist_pcg_amg",
@@ -111,42 +111,47 @@ fn is_setup_named(name: &str) -> bool {
 /// Reachability BFS from `roots`. Returns, for each visited function, the
 /// BFS parent (`usize::MAX` for roots) — only functions whose bodies were
 /// actually examined appear (function-level annotated nodes and cut names
-/// are absorbed silently).
+/// are absorbed silently). A method of a gated type (see [`crate::model`])
+/// waits until some visited function names that type.
 fn reach(
     m: &Model,
     roots: &[usize],
     marker: &str,
     cut: impl Fn(&FnNode) -> bool,
 ) -> Vec<(usize, usize)> {
-    let n = m.fns.len();
-    let mut seen = vec![false; n];
-    let mut parent = vec![usize::MAX; n];
+    let mut seen = vec![false; m.fns.len()];
     let mut out = Vec::new();
-    let mut q = VecDeque::new();
-    for &r in roots {
-        if seen[r] {
+    let mut live: HashSet<&str> = HashSet::new();
+    // (callee, caller) edges whose callee's type is not live yet.
+    let mut waiting: Vec<(usize, usize)> = Vec::new();
+    // Roots are entered unconditionally; everything else through an edge.
+    let mut edges: VecDeque<(usize, usize)> = roots.iter().map(|&r| (r, usize::MAX)).collect();
+    while let Some((c, from)) = edges.pop_front() {
+        if seen[c] {
             continue;
         }
-        seen[r] = true;
-        if m.fn_annotated(&m.fns[r], marker) {
+        if from != usize::MAX && m.gate_of(&m.fns[c]).is_some_and(|ty| !live.contains(ty)) {
+            waiting.push((c, from));
             continue;
         }
-        q.push_back(r);
-    }
-    while let Some(f) = q.pop_front() {
-        out.push((f, parent[f]));
-        for call in &m.fns[f].calls {
-            for c in m.resolve(call, &m.fns[f]) {
-                if seen[c] {
-                    continue;
-                }
-                seen[c] = true;
-                if cut(&m.fns[c]) || m.fn_annotated(&m.fns[c], marker) {
-                    continue;
-                }
-                parent[c] = f;
-                q.push_back(c);
+        seen[c] = true;
+        // Reached, whether or not its body is examined below: the types
+        // it names can exist from here on.
+        for ty in &m.fns[c].names_gated {
+            if live.insert(ty) {
+                let (woken, still): (Vec<_>, Vec<_>) = std::mem::take(&mut waiting)
+                    .into_iter()
+                    .partition(|&(w, _)| m.gate_of(&m.fns[w]) == Some(ty));
+                edges.extend(woken);
+                waiting = still;
             }
+        }
+        if (from != usize::MAX && cut(&m.fns[c])) || m.fn_annotated(&m.fns[c], marker) {
+            continue;
+        }
+        out.push((c, from));
+        for call in &m.fns[c].calls {
+            edges.extend(m.resolve(call, &m.fns[c]).into_iter().map(|t| (t, c)));
         }
     }
     out

@@ -73,6 +73,11 @@ fn panic_negative_is_quiet() {
 }
 
 #[test]
+fn gated_impls_wait_for_a_function_that_names_their_type() {
+    check("gated_impl.rsfix", "crates/dist/src/fx_gated.rs");
+}
+
+#[test]
 fn reduction_positive_flags_every_seeded_site() {
     check("reduction_positive.rsfix", "crates/core/src/fx_red.rs");
 }

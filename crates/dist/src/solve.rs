@@ -14,35 +14,19 @@
 
 use crate::comm::{wire, Comm, CommPhase};
 use crate::hierarchy::DistHierarchy;
-use crate::parcsr::ParCsr;
 use crate::spmv::{
-    dist_dot, dist_dot_rows, dist_norm2, lane_groups, try_dist_residual_norm_sq,
-    try_dist_residual_norm_sq_rows, try_dist_residual_rows, try_dist_spmv, try_dist_spmv_rows,
+    dist_dot_rows, lane_groups, try_dist_residual_norm_sq_rows, try_dist_residual_rows,
+    try_dist_spmv_rows,
 };
 use famg_core::convergence::ColumnTracker;
 use famg_core::solver::{check_dim as dim, SolveError};
 use famg_core::stats::{CommVolume, PhaseTimes};
+use famg_krylov::cg::{cg_rows, CgOptions, CgWorkspace};
+use famg_krylov::fgmres::{fgmres_in, FgmresOptions};
+use famg_krylov::KrylovSpace;
 use famg_sparse::counters::flops;
-use famg_sparse::multivec::{gather_col, scatter_col, width};
+use famg_sparse::multivec::{axpy_rows_seq, gather_col, scatter_col, width, xpby_rows_seq};
 use famg_sparse::{lanes, MultiVec};
-
-/// Snapshot of this rank's sent-traffic counters (for phase windows).
-fn comm_mark(comm: &Comm) -> (u64, u64) {
-    (comm.bytes_sent(), comm.messages_sent())
-}
-
-/// Traffic sent since `mark`.
-fn comm_since(comm: &Comm, mark: (u64, u64)) -> CommVolume {
-    CommVolume {
-        bytes: comm.bytes_sent() - mark.0,
-        messages: comm.messages_sent() - mark.1,
-    }
-}
-
-/// Local stored entries of a ParCSR operator (diag + offd blocks).
-fn local_nnz(m: &ParCsr) -> usize {
-    m.local_nnz()
-}
 
 /// Validates the hierarchy and the local vector lengths before entering
 /// the instrumented solve body.
@@ -169,7 +153,7 @@ struct CycleBufs {
     xc: Vec<f64>,
 }
 
-/// Reusable scratch for [`try_dist_vcycle_with`] and the solve drivers:
+/// Reusable scratch for [`try_dist_vcycle_rows`] and the solve drivers:
 /// one set of `k`-interleaved buffers per non-coarsest level. Build it
 /// once per solve and reuse it across cycles — the recursive descent then
 /// performs no heap allocation.
@@ -180,14 +164,8 @@ pub struct DistCycleWorkspace {
 }
 
 impl DistCycleWorkspace {
-    /// Single-vector scratch sized for every non-coarsest level of `h`
-    /// (this rank's local row counts).
-    #[must_use]
-    pub fn for_hierarchy(h: &DistHierarchy) -> Self {
-        Self::for_width(h, 1)
-    }
-
-    /// Scratch for `k`-interleaved blocks.
+    /// Scratch for `k`-interleaved blocks, sized for every non-coarsest
+    /// level of `h` (this rank's local row counts).
     #[must_use]
     pub fn for_width(h: &DistHierarchy, k: usize) -> Self {
         let mut levels = Vec::new();
@@ -228,45 +206,17 @@ impl DistCycleWorkspace {
     }
 }
 
-/// Applies one distributed V-cycle at `level`.
+/// Applies one distributed V-cycle at `level`, on scratch allocated for
+/// the call; repeated cycles over one hierarchy should hold a
+/// [`DistCycleWorkspace`] and call [`try_dist_vcycle_rows`].
 ///
 /// # Panics
 /// Panics on mis-sized vectors or a level whose operators and halo plans
-/// disagree; use [`try_dist_vcycle`] for a typed error.
+/// disagree; [`try_dist_vcycle_rows`] returns a typed error instead.
 pub fn dist_vcycle(comm: &Comm, h: &DistHierarchy, level: usize, b: &[f64], x: &mut [f64]) {
-    try_dist_vcycle(comm, h, level, b, x)
+    let mut ws = DistCycleWorkspace::for_width(h, 1);
+    try_dist_vcycle_rows(comm, h, level, b, x, 1, &mut ws)
         .unwrap_or_else(|e| panic!("famg distributed V-cycle: {e}"));
-}
-
-/// [`dist_vcycle`] with typed shape errors: every kernel it invokes runs
-/// through its `try_` variant, so a mis-sized vector or a plan/operator
-/// mismatch on *any* level surfaces as a [`SolveError`] instead of a
-/// panic deep inside a kernel. The halo mode follows
-/// `h.dist_opt.overlap_comm`. Allocates its own per-call scratch;
-/// repeated cycles over one hierarchy should hold a
-/// [`DistCycleWorkspace`] and call [`try_dist_vcycle_with`] directly.
-pub fn try_dist_vcycle(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &[f64],
-    x: &mut [f64],
-) -> Result<(), SolveError> {
-    let mut ws = DistCycleWorkspace::for_hierarchy(h);
-    try_dist_vcycle_with(comm, h, level, b, x, &mut ws)
-}
-
-/// [`try_dist_vcycle`] over caller-owned scratch: the descent reuses the
-/// workspace's per-level buffers and performs no heap allocation.
-pub fn try_dist_vcycle_with(
-    comm: &Comm,
-    h: &DistHierarchy,
-    level: usize,
-    b: &[f64],
-    x: &mut [f64],
-    ws: &mut DistCycleWorkspace,
-) -> Result<(), SolveError> {
-    try_dist_vcycle_rows(comm, h, level, b, x, 1, ws)
 }
 
 /// One distributed V-cycle over the `k`-interleaved blocks `(b, k)` and
@@ -275,6 +225,9 @@ pub fn try_dist_vcycle_with(
 /// so the message count is independent of `k`. Column `j` of the result
 /// is bitwise the `k = 1` cycle on column `j`, in both halo modes.
 /// Smoothing windows are named `smooth` at `k = 1` and `gs_batch` beyond.
+/// Every kernel runs through its `try_` variant, so a mis-sized block or a
+/// plan/operator mismatch on *any* level is a [`SolveError`], not a panic
+/// deep inside a kernel.
 pub fn try_dist_vcycle_rows(
     comm: &Comm,
     h: &DistHierarchy,
@@ -326,7 +279,7 @@ fn vcycle_level(
         // PANIC-FREE: fit() sized one buffer set per non-coarsest level.
         .expect("cycle workspace invariant: buffer set missing for a non-coarsest level");
     let smooth_span = if k == 1 { "smooth" } else { "gs_batch" };
-    let sweep_flops = 2 * h.config.num_sweeps as u64 * flops::gs_sweep_batch(local_nnz(&lvl.a), k);
+    let sweep_flops = 2 * h.config.num_sweeps as u64 * flops::gs_sweep_batch(lvl.a.local_nnz(), k);
 
     {
         let _s = famg_prof::scope_at(smooth_span, level);
@@ -340,12 +293,12 @@ fn vcycle_level(
         let _s = famg_prof::scope_at("residual", level);
         // Residual only — the norm is unused here.
         try_dist_residual_rows(comm, &lvl.a, &lvl.plan_a, x, b, &mut cur.r, k, overlap)?;
-        famg_prof::counter("flops", flops::spmm(local_nnz(&lvl.a), k));
+        famg_prof::counter("flops", flops::spmm(lvl.a.local_nnz(), k));
     }
     {
         let _s = famg_prof::scope_at("restrict", level);
         try_dist_spmv_rows(comm, rt, plan_r, &cur.r, k, &mut cur.bc, overlap)?;
-        famg_prof::counter("flops", flops::spmm(local_nnz(rt), k));
+        famg_prof::counter("flops", flops::spmm(rt.local_nnz(), k));
     }
 
     // The coarse cycle starts from a zero iterate.
@@ -360,7 +313,7 @@ fn vcycle_level(
         }
         famg_prof::counter(
             "flops",
-            flops::spmm(local_nnz(p), k) + flops::axpy_batch(nl, k),
+            flops::spmm(p.local_nnz(), k) + flops::axpy_batch(nl, k),
         );
     }
 
@@ -467,16 +420,7 @@ pub fn try_dist_amg_solve(
     x: &mut [f64],
 ) -> Result<DistSolveResult, SolveError> {
     check_args(h, b, x)?;
-    let res = amg_solve_rows(comm, h, b, x, 1)?;
-    Ok(DistSolveResult {
-        iterations: res.iterations[0],
-        final_relres: res.final_relres[0],
-        converged: res.converged[0],
-        times: res.times,
-        solve_comm_time: res.solve_comm_time,
-        solve_comm: res.solve_comm,
-        profile: res.profile,
-    })
+    Ok(solve_window(comm, || amg_solve_rows(comm, h, b, x, 1))?.single())
 }
 
 /// Result of a distributed batched (multi-RHS) solve. Global quantities
@@ -512,6 +456,58 @@ impl DistBatchSolveResult {
     pub fn all_converged(&self) -> bool {
         self.converged.iter().all(|&c| c)
     }
+
+    /// A single-vector solve's report: column 0 of a width-1 batch.
+    fn single(self) -> DistSolveResult {
+        DistSolveResult {
+            iterations: self.iterations[0],
+            final_relres: self.final_relres[0],
+            converged: self.converged[0],
+            times: self.times,
+            solve_comm_time: self.solve_comm_time,
+            solve_comm: self.solve_comm,
+            profile: self.profile,
+        }
+    }
+}
+
+/// What a driver's loop reports per column: iterations, final global
+/// relative residual, tolerance met.
+type Columns = (Vec<usize>, Vec<f64>, Vec<bool>);
+
+/// The one harness every distributed driver runs in: `body` executes
+/// inside the `"solve"` root span and the level-0 solve traffic scope, and
+/// its report comes back with this rank's span profile, Fig. 5 bucket
+/// times, blocked-in-communication time and sent volume over that window.
+fn solve_window(
+    comm: &Comm,
+    body: impl FnOnce() -> Result<Columns, SolveError>,
+) -> Result<DistBatchSolveResult, SolveError> {
+    let comm_t0 = comm.comm_time();
+    let (bytes0, messages0) = (comm.bytes_sent(), comm.messages_sent());
+    let root_span = famg_prof::scope("solve");
+    let scope = comm.scoped(0, CommPhase::Solve);
+    let columns = body();
+    drop(scope);
+    drop(root_span);
+    let profile = famg_prof::take();
+    let (iterations, final_relres, converged) = columns?;
+    let times = profile
+        .find_root("solve")
+        .map(PhaseTimes::from_span)
+        .unwrap_or_default();
+    Ok(DistBatchSolveResult {
+        iterations,
+        final_relres,
+        converged,
+        times,
+        solve_comm_time: comm.comm_time_since(comm_t0),
+        solve_comm: CommVolume {
+            bytes: comm.bytes_sent() - bytes0,
+            messages: comm.messages_sent() - messages0,
+        },
+        profile,
+    })
 }
 
 /// Standalone distributed AMG iteration on a block of `k` right-hand
@@ -546,7 +542,9 @@ pub fn try_dist_amg_solve_multi(
     dim(n, b.n(), "local right-hand side block")?;
     dim(n, x.n(), "local initial guess block")?;
     dim(b.k(), x.k(), "local initial guess block width")?;
-    amg_solve_rows(comm, h, b.data(), x.data_mut(), b.k())
+    solve_window(comm, || {
+        amg_solve_rows(comm, h, b.data(), x.data_mut(), b.k())
+    })
 }
 
 /// The one AMG iterate-to-tolerance loop, over validated `k`-interleaved
@@ -560,22 +558,10 @@ fn amg_solve_rows(
     b: &[f64],
     x: &mut [f64],
     k: usize,
-) -> Result<DistBatchSolveResult, SolveError> {
-    let comm_t0 = comm.comm_time();
-    let mark = comm_mark(comm);
+) -> Result<Columns, SolveError> {
     if k == 0 {
-        return Ok(DistBatchSolveResult {
-            iterations: Vec::new(),   // ALLOC: empty Vec, no heap
-            final_relres: Vec::new(), // ALLOC: empty Vec, no heap
-            converged: Vec::new(),    // ALLOC: empty Vec, no heap
-            times: PhaseTimes::default(),
-            solve_comm_time: comm.comm_time_since(comm_t0),
-            solve_comm: comm_since(comm, mark),
-            profile: famg_prof::Profile::default(),
-        });
+        return Ok(Columns::default());
     }
-    let root_span = famg_prof::scope("solve");
-    let scope = comm.scoped(0, CommPhase::Solve);
     let lvl0 = &h.levels[0];
     let ov = h.dist_opt.overlap_comm;
     let nl = lvl0.a.local_rows();
@@ -585,7 +571,7 @@ fn amg_solve_rows(
     let mut ws = DistCycleWorkspace::for_width(h, k);
     let mut bnorms = vec![0.0f64; k]; // ALLOC: k-sized reporting lanes (once per solve)
     let mut relres = vec![0.0f64; k]; // ALLOC: k-sized reporting lanes (once per solve)
-    let residual_flops = flops::spmm(local_nnz(&lvl0.a), k) + flops::dot_batch(nl, k);
+    let residual_flops = flops::spmm(lvl0.a.local_nnz(), k) + flops::dot_batch(nl, k);
     let blas1 = famg_prof::scope("blas1");
     dist_dot_rows(comm, b, b, k, &mut bnorms);
     for bn in &mut bnorms {
@@ -615,22 +601,61 @@ fn amg_solve_rows(
         cols.record(cycles, &relres);
     }
     let converged = cols.finish(x);
-    drop(scope);
-    drop(root_span);
-    let profile = famg_prof::take();
-    let times = profile
-        .find_root("solve")
-        .map(PhaseTimes::from_span)
-        .unwrap_or_default();
-    Ok(DistBatchSolveResult {
-        iterations: cols.iterations,
-        final_relres: cols.final_relres,
-        converged,
-        times,
-        solve_comm_time: comm.comm_time_since(comm_t0),
-        solve_comm: comm_since(comm, mark),
-        profile,
-    })
+    Ok((cols.iterations, cols.final_relres, converged))
+}
+
+/// This rank's side of the Krylov space: its rows of the level-0
+/// operator, one all-reduce per inner product, one V-cycle from zero as
+/// the preconditioner. Local kernels are sequential — a rank thread never
+/// enters the pool — and every operation opens the `"spmv"`/`"blas1"`
+/// span and adds the flops the solve profile is read from.
+struct RankSpace<'a> {
+    comm: &'a Comm,
+    h: &'a DistHierarchy,
+    /// Per-solve cycle scratch, reused by every preconditioner application.
+    ws: DistCycleWorkspace,
+}
+
+impl KrylovSpace for RankSpace<'_> {
+    type Error = SolveError;
+
+    fn times_a(&self, x: &[f64], k: usize, y: &mut [f64]) -> Result<(), SolveError> {
+        let (l0, ov) = (&self.h.levels[0], self.h.dist_opt.overlap_comm);
+        let _s = famg_prof::scope("spmv");
+        famg_prof::counter("flops", flops::spmm(l0.a.local_nnz(), k));
+        try_dist_spmv_rows(self.comm, &l0.a, &l0.plan_a, x, k, y, ov)
+    }
+
+    fn residual_of(&self, x: &[f64], b: &[f64], k: usize, r: &mut [f64]) -> Result<(), SolveError> {
+        let (l0, ov) = (&self.h.levels[0], self.h.dist_opt.overlap_comm);
+        let _s = famg_prof::scope("spmv");
+        famg_prof::counter("flops", flops::spmm(l0.a.local_nnz(), k));
+        try_dist_residual_rows(self.comm, &l0.a, &l0.plan_a, x, b, r, k, ov)
+    }
+
+    fn inner_products(&self, x: &[f64], y: &[f64], k: usize, out: &mut [f64]) {
+        let _s = famg_prof::scope("blas1");
+        famg_prof::counter("flops", flops::dot(x.len()));
+        dist_dot_rows(self.comm, x, y, k, out);
+    }
+
+    fn precondition(&mut self, r: &MultiVec, z: &mut MultiVec) -> Result<(), SolveError> {
+        let (zd, k) = (z.data_mut(), r.k());
+        zd.fill(0.0);
+        try_dist_vcycle_rows(self.comm, self.h, 0, r.data(), zd, k, &mut self.ws)
+    }
+
+    fn lanes_axpy(&self, alpha: &[f64], x: &[f64], y: &mut [f64], k: usize) {
+        let _s = famg_prof::scope("blas1");
+        famg_prof::counter("flops", flops::axpy(x.len()));
+        axpy_rows_seq(alpha, x, y, k);
+    }
+
+    fn lanes_xpby(&self, x: &[f64], beta: &[f64], y: &mut [f64], k: usize) {
+        let _s = famg_prof::scope("blas1");
+        famg_prof::counter("flops", flops::axpy(x.len()));
+        xpby_rows_seq(x, beta, y, k);
+    }
 }
 
 /// Distributed flexible GMRES preconditioned with one AMG V-cycle per
@@ -648,8 +673,8 @@ pub fn dist_fgmres_amg(
         .unwrap_or_else(|e| panic!("famg distributed FGMRES: {e}"))
 }
 
-/// [`dist_fgmres_amg`] with up-front shape validation.
-#[allow(clippy::too_many_lines)]
+/// [`dist_fgmres_amg`] with up-front shape validation:
+/// [`famg_krylov::fgmres`]'s recurrence on this rank's [`RankSpace`].
 pub fn try_dist_fgmres_amg(
     comm: &Comm,
     h: &DistHierarchy,
@@ -660,147 +685,25 @@ pub fn try_dist_fgmres_amg(
     restart: usize,
 ) -> Result<DistSolveResult, SolveError> {
     check_args(h, b, x)?;
-    let comm_t0 = comm.comm_time();
-    let mark = comm_mark(comm);
-    let root_span = famg_prof::scope("solve");
-    let scope = comm.scoped(0, CommPhase::Solve);
-    let lvl0 = &h.levels[0];
-    let a = &lvl0.a;
-    let ov = h.dist_opt.overlap_comm;
-    let nl = a.local_rows();
-    let m = restart.max(1);
-    let bnorm = {
-        let _s = famg_prof::scope("blas1");
-        famg_prof::counter("flops", flops::dot(nl));
-        dist_norm2(comm, b).max(f64::MIN_POSITIVE)
+    let opts = FgmresOptions {
+        tolerance,
+        max_iterations,
+        restart,
     };
-    let mut total_iters = 0usize;
-    let mut relres;
-    // ALLOC: per-solve cycle workspace, reused by every preconditioner
-    // application across all restarts.
-    let mut ws = DistCycleWorkspace::for_hierarchy(h);
-
-    'outer: loop {
-        // ALLOC: per-restart residual seed; becomes the first basis
-        // vector (moved into `v`), so it cannot be a reused buffer.
-        let mut r = vec![0.0; nl];
-        let beta = {
-            let _s = famg_prof::scope("spmv");
-            famg_prof::counter("flops", flops::spmv(local_nnz(a)) + flops::dot(nl));
-            try_dist_residual_norm_sq(comm, a, &lvl0.plan_a, x, b, &mut r, ov)?.sqrt()
-        };
-        relres = beta / bnorm;
-        if relres <= tolerance || total_iters >= max_iterations {
-            break;
-        }
-        for ri in &mut r {
-            *ri /= beta;
-        }
-        // ALLOC: FGMRES basis growth — V, Z, the Hessenberg columns and
-        // the Givens coefficients grow with the inner iteration count;
-        // storing the basis is inherent to the algorithm (flexible
-        // preconditioning forbids recomputing Z).
-        let mut v: Vec<Vec<f64>> = vec![r];
-        let mut z: Vec<Vec<f64>> = Vec::new(); // ALLOC: retained basis (see above)
-        let mut hcols: Vec<Vec<f64>> = Vec::new(); // ALLOC: retained basis (see above)
-        let mut cs: Vec<f64> = Vec::new(); // ALLOC: retained basis (see above)
-        let mut sn: Vec<f64> = Vec::new(); // ALLOC: retained basis (see above)
-        let mut g = vec![0.0f64; m + 1]; // ALLOC: per-restart RHS of the least-squares system
-        g[0] = beta;
-        let mut inner = 0usize;
-
-        while inner < m && total_iters < max_iterations {
-            // Precondition: one V-cycle from zero.
-            // ALLOC: zj is pushed into the retained basis Z below; wj
-            // likewise becomes the next basis vector.
-            let mut zj = vec![0.0; nl];
-            try_dist_vcycle_with(comm, h, 0, &v[inner], &mut zj, &mut ws)?;
-            let mut w = vec![0.0; nl]; // ALLOC: becomes the next basis vector
-            {
-                let _s = famg_prof::scope("spmv");
-                try_dist_spmv(comm, a, &lvl0.plan_a, &zj, &mut w, ov)?;
-                famg_prof::counter("flops", flops::spmv(local_nnz(a)));
-            }
-            z.push(zj);
-            let blas1_span = famg_prof::scope("blas1");
-            // ALLOC: one retained Hessenberg column per inner iteration.
-            let mut hj = vec![0.0f64; inner + 2];
-            for (i, vi) in v.iter().enumerate() {
-                let hij = dist_dot(comm, &w, vi);
-                hj[i] = hij;
-                for (wk, vk) in w.iter_mut().zip(vi) {
-                    *wk -= hij * vk;
-                }
-            }
-            let wnorm = dist_norm2(comm, &w);
-            hj[inner + 1] = wnorm;
-            for i in 0..inner {
-                let t = cs[i] * hj[i] + sn[i] * hj[i + 1];
-                hj[i + 1] = -sn[i] * hj[i] + cs[i] * hj[i + 1];
-                hj[i] = t;
-            }
-            let (c, s) = givens(hj[inner], hj[inner + 1]);
-            cs.push(c);
-            sn.push(s);
-            hj[inner] = c * hj[inner] + s * hj[inner + 1];
-            hj[inner + 1] = 0.0;
-            g[inner + 1] = -s * g[inner];
-            g[inner] *= c;
-            hcols.push(hj);
-            famg_prof::counter(
-                "flops",
-                (inner as u64 + 2) * (flops::dot(nl) + flops::axpy(nl)),
-            );
-            drop(blas1_span);
-
-            total_iters += 1;
-            inner += 1;
-            relres = g[inner].abs() / bnorm;
-            if relres <= tolerance || wnorm <= f64::MIN_POSITIVE {
-                update(x, &hcols, &g, &z, inner);
-                continue 'outer;
-            }
-            let mut vnext = w;
-            for vk in &mut vnext {
-                *vk /= wnorm;
-            }
-            v.push(vnext);
-        }
-        update(x, &hcols, &g, &z, inner);
-        if total_iters >= max_iterations {
-            let _s = famg_prof::scope("spmv");
-            // ALLOC: one exit-path residual buffer for the final report.
-            let mut r = vec![0.0; nl];
-            relres =
-                try_dist_residual_norm_sq(comm, a, &lvl0.plan_a, x, b, &mut r, ov)?.sqrt() / bnorm;
-            famg_prof::counter("flops", flops::spmv(local_nnz(a)) + flops::dot(nl));
-            break;
-        }
-    }
-
-    drop(scope);
-    drop(root_span);
-    let profile = famg_prof::take();
-    let times = profile
-        .find_root("solve")
-        .map(PhaseTimes::from_span)
-        .unwrap_or_default();
-    Ok(DistSolveResult {
-        iterations: total_iters,
-        final_relres: relres,
-        converged: relres <= tolerance,
-        times,
-        solve_comm_time: comm.comm_time_since(comm_t0),
-        solve_comm: comm_since(comm, mark),
-        profile,
-    })
+    let res = solve_window(comm, || {
+        let ws = DistCycleWorkspace::for_width(h, 1);
+        let r = fgmres_in(&mut RankSpace { comm, h, ws }, b, x, &opts)?;
+        // ALLOC: the one-column report, once per solve.
+        Ok((vec![r.iterations], vec![r.final_relres], vec![r.converged]))
+    })?;
+    Ok(res.single())
 }
 
 /// Distributed conjugate gradients preconditioned with one AMG V-cycle
-/// per iteration. Each iteration performs the two global reductions the
-/// paper's §1 identifies as the Krylov scalability cost — compare the
-/// collective counts against `dist_amg_solve`, which needs only the
-/// residual-norm reduction.
+/// per iteration. Each iteration performs the three global reductions
+/// (`p·Ap`, `r·z`, `‖r‖`) the paper's §1 identifies as the Krylov
+/// scalability cost — compare the collective counts against
+/// `dist_amg_solve`, which needs only the residual-norm reduction.
 pub fn dist_pcg_amg(
     comm: &Comm,
     h: &DistHierarchy,
@@ -813,7 +716,8 @@ pub fn dist_pcg_amg(
         .unwrap_or_else(|e| panic!("famg distributed PCG: {e}"))
 }
 
-/// [`dist_pcg_amg`] with up-front shape validation.
+/// [`dist_pcg_amg`] with up-front shape validation: [`famg_krylov::cg`]'s
+/// recurrence on this rank's [`RankSpace`].
 pub fn try_dist_pcg_amg(
     comm: &Comm,
     h: &DistHierarchy,
@@ -823,123 +727,17 @@ pub fn try_dist_pcg_amg(
     max_iterations: usize,
 ) -> Result<DistSolveResult, SolveError> {
     check_args(h, b, x)?;
-    let comm_t0 = comm.comm_time();
-    let mark = comm_mark(comm);
-    let root_span = famg_prof::scope("solve");
-    let scope = comm.scoped(0, CommPhase::Solve);
-    let lvl0 = &h.levels[0];
-    let a = &lvl0.a;
-    let ov = h.dist_opt.overlap_comm;
-    let nl = a.local_rows();
-
-    // ALLOC: per-solve PCG vectors (r, z, p, ap) and cycle workspace,
-    // allocated once here and reused by every iteration.
-    let mut r = vec![0.0; nl];
-    let mut ws = DistCycleWorkspace::for_hierarchy(h);
-    let bnorm;
-    {
-        let _s = famg_prof::scope("blas1");
-        bnorm = dist_norm2(comm, b).max(f64::MIN_POSITIVE);
-        try_dist_residual_norm_sq(comm, a, &lvl0.plan_a, x, b, &mut r, ov)?;
-        famg_prof::counter(
-            "flops",
-            flops::dot(nl) + flops::spmv(local_nnz(a)) + flops::dot(nl),
-        );
-    }
-    let mut z = vec![0.0; nl]; // ALLOC: per-solve preconditioned residual
-    try_dist_vcycle_with(comm, h, 0, &r, &mut z, &mut ws)?;
-    let mut p = z.clone(); // ALLOC: per-solve search direction
-    let (mut rz, mut relres);
-    {
-        let _s = famg_prof::scope("blas1");
-        rz = dist_dot(comm, &r, &z);
-        relres = dist_norm2(comm, &r) / bnorm;
-        famg_prof::counter("flops", 2 * flops::dot(nl));
-    }
-    let mut iterations = 0usize;
-    let mut ap = vec![0.0; nl]; // ALLOC: per-solve A·p buffer
-
-    while relres > tolerance && iterations < max_iterations {
-        let pap;
-        {
-            let _s = famg_prof::scope("spmv");
-            try_dist_spmv(comm, a, &lvl0.plan_a, &p, &mut ap, ov)?;
-            pap = dist_dot(comm, &p, &ap);
-            famg_prof::counter("flops", flops::spmv(local_nnz(a)) + flops::dot(nl));
-        }
-        if pap <= 0.0 {
-            break; // breakdown (non-SPD operator or preconditioner)
-        }
-        let alpha = rz / pap;
-        for i in 0..nl {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        z.fill(0.0);
-        try_dist_vcycle_with(comm, h, 0, &r, &mut z, &mut ws)?;
-        {
-            let _s = famg_prof::scope("blas1");
-            let rz_new = dist_dot(comm, &r, &z);
-            let beta = rz_new / rz;
-            rz = rz_new;
-            for i in 0..nl {
-                p[i] = z[i] + beta * p[i];
-            }
-            iterations += 1;
-            relres = dist_norm2(comm, &r) / bnorm;
-            famg_prof::counter("flops", 2 * flops::dot(nl) + 2 * flops::axpy(nl));
-        }
-    }
-    drop(scope);
-    drop(root_span);
-    let profile = famg_prof::take();
-    let times = profile
-        .find_root("solve")
-        .map(PhaseTimes::from_span)
-        .unwrap_or_default();
-    Ok(DistSolveResult {
-        iterations,
-        final_relres: relres,
-        converged: relres <= tolerance,
-        times,
-        solve_comm_time: comm.comm_time_since(comm_t0),
-        solve_comm: comm_since(comm, mark),
-        profile,
-    })
-}
-
-fn update(x: &mut [f64], h: &[Vec<f64>], g: &[f64], z: &[Vec<f64>], k: usize) {
-    if k == 0 {
-        return;
-    }
-    // ALLOC: k-sized triangular-solve scratch, once per restart exit.
-    let mut y = vec![0.0f64; k];
-    for i in (0..k).rev() {
-        let mut acc = g[i];
-        for j in i + 1..k {
-            acc -= h[j][i] * y[j];
-        }
-        y[i] = acc / h[i][i];
-    }
-    for (j, yj) in y.iter().enumerate() {
-        for (xi, zi) in x.iter_mut().zip(&z[j]) {
-            *xi += yj * zi;
-        }
-    }
-}
-
-fn givens(a: f64, b: f64) -> (f64, f64) {
-    if b == 0.0 {
-        (1.0, 0.0)
-    } else if a.abs() > b.abs() {
-        let t = b / a;
-        let c = 1.0 / (1.0 + t * t).sqrt();
-        (c, c * t)
-    } else {
-        let t = a / b;
-        let s = 1.0 / (1.0 + t * t).sqrt();
-        (s * t, s)
-    }
+    let opts = CgOptions {
+        tolerance,
+        max_iterations,
+    };
+    let res = solve_window(comm, || {
+        let ws = DistCycleWorkspace::for_width(h, 1);
+        let mut cg_ws = CgWorkspace::for_problem(b.len());
+        let res = cg_rows(&mut RankSpace { comm, h, ws }, b, x, 1, &opts, &mut cg_ws)?;
+        Ok((res.iterations, res.final_relres, res.converged))
+    })?;
+    Ok(res.single())
 }
 
 #[cfg(test)]
@@ -1143,6 +941,39 @@ mod tests {
                 SolveError::MalformedHierarchy { level: 0, .. }
             ));
         });
+    }
+
+    /// A NaN/Inf on one rank reaches every rank through the reduced norm,
+    /// so all of them stop before the first V-cycle with the same report
+    /// (`relres <= tol` being false for NaN used to mean `max_iterations`
+    /// V-cycles on NaN vectors).
+    #[test]
+    fn fgmres_stops_on_a_non_finite_residual_on_every_rank() {
+        let a = laplace2d(12, 12);
+        let cfg = AmgConfig::single_node_paper();
+        let starts = default_partition(a.nrows(), 2);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let (parts, _) = run_ranks(2, |c| {
+                let r = c.rank();
+                let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+                let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+                let mut bl = vec![1.0; starts[r + 1] - starts[r]];
+                if r == 1 {
+                    bl[3] = bad;
+                }
+                let mut xl = vec![0.0; bl.len()];
+                let res = dist_fgmres_amg(c, &h, &bl, &mut xl, 1e-8, 50, 10);
+                assert!(xl.iter().all(|&v| v == 0.0), "rank {r}: x was touched");
+                if famg_prof::enabled() {
+                    let root = res.profile.find_root("solve").expect("solve profile");
+                    assert!(root.find("vcycle").is_none(), "rank {r} ran a V-cycle");
+                }
+                (res.iterations, res.converged, res.final_relres.to_bits())
+            });
+            assert_eq!(parts[0], parts[1], "ranks disagree");
+            assert_eq!((parts[0].0, parts[0].1), (0, false));
+            assert!(f64::from_bits(parts[0].2).is_nan());
+        }
     }
 
     #[test]

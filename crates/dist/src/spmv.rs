@@ -270,23 +270,11 @@ pub fn try_dist_residual_norm_sq_rows(
     Ok(())
 }
 
-/// Distributed dot product (one all-reduce).
-pub fn dist_dot(comm: &Comm, x: &[f64], y: &[f64]) -> f64 {
-    let mut out = [0.0];
-    dist_dot_rows(comm, x, y, 1, &mut out);
-    out[0]
-}
-
 /// Distributed per-column dot products of two `k`-interleaved blocks (one
 /// all-reduce at any width): `out[j] = x[:,j] · y[:,j]` globally.
 pub fn dist_dot_rows(comm: &Comm, xd: &[f64], yd: &[f64], k: usize, out: &mut [f64]) {
     dot_rows_seq(xd, yd, k, out);
     allreduce_lanes(comm, out, 0x41);
-}
-
-/// Distributed 2-norm.
-pub fn dist_norm2(comm: &Comm, x: &[f64]) -> f64 {
-    dist_dot(comm, x, x).sqrt()
 }
 
 #[cfg(test)]
@@ -296,6 +284,13 @@ mod tests {
     use crate::parcsr::default_partition;
     use famg_matgen::{laplace2d, rhs};
     use famg_sparse::MultiVec;
+
+    /// The `k = 1` lane of [`dist_dot_rows`].
+    fn dist_dot(comm: &Comm, x: &[f64], y: &[f64]) -> f64 {
+        let mut out = [0.0];
+        dist_dot_rows(comm, x, y, 1, &mut out);
+        out[0]
+    }
 
     #[test]
     fn dist_spmv_matches_serial() {
@@ -461,7 +456,7 @@ mod tests {
             let r = c.rank();
             let xl = &x[starts[r]..starts[r + 1]];
             let yl = &y[starts[r]..starts[r + 1]];
-            (dist_dot(c, xl, yl), dist_norm2(c, xl))
+            (dist_dot(c, xl, yl), dist_dot(c, xl, xl).sqrt())
         });
         let n_ref = famg_sparse::vecops::norm2(&x);
         for (d, n) in results {

@@ -6,10 +6,9 @@
 //! iteration needs two all-reduces versus AMG's none.
 
 use crate::precond::Preconditioner;
+use crate::space::{KrylovSpace, Serial};
 use crate::{BatchKrylovResult, KrylovResult};
 use famg_core::convergence::ColumnTracker;
-use famg_sparse::multivec::{axpy_rows, dot_rows, xpby_rows};
-use famg_sparse::spmm::spmm_rows;
 use famg_sparse::{Csr, MultiVec};
 
 /// CG options.
@@ -109,7 +108,10 @@ pub fn cg_with(
     opts: &CgOptions,
     ws: &mut CgWorkspace,
 ) -> KrylovResult {
-    let mut res = cg_rows(a, b, x, 1, precond, opts, ws);
+    let n = a.nrows();
+    assert_eq!(b.len(), n);
+    assert_eq!(x.len(), n);
+    let Ok(mut res) = cg_rows(&mut Serial(a, precond), b, x, 1, opts, ws);
     KrylovResult {
         iterations: res.iterations[0],
         final_relres: res.final_relres[0],
@@ -150,33 +152,39 @@ pub fn cg_batch_with(
     opts: &CgOptions,
     ws: &mut CgWorkspace,
 ) -> BatchKrylovResult {
-    assert_eq!(x.k(), b.k());
-    cg_rows(a, b.data(), x.data_mut(), b.k(), precond, opts, ws)
+    let (n, k) = (a.nrows(), b.k());
+    assert_eq!(x.k(), k);
+    assert_eq!(b.n(), n);
+    assert_eq!(x.n(), n);
+    let Ok(res) = cg_rows(&mut Serial(a, precond), b.data(), x.data_mut(), k, opts, ws);
+    res
+}
+
+/// Per-column 2-norms over the whole system, relative to `bnorms`.
+fn relative_norms<S: KrylovSpace>(space: &S, v: &[f64], k: usize, bnorms: &[f64], out: &mut [f64]) {
+    space.inner_products(v, v, k, out);
+    for (o, bn) in out.iter_mut().zip(bnorms) {
+        *o = o.sqrt() / bn;
+    }
 }
 
 /// The one CG recurrence, over the `k`-interleaved blocks `(b, k)` and
-/// `(x, k)`; a plain vector is the `k = 1` block.
-fn cg_rows(
-    a: &Csr,
+/// `(x, k)` of any [`KrylovSpace`]; a plain vector is the `k = 1` block.
+/// Per iteration and whatever the width: one operator product, one
+/// preconditioner application, three inner products (`p·Ap`, `r·z`,
+/// `‖r‖²` — on ranks, the three all-reduces of the paper's §1).
+pub fn cg_rows<S: KrylovSpace>(
+    space: &mut S,
     b: &[f64],
     x: &mut [f64],
     k: usize,
-    precond: &impl Preconditioner,
     opts: &CgOptions,
     ws: &mut CgWorkspace,
-) -> BatchKrylovResult {
-    let n = a.nrows();
-    assert_eq!(b.len(), n * k);
-    assert_eq!(x.len(), n * k);
+) -> Result<BatchKrylovResult, S::Error> {
     if k == 0 {
-        return BatchKrylovResult {
-            iterations: Vec::new(),   // ALLOC: empty Vec, no heap
-            final_relres: Vec::new(), // ALLOC: empty Vec, no heap
-            converged: Vec::new(),    // ALLOC: empty Vec, no heap
-            history: Vec::new(),      // ALLOC: empty Vec, no heap
-        };
+        return Ok(BatchKrylovResult::default());
     }
-    ws.fit(n, k);
+    ws.fit(b.len() / k, k);
     let CgWorkspace {
         r,
         z,
@@ -191,45 +199,22 @@ fn cg_rows(
         neg_alpha,
         beta,
     } = ws;
-    // A width-1 block goes through `Preconditioner::apply`: closures
-    // implement only that, and the trait's default `apply_batch` would
-    // allocate two n-vectors per call.
-    let precondition = |r: &MultiVec, z: &mut MultiVec| {
-        z.fill(0.0);
-        if k == 1 {
-            precond.apply(r.data(), z.data_mut());
-        } else {
-            precond.apply_batch(r, z);
-        }
-    };
-    let norms = |v: &[f64], out: &mut [f64]| {
-        dot_rows(v, v, k, out);
-        for o in out {
-            *o = o.sqrt();
-        }
-    };
 
-    norms(b, bnorms);
+    space.inner_products(b, b, k, bnorms);
     for bn in bnorms.iter_mut() {
-        *bn = bn.max(f64::MIN_POSITIVE);
+        *bn = bn.sqrt().max(f64::MIN_POSITIVE);
     }
-    spmm_rows(a, x, k, r.data_mut());
-    for (ri, bi) in r.data_mut().iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    precondition(r, z);
+    space.residual_of(x, b, k, r.data_mut())?;
+    space.precondition(r, z)?;
     p.data_mut().copy_from_slice(z.data());
-    dot_rows(r.data(), z.data(), k, rz);
-    norms(r.data(), relres);
-    for (rr, bn) in relres.iter_mut().zip(bnorms.iter()) {
-        *rr /= bn;
-    }
+    space.inner_products(r.data(), z.data(), k, rz);
+    relative_norms(space, r.data(), k, bnorms, relres);
 
     let mut cols = ColumnTracker::new(relres, opts.tolerance);
     let mut iterations = 0usize;
     while cols.any_live() && iterations < opts.max_iterations {
-        spmm_rows(a, p.data(), k, ap.data_mut());
-        dot_rows(p.data(), ap.data(), k, pap);
+        space.times_a(p.data(), k, ap.data_mut())?;
+        space.inner_products(p.data(), ap.data(), k, pap);
         // Not SPD (or breakdown): such a column stops *before* the update
         // and reports what it has.
         cols.stop_where(|j| pap[j] <= 0.0);
@@ -241,29 +226,26 @@ fn cg_rows(
             alpha[j] = rz[j] / pap[j];
             neg_alpha[j] = -alpha[j];
         }
-        axpy_rows(alpha, p.data(), x, k);
-        axpy_rows(neg_alpha, ap.data(), r.data_mut(), k);
-        precondition(r, z);
-        dot_rows(r.data(), z.data(), k, rz_new);
+        space.lanes_axpy(alpha, p.data(), x, k);
+        space.lanes_axpy(neg_alpha, ap.data(), r.data_mut(), k);
+        space.precondition(r, z)?;
+        space.inner_products(r.data(), z.data(), k, rz_new);
         for j in 0..k {
             beta[j] = rz_new[j] / rz[j];
         }
         rz.copy_from_slice(rz_new);
-        xpby_rows(z.data(), beta, p.data_mut(), k);
+        space.lanes_xpby(z.data(), beta, p.data_mut(), k);
         iterations += 1;
-        norms(r.data(), relres);
-        for (rr, bn) in relres.iter_mut().zip(bnorms.iter()) {
-            *rr /= bn;
-        }
+        relative_norms(space, r.data(), k, bnorms, relres);
         cols.record(iterations, relres);
     }
     let converged = cols.finish(x);
-    BatchKrylovResult {
+    Ok(BatchKrylovResult {
         iterations: cols.iterations,
         final_relres: cols.final_relres,
         converged,
         history: cols.history,
-    }
+    })
 }
 
 #[cfg(test)]

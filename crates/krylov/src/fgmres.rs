@@ -6,10 +6,9 @@
 //! iterations, as an AMG cycle does.
 
 use crate::precond::Preconditioner;
+use crate::space::{KrylovSpace, Serial};
 use crate::KrylovResult;
-use famg_sparse::spmv::spmv;
-use famg_sparse::vecops;
-use famg_sparse::Csr;
+use famg_sparse::{Csr, MultiVec};
 
 /// FGMRES options.
 #[derive(Debug, Clone)]
@@ -52,8 +51,41 @@ pub fn fgmres(
     let n = a.nrows();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
+    let Ok(res) = fgmres_in(&mut Serial(a, precond), b, x, opts);
+    res
+}
+
+// ALLOC: one FGMRES basis vector. V and Z are retained until the restart
+// (flexible preconditioning forbids recomputing Z), so a vector that joins
+// them cannot be a reused buffer.
+fn basis_vector(n: usize) -> MultiVec {
+    MultiVec::new(n, 1)
+}
+
+/// Global 2-norm of one vector.
+fn norm2<S: KrylovSpace>(space: &S, v: &[f64]) -> f64 {
+    let mut sq = [0.0];
+    space.inner_products(v, v, 1, &mut sq);
+    sq[0].sqrt()
+}
+
+/// The one FGMRES recurrence (Arnoldi with modified Gram-Schmidt, Givens
+/// rotations, restarts) in any [`KrylovSpace`]: inner iteration `j` costs
+/// `j + 2` global inner products, a restart one more.
+///
+/// A non-finite residual (NaN/Inf in `b`, the operator or a preconditioner
+/// result) ends the solve at once with `converged: false` and `x` at the
+/// last completed restart — `relres <= tolerance` is false for NaN, so the
+/// loop would otherwise apply the preconditioner `max_iterations` times.
+pub fn fgmres_in<S: KrylovSpace>(
+    space: &mut S,
+    b: &[f64],
+    x: &mut [f64],
+    opts: &FgmresOptions,
+) -> Result<KrylovResult, S::Error> {
+    let n = b.len();
     let m = opts.restart.max(1);
-    let bnorm = vecops::norm2(b).max(f64::MIN_POSITIVE);
+    let bnorm = norm2(space, b).max(f64::MIN_POSITIVE);
 
     let mut history = Vec::new(); // ALLOC: result-owned residual history
     let mut total_iters = 0usize;
@@ -63,26 +95,25 @@ pub fn fgmres(
     // h[j] has j+2 entries), Givens rotations.
     // ALLOC: FGMRES basis storage — retaining V and Z is inherent to the
     // algorithm (flexible preconditioning forbids recomputing Z).
-    let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-    let mut z: Vec<Vec<f64>> = Vec::with_capacity(m); // ALLOC: see above
+    let mut v: Vec<MultiVec> = Vec::with_capacity(m + 1);
+    let mut z: Vec<MultiVec> = Vec::with_capacity(m); // ALLOC: see above
 
     'outer: loop {
-        // r = b - A x
-        // ALLOC: per-restart residual seed; becomes the first basis
-        // vector (moved into `v`), so it cannot be a reused buffer.
-        let mut r = vec![0.0; n];
-        spmv(a, x, &mut r);
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        let beta = vecops::norm2(&r);
+        // The residual seeds the basis: normalised, it is `v[0]`.
+        let mut r = basis_vector(n);
+        space.residual_of(x, b, 1, r.data_mut())?;
+        let beta = norm2(space, r.data());
         relres = beta / bnorm;
-        if relres <= opts.tolerance || total_iters >= opts.max_iterations {
+        if !relres.is_finite() || relres <= opts.tolerance || total_iters >= opts.max_iterations {
             break;
         }
         v.clear();
         z.clear();
-        vecops::scale(1.0 / beta, &mut r);
+        // Division, not multiplication by the reciprocal: the two differ
+        // in the last bit, and the distributed fingerprints pin this one.
+        for ri in r.data_mut() {
+            *ri /= beta;
+        }
         v.push(r);
         let mut g = vec![0.0f64; m + 1]; // ALLOC: per-restart least-squares RHS
         g[0] = beta;
@@ -92,23 +123,20 @@ pub fn fgmres(
         let mut inner = 0usize;
 
         while inner < m && total_iters < opts.max_iterations {
-            // z_j = M⁻¹ v_j ; w = A z_j
-            // ALLOC: zj joins the retained basis Z below; w likewise
-            // becomes the next basis vector after normalization.
-            let mut zj = vec![0.0; n];
-            precond.apply(&v[inner], &mut zj);
-            let mut w = vec![0.0; n]; // ALLOC: becomes the next basis vector
-            spmv(a, &zj, &mut w);
+            // z_j = M⁻¹ v_j joins Z; w = A z_j, orthonormalised, joins V.
+            let mut zj = basis_vector(n);
+            space.precondition(&v[inner], &mut zj)?;
+            let mut w = basis_vector(n);
+            space.times_a(zj.data(), 1, w.data_mut())?;
             z.push(zj);
             // Modified Gram-Schmidt.
             // ALLOC: one retained Hessenberg column per inner iteration.
             let mut hj = vec![0.0f64; inner + 2];
             for (i, vi) in v.iter().enumerate() {
-                let hij = vecops::dot(&w, vi);
-                hj[i] = hij;
-                vecops::axpy(-hij, vi, &mut w);
+                space.inner_products(w.data(), vi.data(), 1, &mut hj[i..=i]);
+                space.lanes_axpy(&[-hj[i]], vi.data(), w.data_mut(), 1);
             }
-            let wnorm = vecops::norm2(&w);
+            let wnorm = norm2(space, w.data());
             hj[inner + 1] = wnorm;
             // Apply existing Givens rotations to the new column.
             for i in 0..inner {
@@ -131,44 +159,41 @@ pub fn fgmres(
             relres = g[inner].abs() / bnorm;
             history.push(relres);
 
-            if relres <= opts.tolerance {
-                update_solution(x, &h, &g, &z, inner);
-                continue 'outer; // recompute the true residual and re-test
+            if !relres.is_finite() {
+                break 'outer;
             }
-            if wnorm <= f64::MIN_POSITIVE {
-                // Lucky breakdown: exact solution in the current space.
-                update_solution(x, &h, &g, &z, inner);
-                continue 'outer;
+            // Converged, or a lucky breakdown (exact solution in the
+            // current space).
+            if relres <= opts.tolerance || wnorm <= f64::MIN_POSITIVE {
+                break;
             }
-            let mut vnext = w;
-            vecops::scale(1.0 / wnorm, &mut vnext);
-            v.push(vnext);
+            for wi in w.data_mut() {
+                *wi /= wnorm;
+            }
+            v.push(w);
         }
-        // Restart (or iteration cap): fold the correction into x.
-        update_solution(x, &h, &g, &z, inner);
-        if total_iters >= opts.max_iterations {
-            // Recompute the exact residual for the report.
-            // ALLOC: one exit-path residual buffer for the final report.
-            let mut r = vec![0.0; n];
-            spmv(a, x, &mut r);
-            for (ri, bi) in r.iter_mut().zip(b) {
-                *ri = bi - *ri;
-            }
-            relres = vecops::norm2(&r) / bnorm;
-            break;
-        }
+        // Restart, convergence or the iteration cap: fold the correction
+        // into x; the loop top recomputes the true residual and re-tests.
+        update_solution(space, x, &h, &g, &z, inner);
     }
 
-    KrylovResult {
+    Ok(KrylovResult {
         iterations: total_iters,
         final_relres: relres,
         converged: relres <= opts.tolerance,
         history,
-    }
+    })
 }
 
 /// Solves the small triangular system and applies `x += Z y`.
-fn update_solution(x: &mut [f64], h: &[Vec<f64>], g: &[f64], z: &[Vec<f64>], k: usize) {
+fn update_solution<S: KrylovSpace>(
+    space: &S,
+    x: &mut [f64],
+    h: &[Vec<f64>],
+    g: &[f64],
+    z: &[MultiVec],
+    k: usize,
+) {
     if k == 0 {
         return;
     }
@@ -181,8 +206,8 @@ fn update_solution(x: &mut [f64], h: &[Vec<f64>], g: &[f64], z: &[Vec<f64>], k: 
         }
         y[i] = acc / h[i][i];
     }
-    for (j, yj) in y.iter().enumerate() {
-        vecops::axpy(*yj, &z[j], x);
+    for (yj, zj) in y.iter().zip(z) {
+        space.lanes_axpy(&[*yj], zj.data(), x, 1);
     }
 }
 
@@ -206,6 +231,8 @@ mod tests {
     use super::*;
     use crate::precond::IdentityPrecond;
     use famg_matgen::{laplace2d, rhs};
+    use famg_sparse::spmv::spmv;
+    use famg_sparse::vecops;
 
     fn relres(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
@@ -285,6 +312,45 @@ mod tests {
         let res = fgmres(&a, &b, &mut x, &IdentityPrecond, &opts);
         assert!(!res.converged);
         assert_eq!(res.iterations, 3);
+    }
+
+    /// `relres <= tol` is false for NaN: without the explicit check the
+    /// loop ran `max_iterations` preconditioner applications on NaN vectors.
+    #[test]
+    fn non_finite_residual_stops_at_once() {
+        let a = laplace2d(8, 8);
+        let applications = std::cell::Cell::new(0usize);
+        let counting = |r: &[f64], z: &mut [f64]| {
+            applications.set(applications.get() + 1);
+            z.copy_from_slice(r);
+        };
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut b = rhs::ones(64);
+            b[17] = bad;
+            let mut x = vec![0.0; 64];
+            let res = fgmres(&a, &b, &mut x, &counting, &FgmresOptions::default());
+            assert!(!res.converged);
+            assert_eq!(res.iterations, 0);
+            assert!(res.final_relres.is_nan());
+            assert!(x.iter().all(|&v| v == 0.0), "x was touched");
+        }
+        assert_eq!(applications.get(), 0);
+
+        // A preconditioner that goes bad mid-solve: the iteration that saw
+        // it is the last, and its correction is not folded into `x`.
+        let poison = |r: &[f64], z: &mut [f64]| {
+            applications.set(applications.get() + 1);
+            z.copy_from_slice(r);
+            if applications.get() == 3 {
+                z[0] = f64::NAN;
+            }
+        };
+        let b = rhs::ones(64);
+        let mut x = vec![0.0; 64];
+        let res = fgmres(&a, &b, &mut x, &poison, &FgmresOptions::default());
+        assert!(!res.converged);
+        assert_eq!((res.iterations, applications.get()), (3, 3));
+        assert!(x.iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! Krylov solvers used by the paper's multi-node evaluation: a flexible
 //! (right-preconditioned) GMRES — Table 4's outer solver — and conjugate
-//! gradients, both generic over a [`Preconditioner`].
+//! gradients, both generic over a [`Preconditioner`] and each written once
+//! over a [`KrylovSpace`] — the serial solvers here and the distributed
+//! ones in `famg_dist::solve` are the same recurrence.
 //!
 //! Flexible GMRES [Saad 1993] allows the preconditioner to change between
 //! iterations, which is required when the preconditioner is itself an
@@ -11,10 +13,12 @@
 pub mod cg;
 pub mod fgmres;
 pub mod precond;
+pub mod space;
 
 pub use cg::{cg, cg_batch, CgOptions};
 pub use fgmres::{fgmres, FgmresOptions};
 pub use precond::{IdentityPrecond, Preconditioner, RefreshPrecond};
+pub use space::KrylovSpace;
 
 /// Convergence report shared by the Krylov solvers.
 #[derive(Debug, Clone)]
@@ -32,7 +36,7 @@ pub struct KrylovResult {
 /// Per-column convergence report for the batched Krylov solvers
 /// ([`cg_batch`]): column `j` is bitwise identical to the scalar solver
 /// on that right-hand side alone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchKrylovResult {
     /// Iterations each column performed before its own stopping point.
     pub iterations: Vec<usize>,

@@ -343,6 +343,21 @@ pub fn xpby_rows(xd: &[f64], beta: &[f64], yd: &mut [f64], k: usize) {
     for_row_chunks(xd, yd, k, |cx, cy| lanes!(k, xpby_lanes(beta, cx, cy, k)));
 }
 
+/// [`axpy_rows`] in one sequential pass whatever the length, like
+/// [`dot_rows_seq`]: rank threads never enter the pool. Bitwise the same.
+pub fn axpy_rows_seq(alpha: &[f64], xd: &[f64], yd: &mut [f64], k: usize) {
+    if k != 0 {
+        lanes!(k, axpy_lanes(alpha, xd, yd, k));
+    }
+}
+
+/// [`xpby_rows`] in one sequential pass (see [`axpy_rows_seq`]).
+pub fn xpby_rows_seq(xd: &[f64], beta: &[f64], yd: &mut [f64], k: usize) {
+    if k != 0 {
+        lanes!(k, xpby_lanes(beta, xd, yd, k));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,10 +5,11 @@
 # workspace vendors its dependency shims, so no registry access is needed.
 #
 # Usage: check.sh [--fast]
-#   --fast   formatting, clippy, famg-lint, and the base test suite only;
-#            skips the validate-feature matrix, the model checker, and the
-#            release-mode regression/bench stages. For inner-loop edits —
-#            a merge still requires the full run.
+#   --fast   formatting, clippy, famg-lint, the base test suite, and the
+#            benchmark package's own tests only; skips the validate-feature
+#            matrix, the model checker, and the release-mode
+#            regression/bench stages. For inner-loop edits — a merge still
+#            requires the full run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,6 +49,15 @@ RAYON_NUM_THREADS=4 cargo test --workspace -q
 echo "==> dist suite with halo overlap disabled (FAMG_OVERLAP_COMM=0)"
 FAMG_OVERLAP_COMM=0 cargo test -q -p famg-dist
 FAMG_OVERLAP_COMM=0 cargo test -q --test halo_overlap
+
+# e2e/ is the repo's benchmark (BENCHMARK.json) and its own workspace —
+# own lock file and target dir — so nothing above compiles it. Building
+# and testing it here means a break in a public name it calls (cg,
+# cg_batch, dist_vcycle, dist_spmv, dist_fgmres_amg,
+# BatchCycleWorkspace::for_hierarchy, ...) fails the gate instead of the
+# next benchmark run.
+echo "==> e2e benchmark package (builds what BENCHMARK.json runs)"
+cargo test -q --offline --manifest-path e2e/Cargo.toml
 
 if [[ "$FAST" == "1" ]]; then
     echo "==> fast mode: skipping validate matrix, famg-model, and release stages"

@@ -15,11 +15,11 @@
 //!    the runtime sends: setup + solve windows tile the run.
 
 use famg::core::AmgConfig;
-use famg::dist::comm::{run_ranks, CommPhase};
+use famg::dist::comm::{run_ranks, Comm, CommPhase};
 use famg::dist::halo::VectorExchange;
 use famg::dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg::dist::parcsr::{default_partition, ParCsr};
-use famg::dist::solve::dist_fgmres_amg;
+use famg::dist::solve::{dist_amg_solve, dist_fgmres_amg, dist_pcg_amg, DistSolveResult};
 use famg::matgen::{laplace2d, laplace3d_7pt, rhs};
 
 fn owner(starts: &[usize], g: usize) -> usize {
@@ -179,3 +179,75 @@ fn telemetry_scopes_account_for_all_traffic() {
     assert!(report.per_scope[&(0, CommPhase::Solve)].messages > 0);
     assert_eq!(phase_sum(CommPhase::Other), (0, 0));
 }
+
+/// Solve-phase messages of one 2-rank solve on the 8³ 7-point Laplacian,
+/// summed over ranks, with the iteration count the solve reported and the
+/// flops its span profile counted (summed over ranks; 0 with the profiler
+/// compiled out).
+fn solve_messages(
+    solve: impl Fn(&Comm, &DistHierarchy, &[f64], &mut [f64]) -> DistSolveResult + Sync,
+) -> (u64, usize, u64) {
+    let a = laplace3d_7pt(8, 8, 8);
+    let n = a.nrows();
+    let b = rhs::ones(n);
+    let starts = default_partition(n, 2);
+    let cfg = AmgConfig::multi_node_ei4();
+    let (parts, _) = run_ranks(2, |c| {
+        let r = c.rank();
+        let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+        let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
+        let bl = b[starts[r]..starts[r + 1]].to_vec();
+        let mut xl = vec![0.0; bl.len()];
+        let res = solve(c, &h, &bl, &mut xl);
+        let flops = res.profile.total_counter("flops");
+        (res.solve_comm.messages, res.iterations, flops)
+    });
+    assert_eq!(
+        parts[0].1, parts[1].1,
+        "ranks disagree on the iteration count"
+    );
+    let sum = |f: fn(&(u64, usize, u64)) -> u64| parts.iter().map(f).sum();
+    (sum(|p| p.0), parts[0].1, sum(|p| p.2))
+}
+
+/// The Krylov drivers' message counts, pinned. PCG costs a fixed part
+/// (`‖b‖`, the entry residual's halo exchange, the first V-cycle, `r·z`,
+/// `‖r‖`) plus a constant per iteration (SpMV halo, `p·Ap`, V-cycle,
+/// `r·z`, `‖r‖`). Until PR 18 the fixed part also held one all-reduce
+/// (2 messages on 2 ranks) whose result was thrown away: the entry
+/// residual went through the fused residual-and-norm kernel.
+#[test]
+fn krylov_solve_message_counts_are_pinned() {
+    let pcg = |cap: usize| solve_messages(move |c, h, b, x| dist_pcg_amg(c, h, b, x, 1e-8, cap));
+    let (m1, i1, _) = pcg(1);
+    let (m2, i2, _) = pcg(2);
+    assert_eq!((i1, i2), (1, 2));
+    let per_iteration = m2 - m1;
+    let fixed = m1 - per_iteration;
+    let (m, iterations, _) = pcg(100);
+    assert!(iterations > 2 && iterations < 100, "PCG took {iterations}");
+    assert_eq!(m, fixed + iterations as u64 * per_iteration);
+
+    let mut fgmres = solve_messages(|c, h, b, x| dist_fgmres_amg(c, h, b, x, 1e-8, 100, 30));
+    let mut amg = solve_messages(dist_amg_solve);
+    if !famg_prof::enabled() {
+        (fgmres.2, amg.2) = (
+            FGMRES_MESSAGES_ITERATIONS_FLOPS.2,
+            AMG_MESSAGES_ITERATIONS_FLOPS.2,
+        );
+    }
+    println!(
+        "pcg {:?} fgmres {fgmres:?} amg {amg:?}",
+        (fixed, per_iteration)
+    );
+    assert_eq!((fixed, per_iteration), PCG_FIXED_AND_PER_ITERATION);
+    assert_eq!(fgmres, FGMRES_MESSAGES_ITERATIONS_FLOPS);
+    assert_eq!(amg, AMG_MESSAGES_ITERATIONS_FLOPS);
+}
+
+/// `fixed` was 42 at 737fddd (the parent of PR 18): one all-reduce more.
+const PCG_FIXED_AND_PER_ITERATION: (u64, u64) = (40, 40);
+/// Recorded at 737fddd; must not move.
+const FGMRES_MESSAGES_ITERATIONS_FLOPS: (u64, usize, u64) = (318, 7, 684_428);
+/// Recorded at 737fddd; must not move.
+const AMG_MESSAGES_ITERATIONS_FLOPS: (u64, usize, u64) = (294, 8, 698_784);

@@ -19,8 +19,9 @@ use famg::core::{AmgConfig, AmgSolver};
 use famg::dist::comm::run_ranks;
 use famg::dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg::dist::parcsr::{default_partition, ParCsr};
-use famg::dist::solve::{dist_amg_solve, dist_amg_solve_multi, dist_fgmres_amg};
+use famg::dist::solve::{dist_amg_solve, dist_amg_solve_multi, dist_fgmres_amg, dist_pcg_amg};
 use famg::krylov::cg::{cg, cg_batch, CgOptions};
+use famg::krylov::{fgmres, FgmresOptions, IdentityPrecond};
 use famg::matgen::{laplace2d, reservoir_field, varcoef3d_7pt};
 use famg::sparse::{Csr, MultiVec};
 
@@ -192,6 +193,13 @@ fn dist_fingerprints(out: &mut Vec<(String, u64)>) {
                     }
                     fps.push((format!("amg_multi/k{k}"), f));
                 }
+
+                let mut xl = vec![0.0; e - s];
+                let res = dist_pcg_amg(c, &h, bl, &mut xl, cfg.tolerance, 200);
+                assert!(res.converged);
+                let mut f = hash_f64s(FNV_SEED, &xl);
+                f = fnv1a(f, res.iterations as u64);
+                fps.push(("pcg".into(), fnv1a(f, res.final_relres.to_bits())));
                 fps
             });
             // Fold the ranks' fingerprints in rank order.
@@ -204,7 +212,56 @@ fn dist_fingerprints(out: &mut Vec<(String, u64)>) {
     }
 }
 
-/// Recorded at d0df724 (the parent of the lane-generic solve path).
+/// Serial FGMRES on both operators: AMG-preconditioned at the default
+/// restart, AMG-preconditioned with a restart length of 3 (so the restart
+/// path runs several times), and unpreconditioned with restarts.
+fn fgmres_fingerprints() -> Vec<(String, usize, u64)> {
+    let mut out = Vec::new();
+    for (name, a) in operators() {
+        let n = a.nrows();
+        let solver = AmgSolver::setup(&a, &serial_cfg());
+        let b = &rhs_columns(n, 1)[0];
+        let mut push = |label: &str, x: &[f64], res: &famg::krylov::KrylovResult| {
+            assert!(res.converged, "{name}/{label}: fgmres did not converge");
+            let mut h = hash_f64s(FNV_SEED, x);
+            h = fnv1a(h, res.iterations as u64);
+            h = hash_f64s(h, &res.history);
+            out.push((format!("{name}/fgmres/{label}"), res.iterations, h));
+        };
+
+        let mut x = vec![0.0; n];
+        let res = fgmres(&a, b, &mut x, &solver, &FgmresOptions::default());
+        push("amg", &x, &res);
+
+        let opts = FgmresOptions {
+            restart: 3,
+            ..FgmresOptions::default()
+        };
+        let mut x = vec![0.0; n];
+        let res = fgmres(&a, b, &mut x, &solver, &opts);
+        assert!(res.iterations > 3, "{name}: restart never triggered");
+        push("amg_restart3", &x, &res);
+
+        // Restart length 20, not 40: GMRES(40) on the jumpy operator sits
+        // close enough to stagnation that a one-ulp perturbation of the
+        // basis moves its count by about 1 % (352 at 737fddd, 356 after),
+        // which pins nothing.
+        let opts = FgmresOptions {
+            tolerance: 1e-5,
+            restart: 20,
+            max_iterations: 2000,
+        };
+        let mut x = vec![0.0; n];
+        let res = fgmres(&a, b, &mut x, &IdentityPrecond, &opts);
+        assert!(res.iterations > 20, "{name}: restart never triggered");
+        push("identity_restart20", &x, &res);
+    }
+    out
+}
+
+/// Recorded at d0df724 (the parent of the lane-generic solve path); the
+/// `dist/*/pcg` rows at 737fddd (the parent of "Krylov once", which made
+/// distributed PCG the rank-space instance of `cg_rows`).
 const EXPECTED: &[(&str, u64)] = &[
     ("laplace2d/solve", 0xd3ab98e587272426),
     ("laplace2d/cg", 0xd986309deef49958),
@@ -242,24 +299,28 @@ const EXPECTED: &[(&str, u64)] = &[
     ("dist/1r/overlap/amg_multi/k3", 0xa5ddce8b18bdae5e),
     ("dist/1r/overlap/amg_multi/k4", 0xddeec6dae7ddb44a),
     ("dist/1r/overlap/amg_multi/k9", 0x2dfb10d38d307322),
+    ("dist/1r/overlap/pcg", 0xc9e84f144f336de9),
     ("dist/1r/sync/amg", 0x3d86ebe0beb239f1),
     ("dist/1r/sync/fgmres", 0xa9c9bc8a91a27366),
     ("dist/1r/sync/amg_multi/k1", 0x3d86ebe0beb239f1),
     ("dist/1r/sync/amg_multi/k3", 0xa5ddce8b18bdae5e),
     ("dist/1r/sync/amg_multi/k4", 0xddeec6dae7ddb44a),
     ("dist/1r/sync/amg_multi/k9", 0x2dfb10d38d307322),
+    ("dist/1r/sync/pcg", 0xc9e84f144f336de9),
     ("dist/2r/overlap/amg", 0xf5ca32693f40467b),
     ("dist/2r/overlap/fgmres", 0xca218f8e08458d66),
     ("dist/2r/overlap/amg_multi/k1", 0xf5ca32693f40467b),
     ("dist/2r/overlap/amg_multi/k3", 0xc6ad084eca7ae7be),
     ("dist/2r/overlap/amg_multi/k4", 0x58e7f14ac3e14d0d),
     ("dist/2r/overlap/amg_multi/k9", 0x815155cb185eacb9),
+    ("dist/2r/overlap/pcg", 0xd1387265b8cdfe51),
     ("dist/2r/sync/amg", 0xf5ca32693f40467b),
     ("dist/2r/sync/fgmres", 0xca218f8e08458d66),
     ("dist/2r/sync/amg_multi/k1", 0xf5ca32693f40467b),
     ("dist/2r/sync/amg_multi/k3", 0xc6ad084eca7ae7be),
     ("dist/2r/sync/amg_multi/k4", 0x58e7f14ac3e14d0d),
     ("dist/2r/sync/amg_multi/k9", 0x815155cb185eacb9),
+    ("dist/2r/sync/pcg", 0xd1387265b8cdfe51),
 ];
 
 #[test]
@@ -276,6 +337,51 @@ fn solve_fingerprints_match_recorded_parent() {
         assert_eq!(
             f, ef,
             "{name}: the solve path is no longer bitwise the recorded one"
+        );
+    }
+}
+
+/// Serial FGMRES. The iteration counts are the ones 737fddd (the parent of
+/// "Krylov once") produced. The fingerprints of `x` and the history were
+/// recorded *after* that change: the shared FGMRES body normalises a basis
+/// vector by dividing by its norm (`v /= β`, what the distributed copy
+/// did and what `dist/*/fgmres` above pins) where the serial copy
+/// multiplied by the reciprocal (`v *= 1/β`) — the one intended last-ulp
+/// difference of that change (ISSUE 18, trap a). With the two divisions
+/// turned back into reciprocal multiplications the shared body reproduces
+/// all six of 737fddd's own fingerprints (0xf6bbaa582a042eee,
+/// 0x04e686e6eee183cd, 0x8cd56294aa5382f8, 0xe882e03cb2effaeb,
+/// 0x1db57d214f6923da, 0x8b447c66b4beee0f), so nothing else moved.
+const FGMRES_EXPECTED: &[(&str, usize, u64)] = &[
+    ("laplace2d/fgmres/amg", 8, 0xab1e090293231ef9),
+    ("laplace2d/fgmres/amg_restart3", 8, 0x93199cf017734a15),
+    (
+        "laplace2d/fgmres/identity_restart20",
+        945,
+        0x323edd7b8c4efda5,
+    ),
+    ("varcoef3d_7pt/fgmres/amg", 7, 0x4471eedc25802b80),
+    ("varcoef3d_7pt/fgmres/amg_restart3", 7, 0x4f018cc4cb738419),
+    (
+        "varcoef3d_7pt/fgmres/identity_restart20",
+        627,
+        0x9536029b5adf9d6d,
+    ),
+];
+
+#[test]
+fn fgmres_iterations_match_parent_and_bits_are_pinned() {
+    let got = fgmres_fingerprints();
+    for (name, its, f) in &got {
+        println!("    (\"{name}\", {its}, 0x{f:016x}),");
+    }
+    assert_eq!(got.len(), FGMRES_EXPECTED.len(), "fingerprint set changed");
+    for ((name, its, f), (ename, eits, ef)) in got.iter().zip(FGMRES_EXPECTED) {
+        assert_eq!(name, ename, "fingerprint order changed");
+        assert_eq!(its, eits, "{name}: iteration count differs from 737fddd");
+        assert_eq!(
+            f, ef,
+            "{name}: serial FGMRES is no longer bitwise the recorded one"
         );
     }
 }

@@ -15,7 +15,9 @@ use crate::params::CycleKind;
 use crate::smoother::Workspace;
 use famg_sparse::counters::flops;
 use famg_sparse::multivec::{gather_col, scatter_col};
-use famg_sparse::spmm::{interp_apply_add_rows, restrict_apply_rows, spmm_axpby_rows, spmm_rows};
+use famg_sparse::spmm::{
+    interp_apply_add_rows, residual_rows, restrict_apply_rows, spmm_axpby_rows, spmm_rows,
+};
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::MultiVec;
 
@@ -35,6 +37,9 @@ pub struct CycleWorkspace {
     scratch: Vec<Vec<f64>>,
     /// One column of the coarsest level, for the direct solve.
     coarse_col: Vec<f64>,
+    /// Where the fused residual kernel puts its per-lane `‖r‖²`; the cycle
+    /// wants only `R = B − A·X` written in the one pass over `A`.
+    lane_norms: Vec<f64>,
     /// Finest-level permuted right-hand side (solver wrapper scratch —
     /// hoisted here so repeated solves allocate nothing in the hot loop).
     pub(crate) fine_b: Vec<f64>,
@@ -67,6 +72,7 @@ impl CycleWorkspace {
             ws.scratch.push(vec![0.0; n.max(nc) * k]);
         }
         ws.coarse_col = vec![0.0; h.levels.last().map_or(0, |l| l.a.nrows())];
+        ws.lane_norms = vec![0.0; k];
         let n = h.n();
         ws.fine_b = vec![0.0; n * k];
         ws.fine_x = vec![0.0; n * k];
@@ -191,62 +197,68 @@ fn cycle_level(
     {
         let _s = famg_prof::scope_at(residual_span, level);
         famg_prof::counter("flops", flops::spmm(a.nnz(), k) + (n * k) as u64);
-        spmm_rows(a, x, k, &mut r);
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
+        residual_rows(a, x, b, &mut r, k, &mut ws.lane_norms);
     }
 
-    // Restrict into the child's stored ordering.
+    // Restrict into the child's stored ordering: straight into `bc` when
+    // the child is unpermuted, otherwise into the child's scratch block,
+    // which the scatter then reads (whole rows move, so every column sees
+    // the same scatter).
     let nc = lvl.nc;
+    let child_perm = h.levels[level + 1].perm.as_ref();
     let mut bc = std::mem::take(&mut ws.bc[level]);
+    let mut scratch = std::mem::take(&mut ws.scratch[level + 1]);
     {
         let _s = famg_prof::scope_at("restrict", level);
+        let out = if child_perm.is_some() {
+            &mut scratch[..nc * k]
+        } else {
+            &mut bc[..]
+        };
         match ops {
             TransferOps::CfBlock { pft, .. } => {
                 famg_prof::counter("flops", flops::spmm(pft.nnz(), k));
-                restrict_apply_rows(pft, nc, &r, k, &mut bc);
+                restrict_apply_rows(pft, nc, &r, k, out);
             }
             TransferOps::Full { p, r: rt } => {
                 famg_prof::counter("flops", flops::spmm(p.nnz(), k));
                 if let Some(rt) = rt {
-                    spmm_rows(rt, &r, k, &mut bc);
+                    spmm_rows(rt, &r, k, out);
                 } else {
                     // Baseline: transpose P on every restriction.
-                    spmm_rows(&transpose_par(p), &r, k, &mut bc);
+                    spmm_rows(&transpose_par(p), &r, k, out);
                 }
             }
         }
     }
     ws.r[level] = r;
-    // Scatter through the child's permutation, if any (whole rows move,
-    // so every column sees the same scatter).
-    let child_perm = h.levels[level + 1].perm.as_ref();
     if let Some(q) = child_perm {
         let _s = famg_prof::scope_at("permute", level);
-        let scratch = &mut ws.scratch[level + 1][..nc * k];
-        q.apply_rows_into(&bc, k, scratch);
-        bc.copy_from_slice(scratch);
+        q.apply_rows_into(&scratch[..nc * k], k, &mut bc);
     }
 
-    // Recurse with zero guess; W/F cycles revisit the coarse level.
+    // Recurse with zero guess; W/F cycles revisit the coarse level. A
+    // permuted child iterates in the scratch block and is gathered back
+    // out of its ordering into `xc`.
     let mut xc = std::mem::take(&mut ws.xc[level]);
-    xc.fill(0.0);
-    cycle_level(h, level + 1, &bc, &mut xc, k, ws, true, kind);
+    let child_x = if child_perm.is_some() {
+        &mut scratch[..nc * k]
+    } else {
+        &mut xc[..]
+    };
+    child_x.fill(0.0);
+    cycle_level(h, level + 1, &bc, child_x, k, ws, true, kind);
     match kind {
         CycleKind::V => {}
-        CycleKind::W => cycle_level(h, level + 1, &bc, &mut xc, k, ws, false, kind),
+        CycleKind::W => cycle_level(h, level + 1, &bc, child_x, k, ws, false, kind),
         // F-cycle: an F-recursion followed by a V-recursion.
-        CycleKind::F => cycle_level(h, level + 1, &bc, &mut xc, k, ws, false, CycleKind::V),
+        CycleKind::F => cycle_level(h, level + 1, &bc, child_x, k, ws, false, CycleKind::V),
     }
-
-    // Gather back out of the child's ordering.
     if let Some(q) = child_perm {
         let _s = famg_prof::scope_at("permute", level);
-        let scratch = &mut ws.scratch[level + 1][..nc * k];
-        scratch.copy_from_slice(&xc);
-        q.unapply_rows_into(scratch, k, &mut xc);
+        q.unapply_rows_into(&scratch[..nc * k], k, &mut xc);
     }
+    ws.scratch[level + 1] = scratch;
 
     // Prolongate and correct.
     {

@@ -115,6 +115,10 @@ pub struct GsPartition {
     pub ext_start: Vec<usize>,
     /// Reciprocal diagonal of each row.
     pub dinv: Vec<f64>,
+    /// Sorted distinct columns of every row's external segment: the only
+    /// entries of the pre-sweep snapshot a sweep reads, so the only ones it
+    /// takes. Empty with one task.
+    pub ext_cols: Vec<usize>,
 }
 
 /// Reorders each row of `a` into `[diag | own-lower | own-upper | ext]`
@@ -135,6 +139,7 @@ pub fn partition_rows_gs(a: &mut Csr, nc: usize, own: &ThreadOwnership) -> GsPar
     let mut low: Vec<(usize, f64)> = Vec::new();
     let mut up: Vec<(usize, f64)> = Vec::new();
     let mut ext: Vec<(usize, f64)> = Vec::new();
+    let mut ext_cols: Vec<usize> = Vec::new();
     for i in 0..n {
         let r = rowptr[i]..rowptr[i + 1];
         let t = own.owner_of(i, nc);
@@ -172,12 +177,16 @@ pub fn partition_rows_gs(a: &mut Csr, nc: usize, own: &ThreadOwnership) -> GsPar
         }
         up_start[i] = r.start + 1 + low.len();
         ext_start[i] = r.start + 1 + low.len() + up.len();
+        ext_cols.extend(ext.iter().map(|&(c, _)| c));
     }
+    ext_cols.sort_unstable();
+    ext_cols.dedup();
     GsPartition {
         own: own.clone(),
         up_start,
         ext_start,
         dinv,
+        ext_cols,
     }
 }
 
@@ -255,6 +264,42 @@ mod tests {
                 assert!(!mine(c), "row {i} ext seg");
             }
         }
+    }
+
+    #[test]
+    fn gs_partition_ext_cols_are_the_ext_segment_columns() {
+        use std::collections::BTreeSet;
+        let base = laplace2d(9, 8);
+        let nc = 25;
+        for tasks in 1..=4 {
+            let mut a = base.clone();
+            let own = ThreadOwnership::build(&a, nc, tasks);
+            let g = partition_rows_gs(&mut a, nc, &own);
+            let want: BTreeSet<usize> = (0..a.nrows())
+                .flat_map(|i| a.colidx()[g.ext_start[i]..a.rowptr()[i + 1]].to_vec())
+                .collect();
+            assert_eq!(g.ext_cols, want.into_iter().collect::<Vec<_>>());
+            assert_eq!(g.ext_cols.is_empty(), tasks == 1, "tasks={tasks}");
+        }
+    }
+
+    #[test]
+    fn gs_partition_ext_cols_scale_with_the_task_boundary() {
+        // A real C/F ordering of the 64 x 64 grid cut into two tasks: the
+        // snapshot is a few grid lines (O(edge)), not O(n).
+        let a0 = laplace2d(64, 64);
+        let s = crate::strength::strength(&a0, 0.25, 0.8);
+        let c = crate::coarsen::pmis(&s, 1);
+        let (mut a, ord) = cf_reorder(&a0, &c.is_coarse);
+        let own = ThreadOwnership::build(&a, ord.nc, 2);
+        let g = partition_rows_gs(&mut a, ord.nc, &own);
+        assert!(!g.ext_cols.is_empty());
+        assert!(
+            g.ext_cols.len() <= 6 * 64,
+            "{} snapshot columns of {}",
+            g.ext_cols.len(),
+            a.nrows()
+        );
     }
 
     #[test]

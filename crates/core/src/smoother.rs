@@ -6,8 +6,10 @@
 //! Jacobi across tasks: each half-sweep snapshots `x` into a temporary
 //! buffer, own-task columns are read live from `x`, other-task columns
 //! from the snapshot (honouring the write-after-read dependency across
-//! tasks). C-F relaxation smooths coarse points then fine points in
-//! pre-smoothing and the reverse in post-smoothing.
+//! tasks). The optimized kernel knows which columns those are
+//! (`GsPartition::ext_cols`) and snapshots only them. C-F relaxation
+//! smooths coarse points then fine points in pre-smoothing and the
+//! reverse in post-smoothing.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::reorder::{GsPartition, ThreadOwnership};
@@ -20,6 +22,8 @@ use std::ops::Range;
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Pre-sweep snapshot of the iterate (`n * k` lanes), grown on demand.
+    /// The optimized hybrid GS refreshes only the entries it reads, so the
+    /// rest may be stale (an earlier sweep's, or another level's).
     temp: Vec<f64>,
     /// Column-extraction scratch for the extract-column fallback.
     col_b: Vec<f64>,
@@ -88,8 +92,6 @@ pub enum Smoother {
         /// Row partition and ownership data built by
         /// [`crate::reorder::partition_rows_gs`].
         part: GsPartition,
-        /// Number of coarse rows (first `nc` rows).
-        nc: usize,
     },
     /// Lexicographic GS parallelized by level scheduling (exactly
     /// reproduces the sequential GS iterate for symmetric patterns).
@@ -150,7 +152,7 @@ impl Smoother {
     pub fn hybrid_opt(a: &mut Csr, nc: usize, nthreads: usize) -> Self {
         let own = ThreadOwnership::build(a, nc, nthreads);
         let part = crate::reorder::partition_rows_gs(a, nc, &own);
-        Smoother::HybridOpt { part, nc }
+        Smoother::HybridOpt { part }
     }
 
     /// Lexicographic GS with level scheduling.
@@ -327,15 +329,14 @@ impl Smoother {
         assert_eq!(xd.len(), n * k); // PANIC-FREE: see above.
         match self {
             _ if k == 0 => {}
-            Smoother::HybridOpt { part, nc } if k <= 8 => {
-                let nc = *nc;
-                // The zero-guess skip only applies to the coarse sweep
-                // (all processed rows then satisfy `i < nc`, so the
-                // snapshot is never read).
+            Smoother::HybridOpt { part } if k <= 8 => {
+                // The zero-guess skip only applies to the coarse sweep:
+                // its rows then read own-lower entries alone, never the
+                // snapshot.
                 let x_is_zero = x_is_zero && class == Class::Coarse;
                 let temp = ws.temp(n * k);
                 if !x_is_zero {
-                    temp[..n * k].copy_from_slice(xd);
+                    snapshot_ext(part, xd, k, temp);
                 }
                 let temp = &ws.temp[..n * k];
                 let p = XPtr(xd.as_mut_ptr());
@@ -355,7 +356,7 @@ impl Smoother {
                             for rows in std::iter::once(rows).chain(extra) {
                                 lanes!(
                                     k,
-                                    hybrid_opt_rows(part, nc, a, bd, p, temp, k, x_is_zero, rows)
+                                    hybrid_opt_rows(part, a, bd, p, temp, k, x_is_zero, rows)
                                 );
                             }
                         });
@@ -488,14 +489,26 @@ impl Smoother {
     }
 }
 
+/// The pre-sweep snapshot of the optimized hybrid GS: the `k` lanes of
+/// every column some row reads through `temp` (`part.ext_cols`), and
+/// nothing else — whatever `temp` holds elsewhere, stale values of another
+/// level included, no row of this operator looks at it.
+fn snapshot_ext(part: &GsPartition, xd: &[f64], k: usize, temp: &mut [f64]) {
+    for &c in &part.ext_cols {
+        temp[c * k..c * k + k].copy_from_slice(&xd[c * k..c * k + k]);
+    }
+}
+
 /// The optimized hybrid GS row loop (Fig. 2b) over `K` interleaved lanes:
 /// one traversal of the `[diag | own-lower | own-upper | ext]` row
 /// partition advances every lane, each with the same entry order and
-/// arithmetic — at `K = 1` this is the paper's scalar kernel.
+/// arithmetic — at `K = 1` this is the paper's scalar kernel. Own-lower
+/// and own-upper both read the live iterate in stored order, so they are
+/// one loop; with `x_is_zero` (coarse rows of a zero guess) only own-lower
+/// entries can be nonzero and the row stops at `up_start`.
 #[allow(clippy::too_many_arguments)]
 fn hybrid_opt_rows<const K: usize>(
     part: &GsPartition,
-    nc: usize,
     a: &Csr,
     bd: &[f64],
     p: &XPtr,
@@ -510,14 +523,16 @@ fn hybrid_opt_rows<const K: usize>(
     let kk = width::<K>(k);
     debug_assert!(kk <= 8);
     for i in rows {
-        let start = rowptr[i];
         let end = rowptr[i + 1];
-        let up = part.up_start[i];
-        let ext = part.ext_start[i];
+        let (live_end, ext) = if x_is_zero {
+            (part.up_start[i], end)
+        } else {
+            (part.ext_start[i], part.ext_start[i])
+        };
         let mut acc = [0.0f64; 8];
         acc[..kk].copy_from_slice(&bd[i * kk..i * kk + kk]);
-        // Own lower: always live x.
-        for e in start + 1..up {
+        // Own columns: live x (updated below row i, pre-sweep above it).
+        for e in rowptr[i] + 1..live_end {
             let v = values[e];
             let cb = colidx[e] * kk;
             for j in 0..kk {
@@ -525,23 +540,12 @@ fn hybrid_opt_rows<const K: usize>(
                 acc[j] -= v * unsafe { *p.0.add(cb + j) };
             }
         }
-        if !(x_is_zero && i < nc) {
-            // Own upper: live x (still holds pre-sweep values for c > i).
-            for e in up..ext {
-                let v = values[e];
-                let cb = colidx[e] * kk;
-                for j in 0..kk {
-                    // SAFETY: own column, only this task writes its lanes.
-                    acc[j] -= v * unsafe { *p.0.add(cb + j) };
-                }
-            }
-            // External: snapshot.
-            for e in ext..end {
-                let v = values[e];
-                let cb = colidx[e] * kk;
-                for j in 0..kk {
-                    acc[j] -= v * temp[cb + j];
-                }
+        // External columns: snapshot.
+        for e in ext..end {
+            let v = values[e];
+            let cb = colidx[e] * kk;
+            for j in 0..kk {
+                acc[j] -= v * temp[cb + j];
             }
         }
         let d = part.dinv[i];
@@ -689,6 +693,102 @@ mod tests {
         assert_eq!(x, oracle);
     }
 
+    /// Sequential reference for one `HybridOpt` half-sweep of a single
+    /// vector: a full pre-sweep snapshot, the tasks run one after another
+    /// on the calling thread, and for every stored off-diagonal entry a
+    /// test against the task's two ranges decides between the live iterate
+    /// and the snapshot. It reads neither `up_start`/`ext_start` nor
+    /// `ext_cols`, and knows nothing of the zero-guess skip.
+    fn hybrid_reference(a: &Csr, own: &ThreadOwnership, b: &[f64], x: &mut [f64], class: Class) {
+        let snapshot = x.to_vec();
+        for t in 0..own.nthreads() {
+            let (coarse, fine) = (own.coarse[t].clone(), own.fine[t].clone());
+            let rows: Vec<usize> = match class {
+                Class::Coarse => coarse.clone().collect(),
+                Class::Fine => fine.clone().collect(),
+                Class::All => coarse.clone().chain(fine.clone()).collect(),
+            };
+            for i in rows {
+                let mut acc = b[i];
+                let mut d = 0.0;
+                for (c, v) in a.row_iter(i) {
+                    if c == i {
+                        d = v;
+                    } else if coarse.contains(&c) || fine.contains(&c) {
+                        acc -= v * x[c];
+                    } else {
+                        acc -= v * snapshot[c];
+                    }
+                }
+                x[i] = acc * (1.0 / d);
+            }
+        }
+    }
+
+    #[test]
+    fn hybrid_opt_matches_sequential_multitask_reference() {
+        // The independent oracle at more than one task: every task count,
+        // class, lane arm (plus the extract-column fallback at k = 9) and
+        // both settings of the zero-guess flag, bit for bit.
+        let field: Vec<f64> = (0..8 * 7 * 6)
+            .map(|i| 1.0 + f64::from(i % 13) * 0.37)
+            .collect();
+        let operators = [
+            laplace2d(17, 13),
+            famg_matgen::varcoef3d_7pt(8, 7, 6, &field),
+        ];
+        for (oi, a0) in operators.iter().enumerate() {
+            let n = a0.nrows();
+            let is_coarse: Vec<bool> = (0..n).map(|i| (i * 7 + i / 5) % 3 == 0).collect();
+            let (permuted, ord) = crate::reorder::cf_reorder(a0, &is_coarse);
+            for tasks in 1..=4 {
+                let mut a = permuted.clone();
+                let sm = Smoother::hybrid_opt(&mut a, ord.nc, tasks);
+                let Smoother::HybridOpt { part } = &sm else {
+                    unreachable!()
+                };
+                for class in [Class::Coarse, Class::Fine, Class::All] {
+                    for k in [1usize, 2, 3, 4, 8, 9] {
+                        for zero_guess in [false, true] {
+                            let bc: Vec<Vec<f64>> =
+                                (0..k).map(|j| rhs::random(n, 40 + j as u64)).collect();
+                            let xc: Vec<Vec<f64>> = (0..k)
+                                .map(|j| {
+                                    if zero_guess {
+                                        vec![0.0; n]
+                                    } else {
+                                        rhs::random(n, 140 + j as u64)
+                                    }
+                                })
+                                .collect();
+                            let b = MultiVec::from_columns(&bc);
+                            let mut x = MultiVec::from_columns(&xc);
+                            let mut ws = Workspace::new();
+                            sm.sweep_rows(
+                                &a,
+                                b.data(),
+                                x.data_mut(),
+                                k,
+                                &mut ws,
+                                class,
+                                zero_guess,
+                            );
+                            for j in 0..k {
+                                let mut want = xc[j].clone();
+                                hybrid_reference(&a, &part.own, &bc[j], &mut want, class);
+                                let got = x.col(j);
+                                assert!(
+                                    got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                                    "operator {oi} tasks={tasks} {class:?} k={k} zero={zero_guess} col {j}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn hybrid_opt_multithread_reduces_residual() {
         let mut a = laplace2d(8, 8);
@@ -717,11 +817,60 @@ mod tests {
         let mut ws = Workspace::new();
         let mut x1 = vec![0.0; n];
         let mut x2 = vec![0.0; n];
-        // temp buffer must read as zero for the skip variant to be valid.
+        // The zero-guess coarse sweep reads own-lower entries only (never
+        // the snapshot), so the skip needs nothing of the workspace.
         sm.pre_smooth(&a, &b, &mut x1, &mut ws, true);
         let mut ws2 = Workspace::new();
         sm.pre_smooth(&a, &b, &mut x2, &mut ws2, false);
         assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn stale_snapshot_entries_are_never_read() {
+        // The sweep refreshes only `ext_cols` of the snapshot, and the
+        // cycle shares one workspace between levels: whatever else `temp`
+        // holds — NaN, or a larger level's iterate — must not reach the
+        // result.
+        let mut a = laplace2d(13, 12);
+        let n = a.nrows();
+        let sm = Smoother::hybrid_opt(&mut a, 50, 3);
+        let mut big = laplace2d(20, 19);
+        let big_n = big.nrows();
+        let big_sm = Smoother::hybrid_opt(&mut big, 120, 2);
+        for k in [1usize, 4] {
+            let b = rhs::random(n * k, 31);
+            let x0 = rhs::random(n * k, 32);
+            let run = |ws: &mut Workspace| {
+                let mut x = x0.clone();
+                sm.pre_smooth_rows(&a, &b, &mut x, k, ws, false);
+                sm.post_smooth_rows(&a, &b, &mut x, k, ws);
+                x
+            };
+            let fresh = run(&mut Workspace::new());
+            assert!(fresh.iter().all(|v| v.is_finite()));
+
+            let mut poisoned = Workspace::new();
+            poisoned.temp = vec![f64::NAN; 2 * n * k];
+            let got = run(&mut poisoned);
+            assert!(
+                got.iter()
+                    .zip(&fresh)
+                    .all(|(g, f)| g.to_bits() == f.to_bits()),
+                "NaN-filled snapshot leaked, k={k}"
+            );
+
+            let mut shared = Workspace::new();
+            let mut bx = rhs::random(big_n * k, 33);
+            let bb = rhs::random(big_n * k, 34);
+            big_sm.pre_smooth_rows(&big, &bb, &mut bx, k, &mut shared, false);
+            let got = run(&mut shared);
+            assert!(
+                got.iter()
+                    .zip(&fresh)
+                    .all(|(g, f)| g.to_bits() == f.to_bits()),
+                "another level's snapshot leaked, k={k}"
+            );
+        }
     }
 
     #[test]

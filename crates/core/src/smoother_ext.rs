@@ -98,7 +98,9 @@ impl L1HybridGs {
                         l1 += v.abs();
                     }
                 }
-                1.0 / (d + l1)
+                let dl1 = d + l1;
+                assert!(dl1 != 0.0, "zero l1 diagonal in row {i}");
+                1.0 / dl1
             })
             .collect();
         L1HybridGs { dinv, ranges }
@@ -274,6 +276,15 @@ mod tests {
     fn residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
         residual_norm_sq(a, x, b, &mut r).sqrt()
+    }
+
+    #[test]
+    #[should_panic(expected = "zero l1 diagonal in row 1")]
+    fn l1_hybrid_gs_rejects_a_zero_l1_diagonal() {
+        // Row 1 is empty: without the check its scaling is `1/0 = inf` and
+        // the first sweep returns NaN iterates with no diagnostic.
+        let a = Csr::from_triplets(2, 2, vec![(0, 0, 2.0)]);
+        let _ = L1HybridGs::new(&a, 1);
     }
 
     #[test]

@@ -105,6 +105,13 @@ echo "==> multi-RHS bench smoke (asserts k=8 per-RHS >= 1.3x solo and"
 echo "    k-independent message counts)"
 cargo run -q --release -p famg-bench --bin multi_rhs -- --smoke --out target/bench
 
+# The §5.1 table at the size of results/bandwidth.txt: every kernel row
+# is read against a pool triad over its own bytes, and the bin exits
+# non-zero when one exceeds 105 % of it (a reference that a kernel beats
+# is the wrong reference — how bandwidth.txt once read "154 % of STREAM").
+echo "==> bandwidth analysis smoke (asserts every kernel <= 105% of its STREAM reference)"
+cargo run -q --release -p famg-bench --bin text_bandwidth -- --scale 0.25
+
 # Profiler off: every probe must compile to a unit type; the solve paths
 # still build and pass their suites with zero timing reads.
 echo "==> famg-prof disabled build (--no-default-features)"

@@ -7,8 +7,12 @@
 //! sparsity pattern never changes. The refresh path freezes everything
 //! pattern-derived once (`AmgSolver::setup_refreshable`) and then absorbs
 //! each step's new values with branch-free numeric passes only
-//! (`AmgSolver::refresh`). Each step also cross-checks that the refreshed
-//! hierarchy solves bitwise identically to a from-scratch build.
+//! (`AmgSolver::refresh`). Each side of a step is timed as the minimum of
+//! [`REPS`] runs — a smoke step is 7–15 ms, one descheduled thread away
+//! from any ratio — which for the refresh side means refreshing with the
+//! same values again: refresh is idempotent, and that is asserted. Each
+//! step also cross-checks that the refreshed hierarchy solves bitwise
+//! identically to a from-scratch build.
 //!
 //! Usage: `cargo run --release -p famg-bench --bin setup_refresh
 //!         [--smoke] [--out <dir>]`
@@ -27,7 +31,18 @@ use famg_core::solver::AmgSolver;
 use famg_core::stats::PhaseTimes;
 use famg_matgen::{reservoir_field, rhs, varcoef3d_7pt};
 use famg_prof::json::Json;
+use famg_sparse::Csr;
 use std::time::{Duration, Instant};
+
+/// Runs per timed side of a step; the minimum is what is reported.
+const REPS: usize = 3;
+
+/// Keeps the fastest run's wall time and Fig. 5 buckets.
+fn keep_fastest(best: &mut Option<(Duration, PhaseTimes)>, t: Duration, times: &PhaseTimes) {
+    if best.as_ref().is_none_or(|(b, _)| t < *b) {
+        *best = Some((t, times.clone()));
+    }
+}
 
 /// Permeability field at time step `t`: the frozen reservoir geology with
 /// a small smooth multiplicative drift, the regime the refresh contract
@@ -71,21 +86,44 @@ fn main() {
     let mut report = BenchReport::new("setup_refresh", smoke);
     report.problem(n, a0.nnz());
     println!(
-        "\n{:>4} {:>12} {:>12} {:>8}",
+        "\n{:>4} {:>12} {:>12} {:>8}   (each the minimum of {REPS} runs)",
         "step", "full setup", "refresh", "ratio"
     );
     for t in 1..=steps {
         let at = varcoef3d_7pt(nx, ny, nz, &step_field(&base, nx, ny, nz, t));
 
-        let tf = Instant::now();
-        let full = AmgSolver::setup(&at, &cfg);
-        let full_t = tf.elapsed();
+        let mut full_best = None;
+        let mut full = None;
+        for _ in 0..REPS {
+            drop(full.take());
+            let tf = Instant::now();
+            let built = AmgSolver::setup(&at, &cfg);
+            keep_fastest(&mut full_best, tf.elapsed(), &built.hierarchy().times);
+            full = Some(built);
+        }
+        let (full_t, full_phases) = full_best.expect("REPS > 0");
+        let full = full.expect("REPS > 0");
 
-        let tr = Instant::now();
-        refreshed
-            .refresh(&at)
-            .expect("same-pattern drift must refresh");
-        let refresh_t = tr.elapsed();
+        let mut refresh_best = None;
+        let mut first: Vec<Csr> = Vec::new();
+        for rep in 0..REPS {
+            let tr = Instant::now();
+            refreshed
+                .refresh(&at)
+                .expect("same-pattern drift must refresh");
+            keep_fastest(
+                &mut refresh_best,
+                tr.elapsed(),
+                &refreshed.hierarchy().times,
+            );
+            let operators = refreshed.hierarchy().levels.iter().map(|l| &l.a);
+            if rep == 0 {
+                first = operators.cloned().collect();
+            } else {
+                assert!(operators.eq(&first), "step {t}: refresh is not idempotent");
+            }
+        }
+        let (refresh_t, refresh_phases) = refresh_best.expect("REPS > 0");
 
         // The refreshed hierarchy must solve bitwise identically to the
         // from-scratch build.
@@ -99,8 +137,8 @@ fn main() {
 
         full_total += full_t;
         refresh_total += refresh_t;
-        full_times.accumulate(&full.hierarchy().times);
-        refresh_times.accumulate(&refreshed.hierarchy().times);
+        full_times.accumulate(&full_phases);
+        refresh_times.accumulate(&refresh_phases);
         // Per-step flops along the refresh path (numeric refresh + solve).
         report.counters_from(&refreshed.hierarchy().profile);
         report.counters_from(&r2.profile);

@@ -20,7 +20,7 @@ use famg_sparse::dense::{DenseMatrix, LuFactor};
 use famg_sparse::permute::Permutation;
 use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
-use famg_sparse::triple::{rap_cf_from_parts, rap_row_fused, rap_scalar_fused};
+use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
 use famg_sparse::Csr;
 
 /// Grid-transfer operators between a level and the next coarser one.
@@ -357,9 +357,9 @@ impl Hierarchy {
                 let pft = transpose_par(&pf);
                 drop(extract_span);
 
-                // --- RAP over the CF blocks. ---
+                // --- RAP over the CF blocks of `ap`, read in place. ---
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
-                let next = rap_cf_from_parts(&ap, nc, &pf);
+                let next = rap_cf(&ap, nc, &pf, &pft);
                 drop(rap_span);
 
                 #[cfg(feature = "validate")]
@@ -377,25 +377,8 @@ impl Hierarchy {
 
                 if let Some(cap) = capture.as_deref_mut() {
                     let _s = famg_prof::scope_at("capture", lvl_idx);
-                    use crate::refresh::{index_valued, ValueMap};
                     let tape = matches!(ikind, InterpKind::ExtendedI)
                         .then(|| crate::interp::ExtITape::capture(&ap, &sp, &cf));
-                    // Freeze the value-moving transforms as gather maps by
-                    // pushing an index-valued matrix through each once.
-                    let perm_map = ValueMap::capture(famg_sparse::permute::permute_symmetric(
-                        &index_valued(&current),
-                        &ord.perm,
-                    ));
-                    let (icc, icf, ifc, iff) =
-                        famg_sparse::permute::split_cf_blocks(&index_valued(&ap), nc);
-                    let cf_maps = [
-                        ValueMap::capture(icc),
-                        ValueMap::capture(icf),
-                        ValueMap::capture(ifc),
-                        ValueMap::capture(iff),
-                    ];
-                    let pft_map =
-                        ValueMap::capture(famg_sparse::transpose::transpose(&index_valued(&pf)));
                     cap.push(FrozenLevel {
                         s: sp,
                         stage1: stage1_p,
@@ -403,9 +386,6 @@ impl Hierarchy {
                         cf,
                         p: p_full.clone(),
                         tape,
-                        perm_map: Some(perm_map),
-                        cf_maps: Some(cf_maps),
-                        pft_map: Some(pft_map),
                         rap: next.clone(),
                     });
                 }
@@ -465,9 +445,6 @@ impl Hierarchy {
                         cf,
                         p: p.clone(),
                         tape,
-                        perm_map: None,
-                        cf_maps: None,
-                        pft_map: None,
                         rap: next.clone(),
                     });
                 }
@@ -495,23 +472,8 @@ impl Hierarchy {
             }
         }
 
-        // --- Coarsest level. ---
-        let coarse_span = famg_prof::scope_at("coarse", levels.len());
-        let coarse_lu = if current.nrows() <= cfg.coarse_solve_size && current.nrows() > 0 {
-            LuFactor::new(&DenseMatrix::from_csr(&current))
-        } else {
-            None
-        };
-        let mut cur = current;
-        let smoother = build_smoother(&mut cur, 0, None, cfg);
-        levels.push(Level {
-            a: cur,
-            perm: None,
-            nc: 0,
-            ops: None,
-            smoother,
-        });
-        drop(coarse_span);
+        let (coarsest, coarse_lu) = coarsest_level(current, levels.len(), cfg);
+        levels.push(coarsest);
 
         drop(root_span);
         let profile = famg_prof::take();
@@ -606,6 +568,26 @@ impl Hierarchy {
     pub fn n(&self) -> usize {
         self.levels[0].a.nrows()
     }
+}
+
+/// The tail of every setup and refresh: the coarsest operator gets its
+/// smoother and, when small enough, a dense LU factorization.
+pub(crate) fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuFactor>) {
+    let _span = famg_prof::scope_at("coarse", idx);
+    let coarse_lu = if a.nrows() <= cfg.coarse_solve_size && a.nrows() > 0 {
+        LuFactor::new(&DenseMatrix::from_csr(&a))
+    } else {
+        None
+    };
+    let smoother = build_smoother(&mut a, 0, None, cfg);
+    let level = Level {
+        a,
+        perm: None,
+        nc: 0,
+        ops: None,
+        smoother,
+    };
+    (level, coarse_lu)
 }
 
 /// Extracts rows `nc..n` of a full interpolation operator (whose first

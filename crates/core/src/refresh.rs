@@ -15,10 +15,12 @@
 //! pattern* and new values hundreds of times. [`Hierarchy::build_frozen`]
 //! captures the pattern-derived half into a [`FrozenSetup`];
 //! [`Hierarchy::refresh`] then absorbs a same-pattern operator by
-//! re-running only branch-free numeric passes (interpolation weights over
-//! the frozen strength/CF inputs, numeric-only RAP into the frozen coarse
-//! patterns, smoother extraction) — strength computation, PMIS,
-//! permutation construction, and symbolic SpGEMM are skipped entirely.
+//! re-running only numeric passes (interpolation weights over the frozen
+//! strength/CF inputs, numeric-only RAP into the frozen coarse patterns,
+//! smoother extraction) and the value-moving kernels the build itself
+//! runs (`permute_symmetric` with the stored permutation,
+//! `transpose_par`) — strength computation, PMIS, permutation
+//! construction, and symbolic SpGEMM are skipped entirely.
 //!
 //! ## Refresh contract
 //!
@@ -38,97 +40,30 @@
 //!   (e.g. a strength threshold crossing).
 
 use crate::coarsen::Coarsening;
-use crate::hierarchy::{build_interp, build_smoother, extract_fine_block};
+use crate::hierarchy::{build_interp, build_smoother, coarsest_level, extract_fine_block};
 use crate::hierarchy::{Hierarchy, Level, TransferOps};
 use crate::interp::{CfMap, ExtITape};
 use crate::params::{AmgConfig, InterpKind};
 use crate::stats::PhaseTimes;
-use famg_sparse::dense::{DenseMatrix, LuFactor};
+use famg_sparse::dense::LuFactor;
 use famg_sparse::permute::permute_symmetric;
 use famg_sparse::transpose::transpose_par;
-use famg_sparse::triple::{
-    rap_cf_numeric, rap_cf_numeric_from_parts, rap_row_fused_numeric, rap_scalar_fused_numeric,
-};
+use famg_sparse::triple::{rap_cf_numeric, rap_row_fused_numeric, rap_scalar_fused_numeric};
 use famg_sparse::Csr;
 
-/// A frozen value-move: an output pattern plus, for every output
-/// nonzero, the source value-array position it copies from.
-///
-/// The setup phase contains several transforms that only *relocate*
-/// values — symmetric permutation, CF block splitting, transposition.
-/// Their symbolic side (destination layout) is pattern-derived, so it is
-/// captured once by running the original transform over an index-valued
-/// matrix ([`index_valued`]); refresh then replays each as a single
-/// branch-free gather, bitwise identical to re-running the transform.
-#[derive(Debug)]
-pub(crate) struct ValueMap {
-    /// Output pattern template (values are freeze-time scribble).
-    out: Csr,
-    /// For each output nnz, the source nnz it copies.
-    src: Vec<u32>,
-}
-
-impl ValueMap {
-    /// Harvests the map from a transform's output over an index-valued
-    /// input: each output value *is* the source position it came from.
-    pub(crate) fn capture(transformed: Csr) -> ValueMap {
-        let src = transformed
-            .values()
-            .iter()
-            .map(|&v| {
-                debug_assert_eq!(
-                    v,
-                    f64::from(v as u32),
-                    "not an index-valued transform output"
-                );
-                v as u32
-            })
-            .collect();
-        ValueMap {
-            out: transformed,
-            src,
-        }
-    }
-
-    /// Replays the move against a new source value array.
-    // ALLOC: refresh-path rebuild; the analyzer reaches this only through
-    // the name-based over-approximation of `apply` (`cg_with` calls
-    // `precond.apply`, which shares the method name). Kept as the
-    // documented false-positive example for DESIGN.md §10.
-    pub(crate) fn apply(&self, source: &[f64]) -> Csr {
-        let values: Vec<f64> = self.src.iter().map(|&k| source[k as usize]).collect();
-        Csr::from_parts_unchecked(
-            self.out.nrows(),
-            self.out.ncols(),
-            self.out.rowptr().to_vec(),
-            self.out.colidx().to_vec(),
-            values,
-        )
-    }
-}
-
-/// A matrix with `pattern`'s sparsity whose k-th stored value is `k` —
-/// feed it through a value-moving transform to learn where each value
-/// lands (the transform must be arithmetic-free on values).
-pub(crate) fn index_valued(pattern: &Csr) -> Csr {
-    assert!(
-        u32::try_from(pattern.nnz()).is_ok(),
-        "value-map capture: nnz exceeds u32"
-    );
-    Csr::from_parts_unchecked(
-        pattern.nrows(),
-        pattern.ncols(),
-        pattern.rowptr().to_vec(),
-        pattern.colidx().to_vec(),
-        (0..pattern.nnz()).map(|k| k as f64).collect(),
-    )
-}
-
-/// Everything pattern-derived about one level, captured at build time.
+/// Everything pattern-derived about one level, captured at build time: a
+/// frozen level records *decisions* — the strength pattern, the CF
+/// splitting, `P`'s kept set, the RAP pattern and, for extended+i, the
+/// weight circuit — and nothing else. The transforms that only move
+/// values (the CF permutation with the level's stored [`Permutation`],
+/// `P_Fᵀ`, the CF-block read of `A_perm` inside the RAP kernel) are not
+/// encoded a second time: refresh runs the kernels the build ran.
 ///
 /// `s`, `stage1`, `final_c`, and `cf` are stored in the level's *builder*
 /// ordering (CF-permuted on the optimized path), i.e. exactly as the
 /// interpolation builders consumed them during the full build.
+///
+/// [`Permutation`]: famg_sparse::permute::Permutation
 #[derive(Debug)]
 pub struct FrozenLevel {
     /// Strength matrix. Only its pattern is consumed on refresh (the
@@ -148,18 +83,11 @@ pub struct FrozenLevel {
     /// arithmetic circuit recorded at freeze time, so refresh skips the
     /// structure-discovery passes entirely. `None` for other schemes.
     pub(crate) tape: Option<ExtITape>,
-    /// CF permutation as a value gather (`current` → `A_perm`);
-    /// optimized path only.
-    pub(crate) perm_map: Option<ValueMap>,
-    /// CF block split as four value gathers (`A_perm` → `A_CC`, `A_CF`,
-    /// `A_FC`, `A_FF`); optimized path only.
-    pub(crate) cf_maps: Option<[ValueMap; 4]>,
-    /// `P_F` transposition as a value gather (`P_F` → `P_Fᵀ`);
-    /// optimized path only.
-    pub(crate) pft_map: Option<ValueMap>,
-    /// Frozen coarse-operator pattern. The values are scratch space for
-    /// the numeric RAP kernels (scribbled even on a failed refresh —
-    /// harmless, since only the pattern is ever read).
+    /// Frozen coarse-operator pattern. The values are scratch space: a
+    /// refresh fills them with the numeric RAP kernels and the next level
+    /// reads its operator from here, never across refreshes (scribbled
+    /// even by a failed refresh — harmless, every refresh rewrites them
+    /// top-down before it reads them).
     pub(crate) rap: Csr,
 }
 
@@ -285,19 +213,14 @@ fn refresh_interp(
     cfg: &AmgConfig,
 ) -> Result<Csr, RefreshError> {
     let (_, ikind) = cfg.level_scheme(level);
-    match ikind {
-        InterpKind::Direct | InterpKind::Classical | InterpKind::ExtendedI => {
-            let raw = match (ikind, fl.tape.as_ref()) {
-                // Extended+i replays its frozen arithmetic circuit — no
-                // structure discovery, just indexed loads and flops.
-                (InterpKind::ExtendedI, Some(tape)) => tape.replay(a),
-                (InterpKind::ExtendedI, None) => crate::interp::extended_i(a, &fl.s, &fl.cf, None),
-                (InterpKind::Direct, _) => crate::interp::direct(a, &fl.s, &fl.cf, None),
-                _ => crate::interp::classical(a, &fl.s, &fl.cf, None),
-            };
-            Ok(project_onto_frozen(&raw, &fl.p))
-        }
-        InterpKind::Multipass | InterpKind::TwoStageExtendedI => {
+    let raw = match (fl.tape.as_ref(), ikind) {
+        // A level has a tape iff its scheme is extended+i, which replays
+        // its frozen arithmetic circuit — no structure discovery, just
+        // indexed loads and flops.
+        (Some(tape), _) => tape.replay(a),
+        (None, InterpKind::Direct) => crate::interp::direct(a, &fl.s, &fl.cf, None),
+        (None, InterpKind::Classical) => crate::interp::classical(a, &fl.s, &fl.cf, None),
+        (None, _) => {
             let p = build_interp(
                 a,
                 &fl.s,
@@ -307,16 +230,17 @@ fn refresh_interp(
                 ikind,
                 cfg,
             );
-            if p.same_pattern(&fl.p) {
+            return if p.same_pattern(&fl.p) {
                 Ok(p)
             } else {
                 Err(RefreshError::PatternMismatch {
                     level,
                     what: "interpolation operator",
                 })
-            }
+            };
         }
-    }
+    };
+    Ok(project_onto_frozen(&raw, &fl.p))
 }
 
 impl Hierarchy {
@@ -379,9 +303,14 @@ impl Hierarchy {
         cfg: &AmgConfig,
     ) -> Result<(Vec<Level>, Option<LuFactor>), RefreshError> {
         let mut levels: Vec<Level> = Vec::with_capacity(self.levels.len());
-        let mut current: Csr = a.clone();
 
-        for (idx, fl) in frozen.levels.iter_mut().enumerate() {
+        for idx in 0..frozen.levels.len() {
+            // The operator of level `idx` is `a` at the top and below it
+            // the frozen RAP the previous level just filled; it is read in
+            // place, and copied only where a level has to own it.
+            let (done, rest) = frozen.levels.split_at_mut(idx);
+            let current = done.last().map_or(a, |prev| &prev.rap);
+            let fl = &mut rest[0];
             let nc = fl.cf.nc;
             if cfg.opt.cf_reorder {
                 // --- Optimized path: reuse the frozen permutation. ---
@@ -390,10 +319,7 @@ impl Hierarchy {
                     .perm
                     .clone()
                     .expect("cf_reorder level must carry a permutation");
-                let ap = match &fl.perm_map {
-                    Some(m) => m.apply(current.values()),
-                    None => permute_symmetric(&current, &perm),
-                };
+                let ap = permute_symmetric(current, &perm);
                 drop(reorder_span);
 
                 let interp_span = famg_prof::scope_at("interp", idx);
@@ -403,25 +329,13 @@ impl Hierarchy {
 
                 let extract_span = famg_prof::scope_at("extract_p", idx);
                 let pf = extract_fine_block(&p_full, nc);
-                let pft = match &fl.pft_map {
-                    Some(m) => m.apply(pf.values()),
-                    None => transpose_par(&pf),
-                };
+                let pft = transpose_par(&pf);
                 drop(extract_span);
 
                 // --- Numeric-only RAP into the frozen coarse pattern. ---
                 let rap_span = famg_prof::scope_at("rap", idx);
-                match &fl.cf_maps {
-                    Some([mcc, mcf, mfc, mff]) => {
-                        let av = ap.values();
-                        let (a_cc, a_cf) = (mcc.apply(av), mcf.apply(av));
-                        let (a_fc, a_ff) = (mfc.apply(av), mff.apply(av));
-                        rap_cf_numeric(&a_cc, &a_cf, &a_fc, &a_ff, &pf, &pft, &mut fl.rap);
-                    }
-                    None => rap_cf_numeric_from_parts(&ap, nc, &pf, &mut fl.rap),
-                }
+                rap_cf_numeric(&ap, nc, &pf, &pft, &mut fl.rap);
                 drop(rap_span);
-                let next = fl.rap.clone();
 
                 let smoother_span = famg_prof::scope_at("smoother_setup", idx);
                 let mut ap = ap;
@@ -435,26 +349,24 @@ impl Hierarchy {
                     ops: Some(TransferOps::CfBlock { pf, pft }),
                     smoother,
                 });
-                current = next;
             } else {
                 // --- Baseline path: original ordering throughout. ---
                 let interp_span = famg_prof::scope_at("interp", idx);
-                let p = refresh_interp(&current, fl, idx, cfg);
+                let p = refresh_interp(current, fl, idx, cfg);
                 drop(interp_span);
                 let p = p?;
 
                 let rap_span = famg_prof::scope_at("rap", idx);
                 let r = transpose_par(&p);
                 if cfg.opt.row_fused_rap {
-                    rap_row_fused_numeric(&r, &current, &p, &mut fl.rap);
+                    rap_row_fused_numeric(&r, current, &p, &mut fl.rap);
                 } else {
-                    rap_scalar_fused_numeric(&r, &current, &p, &mut fl.rap);
+                    rap_scalar_fused_numeric(&r, current, &p, &mut fl.rap);
                 }
                 drop(rap_span);
-                let next = fl.rap.clone();
 
                 let smoother_span = famg_prof::scope_at("smoother_setup", idx);
-                let mut cur = current;
+                let mut cur = current.clone();
                 let smoother = build_smoother(&mut cur, nc, Some(&fl.final_c.is_coarse), cfg);
                 let r_kept = cfg.opt.keep_transpose.then_some(r);
                 drop(smoother_span);
@@ -466,27 +378,13 @@ impl Hierarchy {
                     ops: Some(TransferOps::Full { p, r: r_kept }),
                     smoother,
                 });
-                current = next;
             }
         }
 
         // --- Coarsest level: refactor LU over the new values. ---
-        let coarse_span = famg_prof::scope_at("coarse", frozen.levels.len());
-        let coarse_lu = if current.nrows() <= cfg.coarse_solve_size && current.nrows() > 0 {
-            LuFactor::new(&DenseMatrix::from_csr(&current))
-        } else {
-            None
-        };
-        let mut cur = current;
-        let smoother = build_smoother(&mut cur, 0, None, cfg);
-        levels.push(Level {
-            a: cur,
-            perm: None,
-            nc: 0,
-            ops: None,
-            smoother,
-        });
-        drop(coarse_span);
+        let coarsest = frozen.levels.last().map_or(a, |fl| &fl.rap).clone();
+        let (coarsest, coarse_lu) = coarsest_level(coarsest, frozen.levels.len(), cfg);
+        levels.push(coarsest);
         Ok((levels, coarse_lu))
     }
 }

@@ -228,6 +228,13 @@ impl Csr {
         (&mut self.colidx, &mut self.values)
     }
 
+    /// The frozen pattern (`rowptr`, `colidx`) beside the mutable values,
+    /// for the numeric-only kernels that re-fill a matrix in place.
+    #[inline]
+    pub(crate) fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+        (&self.rowptr, &self.colidx, &mut self.values)
+    }
+
     /// The half-open nnz range of row `i`.
     #[inline]
     pub fn row_range(&self, i: usize) -> std::ops::Range<usize> {

@@ -206,70 +206,6 @@ pub fn permute_cols(a: &Csr, perm: &Permutation) -> Csr {
     )
 }
 
-/// Splits a CF-permuted square matrix into its four blocks
-/// `[A_CC A_CF; A_FC A_FF]` where the first `nc` indices are coarse.
-/// Single sweep; entries keep their within-row order.
-pub fn split_cf_blocks(a: &Csr, nc: usize) -> (Csr, Csr, Csr, Csr) {
-    let n = a.nrows();
-    assert_eq!(n, a.ncols());
-    assert!(nc <= n);
-    let nf = n - nc;
-
-    /// Incremental CSR assembler for one block.
-    struct Block {
-        rowptr: Vec<usize>,
-        colidx: Vec<usize>,
-        values: Vec<f64>,
-    }
-    impl Block {
-        fn new(nrows: usize) -> Self {
-            let mut rowptr = Vec::with_capacity(nrows + 1);
-            rowptr.push(0);
-            Block {
-                rowptr,
-                colidx: Vec::new(),
-                values: Vec::new(),
-            }
-        }
-        fn close_row(&mut self) {
-            self.rowptr.push(self.colidx.len());
-        }
-        fn finish(self, nrows: usize, ncols: usize) -> Csr {
-            debug_assert_eq!(self.rowptr.len(), nrows + 1);
-            Csr::from_parts_unchecked(nrows, ncols, self.rowptr, self.colidx, self.values)
-        }
-    }
-
-    let mut cc = Block::new(nc);
-    let mut cf = Block::new(nc);
-    let mut fc = Block::new(nf);
-    let mut ff = Block::new(nf);
-    for i in 0..n {
-        let (left, right) = if i < nc {
-            (&mut cc, &mut cf)
-        } else {
-            (&mut fc, &mut ff)
-        };
-        for (c, v) in a.row_iter(i) {
-            if c < nc {
-                left.colidx.push(c);
-                left.values.push(v);
-            } else {
-                right.colidx.push(c - nc);
-                right.values.push(v);
-            }
-        }
-        left.close_row();
-        right.close_row();
-    }
-    (
-        cc.finish(nc, nc),
-        cf.finish(nc, nf),
-        fc.finish(nf, nc),
-        ff.finish(nf, nf),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,28 +316,5 @@ mod tests {
         for (u, v) in y1.iter().zip(&py) {
             assert!((u - v).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn cf_blocks_reassemble() {
-        let a = Csr::from_triplets(
-            4,
-            4,
-            vec![
-                (0, 0, 1.0),
-                (0, 3, 2.0),
-                (1, 1, 3.0),
-                (2, 2, 4.0),
-                (3, 0, 5.0),
-                (3, 3, 6.0),
-            ],
-        );
-        let (cc, cf, fc, ff) = split_cf_blocks(&a, 2);
-        assert_eq!(cc.get(0, 0), Some(1.0));
-        assert_eq!(cf.get(0, 1), Some(2.0)); // A[0,3] -> CF[0,1]
-        assert_eq!(ff.get(0, 0), Some(4.0)); // A[2,2] -> FF[0,0]
-        assert_eq!(fc.get(1, 0), Some(5.0)); // A[3,0] -> FC[1,0]
-        assert_eq!(ff.get(1, 1), Some(6.0));
-        assert_eq!(cc.nnz() + cf.nnz() + fc.nnz() + ff.nnz(), a.nnz());
     }
 }

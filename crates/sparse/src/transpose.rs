@@ -185,10 +185,10 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_large() {
-        // Deterministic pseudo-random matrix, large enough to hit the
-        // parallel path.
-        let n = 3000;
-        let mut trips = Vec::new();
+        // Deterministic pseudo-random matrices on both sides of the
+        // 1024-row cutover of the parallel path, square and `P_F`-shaped:
+        // setup, refresh and the RAP wrappers take `P_Fᵀ` from
+        // `transpose_par`, tests and oracles from `transpose`.
         let mut state = 12345u64;
         let mut next = move || {
             state = state
@@ -196,16 +196,17 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        for i in 0..n {
-            for k in 0..(1 + next() % 6) {
-                let j = (i + k * 37 + next() % 50) % n;
-                trips.push((i, j, (next() % 1000) as f64 / 100.0 + 0.01));
+        for (nrows, ncols) in [(3000, 3000), (1023, 400), (1024, 400), (2500, 900)] {
+            let mut trips = Vec::new();
+            for i in 0..nrows {
+                for k in 0..(1 + next() % 6) {
+                    let j = (i + k * 37 + next() % 50) % ncols;
+                    trips.push((i, j, (next() % 1000) as f64 / 100.0 + 0.01));
+                }
             }
+            let a = Csr::from_triplets(nrows, ncols, trips);
+            assert_eq!(transpose(&a), transpose_par(&a), "{nrows} x {ncols}"); // bitwise
         }
-        let a = Csr::from_triplets(n, n, trips);
-        let t1 = transpose(&a);
-        let t2 = transpose_par(&a);
-        assert_eq!(t1, t2); // bitwise identical
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * [`rap_cf`] — the CF-permuted decomposition
 //!   `RAP = A_CC + P_Fᵀ·A_FC + (A_CF + P_Fᵀ·A_FF)·P_F`,
 //!   exploiting `P = [I; P_F]` so only the fine-block participates in the
-//!   expensive product.
+//!   expensive product. The four blocks are never formed: the kernel reads
+//!   the coarse-first `A_perm` where it lies (row `i < nc` is
+//!   `[A_CC_i A_CF_i]`, row `nc + k` is `[A_FC_k A_FF_k]`, an entry is on
+//!   the coarse side iff `col < nc`).
 //!
 //! Each variant has a `*_flops` twin that walks the same loop structure and
 //! tallies operations, reproducing the paper's 1.73× flop-ratio claim.
@@ -24,10 +27,12 @@
 //! [`rap_cf_numeric`] re-compute values over a frozen output pattern
 //! (the triple-product analogue of [`crate::spgemm::numeric_only`]): the
 //! output-side sparse accumulator is replaced by a marker array
-//! pre-seeded from the frozen column indices, so every accumulation is a
-//! straight indexed add. Each numeric twin walks the *exact* loop
-//! structure of its full kernel, so the floating-point accumulation
-//! order — and therefore every output value — is identical bit for bit.
+//! pre-seeded from the frozen column indices, so every accumulation is an
+//! indexed add behind one range compare. Each numeric twin walks the
+//! *exact* loop structure of its full kernel (the CF pair shares one row
+//! loop), so the floating-point accumulation order — and therefore every
+//! output value — is identical bit for bit. A frozen pattern that does not
+//! cover the product is a panic naming the row, in every build profile.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::counters::FlopCount;
@@ -35,6 +40,7 @@ use crate::csr::Csr;
 use crate::partition::{num_threads, split_rows_by_nnz};
 use crate::spa::Spa;
 use crate::spgemm::spgemm;
+use crate::transpose::transpose_par;
 
 /// Sparse matrix addition `alpha*A + beta*B` (same shape).
 pub fn csr_add(alpha: f64, a: &Csr, beta: f64, b: &Csr) -> Csr {
@@ -225,9 +231,74 @@ pub fn rap_scalar_fused_flops(r: &Csr, a: &Csr, p: &Csr) -> FlopCount {
     fc
 }
 
+/// Row `i` of `PᵀAP` over the coarse-first `A_perm`, read in place:
+///
+/// ```text
+/// B_i = A_CF_i + Σ_k (P_Fᵀ)_ik · A_FF_k                    (into `spa_b`)
+/// C_i = A_CC_i + Σ_k (P_Fᵀ)_ik · A_FC_k + Σ_j B_ij · P_F_j  (into `add_c`)
+/// ```
+///
+/// the CF analogue of the Fig. 1a row fusion, shared by [`rap_cf`] and
+/// [`rap_cf_numeric`]. `permute_symmetric` remaps columns without
+/// re-sorting, so a row of `A_perm` has no split point and every entry is
+/// tested against `nc`. Each accumulator must meet its entries in the
+/// order the block form `[A_CC A_CF; A_FC A_FF]` would feed them (first
+/// touch fixes `spa_b`'s order, hence the order of the `B_i·P_F`
+/// additions): coarse row `i` is therefore walked twice — its coarse
+/// entries before the `P_Fᵀ` loop, its fine entries after it — and fine
+/// row `nc + k` once, each entry going to its own accumulator.
+#[inline(always)]
+fn cf_row(
+    a_perm: &Csr,
+    nc: usize,
+    pf: &Csr,
+    pft: &Csr,
+    i: usize,
+    spa_b: &mut Spa,
+    mut add_c: impl FnMut(usize, f64),
+) {
+    for (c, v) in a_perm.row_iter(i) {
+        if c < nc {
+            add_c(c, v);
+        }
+    }
+    for (k, w) in pft.row_iter(i) {
+        for (c, v) in a_perm.row_iter(nc + k) {
+            if c < nc {
+                add_c(c, w * v);
+            } else {
+                spa_b.add(c - nc, w * v);
+            }
+        }
+    }
+    for (c, v) in a_perm.row_iter(i) {
+        if c >= nc {
+            spa_b.add(c - nc, v);
+        }
+    }
+    for (pos, &j) in spa_b.cols().iter().enumerate() {
+        let bv = spa_b.vals()[pos];
+        for (c, pv) in pf.row_iter(j) {
+            add_c(c, bv * pv);
+        }
+    }
+    spa_b.reset();
+}
+
+/// Shape guard shared by the CF kernels; returns `nf`.
+fn check_cf_shapes(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr) -> usize {
+    let n = a_perm.nrows();
+    assert_eq!(a_perm.ncols(), n);
+    assert!(nc <= n);
+    let nf = n - nc;
+    assert_eq!((pf.nrows(), pf.ncols()), (nf, nc));
+    assert_eq!((pft.nrows(), pft.ncols()), (nc, nf));
+    nf
+}
+
 /// CF-block triple product over a coarse-first permuted operator.
 ///
-/// With `P = [I; P_F]` (first `nc` rows identity) and `A` permuted to
+/// With `P = [I; P_F]` (first `nc` rows identity) and `A_perm` =
 /// `[A_CC A_CF; A_FC A_FF]`:
 ///
 /// ```text
@@ -236,22 +307,13 @@ pub fn rap_scalar_fused_flops(r: &Csr, a: &Csr, p: &Csr) -> FlopCount {
 ///
 /// `pft` is `P_Fᵀ` (kept from setup; also reused for restriction SpMVs).
 /// Only the fine sub-blocks enter SpGEMM — the optimization is most
-/// effective when the coarsening ratio `nc/n` is high.
-pub fn rap_cf(a_cc: &Csr, a_cf: &Csr, a_fc: &Csr, a_ff: &Csr, pf: &Csr, pft: &Csr) -> Csr {
-    let nc = a_cc.nrows();
-    let nf = pf.nrows();
-    assert_eq!(a_cc.ncols(), nc);
-    assert_eq!(pf.ncols(), nc);
-    assert_eq!(pft.nrows(), nc);
-    assert_eq!(a_ff.nrows(), nf);
+/// effective when the coarsening ratio `nc/n` is high — and neither they
+/// nor any other intermediate matrix is materialized ([`cf_row`]).
+pub fn rap_cf(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr) -> Csr {
+    let nf = check_cf_shapes(a_perm, nc, pf, pft);
     if nc == 0 {
         return Csr::zero(0, 0);
     }
-    // Fully fused: for each coarse row i, accumulate
-    //   B_i = A_CF_i + Σ_k (P_Fᵀ)_ik · A_FF_k      (fine-width scratch)
-    //   C_i = A_CC_i + Σ_k (P_Fᵀ)_ik · A_FC_k + Σ_j B_ij · P_F_j
-    // without materializing any intermediate matrix — the CF analogue of
-    // the Fig. 1a row fusion.
     let blocks = split_rows_by_nnz(pft.rowptr(), num_threads());
     let chunks: Vec<Chunk> = {
         use rayon::prelude::*;
@@ -266,27 +328,7 @@ pub fn rap_cf(a_cc: &Csr, a_cf: &Csr, a_fc: &Csr, a_ff: &Csr, pf: &Csr, pft: &Cs
                 let mut spa_b = Spa::new(nf);
                 let mut spa_c = Spa::new(nc);
                 for i in range.clone() {
-                    for (c, v) in a_cc.row_iter(i) {
-                        spa_c.add(c, v);
-                    }
-                    for (k, w) in pft.row_iter(i) {
-                        for (c, v) in a_fc.row_iter(k) {
-                            spa_c.add(c, w * v);
-                        }
-                        for (c, v) in a_ff.row_iter(k) {
-                            spa_b.add(c, w * v);
-                        }
-                    }
-                    for (c, v) in a_cf.row_iter(i) {
-                        spa_b.add(c, v);
-                    }
-                    for (pos, &j) in spa_b.cols().iter().enumerate() {
-                        let bv = spa_b.vals()[pos];
-                        for (c, pv) in pf.row_iter(j) {
-                            spa_c.add(c, bv * pv);
-                        }
-                    }
-                    spa_b.reset();
+                    cf_row(a_perm, nc, pf, pft, i, &mut spa_b, |c, v| spa_c.add(c, v));
                     let n = spa_c.flush_into(&mut ch.colidx, &mut ch.values);
                     ch.row_nnz.push(n);
                 }
@@ -297,12 +339,9 @@ pub fn rap_cf(a_cc: &Csr, a_cf: &Csr, a_fc: &Csr, a_ff: &Csr, pf: &Csr, pft: &Cs
     stitch(nc, nc, chunks)
 }
 
-/// Convenience wrapper: computes `PᵀAP` for a CF-permuted `A` given only
-/// `nc` and the fine block `P_F`, deriving the four blocks and `P_Fᵀ`.
+/// [`rap_cf`] for a caller that holds `P_F` but not its transpose.
 pub fn rap_cf_from_parts(a_perm: &Csr, nc: usize, pf: &Csr) -> Csr {
-    let (a_cc, a_cf, a_fc, a_ff) = crate::permute::split_cf_blocks(a_perm, nc);
-    let pft = crate::transpose::transpose(pf);
-    rap_cf(&a_cc, &a_cf, &a_fc, &a_ff, pf, &pft)
+    rap_cf(a_perm, nc, pf, &transpose_par(pf))
 }
 
 /// Shared-across-the-scope write cursor for the numeric-only kernels.
@@ -312,44 +351,71 @@ struct ValuesPtr(*mut f64);
 // space disjointly, and nothing reads the buffer until the scope joins.
 unsafe impl Sync for ValuesPtr {}
 
-/// Pre-seeds `marker` with the output positions of row `i`'s frozen
-/// columns and zeroes that row's values, so subsequent accumulations are
-/// branch-free indexed adds. Returns the row's value range.
-///
-/// # Safety
-/// `ptr` must point at the value buffer `rowptr`/`colidx` describe, and
-/// the caller must be the only writer of row `i`'s range.
-#[inline]
-unsafe fn seed_row(
-    marker: &mut [usize],
-    rowptr: &[usize],
-    colidx: &[usize],
-    ptr: &ValuesPtr,
-    i: usize,
-) -> (usize, usize) {
-    let start = rowptr[i];
-    let end = rowptr[i + 1];
-    for (off, &c) in colidx[start..end].iter().enumerate() {
-        marker[c] = start + off;
-        // SAFETY: start + off lies in row i's value range, owned
-        // exclusively by this block per the function contract.
-        unsafe { *ptr.0.add(start + off) = 0.0 };
-    }
-    (start, end)
+/// One row of a frozen output pattern, open for accumulation.
+struct FrozenRow<'a> {
+    /// `marker[c]` = value position of column `c`, valid iff it falls in
+    /// `start..end` (older rows' stamps and the `usize::MAX` fill do not).
+    marker: &'a [usize],
+    ptr: &'a ValuesPtr,
+    start: usize,
+    end: usize,
+    row: usize,
 }
 
-/// Accumulates `v` into the frozen position of column `c`.
-///
-/// # Safety
-/// `marker[c]` must have been seeded by [`seed_row`] for the current row
-/// (guaranteed when the frozen pattern matches the inputs' product
-/// structure; debug builds assert it).
-#[inline]
-unsafe fn add_at(marker: &[usize], ptr: &ValuesPtr, start: usize, end: usize, c: usize, v: f64) {
-    let pos = marker[c];
-    debug_assert!(pos >= start && pos < end, "pattern mismatch");
-    // SAFETY: pos lies in the current row's value range per the contract.
-    unsafe { *ptr.0.add(pos) += v };
+impl<'a> FrozenRow<'a> {
+    /// Pre-seeds `marker` with the output positions of row `i`'s frozen
+    /// columns and zeroes that row's values, so subsequent accumulations
+    /// are indexed adds.
+    ///
+    /// # Safety
+    /// `ptr` must point at the value buffer `rowptr`/`colidx` describe, and
+    /// the caller must be the only writer of row `i`'s range for as long
+    /// as the returned row lives.
+    #[inline]
+    unsafe fn seed(
+        marker: &'a mut [usize],
+        rowptr: &[usize],
+        colidx: &[usize],
+        ptr: &'a ValuesPtr,
+        i: usize,
+    ) -> Self {
+        let start = rowptr[i];
+        let end = rowptr[i + 1];
+        for (off, &c) in colidx[start..end].iter().enumerate() {
+            marker[c] = start + off;
+            // SAFETY: start + off lies in row i's value range, owned
+            // exclusively by this block per the function contract.
+            unsafe { *ptr.0.add(start + off) = 0.0 };
+        }
+        FrozenRow {
+            marker,
+            ptr,
+            start,
+            end,
+            row: i,
+        }
+    }
+
+    /// Accumulates `v` into the frozen position of column `c`.
+    ///
+    /// # Panics
+    /// If the frozen row has no entry for `c` — the pattern does not cover
+    /// the product. The range test is what keeps the write inside this
+    /// row (an unseeded column reads `usize::MAX`, a stale one another
+    /// row's, possibly another thread's, position), so it stays in
+    /// release builds: one predictable compare per add.
+    #[inline]
+    fn add(&self, c: usize, v: f64) {
+        let pos = self.marker[c];
+        assert!(
+            pos.wrapping_sub(self.start) < self.end - self.start,
+            "numeric RAP: frozen pattern of row {} has no entry for column {c}",
+            self.row
+        );
+        // SAFETY: pos lies in start..end, the value range `seed`'s caller
+        // owns exclusively.
+        unsafe { *self.ptr.0.add(pos) += v };
+    }
 }
 
 /// Numeric-only row-fused triple product: recomputes `C = R·A·P` over the
@@ -358,10 +424,8 @@ unsafe fn add_at(marker: &[usize], ptr: &ValuesPtr, start: usize, end: usize, c:
 /// result is bitwise identical to re-running [`rap_row_fused`].
 ///
 /// # Panics
-/// Debug builds panic if the product structure deviates from `c`'s
-/// pattern; release builds require the caller to guarantee it (the
-/// `famg-core` refresh path checks the finest-level pattern up front,
-/// which fixes every derived pattern).
+/// If the product structure deviates from `c`'s pattern (`c`'s values
+/// are then partly overwritten, its pattern untouched).
 pub fn rap_row_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
     assert_eq!(r.ncols(), a.nrows());
     assert_eq!(a.ncols(), p.nrows());
@@ -371,20 +435,19 @@ pub fn rap_row_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
         return;
     }
     let blocks = split_rows_by_nnz(r.rowptr(), num_threads());
-    let rowptr = c.rowptr().to_vec();
-    let colidx = c.colidx().to_vec();
     let ncols = c.ncols();
-    let ptr = ValuesPtr(c.values_mut().as_mut_ptr());
+    let (rowptr, colidx, values) = c.pattern_and_values_mut();
+    let ptr = ValuesPtr(values.as_mut_ptr());
     rayon::scope(|s| {
         for range in &blocks {
             let range = range.clone();
-            let (rowptr, colidx, ptr) = (&rowptr, &colidx, &ptr);
+            let ptr = &ptr;
             s.spawn(move |_| {
                 let mut spa_b = Spa::new(a.ncols());
                 let mut marker = vec![usize::MAX; ncols];
                 for i in range {
                     // SAFETY: blocks tile the rows disjointly.
-                    let (start, end) = unsafe { seed_row(&mut marker, rowptr, colidx, ptr, i) };
+                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i) };
                     for (j, rv) in r.row_iter(i) {
                         for (k, av) in a.row_iter(j) {
                             spa_b.add(k, rv * av);
@@ -393,8 +456,7 @@ pub fn rap_row_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
                     for (pos, &k) in spa_b.cols().iter().enumerate() {
                         let bv = spa_b.vals()[pos];
                         for (l, pv) in p.row_iter(k) {
-                            // SAFETY: seeded above; pattern is frozen.
-                            unsafe { add_at(&marker, ptr, start, end, l, bv * pv) };
+                            out.add(l, bv * pv);
                         }
                     }
                     spa_b.reset();
@@ -406,7 +468,8 @@ pub fn rap_row_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
 
 /// Numeric-only scalar-fused triple product over a frozen
 /// [`rap_scalar_fused`] pattern; bitwise identical to re-running the full
-/// kernel. Fully branch-free — no intermediate accumulator at all.
+/// kernel. No intermediate accumulator at all. Panics like
+/// [`rap_row_fused_numeric`] on a pattern that does not cover the product.
 pub fn rap_scalar_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
     assert_eq!(r.ncols(), a.nrows());
     assert_eq!(a.ncols(), p.nrows());
@@ -416,25 +479,23 @@ pub fn rap_scalar_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
         return;
     }
     let blocks = split_rows_by_nnz(r.rowptr(), num_threads());
-    let rowptr = c.rowptr().to_vec();
-    let colidx = c.colidx().to_vec();
     let ncols = c.ncols();
-    let ptr = ValuesPtr(c.values_mut().as_mut_ptr());
+    let (rowptr, colidx, values) = c.pattern_and_values_mut();
+    let ptr = ValuesPtr(values.as_mut_ptr());
     rayon::scope(|s| {
         for range in &blocks {
             let range = range.clone();
-            let (rowptr, colidx, ptr) = (&rowptr, &colidx, &ptr);
+            let ptr = &ptr;
             s.spawn(move |_| {
                 let mut marker = vec![usize::MAX; ncols];
                 for i in range {
                     // SAFETY: blocks tile the rows disjointly.
-                    let (start, end) = unsafe { seed_row(&mut marker, rowptr, colidx, ptr, i) };
+                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i) };
                     for (j, rv) in r.row_iter(i) {
                         for (k, av) in a.row_iter(j) {
                             let temp = rv * av;
                             for (l, pv) in p.row_iter(k) {
-                                // SAFETY: seeded above; pattern is frozen.
-                                unsafe { add_at(&marker, ptr, start, end, l, temp * pv) };
+                                out.add(l, temp * pv);
                             }
                         }
                     }
@@ -445,81 +506,40 @@ pub fn rap_scalar_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
 }
 
 /// Numeric-only CF-block triple product over a frozen [`rap_cf`] pattern;
-/// bitwise identical to re-running the full kernel. The fine-width
-/// intermediate `B_i` keeps its sparse accumulator (its pattern is not
-/// part of the frozen artifact); only the coarse output side goes
-/// branch-free.
-pub fn rap_cf_numeric(
-    a_cc: &Csr,
-    a_cf: &Csr,
-    a_fc: &Csr,
-    a_ff: &Csr,
-    pf: &Csr,
-    pft: &Csr,
-    c: &mut Csr,
-) {
-    let nc = a_cc.nrows();
-    let nf = pf.nrows();
-    assert_eq!(a_cc.ncols(), nc);
-    assert_eq!(pf.ncols(), nc);
-    assert_eq!(pft.nrows(), nc);
-    assert_eq!(a_ff.nrows(), nf);
-    assert_eq!(c.nrows(), nc);
-    assert_eq!(c.ncols(), nc);
+/// bitwise identical to re-running the full kernel (both run [`cf_row`]).
+/// The fine-width intermediate `B_i` keeps its sparse accumulator (its
+/// pattern is not part of the frozen artifact); only the coarse output
+/// side is an indexed add. Panics like [`rap_row_fused_numeric`] on a
+/// pattern that does not cover the product.
+pub fn rap_cf_numeric(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr, c: &mut Csr) {
+    let nf = check_cf_shapes(a_perm, nc, pf, pft);
+    assert_eq!((c.nrows(), c.ncols()), (nc, nc));
     if nc == 0 {
         return;
     }
     let blocks = split_rows_by_nnz(pft.rowptr(), num_threads());
-    let rowptr = c.rowptr().to_vec();
-    let colidx = c.colidx().to_vec();
-    let ptr = ValuesPtr(c.values_mut().as_mut_ptr());
+    let (rowptr, colidx, values) = c.pattern_and_values_mut();
+    let ptr = ValuesPtr(values.as_mut_ptr());
     rayon::scope(|s| {
         for range in &blocks {
             let range = range.clone();
-            let (rowptr, colidx, ptr) = (&rowptr, &colidx, &ptr);
+            let ptr = &ptr;
             s.spawn(move |_| {
                 let mut spa_b = Spa::new(nf);
                 let mut marker = vec![usize::MAX; nc];
                 for i in range {
                     // SAFETY: blocks tile the rows disjointly.
-                    let (start, end) = unsafe { seed_row(&mut marker, rowptr, colidx, ptr, i) };
-                    for (col, v) in a_cc.row_iter(i) {
-                        // SAFETY: seeded above; pattern is frozen.
-                        unsafe { add_at(&marker, ptr, start, end, col, v) };
-                    }
-                    for (k, w) in pft.row_iter(i) {
-                        for (col, v) in a_fc.row_iter(k) {
-                            // SAFETY: seeded above; pattern is frozen.
-                            unsafe { add_at(&marker, ptr, start, end, col, w * v) };
-                        }
-                        for (col, v) in a_ff.row_iter(k) {
-                            spa_b.add(col, w * v);
-                        }
-                    }
-                    for (col, v) in a_cf.row_iter(i) {
-                        spa_b.add(col, v);
-                    }
-                    for (pos, &j) in spa_b.cols().iter().enumerate() {
-                        let bv = spa_b.vals()[pos];
-                        for (col, pv) in pf.row_iter(j) {
-                            // SAFETY: seeded above; pattern is frozen.
-                            unsafe { add_at(&marker, ptr, start, end, col, bv * pv) };
-                        }
-                    }
-                    spa_b.reset();
+                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i) };
+                    cf_row(a_perm, nc, pf, pft, i, &mut spa_b, |col, v| out.add(col, v));
                 }
             });
         }
     });
 }
 
-/// Numeric-only counterpart of [`rap_cf_from_parts`]: derives the CF
-/// blocks and `P_Fᵀ` the same way the full wrapper does, then refreshes
-/// `c`'s values over its frozen pattern.
+/// [`rap_cf_numeric`] for a caller that holds `P_F` but not its transpose.
 pub fn rap_cf_numeric_from_parts(a_perm: &Csr, nc: usize, pf: &Csr, c: &mut Csr) {
-    let (a_cc, a_cf, a_fc, a_ff) = crate::permute::split_cf_blocks(a_perm, nc);
-    let pft = crate::transpose::transpose(pf);
-    rap_cf_numeric(&a_cc, &a_cf, &a_fc, &a_ff, pf, &pft, c);
+    rap_cf_numeric(a_perm, nc, pf, &transpose_par(pf), c);
 }
 
 #[cfg(test)]
@@ -633,14 +653,7 @@ mod tests {
     fn cf_rap_matches_general_rap() {
         let (nc, nf) = (30, 45);
         let (a, pf) = cf_fixture(nc, nf, 17);
-        // Build the full P = [I; P_F] explicitly.
-        let mut trips: Vec<(usize, usize, f64)> = (0..nc).map(|i| (i, i, 1.0)).collect();
-        for i in 0..nf {
-            for (c, v) in pf.row_iter(i) {
-                trips.push((nc + i, c, v));
-            }
-        }
-        let p = Csr::from_triplets(nc + nf, nc, trips);
+        let p = full_p(nc, &pf);
         let r = transpose(&p);
         let general = rap_row_fused(&r, &a, &p);
         let cf = rap_cf_from_parts(&a, nc, &pf);
@@ -776,5 +789,157 @@ mod tests {
         let a2 = perturb(&a, 122);
         rap_cf_numeric_from_parts(&a2, 10, &pf, &mut c);
         assert_eq!(c, rap_cf_from_parts(&a2, 10, &pf));
+    }
+
+    /// `[I; P_F]` in the coarse-first ordering.
+    fn full_p(nc: usize, pf: &Csr) -> Csr {
+        let mut trips: Vec<(usize, usize, f64)> = (0..nc).map(|i| (i, i, 1.0)).collect();
+        for k in 0..pf.nrows() {
+            trips.extend(pf.row_iter(k).map(|(c, v)| (nc + k, c, v)));
+        }
+        Csr::from_triplets(nc + pf.nrows(), nc, trips)
+    }
+
+    /// A coarse-first operator made the way the hierarchy makes one: a
+    /// matrix with sorted rows in its natural ordering, a C/F marker,
+    /// `cf_permutation` + `permute_symmetric`. Columns are remapped and
+    /// not re-sorted, so coarse and fine columns interleave within a row.
+    /// `keep(i, j)` filters the natural-ordering entries.
+    fn interleaved_fixture(
+        n: usize,
+        seed: u64,
+        is_coarse: impl Fn(usize) -> bool,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> (Csr, usize, Csr) {
+        use crate::permute::{cf_permutation, permute_symmetric};
+        let base = random_csr(n, n, 4, seed);
+        let trips: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| base.row_iter(i).map(move |(j, v)| (i, j, v)))
+            .filter(|&(i, j, _)| keep(i, j))
+            .collect();
+        let marker: Vec<bool> = (0..n).map(is_coarse).collect();
+        let (perm, nc) = cf_permutation(&marker);
+        let a_perm = permute_symmetric(&Csr::from_triplets(n, n, trips), &perm);
+        let pf = if nc == 0 {
+            Csr::zero(n, 0)
+        } else {
+            random_csr(n - nc, nc, 2, seed + 100)
+        };
+        (a_perm, nc, pf)
+    }
+
+    /// `got` holds exactly `want`'s entries, each within `tol`.
+    fn assert_entrywise(got: &Csr, want: &Csr, tol: f64) {
+        assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
+        for i in 0..got.nrows() {
+            assert_eq!(got.row_nnz(i), want.row_nnz(i), "row {i}");
+            for (c, v) in got.row_iter(i) {
+                let w = want
+                    .get(i, c)
+                    .unwrap_or_else(|| panic!("({i}, {c}) not expected"));
+                assert!(
+                    (v - w).abs() <= tol * (1.0 + w.abs()),
+                    "({i}, {c}): {v} vs {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cf_rap_reads_interleaved_rows_in_place() {
+        // Natural-ordering rows 3 (coarse) and 4 (fine) touch only their
+        // own side, row 6 (coarse) and row 7 (fine) store no diagonal.
+        let coarse = |i: usize| i.is_multiple_of(3);
+        let (a, nc, pf) = interleaved_fixture(60, 131, coarse, |i, j| match i {
+            3 => coarse(j),
+            4 => !coarse(j),
+            6 | 7 => i != j,
+            _ => true,
+        });
+        // No split point: some row meets a fine column before a coarse one.
+        assert!((0..a.nrows()).any(|i| {
+            let cols = a.row_cols(i);
+            cols.windows(2).any(|w| w[0] >= nc && w[1] < nc)
+        }));
+        assert!(a.row_cols(1).iter().all(|&c| c < nc)); // natural row 3
+        assert!(a.row_cols(nc + 2).iter().all(|&c| c >= nc)); // natural row 4
+        assert_eq!(a.get(2, 2), None); // natural row 6
+        assert_eq!(a.get(nc + 4, nc + 4), None); // natural row 7
+
+        let pft = transpose(&pf);
+        let p = full_p(nc, &pf);
+        let c = rap_cf(&a, nc, &pf, &pft);
+        assert_entrywise(&c, &rap_unfused(&transpose(&p), &a, &p), 1e-12);
+
+        let (a2, pf2) = (perturb(&a, 132), perturb(&pf, 133));
+        let pft2 = transpose(&pf2);
+        let mut frozen = c;
+        rap_cf_numeric(&a2, nc, &pf2, &pft2, &mut frozen);
+        assert_eq!(frozen, rap_cf(&a2, nc, &pf2, &pft2));
+    }
+
+    #[test]
+    fn cf_rap_all_fine_and_all_coarse() {
+        // nc = 0: nothing to form. nc = n: P = I, P_F has no rows, and
+        // every row is its own A_CC row, values untouched.
+        let (a, nc, pf) = interleaved_fixture(12, 141, |_| false, |_, _| true);
+        assert_eq!(nc, 0);
+        let mut c = rap_cf(&a, 0, &pf, &transpose(&pf));
+        assert_eq!((c.nrows(), c.ncols()), (0, 0));
+        rap_cf_numeric(&a, 0, &pf, &transpose(&pf), &mut c);
+
+        let (a, nc, _) = interleaved_fixture(12, 142, |_| true, |_, _| true);
+        assert_eq!(nc, 12);
+        let pf = Csr::zero(0, 12);
+        let mut c = rap_cf(&a, 12, &pf, &transpose(&pf));
+        assert_eq!(c, a);
+        let a2 = perturb(&a, 143);
+        rap_cf_numeric(&a2, 12, &pf, &transpose(&pf), &mut c);
+        assert_eq!(c, a2);
+    }
+
+    /// `c` without the last stored entry of its first non-empty row.
+    fn drop_one_entry(c: &Csr) -> Csr {
+        let row = (0..c.nrows()).find(|&i| c.row_nnz(i) > 0).unwrap();
+        let cut = c.rowptr()[row + 1] - 1;
+        let rowptr = (c.rowptr().iter().enumerate())
+            .map(|(i, &p)| if i > row { p - 1 } else { p })
+            .collect();
+        let (mut colidx, mut values) = (c.colidx().to_vec(), c.values().to_vec());
+        colidx.remove(cut);
+        values.remove(cut);
+        Csr::from_parts_unchecked(c.nrows(), c.ncols(), rowptr, colidx, values)
+    }
+
+    // A frozen pattern that does not cover the product must be a panic in
+    // every profile (`cargo test --release` runs these too): the range
+    // test is all that keeps the indexed add inside the row.
+
+    #[test]
+    #[should_panic(expected = "frozen pattern of row")]
+    fn row_fused_numeric_rejects_a_short_pattern() {
+        let r = random_csr(20, 30, 3, 151);
+        let a = random_csr(30, 30, 4, 152);
+        let p = random_csr(30, 20, 2, 153);
+        let mut c = drop_one_entry(&rap_row_fused(&r, &a, &p));
+        rap_row_fused_numeric(&r, &a, &p, &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "frozen pattern of row")]
+    fn scalar_fused_numeric_rejects_a_short_pattern() {
+        let r = random_csr(20, 30, 3, 161);
+        let a = random_csr(30, 30, 4, 162);
+        let p = random_csr(30, 20, 2, 163);
+        let mut c = drop_one_entry(&rap_scalar_fused(&r, &a, &p));
+        rap_scalar_fused_numeric(&r, &a, &p, &mut c);
+    }
+
+    #[test]
+    #[should_panic(expected = "frozen pattern of row")]
+    fn cf_numeric_rejects_a_short_pattern() {
+        let (a, pf) = cf_fixture(15, 25, 171);
+        let mut c = drop_one_entry(&rap_cf_from_parts(&a, 15, &pf));
+        rap_cf_numeric_from_parts(&a, 15, &pf, &mut c);
     }
 }

@@ -6,11 +6,13 @@
 
 mod common;
 
-use common::{random_csr, random_permutation, FuzzRng};
+use common::{random_csr, random_marker, random_permutation, FuzzRng};
 use famg::sparse::permute::{cf_permutation, permute_symmetric};
 use famg::sparse::spgemm::{numeric_only, spgemm_one_pass, spgemm_two_pass};
 use famg::sparse::transpose::{transpose, transpose_par};
-use famg::sparse::triple::{csr_add, rap_row_fused, rap_scalar_fused, rap_unfused};
+use famg::sparse::triple::{
+    csr_add, rap_cf, rap_cf_numeric, rap_row_fused, rap_scalar_fused, rap_unfused,
+};
 use famg::sparse::Csr;
 
 const CASES: u64 = 64;
@@ -99,6 +101,43 @@ fn rap_variants_agree() {
         let c2 = rap_scalar_fused(&r, &sq, &p);
         assert!(c0.frob_diff(&c1) < 1e-9, "case {case} (row-fused)");
         assert!(c0.frob_diff(&c2) < 1e-9, "case {case} (scalar-fused)");
+    }
+}
+
+#[test]
+fn cf_rap_in_place_agrees_with_unfused() {
+    // The CF-block kernel reads `A_perm` as `permute_symmetric` leaves it
+    // (coarse and fine columns interleaved); against `Pᵀ·A·P` with the
+    // explicit `P = [I; P_F]`, and its numeric twin against itself.
+    for case in 0..CASES {
+        let mut rng = FuzzRng::new(0x550 + case);
+        let n = rng.range(2, 24);
+        let sq = csr_add(0.5, &Csr::identity(n), 1.0, &random_csr(&mut rng, n, n));
+        let (perm, nc) = cf_permutation(&random_marker(&mut rng, n));
+        let a = permute_symmetric(&sq, &perm);
+        let pf = if nc == 0 {
+            Csr::zero(n, 0)
+        } else {
+            random_csr(&mut rng, n - nc, nc)
+        };
+        let pft = transpose(&pf);
+        let mut c = rap_cf(&a, nc, &pf, &pft);
+        assert_eq!((c.nrows(), c.ncols()), (nc, nc), "case {case}");
+        if nc > 0 {
+            let mut trips: Vec<(usize, usize, f64)> = (0..nc).map(|i| (i, i, 1.0)).collect();
+            for k in 0..n - nc {
+                trips.extend(pf.row_iter(k).map(|(j, v)| (nc + k, j, v)));
+            }
+            let p = Csr::from_triplets(n, nc, trips);
+            let want = rap_unfused(&transpose(&p), &a, &p);
+            assert!(want.frob_diff(&c) < 1e-9, "case {case}");
+        }
+        let mut a2 = a.clone();
+        for v in a2.values_mut() {
+            *v *= rng.float(0.5, 1.5);
+        }
+        rap_cf_numeric(&a2, nc, &pf, &pft, &mut c);
+        assert_eq!(c, rap_cf(&a2, nc, &pf, &pft), "case {case}");
     }
 }
 

@@ -8,7 +8,8 @@
 
 use crate::coarsen::{aggressive_pmis_stages, pmis, Coarsening};
 use crate::interp::{
-    direct, extended_i, multipass, truncate_matrix, two_stage_extended_i, CfMap, TruncParams,
+    direct, extended_i, multipass, truncate_matrix, two_stage_extended_i, CfMap, ExtITape,
+    TruncParams,
 };
 use crate::params::{AmgConfig, CoarsenKind, InterpKind, SmootherKind};
 use crate::refresh::{FrozenLevel, FrozenSetup};
@@ -125,7 +126,10 @@ pub(crate) fn build_smoother(
 }
 
 /// Builds the interpolation operator for one level according to the
-/// configured scheme. Returns the full `n × nc` operator.
+/// configured scheme. Returns the full `n × nc` operator and, with `record`
+/// (a refreshable build), the replay tape of an extended+i level: the
+/// recording run *is* that level's build. It truncates row by row, which
+/// is the operator `truncate_matrix` returns when `fused_truncation` is off.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_interp(
     a: &Csr,
@@ -135,7 +139,8 @@ pub(crate) fn build_interp(
     final_c: &Coarsening,
     kind: InterpKind,
     cfg: &AmgConfig,
-) -> Csr {
+    record: bool,
+) -> (Csr, Option<ExtITape>) {
     let t = TruncParams {
         factor: cfg.trunc_factor,
         max_elements: cfg.max_elements,
@@ -143,6 +148,10 @@ pub(crate) fn build_interp(
     let fused = cfg.opt.fused_truncation;
     let trunc_arg = if fused { Some(&t) } else { None };
     let p = match kind {
+        InterpKind::ExtendedI if record => {
+            let (p, tape) = ExtITape::capture(a, s, cf, Some(&t));
+            return (p, Some(tape));
+        }
         InterpKind::Direct => direct(a, s, cf, trunc_arg),
         InterpKind::Classical => crate::interp::classical(a, s, cf, trunc_arg),
         InterpKind::ExtendedI => extended_i(a, s, cf, trunc_arg),
@@ -160,7 +169,7 @@ pub(crate) fn build_interp(
                 SpgemmKernel::TwoPass
             };
             // Two-stage truncates at every stage by definition.
-            return two_stage_extended_i(
+            let p = two_stage_extended_i(
                 a,
                 s,
                 stage1,
@@ -170,13 +179,14 @@ pub(crate) fn build_interp(
                 Some(&t),
                 kernel,
             );
+            return (p, None);
         }
     };
     if fused {
-        p
+        (p, None)
     } else {
         // Baseline path: truncate as a separate pass over the full matrix.
-        truncate_matrix(&p, &t)
+        (truncate_matrix(&p, &t), None)
     }
 }
 
@@ -323,6 +333,10 @@ impl Hierarchy {
                 break; // cannot coarsen further
             }
 
+            // The level's one interpolation run, on either path's operands.
+            let interp = |a: &Csr, s: &Csr, cf: &CfMap, s1: Option<&Coarsening>, c: &Coarsening| {
+                build_interp(a, s, cf, s1, c, ikind, cfg, capture.is_some())
+            };
             if cfg.opt.cf_reorder {
                 // --- Optimized path: permute coarse-first. ---
                 let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
@@ -347,7 +361,7 @@ impl Hierarchy {
                 // --- Interpolation. ---
                 let interp_span = famg_prof::scope_at("interp", lvl_idx);
                 let cf = CfMap::new(is_coarse_p);
-                let p_full = build_interp(&ap, &sp, &cf, stage1_p.as_ref(), &final_p, ikind, cfg);
+                let (p_full, tape) = interp(&ap, &sp, &cf, stage1_p.as_ref(), &final_p);
                 drop(interp_span);
 
                 // --- Split into [I; P_F] and keep the transpose. ---
@@ -375,16 +389,15 @@ impl Hierarchy {
                     !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI),
                 );
 
+                stats.interp_nnz.push(p_full.nnz());
                 if let Some(cap) = capture.as_deref_mut() {
                     let _s = famg_prof::scope_at("capture", lvl_idx);
-                    let tape = matches!(ikind, InterpKind::ExtendedI)
-                        .then(|| crate::interp::ExtITape::capture(&ap, &sp, &cf));
                     cap.push(FrozenLevel {
                         s: sp,
                         stage1: stage1_p,
                         final_c: final_p,
                         cf,
-                        p: p_full.clone(),
+                        p: p_full,
                         tape,
                         rap: next.clone(),
                     });
@@ -403,13 +416,12 @@ impl Hierarchy {
                     ops: Some(TransferOps::CfBlock { pf, pft }),
                     smoother,
                 });
-                stats.interp_nnz.push(p_full.nnz());
                 current = next;
             } else {
                 // --- Baseline path: original ordering throughout. ---
                 let interp_span = famg_prof::scope_at("interp", lvl_idx);
                 let cf = CfMap::new(coarsening.is_coarse.clone());
-                let p = build_interp(&current, &s, &cf, stage1.as_ref(), &coarsening, ikind, cfg);
+                let (p, tape) = interp(&current, &s, &cf, stage1.as_ref(), &coarsening);
                 drop(interp_span);
 
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
@@ -436,8 +448,6 @@ impl Hierarchy {
 
                 if let Some(cap) = capture.as_deref_mut() {
                     let _s = famg_prof::scope_at("capture", lvl_idx);
-                    let tape = matches!(ikind, InterpKind::ExtendedI)
-                        .then(|| crate::interp::ExtITape::capture(&current, &s, &cf));
                     cap.push(FrozenLevel {
                         s,
                         stage1,

@@ -89,17 +89,7 @@ pub fn truncate_row(cols: &mut Vec<usize>, vals: &mut Vec<f64>, p: &TruncParams)
     let thr = p.factor * max_abs;
     retain_in_order(cols, vals, |_, _, v| v.abs() >= thr);
     if p.max_elements > 0 && cols.len() > p.max_elements {
-        // The `max_elements`-th entry in keep order, found by repeated
-        // selection: each round picks the first entry strictly after the
-        // previous pick. O(len · max_elements), no index array.
-        let mut cut: Option<Rank> = None;
-        for _ in 0..p.max_elements {
-            cut = (0..cols.len())
-                .map(|i| rank(i, cols[i], vals[i]))
-                .filter(|r| cut.is_none_or(|prev| prev < *r))
-                .min();
-        }
-        let cut = cut.expect("len > max_elements: every round finds an entry");
+        let cut = nth_rank(cols, vals, p.max_elements);
         retain_in_order(cols, vals, |i, c, v| rank(i, c, v) <= cut);
     }
     // Rescale to preserve the row sum.
@@ -121,6 +111,36 @@ type Rank = (std::cmp::Reverse<u64>, usize, usize);
 
 fn rank(at: usize, col: usize, val: f64) -> Rank {
     (std::cmp::Reverse(val.abs().to_bits()), col, at)
+}
+
+/// The `m`-th entry (`m ≥ 1`) of a row longer than `m`, in keep order: one
+/// scan that keeps the `m` smallest ranks seen in an ascending insertion
+/// buffer on the stack, or above `STACK_RANKS` repeated selection (each
+/// round the first entry strictly after the previous pick). No allocation.
+fn nth_rank(cols: &[usize], vals: &[f64], m: usize) -> Rank {
+    const STACK_RANKS: usize = 8;
+    let ranks = || (0..cols.len()).map(|i| rank(i, cols[i], vals[i]));
+    if m > STACK_RANKS {
+        let mut cut: Option<Rank> = None;
+        for _ in 0..m {
+            cut = ranks().filter(|r| cut.is_none_or(|prev| prev < *r)).min();
+        }
+        return cut.expect("len > m: every round finds an entry");
+    }
+    // Above every rank of an entry: no position is `usize::MAX`.
+    let mut best = [(std::cmp::Reverse(0), usize::MAX, usize::MAX); STACK_RANKS];
+    for r in ranks() {
+        let mut k = m - 1;
+        if r > best[k] {
+            continue;
+        }
+        while k > 0 && best[k - 1] > r {
+            best[k] = best[k - 1];
+            k -= 1;
+        }
+        best[k] = r;
+    }
+    best[m - 1]
 }
 
 /// Compacts the entries for which `keep(position, col, val)` holds to the

@@ -58,10 +58,13 @@ pub(super) trait Sink: Send {
     /// `b_ik == 0`: its `bik_term`s are void and `ã_ii += a[aik]`.
     /// Otherwise `ã_ii += (a_ik / b_ik) · a[abar]`, `abar` absent ⇒ 0.
     fn end_neighbour(&mut self, _aik: usize, _abar: Option<usize>, _lumped: bool) {}
-    /// Numerator `slot` is emitted as the row's next weight.
-    fn emit(&mut self, _slot: usize) {}
-    /// Closes a row that had `nslots = |Ĉ_i|` numerators.
-    fn end_row(&mut self, _nslots: usize) {}
+    /// Numerator `slot` is emitted as the row's next weight, in column
+    /// `col` of `P`.
+    fn emit(&mut self, _slot: usize, _col: usize) {}
+    /// Closes a row that had `nslots = |Ĉ_i|` numerators. `kept` holds the
+    /// columns that survived truncation: a subsequence of the emitted ones
+    /// (all of them without truncation; `Ĉ_i` has no duplicates).
+    fn end_row(&mut self, _nslots: usize, _kept: &[usize]) {}
 }
 
 impl Sink for () {}
@@ -377,7 +380,7 @@ pub(super) fn build<K: Sink>(
                     ch.row_nnz.push(1);
                     ch.colidx.push(cf.cmap[i]);
                     ch.values.push(1.0);
-                    ch.sink.end_row(0);
+                    ch.sink.end_row(0, &[]);
                     continue;
                 }
                 let atilde = fine_row(i, a, s, cf, &view, &mut sc, &mut ch.sink);
@@ -390,7 +393,7 @@ pub(super) fn build<K: Sink>(
                         if w != 0.0 {
                             out_cols.push(cf.cmap[c]);
                             out_vals.push(w);
-                            ch.sink.emit(slot);
+                            ch.sink.emit(slot, cf.cmap[c]);
                         }
                     }
                     if let Some(t) = trunc {
@@ -400,7 +403,7 @@ pub(super) fn build<K: Sink>(
                 ch.row_nnz.push(out_cols.len());
                 ch.colidx.extend_from_slice(&out_cols);
                 ch.values.extend_from_slice(&out_vals);
-                ch.sink.end_row(sc.chat.len());
+                ch.sink.end_row(sc.chat.len(), &out_cols);
             }
             ch.visited = sc.visited;
             ch

@@ -29,5 +29,5 @@ pub use common::{truncate_matrix, truncate_row, CfMap, TruncParams};
 pub use direct::direct;
 pub use extended_i::extended_i;
 pub use multipass::multipass;
-pub use tape::ExtITape;
+pub use tape::{ExtITape, TapeMismatch};
 pub use two_stage::two_stage_extended_i;

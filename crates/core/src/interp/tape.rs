@@ -10,23 +10,27 @@
 //! it against new values with no hashing, no marker stamping, and no
 //! per-row allocation.
 //!
-//! Capture is the builder's own row kernel run with a recording sink
-//! (one [`TapePart`] per parallel row block), so replay performs the *same
-//! additions in the same order* as the builder by construction, and
-//! on inputs that induce the same frozen decisions the result is
-//! bitwise identical to `extended_i(a, s, cf, None)`. The decisions frozen
-//! into the tape (beyond the sparsity pattern itself) are:
+//! Capture *is* the build: the builder's own row kernel run once with a
+//! recording sink (one [`TapePart`] per parallel row block), returning the
+//! operator it built — truncated or not — beside the tape. Replay
+//! therefore performs the *same additions in the same order* as the
+//! builder, truncation's rescale included, and on inputs that induce the
+//! same frozen decisions the result is bitwise identical to
+//! `extended_i(a, s, cf, trunc)`. The tape holds index streams only; the
+//! operator is the caller's. The decisions frozen into the tape (beyond
+//! the sparsity pattern itself) are:
 //!
 //! * the sign filter `ā_kl = a_kl` iff `sign(a_kl) ≠ sign(a_kk)`,
 //! * the zero-denominator lump `b_ik == 0`,
 //! * the empty-diagonal guard `ã_ii == 0`,
-//! * the nonzero-weight emit check `w ≠ 0`.
+//! * the nonzero-weight emit check `w ≠ 0`,
+//! * truncation's kept set, a subset of the emitted weights.
 //!
 //! Values that flip any of them produce a consistent-but-different
 //! operator (the frozen-symbolic trade documented in
 //! [`crate::refresh`]); the `validate` feature's cross-check reports it.
 
-use super::common::CfMap;
+use super::common::{CfMap, TruncParams};
 use super::extended_i::{build, Sink};
 use famg_sparse::Csr;
 
@@ -83,14 +87,20 @@ struct TapePart {
     dist_idx: Vec<u32>,
     /// Numerator slot each distribution term adds into.
     dist_slot: Vec<u32>,
-    /// Per-row range into `em_slot`.
+    /// Per-row range into `em_slot`/`em_keep`.
     em_ptr: Vec<u32>,
-    /// Slots emitted as weights, in raw-row entry order.
+    /// Slots emitted as weights, in emit order.
     em_slot: Vec<u32>,
+    /// Whether the emitted weight survived truncation.
+    em_keep: Vec<bool>,
+    /// Columns of the open row's emitted weights (scratch for `end_row`).
+    row_cols: Vec<usize>,
 }
 
+/// Narrows to a stream index; `u32::MAX` is [`KOp::abar`]'s "absent".
 fn idx(x: usize) -> u32 {
-    u32::try_from(x).expect("extended+i tape: index stream exceeds u32")
+    let fits = u32::try_from(x).ok().filter(|&i| i < u32::MAX);
+    fits.expect("extended+i tape: index stream exceeds u32")
 }
 
 impl TapePart {
@@ -110,12 +120,16 @@ impl TapePart {
             dist_slot: Vec::new(),
             em_ptr: vec![0],
             em_slot: Vec::new(),
+            em_keep: Vec::new(),
+            row_cols: Vec::new(),
         }
     }
 
     /// Recomputes this block's fine-row weights from `av` into `values`
-    /// (laid out like `raw`'s); `num` is scratch of `max_slots` entries.
-    fn replay(&self, av: &[f64], raw: &Csr, values: &mut [f64], num: &mut [f64]) {
+    /// (laid out like `p`'s); `num` is scratch of `max_slots` entries.
+    /// `rescale` repeats `truncate_row`'s: `sum_before` adds every emitted
+    /// weight in emit order, `sum_after` the kept ones in theirs.
+    fn replay(&self, av: &[f64], p: &Csr, values: &mut [f64], num: &mut [f64], rescale: bool) {
         // Running cursors into the KOp sub-streams.
         let mut cb = 0usize;
         let mut cd = 0usize;
@@ -168,9 +182,22 @@ impl TapePart {
                     num[sl as usize] += coef * av[ix as usize];
                 }
             }
-            let row0 = raw.row_range(self.first_row + r).start;
-            for (off, &sl) in self.em_slot[er].iter().enumerate() {
-                values[row0 + off] = -num[sl as usize] / atilde;
+            let row0 = p.row_range(self.first_row + r).start;
+            let mut end = row0;
+            let mut sum_before = 0.0f64;
+            for (&sl, &keep) in self.em_slot[er.clone()].iter().zip(&self.em_keep[er]) {
+                let w = -num[sl as usize] / atilde;
+                sum_before += w;
+                if keep {
+                    values[end] = w;
+                    end += 1;
+                }
+            }
+            let out = &mut values[row0..end];
+            let sum_after: f64 = out.iter().sum();
+            if rescale && sum_after != 0.0 && sum_before != 0.0 {
+                let scale = sum_before / sum_after;
+                out.iter_mut().for_each(|o| *o *= scale);
             }
         }
     }
@@ -209,11 +236,18 @@ impl Sink for TapePart {
         });
     }
 
-    fn emit(&mut self, slot: usize) {
+    fn emit(&mut self, slot: usize, col: usize) {
         self.em_slot.push(idx(slot));
+        self.row_cols.push(col);
     }
 
-    fn end_row(&mut self, nslots: usize) {
+    fn end_row(&mut self, nslots: usize, kept: &[usize]) {
+        // Survivors keep their order: one walk over both column lists.
+        let mut kept = kept.iter().peekable();
+        for col in self.row_cols.drain(..) {
+            self.em_keep.push(kept.next_if_eq(&&col).is_some());
+        }
+        debug_assert!(kept.next().is_none(), "kept set left the emitted one");
         self.nslots.push(idx(nslots));
         self.at_ptr.push(idx(self.at_idx.len()));
         self.dn_ptr.push(idx(self.dn_idx.len()));
@@ -226,57 +260,60 @@ impl Sink for TapePart {
 /// `TapePart` per row block of the capturing run, in row order.
 #[derive(Debug)]
 pub struct ExtITape {
-    /// Frozen untruncated operator: pattern plus capture-time values.
-    /// Replay clones the values (coarse identity rows keep their 1.0)
-    /// and overwrites every fine-row entry.
-    raw: Csr,
+    /// `(nrows, nnz)` of the captured operand and `nnz` of the operator
+    /// built from it, checked by [`ExtITape::replay`] before it indexes.
+    a_shape: (usize, usize),
+    p_nnz: usize,
+    /// Whether capture truncated, i.e. whether replay rescales row sums.
+    rescale: bool,
     /// Largest `nslots`, sizing the replay scratch.
     max_slots: usize,
     parts: Vec<TapePart>,
 }
 
+/// [`ExtITape::replay`] refused the named argument: not the captured shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapeMismatch(pub &'static str);
+
 impl ExtITape {
-    /// Runs the extended+i construction once, recording the numeric
-    /// circuit. The by-product `raw` operator is bitwise identical to
-    /// `extended_i(a, s, cf, None)`: both are the same kernel, here with
-    /// a recording sink.
-    pub fn capture(a: &Csr, s: &Csr, cf: &CfMap) -> ExtITape {
-        let (raw, parts) = build(a, s, cf, None, TapePart::new);
+    /// Builds the extended+i operator — bitwise `extended_i(a, s, cf,
+    /// trunc)`, it is the same kernel run — and records its numeric
+    /// circuit, kept set included, on the way.
+    pub fn capture(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> (Csr, ExtITape) {
+        let (p, parts) = build(a, s, cf, trunc, TapePart::new);
         let max_slots = parts
             .iter()
             .flat_map(|p| &p.nslots)
             .max()
             .map_or(0, |&m| m as usize);
-        ExtITape {
-            raw,
+        let tape = ExtITape {
+            a_shape: (a.nrows(), a.nnz()),
+            p_nnz: p.nnz(),
+            rescale: trunc.is_some(),
             max_slots,
             parts,
-        }
+        };
+        (p, tape)
     }
 
-    /// Re-executes the frozen circuit against `a`'s values. `a` must have
-    /// the sparsity pattern the tape was captured from (same nnz layout —
-    /// the refresh path's finest-level guard establishes this).
-    pub fn replay(&self, a: &Csr) -> Csr {
-        let n = self.raw.nrows();
-        debug_assert_eq!(a.nrows(), n);
-        let mut values = self.raw.values().to_vec();
+    /// Re-executes the frozen circuit against `a`'s values over `p`, the
+    /// operator capture returned: its values seed the result (coarse
+    /// identity rows keep their 1.0), every kept fine weight is rewritten.
+    /// Row and nonzero counts are checked here; that `a` has the captured
+    /// layout is the refresh path's finest-level guard.
+    pub fn replay(&self, a: &Csr, p: &Csr) -> Result<Csr, TapeMismatch> {
+        if (a.nrows(), a.nnz()) != self.a_shape {
+            return Err(TapeMismatch("extended+i tape operand"));
+        }
+        if (p.nrows(), p.nnz()) != (self.a_shape.0, self.p_nnz) {
+            return Err(TapeMismatch("extended+i tape pattern"));
+        }
+        let mut out = p.clone();
         let mut num = vec![0.0f64; self.max_slots];
         for part in &self.parts {
-            part.replay(a.values(), &self.raw, &mut values, &mut num);
+            part.replay(a.values(), p, out.values_mut(), &mut num, self.rescale);
         }
-        Csr::from_parts_unchecked(
-            n,
-            self.raw.ncols(),
-            self.raw.rowptr().to_vec(),
-            self.raw.colidx().to_vec(),
-            values,
-        )
-    }
-
-    /// The frozen untruncated operator captured alongside the tape.
-    pub fn raw(&self) -> &Csr {
-        &self.raw
+        Ok(out)
     }
 }
 
@@ -285,8 +322,11 @@ mod tests {
     use super::super::extended_i;
     use super::*;
     use crate::coarsen::pmis;
+    use crate::refresh::project_onto_frozen;
+    use crate::reorder::cf_reorder;
     use crate::strength::strength;
-    use famg_matgen::{laplace3d_7pt, varcoef3d_7pt};
+    use famg_matgen::{laplace3d_27pt, laplace3d_7pt, varcoef3d_7pt};
+    use famg_sparse::permute::permute_symmetric;
 
     fn setup(a: &Csr, seed: u64) -> (Csr, CfMap) {
         let s = strength(a, 0.25, 0.8);
@@ -294,40 +334,134 @@ mod tests {
         (s, CfMap::new(c.is_coarse))
     }
 
-    #[test]
-    fn capture_byproduct_matches_builder() {
-        let a = laplace3d_7pt(9, 8, 7);
-        let (s, cf) = setup(&a, 3);
-        let tape = ExtITape::capture(&a, &s, &cf);
-        assert_eq!(tape.raw(), &extended_i(&a, &s, &cf, None));
+    /// `varcoef3d_7pt` on a fixed grid; `drift(i)` scales cell `i`'s
+    /// coefficient.
+    fn varcoef(drift: impl Fn(usize) -> f64) -> Csr {
+        let (nx, ny, nz) = (9, 9, 6);
+        let field: Vec<f64> = (0..nx * ny * nz)
+            .map(|i| (1.0 + 0.5 * ((i % 17) as f64 / 17.0)) * drift(i))
+            .collect();
+        varcoef3d_7pt(nx, ny, nz, &field)
+    }
+
+    /// Small multiplicative drift that keeps every frozen sign/zero
+    /// decision and every kept set.
+    fn smooth_drift(i: usize) -> f64 {
+        1.0 + 1e-5 * ((i % 13) as f64 - 6.0)
     }
 
     #[test]
-    fn replay_on_same_values_is_bitwise_identity() {
-        let a = laplace3d_7pt(8, 8, 8);
-        let (s, cf) = setup(&a, 5);
-        let tape = ExtITape::capture(&a, &s, &cf);
-        assert_eq!(tape.replay(&a), extended_i(&a, &s, &cf, None));
+    fn capture_builds_the_builders_operator() {
+        let a27 = laplace3d_27pt(7, 6, 5);
+        let (s27, cf27) = setup(&a27, 1);
+        let (a27, ord) = cf_reorder(&a27, &cf27.is_coarse);
+        let s27 = permute_symmetric(&s27, &ord.perm);
+        let cf27 = CfMap::new((0..a27.nrows()).map(|i| i < ord.nc).collect());
+        let a7 = laplace3d_7pt(9, 8, 7);
+        let (s7, cf7) = setup(&a7, 3);
+        let av = varcoef(|_| 1.0);
+        let (sv, cfv) = setup(&av, 7);
+        let t = TruncParams::paper();
+        for (a, s, cf) in [(&a7, &s7, &cf7), (&av, &sv, &cfv), (&a27, &s27, &cf27)] {
+            for trunc in [None, Some(&t)] {
+                let (p, tape) = ExtITape::capture(a, s, cf, trunc);
+                assert_eq!(p, extended_i(a, s, cf, trunc));
+                // Same values: replay is the identity.
+                assert_eq!(tape.replay(a, &p).unwrap(), p);
+            }
+        }
     }
 
     #[test]
     fn replay_tracks_value_drift_bitwise() {
-        let (nx, ny, nz) = (9, 9, 6);
-        let field: Vec<f64> = (0..nx * ny * nz)
-            .map(|i| 1.0 + 0.5 * ((i % 17) as f64 / 17.0))
-            .collect();
-        let a1 = varcoef3d_7pt(nx, ny, nz, &field);
+        let a1 = varcoef(|_| 1.0);
         let (s, cf) = setup(&a1, 7);
-        let tape = ExtITape::capture(&a1, &s, &cf);
-        // Small multiplicative drift keeps every frozen sign/zero
-        // decision; the replay must equal a fresh build bitwise.
-        let drift: Vec<f64> = field
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| k * (1.0 + 1e-5 * ((i % 13) as f64 - 6.0)))
-            .collect();
-        let a2 = varcoef3d_7pt(nx, ny, nz, &drift);
+        let a2 = varcoef(smooth_drift);
         assert!(a1.same_pattern(&a2));
-        assert_eq!(tape.replay(&a2), extended_i(&a2, &s, &cf, None));
+        let t = TruncParams::paper();
+        for trunc in [None, Some(&t)] {
+            let (p, tape) = ExtITape::capture(&a1, &s, &cf, trunc);
+            assert_eq!(
+                tape.replay(&a2, &p).unwrap(),
+                extended_i(&a2, &s, &cf, trunc)
+            );
+        }
+    }
+
+    /// Captures on `a1`, replays on `a2` and checks the frozen-sparsity
+    /// contract: the result is the raw operator of `a2` projected onto the
+    /// captured kept set, row sums preserved. Returns the operator captured
+    /// and the replayed one.
+    fn replay_is_projection(
+        a1: &Csr,
+        a2: &Csr,
+        s: &Csr,
+        cf: &CfMap,
+        t: &TruncParams,
+    ) -> (Csr, Csr) {
+        let (p, tape) = ExtITape::capture(a1, s, cf, Some(t));
+        let raw2 = extended_i(a2, s, cf, None);
+        let got = tape.replay(a2, &p).unwrap();
+        assert_eq!(got, project_onto_frozen(&raw2, &p));
+        for i in 0..got.nrows() {
+            let (w, w_raw): (f64, f64) =
+                (got.row_vals(i).iter().sum(), raw2.row_vals(i).iter().sum());
+            assert!(got.row_nnz(i) == 0 || (w - w_raw).abs() < 1e-12, "row {i}");
+        }
+        (p, got)
+    }
+
+    #[test]
+    fn frozen_kept_set_wins_when_truncation_would_move_it() {
+        // A rough drift: every sign, lump and emit decision of the kernel
+        // holds on an M-matrix, but the largest weights change places.
+        let a1 = varcoef(|_| 1.0);
+        let (s, cf) = setup(&a1, 7);
+        let a2 = varcoef(|i| 1.0 + 0.4 * ((i * 7 % 11) as f64 / 11.0));
+        let t = TruncParams {
+            factor: 0.5,
+            max_elements: 3,
+        };
+        let (p, got) = replay_is_projection(&a1, &a2, &s, &cf, &t);
+        assert!(!extended_i(&a2, &s, &cf, Some(&t)).same_pattern(&p));
+        let raw1 = extended_i(&a1, &s, &cf, None);
+        assert!(raw1.same_pattern(&extended_i(&a2, &s, &cf, None)));
+        let fine = |i: &usize| !cf.is_coarse[*i];
+        let rows = || (0..p.nrows()).filter(fine);
+        assert!(rows().any(|i| p.row_nnz(i) == 1 && raw1.row_nnz(i) > 1));
+        assert!(rows().any(|i| p.row_nnz(i) > 1 && p.row_nnz(i) == raw1.row_nnz(i)));
+        assert!(rows().any(|i| p.row_nnz(i) > 1 && p.row_nnz(i) < raw1.row_nnz(i)));
+        for i in (0..p.nrows()).filter(|&i| cf.is_coarse[i]) {
+            assert_eq!(got.row_vals(i), &[1.0]);
+        }
+    }
+
+    #[test]
+    fn frozen_dead_row_stays_empty() {
+        // Point 0 is fine with Ĉ = {1} and ã = a_00 + a_02 = 0 (point 2 is
+        // a weak neighbour): no weight is emitted at capture, and none by a
+        // replay on values that would emit one.
+        let entries = |d: f64| {
+            let e = vec![
+                (0, 0, 1.0),
+                (0, 1, -2.0),
+                (0, 2, -d),
+                (1, 1, 2.0),
+                (1, 0, -2.0),
+            ];
+            Csr::from_triplets(3, 3, [e, vec![(2, 2, 1.0), (2, 0, -1.0)]].concat())
+        };
+        let s = Csr::from_triplets(3, 3, vec![(0, 1, 1.0)]);
+        let cf = CfMap::new(vec![false, true, false]);
+        let (p, got) =
+            replay_is_projection(&entries(1.0), &entries(0.5), &s, &cf, &TruncParams::paper());
+        assert_eq!(p.nnz(), 1);
+        assert_eq!(got, p);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32")]
+    fn the_absent_sentinel_is_not_an_index() {
+        idx(u32::MAX as usize);
     }
 }

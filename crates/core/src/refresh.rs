@@ -16,11 +16,12 @@
 //! captures the pattern-derived half into a [`FrozenSetup`];
 //! [`Hierarchy::refresh`] then absorbs a same-pattern operator by
 //! re-running only numeric passes (interpolation weights over the frozen
-//! strength/CF inputs, numeric-only RAP into the frozen coarse patterns,
-//! smoother extraction) and the value-moving kernels the build itself
-//! runs (`permute_symmetric` with the stored permutation,
-//! `transpose_par`) — strength computation, PMIS, permutation
-//! construction, and symbolic SpGEMM are skipped entirely.
+//! strength/CF inputs — an extended+i level replays the circuit its own
+//! build recorded, straight onto the frozen kept set — numeric-only RAP
+//! into the frozen coarse patterns, smoother extraction) and the
+//! value-moving kernels the build itself runs (`permute_symmetric` with
+//! the stored permutation, `transpose_par`) — strength computation, PMIS,
+//! permutation construction, and symbolic SpGEMM are skipped entirely.
 //!
 //! ## Refresh contract
 //!
@@ -76,12 +77,13 @@ pub struct FrozenLevel {
     pub(crate) final_c: Coarsening,
     /// CF map the interpolation builders were invoked with.
     pub(crate) cf: CfMap,
-    /// Frozen interpolation pattern (full `n × nc` form); refresh
-    /// verifies the rebuilt operator lands exactly on it.
+    /// Frozen interpolation pattern (full `n × nc` form); a refreshed
+    /// operator is written over a copy of it or must land exactly on it.
     pub(crate) p: Csr,
-    /// Numeric replay tape for extended+i levels: the builder's
-    /// arithmetic circuit recorded at freeze time, so refresh skips the
-    /// structure-discovery passes entirely. `None` for other schemes.
+    /// Numeric replay tape for extended+i levels: the arithmetic circuit
+    /// the build's interpolation run recorded, kept set included, so
+    /// refresh skips structure discovery and projection. Index streams
+    /// only, no operator. `None` for other schemes.
     pub(crate) tape: Option<ExtITape>,
     /// Frozen coarse-operator pattern. The values are scratch space: a
     /// refresh fills them with the numeric RAP kernels and the next level
@@ -148,7 +150,8 @@ impl std::error::Error for RefreshError {}
 
 /// Projects an untruncated interpolation operator onto a frozen truncated
 /// pattern, replaying [`crate::interp::truncate_row`]'s row-sum-preserving
-/// rescale over the frozen kept set.
+/// rescale over the frozen kept set (direct and classical; an extended+i
+/// tape lands on the kept set by itself).
 ///
 /// When the new values would have led truncation to the same kept set,
 /// this is bitwise identical to truncating from scratch (`sum_before`
@@ -158,7 +161,7 @@ impl std::error::Error for RefreshError {}
 /// result is still a consistent row-sum-preserving operator, just not the
 /// one a from-scratch truncation would pick (the classic frozen-symbolic
 /// trade; the `validate` cross-check reports such drift).
-fn project_onto_frozen(raw: &Csr, frozen: &Csr) -> Csr {
+pub(crate) fn project_onto_frozen(raw: &Csr, frozen: &Csr) -> Csr {
     let n = frozen.nrows();
     debug_assert_eq!(raw.nrows(), n);
     debug_assert_eq!(raw.ncols(), frozen.ncols());
@@ -200,12 +203,13 @@ fn project_onto_frozen(raw: &Csr, frozen: &Csr) -> Csr {
 /// Rebuilds the interpolation weights for one level over the frozen
 /// inputs.
 ///
-/// The single-shot schemes (direct, classical, extended+i) recompute raw
-/// weights and project them onto the frozen sparsity — truncation's
-/// kept-set selection is itself a frozen pattern decision, so refresh
-/// never re-runs it. The composed schemes (multipass, two-stage) truncate
-/// *inside* their stages, so they are re-run in full and must land
-/// exactly on the frozen pattern; drifting off it is an error.
+/// Truncation's kept-set selection is itself a frozen pattern decision, so
+/// refresh never re-runs it for the single-shot schemes: extended+i replays
+/// its tape straight onto the kept set; direct and classical recompute raw
+/// weights and project them onto the frozen sparsity. The composed schemes
+/// (multipass, two-stage) truncate *inside* their stages, so they are
+/// re-run in full and must land exactly on the frozen pattern; drifting off
+/// it is an error.
 fn refresh_interp(
     a: &Csr,
     fl: &FrozenLevel,
@@ -217,11 +221,14 @@ fn refresh_interp(
         // A level has a tape iff its scheme is extended+i, which replays
         // its frozen arithmetic circuit — no structure discovery, just
         // indexed loads and flops.
-        (Some(tape), _) => tape.replay(a),
+        (Some(tape), _) => {
+            let replayed = tape.replay(a, &fl.p);
+            return replayed.map_err(|e| RefreshError::PatternMismatch { level, what: e.0 });
+        }
         (None, InterpKind::Direct) => crate::interp::direct(a, &fl.s, &fl.cf, None),
         (None, InterpKind::Classical) => crate::interp::classical(a, &fl.s, &fl.cf, None),
         (None, _) => {
-            let p = build_interp(
+            let (p, _) = build_interp(
                 a,
                 &fl.s,
                 &fl.cf,
@@ -229,6 +236,7 @@ fn refresh_interp(
                 &fl.final_c,
                 ikind,
                 cfg,
+                false,
             );
             return if p.same_pattern(&fl.p) {
                 Ok(p)
@@ -525,6 +533,17 @@ mod tests {
         }
         // And the hierarchy still refreshes fine afterwards.
         h.refresh(&a, &mut frozen).unwrap();
+    }
+
+    #[test]
+    fn tape_operand_mismatch_is_a_refresh_error() {
+        // `Hierarchy::refresh` guards level 0 itself; the tape's own guard
+        // is what stands between a wrong operand and its index streams.
+        let cfg = AmgConfig::single_node_paper();
+        let (_, frozen) = Hierarchy::build_frozen(&laplace2d(24, 24), &cfg);
+        let err = refresh_interp(&laplace2d(24, 23), &frozen.levels[0], 0, &cfg).unwrap_err();
+        let what = "extended+i tape operand";
+        assert_eq!(err, RefreshError::PatternMismatch { level: 0, what });
     }
 
     #[test]

@@ -192,10 +192,10 @@ fn extended_i_matches_eq1_evaluated_from_the_definitions() {
             let cf = CfMap::new(is_coarse);
             let want = eq1_reference(&a, &s, &cf, &mut cov);
             let got = extended_i(&a, &s, &cf, None).to_dense();
-            let tape = ExtITape::capture(&a, &s, &cf);
-            assert_eq!(tape.raw().to_dense(), got, "case {case}/{which}: capture");
+            let (raw, tape) = ExtITape::capture(&a, &s, &cf, None);
+            assert_eq!(raw.to_dense(), got, "case {case}/{which}: capture");
             assert_eq!(
-                tape.replay(&a).to_dense(),
+                tape.replay(&a, &raw).expect("same operand").to_dense(),
                 got,
                 "case {case}/{which}: replay"
             );
@@ -293,6 +293,91 @@ fn truncate_row_matches_its_specification() {
             );
         }
     }
+}
+
+/// `truncate_row` as it stood before its `max_elements` cut was found in one
+/// scan: the cut is the `max_elements`-th rank by repeated selection, each
+/// round a full scan for the first rank after the previous pick.
+fn truncate_by_repeated_selection(cols: &mut Vec<usize>, vals: &mut Vec<f64>, p: &TruncParams) {
+    type Rank = (std::cmp::Reverse<u64>, usize, usize);
+    let rank = |at: usize, col: usize, val: f64| (std::cmp::Reverse(val.abs().to_bits()), col, at);
+    fn retain(c: &mut Vec<usize>, v: &mut Vec<f64>, keep: impl Fn(usize, usize, f64) -> bool) {
+        let kept: Vec<usize> = (0..c.len()).filter(|&i| keep(i, c[i], v[i])).collect();
+        *c = kept.iter().map(|&i| c[i]).collect();
+        *v = kept.iter().map(|&i| v[i]).collect();
+    }
+    if cols.is_empty() {
+        return;
+    }
+    let sum_before: f64 = vals.iter().sum();
+    let thr = p.factor * vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    retain(cols, vals, |_, _, v| v.abs() >= thr);
+    if p.max_elements > 0 && cols.len() > p.max_elements {
+        let mut cut: Option<Rank> = None;
+        for _ in 0..p.max_elements {
+            cut = (0..cols.len())
+                .map(|i| rank(i, cols[i], vals[i]))
+                .filter(|r| cut.is_none_or(|prev| prev < *r))
+                .min();
+        }
+        let cut = cut.expect("len > max_elements");
+        retain(cols, vals, |i, c, v| rank(i, c, v) <= cut);
+    }
+    let sum_after: f64 = vals.iter().sum();
+    if sum_after != 0.0 && sum_before != 0.0 {
+        vals.iter_mut().for_each(|v| *v *= sum_before / sum_after);
+    }
+}
+
+#[test]
+fn truncate_row_selects_like_repeated_selection() {
+    // Weights from a pool made of ties: equal magnitudes of either sign,
+    // both zeros, infinities and NaN. Columns repeat now and then, so the
+    // position is what breaks the last tie. Caps on both sides of the
+    // stack buffer's size, rows on both sides of the cap.
+    let nan = f64::NAN;
+    let pool = [
+        0.5,
+        -0.5,
+        0.25,
+        -0.25,
+        0.25,
+        1.0,
+        -1.0,
+        0.0,
+        -0.0,
+        1e-3,
+        f64::INFINITY,
+        nan,
+    ];
+    let mut cut_rows = 0;
+    for case in 0..4000u64 {
+        let mut rng = FuzzRng::new(0x900 + case);
+        let max_elements = rng.below(12);
+        let len = match rng.below(4) {
+            0 => rng.below(max_elements + 1),
+            _ => rng.below(30),
+        };
+        // Mostly finite rows: a NaN or an infinity takes the whole row sum.
+        let finite = rng.below(4) > 0;
+        let vals: Vec<f64> = (0..len)
+            .map(|_| pool[rng.below(if finite { 10 } else { pool.len() })])
+            .collect();
+        let cols: Vec<usize> = (0..len).map(|_| rng.below(2 * len)).collect();
+        let p = TruncParams {
+            factor: [0.0, 0.1, 0.25, 0.5][rng.below(4)],
+            max_elements,
+        };
+        let (mut want_cols, mut want_vals) = (cols.clone(), vals.clone());
+        truncate_by_repeated_selection(&mut want_cols, &mut want_vals, &p);
+        let (mut got_cols, mut got_vals) = (cols, vals);
+        truncate_row(&mut got_cols, &mut got_vals, &p);
+        assert_eq!(got_cols, want_cols, "case {case}: kept set / order");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got_vals), bits(&want_vals), "case {case}: weights");
+        cut_rows += usize::from(max_elements > 0 && got_cols.len() == max_elements);
+    }
+    assert!(cut_rows > 500, "only {cut_rows} rows reached the cap");
 }
 
 #[test]

@@ -3,6 +3,9 @@
 //! from rebuilding from scratch, across many random coefficient drifts,
 //! and must refuse mismatched inputs without corrupting state.
 
+use famg::core::coarsen::pmis;
+use famg::core::interp::{extended_i, CfMap, ExtITape, TapeMismatch, TruncParams};
+use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver, Hierarchy, InterpKind, RefreshError};
 use famg::matgen::{rhs, varcoef3d_7pt};
 use famg::sparse::Csr;
@@ -153,6 +156,86 @@ fn refresh_covers_every_single_shot_interp_kind() {
                 scratch.hierarchy(),
                 &format!("{ikind:?} seed {seed}"),
             );
+        }
+    }
+}
+
+/// A captured extended+i level of the base operator: `(a, s, cf, P, tape)`.
+fn captured_level() -> (Csr, Csr, CfMap, Csr, ExtITape) {
+    let a = varcoef3d_7pt(NX, NY, NZ, &base_field());
+    let s = strength(&a, 0.25, 0.8);
+    let cf = CfMap::new(pmis(&s, 1).is_coarse);
+    let (p, tape) = ExtITape::capture(&a, &s, &cf, Some(&TruncParams::paper()));
+    (a, s, cf, p, tape)
+}
+
+// `ExtITape::replay` is public and indexes its operand by recorded nnz
+// positions: a wrong operand must be an error in release builds too (this
+// file is what `scripts/check.sh` runs with `--release`).
+#[test]
+fn tape_replay_refuses_an_operand_of_another_shape() {
+    let (a, _, _, p, tape) = captured_level();
+    let operand = Err(TapeMismatch("extended+i tape operand"));
+    // Fewer rows; the same rows with fewer nonzeros; and with more.
+    let smaller = varcoef3d_7pt(NX, NY, NZ - 1, &base_field()[..NX * NY * (NZ - 1)]);
+    assert_eq!(tape.replay(&smaller, &p), operand);
+    assert_eq!(tape.replay(&Csr::identity(a.nrows()), &p), operand);
+    let denser = famg::sparse::spgemm::spgemm_one_pass(&a, &a);
+    assert_eq!(tape.replay(&denser, &p), operand);
+    assert_eq!(tape.replay(&a, &p), Ok(p));
+}
+
+#[test]
+fn tape_replay_refuses_a_pattern_of_another_shape() {
+    let (a, s, cf, p, tape) = captured_level();
+    let pattern = Err(TapeMismatch("extended+i tape pattern"));
+    // The untruncated operator has the rows but more nonzeros.
+    assert_eq!(tape.replay(&a, &extended_i(&a, &s, &cf, None)), pattern);
+    assert_eq!(
+        tape.replay(&a, &Csr::zero(p.nrows() - 1, p.ncols())),
+        pattern
+    );
+}
+
+/// A refreshable setup runs extended+i once per level: the recording run is
+/// the interpolation run, so it visits exactly the view entries a plain
+/// setup visits, and what is left under `capture@l` is copying.
+#[test]
+fn refreshable_setup_runs_extended_i_once_per_level() {
+    if !famg_prof::enabled() {
+        return;
+    }
+    let a = varcoef3d_7pt(2 * NX, 2 * NY, 2 * NZ, &vec![1.0; 8 * NX * NY * NZ]);
+    for cfg in [
+        AmgConfig::single_node_paper(),
+        AmgConfig::single_node_baseline(),
+    ] {
+        let plain = AmgSolver::setup(&a, &cfg);
+        // Three refreshable setups: a span is read as its fastest run, so
+        // being descheduled inside a microsecond-long one decides nothing.
+        let runs: Vec<AmgSolver> = (0..3)
+            .map(|_| AmgSolver::setup_refreshable(&a, &cfg))
+            .collect();
+        fn profile(s: &AmgSolver) -> &famg_prof::Profile {
+            &s.hierarchy().profile
+        }
+        let visited = |s: &AmgSolver| profile(s).total_counter("interp_entries_visited");
+        assert!(visited(&plain) > 0);
+        assert_eq!(visited(&runs[0]), visited(&plain));
+
+        let fastest = |name: &str, level: usize| {
+            let walls = runs.iter().map(|s| {
+                let root = profile(s).find_root("setup").expect("setup span");
+                let mut spans = root.children.iter();
+                let found = spans.find(|c| c.name == name && c.level == level);
+                found.expect("a span per stage and level").wall
+            });
+            walls.min().expect("three runs")
+        };
+        let levels = runs[0].hierarchy().num_levels() - 1;
+        assert!(levels >= 2);
+        for l in 0..levels {
+            assert!(fastest("capture", l) <= fastest("interp", l), "level {l}");
         }
     }
 }

@@ -83,7 +83,9 @@ fn fp_setup_kernels() -> u64 {
     hash_u64s(h, coarse.is_coarse.iter().map(|&c| u64::from(c)))
 }
 
-fn fp_interp() -> u64 {
+/// `(interp, interp_capture)`: the second hashes what the truncating
+/// capture adds, so the first keeps the value it had before that existed.
+fn fp_interp() -> (u64, u64) {
     // Row blocks follow the pool size; the operator, the tape's by-product
     // and a replay on drifted values must not.
     let a0 = laplace3d_27pt(14, 14, 14);
@@ -97,13 +99,18 @@ fn fp_interp() -> u64 {
     h = hash_csr(h, &s);
     h = hash_csr(h, &extended_i(&a, &s, &cf, Some(&TruncParams::paper())));
     h = hash_csr(h, &extended_i(&a, &s, &cf, None));
-    let tape = ExtITape::capture(&a, &s, &cf);
-    h = hash_csr(h, tape.raw());
+    let (raw, tape) = ExtITape::capture(&a, &s, &cf, None);
+    h = hash_csr(h, &raw);
     let mut drifted = a.clone();
     for (k, v) in drifted.values_mut().iter_mut().enumerate() {
         *v *= 1.0 + 1e-6 * (k % 11) as f64;
     }
-    hash_csr(h, &tape.replay(&drifted))
+    h = hash_csr(h, &tape.replay(&drifted, &raw).expect("same layout"));
+    // The recording run that a refreshable setup makes: truncated operator
+    // and a replay that lands on its kept set.
+    let (p, tape) = ExtITape::capture(&a, &s, &cf, Some(&TruncParams::paper()));
+    let replayed = tape.replay(&drifted, &p).expect("same layout");
+    (h, hash_csr(hash_csr(FNV_SEED, &p), &replayed))
 }
 
 fn fp_smoother_sweeps() -> u64 {
@@ -192,7 +199,9 @@ fn fp_sort_and_reductions() -> u64 {
 fn fingerprint_worker() {
     println!("FP spgemm_rap_transpose {:016x}", fp_spgemm_rap_transpose());
     println!("FP setup_kernels {:016x}", fp_setup_kernels());
-    println!("FP interp {:016x}", fp_interp());
+    let (interp, interp_capture) = fp_interp();
+    println!("FP interp {interp:016x}");
+    println!("FP interp_capture {interp_capture:016x}");
     println!("FP smoother_sweeps {:016x}", fp_smoother_sweeps());
     println!("FP e2e_solve {:016x}", fp_e2e_solve());
     println!("FP sort_reductions {:016x}", fp_sort_and_reductions());
@@ -224,8 +233,8 @@ fn collect_fingerprints(num_threads: usize) -> Vec<(String, String)> {
         .collect();
     assert_eq!(
         fps.len(),
-        6,
-        "expected 6 fingerprint lines from subprocess, got:\n{stdout}"
+        7,
+        "expected 7 fingerprint lines from subprocess, got:\n{stdout}"
     );
     fps
 }

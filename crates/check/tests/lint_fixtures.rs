@@ -56,13 +56,17 @@ fn hash_collections_in_kernel_paths_are_flagged() {
     // Under a kernel path: the bare HashMap signature (5) and constructor
     // (6) are flagged; the DETERMINISM-vouched HashSet (10, 12), the
     // BTreeMap, and the `#[cfg(test)]` module must stay quiet.
-    let got = findings("crates/core/src/fixture.rs", &src);
-    assert_eq!(
-        got,
-        vec![(5, "hashmap-kernel"), (6, "hashmap-kernel")],
-        "diagnostics: {:?}",
-        lint_file("crates/core/src/fixture.rs", &src)
-    );
+    // `crates/dist/src` is a kernel path like the other three: its setup
+    // builders run the serial row kernels.
+    for path in ["crates/core/src/fixture.rs", "crates/dist/src/interp.rs"] {
+        let got = findings(path, &src);
+        assert_eq!(
+            got,
+            vec![(5, "hashmap-kernel"), (6, "hashmap-kernel")],
+            "diagnostics: {:?}",
+            lint_file(path, &src)
+        );
+    }
     // The same source outside a kernel crate is not the linter's business.
     assert!(findings("crates/bench/src/fixture.rs", &src).is_empty());
 }
@@ -93,7 +97,7 @@ fn clean_fixture_produces_no_diagnostics_anywhere() {
     let src = fixture("clean.rsfix");
     for path in [
         "crates/core/src/fixture.rs", // kernel path: strictest rule set
-        "crates/dist/src/fixture.rs", // non-kernel library path
+        "crates/dist/src/fixture.rs", // kernel path since the setup runs the serial kernels
         "shims/rayon/src/fixture.rs", // shim path
     ] {
         let diags = lint_file(path, &src);

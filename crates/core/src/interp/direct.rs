@@ -15,18 +15,32 @@
 
 use super::common::{CfMap, RowBuilder, TruncParams};
 use famg_sparse::Csr;
+use std::ops::Range;
 
 /// Builds the direct interpolation operator (`n × nc`).
 pub fn direct(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> Csr {
+    direct_rows(a, s, cf, 0..a.nrows(), trunc)
+}
+
+/// Rows `rows` of the direct interpolation operator (`rows.len() × nc`).
+/// A row reads only itself and the C/F state of its neighbours, so the
+/// rows outside the range (a rank's halo) need not be stored.
+pub fn direct_rows(
+    a: &Csr,
+    s: &Csr,
+    cf: &CfMap,
+    rows: Range<usize>,
+    trunc: Option<&TruncParams>,
+) -> Csr {
     let n = a.nrows();
     assert_eq!(s.nrows(), n);
-    let mut b = RowBuilder::new(n);
+    let mut b = RowBuilder::new(rows.len());
     let mut cols: Vec<usize> = Vec::new();
     let mut vals: Vec<f64> = Vec::new();
     // Strong-neighbour marker: strong[j] == i means j ∈ S_i.
     let mut strong = vec![usize::MAX; n];
 
-    for i in 0..n {
+    for i in rows {
         if cf.is_coarse[i] {
             cols.push(cf.cmap[i]);
             vals.push(1.0);

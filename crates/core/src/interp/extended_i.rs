@@ -37,7 +37,44 @@ use std::ops::Range;
 /// `trunc = Some(p)` applies fused per-row truncation; `None` returns the
 /// untruncated operator (the baseline then truncates as a separate pass).
 pub fn extended_i(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> Csr {
-    build(a, s, cf, trunc, |_| ()).0
+    extended_i_rows(a, s, cf, 0..a.nrows(), trunc)
+}
+
+/// Rows `rows` of the extended+i operator (`rows.len() × nc`). Every row
+/// of `a` and `s` can be read (a fine row distributes through its strong
+/// fine neighbours' rows): a rank of the distributed setup passes its owned
+/// range of an extended local CSR whose halo rows hold what
+/// [`remote_entry_is_read`] kept of them.
+pub fn extended_i_rows(
+    a: &Csr,
+    s: &Csr,
+    cf: &CfMap,
+    rows: Range<usize>,
+    trunc: Option<&TruncParams>,
+) -> Csr {
+    build(a, s, cf, rows, trunc, |_| ()).0
+}
+
+/// `ā_kl ≠ 0`: the entry's sign opposes the diagonal of its row.
+#[inline]
+fn opposes(val: f64, akk: f64) -> bool {
+    val * akk < 0.0
+}
+
+/// Whether the rows of a reader can read entry `a_kl` (value `val`) of a
+/// row `k` they do not own — the §4.3 wire filter, stated beside the
+/// [`CoarseView`] it mirrors: `a_kk` itself, and of the entries opposing it
+/// the coarse ones (the view's `opp` segment) and the reader's own columns
+/// (the `ā_ki` scan of the row kernel).
+#[inline]
+pub fn remote_entry_is_read(
+    akk: f64,
+    val: f64,
+    is_diag: bool,
+    col_coarse: bool,
+    col_readers: bool,
+) -> bool {
+    is_diag || (opposes(val, akk) && (col_coarse || col_readers))
 }
 
 /// Observer of the row kernel's arithmetic: every operand is reported by
@@ -126,7 +163,7 @@ impl CoarseView {
                         // `l` coarse and `k` fine, so `l ≠ k` already.
                         for (pos, &col) in r.zip(cols) {
                             let val = av[pos];
-                            if cf.is_coarse[col] && val * akk < 0.0 {
+                            if cf.is_coarse[col] && opposes(val, akk) {
                                 p.opp.push(Opp { col, pos, val });
                             }
                         }
@@ -278,7 +315,7 @@ fn fine_row<K: Sink>(
             .iter()
             .position(|&l| l == i)
             .map(|o| row_k.start + o)
-            .filter(|&p| av[p] * akk < 0.0);
+            .filter(|&p| opposes(av[p], akk));
         // b_ik = Σ_{l∈Ĉ_i∪{i}} ā_kl, summed in row-k order (ā_ki falls
         // between the view entries stored before and after it).
         let (before, after) =
@@ -330,27 +367,31 @@ fn sum_members<K: Sink>(
     acc
 }
 
-/// Runs the row kernel over row blocks in parallel, one sink per block
-/// (`new_sink(first_row)`), and returns the operator with the sinks in row
-/// order. Rows never see the block geometry, so the operator is the same
-/// for every pool size.
+/// Runs the row kernel over blocks of `rows` in parallel, one sink per
+/// block (`new_sink(first_row)`), and returns their operator rows with the
+/// sinks in row order. Rows never see the block geometry, so the operator
+/// is the same for every pool size.
 pub(super) fn build<K: Sink>(
     a: &Csr,
     s: &Csr,
     cf: &CfMap,
+    rows: Range<usize>,
     trunc: Option<&TruncParams>,
     new_sink: impl Fn(usize) -> K + Sync,
 ) -> (Csr, Vec<K>) {
     let n = a.nrows();
     assert_eq!(s.nrows(), n);
     assert_eq!(cf.len(), n);
-    if n == 0 {
-        return (Csr::zero(0, 0), Vec::new());
+    if rows.is_empty() {
+        return (Csr::zero(0, cf.nc), Vec::new());
     }
     // Coarse rows cost nothing and come first under CF ordering, so more
     // blocks than the pool's default keep the fine rows balanced.
-    let blocks = split_evenly(n, num_threads() * 8);
-    let view = CoarseView::new(a, s, cf, &blocks);
+    let view = CoarseView::new(a, s, cf, &split_evenly(n, num_threads() * 8));
+    let blocks: Vec<Range<usize>> = split_evenly(rows.len(), num_threads() * 8)
+        .into_iter()
+        .map(|b| rows.start + b.start..rows.start + b.end)
+        .collect();
 
     struct Chunk<K> {
         row_nnz: Vec<usize>,
@@ -416,7 +457,7 @@ pub(super) fn build<K: Sink>(
         chunks.iter().map(|c| c.visited as u64).sum(),
     );
     let p = Csr::from_parts_unchecked(
-        n,
+        rows.len(),
         cf.nc,
         offsets(cat(&chunks, |c| &c.row_nnz)),
         cat(&chunks, |c| &c.colidx),

@@ -26,8 +26,8 @@ mod two_stage;
 
 pub use classical::classical;
 pub use common::{truncate_matrix, truncate_row, CfMap, TruncParams};
-pub use direct::direct;
-pub use extended_i::extended_i;
-pub use multipass::multipass;
+pub use direct::{direct, direct_rows};
+pub use extended_i::{extended_i, extended_i_rows, remote_entry_is_read};
+pub use multipass::{multipass, Multipass};
 pub use tape::{ExtITape, TapeMismatch};
 pub use two_stage::two_stage_extended_i;

@@ -7,120 +7,173 @@
 //! their weights. Cheap to build (the paper's fastest setup) but less
 //! accurate than 2-stage extended+i.
 
-use super::common::{CfMap, TruncParams};
+use super::common::{CfMap, RowBuilder, TruncParams};
+use super::direct::direct_rows;
 use famg_sparse::Csr;
+use std::ops::Range;
 
 /// Builds the multipass interpolation operator (`n × nc`).
 pub fn multipass(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> Csr {
-    let n = a.nrows();
-    assert_eq!(s.nrows(), n);
-    // Per-row assembled weights (point space): built pass by pass.
-    let mut rows: Vec<Option<(Vec<usize>, Vec<f64>)>> = vec![None; n];
-    // Pass 0: C-points are identity.
-    for i in 0..n {
-        if cf.is_coarse[i] {
-            rows[i] = Some((vec![cf.cmap[i]], vec![1.0]));
+    let mut m = Multipass::new(a, s, cf, 0..a.nrows());
+    while m.pass() {}
+    m.into_operator(trunc)
+}
+
+/// The multipass sweep over the rows `rows` of `a`, one [`pass`](Self::pass)
+/// at a time. The serial builder runs the passes back to back over every
+/// row; a rank of the distributed setup runs them over its owned range and,
+/// between two passes, installs the rows its halo points were assigned on
+/// their owners ([`set_row`](Self::set_row)).
+///
+/// Assigned rows live in one append-only arena (a pass reads the rows of
+/// earlier passes and appends its own), so a pass allocates nothing per row.
+pub struct Multipass<'a> {
+    a: &'a Csr,
+    s: &'a Csr,
+    is_coarse: &'a [bool],
+    rows: Range<usize>,
+    nc: usize,
+    /// `(start, len)` of a point's row in the arena; `len == 0` while
+    /// unassigned (an assigned row has an entry).
+    span: Vec<(usize, usize)>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    /// Arena slot at which a coarse column was first touched; valid only
+    /// while it points into the row being composed.
+    marker: Vec<usize>,
+    /// `S_i` membership, stamped with `i + 1`.
+    strong: Vec<usize>,
+}
+
+impl<'a> Multipass<'a> {
+    /// Passes 0 and 1 over `rows`: identity rows for the C-points, direct
+    /// interpolation (untruncated) where a strong C neighbour exists.
+    pub fn new(a: &'a Csr, s: &'a Csr, cf: &'a CfMap, rows: Range<usize>) -> Self {
+        let direct = direct_rows(a, s, cf, rows.clone(), None);
+        let mut span = vec![(0, 0); a.nrows()];
+        for i in rows.clone() {
+            let r = direct.row_range(i - rows.start);
+            span[i] = (r.start, r.len());
+        }
+        Multipass {
+            a,
+            s,
+            is_coarse: &cf.is_coarse,
+            rows,
+            nc: cf.nc,
+            span,
+            cols: direct.colidx().to_vec(),
+            vals: direct.values().to_vec(),
+            marker: vec![usize::MAX; cf.nc],
+            strong: vec![0; a.nrows()],
         }
     }
-    // Pass 1: F-points with strong coarse neighbours -> direct interp.
-    let direct_p = super::direct::direct(a, s, cf, None);
-    for i in 0..n {
-        if !cf.is_coarse[i] && direct_p.row_nnz(i) > 0 {
-            rows[i] = Some((direct_p.row_cols(i).to_vec(), direct_p.row_vals(i).to_vec()));
-        }
+
+    /// The assigned row of point `i` (coarse column indices), if any.
+    pub fn row(&self, i: usize) -> Option<(&[usize], &[f64])> {
+        let (start, len) = self.span[i];
+        (len > 0).then(|| {
+            (
+                &self.cols[start..start + len],
+                &self.vals[start..start + len],
+            )
+        })
     }
-    // Later passes: compose weights of already-assigned strong neighbours.
-    let mut marker = vec![usize::MAX; cf.nc];
-    let mut pass = 2usize;
-    loop {
-        let todo: Vec<usize> = (0..n)
-            .filter(|&i| rows[i].is_none() && s.row_cols(i).iter().any(|&j| rows[j].is_some()))
-            .collect();
-        if todo.is_empty() {
-            break;
+
+    /// Installs the row another owner assigned to point `i`.
+    pub fn set_row(&mut self, i: usize, cols: &[usize], vals: &[f64]) {
+        self.span[i] = (self.cols.len(), cols.len());
+        self.cols.extend_from_slice(cols);
+        self.vals.extend_from_slice(vals);
+    }
+
+    /// Renumbers the coarse column space (`map[old] = new`, `nc` columns
+    /// afterwards): installed rows can name coarse points no local point
+    /// neighbours, and the space must stay ordered like the global one —
+    /// truncation breaks ties by column.
+    pub fn relabel_cols(&mut self, map: &[usize], nc: usize) {
+        for c in &mut self.cols {
+            *c = map[*c];
         }
-        // Snapshot which rows are assigned so this pass only reads prior
-        // passes (order independence within a pass).
-        let assigned: Vec<bool> = rows.iter().map(std::option::Option::is_some).collect();
-        let mut new_rows: Vec<(usize, Vec<usize>, Vec<f64>)> = Vec::with_capacity(todo.len());
-        for &i in &todo {
-            let diag = a.diag(i);
-            // Scale so the full row of A is represented by the assigned
-            // strong neighbours (direct-interpolation style lumping).
-            let all_sum: f64 = a.row_iter(i).filter(|&(c, _)| c != i).map(|(_, v)| v).sum();
-            let strong_done_sum: f64 = a
-                .row_iter(i)
-                .filter(|&(c, _)| c != i && assigned[c] && s.row_cols(i).contains(&c))
-                .map(|(_, v)| v)
-                .sum();
+        self.marker.resize(nc, usize::MAX);
+        self.nc = nc;
+    }
+
+    /// One later pass: every unassigned row of the range with an assigned
+    /// strong neighbour composes those neighbours' rows, scaled so the full
+    /// row of `A` is represented (direct-interpolation style lumping). Reads
+    /// only rows assigned before the pass. Returns whether a row was assigned.
+    pub fn pass(&mut self) -> bool {
+        let (a, s) = (self.a, self.s);
+        let mut fresh: Vec<(usize, usize)> = Vec::new();
+        for i in self.rows.clone() {
+            let assigned = |j: usize| self.span[j].1 > 0;
+            if assigned(i) || !s.row_cols(i).iter().any(|&j| assigned(j)) {
+                continue;
+            }
+            for &j in s.row_cols(i) {
+                self.strong[j] = i + 1;
+            }
+            let (mut diag, mut all_sum, mut strong_done_sum) = (0.0f64, 0.0f64, 0.0f64);
+            for (c, v) in a.row_iter(i) {
+                if c == i {
+                    diag = v;
+                    continue;
+                }
+                all_sum += v;
+                if self.strong[c] == i + 1 && assigned(c) {
+                    strong_done_sum += v;
+                }
+            }
             if strong_done_sum == 0.0 || diag == 0.0 {
                 continue; // try again next pass (or stay empty)
             }
             let alpha = all_sum / strong_done_sum;
-            let mut cols: Vec<usize> = Vec::new();
-            let mut vals: Vec<f64> = Vec::new();
+            let start = self.cols.len();
             for (k, v) in a.row_iter(i) {
-                if k == i || !assigned[k] || !s.row_cols(i).contains(&k) {
+                let (ks, kl) = self.span[k];
+                if k == i || self.strong[k] != i + 1 {
                     continue;
                 }
-                let (pc, pv) = rows[k].as_ref().unwrap();
                 let coef = -alpha * v / diag;
-                for (c, w) in pc.iter().zip(pv) {
-                    if marker[*c] == usize::MAX
-                        || marker[*c] >= cols.len()
-                        || cols[marker[*c]] != *c
-                    {
-                        marker[*c] = cols.len();
-                        cols.push(*c);
-                        vals.push(coef * w);
+                for t in ks..ks + kl {
+                    let (c, w) = (self.cols[t], self.vals[t]);
+                    let slot = self.marker[c];
+                    if slot >= start && slot < self.cols.len() && self.cols[slot] == c {
+                        self.vals[slot] += coef * w;
                     } else {
-                        vals[marker[*c]] += coef * w;
+                        self.marker[c] = self.cols.len();
+                        self.cols.push(c);
+                        self.vals.push(coef * w);
                     }
                 }
             }
-            // Reset marker entries used by this row.
-            for &c in &cols {
-                marker[c] = usize::MAX;
-            }
-            if !cols.is_empty() {
-                new_rows.push((i, cols, vals));
+            if self.cols.len() > start {
+                fresh.push((i, start));
             }
         }
-        if new_rows.is_empty() {
-            break;
+        // Assign only now: the pass read the state it started from.
+        let mut end = self.cols.len();
+        for &(i, start) in fresh.iter().rev() {
+            self.span[i] = (start, end - start);
+            end = start;
         }
-        for (i, cols, vals) in new_rows {
-            rows[i] = Some((cols, vals));
-        }
-        pass += 1;
-        if pass > n {
-            break; // safety net; cannot happen on finite graphs
-        }
+        !fresh.is_empty()
     }
-    // Assemble, truncating fine rows.
-    let mut rowptr = Vec::with_capacity(n + 1);
-    let mut colidx = Vec::new();
-    let mut values = Vec::new();
-    rowptr.push(0);
-    let mut tc = Vec::new();
-    let mut tv = Vec::new();
-    for i in 0..n {
-        if let Some((cols, vals)) = &rows[i] {
-            tc.clear();
-            tv.clear();
-            tc.extend_from_slice(cols);
-            tv.extend_from_slice(vals);
-            if !cf.is_coarse[i] {
-                if let Some(t) = trunc {
-                    super::common::truncate_row(&mut tc, &mut tv, t);
-                }
-            }
-            colidx.extend_from_slice(&tc);
-            values.extend_from_slice(&tv);
+
+    /// Assembles the rows of the range, truncating the fine ones; a point no
+    /// pass reached keeps an empty row.
+    pub fn into_operator(self, trunc: Option<&TruncParams>) -> Csr {
+        let mut b = RowBuilder::new(self.rows.len());
+        let (mut tc, mut tv) = (Vec::new(), Vec::new());
+        for i in self.rows.clone() {
+            let (start, len) = self.span[i];
+            tc.extend_from_slice(&self.cols[start..start + len]);
+            tv.extend_from_slice(&self.vals[start..start + len]);
+            b.push_row(&mut tc, &mut tv, trunc.filter(|_| !self.is_coarse[i]));
         }
-        rowptr.push(colidx.len());
+        b.finish(self.nc)
     }
-    Csr::from_parts_unchecked(n, cf.nc, rowptr, colidx, values)
 }
 
 #[cfg(test)]

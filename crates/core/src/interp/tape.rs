@@ -280,7 +280,7 @@ impl ExtITape {
     /// trunc)`, it is the same kernel run — and records its numeric
     /// circuit, kept set included, on the way.
     pub fn capture(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> (Csr, ExtITape) {
-        let (p, parts) = build(a, s, cf, trunc, TapePart::new);
+        let (p, parts) = build(a, s, cf, 0..a.nrows(), trunc, TapePart::new);
         let max_slots = parts
             .iter()
             .flat_map(|p| &p.nslots)

@@ -9,12 +9,16 @@
 //! mirrors HYPRE's `max_row_sum` parameter used in Table 3.
 //!
 //! Two implementations: a sequential baseline and the paper's §3.3
-//! parallel version (per-row counts, prefix sum, parallel fill).
+//! parallel version (per-row counts, prefix sum, parallel fill). Both take
+//! the row range to emit: the serial setup passes every row, a rank of the
+//! distributed setup the owned rows of its extended local CSR (whose halo
+//! rows have no strength rows of their own).
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use famg_sparse::partition::exclusive_prefix_sum;
+use famg_sparse::partition::{exclusive_prefix_sum, num_threads};
 use famg_sparse::Csr;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Decides which entries of row `i` are strong; invokes `emit(k, a_ik)`
 /// for each strong neighbour in row order.
@@ -51,34 +55,39 @@ fn row_strong(
     }
 }
 
-/// Sequential strength matrix (values carry the originating `a_ij`).
-pub fn strength_seq(a: &Csr, threshold: f64, max_row_sum: f64) -> Csr {
+/// Sequential strength matrix of rows `rows` (`rows.len() × n`; values
+/// carry the originating `a_ij`).
+pub fn strength_seq(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f64) -> Csr {
     assert_eq!(a.nrows(), a.ncols());
-    let n = a.nrows();
+    let n = rows.len();
     let mut rowptr = Vec::with_capacity(n + 1);
-    let mut colidx = Vec::new();
-    let mut values = Vec::new();
+    // `S ⊂ A`: reserved once, the part `S` does not fill is never touched.
+    let bound = a.rowptr()[rows.end] - a.rowptr()[rows.start];
+    let mut colidx = Vec::with_capacity(bound);
+    let mut values = Vec::with_capacity(bound);
     rowptr.push(0);
-    for i in 0..n {
+    for i in rows {
         row_strong(a, i, threshold, max_row_sum, |k, v| {
             colidx.push(k);
             values.push(v);
         });
         rowptr.push(colidx.len());
     }
-    Csr::from_parts_unchecked(n, n, rowptr, colidx, values)
+    Csr::from_parts_unchecked(n, a.ncols(), rowptr, colidx, values)
 }
 
 /// Parallel strength matrix: count pass → prefix sum → fill pass (§3.3).
 /// Bitwise identical to [`strength_seq`].
-pub fn strength_par(a: &Csr, threshold: f64, max_row_sum: f64) -> Csr {
+pub fn strength_par(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f64) -> Csr {
     assert_eq!(a.nrows(), a.ncols());
-    let n = a.nrows();
-    if n < 2048 {
-        return strength_seq(a, threshold, max_row_sum);
+    let n = rows.len();
+    // One thread gains nothing from the counting pass.
+    if n < 2048 || num_threads() == 1 {
+        return strength_seq(a, rows, threshold, max_row_sum);
     }
     // Pass 1: per-row strong counts.
-    let mut counts: Vec<usize> = (0..n)
+    let mut counts: Vec<usize> = rows
+        .clone()
         .into_par_iter()
         .with_min_len(512)
         .map(|i| {
@@ -101,25 +110,28 @@ pub fn strength_par(a: &Csr, threshold: f64, max_row_sum: f64) -> Csr {
         let p = Ptr(colidx.as_mut_ptr(), values.as_mut_ptr());
         let p = &p;
         let rowptr_ref = &rowptr;
-        (0..n).into_par_iter().with_min_len(512).for_each(|i| {
-            let mut dst = rowptr_ref[i];
-            row_strong(a, i, threshold, max_row_sum, |k, v| {
-                // SAFETY: rows write disjoint [rowptr[i], rowptr[i+1]) slices.
-                unsafe {
-                    *p.0.add(dst) = k;
-                    *p.1.add(dst) = v;
-                }
-                dst += 1;
+        rows.clone()
+            .into_par_iter()
+            .with_min_len(512)
+            .for_each(|i| {
+                let mut dst = rowptr_ref[i - rows.start];
+                row_strong(a, i, threshold, max_row_sum, |k, v| {
+                    // SAFETY: rows write disjoint [rowptr[i], rowptr[i+1]) slices.
+                    unsafe {
+                        *p.0.add(dst) = k;
+                        *p.1.add(dst) = v;
+                    }
+                    dst += 1;
+                });
+                debug_assert_eq!(dst, rowptr_ref[i - rows.start + 1]);
             });
-            debug_assert_eq!(dst, rowptr_ref[i + 1]);
-        });
     }
-    Csr::from_parts_unchecked(n, n, rowptr, colidx, values)
+    Csr::from_parts_unchecked(n, a.ncols(), rowptr, colidx, values)
 }
 
-/// Production entry point.
+/// Production entry point: every row.
 pub fn strength(a: &Csr, threshold: f64, max_row_sum: f64) -> Csr {
-    strength_par(a, threshold, max_row_sum)
+    strength_par(a, 0..a.nrows(), threshold, max_row_sum)
 }
 
 #[cfg(test)]
@@ -132,7 +144,7 @@ mod tests {
         // Uniform -1 off-diagonals: every neighbour ties the max, so all
         // are strong at any threshold <= 1.
         let a = laplace2d(4, 4);
-        let s = strength_seq(&a, 0.25, 0.9);
+        let s = strength_seq(&a, 0..a.nrows(), 0.25, 0.9);
         for i in 0..a.nrows() {
             assert_eq!(s.row_nnz(i), a.row_nnz(i) - 1); // all but diagonal
         }
@@ -142,7 +154,7 @@ mod tests {
     fn anisotropy_filters_weak_direction() {
         // eps = 0.01 << 0.25: y-neighbours are weak, x-neighbours strong.
         let a = laplace2d_aniso(5, 5, 0.01);
-        let s = strength_seq(&a, 0.25, 0.9);
+        let s = strength_seq(&a, 0..a.nrows(), 0.25, 0.9);
         let i = 12; // interior
         assert_eq!(s.row_nnz(i), 2); // left/right only
         assert!(s.row_cols(i).contains(&11));
@@ -152,7 +164,7 @@ mod tests {
     #[test]
     fn threshold_zero_keeps_all_negative() {
         let a = laplace2d_aniso(5, 5, 0.01);
-        let s = strength_seq(&a, 0.0, 10.0);
+        let s = strength_seq(&a, 0..a.nrows(), 0.0, 10.0);
         let i = 12;
         assert_eq!(s.row_nnz(i), 4);
     }
@@ -164,7 +176,7 @@ mod tests {
             2,
             vec![(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)],
         );
-        let s = strength_seq(&a, 0.25, 0.9);
+        let s = strength_seq(&a, 0..a.nrows(), 0.25, 0.9);
         assert_eq!(s.nnz(), 0);
     }
 
@@ -176,7 +188,7 @@ mod tests {
             2,
             vec![(0, 0, 10.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.5)],
         );
-        let s = strength_seq(&a, 0.25, 0.8);
+        let s = strength_seq(&a, 0..a.nrows(), 0.25, 0.8);
         assert_eq!(s.row_nnz(0), 0);
         // Row 1: row_sum/diag = 0.5/1.5 = 0.33 <= 0.8 -> kept.
         assert_eq!(s.row_nnz(1), 1);
@@ -185,17 +197,20 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let a = laplace2d(80, 80); // 6400 rows -> parallel path
-        let s1 = strength_seq(&a, 0.25, 0.8);
-        let s2 = strength_par(&a, 0.25, 0.8);
+        let s1 = strength_seq(&a, 0..a.nrows(), 0.25, 0.8);
+        let s2 = strength_par(&a, 0..a.nrows(), 0.25, 0.8);
         assert_eq!(s1, s2);
         let b = laplace2d_aniso(70, 90, 0.05);
-        assert_eq!(strength_seq(&b, 0.25, 0.8), strength_par(&b, 0.25, 0.8));
+        assert_eq!(
+            strength_seq(&b, 0..b.nrows(), 0.25, 0.8),
+            strength_par(&b, 0..b.nrows(), 0.25, 0.8)
+        );
     }
 
     #[test]
     fn values_carry_matrix_entries() {
         let a = laplace2d(4, 4);
-        let s = strength_seq(&a, 0.25, 0.9);
+        let s = strength_seq(&a, 0..a.nrows(), 0.25, 0.9);
         for i in 0..s.nrows() {
             for (c, v) in s.row_iter(i) {
                 assert_eq!(Some(v), a.get(i, c));

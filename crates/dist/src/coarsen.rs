@@ -4,13 +4,17 @@
 //! state/measure obtained through halo exchanges. Random weights are the
 //! counter-based generator keyed on *global* point indices, so the C/F
 //! splitting is identical for every rank count — which lets the tests
-//! compare the distributed result bitwise against `famg_core::coarsen`.
+//! compare the distributed result bitwise against `famg_core::coarsen` on
+//! symmetric strength patterns (the demotion round here looks at `S` rows
+//! only, the shared-memory one at `S ∪ Sᵀ`; ROADMAP item 1a).
 
 use crate::comm::Comm;
 use crate::halo::{fetch_values, gather_rows, VectorExchange};
-use crate::parcsr::ParCsr;
+use crate::parcsr::{ExtSpace, ParCsr};
 use crate::spgemm::dist_transpose;
+use famg_core::interp::CfMap;
 use famg_core::rng::uniform01;
+use famg_sparse::Csr;
 
 /// One rank's share of a C/F splitting.
 #[derive(Debug, Clone)]
@@ -58,6 +62,42 @@ impl DistCoarsening {
         let mut s = comm.allgather(self.coarse_start, 0x60, 8);
         s.push(self.ncoarse_global);
         s
+    }
+
+    /// The C/F state of every local point as it travels in a halo
+    /// exchange: fine → −1, coarse → its global coarse index.
+    pub fn codes(&self) -> Vec<f64> {
+        (0..self.is_coarse.len())
+            .map(|i| {
+                if self.is_coarse[i] {
+                    self.coarse_index(i) as f64
+                } else {
+                    -1.0
+                }
+            })
+            .collect()
+    }
+
+    /// The splitting over a rank's whole local index space `space`, from
+    /// the [`codes`](Self::codes) the owners of its halo ids sent
+    /// (`halo_codes`, one per halo id, ascending): the C/F map a serial
+    /// kernel takes, and the space of its coarse columns. The global coarse
+    /// numbering ascends with the global point id, so the local coarse
+    /// numbering `CfMap` assigns is again monotone in the global one.
+    pub fn extended(&self, space: &ExtSpace, halo_codes: &[f64]) -> (CfMap, ExtSpace) {
+        debug_assert_eq!(halo_codes.len() + self.is_coarse.len(), space.ext2g.len());
+        let (below, above) = halo_codes.split_at(space.own.start);
+        let coarse_ids = |codes: &[f64]| -> Vec<usize> {
+            (codes.iter().filter(|&&c| c >= 0.0).map(|&c| c as usize)).collect()
+        };
+        let mut halo = coarse_ids(below);
+        halo.extend(coarse_ids(above));
+        let is_coarse = (below.iter().map(|&c| c >= 0.0))
+            .chain(self.is_coarse.iter().copied())
+            .chain(above.iter().map(|&c| c >= 0.0))
+            .collect();
+        let own = (self.coarse_start, self.coarse_start + self.ncoarse_local);
+        (CfMap::new(is_coarse), ExtSpace::new(own, &halo))
     }
 }
 
@@ -161,104 +201,66 @@ pub fn dist_aggressive_pmis(
 ) -> (DistCoarsening, DistCoarsening) {
     let rank = comm.rank();
     let first = dist_pmis(comm, s, seed, None);
-    let nl = s.local_rows();
 
-    // Gather full remote S rows for the halo (distance-2 reach).
-    let gathered = gather_rows(
-        comm,
-        &s.colmap,
-        &s.col_starts,
-        |li| s.global_row(li, rank),
-        |_, _, _, _| true,
-    );
-    // C/F state + compact coarse index for every global point we touch:
-    // own points, the halo, and the columns of gathered rows.
-    let mut extended: Vec<usize> = s
-        .colmap
-        .iter()
-        .copied()
-        .chain(gathered.data.iter().flat_map(|r| r.iter().map(|&(c, _)| c)))
-        .collect();
-    extended.sort_unstable();
-    extended.dedup();
-    // Encode (is_coarse, compact index) as f64: fine -> -1, coarse -> idx.
-    let code = |dc: &DistCoarsening, li: usize| -> f64 {
-        if dc.is_coarse[li] {
-            dc.coarse_index(li) as f64
-        } else {
-            -1.0
-        }
-    };
-    let codes_ext = fetch_values(comm, &extended, &s.col_starts, |li| code(&first, li));
-    let code_of = |g: usize| -> f64 {
-        if g >= s.row_start && g < s.row_end {
-            code(&first, g - s.row_start)
-        } else {
-            codes_ext[extended.binary_search(&g).unwrap()]
-        }
-    };
+    // Gather full remote S rows for the halo (distance-2 reach), and the
+    // C/F state + compact coarse index of every point they name.
+    let (gathered, _) = gather_rows(comm, &s.colmap, &s.col_starts, |li, _, emit| {
+        s.visit_global_row(li, rank, emit);
+    });
+    let space =
+        ExtSpace::with_received(s.col_range(rank), &s.colmap, gathered.cols.iter().copied());
+    let halo: Vec<usize> = space.halo().collect();
+    let codes = first.codes();
+    let halo_codes = fetch_values(comm, &halo, &s.col_starts, |li| codes[li]);
+    let (cf, coarse) = first.extended(&space, &halo_codes);
+    let s_ext = s.extended(rank, &space, &space, Some(&gathered));
 
-    // Build S2 rows (compact coarse space) for local C-points.
-    let coarse_starts = first.coarse_starts(comm);
-    let nc_local = first.ncoarse_local;
-    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nc_local];
-    let mut local_coarse = 0usize;
-    for i in 0..nl {
-        if !first.is_coarse[i] {
-            continue;
-        }
-        let me = first.coarse_index(i);
-        let mut cols: Vec<usize> = Vec::new();
-        let push = |g: usize, cols: &mut Vec<usize>| {
-            let c = code_of(g);
-            if c >= 0.0 && c as usize != me {
-                cols.push(c as usize);
+    // S2 rows (compact coarse space) of the local C-points: the coarse
+    // points within two strength edges, each once, ascending.
+    let mut rowptr = Vec::with_capacity(first.ncoarse_local + 1);
+    let mut colidx: Vec<usize> = Vec::new();
+    let mut seen = vec![usize::MAX; coarse.ext2g.len()];
+    rowptr.push(0);
+    for i in space.own.clone().filter(|&i| cf.is_coarse[i]) {
+        let me = cf.cmap[i];
+        seen[me] = me;
+        let row_start = colidx.len();
+        let mut push = |p: usize| {
+            if cf.is_coarse[p] && seen[cf.cmap[p]] != me {
+                seen[cf.cmap[p]] = me;
+                colidx.push(cf.cmap[p]);
             }
         };
-        let row_of = |g: usize| -> Vec<usize> {
-            if g >= s.row_start && g < s.row_end {
-                s.global_row(g - s.row_start, rank)
-                    .into_iter()
-                    .map(|(c, _)| c)
-                    .collect()
-            } else {
-                gathered
-                    .get(g)
-                    .map(|r| r.iter().map(|&(c, _)| c).collect())
-                    .unwrap_or_default()
-            }
-        };
-        for (j, _) in s.global_row(i, rank) {
-            push(j, &mut cols);
-            for k in row_of(j) {
-                push(k, &mut cols);
-            }
+        for &j in s_ext.row_cols(i) {
+            push(j);
+            s_ext.row_cols(j).iter().for_each(|&k| push(k));
         }
-        cols.sort_unstable();
-        cols.dedup();
-        rows[local_coarse] = cols.into_iter().map(|c| (c, 1.0)).collect();
-        local_coarse += 1;
+        colidx[row_start..].sort_unstable();
+        rowptr.push(colidx.len());
     }
-    let s2 = ParCsr::from_local_rows_global_cols(
+    let values = vec![1.0; colidx.len()];
+    let s2_local = Csr::from_parts_unchecked(
+        first.ncoarse_local,
+        coarse.ext2g.len(),
+        rowptr,
+        colidx,
+        values,
+    );
+    let coarse_starts = first.coarse_starts(comm);
+    let s2 = ParCsr::from_local(
+        &s2_local,
+        &coarse,
         coarse_starts[rank],
         coarse_starts[rank + 1],
         first.ncoarse_global,
-        coarse_starts.clone(),
-        rank,
-        &rows,
+        coarse_starts,
     );
     let second = dist_pmis(comm, &s2, seed.wrapping_add(1), None);
-    // Map back to point space.
-    let mut is_coarse = vec![false; nl];
-    let mut ci = 0usize;
-    for i in 0..nl {
-        if first.is_coarse[i] {
-            if second.is_coarse[ci] {
-                is_coarse[i] = true;
-            }
-            ci += 1;
-        }
-    }
+    // Map back to point space: a point stays coarse if its C-point does.
+    let mut kept = second.is_coarse.iter();
+    let is_coarse = (first.is_coarse.iter())
+        .map(|&c| c && *kept.next().expect("one S2 row per C-point"))
+        .collect();
     let fin = DistCoarsening::from_marker(comm, is_coarse, 0x63);
     (first, fin)
 }

@@ -21,7 +21,7 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -186,7 +186,7 @@ pub struct Comm {
     size: usize,
     senders: Vec<Sender<Envelope>>,
     receiver: Receiver<Envelope>,
-    pending: RefCell<HashMap<(usize, u64), VecDeque<Envelope>>>,
+    pending: RefCell<BTreeMap<(usize, u64), VecDeque<Envelope>>>,
     barrier: Arc<Barrier>,
     counters: Arc<Vec<RankCounters>>,
     /// Per-rank scoped counters; rank `r` only ever locks entry `r`, so
@@ -881,7 +881,7 @@ pub fn run_ranks<T: Send>(nranks: usize, f: impl Fn(&Comm) -> T + Sync) -> (Vec<
                 size: nranks,
                 senders: senders.clone(),
                 receiver,
-                pending: RefCell::new(HashMap::new()),
+                pending: RefCell::new(BTreeMap::new()),
                 barrier: Arc::clone(&barrier),
                 counters: Arc::clone(&counters),
                 scoped: Arc::clone(&scoped),

@@ -8,9 +8,9 @@
 //! lists, and execution posts point-to-point messages only to ranks with
 //! nonzero traffic: one halo exchange costs exactly one message per true
 //! neighbor pair, never the P−1 envelopes per rank of an all-to-all.
-//! [`gather_rows`] fetches remote matrix rows, optionally applying a
-//! caller-side filter — the §4.3 optimization that strips entries the
-//! interpolation will never read before they hit the wire.
+//! [`gather_rows`] fetches remote matrix rows; the owner-side `serve`
+//! callback decides which entries travel — the §4.3 optimization strips
+//! the ones the interpolation will never read before they hit the wire.
 
 use crate::comm::{wire, Comm, RecvHandle};
 use crate::parcsr::owner_of;
@@ -81,27 +81,15 @@ impl VectorExchange {
     /// point-to-point request round (this is the setup cost that
     /// persistent communication amortizes).
     pub fn plan(comm: &Comm, colmap: &[usize], starts: &[usize]) -> VectorExchange {
-        debug_assert!(colmap.windows(2).all(|w| w[0] < w[1]));
-        // Group the (sorted) colmap by owner: each owner's slice is one
-        // contiguous run.
-        let mut requests: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut recv_runs: Vec<(usize, usize, usize)> = Vec::new();
-        let mut k = 0usize;
-        while k < colmap.len() {
-            let owner = owner_of(starts, colmap[k]);
-            let start = k;
-            while k < colmap.len() && colmap[k] < starts[owner + 1] {
-                k += 1;
-            }
-            recv_runs.push((owner, start, k));
-            requests.push((
-                owner,
-                colmap[start..k]
-                    .iter()
-                    .map(|&g| g - starts[owner])
-                    .collect(),
-            ));
-        }
+        let recv_runs = owner_runs(colmap, starts);
+        let requests: Vec<(usize, Vec<usize>)> = (recv_runs.iter())
+            .map(|&(owner, s, e)| {
+                (
+                    owner,
+                    colmap[s..e].iter().map(|&g| g - starts[owner]).collect(),
+                )
+            })
+            .collect();
         // Tell each owner which of its locals we need (neighbors only).
         let incoming = comm.alltoallv(requests, TAG_REQ, |r| wire::idxs(r.len()));
         // Split out the self entry (if any) on both sides: the request we
@@ -328,83 +316,90 @@ pub fn exchange_adhoc(
     VectorExchange::plan(comm, colmap, starts).exchange(comm, x_local)
 }
 
-/// Rows gathered from other ranks, with global column indices.
+/// Splits the sorted global ids `ids` into one `(owner, start, end)` run per
+/// owning rank: owners own contiguous ranges, so each one's ids are a
+/// contiguous slice.
+pub(crate) fn owner_runs(ids: &[usize], starts: &[usize]) -> Vec<(usize, usize, usize)> {
+    debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    let mut runs = Vec::new();
+    let mut k = 0usize;
+    while k < ids.len() {
+        let owner = owner_of(starts, ids[k]);
+        let start = k;
+        while k < ids.len() && ids[k] < starts[owner + 1] {
+            k += 1;
+        }
+        runs.push((owner, start, k));
+    }
+    runs
+}
+
+/// Rows gathered from other ranks, with global column indices — the flat
+/// `(row_nnz, cols, vals)` bundles as they came off the wire, concatenated
+/// in request order.
 #[derive(Debug, Clone)]
 pub struct GatheredRows {
     /// Requested global row ids (sorted — mirrors the request list).
     pub rows: Vec<usize>,
-    /// Entries per row: `(global_col, value)`.
-    pub data: Vec<Vec<(usize, f64)>>,
+    /// Row `k`'s entries are `cols`/`vals[rowptr[k]..rowptr[k + 1]]`.
+    pub rowptr: Vec<usize>,
+    /// Global column of every entry.
+    pub cols: Vec<usize>,
+    /// Value of every entry.
+    pub vals: Vec<f64>,
 }
 
 impl GatheredRows {
-    /// Locates a gathered row by global id.
-    pub fn get(&self, global_row: usize) -> Option<&[(usize, f64)]> {
-        self.rows
-            .binary_search(&global_row)
-            .ok()
-            .map(|k| self.data[k].as_slice())
-    }
-
-    /// Total gathered entries.
-    pub fn nnz(&self) -> usize {
-        self.data.iter().map(std::vec::Vec::len).sum()
+    /// The `k`-th gathered row (the row of global id `rows[k]`).
+    pub fn row(&self, k: usize) -> (&[usize], &[f64]) {
+        let r = self.rowptr[k]..self.rowptr[k + 1];
+        (&self.cols[r.clone()], &self.vals[r])
     }
 }
 
 /// Serialized row bundle travelling between ranks.
 type RowBundle = (Vec<usize>, Vec<usize>, Vec<f64>); // row_nnz, cols, vals
 
-/// Gathers the rows of the distributed matrix represented by
-/// `local_row(local_idx) -> Vec<(global_col, value)>` for the sorted
-/// global row list `needed`. `filter(local_row, global_col, value,
-/// requester)` decides which entries hit the wire (§4.3); pass
-/// `|_, _, _, _| true` for full rows. Requests and replies travel only
-/// between true neighbor pairs.
+/// Gathers the rows with the sorted global ids `needed` from their owners.
+/// `serve(local_row, requester, emit)` runs on the owner and calls
+/// `emit(global_col, value)` for every entry that is to travel — all of
+/// them for a full row, fewer under the §4.3 filter. Requests and replies
+/// travel only between true neighbor pairs.
+///
+/// Also returns the gather's frozen geometry: a later exchange of the same
+/// rows with new values needs no request round and ships no indices
+/// ([`RowGatherPlan::execute`]).
 pub fn gather_rows(
     comm: &Comm,
     needed: &[usize],
     row_starts: &[usize],
-    local_row: impl Fn(usize) -> Vec<(usize, f64)>,
-    filter: impl Fn(usize, usize, f64, usize) -> bool,
-) -> GatheredRows {
+    serve: impl Fn(usize, usize, &mut dyn FnMut(usize, f64)),
+) -> (GatheredRows, RowGatherPlan) {
     let rank = comm.rank();
-    debug_assert!(needed.windows(2).all(|w| w[0] < w[1]));
-    // Owners own contiguous global ranges, so the sorted `needed` splits
-    // into one contiguous run per owner.
-    let mut runs: Vec<(usize, usize, usize)> = Vec::new(); // (owner, start, end)
-    let mut k = 0usize;
-    while k < needed.len() {
-        let owner = owner_of(row_starts, needed[k]);
-        let start = k;
-        while k < needed.len() && needed[k] < row_starts[owner + 1] {
-            k += 1;
-        }
-        runs.push((owner, start, k));
-    }
+    let runs = owner_runs(needed, row_starts);
     let requests: Vec<(usize, Vec<usize>)> = runs
         .iter()
         .map(|&(owner, s, e)| (owner, needed[s..e].to_vec()))
         .collect();
-    let incoming = comm.alltoallv(requests, TAG_ROW_REQ, |r| wire::idxs(r.len()));
-    // Serve: one bundle per requester, sent point-to-point.
     let my_start = row_starts[rank];
+    let serves: Vec<(usize, Vec<usize>)> = comm
+        .alltoallv(requests, TAG_ROW_REQ, |r| wire::idxs(r.len()))
+        .into_iter()
+        .map(|(req, rows)| (req, rows.iter().map(|&g| g - my_start).collect()))
+        .collect();
+    // Serve: one bundle per requester, sent point-to-point.
     let mut self_bundle: Option<RowBundle> = None;
-    for (requester, rows) in &incoming {
+    for (requester, rows) in &serves {
         let mut row_nnz = Vec::with_capacity(rows.len());
         let mut cols = Vec::new();
         let mut vals = Vec::new();
-        for &g in rows {
-            let li = g - my_start;
-            let mut cnt = 0usize;
-            for (c, v) in local_row(li) {
-                if filter(li, c, v, *requester) {
-                    cols.push(c);
-                    vals.push(v);
-                    cnt += 1;
-                }
-            }
-            row_nnz.push(cnt);
+        for &li in rows {
+            let before = cols.len();
+            serve(li, *requester, &mut |c, v| {
+                cols.push(c);
+                vals.push(v);
+            });
+            row_nnz.push(cols.len() - before);
         }
         let bundle = (row_nnz, cols, vals);
         if *requester == rank {
@@ -418,126 +413,65 @@ pub fn gather_rows(
     }
     // Receive per-owner bundles in run order; rows arrive in request
     // order, i.e. aligned with `needed`.
-    let mut data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(needed.len());
+    let mut got = GatheredRows {
+        rows: needed.to_vec(),
+        rowptr: Vec::with_capacity(needed.len() + 1),
+        cols: Vec::new(),
+        vals: Vec::new(),
+    };
+    let mut row_nnz: Vec<usize> = Vec::with_capacity(needed.len());
+    got.rowptr.push(0);
     for &(owner, s, e) in &runs {
-        let (row_nnz, cols, vals): RowBundle = if owner == rank {
+        let (counts, cols, vals): RowBundle = if owner == rank {
             self_bundle.take().expect("missing self bundle")
         } else {
             comm.recv(owner, TAG_ROW_DATA)
         };
-        debug_assert_eq!(row_nnz.len(), e - s);
-        let mut off = 0usize;
-        for n in row_nnz {
-            data.push(
-                cols[off..off + n]
-                    .iter()
-                    .copied()
-                    .zip(vals[off..off + n].iter().copied())
-                    .collect(),
-            );
-            off += n;
+        debug_assert_eq!(counts.len(), e - s);
+        for &n in &counts {
+            got.rowptr.push(got.rowptr.last().expect("starts at 0") + n);
         }
+        row_nnz.extend(counts);
+        got.cols.extend(cols);
+        got.vals.extend(vals);
     }
-    GatheredRows {
-        rows: needed.to_vec(),
-        data,
-    }
+    let plan = RowGatherPlan {
+        runs,
+        serves,
+        row_nnz,
+    };
+    (got, plan)
 }
 
 /// A frozen-geometry row gather: the request routing and per-row entry
-/// counts of a [`gather_rows`] call, captured once so later exchanges
-/// ship *values only* (no column indices, no request round). This is the
-/// §4.4 persistent-communication idea applied to the SpGEMM row gather,
-/// used by the numeric-refresh setup path where every matrix pattern is
-/// frozen and only values change between solves.
+/// counts of a [`gather_rows`] call, kept so later exchanges ship *values
+/// only* (no column indices, no request round). This is the §4.4
+/// persistent-communication idea applied to the SpGEMM row gather, used by
+/// the numeric-refresh setup path where every matrix pattern is frozen and
+/// only values change between solves.
 #[derive(Debug, Clone)]
 pub struct RowGatherPlan {
     /// `(owner, start, end)` runs over the requested row list.
     runs: Vec<(usize, usize, usize)>,
     /// Serve side: `(requester, local row indices)`, in the order the
-    /// original request round delivered them.
+    /// request round delivered them.
     serves: Vec<(usize, Vec<usize>)>,
     /// Entries per gathered row, aligned with the request list.
     row_nnz: Vec<usize>,
 }
 
 impl RowGatherPlan {
-    /// Plans the gather for the sorted global row list `needed` under the
-    /// row partition `row_starts`. `local_row_nnz(local_idx)` reports the
-    /// (frozen) entry count of an owned row. One request round plus one
-    /// count round; every later [`execute`](Self::execute) is a single
-    /// values-only message per neighbor.
-    pub fn plan(
-        comm: &Comm,
-        needed: &[usize],
-        row_starts: &[usize],
-        local_row_nnz: impl Fn(usize) -> usize,
-    ) -> RowGatherPlan {
-        let rank = comm.rank();
-        debug_assert!(needed.windows(2).all(|w| w[0] < w[1]));
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        let mut k = 0usize;
-        while k < needed.len() {
-            let owner = owner_of(row_starts, needed[k]);
-            let start = k;
-            while k < needed.len() && needed[k] < row_starts[owner + 1] {
-                k += 1;
-            }
-            runs.push((owner, start, k));
-        }
-        let requests: Vec<(usize, Vec<usize>)> = runs
-            .iter()
-            .map(|&(owner, s, e)| (owner, needed[s..e].to_vec()))
-            .collect();
-        let incoming = comm.alltoallv(requests, TAG_ROW_REQ, |r| wire::idxs(r.len()));
-        let my_start = row_starts[rank];
-        let serves: Vec<(usize, Vec<usize>)> = incoming
-            .into_iter()
-            .map(|(req, rows)| (req, rows.iter().map(|&g| g - my_start).collect()))
-            .collect();
-        // Count round: tell each requester how long its rows are.
-        let mut self_counts: Option<Vec<usize>> = None;
-        for (requester, lis) in &serves {
-            let counts: Vec<usize> = lis.iter().map(|&li| local_row_nnz(li)).collect();
-            if *requester == rank {
-                self_counts = Some(counts);
-            } else {
-                let b = wire::idxs(counts.len());
-                comm.send(*requester, TAG_ROW_DATA, counts, b);
-            }
-        }
-        let mut row_nnz: Vec<usize> = Vec::with_capacity(needed.len());
-        for &(owner, s, e) in &runs {
-            let counts: Vec<usize> = if owner == rank {
-                self_counts.take().expect("missing self counts")
-            } else {
-                comm.recv(owner, TAG_ROW_DATA)
-            };
-            debug_assert_eq!(counts.len(), e - s);
-            row_nnz.extend(counts);
-        }
-        RowGatherPlan {
-            runs,
-            serves,
-            row_nnz,
-        }
-    }
-
-    /// Executes the gather: `local_row_vals(local_idx)` must yield an
-    /// owned row's values in the same order the pattern was frozen in
-    /// (ascending global column). Returns one value vector per requested
-    /// row, aligned with the planned row list.
-    pub fn execute(
-        &self,
-        comm: &Comm,
-        local_row_vals: impl Fn(usize) -> Vec<f64>,
-    ) -> Vec<Vec<f64>> {
+    /// Executes the gather: `serve_vals(local_row, out)` must append an
+    /// owned row's values in the order the planning gather emitted its
+    /// entries. Returns the values of all requested rows, aligned with the
+    /// planning gather's [`GatheredRows::vals`].
+    pub fn execute(&self, comm: &Comm, serve_vals: impl Fn(usize, &mut Vec<f64>)) -> Vec<f64> {
         let rank = comm.rank();
         let mut self_vals: Option<Vec<f64>> = None;
         for (requester, lis) in &self.serves {
             let mut vals = Vec::new();
             for &li in lis {
-                vals.extend(local_row_vals(li));
+                serve_vals(li, &mut vals);
             }
             if *requester == rank {
                 self_vals = Some(vals);
@@ -546,22 +480,15 @@ impl RowGatherPlan {
                 comm.send(*requester, TAG_ROW_VAL, vals, b);
             }
         }
-        let mut data: Vec<Vec<f64>> = Vec::with_capacity(self.row_nnz.len());
-        let mut row = 0usize;
+        let mut data: Vec<f64> = Vec::with_capacity(self.row_nnz.iter().sum());
         for &(owner, s, e) in &self.runs {
             let vals: Vec<f64> = if owner == rank {
                 self_vals.take().expect("missing self values")
             } else {
                 comm.recv(owner, TAG_ROW_VAL)
             };
-            let mut off = 0usize;
-            for _ in s..e {
-                let n = self.row_nnz[row];
-                data.push(vals[off..off + n].to_vec());
-                off += n;
-                row += 1;
-            }
-            debug_assert_eq!(off, vals.len());
+            debug_assert_eq!(vals.len(), self.row_nnz[s..e].iter().sum::<usize>());
+            data.extend(vals);
         }
         data
     }
@@ -843,15 +770,22 @@ mod tests {
             let r = c.rank();
             let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
             let needed = p.colmap.clone();
-            let local = |li: usize| p.global_row(li, r);
-            let g = gather_rows(c, &needed, &starts, local, |_, _, _, _| true);
+            let (g, plan) = gather_rows(c, &needed, &starts, |li, _, emit| {
+                p.visit_global_row(li, r, emit);
+            });
+            // The values-only replay of the same gather.
+            let again = plan.execute(c, |li, out| p.visit_global_row(li, r, |_, v| out.push(v)));
+            assert_eq!(again, g.vals);
             (needed, g)
         });
         for (needed, g) in results {
-            for &row in &needed {
-                let got = g.get(row).unwrap();
+            assert_eq!(g.rows, needed);
+            for (k, &row) in needed.iter().enumerate() {
+                let (cols, vals) = g.row(k);
+                let got: Vec<(usize, f64)> =
+                    cols.iter().copied().zip(vals.iter().copied()).collect();
                 let expect: Vec<(usize, f64)> = a.row_iter(row).collect();
-                assert_eq!(got, expect.as_slice(), "row {row}");
+                assert_eq!(got, expect, "row {row}");
             }
         }
     }
@@ -864,14 +798,15 @@ mod tests {
             let (_, report) = run_ranks(4, |c| {
                 let r = c.rank();
                 let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-                let local = |li: usize| p.global_row(li, r);
                 let needed = p.colmap.clone();
-                if filtered {
-                    // Keep only negative entries (sign filter of §4.3).
-                    gather_rows(c, &needed, &starts, local, |_, _, v, _| v < 0.0)
-                } else {
-                    gather_rows(c, &needed, &starts, local, |_, _, _, _| true)
-                }
+                // Filtered: keep only negative entries (sign filter of §4.3).
+                gather_rows(c, &needed, &starts, |li, _, emit| {
+                    p.visit_global_row(li, r, |g, v| {
+                        if !filtered || v < 0.0 {
+                            emit(g, v);
+                        }
+                    });
+                });
             });
             report.total_bytes()
         };
@@ -892,10 +827,10 @@ mod tests {
             let r = c.rank();
             let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
             let needed: Vec<usize> = if r == 1 { Vec::new() } else { p.colmap.clone() };
-            let local = |li: usize| p.global_row(li, r);
-            gather_rows(c, &needed, &starts, local, |_, _, _, _| true)
-                .rows
-                .len()
+            let (g, _) = gather_rows(c, &needed, &starts, |li, _, emit| {
+                p.visit_global_row(li, r, emit);
+            });
+            g.rows.len()
         });
         assert_eq!(results[1], 0);
         assert!(results[0] > 0 && results[2] > 0);

@@ -426,7 +426,7 @@ impl DistHierarchy {
             let plan_span = famg_prof::scope_at("halo_plan", lvl_idx);
             let plan_p = VectorExchange::plan(comm, &p.colmap, &p.col_starts);
             let plan_r = VectorExchange::plan(comm, &r.colmap, &r.col_starts);
-            let dinv = local_dinv(&current, rank);
+            let dinv = local_dinv(&current);
             drop(plan_span);
 
             if let Some(cap) = capture.as_deref_mut() {
@@ -467,7 +467,7 @@ impl DistHierarchy {
         let coarse_starts = current.col_starts.clone();
         let coarse_lu = factor_coarsest(comm, &current, rank);
         let plan_a = VectorExchange::plan(comm, &current.colmap, &current.col_starts);
-        let dinv = local_dinv(&current, rank);
+        let dinv = local_dinv(&current);
         let nl = current.local_rows();
         levels.push(DistLevel {
             a: current,
@@ -672,7 +672,7 @@ impl DistHierarchy {
             let plan_span = famg_prof::scope_at("halo_plan", idx);
             let plan_p = self.levels[idx].plan_p.clone();
             let plan_r = self.levels[idx].plan_r.clone();
-            let dinv = local_dinv(&current, rank);
+            let dinv = local_dinv(&current);
             drop(plan_span);
 
             levels.push(DistLevel {
@@ -698,7 +698,7 @@ impl DistHierarchy {
             .expect("hierarchy has at least one level")
             .plan_a
             .clone();
-        let dinv = local_dinv(&current, rank);
+        let dinv = local_dinv(&current);
         let nl = current.local_rows();
         levels.push(DistLevel {
             a: current,
@@ -739,13 +739,12 @@ fn factor_coarsest(comm: &Comm, current: &ParCsr, rank: usize) -> Option<LuFacto
     })
 }
 
-fn local_dinv(a: &ParCsr, _rank: usize) -> Vec<f64> {
+/// Reciprocal diagonal of a square operator's local rows.
+fn local_dinv(a: &ParCsr) -> Vec<f64> {
     (0..a.local_rows())
         .map(|i| {
-            let gi = a.row_start + i;
-            let c0 = a.col_starts[crate::parcsr::owner_of(&a.col_starts, gi)];
-            let d = a.diag.get(i, gi - c0).unwrap_or(0.0);
-            assert!(d != 0.0, "zero diagonal at global row {gi}");
+            let d = a.diag.diag(i);
+            assert!(d != 0.0, "zero diagonal at global row {}", a.row_start + i);
             1.0 / d
         })
         .collect()
@@ -804,6 +803,44 @@ mod tests {
                 rows[1] * 4 < rows[0],
                 "aggressive coarsening too weak: {rows:?}"
             );
+        }
+    }
+
+    /// A rank with fewer rows than the multipass sweep has passes must stay
+    /// in the sweep's collectives to the end: with a local pass cap it left
+    /// early and its peers waited forever in the next exchange. Run under a
+    /// watchdog so a regression fails instead of hanging the suite.
+    #[test]
+    fn multipass_build_returns_with_empty_and_one_row_ranks() {
+        let level_rows = |starts: Vec<usize>| -> Vec<usize> {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let a = laplace2d(40, 40);
+                let (parts, _) = run_ranks(starts.len() - 1, |c| {
+                    let r = c.rank();
+                    let pa =
+                        ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+                    let h = DistHierarchy::build(
+                        c,
+                        pa,
+                        &AmgConfig::multi_node_mp(),
+                        DistOptFlags::all(),
+                    );
+                    h.stats.level_rows.clone()
+                });
+                // The receiver is gone once the watchdog fired.
+                let _ = tx.send(parts[0].clone());
+            });
+            rx.recv_timeout(std::time::Duration::from_mins(2))
+                .expect("the distributed multipass build did not return")
+        };
+        // PMIS does not depend on the partition, so the first coarse grid
+        // is the evenly partitioned build's.
+        let even = level_rows(default_partition(1600, 3));
+        assert!(even.len() >= 3, "{even:?}");
+        for starts in [vec![0, 800, 800, 1600], vec![0, 800, 801, 1600]] {
+            let rows = level_rows(starts.clone());
+            assert_eq!(rows[..2], even[..2], "{starts:?}");
         }
     }
 

@@ -17,6 +17,8 @@
 //!   collectives, byte/message accounting,
 //! * [`parcsr`] — HYPRE's distributed matrix: per-rank `diag`/`offd`
 //!   blocks with compressed off-diagonal columns and `colmap` (Fig. 3a),
+//!   and the extended local CSR (Fig. 3c) the setup phase runs the
+//!   single-node kernels on,
 //! * [`renumber`] — sequential and parallel column-index renumbering for
 //!   received rows (§4.2, Fig. 4),
 //! * [`halo`] — vector halo exchange (Fig. 3b), ad-hoc and persistent
@@ -25,10 +27,12 @@
 //!   (Fig. 3c) with optional §4.3 filtering,
 //! * [`spmv`] — distributed SpMV and fused residual norms, synchronous
 //!   or communication-overlapped (bitwise-identical results),
-//! * [`spgemm`] — distributed SpGEMM and transpose,
+//! * [`spgemm`] — distributed SpGEMM and transpose: gather, renumber,
+//!   then `famg_sparse`'s product on the local operands,
 //! * [`coarsen`] — distributed PMIS (+ aggressive second pass),
-//! * [`interp`] — distributed direct / extended+i / multipass /
-//!   2-stage extended+i interpolation,
+//! * [`interp`] — distributed strength and direct / extended+i /
+//!   multipass / 2-stage extended+i interpolation: gather, then the
+//!   `famg_core` kernel on the owned row range,
 //! * [`hierarchy`] — the distributed setup phase,
 //! * [`solve`] — distributed V-cycle, standalone AMG and FGMRES+AMG.
 

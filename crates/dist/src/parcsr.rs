@@ -1,13 +1,26 @@
-//! The ParCSR distributed matrix (Fig. 3a).
+//! The ParCSR distributed matrix (Fig. 3a) and its extended local form.
 //!
 //! Rows are partitioned among ranks by contiguous ranges. Each rank
 //! stores its block-diagonal part (`diag`, local columns) and its
 //! off-diagonal part (`offd`) whose column indices are *compressed*:
 //! `offd` column `k` corresponds to global column `colmap[k]`, and
 //! `colmap` is kept sorted so gathered halo elements land in a
-//! contiguous, binary-searchable external vector.
+//! contiguous, binary-searchable external vector. Both blocks keep every
+//! row's columns ascending, which is what the solve kernels stream.
+//!
+//! The setup phase does not work on the two blocks. It merges a rank's rows
+//! into one [`Csr`] over an [`ExtSpace`] — the halo below the owned range,
+//! the owned range, the halo above, numbered in that (ascending global)
+//! order — appends the rows gathered from other ranks
+//! ([`ParCsr::extended`]), runs the single-node kernel on the owned row
+//! range, and splits the result back ([`ParCsr::from_local`]). Because the
+//! numbering is monotone in the global id, a merged row lists its entries
+//! in the order the undistributed matrix stores them, so a kernel sums a
+//! row the same way at every rank count (DESIGN.md §2.3).
 
+use crate::halo::GatheredRows;
 use famg_sparse::Csr;
+use std::ops::Range;
 
 /// One rank's share of a distributed matrix.
 #[derive(Debug, Clone)]
@@ -40,16 +53,95 @@ pub struct ParCsr {
 /// Partitions `0..offd.nrows()` into (interior, boundary) by whether the
 /// `offd` row is empty, both ascending.
 fn interior_boundary_split(offd: &Csr) -> (Vec<usize>, Vec<usize>) {
-    let mut interior = Vec::new();
-    let mut boundary = Vec::new();
-    for i in 0..offd.nrows() {
-        if offd.row_nnz(i) == 0 {
-            interior.push(i);
-        } else {
-            boundary.push(i);
+    (0..offd.nrows()).partition(|&i| offd.row_nnz(i) == 0)
+}
+
+/// One rank's local index space over global ids: the halo ids below the
+/// owned range, the owned range, the halo ids above it — ascending in the
+/// global id throughout.
+#[derive(Debug, Clone)]
+pub struct ExtSpace {
+    /// Local → global, strictly ascending.
+    pub ext2g: Vec<usize>,
+    /// Local indices of the owned range.
+    pub own: Range<usize>,
+    /// First owned global id.
+    own_start: usize,
+}
+
+impl ExtSpace {
+    /// The space of the owned global range `[own.0, own.1)` and the sorted,
+    /// distinct halo ids `halo` (none of them owned).
+    pub fn new(own: (usize, usize), halo: &[usize]) -> ExtSpace {
+        debug_assert!(halo.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(halo.iter().all(|&g| g < own.0 || g >= own.1));
+        let lo = halo.partition_point(|&g| g < own.0);
+        let mut ext2g = Vec::with_capacity(halo.len() + own.1 - own.0);
+        ext2g.extend_from_slice(&halo[..lo]);
+        ext2g.extend(own.0..own.1);
+        ext2g.extend_from_slice(&halo[lo..]);
+        ExtSpace {
+            ext2g,
+            own: lo..lo + (own.1 - own.0),
+            own_start: own.0,
         }
     }
-    (interior, boundary)
+
+    /// Like [`new`](Self::new), with the halo given as a sorted `base` plus
+    /// ids in any order, with repeats, owned ones included (the column
+    /// indices of gathered rows).
+    pub fn with_received(
+        own: (usize, usize),
+        base: &[usize],
+        received: impl Iterator<Item = usize>,
+    ) -> ExtSpace {
+        let mut halo: Vec<usize> = received.filter(|&g| g < own.0 || g >= own.1).collect();
+        halo.extend_from_slice(base);
+        halo.sort_unstable();
+        halo.dedup();
+        ExtSpace::new(own, &halo)
+    }
+
+    /// The halo ids, ascending.
+    pub fn halo(&self) -> impl Iterator<Item = usize> + '_ {
+        let (below, rest) = self.ext2g.split_at(self.own.start);
+        below.iter().chain(&rest[self.own.len()..]).copied()
+    }
+
+    /// Local index of the global id `g`: an offset for an owned id, a
+    /// binary search for a halo id.
+    ///
+    /// # Panics
+    /// Panics if `g` is not in the space.
+    pub fn local(&self, g: usize) -> usize {
+        if g >= self.own_start && g - self.own_start < self.own.len() {
+            return self.own.start + (g - self.own_start);
+        }
+        self.ext2g
+            .binary_search(&g)
+            .unwrap_or_else(|_| panic!("global index {g} is not in the local index space"))
+    }
+
+    /// Adds the sorted, distinct halo ids `new`, none of them present, and
+    /// returns the old → new local index map.
+    pub fn insert_sorted(&mut self, new: &[usize]) -> Vec<usize> {
+        let mut map = Vec::with_capacity(self.ext2g.len());
+        let mut merged = Vec::with_capacity(self.ext2g.len() + new.len());
+        let mut k = 0usize;
+        for &g in &self.ext2g {
+            while k < new.len() && new[k] < g {
+                merged.push(new[k]);
+                k += 1;
+            }
+            map.push(merged.len());
+            merged.push(g);
+        }
+        merged.extend_from_slice(&new[k..]);
+        let below = new.partition_point(|&g| g < self.own_start);
+        self.own = self.own.start + below..self.own.end + below;
+        self.ext2g = merged;
+        map
+    }
 }
 
 impl ParCsr {
@@ -66,11 +158,6 @@ impl ParCsr {
     /// Local nnz (diag + offd).
     pub fn local_nnz(&self) -> usize {
         self.diag.nnz() + self.offd.nnz()
-    }
-
-    /// The rank owning global column `c` under `col_starts`.
-    pub fn owner_of_col(&self, c: usize) -> usize {
-        owner_of(&self.col_starts, c)
     }
 
     /// True when `other` has exactly this rank-local sparsity structure
@@ -96,98 +183,84 @@ impl ParCsr {
         my_rank: usize,
     ) -> ParCsr {
         assert!(row_end <= a.nrows());
-        let (c0, c1) = (col_starts[my_rank], col_starts[my_rank + 1]);
-        // Collect the global off-diagonal columns present, sorted.
-        let mut ext: Vec<usize> = Vec::new();
-        for i in row_start..row_end {
-            for &c in a.row_cols(i) {
-                if c < c0 || c >= c1 {
-                    ext.push(c);
-                }
-            }
-        }
-        ext.sort_unstable();
-        ext.dedup();
-        let colmap = ext;
+        let span = a.rowptr()[row_start]..a.rowptr()[row_end];
+        let own = (col_starts[my_rank], col_starts[my_rank + 1]);
+        let cols = ExtSpace::with_received(own, &[], a.colidx()[span.clone()].iter().copied());
+        let mut local = Csr::from_parts_unchecked(
+            row_end - row_start,
+            cols.ext2g.len(),
+            (a.rowptr()[row_start..=row_end]
+                .iter()
+                .map(|&p| p - span.start))
+            .collect(),
+            (a.colidx()[span.clone()].iter().map(|&g| cols.local(g))).collect(),
+            a.values()[span].to_vec(),
+        );
+        local.sort_rows();
+        ParCsr::from_local(&local, &cols, row_start, row_end, a.ncols(), col_starts)
+    }
 
+    /// Builds from this rank's rows `local` over the column space `cols`
+    /// (what a setup kernel returns): columns of the owned range go to
+    /// `diag`, the halo columns some row references are compressed into
+    /// `offd` and `colmap`. Rows must list their columns ascending — the
+    /// blocks then do too.
+    pub fn from_local(
+        local: &Csr,
+        cols: &ExtSpace,
+        row_start: usize,
+        row_end: usize,
+        global_cols: usize,
+        col_starts: Vec<usize>,
+    ) -> ParCsr {
         let nl = row_end - row_start;
+        assert_eq!(local.nrows(), nl);
+        assert_eq!(local.ncols(), cols.ext2g.len());
+        debug_assert!(local.rows_sorted(), "from_local needs ascending rows");
+        let own = cols.own.clone();
         let mut d_rp = Vec::with_capacity(nl + 1);
-        let mut d_ci = Vec::new();
-        let mut d_v = Vec::new();
+        let mut d_ci = Vec::with_capacity(local.nnz());
+        let mut d_v = Vec::with_capacity(local.nnz());
         let mut o_rp = Vec::with_capacity(nl + 1);
         let mut o_ci = Vec::new();
         let mut o_v = Vec::new();
         d_rp.push(0);
         o_rp.push(0);
-        for i in row_start..row_end {
-            for (c, v) in a.row_iter(i) {
-                if c >= c0 && c < c1 {
-                    d_ci.push(c - c0);
-                    d_v.push(v);
-                } else {
-                    let k = colmap.binary_search(&c).unwrap();
-                    o_ci.push(k);
-                    o_v.push(v);
-                }
-            }
+        for i in 0..nl {
+            // A row is ascending, so it is three runs: halo below, owned,
+            // halo above. Most rows are the owned run alone.
+            let (rc, rv) = (local.row_cols(i), local.row_vals(i));
+            let interior = rc.first().is_none_or(|&c| c >= own.start)
+                && rc.last().is_none_or(|&c| c < own.end);
+            let (b, e) = if interior {
+                (0, rc.len())
+            } else {
+                (
+                    rc.partition_point(|&c| c < own.start),
+                    rc.partition_point(|&c| c < own.end),
+                )
+            };
+            d_ci.extend(rc[b..e].iter().map(|&c| c - own.start));
+            d_v.extend_from_slice(&rv[b..e]);
+            o_ci.extend(rc[..b].iter().chain(&rc[e..]));
+            o_v.extend(rv[..b].iter().chain(&rv[e..]));
             d_rp.push(d_ci.len());
             o_rp.push(o_ci.len());
         }
-        let offd = Csr::from_parts_unchecked(nl, colmap.len(), o_rp, o_ci, o_v);
-        let (interior_rows, boundary_rows) = interior_boundary_split(&offd);
-        ParCsr {
-            row_start,
-            row_end,
-            global_cols: a.ncols(),
-            diag: Csr::from_parts_unchecked(nl, c1 - c0, d_rp, d_ci, d_v),
-            offd,
-            colmap,
-            col_starts,
-            interior_rows,
-            boundary_rows,
+        // Compress the halo columns some row references.
+        let mut compressed = vec![usize::MAX; cols.ext2g.len()];
+        for &c in &o_ci {
+            compressed[c] = 0;
         }
-    }
-
-    /// Builds from per-row global `(col, val)` triplet lists produced by a
-    /// distributed kernel. `row_start/row_end` give this rank's rows,
-    /// `col_starts` the column ownership.
-    pub fn from_local_rows_global_cols(
-        row_start: usize,
-        row_end: usize,
-        global_cols: usize,
-        col_starts: Vec<usize>,
-        my_rank: usize,
-        rows: &[Vec<(usize, f64)>],
-    ) -> ParCsr {
-        assert_eq!(rows.len(), row_end - row_start);
-        let (c0, c1) = (col_starts[my_rank], col_starts[my_rank + 1]);
-        let mut ext: Vec<usize> = rows
-            .iter()
-            .flat_map(|r| r.iter().map(|&(c, _)| c))
-            .filter(|&c| c < c0 || c >= c1)
-            .collect();
-        ext.sort_unstable();
-        ext.dedup();
-        let colmap = ext;
-        let nl = rows.len();
-        let mut d_rp = vec![0usize];
-        let mut d_ci = Vec::new();
-        let mut d_v = Vec::new();
-        let mut o_rp = vec![0usize];
-        let mut o_ci = Vec::new();
-        let mut o_v = Vec::new();
-        for r in rows {
-            for &(c, v) in r {
-                if c >= c0 && c < c1 {
-                    d_ci.push(c - c0);
-                    d_v.push(v);
-                } else {
-                    o_ci.push(colmap.binary_search(&c).unwrap());
-                    o_v.push(v);
-                }
+        let mut colmap = Vec::new();
+        for (c, k) in compressed.iter_mut().enumerate() {
+            if *k == 0 {
+                *k = colmap.len();
+                colmap.push(cols.ext2g[c]);
             }
-            d_rp.push(d_ci.len());
-            o_rp.push(o_ci.len());
+        }
+        for c in &mut o_ci {
+            *c = compressed[*c];
         }
         let offd = Csr::from_parts_unchecked(nl, colmap.len(), o_rp, o_ci, o_v);
         let (interior_rows, boundary_rows) = interior_boundary_split(&offd);
@@ -195,7 +268,7 @@ impl ParCsr {
             row_start,
             row_end,
             global_cols,
-            diag: Csr::from_parts_unchecked(nl, c1 - c0, d_rp, d_ci, d_v),
+            diag: Csr::from_parts_unchecked(nl, own.len(), d_rp, d_ci, d_v),
             offd,
             colmap,
             col_starts,
@@ -204,29 +277,111 @@ impl ParCsr {
         }
     }
 
-    /// Iterates local row `i`'s entries with *global* column indices.
-    pub fn global_row(&self, i: usize, my_rank: usize) -> Vec<(usize, f64)> {
+    /// Overwrites the values with those of `local`, a matrix of the pattern
+    /// this one was [built from](Self::from_local) over `cols`.
+    pub fn copy_values_from_local(&mut self, local: &Csr, cols: &ExtSpace) {
+        debug_assert_eq!(local.nnz(), self.local_nnz());
+        let (mut d, mut o) = (0usize, 0usize);
+        let (dv, ov) = (self.diag.values_mut(), self.offd.values_mut());
+        for (&c, &v) in local.colidx().iter().zip(local.values()) {
+            if cols.own.contains(&c) {
+                dv[d] = v;
+                d += 1;
+            } else {
+                ov[o] = v;
+                o += 1;
+            }
+        }
+    }
+
+    /// The local index space of this matrix's own columns: the owned
+    /// column range plus `colmap`.
+    pub fn col_space(&self, my_rank: usize) -> ExtSpace {
+        ExtSpace::new(self.col_range(my_rank), &self.colmap)
+    }
+
+    /// The extended local CSR (Fig. 3c): a `rows × cols` matrix whose owned
+    /// row range holds this rank's rows, `diag` and `offd` merged, and whose
+    /// halo rows hold the gathered rows `halo` (a halo point nobody gathered
+    /// a row for keeps an empty one). `cols` must cover `colmap` and every
+    /// column of `halo`.
+    pub fn extended(
+        &self,
+        my_rank: usize,
+        rows: &ExtSpace,
+        cols: &ExtSpace,
+        halo: Option<&GatheredRows>,
+    ) -> Csr {
+        debug_assert_eq!(rows.own.len(), self.local_rows());
+        let offd_local: Vec<usize> = self.colmap.iter().map(|&g| cols.local(g)).collect();
+        let nnz = self.local_nnz() + halo.map_or(0, |h| h.cols.len());
+        let mut rowptr = Vec::with_capacity(rows.ext2g.len() + 1);
+        let mut colidx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        rowptr.push(0);
+        let mut next = 0usize; // cursor into the gathered rows (ascending ids)
+        for e in 0..rows.ext2g.len() {
+            if rows.own.contains(&e) {
+                let i = e - rows.own.start;
+                if self.offd.row_nnz(i) == 0 {
+                    // An interior row is its diagonal block shifted.
+                    colidx.extend(self.diag.row_cols(i).iter().map(|&c| cols.own.start + c));
+                    values.extend_from_slice(self.diag.row_vals(i));
+                } else {
+                    let col = |c: Result<usize, usize>| {
+                        c.map_or_else(|k| offd_local[k], |c| cols.own.start + c)
+                    };
+                    self.visit_row(i, my_rank, |c, v| {
+                        colidx.push(col(c));
+                        values.push(v);
+                    });
+                }
+            } else if let Some(h) = halo.filter(|h| h.rows.get(next) == Some(&rows.ext2g[e])) {
+                let (hc, hv) = h.row(next);
+                colidx.extend(hc.iter().map(|&g| cols.local(g)));
+                values.extend_from_slice(hv);
+                next += 1;
+            }
+            rowptr.push(colidx.len());
+        }
+        debug_assert!(halo.is_none_or(|h| next == h.rows.len()));
+        Csr::from_parts_unchecked(rows.ext2g.len(), cols.ext2g.len(), rowptr, colidx, values)
+    }
+
+    /// This rank's rows alone, merged over `cols`.
+    pub fn merged(&self, my_rank: usize, cols: &ExtSpace) -> Csr {
+        let rows = ExtSpace::new((self.row_start, self.row_end), &[]);
+        self.extended(my_rank, &rows, cols, None)
+    }
+
+    /// Calls `f(column, value)` for every entry of local row `i` in
+    /// ascending global column order (the blocks being ascending): the
+    /// `offd` entries below the owned range, `diag`, the `offd` entries
+    /// above. A column is `Ok(diag column)` or `Err(offd column)`.
+    fn visit_row(&self, i: usize, my_rank: usize, mut f: impl FnMut(Result<usize, usize>, f64)) {
         let c0 = self.col_starts[my_rank];
-        let mut out: Vec<(usize, f64)> = self
-            .diag
-            .row_iter(i)
-            .map(|(c, v)| (c + c0, v))
-            .chain(self.offd.row_iter(i).map(|(c, v)| (self.colmap[c], v)))
-            .collect();
-        out.sort_unstable_by_key(|&(c, _)| c);
+        let below = |k: usize| self.colmap[k] < c0;
+        (self.offd.row_iter(i).filter(|&(k, _)| below(k))).for_each(|(k, v)| f(Err(k), v));
+        self.diag.row_iter(i).for_each(|(c, v)| f(Ok(c), v));
+        (self.offd.row_iter(i).filter(|&(k, _)| !below(k))).for_each(|(k, v)| f(Err(k), v));
+    }
+
+    /// Calls `f(global_column, value)` for every entry of local row `i`,
+    /// ascending.
+    pub fn visit_global_row(&self, i: usize, my_rank: usize, mut f: impl FnMut(usize, f64)) {
+        let c0 = self.col_starts[my_rank];
+        self.visit_row(i, my_rank, |c, v| {
+            f(c.map_or_else(|k| self.colmap[k], |c| c0 + c), v);
+        });
+    }
+
+    /// Local row `i`'s entries with *global* column indices (test and
+    /// reassembly helper; the setup kernels read [`extended`](Self::extended)
+    /// rows instead).
+    pub fn global_row(&self, i: usize, my_rank: usize) -> Vec<(usize, f64)> {
+        let mut out = Vec::with_capacity(self.diag.row_nnz(i) + self.offd.row_nnz(i));
+        self.visit_global_row(i, my_rank, |c, v| out.push((c, v)));
         out
-    }
-
-    /// Diagonal entry of local row `i` (square partition convention).
-    pub fn diag_entry(&self, i: usize) -> f64 {
-        self.diag
-            .get(i, i + self.row_start - self.col_starts_offset())
-            .unwrap_or(0.0)
-    }
-
-    fn col_starts_offset(&self) -> usize {
-        // For square operators row_start equals the owned col start.
-        self.row_start
     }
 }
 
@@ -276,6 +431,31 @@ pub fn to_global(parts: &[ParCsr]) -> Csr {
         }
     }
     Csr::from_triplets(n, ncols, trips)
+}
+
+/// Test oracle: the reassembled parts are the serial kernel's operator —
+/// pattern and every value bit, once its rows are sorted — and both blocks
+/// of every part keep their columns ascending.
+#[cfg(test)]
+pub(crate) fn assert_parts_are_serial(parts: &[ParCsr], mut serial: Csr, what: &str) {
+    serial.sort_rows();
+    let dist = to_global(parts);
+    assert_eq!(
+        (dist.nrows(), dist.ncols()),
+        (serial.nrows(), serial.ncols()),
+        "{what}"
+    );
+    assert_eq!(dist.rowptr(), serial.rowptr(), "{what}: row lengths");
+    assert_eq!(dist.colidx(), serial.colidx(), "{what}: columns");
+    let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&dist), bits(&serial), "{what}: value bits");
+    for (r, p) in parts.iter().enumerate() {
+        assert!(
+            p.diag.rows_sorted() && p.offd.rows_sorted(),
+            "{what}: rank {r}"
+        );
+        assert!(p.colmap.windows(2).all(|w| w[0] < w[1]), "{what}: rank {r}");
+    }
 }
 
 #[cfg(test)]
@@ -349,26 +529,63 @@ mod tests {
     }
 
     #[test]
-    fn from_local_rows_matches_from_global() {
+    fn from_local_matches_from_global() {
+        // Merge a rank's blocks over its own column space, and over one
+        // with halo ids no row references: the constructor gives back the
+        // blocks it was given, with the unreferenced ids compressed away.
         let a = laplace2d(6, 4);
         let starts = default_partition(24, 3);
         for r in 0..3 {
-            let rows: Vec<Vec<(usize, f64)>> = (starts[r]..starts[r + 1])
-                .map(|i| a.row_iter(i).collect())
-                .collect();
-            let p1 = ParCsr::from_local_rows_global_cols(
-                starts[r],
-                starts[r + 1],
-                24,
-                starts.clone(),
-                r,
-                &rows,
-            );
-            let p2 = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            assert_eq!(p1.diag, p2.diag);
-            assert_eq!(p1.offd, p2.offd);
-            assert_eq!(p1.colmap, p2.colmap);
+            let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+            let unused = (0..24).filter(|&g| g < starts[r] || g >= starts[r + 1]);
+            for cols in [
+                p.col_space(r),
+                ExtSpace::with_received(p.col_range(r), &p.colmap, unused),
+            ] {
+                let local = p.merged(r, &cols);
+                assert!(local.rows_sorted());
+                for i in 0..p.local_rows() {
+                    let g: Vec<(usize, f64)> =
+                        local.row_iter(i).map(|(c, v)| (cols.ext2g[c], v)).collect();
+                    assert_eq!(g, p.global_row(i, r));
+                }
+                let q =
+                    ParCsr::from_local(&local, &cols, starts[r], starts[r + 1], 24, starts.clone());
+                assert_eq!((&q.diag, &q.offd, &q.colmap), (&p.diag, &p.offd, &p.colmap));
+                assert_eq!(q.interior_rows, p.interior_rows);
+                assert_eq!(q.boundary_rows, p.boundary_rows);
+                let mut scaled = local.clone();
+                scaled.values_mut().iter_mut().for_each(|v| *v *= 3.0);
+                let mut q3 = q.clone();
+                q3.copy_values_from_local(&scaled, &cols);
+                for (x, y) in q3
+                    .diag
+                    .values()
+                    .iter()
+                    .chain(q3.offd.values())
+                    .zip(q.diag.values().iter().chain(q.offd.values()))
+                {
+                    assert_eq!(*x, 3.0 * y);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn ext_space_is_monotone_and_grows_in_place() {
+        let mut sp = ExtSpace::with_received((10, 14), &[3, 20], [25, 11, 3, 7, 25].into_iter());
+        assert_eq!(sp.ext2g, vec![3, 7, 10, 11, 12, 13, 20, 25]);
+        assert_eq!(sp.own, 2..6);
+        for (e, &g) in sp.ext2g.iter().enumerate() {
+            assert_eq!(sp.local(g), e);
+        }
+        let map = sp.insert_sorted(&[1, 5, 22, 30]);
+        assert_eq!(sp.ext2g, vec![1, 3, 5, 7, 10, 11, 12, 13, 20, 22, 25, 30]);
+        assert_eq!(sp.own, 4..8);
+        assert_eq!(map, vec![1, 3, 4, 5, 6, 7, 8, 10]);
+        // An empty rank owns an empty range between its halo ids.
+        let empty = ExtSpace::new((5, 5), &[2, 9]);
+        assert_eq!((empty.own.clone(), empty.local(9)), (1..1, 1));
     }
 
     #[test]

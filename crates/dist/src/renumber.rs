@@ -10,6 +10,9 @@
 //! ordered-set sequential baseline are provided, and they produce
 //! identical results.
 
+// DETERMINISM: the hash containers of this file are the paper's Fig. 4 —
+// thread-private hash sets whose contents are sorted before anything reads
+// them, and reverse maps that are only ever probed by key.
 use std::collections::{BTreeSet, HashMap};
 
 /// A rank's extended off-diagonal column map after receiving rows.
@@ -104,6 +107,8 @@ pub fn renumber_par(
     let partials: Vec<Vec<usize>> = received_cols
         .par_chunks(chunk)
         .map(|cs| {
+            // DETERMINISM: Fig. 4's thread-private set; drained into `v`
+            // and sorted below, so its iteration order never escapes.
             let mut h: std::collections::HashSet<usize> = std::collections::HashSet::new();
             for &c in cs {
                 if (c < own.0 || c >= own.1) && base_colmap.binary_search(&c).is_err() {
@@ -132,6 +137,7 @@ pub fn renumber_par(
 /// small table (O(log t) + O(1) instead of O(log n)).
 pub struct PartitionedReverseMap {
     boundaries: Vec<usize>,
+    // DETERMINISM: Fig. 4's per-range reverse maps; probed by key only.
     maps: Vec<HashMap<usize, usize>>,
 }
 
@@ -146,9 +152,11 @@ impl PartitionedReverseMap {
         let ranges: Vec<(usize, usize)> = (0..nparts)
             .map(|p| (n * p / nparts, n * (p + 1) / nparts))
             .collect();
+        // DETERMINISM: filled here, probed by key in `lookup`, never iterated.
         let built: Vec<HashMap<usize, usize>> = ranges
             .par_iter()
             .map(|&(s, e)| {
+                // DETERMINISM: as above.
                 let mut m = HashMap::with_capacity(e - s);
                 for k in s..e {
                     m.insert(ext.new[k], ext.base.len() + k);

@@ -4,136 +4,103 @@
 //! each rank gathers the remote `B` rows its `A.colmap` references,
 //! renumbers their column indices into an extended compressed space
 //! (§4.2 — the sequential/parallel choice is the paper's headline
-//! multi-node optimization), and multiplies locally with the same sparse
-//! accumulator as the single-node kernel.
+//! multi-node optimization), and then holds two ordinary matrices: its
+//! rows of `A` over the local row space of `B` (owned rows plus gathered
+//! ones), and those rows of `B` over the extended column space. The product
+//! is [`famg_sparse::spgemm`] on the two, and a same-pattern recomputation
+//! its [`numeric_only`]. Both local spaces are numbered in ascending global
+//! id ([`ExtSpace`]), so every entry of `C` sums its terms in ascending
+//! global inner index — at any rank count the serial product's bits.
 
 use crate::comm::Comm;
-use crate::halo::{gather_rows, RowGatherPlan};
-use crate::parcsr::{owner_of, ParCsr};
-use crate::renumber::{renumber_par, renumber_seq, LocalCol};
-use famg_sparse::spa::Spa;
+use crate::halo::{gather_rows, owner_runs, GatheredRows, RowGatherPlan};
+use crate::parcsr::{ExtSpace, ParCsr};
+use crate::renumber::{renumber_par, renumber_seq};
+use famg_sparse::spgemm::{numeric_only, spgemm};
+use famg_sparse::transpose::transpose_par;
+use famg_sparse::Csr;
 
-/// Distributed sparse matrix–matrix product.
-///
-/// `parallel_renumber` selects the Fig. 4 parallel renumbering (the
-/// optimized path) or the ordered-set sequential baseline.
-pub fn dist_spgemm(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> ParCsr {
+/// A local product with everything pattern-derived it was computed from.
+struct Product {
+    /// This rank's rows of `C` over `cols`, columns ascending.
+    c: Csr,
+    /// `A`'s column space, which is `B`'s local row space.
+    inner: ExtSpace,
+    /// The column space of `B`'s local rows, and of `C`.
+    cols: ExtSpace,
+    /// The remote `B` rows behind `A.colmap`.
+    halo: GatheredRows,
+    /// The geometry of that gather.
+    gather: RowGatherPlan,
+}
+
+fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> Product {
     // "spgemm" spans inherit the enclosing phase's Fig. 5 bucket (RAP
     // during setup) in `PhaseTimes::from_span`.
     let _span = famg_prof::scope("spgemm");
     let rank = comm.rank();
     assert_eq!(
         a.col_starts,
-        b_row_starts(b, comm),
+        row_partition(b, comm, 0x50),
         "A's column partition must match B's row partition"
     );
     // Gather the remote B rows referenced by A's off-diagonal part.
-    let gathered = gather_rows(
-        comm,
-        &a.colmap,
-        &a.col_starts,
-        |li| b.global_row(li, rank),
-        |_, _, _, _| true,
-    );
+    let (halo, gather) = gather_rows(comm, &a.colmap, &a.col_starts, |li, _, emit| {
+        b.visit_global_row(li, rank, emit);
+    });
     // Renumber received columns into B's extended off-diagonal space.
-    let received_cols: Vec<usize> = gathered
-        .data
-        .iter()
-        .flat_map(|r| r.iter().map(|&(c, _)| c))
-        .collect();
     let own_cols = b.col_range(rank);
-    let ext = if parallel_renumber {
-        renumber_par(&received_cols, &b.colmap, own_cols)
+    let renumbered = if parallel_renumber {
+        renumber_par(&halo.cols, &b.colmap, own_cols)
     } else {
-        renumber_seq(&received_cols, &b.colmap, own_cols)
+        renumber_seq(&halo.cols, &b.colmap, own_cols)
     };
-    let ndiag = b.diag.ncols();
-    let width = ndiag + ext.offd_width();
-    // Pre-encode gathered rows into the unified local column space.
-    let encoded: Vec<Vec<(usize, f64)>> = gathered
-        .data
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&(g, v)| {
-                    let lc = match ext.lookup(g) {
-                        LocalCol::Diag(c) => c,
-                        LocalCol::Offd(k) => ndiag + k,
-                    };
-                    (lc, v)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Multiply row by row.
-    let nl = a.local_rows();
-    let mut spa = Spa::new(width);
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nl);
-    for i in 0..nl {
-        // Diagonal part of A: columns index B's own rows directly.
-        for (j, av) in a.diag.row_iter(i) {
-            for (c, bv) in b.diag.row_iter(j) {
-                spa.add(c, av * bv);
-            }
-            for (k, bv) in b.offd.row_iter(j) {
-                spa.add(ndiag + k, av * bv);
-            }
-        }
-        // Off-diagonal part: gathered rows, aligned with a.colmap order.
-        for (k, av) in a.offd.row_iter(i) {
-            for &(lc, bv) in &encoded[k] {
-                spa.add(lc, av * bv);
-            }
-        }
-        // Decode to global columns.
-        let mut out: Vec<(usize, f64)> = spa
-            .cols()
-            .iter()
-            .zip(spa.vals())
-            .map(|(&lc, &v)| {
-                let g = if lc < ndiag {
-                    own_cols.0 + lc
-                } else {
-                    ext.global_of(lc - ndiag)
-                };
-                (g, v)
-            })
-            .collect();
-        out.sort_unstable_by_key(|&(c, _)| c);
-        rows.push(out);
-        spa.reset();
+    let mut cols = b.col_space(rank);
+    cols.insert_sorted(&renumbered.new);
+    let inner = a.col_space(rank);
+    let a_loc = a.merged(rank, &inner);
+    let b_ext = b.extended(rank, &inner, &cols, Some(&halo));
+    let mut c = spgemm(&a_loc, &b_ext);
+    c.sort_rows();
+    Product {
+        c,
+        inner,
+        cols,
+        halo,
+        gather,
     }
-    ParCsr::from_local_rows_global_cols(
+}
+
+/// Splits a product's local rows back into `C`'s ParCSR blocks.
+fn split_product(c: &Csr, cols: &ExtSpace, a: &ParCsr, b: &ParCsr) -> ParCsr {
+    ParCsr::from_local(
+        c,
+        cols,
         a.row_start,
         a.row_end,
         b.global_cols,
         b.col_starts.clone(),
-        rank,
-        &rows,
     )
+}
+
+/// Distributed sparse matrix–matrix product.
+///
+/// `parallel_renumber` selects the Fig. 4 parallel renumbering (the
+/// optimized path) or the ordered-set sequential baseline.
+pub fn dist_spgemm(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> ParCsr {
+    let p = product(comm, a, b, parallel_renumber);
+    split_product(&p.c, &p.cols, a, b)
 }
 
 /// A frozen symbolic distributed product: everything pattern-derived
 /// about one `C = A · B` — the remote-row gather geometry, the §4.2
-/// renumbering, and `C`'s structure — captured once so later same-pattern
-/// products run a branch-free numeric pass with a values-only halo
-/// exchange ([`RowGatherPlan`]).
+/// renumbering, and `C`'s structure — kept from the product that computed
+/// it, so later same-pattern products run the branch-free numeric pass
+/// with a values-only halo exchange ([`RowGatherPlan`]).
 pub struct DistSpgemmPlan {
-    /// Values-only gather of the remote `B` rows behind `A.colmap`.
-    gather: RowGatherPlan,
-    /// Renumbered (local-column-space) indices of each gathered row,
-    /// aligned entrywise with the values [`RowGatherPlan::execute`]
-    /// returns.
-    encoded: Vec<Vec<usize>>,
-    /// Width of `B`'s diagonal block (local columns below this index are
-    /// diag, the rest extended off-diagonal).
-    ndiag: usize,
-    /// Total local column space width (diag + extended offd).
-    width: usize,
-    /// For each local row of `C`: the local-space column of every stored
-    /// entry, diag entries first then offd — the write-back layout.
-    c_row_lcs: Vec<Vec<usize>>,
+    /// The planning product; its `c` and `halo` values are rewritten by
+    /// every [`execute`](Self::execute).
+    local: Product,
     /// The frozen product. The pattern is authoritative; the values are
     /// rewritten in place by every [`execute`](Self::execute).
     pub c: ParCsr,
@@ -141,185 +108,122 @@ pub struct DistSpgemmPlan {
 
 impl DistSpgemmPlan {
     /// Runs one full (symbolic + numeric) product and freezes its
-    /// structure. `plan.c` holds the numeric result for the planning
-    /// operands, bitwise identical to [`dist_spgemm`]'s.
+    /// structure. `plan.c` is [`dist_spgemm`]'s result for the planning
+    /// operands: the two are one code path.
     pub fn new(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> DistSpgemmPlan {
-        let rank = comm.rank();
-        let c = dist_spgemm(comm, a, b, parallel_renumber);
-        // Re-derive the renumbering the product used: gather the remote
-        // row *patterns* and renumber exactly as dist_spgemm did.
-        let gathered = gather_rows(
-            comm,
-            &a.colmap,
-            &a.col_starts,
-            |li| b.global_row(li, rank),
-            |_, _, _, _| true,
-        );
-        let received_cols: Vec<usize> = gathered
-            .data
-            .iter()
-            .flat_map(|r| r.iter().map(|&(c, _)| c))
-            .collect();
-        let own_cols = b.col_range(rank);
-        let ext = if parallel_renumber {
-            renumber_par(&received_cols, &b.colmap, own_cols)
-        } else {
-            renumber_seq(&received_cols, &b.colmap, own_cols)
-        };
-        let ndiag = b.diag.ncols();
-        let width = ndiag + ext.offd_width();
-        let lc_of = |g: usize| -> usize {
-            match ext.lookup(g) {
-                LocalCol::Diag(c) => c,
-                LocalCol::Offd(k) => ndiag + k,
-            }
-        };
-        let encoded: Vec<Vec<usize>> = gathered
-            .data
-            .iter()
-            .map(|row| row.iter().map(|&(g, _)| lc_of(g)).collect())
-            .collect();
-        // C's columns live in B's column space, so the same renumbering
-        // maps every stored entry of C to its local-space column.
-        let c_row_lcs: Vec<Vec<usize>> = (0..c.local_rows())
-            .map(|i| {
-                c.diag
-                    .row_cols(i)
-                    .iter()
-                    .copied()
-                    .chain(c.offd.row_cols(i).iter().map(|&k| lc_of(c.colmap[k])))
-                    .collect()
-            })
-            .collect();
-        let gather = RowGatherPlan::plan(comm, &a.colmap, &a.col_starts, |li| {
-            b.diag.row_nnz(li) + b.offd.row_nnz(li)
-        });
-        DistSpgemmPlan {
-            gather,
-            encoded,
-            ndiag,
-            width,
-            c_row_lcs,
-            c,
-        }
+        let local = product(comm, a, b, parallel_renumber);
+        let c = split_product(&local.c, &local.cols, a, b);
+        DistSpgemmPlan { local, c }
     }
 
     /// Numeric-only product into the frozen pattern: recomputes `self.c`'s
-    /// values for same-pattern operands `a` and `b`. The per-column
-    /// accumulation order matches [`dist_spgemm`]'s sparse accumulator, so
-    /// the values are bitwise identical to a from-scratch product.
+    /// values for same-pattern operands `a` and `b`. [`numeric_only`] sums
+    /// every entry in the symbolic product's order, so the values are
+    /// bitwise identical to a from-scratch product.
     pub fn execute(&mut self, comm: &Comm, a: &ParCsr, b: &ParCsr) {
         let _span = famg_prof::scope("spgemm");
         let rank = comm.rank();
-        debug_assert_eq!(a.local_rows(), self.c.local_rows());
-        let ext_vals = self.gather.execute(comm, |li| {
-            b.global_row(li, rank).into_iter().map(|(_, v)| v).collect()
+        let p = &mut self.local;
+        p.halo.vals = (p.gather).execute(comm, |li, out| {
+            b.visit_global_row(li, rank, |_, v| out.push(v));
         });
-        let ndiag = self.ndiag;
-        let nl = a.local_rows();
-        let mut stamp = vec![usize::MAX; self.width];
-        let mut slot = vec![0usize; self.width];
-        let mut buf: Vec<f64> = Vec::new();
-        for i in 0..nl {
-            let lcs = &self.c_row_lcs[i];
-            buf.clear();
-            buf.resize(lcs.len(), 0.0);
-            for (t, &lc) in lcs.iter().enumerate() {
-                stamp[lc] = i;
-                slot[lc] = t;
-            }
-            for (j, av) in a.diag.row_iter(i) {
-                for (cb, bv) in b.diag.row_iter(j) {
-                    debug_assert_eq!(stamp[cb], i, "value outside frozen pattern");
-                    buf[slot[cb]] += av * bv;
-                }
-                for (k, bv) in b.offd.row_iter(j) {
-                    debug_assert_eq!(stamp[ndiag + k], i, "value outside frozen pattern");
-                    buf[slot[ndiag + k]] += av * bv;
-                }
-            }
-            for (k, av) in a.offd.row_iter(i) {
-                for (&lc, &bv) in self.encoded[k].iter().zip(&ext_vals[k]) {
-                    debug_assert_eq!(stamp[lc], i, "value outside frozen pattern");
-                    buf[slot[lc]] += av * bv;
-                }
-            }
-            let dn = self.c.diag.row_nnz(i);
-            let dr = self.c.diag.row_range(i);
-            self.c.diag.values_mut()[dr].copy_from_slice(&buf[..dn]);
-            let or = self.c.offd.row_range(i);
-            self.c.offd.values_mut()[or].copy_from_slice(&buf[dn..]);
-        }
+        let a_loc = a.merged(rank, &p.inner);
+        let b_ext = b.extended(rank, &p.inner, &p.cols, Some(&p.halo));
+        numeric_only(&a_loc, &b_ext, &mut p.c);
+        self.c.copy_values_from_local(&p.c, &p.cols);
     }
 }
 
-/// Reconstructs B's global row partition from each rank's range.
-fn b_row_starts(b: &ParCsr, comm: &Comm) -> Vec<usize> {
-    // Row partitions equal col partitions for the square operators famg
-    // distributes; transfer operators carry the fine partition in
-    // `row_start/row_end`. Rebuild via allgather for generality.
-    let mut starts = comm.allgather(b.row_start, 0x50, 8);
-    starts.push(comm.allreduce_max(b.row_end as f64, 0x51) as usize);
+/// A matrix's global row partition, from each rank's range (tags `tag`
+/// and `tag + 1`). Row partitions equal column partitions for the square
+/// operators famg distributes; transfer operators carry the fine partition
+/// in `row_start/row_end` only.
+fn row_partition(m: &ParCsr, comm: &Comm, tag: u64) -> Vec<usize> {
+    let mut starts = comm.allgather(m.row_start, tag, 8);
+    starts.push(comm.allreduce_max(m.row_end as f64, tag + 1) as usize);
     starts
 }
 
+/// Off-rank entries of a transpose on the wire: target rows, source rows
+/// and values, entry by entry (24 bytes each).
+type Routed = (Vec<usize>, Vec<usize>, Vec<f64>);
+
 /// Distributed transpose: `T = Aᵀ`, rows of `T` partitioned by `A`'s
-/// column partition. Entries are routed to the owner of their target row.
+/// column partition. The owned block is transposed in place of travel
+/// (`T.diag = A.diagᵀ`); only the entries of `A.offd` are routed, to the
+/// owner of their column.
 pub fn dist_transpose(comm: &Comm, a: &ParCsr) -> ParCsr {
     let _span = famg_prof::scope("spgemm");
     let rank = comm.rank();
-    let nranks = comm.size();
-    // A's global row partition (becomes T's column partition).
-    let row_starts = {
-        let mut s = comm.allgather(a.row_start, 0x52, 8);
-        s.push(comm.allreduce_max(a.row_end as f64, 0x53) as usize);
-        s
-    };
-    // Route each entry to the owner of its global column — point-to-point
-    // to actual destination owners only (for a sparse operator each rank
-    // touches a handful of column owners, not all P−1).
-    let mut outbound: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); nranks];
-    for i in 0..a.local_rows() {
-        let gi = a.row_start + i;
-        for (g, v) in a.global_row(i, rank) {
-            outbound[owner_of(&a.col_starts, g)].push((g, gi, v));
-        }
-    }
-    let sends: Vec<_> = outbound
-        .iter_mut()
-        .enumerate()
-        .filter(|(_, t)| !t.is_empty())
-        .map(|(dst, t)| (dst, std::mem::take(t)))
+    // A's global row partition becomes T's column partition.
+    let row_starts = row_partition(a, comm, 0x52);
+    // `A.offdᵀ` lists, per halo column (ascending, so grouped by owner), the
+    // local rows that reference it: one `(target row, source row, value)`
+    // bundle per owner, sorted by target then source.
+    let offd_t = transpose_par(&a.offd);
+    let sends: Vec<(usize, Routed)> = owner_runs(&a.colmap, &a.col_starts)
+        .into_iter()
+        .map(|(owner, first, end)| {
+            let span = offd_t.rowptr()[first]..offd_t.rowptr()[end];
+            let targets = (first..end)
+                .flat_map(|h| std::iter::repeat_n(a.colmap[h], offd_t.row_nnz(h)))
+                .collect();
+            let sources = (offd_t.colidx()[span.clone()].iter())
+                .map(|&i| a.row_start + i)
+                .collect();
+            (owner, (targets, sources, offd_t.values()[span].to_vec()))
+        })
         .collect();
-    let inbound = comm.alltoallv(sends, 0x54, |t| t.len() * 24);
-    // Assemble T's local rows. Inbound batches arrive sorted by source
-    // rank, and sources own disjoint ascending row ranges, so the
-    // per-row entry order (by T-column = A-row) is deterministic.
+    let inbound = comm.alltoallv(sends, 0x54, |t| t.0.len() * 24);
+    // The routed entries alone, as rows over the space of A's own rows and
+    // the source rows that arrived. Inbound batches arrive sorted by source
+    // rank, and sources own disjoint ascending row ranges, so appending them
+    // in order keeps every row ascending.
     let (t0, t1) = a.col_range(rank);
-    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); t1 - t0];
-    for (_, batch) in inbound {
-        for (g, gi, v) in batch {
-            rows[g - t0].push((gi, v));
+    let cols = ExtSpace::with_received(
+        (a.row_start, a.row_end),
+        &[],
+        inbound.iter().flat_map(|(_, b)| b.1.iter().copied()),
+    );
+    let mut rowptr = vec![0usize; t1 - t0 + 1];
+    for (_, (targets, _, _)) in &inbound {
+        for &g in targets {
+            rowptr[g - t0 + 1] += 1;
         }
     }
-    for r in &mut rows {
-        r.sort_unstable_by_key(|&(c, _)| c);
+    for i in 0..t1 - t0 {
+        rowptr[i + 1] += rowptr[i];
     }
-    ParCsr::from_local_rows_global_cols(
+    let mut colidx = vec![0usize; rowptr[t1 - t0]];
+    let mut values = vec![0.0f64; rowptr[t1 - t0]];
+    let mut cursor = rowptr[..t1 - t0].to_vec();
+    for (_, (targets, sources, vals)) in &inbound {
+        for ((&g, &gi), &v) in targets.iter().zip(sources).zip(vals) {
+            let at = &mut cursor[g - t0];
+            colidx[*at] = cols.local(gi);
+            values[*at] = v;
+            *at += 1;
+        }
+    }
+    let routed = Csr::from_parts_unchecked(t1 - t0, cols.ext2g.len(), rowptr, colidx, values);
+    let mut t = ParCsr::from_local(
+        &routed,
+        &cols,
         t0,
         t1,
         *row_starts.last().unwrap(),
         row_starts,
-        rank,
-        &rows,
-    )
+    );
+    // The owned block never travels: `T.diag = A.diagᵀ`.
+    t.diag = transpose_par(&a.diag);
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use crate::parcsr::{default_partition, to_global, ParCsr};
+    use crate::parcsr::{assert_parts_are_serial, default_partition, to_global, ParCsr};
     use famg_matgen::laplace2d;
     use famg_sparse::spgemm::spgemm;
     use famg_sparse::transpose::transpose;
@@ -329,24 +233,62 @@ mod tests {
         ParCsr::from_global_rows(a, starts[r], starts[r + 1], starts.to_vec(), r)
     }
 
+    /// `A` with its values made asymmetric and pairwise distinct.
+    fn skewed(mut a: Csr) -> Csr {
+        for (k, v) in a.values_mut().iter_mut().enumerate() {
+            *v += 0.01 * (k % 7) as f64 + 1e-3 * (k % 11) as f64;
+        }
+        a
+    }
+
     #[test]
     fn dist_spgemm_matches_serial() {
-        let a = laplace2d(8, 8);
-        let c_ref = spgemm(&a, &a);
-        for nranks in [1usize, 2, 4] {
+        let a = skewed(laplace2d(8, 8));
+        let b = skewed(famg_matgen::laplace3d_7pt(4, 4, 4));
+        for nranks in [1usize, 2, 3, 5] {
             for par in [false, true] {
                 let starts = default_partition(64, nranks);
                 let (parts, _) = run_ranks(nranks, |c| {
                     let pa = split(&a, &starts, c.rank());
-                    let pb = split(&a, &starts, c.rank());
+                    let pb = split(&b, &starts, c.rank());
                     dist_spgemm(c, &pa, &pb, par)
                 });
-                let c_dist = to_global(&parts);
-                assert!(
-                    c_ref.frob_diff(&c_dist) < 1e-10,
-                    "nranks {nranks} par {par}"
+                assert_parts_are_serial(
+                    &parts,
+                    spgemm(&a, &b),
+                    &format!("{nranks} ranks par {par}"),
                 );
             }
+        }
+    }
+
+    #[test]
+    fn plan_is_the_product_and_replays_it_on_new_values() {
+        let a = skewed(laplace2d(8, 8));
+        let b = skewed(famg_matgen::laplace3d_7pt(4, 4, 4));
+        let (a2, b2) = (skewed(a.clone()), skewed(skewed(b.clone())));
+        let starts = default_partition(64, 3);
+        let (parts, _) = run_ranks(3, |c| {
+            let s = |m: &Csr| split(m, &starts, c.rank());
+            let mut plan = DistSpgemmPlan::new(c, &s(&a), &s(&b), true);
+            let planned = plan.c.clone();
+            plan.execute(c, &s(&a2), &s(&b2));
+            (
+                planned,
+                plan.c.clone(),
+                dist_spgemm(c, &s(&a2), &s(&b2), true),
+            )
+        });
+        let col = |k: usize| {
+            parts
+                .iter()
+                .map(|p| [&p.0, &p.1, &p.2][k].clone())
+                .collect::<Vec<_>>()
+        };
+        assert_parts_are_serial(&col(0), spgemm(&a, &b), "planning product");
+        assert_parts_are_serial(&col(1), spgemm(&a2, &b2), "replayed product");
+        for (_, replayed, fresh) in &parts {
+            assert!(replayed.same_pattern(fresh));
         }
     }
 
@@ -369,23 +311,18 @@ mod tests {
 
     #[test]
     fn dist_transpose_matches_serial() {
-        let mut a = laplace2d(7, 5);
-        // Make it asymmetric so the transpose is non-trivial.
-        {
-            let vals = a.values_mut();
-            for (k, v) in vals.iter_mut().enumerate() {
-                *v += 0.01 * (k % 7) as f64;
+        // Asymmetric, so the transpose is non-trivial.
+        let a = skewed(laplace2d(7, 5));
+        for mut starts in [1usize, 2, 3, 5].map(|p| default_partition(35, p)) {
+            for _ in 0..2 {
+                let (parts, _) = run_ranks(starts.len() - 1, |c| {
+                    let pa = split(&a, &starts, c.rank());
+                    dist_transpose(c, &pa)
+                });
+                assert_parts_are_serial(&parts, transpose(&a), &format!("{starts:?}"));
+                // Again with an empty rank in the middle.
+                starts.insert(1, starts[1]);
             }
-        }
-        let t_ref = transpose(&a);
-        for nranks in [1usize, 2, 3] {
-            let starts = default_partition(35, nranks);
-            let (parts, _) = run_ranks(nranks, |c| {
-                let pa = split(&a, &starts, c.rank());
-                dist_transpose(c, &pa)
-            });
-            let t = to_global(&parts);
-            assert_eq!(t.to_dense(), t_ref.to_dense(), "nranks {nranks}");
         }
     }
 
@@ -419,7 +356,6 @@ mod tests {
             let ra = dist_spgemm(c, &pr, &pa, true);
             dist_spgemm(c, &ra, &pp, true)
         });
-        let c_dist = to_global(&parts);
-        assert!(c_ref.frob_diff(&c_dist) < 1e-10);
+        assert_parts_are_serial(&parts, c_ref, "R·A·P");
     }
 }

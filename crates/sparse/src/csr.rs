@@ -298,21 +298,23 @@ impl Csr {
 
     /// Sorts column indices (and values) within every row ascending.
     pub fn sort_rows(&mut self) {
-        let mut perm: Vec<usize> = Vec::new();
+        // One scratch row for the whole matrix: a product's rows are all
+        // unsorted, and a pair of allocations per row costs more than the
+        // sort.
+        let mut row: Vec<(usize, f64)> = Vec::new();
         for i in 0..self.nrows {
             let r = self.rowptr[i]..self.rowptr[i + 1];
-            let cols = &self.colidx[r.clone()];
+            let (cols, vals) = (&mut self.colidx[r.clone()], &mut self.values[r]);
             if cols.windows(2).all(|w| w[0] < w[1]) {
                 continue;
             }
-            perm.clear();
-            perm.extend(0..cols.len());
-            perm.sort_unstable_by_key(|&k| cols[k]);
-            let sorted_cols: Vec<usize> = perm.iter().map(|&k| cols[k]).collect();
-            let vals = &self.values[r.clone()];
-            let sorted_vals: Vec<f64> = perm.iter().map(|&k| vals[k]).collect();
-            self.colidx[r.clone()].copy_from_slice(&sorted_cols);
-            self.values[r].copy_from_slice(&sorted_vals);
+            row.clear();
+            row.extend(cols.iter().copied().zip(vals.iter().copied()));
+            row.sort_unstable_by_key(|&(c, _)| c);
+            for (k, &(c, v)) in row.iter().enumerate() {
+                cols[k] = c;
+                vals[k] = v;
+            }
         }
     }
 

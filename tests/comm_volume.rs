@@ -251,3 +251,62 @@ const PCG_FIXED_AND_PER_ITERATION: (u64, u64) = (40, 40);
 const FGMRES_MESSAGES_ITERATIONS_FLOPS: (u64, usize, u64) = (318, 7, 684_428);
 /// Recorded at 737fddd; must not move.
 const AMG_MESSAGES_ITERATIONS_FLOPS: (u64, usize, u64) = (294, 8, 698_784);
+
+/// Setup-phase `(messages, bytes)` of the 2-rank build on the 8³ 7-point
+/// Laplacian, summed over ranks.
+fn setup_traffic(cfg: &AmgConfig, frozen: bool) -> (u64, u64) {
+    let a = laplace3d_7pt(8, 8, 8);
+    let starts = default_partition(a.nrows(), 2);
+    let (parts, _) = run_ranks(2, |c| {
+        let r = c.rank();
+        let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+        let h = if frozen {
+            DistHierarchy::build_frozen(c, pa, cfg, DistOptFlags::all()).0
+        } else {
+            DistHierarchy::build(c, pa, cfg, DistOptFlags::all())
+        };
+        h.setup_comm
+    });
+    parts
+        .iter()
+        .fold((0, 0), |(m, b), v| (m + v.messages, b + v.bytes))
+}
+
+/// The setup asks for nothing a rank already holds. Until PR 22 a frozen
+/// build ran every Galerkin product's row gather twice and a request round
+/// a third time (`DistSpgemmPlan::new` called `dist_spgemm`, gathered the
+/// same rows again for the renumbering and planned the values-only gather
+/// separately), and extended+i planned an ad-hoc exchange for the C/F codes
+/// of `S.colmap`, a subset of the `A.colmap` codes it had just fetched: one
+/// request and one reply per rank on each of `ei4`'s two extended+i levels,
+/// the whole difference of its plain build. `mp` here is one multipass level
+/// above the coarsest; its two messages were the all-gather of the coarse
+/// partition for a direct-interpolation `ParCsr` that multipass built only
+/// to read its rows back. A frozen build now costs exactly a plain one.
+#[test]
+fn setup_traffic_is_pinned() {
+    let ei4 = AmgConfig::multi_node_ei4();
+    let mp = AmgConfig::multi_node_mp();
+    let got = [
+        setup_traffic(&ei4, false),
+        setup_traffic(&ei4, true),
+        setup_traffic(&mp, false),
+    ];
+    println!(
+        "ei4 build {:?} frozen {:?}, mp build {:?}",
+        got[0], got[1], got[2]
+    );
+    assert_eq!(got, SETUP_MESSAGES_BYTES);
+    for (now, before) in got.iter().zip(&SETUP_MESSAGES_BYTES_AT_PARENT) {
+        assert!(
+            now.0 < before.0 && now.1 < before.1,
+            "{now:?} vs {before:?}"
+        );
+    }
+}
+
+/// `ei4` build, `ei4` frozen build, `mp` build; recorded at this change.
+const SETUP_MESSAGES_BYTES: [(u64, u64); 3] = [(217, 152_046), (217, 152_046), (177, 83_480)];
+/// The same three at 692002a, the parent of PR 22.
+const SETUP_MESSAGES_BYTES_AT_PARENT: [(u64, u64); 3] =
+    [(225, 155_374), (257, 217_662), (179, 83_496)];

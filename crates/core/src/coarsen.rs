@@ -7,14 +7,32 @@
 //! *aggressive* coarsening — a second PMIS pass over the distance-two
 //! strength graph of the first pass's C-points (Table 4).
 //!
-//! Random weights come from the counter-based generator in [`crate::rng`],
-//! so the C/F splitting is identical for any thread count (the paper's
-//! reason for switching to MKL's parallel RNG in §3.3).
+//! With `measure(i) = |Sᵀ_i| + rand[0, 1)` and every point undecided except
+//! those nobody depends on (F from the start), a round is a *selection* —
+//! an undecided point joins C iff its measure strictly beats every
+//! undecided neighbour's in `S_i ∪ Sᵀ_i` — and a *demotion* — an undecided
+//! point with a C-point in `S_i ∪ Sᵀ_i` becomes F — until a round selects
+//! nothing; what is still undecided then is F.
+//!
+//! [`pmis`] never forms `Sᵀ`: transposing it cost more than the rounds and
+//! moved values nobody reads. `|Sᵀ_i|` is a histogram of `S`'s column
+//! indices, and `S_i ∪ Sᵀ_i` is the set of `S`-edges incident to `i`, so
+//! selection visits every edge between two undecided points once, from the
+//! row that stores it, and flags whichever end does not strictly beat the
+//! other (a point no edge flagged is selected); demotion pulls along `S_i`
+//! and pushes along `S_c` from the points just selected (`j ∈ S_c` is
+//! `c ∈ Sᵀ_j`).
+//!
+//! Random weights come from the counter-based generator in [`crate::rng`]
+//! and a flag is a set membership, so the C/F splitting is identical for
+//! any thread count (the paper's reason for switching to MKL's parallel
+//! RNG in §3.3).
 
 use crate::rng::uniform01;
-use famg_sparse::transpose::transpose_par;
+use famg_sparse::partition::{num_threads, split_evenly};
 use famg_sparse::Csr;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of a coarsening pass.
 #[derive(Debug, Clone)]
@@ -32,11 +50,38 @@ impl Coarsening {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum State {
-    Undecided,
-    Coarse,
-    Fine,
+/// A point's word in [`pmis`]: below `FINE` it is undecided and holds the
+/// last round that flagged it (0: none yet).
+const FINE: u32 = u32::MAX - 1;
+const COARSE: u32 = u32::MAX;
+
+// The words of `pmis` are idempotent flags: within a phase every store to
+// a word writes the same value (the round's stamp, or `FINE`) and no load
+// of the phase tells the word before such a store from the word after it.
+// Phases are separated by the pool's join, and nothing else is published
+// through the words.
+fn get(word: &AtomicU32) -> u32 {
+    word.load(Ordering::Relaxed) // ORDERING: idempotent flag, see above.
+}
+fn put(word: &AtomicU32, v: u32) {
+    word.store(v, Ordering::Relaxed); // ORDERING: idempotent flag, see above.
+}
+
+/// `|Sᵀ_i|` for every `i`: the histogram of `s`'s column indices, counted
+/// per block of nonzeros and summed (no scatter, no transpose).
+fn dependants(s: &Csr) -> Vec<u32> {
+    let n = s.ncols();
+    let counts: Vec<Vec<u32>> = split_evenly(s.nnz(), num_threads())
+        .par_iter()
+        .map(|block| {
+            let mut count = vec![0u32; n];
+            for &j in &s.colidx()[block.clone()] {
+                count[j] += 1;
+            }
+            count
+        })
+        .collect();
+    (0..n).map(|i| counts.iter().map(|c| c[i]).sum()).collect()
 }
 
 /// PMIS coarsening over strength matrix `s` (row `i` = points `i`
@@ -44,72 +89,69 @@ enum State {
 pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
     let n = s.nrows();
     assert_eq!(n, s.ncols());
-    let st = transpose_par(s);
-
+    let dependants = dependants(s);
     // measure(i) = |{j : j depends on i}| + rand[0,1).
     let measure: Vec<f64> = (0..n)
         .into_par_iter()
         .with_min_len(512)
-        .map(|i| st.row_nnz(i) as f64 + uniform01(seed, i as u64))
+        .map(|i| f64::from(dependants[i]) + uniform01(seed, i as u64))
         .collect();
-
-    let mut state: Vec<State> = (0..n)
-        .into_par_iter()
-        .with_min_len(512)
-        .map(|i| {
-            if st.row_nnz(i) == 0 {
-                // Nobody depends on i: it can never be a useful C-point.
-                State::Fine
-            } else {
-                State::Undecided
-            }
-        })
-        .collect();
+    // Nobody depends on i: it can never be a useful C-point.
+    let start = |&d: &u32| AtomicU32::new(if d == 0 { FINE } else { 0 });
+    let mark: Vec<AtomicU32> = dependants.iter().map(start).collect();
+    drop(dependants);
+    let undecided = |i: usize| get(&mark[i]) < FINE;
 
     // Round-based parallel MIS.
-    loop {
-        // Selection: i joins C iff its measure beats every undecided
-        // neighbour in the symmetrized graph S_i ∪ Sᵀ_i.
+    for round in 1..FINE {
+        // Selection: every S-edge between two undecided points flags the
+        // end(s) that do not strictly beat the other …
+        (0..n).into_par_iter().with_min_len(512).for_each(|i| {
+            if !undecided(i) {
+                return;
+            }
+            let mut beaten = false;
+            for &j in s.row_cols(i).iter().filter(|&&j| undecided(j)) {
+                beaten |= measure[i] <= measure[j];
+                if measure[j] <= measure[i] {
+                    put(&mark[j], round);
+                }
+            }
+            if beaten {
+                put(&mark[i], round);
+            }
+        });
+        // … and an undecided point no edge flagged this round joins C.
         let selected: Vec<usize> = (0..n)
             .into_par_iter()
             .with_min_len(512)
-            .filter(|&i| {
-                if state[i] != State::Undecided {
-                    return false;
-                }
-                let wins = |j: usize| state[j] != State::Undecided || measure[i] > measure[j];
-                s.row_cols(i).iter().all(|&j| wins(j)) && st.row_cols(i).iter().all(|&j| wins(j))
-            })
+            .filter(|&i| undecided(i) && get(&mark[i]) != round)
             .collect();
+        selected.iter().for_each(|&c| put(&mark[c], COARSE));
         if selected.is_empty() {
             // No undecided point can win => no undecided points remain
             // (in any component the max-measure point always wins).
-            debug_assert!(state.iter().all(|&s| s != State::Undecided));
+            debug_assert!(!(0..n).any(undecided));
             break;
-        }
-        for &i in &selected {
-            state[i] = State::Coarse;
         }
         // Demotion: undecided points adjacent to a C-point in the
         // *symmetrized* graph become F. Checking only `s` rows (as
         // early BoomerAMG did) breaks independence on asymmetric
         // strength patterns: a point nobody was demoted for can win a
-        // later round while already neighbouring a C-point.
-        let demoted: Vec<usize> = (0..n)
-            .into_par_iter()
-            .with_min_len(512)
-            .filter(|&i| {
-                state[i] == State::Undecided
-                    && (s.row_cols(i).iter().any(|&j| state[j] == State::Coarse)
-                        || st.row_cols(i).iter().any(|&j| state[j] == State::Coarse))
-            })
-            .collect();
-        for &i in &demoted {
-            state[i] = State::Fine;
-        }
+        // later round while already neighbouring a C-point. Push along
+        // `S_c` (a neighbour of a point just selected is undecided or F,
+        // never C), then pull along `S_i` (C-points of earlier rounds
+        // demoted their neighbours then).
+        selected.par_iter().with_min_len(512).for_each(|&c| {
+            s.row_cols(c).iter().for_each(|&j| put(&mark[j], FINE));
+        });
+        (0..n).into_par_iter().with_min_len(512).for_each(|i| {
+            if undecided(i) && s.row_cols(i).iter().any(|&j| get(&mark[j]) == COARSE) {
+                put(&mark[i], FINE);
+            }
+        });
     }
-
-    Coarsening::from_marker(state.into_iter().map(|s| s == State::Coarse).collect())
+    Coarsening::from_marker(mark.iter().map(|m| get(m) == COARSE).collect())
 }
 
 /// Aggressive coarsening: a second PMIS pass over the distance-≤2
@@ -211,7 +253,131 @@ pub fn validate_cf(s: &Csr, c: &Coarsening, dist: usize) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::strength::strength;
-    use famg_matgen::{laplace2d, laplace3d_7pt};
+    use famg_matgen::{laplace2d, laplace3d_27pt, laplace3d_7pt, reservoir_field, varcoef3d_7pt};
+    use famg_sparse::transpose::transpose;
+
+    /// The rounds of the module docs run on `S ∪ Sᵀ` formed explicitly:
+    /// what [`pmis`] must select, written from the definition.
+    fn pmis_by_definition(s: &Csr, seed: u64) -> Vec<bool> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum State {
+            Undecided,
+            Coarse,
+            Fine,
+        }
+        let n = s.nrows();
+        let st = transpose(s);
+        let both = |i: usize| s.row_cols(i).iter().chain(st.row_cols(i)).copied();
+        let measure: Vec<f64> = (0..n)
+            .map(|i| st.row_nnz(i) as f64 + uniform01(seed, i as u64))
+            .collect();
+        let mut state: Vec<State> = (0..n)
+            .map(|i| match st.row_nnz(i) {
+                0 => State::Fine,
+                _ => State::Undecided,
+            })
+            .collect();
+        loop {
+            let undecided = |i: usize| state[i] == State::Undecided;
+            let selected: Vec<usize> = (0..n)
+                .filter(|&i| undecided(i))
+                .filter(|&i| both(i).all(|j| !undecided(j) || measure[i] > measure[j]))
+                .collect();
+            if selected.is_empty() {
+                break;
+            }
+            for &i in &selected {
+                state[i] = State::Coarse;
+            }
+            let demoted: Vec<usize> = (0..n)
+                .filter(|&i| state[i] == State::Undecided)
+                .filter(|&i| both(i).any(|j| state[j] == State::Coarse))
+                .collect();
+            for &i in &demoted {
+                state[i] = State::Fine;
+            }
+        }
+        state.into_iter().map(|s| s == State::Coarse).collect()
+    }
+
+    /// What PMIS promises on any pattern: C is independent in `S ∪ Sᵀ` and
+    /// maximal — an F-point somebody depends on has a C-point there.
+    fn independent_and_maximal(s: &Csr, is_coarse: &[bool]) -> bool {
+        let st = transpose(s);
+        (0..s.nrows()).all(|i| {
+            let mut both = s.row_cols(i).iter().chain(st.row_cols(i));
+            if is_coarse[i] {
+                !both.any(|&j| is_coarse[j])
+            } else {
+                st.row_nnz(i) == 0 || both.any(|&j| is_coarse[j])
+            }
+        })
+    }
+
+    /// A seeded random asymmetric strength pattern on `n ≥ 8` points in
+    /// which points 0 and 1 have out-edges only (nobody depends on them)
+    /// and point 2 is isolated.
+    fn asymmetric_pattern(n: usize, seed: u64) -> Csr {
+        let mut trips = vec![(0, 3, -1.0), (0, 4, -1.0), (1, 3, -1.0)];
+        for i in 3..n {
+            for k in 0..4u64 {
+                let j = 3 + (uniform01(seed, 4 * i as u64 + k) * (n - 3) as f64) as usize;
+                if j != i && uniform01(seed ^ 0xA5, 4 * i as u64 + k) < 0.6 {
+                    trips.push((i, j.min(n - 1), -1.0));
+                }
+            }
+        }
+        trips.sort_by_key(|t| (t.0, t.1));
+        trips.dedup_by_key(|t| (t.0, t.1));
+        Csr::from_triplets(n, n, trips)
+    }
+
+    #[test]
+    fn pmis_is_its_definition() {
+        let field = reservoir_field(10, 9, 8, 4, 2.0, 2, 2026);
+        let asym = asymmetric_pattern(3000, 17);
+        let st = transpose(&asym);
+        assert!(asym.row_nnz(0) > 0 && st.row_nnz(0) == 0, "out-edges only");
+        assert!(st.row_nnz(1) == 0, "a point nobody depends on");
+        assert!(
+            asym.row_nnz(2) == 0 && st.row_nnz(2) == 0,
+            "an isolated point"
+        );
+        assert!((0..3000).any(|i| asym.row_cols(i).iter().any(|&j| asym.get(j, i).is_none())));
+        let cases = [
+            ("laplace2d", strength(&laplace2d(60, 50), 0.25, 0.8)),
+            (
+                "varcoef3d_7pt",
+                strength(&varcoef3d_7pt(10, 9, 8, &field), 0.25, 0.8),
+            ),
+            (
+                "laplace3d_27pt",
+                strength(&laplace3d_27pt(12, 11, 10), 0.25, 0.8),
+            ),
+            ("asymmetric", asym),
+        ];
+        for (name, s) in &cases {
+            for seed in [1, 7, 2026] {
+                let c = pmis(s, seed);
+                assert_eq!(
+                    c.is_coarse,
+                    pmis_by_definition(s, seed),
+                    "{name}, seed {seed}"
+                );
+                assert!(c.ncoarse > 0, "{name}, seed {seed}");
+                assert!(
+                    independent_and_maximal(s, &c.is_coarse),
+                    "{name}, seed {seed}"
+                );
+                // Coverage along `S` alone is a promise on the operators'
+                // near-symmetric strength only: a point nobody depends on
+                // starts as F whatever it depends on.
+                if *name != "asymmetric" {
+                    validate_cf(s, &c, 1).unwrap_or_else(|e| panic!("{name}, seed {seed}: {e}"));
+                }
+            }
+        }
+    }
 
     #[test]
     fn pmis_on_laplace2d_is_valid() {

@@ -1,10 +1,19 @@
 //! Multigrid hierarchy construction — the AMG setup phase.
 //!
-//! Per level: strength matrix → coarsening → (optional CF permutation) →
-//! interpolation → Galerkin RAP → smoother setup. Every step dispatches
-//! between the baseline and optimized kernels according to
+//! Per level: strength matrix → coarsening → interpolation → (optional CF
+//! permutation of `A`) → Galerkin RAP → smoother setup. Every step
+//! dispatches between the baseline and optimized kernels according to
 //! [`crate::params::OptFlags`], so the paper's Fig. 5 component speedups
 //! can be measured on identical hierarchies.
+//!
+//! Setup is bound by memory traffic, so a level moves each operator once.
+//! Strength, coarsening and interpolation read the level's *raw* operator
+//! (the caller's at level 0, borrowed; the RAP of the level above below
+//! it) on both paths: §3.1.2's coarse-first permutation is one of `A`, for
+//! the triple product and the smoother, and of `P`'s rows — here, taking
+//! `P`'s fine rows in order. `S` is freed after interpolation and the raw
+//! operator after the permutation: a level peaks in RAP, on `A_perm`,
+//! `P_F`, `P_Fᵀ` and the product (DESIGN.md §3.4 has the table).
 
 use crate::coarsen::{aggressive_pmis_stages, pmis, Coarsening};
 use crate::interp::{
@@ -23,6 +32,7 @@ use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
 use famg_sparse::Csr;
+use std::borrow::Cow;
 
 /// Grid-transfer operators between a level and the next coarser one.
 #[derive(Debug)]
@@ -38,7 +48,8 @@ pub enum TransferOps {
         r: Option<Csr>,
     },
     /// Optimized representation over the CF-permuted level: only the fine
-    /// block `P_F` of `P = [I; P_F]` plus its transpose (kept from setup).
+    /// block `P_F` of `P = [I; P_F]` (the fine rows of the interpolation
+    /// operator, in point order) plus its transpose (kept from setup).
     CfBlock {
         /// Fine rows of the interpolation operator (`nf × nc`).
         pf: Csr,
@@ -198,25 +209,22 @@ fn enforce(level: usize, what: &str, result: famg_check::CheckResult) {
     }
 }
 
-/// Validates one freshly built level (either path) before the smoother
-/// reorders the operator in place. `is_coarse` is in the same ordering
-/// as `a_level` / `s` / `p_full`. `rowsum_exact` says whether the
+/// Validates one freshly built level (either path) on its raw ordering —
+/// the one `a_level`, `is_coarse` and `p_full` share — before the smoother
+/// reorders the stored operator in place; the CF splitting is checked where
+/// it is made, while `S` is alive. `rowsum_exact` says whether the
 /// interpolation scheme reproduces constants row-locally (true for the
 /// single-hop distribution schemes: direct, classical, extended+i);
 /// multipass and two-stage compose weights through neighbours whose own
 /// row sums are legitimately ≠ 1 next to Dirichlet boundaries, so the
 /// per-row check does not apply to them.
 #[cfg(feature = "validate")]
-#[allow(clippy::too_many_arguments)]
 fn validate_level(
     level: usize,
     a_level: &Csr,
-    s: &Csr,
     is_coarse: &[bool],
-    max_dist: usize,
     p_full: &Csr,
     a_coarse: &Csr,
-    cf_permuted: bool,
     rowsum_exact: bool,
 ) {
     use famg_check as check;
@@ -237,22 +245,9 @@ fn validate_level(
     enforce(level, "interp columns", check::check_no_duplicates(p_full));
     enforce(
         level,
-        "CF splitting",
-        check::check_cf_splitting(s, is_coarse, max_dist),
+        "interp C rows",
+        check::check_interp_c_identity(p_full, is_coarse),
     );
-    if cf_permuted {
-        enforce(
-            level,
-            "interp identity block",
-            check::check_interp_identity_block(p_full, p_full.ncols()),
-        );
-    } else {
-        enforce(
-            level,
-            "interp C rows",
-            check::check_interp_c_identity(p_full, is_coarse),
-        );
-    }
     if rowsum_exact {
         enforce(
             level,
@@ -302,7 +297,9 @@ impl Hierarchy {
         let root_span = famg_prof::scope("setup");
         let mut stats = SetupStats::default();
         let mut levels: Vec<Level> = Vec::new();
-        let mut current: Csr = a.clone();
+        // The level's operator on its raw ordering: the caller's at level
+        // 0, read in place, and below it the RAP of the level above.
+        let mut current: Cow<'_, Csr> = Cow::Borrowed(a);
 
         loop {
             let n = current.nrows();
@@ -332,42 +329,52 @@ impl Hierarchy {
             if coarsening.ncoarse == 0 || coarsening.ncoarse == n {
                 break; // cannot coarsen further
             }
+            let nc = coarsening.ncoarse;
+            #[cfg(feature = "validate")]
+            enforce(
+                lvl_idx,
+                "CF splitting",
+                famg_check::check_cf_splitting(
+                    &s,
+                    &coarsening.is_coarse,
+                    usize::from(!matches!(ckind, CoarsenKind::AggressivePmis)),
+                ),
+            );
 
-            // The level's one interpolation run, on either path's operands.
-            let interp = |a: &Csr, s: &Csr, cf: &CfMap, s1: Option<&Coarsening>, c: &Coarsening| {
-                build_interp(a, s, cf, s1, c, ikind, cfg, capture.is_some())
+            // --- Interpolation: the level's one run, on the raw ordering
+            // whichever way the level is stored. ---
+            let interp_span = famg_prof::scope_at("interp", lvl_idx);
+            let cf = CfMap::new(coarsening.is_coarse.clone());
+            let recording = capture.is_some();
+            let s1 = stage1.as_ref();
+            let (p, tape) = build_interp(&current, &s, &cf, s1, &coarsening, ikind, cfg, recording);
+            drop(interp_span);
+            stats.interp_nnz.push(p.nnz());
+            // `S` is done with: freed before the level's largest allocations,
+            // or kept as a copy of its length (`strength_seq` reserves nnz(A)).
+            let s_kept = recording.then(|| {
+                let _span = famg_prof::scope_at("capture", lvl_idx);
+                s.clone()
+            });
+            drop(s);
+            #[cfg(feature = "validate")]
+            let validate = |a_raw: &Csr, next: &Csr| {
+                let exact = !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI);
+                validate_level(lvl_idx, a_raw, &coarsening.is_coarse, &p, next, exact);
             };
-            if cfg.opt.cf_reorder {
-                // --- Optimized path: permute coarse-first. ---
+
+            let (a_level, perm, ops, smoother, next, p_kept) = if cfg.opt.cf_reorder {
+                // --- Optimized path: permute `A` coarse-first, once; the
+                // raw one is then done with (`validate` checks RAP on it). ---
                 let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
-                let (ap, ord) = cf_reorder(&current, &coarsening.is_coarse);
-                let sp = famg_sparse::permute::permute_symmetric(&s, &ord.perm);
-                // Permute the coarsening metadata into the new ordering.
-                let is_coarse_p: Vec<bool> = (0..n).map(|i| i < ord.nc).collect();
-                let permute_stage = |st: &Coarsening| Coarsening {
-                    is_coarse: {
-                        let mut v = vec![false; n];
-                        for i in 0..n {
-                            v[ord.perm.forward[i]] = st.is_coarse[i];
-                        }
-                        v
-                    },
-                    ncoarse: st.ncoarse,
-                };
-                let stage1_p = stage1.as_ref().map(&permute_stage);
-                let final_p = permute_stage(&coarsening);
+                let (mut ap, ord) = cf_reorder(&current, &coarsening.is_coarse);
                 drop(reorder_span);
+                #[cfg(not(feature = "validate"))]
+                drop(current);
 
-                // --- Interpolation. ---
-                let interp_span = famg_prof::scope_at("interp", lvl_idx);
-                let cf = CfMap::new(is_coarse_p);
-                let (p_full, tape) = interp(&ap, &sp, &cf, stage1_p.as_ref(), &final_p);
-                drop(interp_span);
-
-                // --- Split into [I; P_F] and keep the transpose. ---
+                // --- P_F = the fine rows of `P`; keep the transpose. ---
                 let extract_span = famg_prof::scope_at("extract_p", lvl_idx);
-                let nc = ord.nc;
-                let pf = extract_fine_block(&p_full, nc);
+                let pf = extract_fine_block(&p, &ord.perm, nc, lvl_idx);
                 let pft = transpose_par(&pf);
                 drop(extract_span);
 
@@ -375,55 +382,17 @@ impl Hierarchy {
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
                 let next = rap_cf(&ap, nc, &pf, &pft);
                 drop(rap_span);
-
                 #[cfg(feature = "validate")]
-                validate_level(
-                    levels.len(),
-                    &ap,
-                    &sp,
-                    &final_p.is_coarse,
-                    usize::from(!matches!(ckind, CoarsenKind::AggressivePmis)),
-                    &p_full,
-                    &next,
-                    true,
-                    !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI),
-                );
-
-                stats.interp_nnz.push(p_full.nnz());
-                if let Some(cap) = capture.as_deref_mut() {
-                    let _s = famg_prof::scope_at("capture", lvl_idx);
-                    cap.push(FrozenLevel {
-                        s: sp,
-                        stage1: stage1_p,
-                        final_c: final_p,
-                        cf,
-                        p: p_full,
-                        tape,
-                        rap: next.clone(),
-                    });
-                }
+                validate(&current, &next);
 
                 // --- Smoother (reorders rows of `ap` in place). ---
                 let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
-                let mut ap = ap;
                 let smoother = build_smoother(&mut ap, nc, None, cfg);
                 drop(smoother_span);
-
-                levels.push(Level {
-                    a: ap,
-                    perm: Some(ord.perm),
-                    nc,
-                    ops: Some(TransferOps::CfBlock { pf, pft }),
-                    smoother,
-                });
-                current = next;
+                let ops = TransferOps::CfBlock { pf, pft };
+                (ap, Some(ord.perm), ops, smoother, next, Some(p))
             } else {
                 // --- Baseline path: original ordering throughout. ---
-                let interp_span = famg_prof::scope_at("interp", lvl_idx);
-                let cf = CfMap::new(coarsening.is_coarse.clone());
-                let (p, tape) = interp(&current, &s, &cf, stage1.as_ref(), &coarsening);
-                drop(interp_span);
-
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
                 let r = transpose_par(&p);
                 let next = if cfg.opt.row_fused_rap {
@@ -432,57 +401,43 @@ impl Hierarchy {
                     rap_scalar_fused(&r, &current, &p)
                 };
                 drop(rap_span);
-
                 #[cfg(feature = "validate")]
-                validate_level(
-                    levels.len(),
-                    &current,
-                    &s,
-                    &coarsening.is_coarse,
-                    usize::from(!matches!(ckind, CoarsenKind::AggressivePmis)),
-                    &p,
-                    &next,
-                    false,
-                    !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI),
-                );
+                validate(&current, &next);
 
-                if let Some(cap) = capture.as_deref_mut() {
-                    let _s = famg_prof::scope_at("capture", lvl_idx);
-                    cap.push(FrozenLevel {
-                        s,
-                        stage1,
-                        final_c: coarsening.clone(),
-                        cf,
-                        p: p.clone(),
-                        tape,
-                        rap: next.clone(),
-                    });
-                }
-
+                // The level owns the unpermuted operator: the caller's is
+                // copied here, a RAP moves in.
                 let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
-                let mut cur = current;
-                let smoother = build_smoother(
-                    &mut cur,
-                    coarsening.ncoarse,
-                    Some(&coarsening.is_coarse),
-                    cfg,
-                );
-                let r_kept = cfg.opt.keep_transpose.then_some(r);
+                let mut cur = current.into_owned();
+                let smoother = build_smoother(&mut cur, nc, Some(&coarsening.is_coarse), cfg);
+                let r = cfg.opt.keep_transpose.then_some(r);
                 drop(smoother_span);
-
-                stats.interp_nnz.push(p.nnz());
-                levels.push(Level {
-                    a: cur,
-                    perm: None,
-                    nc: coarsening.ncoarse,
-                    ops: Some(TransferOps::Full { p, r: r_kept }),
-                    smoother,
+                let p_kept = recording.then(|| p.clone());
+                let ops = TransferOps::Full { p, r };
+                (cur, None, ops, smoother, next, p_kept)
+            };
+            if let (Some(cap), Some(s), Some(p)) = (capture.as_deref_mut(), s_kept, p_kept) {
+                let _span = famg_prof::scope_at("capture", lvl_idx);
+                cap.push(FrozenLevel {
+                    s,
+                    stage1,
+                    final_c: coarsening,
+                    cf,
+                    p,
+                    tape,
+                    rap: next.clone(),
                 });
-                current = next;
             }
+            levels.push(Level {
+                a: a_level,
+                perm,
+                nc,
+                ops: Some(ops),
+                smoother,
+            });
+            current = Cow::Owned(next);
         }
 
-        let (coarsest, coarse_lu) = coarsest_level(current, levels.len(), cfg);
+        let (coarsest, coarse_lu) = coarsest_level(current.into_owned(), levels.len(), cfg);
         levels.push(coarsest);
 
         drop(root_span);
@@ -600,32 +555,55 @@ pub(crate) fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level,
     (level, coarse_lu)
 }
 
-/// Extracts rows `nc..n` of a full interpolation operator (whose first
-/// `nc` rows must be the identity) as the `P_F` block.
-pub(crate) fn extract_fine_block(p: &Csr, nc: usize) -> Csr {
+/// Takes `P_F` out of a full interpolation operator on the raw ordering:
+/// its fine rows in point order (row `k` is the row of the point `perm`, a
+/// [`cf_permutation`], sends to `nc + k`), allocated at their exact size.
+///
+/// `rap_cf`, restriction and prolongation never see the coarse rows and
+/// assume each is the unit row `P[i, perm(i)] = 1` — the builders' column
+/// numbering, `CfMap::cmap`, is `perm` on the coarse points only because
+/// `cf_permutation` is stable. That is tested here, in release builds too.
+///
+/// # Panics
+/// Panics, naming `level` and the row, when a coarse row is not that unit row.
+///
+/// [`cf_permutation`]: famg_sparse::permute::cf_permutation
+pub(crate) fn extract_fine_block(p: &Csr, perm: &Permutation, nc: usize, level: usize) -> Csr {
     let n = p.nrows();
-    debug_assert!(
-        (0..nc).all(|i| p.row_nnz(i) == 1 && p.row_cols(i)[0] == i && p.row_vals(i)[0] == 1.0),
-        "top block of CF-permuted P must be the identity"
-    );
-    let rowptr: Vec<usize> = p.rowptr()[nc..=n]
-        .iter()
-        .map(|&x| x - p.rowptr()[nc])
+    assert_eq!(perm.len(), n, "level {level}: P and the CF permutation");
+    let (coarse, fine) = perm.inverse.split_at(nc);
+    let nnz_f = p.nnz().saturating_sub(nc);
+    let mut colidx = Vec::with_capacity(nnz_f);
+    let mut values = Vec::with_capacity(nnz_f);
+    // The fine rows between two coarse rows are contiguous in `p`: one
+    // copy per run, `run` being where the uncopied entries start.
+    let mut run = 0;
+    for (c, &i) in coarse.iter().enumerate() {
+        assert!(
+            p.row_cols(i) == [c] && p.row_vals(i) == [1.0],
+            "level {level}: coarse row {i} of P is not the unit row (column {c}, value 1)"
+        );
+        let at = p.rowptr()[i];
+        colidx.extend_from_slice(&p.colidx()[run..at]);
+        values.extend_from_slice(&p.values()[run..at]);
+        run = at + 1;
+    }
+    colidx.extend_from_slice(&p.colidx()[run..]);
+    values.extend_from_slice(&p.values()[run..]);
+    // Every coarse row is one entry, and point `i`, the `k`-th fine one,
+    // has `i − k` of them before it.
+    let ends = fine.iter().enumerate();
+    let rowptr = std::iter::once(0)
+        .chain(ends.map(|(k, &i)| p.rowptr()[i + 1] - (i - k)))
         .collect();
-    let lo = p.rowptr()[nc];
-    Csr::from_parts_unchecked(
-        n - nc,
-        p.ncols(),
-        rowptr,
-        p.colidx()[lo..].to_vec(),
-        p.values()[lo..].to_vec(),
-    )
+    Csr::from_parts_unchecked(n - nc, p.ncols(), rowptr, colidx, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use famg_matgen::{laplace2d, laplace3d_7pt};
+    use famg_sparse::permute::cf_permutation;
 
     #[test]
     fn builds_multiple_levels_opt() {
@@ -684,17 +662,42 @@ mod tests {
         assert!(h.num_levels() <= 3);
     }
 
+    /// `P` on the raw ordering C F C F: rows 0 and 2 are the unit rows of
+    /// coarse columns 0 and 1.
+    fn interleaved_p(coarse_row_2: (usize, f64)) -> (Csr, Permutation) {
+        let (c, v) = coarse_row_2;
+        let fine = vec![(1, 0, 0.5), (1, 1, 0.5), (3, 1, 0.25)];
+        let p = Csr::from_triplets(4, 2, [vec![(0, 0, 1.0), (2, c, v)], fine].concat());
+        let (perm, nc) = cf_permutation(&[true, false, true, false]);
+        assert_eq!(nc, 2);
+        (p, perm)
+    }
+
     #[test]
     fn coarse_block_identity_extraction() {
-        let p = Csr::from_triplets(
-            4,
-            2,
-            vec![(0, 0, 1.0), (1, 1, 1.0), (2, 0, 0.5), (3, 1, 0.25)],
-        );
-        let pf = extract_fine_block(&p, 2);
-        assert_eq!(pf.nrows(), 2);
-        assert_eq!(pf.get(0, 0), Some(0.5));
+        let (p, perm) = interleaved_p((1, 1.0));
+        let pf = extract_fine_block(&p, &perm, 2, 0);
+        assert_eq!((pf.nrows(), pf.ncols(), pf.nnz()), (2, 2, 3));
+        assert_eq!(pf.row_cols(0), p.row_cols(1));
+        assert_eq!(pf.row_vals(0), p.row_vals(1));
         assert_eq!(pf.get(1, 1), Some(0.25));
+    }
+
+    // `debug_assert!` once stood here: a release build dropped whatever a
+    // builder wrote into a coarse row (`scripts/check.sh` runs this with
+    // `--release`).
+    #[test]
+    #[should_panic(expected = "level 3: coarse row 2 of P is not the unit row")]
+    fn coarse_row_that_is_not_the_unit_row_panics() {
+        let (p, perm) = interleaved_p((1, 0.5));
+        extract_fine_block(&p, &perm, 2, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "level 0: coarse row 2 of P is not the unit row")]
+    fn coarse_row_numbered_off_the_permutation_panics() {
+        let (p, perm) = interleaved_p((0, 1.0));
+        extract_fine_block(&p, &perm, 2, 0);
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! builder, truncation's rescale included, and on inputs that induce the
 //! same frozen decisions the result is bitwise identical to
 //! `extended_i(a, s, cf, trunc)`. The tape holds index streams only; the
-//! operator is the caller's. The decisions frozen into the tape (beyond
-//! the sparsity pattern itself) are:
+//! operator is the caller's, and its positions are positions in that
+//! operator's value array: the hierarchy captures and replays on a level's
+//! raw operator, never on the CF-permuted copy. The decisions frozen into
+//! the tape (beyond the sparsity pattern itself) are:
 //!
 //! * the sign filter `ā_kl = a_kl` iff `sign(a_kl) ≠ sign(a_kk)`,
 //! * the zero-denominator lump `b_ik == 0`,
@@ -123,6 +125,26 @@ impl TapePart {
             em_keep: Vec::new(),
             row_cols: Vec::new(),
         }
+    }
+
+    /// Gives back what the streams' doubling growth reserved beyond their
+    /// lengths (about a third of a tape): a frozen setup keeps its tapes.
+    fn trim(&mut self) {
+        self.nslots.shrink_to_fit();
+        self.at_ptr.shrink_to_fit();
+        self.at_idx.shrink_to_fit();
+        self.dn_ptr.shrink_to_fit();
+        self.dn_idx.shrink_to_fit();
+        self.dn_slot.shrink_to_fit();
+        self.k_ptr.shrink_to_fit();
+        self.kops.shrink_to_fit();
+        self.bik_idx.shrink_to_fit();
+        self.dist_idx.shrink_to_fit();
+        self.dist_slot.shrink_to_fit();
+        self.em_ptr.shrink_to_fit();
+        self.em_slot.shrink_to_fit();
+        self.em_keep.shrink_to_fit();
+        self.row_cols = Vec::new();
     }
 
     /// Recomputes this block's fine-row weights from `av` into `values`
@@ -280,7 +302,8 @@ impl ExtITape {
     /// trunc)`, it is the same kernel run — and records its numeric
     /// circuit, kept set included, on the way.
     pub fn capture(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> (Csr, ExtITape) {
-        let (p, parts) = build(a, s, cf, 0..a.nrows(), trunc, TapePart::new);
+        let (p, mut parts) = build(a, s, cf, 0..a.nrows(), trunc, TapePart::new);
+        parts.iter_mut().for_each(TapePart::trim);
         let max_slots = parts
             .iter()
             .flat_map(|p| &p.nslots)

@@ -60,9 +60,10 @@ use famg_sparse::Csr;
 /// `P_Fᵀ`, the CF-block read of `A_perm` inside the RAP kernel) are not
 /// encoded a second time: refresh runs the kernels the build ran.
 ///
-/// `s`, `stage1`, `final_c`, and `cf` are stored in the level's *builder*
-/// ordering (CF-permuted on the optimized path), i.e. exactly as the
-/// interpolation builders consumed them during the full build.
+/// `s`, `stage1`, `final_c`, `cf`, `p` and the tape are stored in the
+/// level's *raw* ordering on both paths: that of the operator the level was
+/// handed, which strength, coarsening and the interpolation builders read.
+/// The CF permutation touches only what RAP and the smoother read.
 ///
 /// [`Permutation`]: famg_sparse::permute::Permutation
 #[derive(Debug)]
@@ -320,6 +321,12 @@ impl Hierarchy {
             let current = done.last().map_or(a, |prev| &prev.rap);
             let fl = &mut rest[0];
             let nc = fl.cf.nc;
+            // --- Interpolation weights, on the raw ordering like the
+            // build's (the tape's positions are positions in `current`). ---
+            let interp_span = famg_prof::scope_at("interp", idx);
+            let p = refresh_interp(current, fl, idx, cfg);
+            drop(interp_span);
+            let p = p?;
             if cfg.opt.cf_reorder {
                 // --- Optimized path: reuse the frozen permutation. ---
                 let reorder_span = famg_prof::scope_at("cf_reorder", idx);
@@ -330,13 +337,8 @@ impl Hierarchy {
                 let ap = permute_symmetric(current, &perm);
                 drop(reorder_span);
 
-                let interp_span = famg_prof::scope_at("interp", idx);
-                let p_full = refresh_interp(&ap, fl, idx, cfg);
-                drop(interp_span);
-                let p_full = p_full?;
-
                 let extract_span = famg_prof::scope_at("extract_p", idx);
-                let pf = extract_fine_block(&p_full, nc);
+                let pf = extract_fine_block(&p, &perm, nc, idx);
                 let pft = transpose_par(&pf);
                 drop(extract_span);
 
@@ -359,11 +361,6 @@ impl Hierarchy {
                 });
             } else {
                 // --- Baseline path: original ordering throughout. ---
-                let interp_span = famg_prof::scope_at("interp", idx);
-                let p = refresh_interp(current, fl, idx, cfg);
-                drop(interp_span);
-                let p = p?;
-
                 let rap_span = famg_prof::scope_at("rap", idx);
                 let r = transpose_par(&p);
                 if cfg.opt.row_fused_rap {

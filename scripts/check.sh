@@ -95,6 +95,13 @@ cargo run -q --release -p famg-bench --bin comm_volume -- --smoke --out target/b
 echo "==> numeric-refresh regression test (release)"
 cargo test -q --release --test setup_refresh
 
+# A counting allocator around Hierarchy::build / build_frozen (high-water
+# <= 2.5x the operator), and the release-mode test that P's coarse rows are
+# unit rows where P_F is taken (a debug_assert! until PR 24).
+echo "==> setup memory high-water + P = [I; P_F] guard (release)"
+cargo test -q --release --test setup_peak_bytes
+cargo test -q --release -p famg-core --lib hierarchy::tests::coarse_
+
 echo "==> numeric-refresh bench smoke (asserts refresh >= 2x full setup)"
 cargo run -q --release -p famg-bench --bin setup_refresh -- --smoke --out target/bench
 

@@ -6,8 +6,8 @@
 //! re-executes this test binary as subprocesses with `RAYON_NUM_THREADS`
 //! set to 1, 2, and 4, runs [`fingerprint_worker`] in each, and compares
 //! the printed fingerprints. Covered: SpGEMM, fused RAP, parallel
-//! transpose, strength, PMIS, the CF permutation, extended+i (builder, tape
-//! capture and replay), hybrid-GS and Jacobi sweeps (task counts
+//! transpose, strength, PMIS (symmetric and directed strength graphs), the
+//! CF permutation, extended+i (builder, tape capture and replay), hybrid-GS and Jacobi sweeps (task counts
 //! pinned — the task decomposition is part of the numerical method),
 //! end-to-end AMG solves (`smoother_tasks` pinned), the parallel sort,
 //! and the fused residual/dot reductions.
@@ -21,7 +21,7 @@ use famg::core::reorder::cf_reorder;
 use famg::core::smoother::{Smoother, Workspace};
 use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver};
-use famg::matgen::{laplace2d, laplace3d_27pt};
+use famg::matgen::{laplace2d, laplace3d_27pt, reservoir_field, varcoef3d_7pt};
 use famg::sparse::permute::permute_symmetric;
 use famg::sparse::spgemm::spgemm_one_pass;
 use famg::sparse::transpose::{transpose, transpose_par};
@@ -81,6 +81,32 @@ fn fp_setup_kernels() -> u64 {
     let coarse = pmis(&s, 1);
     let h = hash_csr(FNV_SEED, &s);
     hash_u64s(h, coarse.is_coarse.iter().map(|&c| u64::from(c)))
+}
+
+/// PMIS flags the ends of strength edges from whichever row stores them,
+/// in parallel: the splitting is a set, so it must not depend on who
+/// flagged first. Symmetric and asymmetric strength, three seeds each.
+fn fp_pmis() -> u64 {
+    let k = reservoir_field(14, 12, 10, 4, 2.0, 2, 2026);
+    // Not the strength matrix of anything: a directed graph (no loops)
+    // with out-only, in-only and isolated points.
+    let mut rng = FuzzRng::new(0xC0A2);
+    let n = 4000;
+    let edges = (0..2 * n).map(|_| (rng.below(n), rng.below(n), -1.0));
+    let directed = Csr::from_triplets(n, n, edges.filter(|e| e.0 != e.1));
+    let strengths = [
+        strength(&laplace2d(80, 70), 0.25, 0.8),
+        strength(&varcoef3d_7pt(14, 12, 10, &k), 0.25, 0.8),
+        strength(&laplace3d_27pt(16, 15, 14), 0.25, 0.8),
+        directed,
+    ];
+    let mut h = FNV_SEED;
+    for s in &strengths {
+        for seed in [1, 7, 2026] {
+            h = hash_u64s(h, pmis(s, seed).is_coarse.iter().map(|&c| u64::from(c)));
+        }
+    }
+    h
 }
 
 /// `(interp, interp_capture)`: the second hashes what the truncating
@@ -199,6 +225,7 @@ fn fp_sort_and_reductions() -> u64 {
 fn fingerprint_worker() {
     println!("FP spgemm_rap_transpose {:016x}", fp_spgemm_rap_transpose());
     println!("FP setup_kernels {:016x}", fp_setup_kernels());
+    println!("FP pmis {:016x}", fp_pmis());
     let (interp, interp_capture) = fp_interp();
     println!("FP interp {interp:016x}");
     println!("FP interp_capture {interp_capture:016x}");
@@ -233,8 +260,8 @@ fn collect_fingerprints(num_threads: usize) -> Vec<(String, String)> {
         .collect();
     assert_eq!(
         fps.len(),
-        7,
-        "expected 7 fingerprint lines from subprocess, got:\n{stdout}"
+        8,
+        "expected 8 fingerprint lines from subprocess, got:\n{stdout}"
     );
     fps
 }

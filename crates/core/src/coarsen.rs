@@ -44,7 +44,7 @@ pub struct Coarsening {
 }
 
 impl Coarsening {
-    fn from_marker(is_coarse: Vec<bool>) -> Self {
+    pub(crate) fn from_marker(is_coarse: Vec<bool>) -> Self {
         let ncoarse = is_coarse.iter().filter(|&&c| c).count();
         Coarsening { is_coarse, ncoarse }
     }

@@ -21,7 +21,7 @@ use crate::interp::{
     TruncParams,
 };
 use crate::params::{AmgConfig, CoarsenKind, InterpKind, SmootherKind};
-use crate::refresh::{FrozenLevel, FrozenSetup};
+use crate::refresh::{FrozenInterp, FrozenLevel, FrozenSetup, Rerun};
 use crate::reorder::cf_reorder;
 use crate::smoother::Smoother;
 use crate::stats::{PhaseTimes, SetupStats};
@@ -35,7 +35,7 @@ use famg_sparse::Csr;
 use std::borrow::Cow;
 
 /// Grid-transfer operators between a level and the next coarser one.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum TransferOps {
     /// Baseline representation: the full `n × nc` interpolation operator
     /// (identity rows interleaved). `r` is `Pᵀ`, kept only under the
@@ -141,13 +141,11 @@ pub(crate) fn build_smoother(
 /// (a refreshable build), the replay tape of an extended+i level: the
 /// recording run *is* that level's build. It truncates row by row, which
 /// is the operator `truncate_matrix` returns when `fused_truncation` is off.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_interp(
     a: &Csr,
     s: &Csr,
     cf: &CfMap,
     stage1: Option<&Coarsening>,
-    final_c: &Coarsening,
     kind: InterpKind,
     cfg: &AmgConfig,
     record: bool,
@@ -179,12 +177,13 @@ pub(crate) fn build_interp(
             } else {
                 SpgemmKernel::TwoPass
             };
+            let final_c = Coarsening::from_marker(cf.is_coarse.clone());
             // Two-stage truncates at every stage by definition.
             let p = two_stage_extended_i(
                 a,
                 s,
                 stage1,
-                final_c,
+                &final_c,
                 cfg.strength_threshold,
                 cfg.max_row_sum,
                 Some(&t),
@@ -347,14 +346,15 @@ impl Hierarchy {
             let cf = CfMap::new(coarsening.is_coarse.clone());
             let recording = capture.is_some();
             let s1 = stage1.as_ref();
-            let (p, tape) = build_interp(&current, &s, &cf, s1, &coarsening, ikind, cfg, recording);
+            let (p, tape) = build_interp(&current, &s, &cf, s1, ikind, cfg, recording);
             drop(interp_span);
             stats.interp_nnz.push(p.nnz());
-            // `S` is done with: freed before the level's largest allocations,
-            // or kept as a copy of its length (`strength_seq` reserves nnz(A)).
-            let s_kept = recording.then(|| {
+            // `S` is done with: freed before the level's largest allocations.
+            // A builder's frozen level keeps a copy of its length
+            // (`strength_seq` reserves nnz(A)); a tape level keeps none.
+            let rerun = (recording && tape.is_none()).then(|| {
                 let _span = famg_prof::scope_at("capture", lvl_idx);
-                s.clone()
+                (s.clone(), stage1, cf)
             });
             drop(s);
             #[cfg(feature = "validate")]
@@ -363,7 +363,7 @@ impl Hierarchy {
                 validate_level(lvl_idx, a_raw, &coarsening.is_coarse, &p, next, exact);
             };
 
-            let (a_level, perm, ops, smoother, next, p_kept) = if cfg.opt.cf_reorder {
+            let (a_level, perm, ops, smoother, next, p_left) = if cfg.opt.cf_reorder {
                 // --- Optimized path: permute `A` coarse-first, once; the
                 // raw one is then done with (`validate` checks RAP on it). ---
                 let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
@@ -411,19 +411,22 @@ impl Hierarchy {
                 let smoother = build_smoother(&mut cur, nc, Some(&coarsening.is_coarse), cfg);
                 let r = cfg.opt.keep_transpose.then_some(r);
                 drop(smoother_span);
-                let p_kept = recording.then(|| p.clone());
+                let p_left = rerun.is_some().then(|| p.clone());
                 let ops = TransferOps::Full { p, r };
-                (cur, None, ops, smoother, next, p_kept)
+                (cur, None, ops, smoother, next, p_left)
             };
-            if let (Some(cap), Some(s), Some(p)) = (capture.as_deref_mut(), s_kept, p_kept) {
+            let interp = match (tape, rerun, p_left) {
+                (Some(tape), ..) => Some(FrozenInterp::Tape(tape)),
+                (None, Some((s, stage1, cf)), Some(p)) => {
+                    Some(FrozenInterp::Rerun(Rerun { s, stage1, cf, p }))
+                }
+                _ => None,
+            };
+            if let (Some(cap), Some(interp)) = (capture.as_deref_mut(), interp) {
                 let _span = famg_prof::scope_at("capture", lvl_idx);
                 cap.push(FrozenLevel {
-                    s,
-                    stage1,
-                    final_c: coarsening,
-                    cf,
-                    p,
-                    tape,
+                    interp,
+                    nc,
                     rap: next.clone(),
                 });
             }

@@ -87,13 +87,13 @@ pub(super) trait Sink: Send {
     fn diag_term(&mut self, _pos: usize) {}
     /// `num[slot] += a[pos]` (`a_ij`, `j ∈ Ĉ_i`).
     fn direct_term(&mut self, _pos: usize, _slot: usize) {}
-    /// `b_ik += a[pos]`.
-    fn bik_term(&mut self, _pos: usize) {}
     /// `num[slot] += (a_ik / b_ik) · a[pos]`.
     fn dist_term(&mut self, _pos: usize, _slot: usize) {}
     /// Closes strong fine neighbour `k` (`a_ik` at `aik`). `lumped` means
-    /// `b_ik == 0`: its `bik_term`s are void and `ã_ii += a[aik]`.
-    /// Otherwise `ã_ii += (a_ik / b_ik) · a[abar]`, `abar` absent ⇒ 0.
+    /// `b_ik == 0`: `ã_ii += a[aik]` and no `dist_term` was reported.
+    /// Otherwise `b_ik` summed, in row-`k` order, the positions of this
+    /// neighbour's `dist_term`s and `ā_ki` at `abar` where it falls, and
+    /// `ã_ii += (a_ik / b_ik) · a[abar]`, `abar` absent ⇒ 0.
     fn end_neighbour(&mut self, _aik: usize, _abar: Option<usize>, _lumped: bool) {}
     /// Numerator `slot` is emitted as the row's next weight, in column
     /// `col` of `P`.
@@ -320,14 +320,13 @@ fn fine_row<K: Sink>(
         // between the view entries stored before and after it).
         let (before, after) =
             opp.split_at(abar_pos.map_or(opp.len(), |p| opp.partition_point(|e| e.pos < p)));
-        let mut bik = sum_members(0.0, before, sc, stamp, sink);
+        let mut bik = sum_members(0.0, before, sc, stamp);
         let mut abar_ki = 0.0f64;
         if let Some(p) = abar_pos {
             abar_ki = av[p];
             bik += abar_ki;
-            sink.bik_term(p);
         }
-        bik = sum_members(bik, after, sc, stamp, sink);
+        bik = sum_members(bik, after, sc, stamp);
         sc.visited += opp.len();
         if bik == 0.0 {
             // Nothing to distribute to: lump a_ik (HYPRE's guard
@@ -350,18 +349,12 @@ fn fine_row<K: Sink>(
     atilde
 }
 
-/// `acc + Σ ā_kl` over the members of `Ĉ_i` in `seg`, in order.
-fn sum_members<K: Sink>(
-    mut acc: f64,
-    seg: &[Opp],
-    sc: &Scratch,
-    stamp: usize,
-    sink: &mut K,
-) -> f64 {
+/// `acc + Σ ā_kl` over the members of `Ĉ_i` in `seg`, in order — the
+/// entries the distribution loop below visits.
+fn sum_members(mut acc: f64, seg: &[Opp], sc: &Scratch, stamp: usize) -> f64 {
     for e in seg {
         if sc.chat_stamp[e.col] == stamp {
             acc += e.val;
-            sink.bik_term(e.pos);
         }
     }
     acc

@@ -6,9 +6,9 @@
 //! of those decisions is fixed, and the weight computation collapses to a
 //! straight-line arithmetic circuit over `A`'s value array. [`ExtITape`]
 //! records that circuit at freeze time — for each accumulation the builder
-//! performs, the nnz index it reads — and [`ExtITape::replay`] re-executes
-//! it against new values with no hashing, no marker stamping, and no
-//! per-row allocation.
+//! performs, the nnz index it reads — and replay re-executes it against new
+//! values, writing the kept weights in place into the level's `P_F`, with no
+//! hashing, no marker stamping, and no per-row allocation.
 //!
 //! Capture *is* the build: the builder's own row kernel run once with a
 //! recording sink (one [`TapePart`] per parallel row block), returning the
@@ -38,23 +38,26 @@ use famg_sparse::Csr;
 
 /// One distribution term: `k` is a strong fine neighbour of the row.
 ///
-/// An empty `b_ik` index range encodes the frozen lump decision
-/// (`b_ik == 0` at capture): replay adds `a[aik]` straight into the
-/// diagonal. Otherwise replay computes `coef = a[aik] / Σ a[bik…]`, adds
-/// `coef · a[abar]` to the diagonal, and distributes `coef · a[l]` to the
-/// recorded numerator slots.
+/// Its `dist_*` terms are `b_ik`'s, in row-`k` order: each `ā_kl`,
+/// `l ∈ Ĉ_i`, and `ā_ki` where it falls, in the [`SPARE`] slot. An empty
+/// range encodes the frozen lump decision (`b_ik == 0` at capture): replay
+/// adds `a[aik]` straight into the diagonal. Otherwise replay sums
+/// `b_ik`, computes `coef = a[aik] / b_ik`, adds `coef · a[abar]` to the
+/// diagonal and `coef · a[l]` to each term's slot.
 #[derive(Debug, Clone, Copy)]
 struct KOp {
     /// nnz index of `a_ik` in the row of `i`.
     aik: u32,
     /// nnz index of `ā_ki` in row `k` (`u32::MAX` when absent → 0.0).
     abar: u32,
-    /// Exclusive end of this op's `b_ik` term indices in `bik_idx`
-    /// (start = previous op's end; ops are laid out in replay order).
-    bik_end: u32,
-    /// Exclusive end of this op's distribution terms in `dist_*`.
+    /// Exclusive end of this op's terms in `dist_*` (start = previous
+    /// op's end; ops are laid out in replay order).
     dist_end: u32,
 }
+
+/// The numerator slot `ā_ki`'s distribution term adds into and nothing
+/// reads: numerator `s` of a row is stored as slot `s + 1`.
+const SPARE: u32 = 0;
 
 /// The circuit of one contiguous block of rows, recorded by the row
 /// kernel through [`Sink`].
@@ -84,10 +87,8 @@ struct TapePart {
     k_ptr: Vec<u32>,
     kops: Vec<KOp>,
     /// `b_ik` term nnz indices (row-`k` scan order, `l = i` included).
-    bik_idx: Vec<u32>,
-    /// Distribution term nnz indices (row-`k` scan order, `l ≠ i`).
     dist_idx: Vec<u32>,
-    /// Numerator slot each distribution term adds into.
+    /// Numerator slot each term adds into ([`SPARE`] for `ā_ki`).
     dist_slot: Vec<u32>,
     /// Per-row range into `em_slot`/`em_keep`.
     em_ptr: Vec<u32>,
@@ -117,7 +118,6 @@ impl TapePart {
             dn_slot: Vec::new(),
             k_ptr: vec![0],
             kops: Vec::new(),
-            bik_idx: Vec::new(),
             dist_idx: Vec::new(),
             dist_slot: Vec::new(),
             em_ptr: vec![0],
@@ -138,7 +138,6 @@ impl TapePart {
         self.dn_slot.shrink_to_fit();
         self.k_ptr.shrink_to_fit();
         self.kops.shrink_to_fit();
-        self.bik_idx.shrink_to_fit();
         self.dist_idx.shrink_to_fit();
         self.dist_slot.shrink_to_fit();
         self.em_ptr.shrink_to_fit();
@@ -147,28 +146,35 @@ impl TapePart {
         self.row_cols = Vec::new();
     }
 
-    /// Recomputes this block's fine-row weights from `av` into `values`
-    /// (laid out like `p`'s); `num` is scratch of `max_slots` entries.
+    /// Recomputes this block's fine-row weights from `av` and writes the
+    /// kept ones of point `i` into row `row(i)` of the operator `rowptr`
+    /// and `values` lay out; `num` is scratch of `max_slots + 1` entries.
     /// `rescale` repeats `truncate_row`'s: `sum_before` adds every emitted
     /// weight in emit order, `sum_after` the kept ones in theirs.
-    fn replay(&self, av: &[f64], p: &Csr, values: &mut [f64], num: &mut [f64], rescale: bool) {
-        // Running cursors into the KOp sub-streams.
-        let mut cb = 0usize;
+    fn replay(
+        &self,
+        av: &[f64],
+        rowptr: &[usize],
+        values: &mut [f64],
+        row: &impl Fn(usize) -> usize,
+        num: &mut [f64],
+        rescale: bool,
+    ) {
+        // Running cursor into the distribution terms.
         let mut cd = 0usize;
         for r in 0..self.nslots.len() {
             let kr = self.k_ptr[r] as usize..self.k_ptr[r + 1] as usize;
             let er = self.em_ptr[r] as usize..self.em_ptr[r + 1] as usize;
             if er.is_empty() {
                 // Coarse identity row, empty row, or frozen-dead row:
-                // values come from the template; skip the cursors past
-                // any recorded (unemitted) work.
+                // nothing to write; skip the cursor past any recorded
+                // (unemitted) work.
                 if let Some(last) = self.kops[kr.clone()].last() {
-                    cb = last.bik_end as usize;
                     cd = last.dist_end as usize;
                 }
                 continue;
             }
-            for s in &mut num[..self.nslots[r] as usize] {
+            for s in &mut num[..=self.nslots[r] as usize] {
                 *s = 0.0;
             }
             let mut atilde = 0.0f64;
@@ -180,19 +186,15 @@ impl TapePart {
                 num[sl as usize] += av[ix as usize];
             }
             for op in &self.kops[kr] {
-                let b0 = cb;
-                cb = op.bik_end as usize;
-                let d0 = cd;
-                cd = op.dist_end as usize;
-                if b0 == cb {
+                let dr = cd..op.dist_end as usize;
+                cd = dr.end;
+                if dr.is_empty() {
                     // Frozen lump.
                     atilde += av[op.aik as usize];
                     continue;
                 }
-                let mut bik = 0.0f64;
-                for &ix in &self.bik_idx[b0..cb] {
-                    bik += av[ix as usize];
-                }
+                let terms = &self.dist_idx[dr.clone()];
+                let bik = terms.iter().fold(0.0f64, |b, &ix| b + av[ix as usize]);
                 let coef = av[op.aik as usize] / bik;
                 let abar = if op.abar == u32::MAX {
                     0.0
@@ -200,11 +202,11 @@ impl TapePart {
                     av[op.abar as usize]
                 };
                 atilde += coef * abar;
-                for (&ix, &sl) in self.dist_idx[d0..cd].iter().zip(&self.dist_slot[d0..cd]) {
+                for (&ix, &sl) in terms.iter().zip(&self.dist_slot[dr]) {
                     num[sl as usize] += coef * av[ix as usize];
                 }
             }
-            let row0 = p.row_range(self.first_row + r).start;
+            let row0 = rowptr[row(self.first_row + r)];
             let mut end = row0;
             let mut sum_before = 0.0f64;
             for (&sl, &keep) in self.em_slot[er.clone()].iter().zip(&self.em_keep[er]) {
@@ -232,34 +234,32 @@ impl Sink for TapePart {
 
     fn direct_term(&mut self, pos: usize, slot: usize) {
         self.dn_idx.push(idx(pos));
-        self.dn_slot.push(idx(slot));
-    }
-
-    fn bik_term(&mut self, pos: usize) {
-        self.bik_idx.push(idx(pos));
+        self.dn_slot.push(idx(slot + 1));
     }
 
     fn dist_term(&mut self, pos: usize, slot: usize) {
         self.dist_idx.push(idx(pos));
-        self.dist_slot.push(idx(slot));
+        self.dist_slot.push(idx(slot + 1));
     }
 
     fn end_neighbour(&mut self, aik: usize, abar: Option<usize>, lumped: bool) {
-        if lumped {
-            // Frozen lump decision: empty b_ik range.
-            let op_start = self.kops.last().map_or(0, |op| op.bik_end as usize);
-            self.bik_idx.truncate(op_start);
+        // This op's terms ascend in row `k`, as `b_ik` sums: `ā_ki` goes
+        // between those stored before and after it.
+        let d0 = self.kops.last().map_or(0, |op| op.dist_end as usize);
+        if let (Some(p), false) = (abar, lumped) {
+            let at = d0 + self.dist_idx[d0..].partition_point(|&ix| (ix as usize) < p);
+            self.dist_idx.insert(at, idx(p));
+            self.dist_slot.insert(at, SPARE);
         }
         self.kops.push(KOp {
             aik: idx(aik),
             abar: abar.map_or(u32::MAX, idx),
-            bik_end: idx(self.bik_idx.len()),
             dist_end: idx(self.dist_idx.len()),
         });
     }
 
     fn emit(&mut self, slot: usize, col: usize) {
-        self.em_slot.push(idx(slot));
+        self.em_slot.push(idx(slot + 1));
         self.row_cols.push(col);
     }
 
@@ -283,12 +283,13 @@ impl Sink for TapePart {
 #[derive(Debug)]
 pub struct ExtITape {
     /// `(nrows, nnz)` of the captured operand and `nnz` of the operator
-    /// built from it, checked by [`ExtITape::replay`] before it indexes.
-    a_shape: (usize, usize),
-    p_nnz: usize,
+    /// built from it, checked by [`ExtITape::replay`] and the refresh's
+    /// guard before anything indexes.
+    pub(crate) a_shape: (usize, usize),
+    pub(crate) p_nnz: usize,
     /// Whether capture truncated, i.e. whether replay rescales row sums.
     rescale: bool,
-    /// Largest `nslots`, sizing the replay scratch.
+    /// Largest `nslots`, sizing the replay scratch (beside [`SPARE`]).
     max_slots: usize,
     parts: Vec<TapePart>,
 }
@@ -320,10 +321,9 @@ impl ExtITape {
     }
 
     /// Re-executes the frozen circuit against `a`'s values over `p`, the
-    /// operator capture returned: its values seed the result (coarse
-    /// identity rows keep their 1.0), every kept fine weight is rewritten.
-    /// Row and nonzero counts are checked here; that `a` has the captured
-    /// layout is the refresh path's finest-level guard.
+    /// operator capture returned: a copy of `p` with every kept fine weight
+    /// rewritten (coarse identity rows keep their 1.0). Row and nonzero
+    /// counts of both arguments are checked here.
     pub fn replay(&self, a: &Csr, p: &Csr) -> Result<Csr, TapeMismatch> {
         if (a.nrows(), a.nnz()) != self.a_shape {
             return Err(TapeMismatch("extended+i tape operand"));
@@ -332,11 +332,21 @@ impl ExtITape {
             return Err(TapeMismatch("extended+i tape pattern"));
         }
         let mut out = p.clone();
-        let mut num = vec![0.0f64; self.max_slots];
-        for part in &self.parts {
-            part.replay(a.values(), p, out.values_mut(), &mut num, self.rescale);
-        }
+        self.replay_into(a, &mut out, |i| i);
         Ok(out)
+    }
+
+    /// Writes each kept fine weight of point `i`, recomputed from `a`'s
+    /// values, in place into row `row(i)` of `out`: the operator capture
+    /// built (`row` the identity) or its fine rows in point order (`P_F`,
+    /// `row(i) = perm(i) − nc`). Nothing else is touched; the caller has
+    /// checked the shapes, as [`ExtITape::replay`] does.
+    pub(crate) fn replay_into(&self, a: &Csr, out: &mut Csr, row: impl Fn(usize) -> usize) {
+        let (rowptr, _, values) = out.pattern_and_values_mut();
+        let mut num = vec![0.0f64; self.max_slots + 1];
+        for part in &self.parts {
+            part.replay(a.values(), rowptr, values, &row, &mut num, self.rescale);
+        }
     }
 }
 

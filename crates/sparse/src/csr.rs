@@ -231,7 +231,7 @@ impl Csr {
     /// The frozen pattern (`rowptr`, `colidx`) beside the mutable values,
     /// for the numeric-only kernels that re-fill a matrix in place.
     #[inline]
-    pub(crate) fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
         (&self.rowptr, &self.colidx, &mut self.values)
     }
 

@@ -96,11 +96,17 @@ echo "==> numeric-refresh regression test (release)"
 cargo test -q --release --test setup_refresh
 
 # A counting allocator around Hierarchy::build / build_frozen (high-water
-# <= 2.5x the operator), and the release-mode test that P's coarse rows are
-# unit rows where P_F is taken (a debug_assert! until PR 24).
-echo "==> setup memory high-water + P = [I; P_F] guard (release)"
+# <= 2.5x the operator) and around a second refresh (the refresh pin: its
+# high-water <= 0.25x the operator, as it rewrites the hierarchy in place);
+# the release-mode test that P's coarse rows are unit rows where P_F is
+# taken (a release assert, not a debug_assert!); and the refresh unit tests —
+# transactional errors across the commit point, a panic mid-refresh, a
+# frozen setup of another hierarchy — where the in-place path runs in
+# production.
+echo "==> setup + refresh memory high-water, P = [I; P_F] guard, refresh contract (release)"
 cargo test -q --release --test setup_peak_bytes
 cargo test -q --release -p famg-core --lib hierarchy::tests::coarse_
+cargo test -q --release -p famg-core --lib refresh::
 
 echo "==> numeric-refresh bench smoke (asserts refresh >= 2x full setup)"
 cargo run -q --release -p famg-bench --bin setup_refresh -- --smoke --out target/bench

@@ -1,6 +1,5 @@
 //! Smoother microbenchmarks (§3.2): baseline hybrid GS (Fig. 2a) vs the
-//! reordered kernel (Fig. 2b), plus Jacobi, level-scheduled
-//! lexicographic GS, and multicolor GS.
+//! reordered kernel (Fig. 2b).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use famg_core::coarsen::pmis;
@@ -24,9 +23,6 @@ fn bench_smoothers(c: &mut Criterion) {
 
     let base = Smoother::hybrid_base(&ap_for_base, (0..n).map(|i| i < ord.nc).collect(), nthreads);
     let opt = Smoother::hybrid_opt(&mut ap, ord.nc, nthreads);
-    let jac = Smoother::jacobi(&ap_for_base, 2.0 / 3.0);
-    let lex = Smoother::lexicographic(&ap_for_base);
-    let mc = Smoother::multicolor(&ap_for_base);
 
     let b = vec![1.0; n];
     let mut x = vec![0.0; n];
@@ -37,15 +33,6 @@ fn bench_smoothers(c: &mut Criterion) {
     });
     g.bench_function("hybrid_opt_fig2b", |bch| {
         bch.iter(|| opt.pre_smooth(&ap, &b, black_box(&mut x), &mut ws, false));
-    });
-    g.bench_function("jacobi", |bch| {
-        bch.iter(|| jac.pre_smooth(&ap_for_base, &b, black_box(&mut x), &mut ws, false));
-    });
-    g.bench_function("lexicographic_level_scheduled", |bch| {
-        bch.iter(|| lex.pre_smooth(&ap_for_base, &b, black_box(&mut x), &mut ws, false));
-    });
-    g.bench_function("multicolor", |bch| {
-        bch.iter(|| mc.pre_smooth(&ap_for_base, &b, black_box(&mut x), &mut ws, false));
     });
     g.finish();
 }

@@ -11,7 +11,6 @@
 //! ordering.
 
 use crate::hierarchy::{Hierarchy, TransferOps};
-use crate::params::CycleKind;
 use crate::smoother::Workspace;
 use famg_sparse::counters::flops;
 use famg_sparse::multivec::{gather_col, scatter_col};
@@ -126,11 +125,10 @@ pub fn vcycle_batch(h: &Hierarchy, b: &MultiVec, x: &mut MultiVec, ws: &mut Cycl
 pub fn vcycle_rows(h: &Hierarchy, b: &[f64], x: &mut [f64], k: usize, ws: &mut CycleWorkspace) {
     debug_assert_eq!(ws.k, k, "cycle workspace allocated for another width");
     if k != 0 {
-        cycle_level(h, 0, b, x, k, ws, false, h.config.cycle);
+        cycle_level(h, 0, b, x, k, ws, false);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn cycle_level(
     h: &Hierarchy,
     level: usize,
@@ -139,7 +137,6 @@ fn cycle_level(
     k: usize,
     ws: &mut CycleWorkspace,
     x_is_zero: bool,
-    kind: CycleKind,
 ) {
     let _lvl_span = famg_prof::scope_at("vcycle", level);
     let lvl = &h.levels[level];
@@ -237,9 +234,8 @@ fn cycle_level(
         q.apply_rows_into(&scratch[..nc * k], k, &mut bc);
     }
 
-    // Recurse with zero guess; W/F cycles revisit the coarse level. A
-    // permuted child iterates in the scratch block and is gathered back
-    // out of its ordering into `xc`.
+    // Recurse with zero guess. A permuted child iterates in the scratch
+    // block and is gathered back out of its ordering into `xc`.
     let mut xc = std::mem::take(&mut ws.xc[level]);
     let child_x = if child_perm.is_some() {
         &mut scratch[..nc * k]
@@ -247,13 +243,7 @@ fn cycle_level(
         &mut xc[..]
     };
     child_x.fill(0.0);
-    cycle_level(h, level + 1, &bc, child_x, k, ws, true, kind);
-    match kind {
-        CycleKind::V => {}
-        CycleKind::W => cycle_level(h, level + 1, &bc, child_x, k, ws, false, kind),
-        // F-cycle: an F-recursion followed by a V-recursion.
-        CycleKind::F => cycle_level(h, level + 1, &bc, child_x, k, ws, false, CycleKind::V),
-    }
+    cycle_level(h, level + 1, &bc, child_x, k, ws, true);
     if let Some(q) = child_perm {
         let _s = famg_prof::scope_at("permute", level);
         q.unapply_rows_into(&scratch[..nc * k], k, &mut xc);
@@ -354,27 +344,5 @@ mod tests {
             prev = cur;
         }
         assert!(prev < 1e-4);
-    }
-
-    #[test]
-    fn w_and_f_cycles_converge_at_least_as_fast() {
-        use crate::params::CycleKind;
-        let a = laplace2d(24, 24);
-        let b = rhs::ones(a.nrows());
-        let res_of = |kind: CycleKind| {
-            let cfg = AmgConfig {
-                cycle: kind,
-                ..AmgConfig::single_node_paper()
-            };
-            run_cycles(&a, &cfg, &b, 4)
-        };
-        let v = res_of(CycleKind::V);
-        let w = res_of(CycleKind::W);
-        let f = res_of(CycleKind::F);
-        // Per-cycle, W and F do strictly more coarse work and must not be
-        // meaningfully worse than V.
-        assert!(w[3] <= v[3] * 1.2, "W {} vs V {}", w[3], v[3]);
-        assert!(f[3] <= v[3] * 1.2, "F {} vs V {}", f[3], v[3]);
-        assert!(w.iter().all(|&r| r.is_finite()));
     }
 }

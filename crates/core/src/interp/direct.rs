@@ -10,17 +10,12 @@
 //!
 //! with negative and positive connections scaled separately (positive
 //! off-diagonals, when no positive coarse connection exists, are lumped
-//! into the diagonal). Used standalone as the baseline operator and as
-//! pass 1 of multipass interpolation.
+//! into the diagonal). Pass 1 of multipass interpolation, serial and
+//! distributed.
 
 use super::common::{CfMap, RowBuilder, TruncParams};
 use famg_sparse::Csr;
 use std::ops::Range;
-
-/// Builds the direct interpolation operator (`n × nc`).
-pub fn direct(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> Csr {
-    direct_rows(a, s, cf, 0..a.nrows(), trunc)
-}
 
 /// Rows `rows` of the direct interpolation operator (`rows.len() × nc`).
 /// A row reads only itself and the C/F state of its neighbours, so the
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn coarse_rows_are_identity() {
         let (a, s, cf) = setup(8, 8);
-        let p = direct(&a, &s, &cf, None);
+        let p = direct_rows(&a, &s, &cf, 0..a.nrows(), None);
         assert_eq!(p.ncols(), cf.nc);
         for i in 0..a.nrows() {
             if cf.is_coarse[i] {
@@ -130,7 +125,7 @@ mod tests {
     #[test]
     fn weights_positive_and_bounded_on_laplacian() {
         let (a, s, cf) = setup(10, 10);
-        let p = direct(&a, &s, &cf, None);
+        let p = direct_rows(&a, &s, &cf, 0..a.nrows(), None);
         for i in 0..a.nrows() {
             for (_, w) in p.row_iter(i) {
                 assert!(w > 0.0 && w <= 1.0 + 1e-12, "weight {w} out of range");
@@ -143,7 +138,7 @@ mod tests {
         // For zero-row-sum rows (interior), direct interpolation is
         // exact on constants: Σ_j w_ij = 1.
         let (a, s, cf) = setup(12, 12);
-        let p = direct(&a, &s, &cf, None);
+        let p = direct_rows(&a, &s, &cf, 0..a.nrows(), None);
         for i in 0..a.nrows() {
             let row_sum: f64 = a.row_vals(i).iter().sum();
             if row_sum.abs() < 1e-12 && p.row_nnz(i) > 0 && !cf.is_coarse[i] {
@@ -160,7 +155,7 @@ mod tests {
             factor: 0.0,
             max_elements: 2,
         };
-        let p = direct(&a, &s, &cf, Some(&t));
+        let p = direct_rows(&a, &s, &cf, 0..a.nrows(), Some(&t));
         for i in 0..a.nrows() {
             assert!(p.row_nnz(i) <= 2);
         }

@@ -1,8 +1,7 @@
 //! Interpolation operator construction (§3.1.2).
 //!
-//! Four operators, matching Tables 3/4:
+//! Three operators, matching Tables 3/4:
 //!
-//! * [`direct`] — textbook direct (distance-1) interpolation,
 //! * [`extended_i`] — extended+i distance-2 interpolation (Eq. 1 of the
 //!   paper), the single-node default (`ei(4)`),
 //! * [`multipass`] — Stüben's multipass interpolation for aggressive
@@ -16,7 +15,6 @@
 //! so the operator takes the `[I; P_F]` form exploited by the CF-block
 //! RAP and the interpolation/restriction SpMVs.
 
-mod classical;
 mod common;
 mod direct;
 mod extended_i;
@@ -24,9 +22,8 @@ mod multipass;
 mod tape;
 mod two_stage;
 
-pub use classical::classical;
 pub use common::{truncate_matrix, truncate_row, CfMap, TruncParams};
-pub use direct::{direct, direct_rows};
+pub use direct::direct_rows;
 pub use extended_i::{extended_i, extended_i_rows, remote_entry_is_read};
 pub use multipass::{multipass, Multipass};
 pub use tape::{ExtITape, TapeMismatch};

@@ -231,7 +231,7 @@ mod tests {
         let c = pmis(&s, 5);
         let cf = CfMap::new(c.is_coarse);
         let mp = multipass(&a, &s, &cf, None);
-        let d = super::super::direct::direct(&a, &s, &cf, None);
+        let d = super::super::direct_rows(&a, &s, &cf, 0..a.nrows(), None);
         // Identical where direct has entries (pass-1 rows).
         for i in 0..a.nrows() {
             if d.row_nnz(i) > 0 {

@@ -355,11 +355,61 @@ mod tests {
     use super::super::extended_i;
     use super::*;
     use crate::coarsen::pmis;
-    use crate::refresh::project_onto_frozen;
     use crate::reorder::cf_reorder;
     use crate::strength::strength;
     use famg_matgen::{laplace3d_27pt, laplace3d_7pt, varcoef3d_7pt};
     use famg_sparse::permute::permute_symmetric;
+
+    /// Projects an untruncated interpolation operator onto a frozen
+    /// truncated pattern, replaying [`truncate_row`](super::super::truncate_row)'s
+    /// row-sum-preserving rescale over the frozen kept set: the oracle a
+    /// replay on drifted values is held to.
+    ///
+    /// When the new values would have led truncation to the same kept set,
+    /// this is bitwise identical to truncating from scratch (`sum_before`
+    /// accumulates the raw row in emit order, `sum_after` the kept entries
+    /// in frozen order — the exact same additions `truncate_row` performs).
+    /// When the kept set *would* have drifted, the frozen sparsity wins: the
+    /// result is still a consistent row-sum-preserving operator, just not
+    /// the one a from-scratch truncation would pick.
+    fn project_onto_frozen(raw: &Csr, frozen: &Csr) -> Csr {
+        let n = frozen.nrows();
+        debug_assert_eq!(raw.nrows(), n);
+        debug_assert_eq!(raw.ncols(), frozen.ncols());
+        let mut values = vec![0.0f64; frozen.nnz()];
+        // Row-stamped markers: position of each column in the raw row.
+        let mut stamp = vec![usize::MAX; frozen.ncols()];
+        let mut pos = vec![0usize; frozen.ncols()];
+        for i in 0..n {
+            for (k, &c) in raw.row_cols(i).iter().enumerate() {
+                stamp[c] = i;
+                pos[c] = k;
+            }
+            let rvals = raw.row_vals(i);
+            let sum_before: f64 = rvals.iter().sum();
+            let out = &mut values[frozen.row_range(i)];
+            let mut sum_after = 0.0f64;
+            for (o, &c) in out.iter_mut().zip(frozen.row_cols(i)) {
+                // A frozen entry the new weights no longer produce stays as
+                // an explicit zero (pattern is frozen by contract).
+                *o = if stamp[c] == i { rvals[pos[c]] } else { 0.0 };
+                sum_after += *o;
+            }
+            if sum_after != 0.0 && sum_before != 0.0 {
+                let scale = sum_before / sum_after;
+                for o in out.iter_mut() {
+                    *o *= scale;
+                }
+            }
+        }
+        Csr::from_parts_unchecked(
+            n,
+            frozen.ncols(),
+            frozen.rowptr().to_vec(),
+            frozen.colidx().to_vec(),
+            values,
+        )
+    }
 
     fn setup(a: &Csr, seed: u64) -> (Csr, CfMap) {
         let s = strength(a, 0.25, 0.8);

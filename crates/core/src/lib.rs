@@ -19,11 +19,11 @@
 //! * [`params`] — solver configuration mirroring the paper's Tables 3/4,
 //! * [`strength`] — classical strength-of-connection matrix,
 //! * [`coarsen`] — PMIS coarsening (plus aggressive second-pass PMIS),
-//! * [`interp`] — interpolation operators: direct, extended+i
-//!   (distance-2), multipass, and 2-stage extended+i,
+//! * [`interp`] — interpolation operators: extended+i (distance-2),
+//!   multipass, and 2-stage extended+i,
 //! * [`reorder`] — CF permutation plumbing and the intra-row GS partition,
-//! * [`smoother`] — Jacobi, hybrid Gauss-Seidel (baseline + optimized),
-//!   lexicographic level-scheduled GS, multicolor GS,
+//! * [`smoother`] — hybrid Gauss-Seidel (baseline Fig. 2a + optimized
+//!   Fig. 2b),
 //! * [`hierarchy`] — multigrid level construction (setup phase),
 //! * [`refresh`] — numeric-refresh setup over frozen pattern structure
 //!   for same-pattern operator sequences,
@@ -43,13 +43,12 @@ pub mod refresh;
 pub mod reorder;
 pub mod rng;
 pub mod smoother;
-pub mod smoother_ext;
 pub mod solver;
 pub mod stats;
 pub mod strength;
 
 pub use hierarchy::Hierarchy;
-pub use params::{AmgConfig, CoarsenKind, InterpKind, OptFlags, SmootherKind};
+pub use params::{AmgConfig, CoarsenKind, InterpKind, OptFlags};
 pub use refresh::{FrozenSetup, RefreshError};
 pub use solver::{AmgSolver, BatchSolveResult, SolveError, SolveResult};
 pub use stats::{PhaseTimes, SetupStats};

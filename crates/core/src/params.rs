@@ -1,16 +1,9 @@
 //! Solver configuration, mirroring the paper's Tables 3 and 4.
-
-/// Multigrid cycle type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CycleKind {
-    /// One coarse-grid correction per level (the paper's cycle).
-    V,
-    /// Two coarse-grid corrections per level (more robust, more work).
-    W,
-    /// Full-multigrid style: an F-recursion followed by a V-recursion at
-    /// each level.
-    F,
-}
+//!
+//! The solver runs what the paper runs: a V-cycle, C-F hybrid
+//! Gauss-Seidel (Fig. 2b, or Fig. 2a under `OptFlags::none()`), PMIS or
+//! aggressive PMIS, and the interpolations `ei(4)`, `mp` and `2s-ei(444)`.
+//! Only the choices that a workload or a figure varies are fields here.
 
 /// Coarsening algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,11 +20,6 @@ pub enum CoarsenKind {
 /// Interpolation operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterpKind {
-    /// Direct interpolation (distance-1, textbook baseline).
-    Direct,
-    /// Classical Ruge–Stüben interpolation (distance-1 with F-F
-    /// distribution through common coarse points).
-    Classical,
     /// Extended+i (distance-2) interpolation [De Sterck et al. 2008] —
     /// the paper's single-node default, `ei(4)` in Fig. 6/8.
     ExtendedI,
@@ -41,27 +29,6 @@ pub enum InterpKind {
     /// Two-stage extended+i for aggressive coarsening [Yang 2010] —
     /// `2s-ei(444)` in Fig. 6/8.
     TwoStageExtendedI,
-}
-
-/// Smoother used in the V-cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SmootherKind {
-    /// Weighted Jacobi (fully parallel).
-    Jacobi,
-    /// Hybrid Gauss-Seidel: GS within a parallel task, Jacobi across
-    /// tasks — the paper's default.
-    HybridGs,
-    /// Lexicographic Gauss-Seidel with level scheduling (wavefront
-    /// parallelism over the dependency DAG).
-    LexicographicGs,
-    /// Multi-color Gauss-Seidel (greedy coloring, color-parallel sweeps).
-    MulticolorGs,
-    /// ℓ1-Jacobi (reference \[26\]): unconditionally SPD-convergent.
-    L1Jacobi,
-    /// ℓ1-scaled hybrid Gauss-Seidel (reference \[26\]).
-    L1HybridGs,
-    /// Chebyshev polynomial smoothing (degree 2, reference \[26\]).
-    Chebyshev,
 }
 
 /// Per-optimization switches so each paper optimization can be ablated
@@ -153,10 +120,6 @@ pub struct AmgConfig {
     pub trunc_factor: f64,
     /// Maximum interpolation entries per row (Table 3: 4).
     pub max_elements: usize,
-    /// Cycle type (Table 3: V).
-    pub cycle: CycleKind,
-    /// Smoother (Table 3: hybrid GS).
-    pub smoother: SmootherKind,
     /// Pre/post smoothing sweeps per level (HYPRE default: 1 each).
     pub num_sweeps: usize,
     /// Relative residual reduction target (Table 3: 1e-7).
@@ -165,13 +128,12 @@ pub struct AmgConfig {
     pub max_iterations: usize,
     /// Seed for the PMIS random weights.
     pub seed: u64,
-    /// Task count for the task-decomposed smoothers (hybrid GS and its ℓ1
-    /// variant). `None` (the default) uses the thread-pool size, which is
-    /// fastest but makes the smoother's *iteration behaviour* depend on the
-    /// pool: hybrid GS is Jacobi across tasks, so its decomposition is part
-    /// of the numerical method. Pin this to a fixed value to get bitwise
-    /// identical solves across pool sizes (the thread-independence tests
-    /// do exactly that).
+    /// Task count of the hybrid Gauss-Seidel smoother. `None` (the default)
+    /// uses the thread-pool size, which is fastest but makes the smoother's
+    /// *iteration behaviour* depend on the pool: hybrid GS is Jacobi across
+    /// tasks, so its decomposition is part of the numerical method. Pin
+    /// this to a fixed value to get bitwise identical solves across pool
+    /// sizes (the thread-independence tests do exactly that).
     pub smoother_tasks: Option<usize>,
     /// Which paper optimizations are active.
     pub opt: OptFlags,
@@ -198,8 +160,6 @@ impl AmgConfig {
             interp: InterpKind::ExtendedI,
             trunc_factor: 0.1,
             max_elements: 4,
-            cycle: CycleKind::V,
-            smoother: SmootherKind::HybridGs,
             num_sweeps: 1,
             tolerance: 1e-7,
             max_iterations: 200,
@@ -276,7 +236,6 @@ mod tests {
         assert_eq!(c.max_elements, 4);
         assert_eq!(c.tolerance, 1e-7);
         assert_eq!(c.interp, InterpKind::ExtendedI);
-        assert_eq!(c.smoother, SmootherKind::HybridGs);
     }
 
     #[test]

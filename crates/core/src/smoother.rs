@@ -1,6 +1,5 @@
-//! Smoothers (§3.2): hybrid Gauss-Seidel in baseline (Fig. 2a) and
-//! optimized (Fig. 2b) forms, weighted Jacobi, lexicographic GS with
-//! level scheduling, and multi-color GS.
+//! Smoothers (§3.2): C-F hybrid Gauss-Seidel in its baseline (Fig. 2a)
+//! and optimized (Fig. 2b) forms.
 //!
 //! Hybrid GS performs true Gauss-Seidel within each parallel task and
 //! Jacobi across tasks: each half-sweep snapshots `x` into a temporary
@@ -15,7 +14,6 @@
 use crate::reorder::{GsPartition, ThreadOwnership};
 use famg_sparse::multivec::{gather_col, scatter_col, width};
 use famg_sparse::{lanes, Csr, MultiVec};
-use rayon::prelude::*;
 use std::ops::Range;
 
 /// Reusable scratch buffers for smoothing (one per solve context).
@@ -69,13 +67,6 @@ pub enum Class {
 /// A smoother instance bound to one multigrid level's matrix.
 #[derive(Debug)]
 pub enum Smoother {
-    /// Weighted Jacobi.
-    Jacobi {
-        /// Reciprocal diagonal.
-        dinv: Vec<f64>,
-        /// Damping factor (2/3 is standard for Laplacians).
-        omega: f64,
-    },
     /// Baseline hybrid GS (Fig. 2a): unreordered matrix, per-row class
     /// branch, per-nonzero ownership branch.
     HybridBase {
@@ -93,29 +84,6 @@ pub enum Smoother {
         /// [`crate::reorder::partition_rows_gs`].
         part: GsPartition,
     },
-    /// Lexicographic GS parallelized by level scheduling (exactly
-    /// reproduces the sequential GS iterate for symmetric patterns).
-    Lex {
-        /// Reciprocal diagonal.
-        dinv: Vec<f64>,
-        /// Wavefronts of mutually independent rows, in sweep order.
-        levels: Vec<Vec<usize>>,
-    },
-    /// Multi-color GS: rows grouped by graph color; colors swept in
-    /// order, rows within a color relaxed in parallel.
-    Multicolor {
-        /// Reciprocal diagonal.
-        dinv: Vec<f64>,
-        /// Rows per color, in sweep order.
-        colors: Vec<Vec<usize>>,
-    },
-    /// ℓ1-Jacobi (reference \[26\]): unconditionally convergent on SPD
-    /// systems for any task count.
-    L1Jacobi(crate::smoother_ext::L1Jacobi),
-    /// ℓ1-scaled hybrid Gauss-Seidel (reference \[26\]).
-    L1HybridGs(crate::smoother_ext::L1HybridGs),
-    /// Chebyshev polynomial smoothing (reference \[26\]).
-    Chebyshev(crate::smoother_ext::Chebyshev),
 }
 
 fn diag_inv(a: &Csr) -> Vec<f64> {
@@ -129,14 +97,6 @@ fn diag_inv(a: &Csr) -> Vec<f64> {
 }
 
 impl Smoother {
-    /// Weighted Jacobi smoother.
-    pub fn jacobi(a: &Csr, omega: f64) -> Self {
-        Smoother::Jacobi {
-            dinv: diag_inv(a),
-            omega,
-        }
-    }
-
     /// Baseline hybrid GS over `nthreads` contiguous row blocks.
     pub fn hybrid_base(a: &Csr, is_coarse: Vec<bool>, nthreads: usize) -> Self {
         assert_eq!(is_coarse.len(), a.nrows());
@@ -155,75 +115,8 @@ impl Smoother {
         Smoother::HybridOpt { part }
     }
 
-    /// Lexicographic GS with level scheduling.
-    pub fn lexicographic(a: &Csr) -> Self {
-        let n = a.nrows();
-        let at = famg_sparse::transpose::transpose(a);
-        let mut level = vec![0usize; n];
-        let mut max_level = 0usize;
-        for i in 0..n {
-            let mut l = 0usize;
-            for &j in a.row_cols(i).iter().chain(at.row_cols(i)) {
-                if j < i {
-                    l = l.max(level[j] + 1);
-                }
-            }
-            level[i] = l;
-            max_level = max_level.max(l);
-        }
-        let mut levels = vec![Vec::new(); max_level + 1];
-        for i in 0..n {
-            levels[level[i]].push(i);
-        }
-        Smoother::Lex {
-            dinv: diag_inv(a),
-            levels,
-        }
-    }
-
-    /// Multi-color GS via greedy coloring of the symmetrized pattern.
-    pub fn multicolor(a: &Csr) -> Self {
-        let n = a.nrows();
-        let at = famg_sparse::transpose::transpose(a);
-        let mut color = vec![usize::MAX; n];
-        let mut ncolors = 0usize;
-        let mut used: Vec<bool> = Vec::new();
-        for i in 0..n {
-            used.clear();
-            used.resize(ncolors, false);
-            for &j in a.row_cols(i).iter().chain(at.row_cols(i)) {
-                if j != i && color[j] != usize::MAX {
-                    used[color[j]] = true;
-                }
-            }
-            let c = used.iter().position(|&u| !u).unwrap_or(ncolors);
-            if c == ncolors {
-                ncolors += 1;
-            }
-            color[i] = c;
-        }
-        let mut colors = vec![Vec::new(); ncolors];
-        for i in 0..n {
-            colors[color[i]].push(i);
-        }
-        Smoother::Multicolor {
-            dinv: diag_inv(a),
-            colors,
-        }
-    }
-
-    /// Number of wavefronts / colors, where applicable (setup diagnostics).
-    pub fn num_phases(&self) -> usize {
-        match self {
-            Smoother::Lex { levels, .. } => levels.len(),
-            Smoother::Multicolor { colors, .. } => colors.len(),
-            _ => 1,
-        }
-    }
-
-    /// Pre-smoothing: C then F relaxation (Jacobi/Lex/Multicolor do full
-    /// sweeps). `x_is_zero` enables the zero-initial-guess skip in the
-    /// optimized hybrid kernel (§3.2).
+    /// Pre-smoothing: C then F relaxation. `x_is_zero` enables the
+    /// zero-initial-guess skip in the optimized hybrid kernel (§3.2).
     pub fn pre_smooth(
         &self,
         a: &Csr,
@@ -267,8 +160,7 @@ impl Smoother {
     }
 
     /// Pre-smoothing of a `k`-interleaved block `(xd, k)` — a plain vector
-    /// is the `k = 1` block: C then F relaxation for the hybrid smoothers,
-    /// one full sweep otherwise.
+    /// is the `k = 1` block: C then F relaxation.
     pub fn pre_smooth_rows(
         &self,
         a: &Csr,
@@ -278,17 +170,8 @@ impl Smoother {
         ws: &mut Workspace,
         x_is_zero: bool,
     ) {
-        match self {
-            Smoother::HybridBase { .. } => {
-                self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, false);
-                self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
-            }
-            Smoother::HybridOpt { .. } => {
-                self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, x_is_zero);
-                self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
-            }
-            _ => self.sweep_rows(a, bd, xd, k, ws, Class::All, false),
-        }
+        self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, x_is_zero);
+        self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
     }
 
     /// Post-smoothing of a `k`-interleaved block: F then C relaxation.
@@ -300,20 +183,15 @@ impl Smoother {
         k: usize,
         ws: &mut Workspace,
     ) {
-        match self {
-            Smoother::HybridBase { .. } | Smoother::HybridOpt { .. } => {
-                self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
-                self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, false);
-            }
-            _ => self.sweep_rows(a, bd, xd, k, ws, Class::All, false),
-        }
+        self.sweep_rows(a, bd, xd, k, ws, Class::Fine, false);
+        self.sweep_rows(a, bd, xd, k, ws, Class::Coarse, false);
     }
 
     /// One half-sweep over a `k`-interleaved block. The optimized hybrid
-    /// GS and Jacobi kernels advance all lanes per matrix-row traversal
-    /// (k ≤ 8, monomorphized for k ∈ {1, 2, 4, 8}); every other smoother
-    /// runs its single-vector kernel, directly at `k = 1` and per extracted
-    /// column otherwise — as does any batch wider than 8.
+    /// GS kernel advances all lanes per matrix-row traversal (k ≤ 8,
+    /// monomorphized for k ∈ {1, 2, 4, 8}); the baseline runs its
+    /// single-vector kernel, directly at `k = 1` and per extracted column
+    /// otherwise — as does the optimized one on a batch wider than 8.
     pub fn sweep_rows(
         &self,
         a: &Csr,
@@ -363,12 +241,6 @@ impl Smoother {
                     }
                 });
             }
-            Smoother::Jacobi { dinv, omega } if k <= 8 => {
-                let temp = ws.temp(n * k);
-                temp[..n * k].copy_from_slice(xd);
-                let temp = &ws.temp[..n * k];
-                lanes!(k, jacobi_rows(a, dinv, *omega, bd, temp, k, xd));
-            }
             Smoother::HybridBase {
                 dinv,
                 ranges,
@@ -416,58 +288,6 @@ impl Smoother {
                         });
                     }
                 });
-            }
-            Smoother::Lex { dinv, levels } if k == 1 => {
-                let (b, x) = (bd, xd);
-                let p = XPtr(x.as_mut_ptr());
-                let p = &p;
-                // Lexicographic GS ignores the class.
-                for level in levels {
-                    level.par_iter().with_min_len(512).for_each(|&i| {
-                        let mut acc = b[i];
-                        for (c, v) in a.row_iter(i) {
-                            if c != i {
-                                // SAFETY: rows in a wavefront are
-                                // mutually independent; their
-                                // neighbours are in other wavefronts.
-                                acc -= v * unsafe { *p.0.add(c) };
-                            }
-                        }
-                        // SAFETY: each row appears in exactly one
-                        // wavefront, so i is written once per level.
-                        unsafe { *p.0.add(i) = acc * dinv[i] };
-                    });
-                }
-            }
-            Smoother::L1Jacobi(sm) if k == 1 => {
-                sm.sweep(a, bd, xd, ws.temp(n));
-            }
-            Smoother::L1HybridGs(sm) if k == 1 => {
-                sm.sweep(a, bd, xd, ws.temp(n));
-            }
-            Smoother::Chebyshev(sm) if k == 1 => {
-                sm.sweep(a, bd, xd);
-            }
-            Smoother::Multicolor { dinv, colors } if k == 1 => {
-                let (b, x) = (bd, xd);
-                let p = XPtr(x.as_mut_ptr());
-                let p = &p;
-                for color in colors {
-                    color.par_iter().with_min_len(512).for_each(|&i| {
-                        let mut acc = b[i];
-                        for (c, v) in a.row_iter(i) {
-                            if c != i {
-                                // SAFETY: same-color rows are never
-                                // adjacent, so reads are stable during
-                                // this color's parallel phase.
-                                acc -= v * unsafe { *p.0.add(c) };
-                            }
-                        }
-                        // SAFETY: each row has exactly one color, so i
-                        // is written once per color phase.
-                        unsafe { *p.0.add(i) = acc * dinv[i] };
-                    });
-                }
             }
             _ => {
                 // Extract-column fallback: the `k = 1` sweep per column
@@ -558,39 +378,6 @@ fn hybrid_opt_rows<const K: usize>(
     }
 }
 
-/// Weighted-Jacobi relaxation of every row over `K` interleaved lanes
-/// against the snapshot `temp`.
-fn jacobi_rows<const K: usize>(
-    a: &Csr,
-    dinv: &[f64],
-    omega: f64,
-    bd: &[f64],
-    temp: &[f64],
-    k: usize,
-    xd: &mut [f64],
-) {
-    let kk = width::<K>(k);
-    debug_assert!(kk <= 8);
-    famg_sparse::spmm::for_row_blocks::<K>(xd, k, |first, rows| {
-        for (o, xr) in rows.chunks_exact_mut(width::<K>(k)).enumerate() {
-            let i = first + o;
-            let mut acc = [0.0f64; 8];
-            acc[..kk].copy_from_slice(&bd[i * kk..i * kk + kk]);
-            for (c, v) in a.row_iter(i) {
-                let cb = c * kk;
-                for j in 0..kk {
-                    acc[j] -= v * temp[cb + j];
-                }
-            }
-            let w = omega * dinv[i];
-            let tb = i * kk;
-            for j in 0..kk {
-                xr[j] = temp[tb + j] + w * acc[j];
-            }
-        }
-    });
-}
-
 /// Sequential textbook Gauss-Seidel sweep (test oracle).
 pub fn gauss_seidel_seq(a: &Csr, b: &[f64], x: &mut [f64]) {
     for i in 0..a.nrows() {
@@ -616,26 +403,6 @@ mod tests {
     fn residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
         let mut r = vec![0.0; b.len()];
         residual_norm_sq(a, x, b, &mut r).sqrt()
-    }
-
-    #[test]
-    fn jacobi_reduces_residual() {
-        // Smoothers damp high frequencies; asymptotic rates on smooth
-        // error are 1 - O(h²), so use a small grid and many sweeps.
-        let a = laplace2d(8, 8);
-        let b = rhs::ones(64);
-        let mut x = vec![0.0; 64];
-        let sm = Smoother::jacobi(&a, 2.0 / 3.0);
-        let mut ws = Workspace::new();
-        let r0 = residual(&a, &b, &x);
-        let mut prev = r0;
-        for _ in 0..60 {
-            sm.sweep(&a, &b, &mut x, &mut ws, Class::All, false);
-            let cur = residual(&a, &b, &x);
-            assert!(cur <= prev * (1.0 + 1e-12), "residual increased");
-            prev = cur;
-        }
-        assert!(prev < 0.3 * r0, "only reduced {r0} -> {prev}");
     }
 
     #[test]
@@ -874,80 +641,20 @@ mod tests {
     }
 
     #[test]
-    fn lexicographic_equals_sequential_gs() {
-        let a = laplace2d(10, 9);
-        let n = a.nrows();
-        let sm = Smoother::lexicographic(&a);
-        let b = rhs::random(n, 2);
-        let mut x1 = rhs::random(n, 4);
-        let mut x2 = x1.clone();
-        let mut ws = Workspace::new();
-        sm.sweep(&a, &b, &mut x1, &mut ws, Class::All, false);
-        gauss_seidel_seq(&a, &b, &mut x2);
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn lex_levels_cover_all_rows() {
-        let a = laplace2d(6, 6);
-        if let Smoother::Lex { levels, .. } = Smoother::lexicographic(&a) {
-            let total: usize = levels.iter().map(std::vec::Vec::len).sum();
-            assert_eq!(total, 36);
-            // 2D 5-point: wavefronts are anti-diagonals -> 11 levels.
-            assert_eq!(levels.len(), 11);
-        } else {
-            unreachable!();
-        }
-    }
-
-    #[test]
-    fn multicolor_valid_coloring_and_convergence() {
-        let a = laplace2d(10, 10);
-        let sm = Smoother::multicolor(&a);
-        if let Smoother::Multicolor { colors, .. } = &sm {
-            // 5-point stencil is bipartite: exactly 2 colors.
-            assert_eq!(colors.len(), 2);
-            // No two adjacent rows share a color.
-            let mut color_of = vec![0usize; 100];
-            for (c, rows) in colors.iter().enumerate() {
-                for &i in rows {
-                    color_of[i] = c;
-                }
-            }
-            for i in 0..100 {
-                for (j, _) in a.row_iter(i) {
-                    if j != i {
-                        assert_ne!(color_of[i], color_of[j]);
-                    }
-                }
-            }
-        }
-        let b = rhs::ones(100);
-        let mut x = vec![0.0; 100];
-        let mut ws = Workspace::new();
-        let r0 = residual(&a, &b, &x);
-        for _ in 0..60 {
-            sm.sweep(&a, &b, &mut x, &mut ws, Class::All, false);
-        }
-        assert!(residual(&a, &b, &x) < 0.2 * r0);
-    }
-
-    #[test]
     fn batched_sweeps_bitwise_match_solo_columns() {
-        // Genuine k-wide kernels (HybridOpt across several tasks, Jacobi)
-        // and the extract-column fallback (Multicolor) must all produce
-        // batch columns bitwise identical to scalar sweeps of those
-        // columns — including the zero-guess skip and a dynamic width.
+        // The genuine k-wide kernel (HybridOpt across several tasks) and the
+        // extract-column fallback (HybridBase at every k > 1, HybridOpt at
+        // k = 9) must produce batch columns bitwise identical to scalar
+        // sweeps of those columns — including the zero-guess skip and a
+        // dynamic width.
         let a0 = laplace2d(14, 11);
         let n = a0.nrows();
         let nc = 40;
         let mut ap = a0.clone();
+        let marker = (0..n).map(|i| (i * 7 + i / 5) % 3 == 0).collect();
         let smoothers = [
             Smoother::hybrid_opt(&mut ap, nc, 3),
-            Smoother::jacobi(&a0, 2.0 / 3.0),
-            Smoother::multicolor(&a0),
+            Smoother::hybrid_base(&a0, marker, 3),
         ];
         for (si, sm) in smoothers.iter().enumerate() {
             let a = if si == 0 { &ap } else { &a0 };

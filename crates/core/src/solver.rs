@@ -488,7 +488,7 @@ impl AmgSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{AmgConfig, SmootherKind};
+    use crate::params::AmgConfig;
     use famg_matgen::{amg2013_like, laplace2d, laplace3d_7pt, rhs};
     use famg_sparse::spmv::residual_norm_sq;
     use famg_sparse::vecops;
@@ -637,30 +637,6 @@ mod tests {
         let mut x = vec![0.0; a.nrows()];
         let res = solver.solve(&b, &mut x);
         assert!(res.converged, "relres {}", res.final_relres);
-    }
-
-    #[test]
-    fn alternative_smoothers_solve() {
-        let a = laplace2d(24, 24);
-        let b = rhs::ones(a.nrows());
-        for sm in [
-            SmootherKind::Jacobi,
-            SmootherKind::LexicographicGs,
-            SmootherKind::MulticolorGs,
-            SmootherKind::L1Jacobi,
-            SmootherKind::L1HybridGs,
-            SmootherKind::Chebyshev,
-        ] {
-            let cfg = AmgConfig {
-                smoother: sm,
-                max_iterations: 400,
-                ..AmgConfig::single_node_paper()
-            };
-            let solver = AmgSolver::setup(&a, &cfg);
-            let mut x = vec![0.0; a.nrows()];
-            let res = solver.solve(&b, &mut x);
-            assert!(res.converged, "{sm:?} did not converge");
-        }
     }
 
     #[test]

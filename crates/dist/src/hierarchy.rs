@@ -9,9 +9,7 @@
 use crate::coarsen::{dist_aggressive_pmis, dist_pmis, DistCoarsening};
 use crate::comm::{Comm, CommPhase};
 use crate::halo::VectorExchange;
-use crate::interp::{
-    dist_direct, dist_extended_i, dist_multipass, dist_strength, dist_two_stage_extended_i,
-};
+use crate::interp::{dist_extended_i, dist_multipass, dist_strength, dist_two_stage_extended_i};
 use crate::parcsr::ParCsr;
 use crate::spgemm::{dist_spgemm, dist_transpose, DistSpgemmPlan};
 use famg_core::interp::TruncParams;
@@ -185,12 +183,6 @@ fn build_dist_interp(
         max_elements: cfg.max_elements,
     };
     match ikind {
-        // Classical (distance-1) falls back to direct in the
-        // distributed build; the paper's multi-node schemes are
-        // ei(4)/mp/2s-ei and do not exercise it.
-        InterpKind::Direct | InterpKind::Classical => {
-            dist_direct(comm, current, plan_a, s, coarsening, Some(&t))
-        }
         InterpKind::ExtendedI => dist_extended_i(
             comm,
             current,

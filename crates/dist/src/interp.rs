@@ -13,7 +13,6 @@
 //! | builder | exchanged | gathered |
 //! |---|---|---|
 //! | strength | — | — (row-local) |
-//! | direct | C/F codes of `A.colmap` | — |
 //! | extended+i | C/F codes of `A.colmap`, then of the columns only gathered rows name | `S` rows of `S.colmap`, `A` rows of `A.colmap` |
 //! | multipass | C/F codes of `A.colmap`; per pass the assigned flags of `S.colmap` | per pass, the `P` rows of newly assigned strong halo neighbours |
 //!
@@ -31,8 +30,7 @@ use crate::halo::{fetch_values, gather_rows, GatheredRows, VectorExchange};
 use crate::parcsr::{ExtSpace, ParCsr};
 use crate::spgemm::{dist_spgemm, dist_transpose};
 use famg_core::interp::{
-    direct_rows, extended_i_rows, remote_entry_is_read, truncate_matrix, CfMap, Multipass,
-    TruncParams,
+    extended_i_rows, remote_entry_is_read, truncate_matrix, CfMap, Multipass, TruncParams,
 };
 use famg_core::strength::strength_par;
 use famg_sparse::Csr;
@@ -113,23 +111,6 @@ fn split_p(comm: &Comm, a: &ParCsr, dc: &DistCoarsening, mut p: Csr, coarse: &Ex
         dc.ncoarse_global,
         dc.coarse_starts(comm),
     )
-}
-
-/// Distributed direct (distance-1) interpolation. Returns `P` with this
-/// rank's point rows and the coarse column partition. `plan_a` is the
-/// persistent halo plan for `a`'s colmap (the level plan the hierarchy
-/// already owns), reused here for the C/F code exchange.
-pub fn dist_direct(
-    comm: &Comm,
-    a: &ParCsr,
-    plan_a: &VectorExchange,
-    s: &ParCsr,
-    cf: &DistCoarsening,
-    trunc: Option<&TruncParams>,
-) -> ParCsr {
-    let x = Extended::distance1(comm, a, plan_a, s, cf);
-    let p = direct_rows(&x.a, &x.s, &x.cf, x.space.own.clone(), trunc);
-    split_p(comm, a, cf, p, &x.coarse)
 }
 
 /// Distributed extended+i interpolation (Eq. 1). `plan_a` is the
@@ -357,7 +338,7 @@ mod tests {
     use crate::comm::run_ranks;
     use crate::parcsr::{assert_parts_are_serial, default_partition, to_global};
     use famg_core::coarsen::{aggressive_pmis_stages, pmis};
-    use famg_core::interp::{direct, extended_i, multipass, CfMap};
+    use famg_core::interp::{extended_i, multipass, CfMap};
     use famg_core::strength::strength;
     use famg_matgen::{amg2013_like, laplace2d, reservoir_field, varcoef3d_7pt};
 
@@ -414,28 +395,6 @@ mod tests {
                     dist_strength(&split(&a, &starts, c.rank()), 0.25, 0.8, c.rank())
                 });
                 assert_parts_are_serial(&parts, s_ref.clone(), &format!("{name} {starts:?}"));
-            }
-        }
-    }
-
-    #[test]
-    fn dist_direct_matches_serial() {
-        for (name, a) in operators() {
-            let s = strength(&a, 0.25, 0.8);
-            let cf = CfMap::new(pmis(&s, 5).is_coarse);
-            for trunc in truncations() {
-                let p_ref = direct(&a, &s, &cf, trunc.as_ref());
-                for starts in partitions(a.nrows()) {
-                    let (parts, _) = run_ranks(starts.len() - 1, |c| {
-                        let pa = split(&a, &starts, c.rank());
-                        let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-                        let dc = dist_pmis(c, &ps, 5, None);
-                        let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
-                        dist_direct(c, &pa, &plan, &ps, &dc, trunc.as_ref())
-                    });
-                    let what = format!("{name} {starts:?} trunc {}", trunc.is_some());
-                    assert_parts_are_serial(&parts, p_ref.clone(), &what);
-                }
             }
         }
     }

@@ -137,15 +137,13 @@ fn refresh_rejects_wrong_pattern_and_stays_usable() {
 fn refresh_covers_every_single_shot_interp_kind() {
     let base = base_field();
     let a0 = varcoef3d_7pt(NX, NY, NZ, &base);
-    for ikind in [
-        InterpKind::Direct,
-        InterpKind::Classical,
-        InterpKind::ExtendedI,
+    // The single-shot scheme, extended+i, on both tape arms: `P_F` replayed
+    // in place (CF-permuted levels) and the full `P` (baseline levels).
+    for cfg in [
+        AmgConfig::single_node_paper(),
+        AmgConfig::single_node_baseline(),
     ] {
-        let cfg = AmgConfig {
-            interp: ikind,
-            ..AmgConfig::single_node_paper()
-        };
+        assert_eq!(cfg.interp, InterpKind::ExtendedI);
         let mut solver = AmgSolver::setup_refreshable(&a0, &cfg);
         for seed in 200..205u64 {
             let at = varcoef3d_7pt(NX, NY, NZ, &drifted(&base, seed));
@@ -154,7 +152,7 @@ fn refresh_covers_every_single_shot_interp_kind() {
             assert_levels_bitwise(
                 solver.hierarchy(),
                 scratch.hierarchy(),
-                &format!("{ikind:?} seed {seed}"),
+                &format!("{:?} seed {seed}", cfg.opt),
             );
         }
     }

@@ -7,8 +7,9 @@
 //! set to 1, 2, and 4, runs [`fingerprint_worker`] in each, and compares
 //! the printed fingerprints. Covered: SpGEMM, fused RAP, parallel
 //! transpose, strength, PMIS (symmetric and directed strength graphs), the
-//! CF permutation, extended+i (builder, tape capture and replay), hybrid-GS and Jacobi sweeps (task counts
-//! pinned — the task decomposition is part of the numerical method),
+//! CF permutation, extended+i (builder, tape capture and replay), hybrid-GS
+//! sweeps (task counts pinned — the task decomposition is part of the
+//! numerical method),
 //! end-to-end AMG solves (`smoother_tasks` pinned), the parallel sort,
 //! and the fused residual/dot reductions.
 
@@ -149,10 +150,9 @@ fn fp_smoother_sweeps() -> u64 {
     let ap_base = ap.clone();
     let base = Smoother::hybrid_base(&ap_base, (0..n).map(|i| i < ord.nc).collect(), PINNED_TASKS);
     let opt = Smoother::hybrid_opt(&mut ap, ord.nc, PINNED_TASKS);
-    let jac = Smoother::jacobi(&ap_base, 2.0 / 3.0);
     let b = vec![1.0; n];
     let mut ws = Workspace::new();
-    for (sm, mat) in [(&base, &ap_base), (&opt, &ap), (&jac, &ap_base)] {
+    for (sm, mat) in [(&base, &ap_base), (&opt, &ap)] {
         let mut x = vec![0.0; n];
         for sweep in 0..3 {
             sm.pre_smooth(mat, &b, &mut x, &mut ws, sweep == 0);

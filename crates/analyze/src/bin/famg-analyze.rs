@@ -1,13 +1,17 @@
 //! Solve-path invariant analyzer; see [`famg_analyze`] for the rules.
 //!
 //! Usage: `cargo run -q -p famg-analyze --bin famg-analyze
-//! [--format json|text] [workspace-root]` (default root: the current
-//! directory, default format: text). Text mode prints one
+//! [--format json|text] [--test-only-pub] [workspace-root]` (default root:
+//! the current directory, default format: text). Text mode prints one
 //! `path:line: [rule] message` diagnostic per finding; `--format json`
 //! emits the shared `famg-diag-v1` document (see
 //! [`famg_analyze::to_json`]), the same schema `famg-lint` uses. Exits
 //! non-zero on findings — wired into `scripts/check.sh` as the
 //! `==> famg-analyze` stage.
+//!
+//! `--test-only-pub` prints the [`famg_analyze::test_only_pub`] report
+//! instead, one `path: Type::fn` line per item, and exits zero; the pinned
+//! copy is `crates/analyze/test_only_pub.txt`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -15,6 +19,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = ".".to_string();
     let mut json = false;
+    let mut report = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -26,8 +31,23 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
+            "--test-only-pub" => report = true,
             _ => root = arg,
         }
+    }
+    if report {
+        return match famg_analyze::test_only_pub(Path::new(&root)) {
+            Ok(items) => {
+                for item in &items {
+                    println!("{item}");
+                }
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("famg-analyze: failed to scan {root}: {e}");
+                ExitCode::from(2)
+            }
+        };
     }
     let diags = match famg_analyze::analyze_workspace(Path::new(&root)) {
         Ok(d) => d,

@@ -28,6 +28,10 @@
 //! written escape hatch (`// ALLOC:`, `// PANIC-FREE:`,
 //! `// DETERMINISM:`) that demands a justification rather than silence.
 //!
+//! A report rides along: [`test_only_pub`] lists the `pub fn`s of the
+//! kernel crates that no program of the workspace reaches — API that only
+//! tests select, the candidates for deletion.
+//!
 //! Scope: only the kernel crates listed in [`ANALYZED_ROOTS`] are
 //! scanned. Telemetry, verification, and generator crates (prof, check,
 //! model, bench, matgen) allocate and panic freely by design, and the
@@ -54,6 +58,17 @@ pub const ANALYZED_ROOTS: &[&str] = &[
     "crates/dist/src",
 ];
 
+/// Source roots (relative to the workspace root) whose non-test functions
+/// are the programs [`test_only_pub`] starts from: the benchmark package,
+/// the examples, the figure binaries and benches, and the checker.
+pub const CONSUMER_ROOTS: &[&str] = &[
+    "e2e/src",
+    "examples",
+    "crates/bench/src",
+    "crates/bench/benches",
+    "crates/check/src",
+];
+
 /// Analyzes in-memory `(path, source)` pairs and returns sorted
 /// diagnostics. Paths are workspace-relative with forward slashes; they
 /// select rule scope (e.g. [`rules::REDUCTION_BLESSED`]), so fixtures
@@ -68,8 +83,43 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
 /// [`rules::rule_stale_roots`], which only makes sense over the whole
 /// solve stack. File order is sorted for deterministic diagnostics.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
+    let model = Model::build(&read_sources(root, ANALYZED_ROOTS)?);
+    let mut diags = rules::rule_stale_roots(&model, rules::SOLVE_ROOTS);
+    diags.extend(rules::run_all(&model));
+    Ok(diags)
+}
+
+/// Every non-test `pub fn` under [`ANALYZED_ROOTS`] that no non-test
+/// function under [`CONSUMER_ROOTS`] reaches, as sorted `path: Type::fn`
+/// lines. Reachability follows [`Model::mentioned`], which edges to every
+/// function a body names, so an item is listed only when no program can
+/// get to it: the list may miss test-only items, never name a used one.
+pub fn test_only_pub(root: &Path) -> io::Result<Vec<String>> {
+    let kernel = read_sources(root, ANALYZED_ROOTS)?;
+    let programs = read_sources(root, CONSUMER_ROOTS)?;
+    let nk = kernel.len();
+    let m = Model::build(&[kernel, programs].concat());
+    let mut seen = vec![false; m.fns.len()];
+    let mut todo: Vec<usize> = (0..m.fns.len()).filter(|&i| m.fns[i].file >= nk).collect();
+    while let Some(f) = todo.pop() {
+        if !std::mem::replace(&mut seen[f], true) {
+            todo.extend(m.mentioned(&m.fns[f]).filter(|&g| !seen[g]));
+        }
+    }
+    let mut out: Vec<String> = (0..m.fns.len())
+        .filter(|&i| !seen[i] && m.fns[i].item.is_pub)
+        .map(|i| format!("{}: {}", m.files[m.fns[i].file].path, m.display_name(i)))
+        .collect();
+    out.sort();
+    out.dedup();
+    Ok(out)
+}
+
+/// Reads every `.rs` file under `subs` of `root` as workspace-relative
+/// `(path, source)` pairs, in sorted path order (deterministic output).
+fn read_sources(root: &Path, subs: &[&str]) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    for sub in ANALYZED_ROOTS {
+    for sub in subs {
         let dir = root.join(sub);
         if dir.is_dir() {
             collect_rs(&dir, &mut files)?;
@@ -85,10 +135,7 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
             .replace('\\', "/");
         sources.push((rel, fs::read_to_string(&f)?));
     }
-    let model = Model::build(&sources);
-    let mut diags = rules::rule_stale_roots(&model, rules::SOLVE_ROOTS);
-    diags.extend(rules::run_all(&model));
-    Ok(diags)
+    Ok(sources)
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

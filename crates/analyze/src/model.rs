@@ -259,6 +259,16 @@ impl Model {
         false
     }
 
+    /// Every function whose name occurs as an identifier in `f`'s body:
+    /// calls, paths and function references alike, qualifiers ignored. The
+    /// widest edge set the model can draw, so a reachability built on it
+    /// only ever over-states what is reached.
+    pub fn mentioned<'a>(&'a self, f: &FnNode) -> impl Iterator<Item = usize> + 'a {
+        let (s, e) = f.item.body.unwrap_or((0, 0));
+        let toks = &self.files[f.file].lexed.toks[s..e];
+        idents(toks).flat_map(|id| self.index.get(id).into_iter().flatten().copied())
+    }
+
     /// Qualified display name, `Type::fn` or plain `fn`.
     #[must_use]
     pub fn display_name(&self, i: usize) -> String {

@@ -62,3 +62,32 @@ fn workspace_is_clean() {
             .join("\n")
     );
 }
+
+/// The `--test-only-pub` report against its pinned copy,
+/// `crates/analyze/test_only_pub.txt`. A `pub fn` that no program reaches
+/// must not appear unannounced, and an entry that left the report (its item
+/// deleted, or now reached) must leave the file too, so the list only
+/// shrinks and always says what is left.
+#[test]
+fn test_only_pub_report_matches_its_pinned_list() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = famg_analyze::test_only_pub(&root).expect("workspace scan failed");
+    let pinned: Vec<&str> = include_str!("../test_only_pub.txt").lines().collect();
+    let new: Vec<&str> = (report.iter().map(String::as_str))
+        .filter(|item| !pinned.contains(item))
+        .collect();
+    let gone: Vec<&str> = (pinned.iter().copied())
+        .filter(|item| !report.iter().any(|r| r == item))
+        .collect();
+    assert!(
+        new.is_empty(),
+        "pub fns only tests reach, missing from test_only_pub.txt (delete them, or \
+         reach them from a program):\n{}",
+        new.join("\n")
+    );
+    assert!(
+        gone.is_empty(),
+        "entries no longer in the report; trim them from test_only_pub.txt:\n{}",
+        gone.join("\n")
+    );
+}

@@ -26,13 +26,15 @@ use famg_sparse::MultiVec;
 pub struct CycleWorkspace {
     /// Block width the buffers are sized for.
     k: usize,
-    /// Residual per level.
-    r: Vec<Vec<f64>>,
+    /// Residual per level; the solver borrows level 0's between cycles.
+    pub(crate) r: Vec<Vec<f64>>,
     /// Coarse right-hand side per level.
     bc: Vec<Vec<f64>>,
     /// Coarse correction per level.
     xc: Vec<Vec<f64>>,
-    /// Scratch for permutation scatter/gather.
+    /// Scratch for permutation scatter/gather, per level: a level's is
+    /// where its parent restricts into and its cycle iterates when the
+    /// level is permuted (the finest level's stays empty).
     scratch: Vec<Vec<f64>>,
     /// One column of the coarsest level, for the direct solve.
     coarse_col: Vec<f64>,
@@ -44,8 +46,6 @@ pub struct CycleWorkspace {
     pub(crate) fine_b: Vec<f64>,
     /// Finest-level permuted iterate (solver wrapper scratch).
     pub(crate) fine_x: Vec<f64>,
-    /// Finest-level residual for convergence checks (solver scratch).
-    pub(crate) fine_r: Vec<f64>,
     /// Smoother workspace shared across levels.
     pub smoother_ws: Workspace,
 }
@@ -62,20 +62,20 @@ impl CycleWorkspace {
             k,
             ..CycleWorkspace::default()
         };
-        for l in &h.levels {
+        for (i, l) in h.levels.iter().enumerate() {
             let n = l.a.nrows();
             let nc = l.nc;
             ws.r.push(vec![0.0; n * k]);
             ws.bc.push(vec![0.0; nc * k]);
             ws.xc.push(vec![0.0; nc * k]);
-            ws.scratch.push(vec![0.0; n.max(nc) * k]);
+            ws.scratch
+                .push(if i == 0 { Vec::new() } else { vec![0.0; n * k] });
         }
         ws.coarse_col = vec![0.0; h.levels.last().map_or(0, |l| l.a.nrows())];
         ws.lane_norms = vec![0.0; k];
         let n = h.n();
         ws.fine_b = vec![0.0; n * k];
         ws.fine_x = vec![0.0; n * k];
-        ws.fine_r = vec![0.0; n * k];
         ws
     }
 

@@ -11,9 +11,10 @@
 //! (the caller's at level 0, borrowed; the RAP of the level above below
 //! it) on both paths: §3.1.2's coarse-first permutation is one of `A`, for
 //! the triple product and the smoother, and of `P`'s rows — here, taking
-//! `P`'s fine rows in order. `S` is freed after interpolation and the raw
-//! operator after the permutation: a level peaks in RAP, on `A_perm`,
-//! `P_F`, `P_Fᵀ` and the product (DESIGN.md §3.4 has the table).
+//! `P`'s fine rows in order. `S` is freed after interpolation, the raw
+//! operator after the permutation and `P` once `P_F` is taken from it: a
+//! level peaks in RAP, on `A_perm`, `P_F`, `P_Fᵀ` and the product
+//! (DESIGN.md §3.4 has the table).
 
 use crate::coarsen::{aggressive_pmis_stages, pmis, Coarsening};
 use crate::interp::{
@@ -26,7 +27,7 @@ use crate::smoother::Smoother;
 use crate::stats::{PhaseTimes, SetupStats};
 use crate::strength::strength;
 use famg_sparse::dense::{DenseMatrix, LuFactor};
-use famg_sparse::permute::Permutation;
+use famg_sparse::permute::{stored_positions, Permutation, RowOrder};
 use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
@@ -58,7 +59,7 @@ pub enum TransferOps {
 }
 
 /// One multigrid level.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Level {
     /// The operator (CF-permuted when the level was built with
     /// `cf_reorder`; row-internally reordered when the optimized smoother
@@ -101,13 +102,15 @@ pub struct Hierarchy {
 /// is CF-permuted, its coarse points the first `nc` rows. The reordered
 /// kernel (Fig. 2b) needs those coarse-first rows, so it is built only on
 /// a permuted operator; every other level gets the baseline kernel
-/// (Fig. 2a) with its true marker.
+/// (Fig. 2a) with its true marker. With `record`, the reordered kernel
+/// also returns the in-row order its partition moved `a` out of.
 pub(crate) fn build_smoother(
     a: &mut Csr,
     nc: usize,
     is_coarse: Option<&[bool]>,
     cfg: &AmgConfig,
-) -> Smoother {
+    record: bool,
+) -> (Smoother, Option<RowOrder>) {
     // Task decomposition is part of the numerical method (Jacobi across
     // tasks); honour a pinned count when the config asks for
     // pool-size-independent behaviour.
@@ -115,11 +118,15 @@ pub(crate) fn build_smoother(
         .smoother_tasks
         .unwrap_or_else(famg_sparse::partition::num_threads);
     let marker = match is_coarse {
-        None if cfg.opt.reordered_smoother => return Smoother::hybrid_opt(a, nc, nthreads),
+        None if cfg.opt.reordered_smoother => {
+            let mut order = record.then(|| RowOrder::new(a.nnz()));
+            let smoother = Smoother::hybrid_opt_recording(a, nc, nthreads, order.as_mut());
+            return (smoother, order);
+        }
         None => (0..a.nrows()).map(|i| i < nc).collect(),
         Some(m) => m.to_vec(),
     };
-    Smoother::hybrid_base(a, marker, nthreads)
+    (Smoother::hybrid_base(a, marker, nthreads), None)
 }
 
 /// Builds the interpolation operator for one level according to the
@@ -347,7 +354,7 @@ impl Hierarchy {
                 validate_level(lvl_idx, a_raw, &coarsening.is_coarse, &p, next, exact);
             };
 
-            let (a_level, perm, ops, smoother, next, p_left) = if cfg.opt.cf_reorder {
+            let (a_level, perm, ops, smoother, order, next, p_left) = if cfg.opt.cf_reorder {
                 // --- Optimized path: permute `A` coarse-first, once; the
                 // raw one is then done with (`validate` checks RAP on it). ---
                 let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
@@ -361,6 +368,10 @@ impl Hierarchy {
                 let pf = extract_fine_block(&p, &ord.perm, nc, lvl_idx);
                 let pft = transpose_par(&pf);
                 drop(extract_span);
+                // `P` is done with unless a builder's frozen level keeps it
+                // (or `validate` reads it, below): freed before RAP.
+                #[cfg(not(feature = "validate"))]
+                let p = rerun.is_some().then_some(p);
 
                 // --- RAP over the CF blocks of `ap`, read in place. ---
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
@@ -368,13 +379,15 @@ impl Hierarchy {
                 drop(rap_span);
                 #[cfg(feature = "validate")]
                 validate(&current, &next);
+                #[cfg(feature = "validate")]
+                let p = rerun.is_some().then_some(p);
 
                 // --- Smoother (reorders rows of `ap` in place). ---
                 let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
-                let smoother = build_smoother(&mut ap, nc, None, cfg);
+                let (smoother, order) = build_smoother(&mut ap, nc, None, cfg, recording);
                 drop(smoother_span);
                 let ops = TransferOps::CfBlock { pf, pft };
-                (ap, Some(ord.perm), ops, smoother, next, Some(p))
+                (ap, Some(ord.perm), ops, smoother, order, next, p)
             } else {
                 // --- Baseline path: original ordering throughout. ---
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
@@ -392,26 +405,37 @@ impl Hierarchy {
                 // copied here, a RAP moves in.
                 let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
                 let mut cur = current.into_owned();
-                let smoother = build_smoother(&mut cur, nc, Some(&coarsening.is_coarse), cfg);
+                let marker = Some(&coarsening.is_coarse[..]);
+                let (smoother, order) = build_smoother(&mut cur, nc, marker, cfg, false);
                 let r = cfg.opt.keep_transpose.then_some(r);
                 drop(smoother_span);
                 let p_left = rerun.is_some().then(|| p.clone());
                 let ops = TransferOps::Full { p, r };
-                (cur, None, ops, smoother, next, p_left)
+                (cur, None, ops, smoother, order, next, p_left)
             };
-            let interp = match (tape, rerun, p_left) {
-                (Some(tape), ..) => Some(FrozenInterp::Tape(tape)),
-                (None, Some((s, stage1, cf)), Some(p)) => {
-                    Some(FrozenInterp::Rerun(Rerun { s, stage1, cf, p }))
-                }
-                _ => None,
-            };
-            if let (Some(cap), Some(interp)) = (capture.as_deref_mut(), interp) {
+            if let Some(cap) = capture.as_deref_mut() {
                 let _span = famg_prof::scope_at("capture", lvl_idx);
+                let interp = match (tape, rerun, p_left) {
+                    // The tape was recorded on the raw operand; the level
+                    // keeps only the stored one, so it moves there (to the
+                    // rows' pre-partition order, the one a refresh reads).
+                    (Some(mut tape), ..) => {
+                        if perm.is_some() {
+                            tape.remap(&stored_positions(&a_level, perm.as_ref()));
+                        }
+                        FrozenInterp::Tape(tape)
+                    }
+                    (None, Some((s, stage1, cf)), Some(p)) => {
+                        FrozenInterp::Rerun(Rerun { s, stage1, cf, p })
+                    }
+                    _ => unreachable!("a recording build keeps a tape or a builder's inputs"),
+                };
+                let next = (next.nrows(), next.nnz());
                 cap.push(FrozenLevel {
                     interp,
                     nc,
-                    rap: next.clone(),
+                    next,
+                    order,
                 });
             }
             levels.push(Level {
@@ -522,16 +546,12 @@ impl Hierarchy {
     }
 }
 
-/// The tail of every setup and refresh: the coarsest operator gets its
-/// smoother and, when small enough, a dense LU factorization.
-pub(crate) fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuFactor>) {
+/// The tail of every setup: the coarsest operator gets its smoother and,
+/// when small enough, a dense LU factorization.
+fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuFactor>) {
     let _span = famg_prof::scope_at("coarse", idx);
-    let coarse_lu = if a.nrows() <= cfg.coarse_solve_size && a.nrows() > 0 {
-        LuFactor::new(&DenseMatrix::from_csr(&a))
-    } else {
-        None
-    };
-    let smoother = build_smoother(&mut a, 0, None, cfg);
+    let coarse_lu = coarse_lu(&a, cfg);
+    let (smoother, _) = build_smoother(&mut a, 0, None, cfg, false);
     let level = Level {
         a,
         perm: None,
@@ -540,6 +560,16 @@ pub(crate) fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level,
         smoother,
     };
     (level, coarse_lu)
+}
+
+/// The dense LU factorization of the coarsest operator, when it is small
+/// enough for one (any in-row order: the dense matrix is the same).
+pub(crate) fn coarse_lu(a: &Csr, cfg: &AmgConfig) -> Option<LuFactor> {
+    if a.nrows() <= cfg.coarse_solve_size && a.nrows() > 0 {
+        LuFactor::new(&DenseMatrix::from_csr(a))
+    } else {
+        None
+    }
 }
 
 /// Takes `P_F` out of a full interpolation operator on the raw ordering:

@@ -18,9 +18,12 @@
 //! same frozen decisions the result is bitwise identical to
 //! `extended_i(a, s, cf, trunc)`. The tape holds index streams only; the
 //! operator is the caller's, and its positions are positions in that
-//! operator's value array: the hierarchy captures and replays on a level's
-//! raw operator, never on the CF-permuted copy. The decisions frozen into
-//! the tape (beyond the sparsity pattern itself) are:
+//! operator's value array. Capture records them in the level's raw
+//! operator, the one the builder reads; the hierarchy then moves them
+//! ([`ExtITape::remap`]) onto the operator it stores — CF-permuted, rows
+//! partitioned for the smoother — and replays there, the level's only
+//! copy. The decisions frozen into the tape (beyond the sparsity pattern
+//! itself) are:
 //!
 //! * the sign filter `ā_kl = a_kl` iff `sign(a_kl) ≠ sign(a_kk)`,
 //! * the zero-denominator lump `b_ik == 0`,
@@ -35,6 +38,7 @@
 use super::common::{CfMap, TruncParams};
 use super::extended_i::{build, Sink};
 use famg_sparse::Csr;
+use rayon::prelude::*;
 
 /// One distribution term: `k` is a strong fine neighbour of the row.
 ///
@@ -146,6 +150,20 @@ impl TapePart {
         self.row_cols = Vec::new();
     }
 
+    /// Rewrites every operand position the circuit reads, `k → map[k]`.
+    fn remap(&mut self, map: &[u32]) {
+        let at = |k: &mut u32| *k = map[*k as usize];
+        self.at_idx.iter_mut().for_each(at);
+        self.dn_idx.iter_mut().for_each(at);
+        self.dist_idx.iter_mut().for_each(at);
+        for op in &mut self.kops {
+            at(&mut op.aik);
+            if op.abar != u32::MAX {
+                at(&mut op.abar);
+            }
+        }
+    }
+
     /// Recomputes this block's fine-row weights from `av` and writes the
     /// kept ones of point `i` into row `row(i)` of the operator `rowptr`
     /// and `values` lay out; `num` is scratch of `max_slots + 1` entries.
@@ -155,7 +173,7 @@ impl TapePart {
         &self,
         av: &[f64],
         rowptr: &[usize],
-        values: &mut [f64],
+        values: &RowsPtr,
         row: &impl Fn(usize) -> usize,
         num: &mut [f64],
         rescale: bool,
@@ -206,24 +224,47 @@ impl TapePart {
                     num[sl as usize] += coef * av[ix as usize];
                 }
             }
-            let row0 = rowptr[row(self.first_row + r)];
-            let mut end = row0;
+            let out_row = row(self.first_row + r);
+            // SAFETY: `row` is injective on the points of every part, and
+            // the parts cover disjoint points: this is the only writer of
+            // the row's value range, which `rowptr` bounds within `values`.
+            let dst = unsafe { values.row(rowptr[out_row]..rowptr[out_row + 1]) };
+            let mut end = 0;
             let mut sum_before = 0.0f64;
             for (&sl, &keep) in self.em_slot[er.clone()].iter().zip(&self.em_keep[er]) {
                 let w = -num[sl as usize] / atilde;
                 sum_before += w;
                 if keep {
-                    values[end] = w;
+                    dst[end] = w;
                     end += 1;
                 }
             }
-            let out = &mut values[row0..end];
+            let out = &mut dst[..end];
             let sum_after: f64 = out.iter().sum();
             if rescale && sum_after != 0.0 && sum_before != 0.0 {
                 let scale = sum_before / sum_after;
                 out.iter_mut().for_each(|o| *o *= scale);
             }
         }
+    }
+}
+
+/// The value buffer the parts of one replay write, each its own rows.
+struct RowsPtr(*mut f64, usize);
+// SAFETY: replay hands each part rows no other part writes (see
+// `TapePart::replay`), and nothing reads the buffer until they join.
+unsafe impl Sync for RowsPtr {}
+
+impl RowsPtr {
+    /// The values at `range`.
+    ///
+    /// # Safety
+    /// No other reference to any of them may be live meanwhile.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row(&self, range: std::ops::Range<usize>) -> &mut [f64] {
+        assert!(range.start <= range.end && range.end <= self.1);
+        // SAFETY: in bounds (checked above) and unaliased per the contract.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start), range.len()) }
     }
 }
 
@@ -339,14 +380,24 @@ impl ExtITape {
     /// Writes each kept fine weight of point `i`, recomputed from `a`'s
     /// values, in place into row `row(i)` of `out`: the operator capture
     /// built (`row` the identity) or its fine rows in point order (`P_F`,
-    /// `row(i) = perm(i) − nc`). Nothing else is touched; the caller has
-    /// checked the shapes, as [`ExtITape::replay`] does.
-    pub(crate) fn replay_into(&self, a: &Csr, out: &mut Csr, row: impl Fn(usize) -> usize) {
+    /// `row(i) = perm(i) − nc`), one part per task. Nothing else is
+    /// touched; the caller has checked the shapes, as [`ExtITape::replay`]
+    /// does, and `row` is injective on the fine points.
+    pub(crate) fn replay_into(&self, a: &Csr, out: &mut Csr, row: impl Fn(usize) -> usize + Sync) {
         let (rowptr, _, values) = out.pattern_and_values_mut();
-        let mut num = vec![0.0f64; self.max_slots + 1];
-        for part in &self.parts {
-            part.replay(a.values(), rowptr, values, &row, &mut num, self.rescale);
-        }
+        let values = RowsPtr(values.as_mut_ptr(), values.len());
+        self.parts.par_iter().for_each(|part| {
+            let mut num = vec![0.0f64; self.max_slots + 1];
+            part.replay(a.values(), rowptr, &values, &row, &mut num, self.rescale);
+        });
+    }
+
+    /// Moves the circuit onto another layout of its operand: every
+    /// position `k` it reads becomes `map[k]` (`stored_positions` of the
+    /// layout the hierarchy stores the level's operator in).
+    pub(crate) fn remap(&mut self, map: &[u32]) {
+        assert_eq!(map.len(), self.a_shape.1, "extended+i tape: position map");
+        self.parts.par_iter_mut().for_each(|p| p.remap(map));
     }
 }
 

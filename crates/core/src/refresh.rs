@@ -15,13 +15,25 @@
 //! pattern* and new values hundreds of times. [`Hierarchy::build_frozen`]
 //! captures the pattern-derived half into a [`FrozenSetup`];
 //! [`Hierarchy::refresh`] then absorbs a same-pattern operator by
-//! re-running only numeric passes (interpolation weights over the frozen
-//! strength/CF inputs — an extended+i level replays the circuit its own
-//! build recorded, straight into the live level's `P_F` — numeric-only RAP
-//! into the frozen coarse patterns, smoother extraction) and the
-//! value-moving kernels the build itself runs (`permute_symmetric` with
-//! the stored permutation, `transpose_par`) — strength computation, PMIS,
-//! permutation construction, and symbolic SpGEMM are skipped entirely.
+//! re-running only numeric passes, each over the operator the hierarchy
+//! stores — CF-permuted, rows partitioned for the smoother — which is
+//! the level's only copy. Per level:
+//!
+//! 1. at level 0, the caller's values are copied into the stored `A_0`
+//!    through the level's permutation (each row matched by column);
+//! 2. an extended+i level replays the circuit its build recorded, moved
+//!    at capture onto the stored operator's positions, straight into the
+//!    level's `P_F` (a composed scheme re-runs its builder instead);
+//! 3. `P_Fᵀ` (or the cached `R`) is refilled in its own buffers;
+//! 4. the numeric-only RAP reads the stored operator in the in-row order
+//!    the build's product read — recorded as a two-bit code per entry
+//!    when the smoother partitioned the rows — and writes each coarse row
+//!    into the next level's stored row, matched by column;
+//! 5. the smoother refills its diagonal: its partition is the pattern's.
+//!
+//! At the coarsest level the smoother's diagonal and the dense LU are
+//! redone from the stored operator. Strength, PMIS, the permutations, the
+//! symbolic products and the row partitions are never recomputed.
 //!
 //! ## Refresh contract
 //!
@@ -33,11 +45,12 @@
 //!   or values that drive a composed scheme off the frozen sparsity return
 //!   [`RefreshError::PatternMismatch`] and leave every level bitwise as it
 //!   was: the checks run before any write, and the levels that can still
-//!   be refused are staged and swapped in once the last has passed — the
-//!   *commit point*, level 0 with the paper's configuration. The levels
-//!   below it are rewritten over their own buffers.
+//!   be refused are refreshed on copies and swapped in once the last has
+//!   passed — the *commit point*, level 0 with the paper's configuration.
+//!   The levels below it are rewritten over their own buffers.
 //! * A *panic* past it (a zero diagonal, `FrozenRow::add`'s range test)
-//!   leaves the level being rewritten with an empty operator, which
+//!   leaves a level being rewritten with an empty operator — operators are
+//!   moved out of their level while they are written — which
 //!   [`Hierarchy::check_shape`], `try_` solves and the next refresh refuse.
 //! * Under the `validate` feature each refresh cross-checks itself
 //!   against a from-scratch build and panics if any level drifts beyond
@@ -45,50 +58,52 @@
 //!   (e.g. a strength threshold crossing).
 
 use crate::coarsen::Coarsening;
-use crate::hierarchy::{build_interp, build_smoother, coarsest_level, extract_fine_block};
+use crate::hierarchy::{build_interp, coarse_lu, extract_fine_block};
 use crate::hierarchy::{Hierarchy, Level, TransferOps};
 use crate::interp::{CfMap, ExtITape};
 use crate::params::AmgConfig;
 use crate::smoother::Smoother;
 use crate::stats::PhaseTimes;
-use famg_sparse::permute::permute_symmetric;
-use famg_sparse::transpose::transpose_par;
-use famg_sparse::triple::{rap_cf_numeric, rap_row_fused_numeric, rap_scalar_fused_numeric};
+use famg_sparse::permute::{
+    permute_symmetric_into, permute_symmetric_values, unpermute_symmetric, RowOrder,
+};
+use famg_sparse::transpose::{transpose_par, transpose_par_into};
+use famg_sparse::triple::{rap_cf_numeric_into, rap_row_fused_numeric, rap_scalar_fused_numeric};
 use famg_sparse::Csr;
+use std::borrow::Cow;
 
-/// Everything pattern-derived about one level: each *decision*, once. The
-/// transforms that only move values (the CF permutation with the level's
-/// stored [`Permutation`], `P_Fᵀ`, the CF-block read of `A_perm` inside the
-/// RAP kernel) are re-run with the build's kernels over the live level.
-///
-/// [`Permutation`]: famg_sparse::permute::Permutation
+/// Everything pattern-derived about one level that the live level does not
+/// already hold: each *decision*, once. The permutation, the transfer
+/// operators' patterns and the smoother's row partition stay where the
+/// build put them, and a refresh writes values over them.
 #[derive(Debug)]
 pub struct FrozenLevel {
     /// How the level's interpolation weights are recomputed.
     pub(crate) interp: FrozenInterp,
     /// Number of coarse points: the rows of the next level.
     pub(crate) nc: usize,
-    /// Frozen coarse-operator pattern. The values are scratch space: a
-    /// refresh fills them with the numeric RAP kernels and the next level
-    /// reads its operator from here, never across refreshes (scribbled
-    /// even by a failed refresh — harmless, every refresh rewrites them
-    /// top-down before it reads them).
-    pub(crate) rap: Csr,
+    /// `(rows, nonzeros)` of the next level's operator, for the guard.
+    pub(crate) next: (usize, usize),
+    /// The in-row order the level's stored operator had when the build's
+    /// RAP read it, before the reordered smoother partitioned its rows;
+    /// `None` when the level's smoother reorders nothing.
+    pub(crate) order: Option<RowOrder>,
 }
 
-/// A frozen level's interpolation decisions, in the level's *raw* ordering
-/// (the one strength, coarsening and the builders read) on both paths.
+/// A frozen level's interpolation decisions.
 #[derive(Debug)]
 pub(crate) enum FrozenInterp {
-    /// Extended+i: the circuit its build recorded, kept set included. It
-    /// replays into the live `P_F` (or `P`), so no operator is kept beside.
+    /// Extended+i: the circuit its build recorded, kept set included, its
+    /// positions moved onto the level's stored operator. It replays into
+    /// the live `P_F` (or `P`), so no operator is kept beside.
     Tape(ExtITape),
-    /// Multipass and two-stage: the composed builder is re-run and must
-    /// land exactly on the frozen sparsity.
+    /// Multipass and two-stage: the composed builder is re-run on the
+    /// level's raw operand and must land exactly on the frozen sparsity.
     Rerun(Rerun),
 }
 
-/// What a builder is re-run on.
+/// What a builder is re-run on, in the level's raw ordering (the one
+/// strength, coarsening and the builders read).
 #[derive(Debug)]
 pub(crate) struct Rerun {
     /// Strength matrix; only its pattern is read (values freeze-time stale).
@@ -133,11 +148,13 @@ impl FrozenSetup {
         if self.levels.len() + 1 != levels.len() {
             return mismatch(0, "level count");
         }
-        let mut operand = a;
+        // Each level's operator: the input's shape at the top, below it
+        // the one frozen beside the level above.
+        let mut shape = (a.nrows(), a.nnz());
         for (idx, (fl, pair)) in self.levels.iter().zip(levels.windows(2)).enumerate() {
-            let (lvl, next, n) = (&pair[0], &pair[1].a, operand.nrows());
+            let (lvl, next, n) = (&pair[0], &pair[1].a, shape.0);
             let frozen_p = match &fl.interp {
-                FrozenInterp::Tape(t) if t.a_shape != (n, operand.nnz()) => {
+                FrozenInterp::Tape(t) if t.a_shape != shape => {
                     return mismatch(idx, "extended+i tape operand");
                 }
                 FrozenInterp::Tape(t) => (n, t.p_nnz),
@@ -151,12 +168,18 @@ impl FrozenSetup {
                 (Some(TransferOps::Full { p, .. }), None) => (p.nrows(), p.nnz()),
                 _ => return mismatch(idx, "frozen setup"),
             };
-            if (lvl.nc, lvl.a.nrows(), p_shape) != (fl.nc, n, frozen_p)
-                || (next.nrows(), next.nnz()) != (fl.rap.nrows(), fl.rap.nnz())
+            let partitioned = matches!(lvl.smoother, Smoother::HybridOpt { .. });
+            if (lvl.nc, (lvl.a.nrows(), lvl.a.nnz()), p_shape) != (fl.nc, shape, frozen_p)
+                || (next.nrows(), next.nnz()) != fl.next
+                || fl.order.as_ref().map(RowOrder::len) != partitioned.then_some(shape.1)
             {
                 return mismatch(idx, "frozen setup");
             }
-            operand = &fl.rap;
+            shape = fl.next;
+        }
+        let coarsest = &levels[levels.len() - 1].a;
+        if (coarsest.nrows(), coarsest.nnz()) != shape {
+            return mismatch(self.levels.len(), "frozen setup");
         }
         Ok(())
     }
@@ -215,107 +238,128 @@ fn refresh_interp(a: &Csr, r: &Rerun, level: usize, cfg: &AmgConfig) -> Result<C
     }
 }
 
-/// A baseline hybrid GS's C/F marker, all a rebuilt smoother reads of the
-/// old one (a tape level records no splitting of its own).
-fn marker(s: &Smoother) -> Option<Vec<bool>> {
-    match s {
-        Smoother::HybridBase { is_coarse, .. } => Some(is_coarse.clone()),
-        Smoother::HybridOpt { .. } => None,
-    }
+/// Level `idx` and the one below it, each from `staged` (the copies of the
+/// levels above the commit point, while there are any) or from `live`.
+fn pair<'a>(
+    staged: &'a mut [Level],
+    live: &'a mut [Level],
+    idx: usize,
+) -> (&'a mut Level, &'a mut Level) {
+    let (upper, lower) = match idx + 1 {
+        below if below < staged.len() => staged.split_at_mut(below),
+        below if below == staged.len() => (staged, &mut live[below..]),
+        below => live.split_at_mut(below),
+    };
+    (&mut upper[idx], &mut lower[0])
 }
 
-/// A level to refresh beside `live`: its permutation and, for a tape to
-/// write into, its interpolation operator.
-fn staging_copy(live: &Level, tape: bool) -> Level {
-    Level {
-        a: Csr::zero(0, 0),
-        perm: live.perm.clone(),
-        nc: live.nc,
-        ops: if tape { live.ops.clone() } else { None },
-        smoother: Smoother::hybrid_base(&Csr::zero(0, 0), Vec::new(), 1),
-    }
-}
-
-/// Refreshes one level over `lvl`'s own buffers (the live level, or a
-/// staging copy; `marker` is the live smoother's). The operator and the
-/// smoother are emptied first, the operator put back last; `P_Fᵀ` is freed
-/// before it is rebuilt; a tape writes `P_F` (or `P`) where it lies.
+/// Refreshes level `idx` where it lies. Its operator arrives from the
+/// level above — `incoming`, written, with its rows in the in-row order
+/// the build's RAP read — or, at the top, is taken out of `lvl` and
+/// written from the caller's `input`. It goes back into `lvl` partitioned
+/// for the smoother. The next level's operator is taken out of `next`,
+/// written in that same order (`next_order` undoes its partition first)
+/// and returned. A refusal comes before anything outside `lvl` is touched.
+#[allow(clippy::too_many_arguments)]
 fn refresh_level(
     lvl: &mut Level,
-    marker: Option<Vec<bool>>,
-    current: &Csr,
-    fl: &mut FrozenLevel,
+    next: &mut Level,
+    next_order: Option<&RowOrder>,
+    incoming: Option<Csr>,
+    input: Option<&Csr>,
+    fl: &FrozenLevel,
     idx: usize,
     cfg: &AmgConfig,
-) -> Result<(), RefreshError> {
+) -> Result<Csr, RefreshError> {
     let nc = fl.nc;
-    lvl.a = Csr::zero(0, 0);
-    lvl.smoother = Smoother::hybrid_base(&Csr::zero(0, 0), Vec::new(), 1);
-    // --- Interpolation weights, on the raw ordering like the build's (the
-    // tape's positions are positions in `current`). ---
-    let interp_span = famg_prof::scope_at("interp", idx);
     let perm = lvl.perm.as_ref();
+    let mut a = incoming.unwrap_or_else(|| std::mem::replace(&mut lvl.a, Csr::zero(0, 0)));
+    if let Some(input) = input {
+        let _span = famg_prof::scope_at("cf_reorder", idx);
+        match perm {
+            Some(q) => permute_symmetric_into(input, q, &mut a),
+            None => a.values_mut().copy_from_slice(input.values()),
+        }
+    }
+
+    // --- Interpolation weights. ---
+    let interp_span = famg_prof::scope_at("interp", idx);
     match &fl.interp {
         FrozenInterp::Tape(tape) => {
             // Fine point `i` is row `perm(i) − nc` of `P_F`, row `i` of `P`.
             if let Some(TransferOps::CfBlock { pf: out, .. } | TransferOps::Full { p: out, .. }) =
                 &mut lvl.ops
             {
-                tape.replay_into(current, out, |i| perm.map_or(i, |q| q.forward[i] - nc));
+                tape.replay_into(&a, out, |i| perm.map_or(i, |q| q.forward[i] - nc));
             }
         }
         FrozenInterp::Rerun(r) => {
-            let p = refresh_interp(current, r, idx, cfg)?;
-            lvl.ops = None; // Freed before `P_F` is copied out.
-            lvl.ops = Some(match perm {
-                Some(q) => {
+            // The builder reads the raw operand: the caller's at the top,
+            // below it the level's operator as the RAP above produced it.
+            let raw = match (input, perm) {
+                (Some(input), _) => Cow::Borrowed(input),
+                (None, Some(q)) => Cow::Owned(unpermute_symmetric(&a, q)),
+                (None, None) => Cow::Borrowed(&a),
+            };
+            let p = refresh_interp(&raw, r, idx, cfg)?;
+            drop(raw);
+            match (&mut lvl.ops, perm) {
+                (Some(TransferOps::CfBlock { pf, .. }), Some(q)) => {
                     let _span = famg_prof::scope_at("extract_p", idx);
-                    let pf = extract_fine_block(&p, q, nc, idx);
-                    let pft = Csr::zero(0, 0);
-                    TransferOps::CfBlock { pf, pft }
+                    *pf = Csr::zero(0, 0); // Freed before the new one is taken.
+                    *pf = extract_fine_block(&p, q, nc, idx);
                 }
-                None => TransferOps::Full { p, r: None },
-            });
+                (Some(TransferOps::Full { p: old, .. }), None) => *old = p,
+                _ => unreachable!("the refresh guard paired level {idx}'s P with its permutation"),
+            }
         }
     }
     drop(interp_span);
 
-    let mut a_level = match (&mut lvl.ops, perm) {
-        (Some(TransferOps::CfBlock { pf, pft }), Some(q)) => {
-            // --- Optimized path: the stored permutation, borrowed. ---
-            let reorder_span = famg_prof::scope_at("cf_reorder", idx);
-            let ap = permute_symmetric(current, q);
-            drop(reorder_span);
+    // --- The transposes, then the numeric-only RAP into the next level's
+    // operator, moved out of it while it is written. ---
+    let mut a_next = std::mem::replace(&mut next.a, Csr::zero(0, 0));
+    if let Some(order) = next_order {
+        let _span = famg_prof::scope_at("row_order", idx + 1);
+        order.restore_pattern(&mut a_next);
+    }
+    match &mut lvl.ops {
+        Some(TransferOps::CfBlock { pf, pft }) => {
             let extract_span = famg_prof::scope_at("extract_p", idx);
-            *pft = Csr::zero(0, 0);
-            *pft = transpose_par(pf);
+            transpose_par_into(pf, pft);
             drop(extract_span);
-            // --- Numeric-only RAP into the frozen coarse pattern. ---
             let _span = famg_prof::scope_at("rap", idx);
-            rap_cf_numeric(&ap, nc, pf, pft, &mut fl.rap);
-            ap
+            rap_cf_numeric_into(&a, nc, pf, pft, &mut a_next, next.perm.as_ref());
         }
-        (Some(TransferOps::Full { p, r }), None) => {
-            // --- Baseline path: original ordering throughout. ---
+        Some(TransferOps::Full { p, r }) => {
             let _span = famg_prof::scope_at("rap", idx);
-            *r = None;
-            let rt = transpose_par(p);
+            // Without `keep_transpose` the baseline holds no `R` to refill:
+            // it transposes `P` here as its build and its restrictions do.
+            let rt = match r {
+                Some(rt) => {
+                    transpose_par_into(p, rt);
+                    Cow::Borrowed(&*rt)
+                }
+                None => Cow::Owned(transpose_par(p)),
+            };
             if cfg.opt.row_fused_rap {
-                rap_row_fused_numeric(&rt, current, p, &mut fl.rap);
+                rap_row_fused_numeric(&rt, &a, p, &mut a_next);
             } else {
-                rap_scalar_fused_numeric(&rt, current, p, &mut fl.rap);
+                rap_scalar_fused_numeric(&rt, &a, p, &mut a_next);
             }
-            *r = cfg.opt.keep_transpose.then_some(rt);
-            current.clone()
         }
-        _ => unreachable!("the refresh guard paired level {idx}'s P with its permutation"),
-    };
+        None => unreachable!("the refresh guard found level {idx}'s transfer operators"),
+    }
 
-    let smoother_span = famg_prof::scope_at("smoother_setup", idx);
-    lvl.smoother = build_smoother(&mut a_level, nc, marker.as_deref(), cfg);
-    drop(smoother_span);
-    lvl.a = a_level;
-    Ok(())
+    // --- Back to the smoother's layout; only its diagonal moves. ---
+    if let Some(order) = &fl.order {
+        let _span = famg_prof::scope_at("row_order", idx);
+        order.partition(&mut a);
+    }
+    let _span = famg_prof::scope_at("smoother_setup", idx);
+    lvl.smoother.refill_diagonal(&a);
+    lvl.a = a;
+    Ok(a_next)
 }
 
 impl Hierarchy {
@@ -360,40 +404,42 @@ impl Hierarchy {
     fn refresh_levels(
         &mut self,
         a: &Csr,
-        frozen: &mut FrozenSetup,
+        frozen: &FrozenSetup,
         cfg: &AmgConfig,
     ) -> Result<(), RefreshError> {
         let nl = frozen.levels.len();
         // The commit point: one past the last level that can be refused,
         // a composed scheme re-run without a tape (see `refresh_interp`).
+        // The levels above it are refreshed on copies.
         let fallible = |l: &usize| matches!(frozen.levels[*l].interp, FrozenInterp::Rerun(_));
         let commit = (0..nl).rev().find(fallible).map_or(0, |l| l + 1);
-        let mut staged = Vec::with_capacity(commit);
-        for idx in 0..nl {
-            // The operand: `a` at the top, below it the frozen RAP the
-            // level above just filled, read where it lies.
-            let (done, rest) = frozen.levels.split_at_mut(idx);
-            let (current, fl) = (done.last().map_or(a, |prev| &prev.rap), &mut rest[0]);
-            let marker = marker(&self.levels[idx].smoother);
-            if idx < commit {
-                let tape = matches!(fl.interp, FrozenInterp::Tape(_));
-                staged.push(staging_copy(&self.levels[idx], tape));
-                refresh_level(&mut staged[idx], marker, current, fl, idx, cfg)?;
-                if idx + 1 == commit {
-                    self.levels.splice(..commit, staged.drain(..));
-                }
-            } else {
-                refresh_level(&mut self.levels[idx], marker, current, fl, idx, cfg)?;
+        let mut staged = self.levels[..commit].to_vec();
+        let mut incoming = None;
+        for (idx, fl) in frozen.levels.iter().enumerate() {
+            let next_order = frozen.levels.get(idx + 1).and_then(|l| l.order.as_ref());
+            let (lvl, next) = pair(&mut staged, &mut self.levels, idx);
+            let input = (idx == 0).then_some(a);
+            incoming = Some(refresh_level(
+                lvl, next, next_order, incoming, input, fl, idx, cfg,
+            )?);
+            if idx + 1 == commit {
+                self.levels.splice(..commit, staged.drain(..));
             }
         }
 
-        // --- Coarsest level: replaced where it lies, its LU refactored. ---
-        self.levels.pop();
+        // --- Coarsest level: its smoother's diagonal and LU, redone from
+        // its operator (the caller's values, when it is the only level). ---
+        let _span = famg_prof::scope_at("coarse", nl);
         self.coarse_lu = None;
-        let coarsest = frozen.levels.last().map_or(a, |fl| &fl.rap).clone();
-        let (coarsest, coarse_lu) = coarsest_level(coarsest, nl, cfg);
-        self.levels.push(coarsest);
-        self.coarse_lu = coarse_lu;
+        let coarsest = self.levels.last_mut().expect("a hierarchy has a level");
+        let op = incoming.unwrap_or_else(|| {
+            let mut op = std::mem::replace(&mut coarsest.a, Csr::zero(0, 0));
+            permute_symmetric_values(a, None, &mut op);
+            op
+        });
+        coarsest.smoother.refill_diagonal(&op);
+        self.coarse_lu = coarse_lu(&op, cfg);
+        coarsest.a = op;
         Ok(())
     }
 }
@@ -699,6 +745,55 @@ mod tests {
             for (lvl, (r, f)) in h.levels.iter().zip(&full.levels).enumerate() {
                 assert_eq!(r.a, f.a, "{:?} level {lvl}", cfg.opt);
             }
+        }
+    }
+
+    /// `p` with one entry moved to a column its row does not hold: same
+    /// shape and nonzero count, another pattern.
+    fn moved_entry(p: &Csr) -> Csr {
+        let mut colidx = p.colidx().to_vec();
+        let k = (0..p.nrows())
+            .flat_map(|i| p.row_range(i).map(move |k| (i, k)))
+            .find(|&(i, k)| {
+                let c = p.colidx()[k] + 1;
+                c < p.ncols() && !p.row_cols(i).contains(&c)
+            })
+            .map(|(_, k)| k)
+            .expect("a movable entry");
+        colidx[k] += 1;
+        let (rowptr, values) = (p.rowptr().to_vec(), p.values().to_vec());
+        Csr::from_parts_unchecked(p.nrows(), p.ncols(), rowptr, colidx, values)
+    }
+
+    #[test]
+    fn a_composed_scheme_below_level_0_refreshes_bitwise_and_refuses_unchanged() {
+        // Levels 0 and 1 re-run their builder; level 1's raw operand is
+        // rebuilt from its stored operator in the order recorded for it.
+        let (nx, ny, nz) = (12, 12, 8);
+        let a = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.0));
+        let smooth = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.35));
+        for base in [AmgConfig::multi_node_mp(), AmgConfig::multi_node_2s_ei444()] {
+            let cfg = AmgConfig {
+                aggressive_levels: 2,
+                ..base
+            };
+            let (mut h, mut frozen) = Hierarchy::build_frozen(&a, &cfg);
+            assert!(h.num_levels() >= 3, "{:?}", cfg.interp);
+            assert!(matches!(frozen.levels[1].interp, FrozenInterp::Rerun(_)));
+            h.refresh(&smooth, &mut frozen).unwrap();
+            let fresh = fingerprint(&Hierarchy::build(&smooth, &cfg));
+            assert_eq!(fingerprint(&h), fresh, "{:?}", cfg.interp);
+
+            // Level 1's builder now misses its frozen pattern: refused after
+            // levels 0 and 1 were refreshed on copies (with other values).
+            let FrozenInterp::Rerun(r) = &mut frozen.levels[1].interp else {
+                unreachable!()
+            };
+            r.p = moved_entry(&r.p);
+            let what = "interpolation operator";
+            let refused = Err(RefreshError::PatternMismatch { level: 1, what });
+            assert_eq!(h.refresh(&a, &mut frozen), refused, "{:?}", cfg.interp);
+            assert_eq!(fingerprint(&h), fresh, "{:?}", cfg.interp);
         }
     }
 }

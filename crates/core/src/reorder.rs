@@ -15,7 +15,7 @@
 //! place here: extended+i gathers the one class it reads into a side view
 //! (`interp::extended_i`) and leaves the operator's row order alone.
 
-use famg_sparse::permute::{cf_permutation, permute_symmetric, Permutation};
+use famg_sparse::permute::{cf_permutation, permute_symmetric, Permutation, RowOrder};
 use famg_sparse::Csr;
 use std::ops::Range;
 
@@ -127,9 +127,19 @@ pub struct GsPartition {
 /// (it stays in the matrix so SpMV is unaffected). "Own" means the column
 /// lies in either of the row-owner's two ranges (coarse or fine).
 ///
+/// The partition is stable and depends on the pattern alone. With `order`,
+/// each entry's segment is recorded at its pre-partition position (0–3 in
+/// the order above), so a refresh can read the rows in the order the
+/// build's triple product did.
+///
 /// # Panics
 /// Panics when a row has no diagonal entry or the diagonal is zero.
-pub fn partition_rows_gs(a: &mut Csr, nc: usize, own: &ThreadOwnership) -> GsPartition {
+pub fn partition_rows_gs(
+    a: &mut Csr,
+    nc: usize,
+    own: &ThreadOwnership,
+    mut order: Option<&mut RowOrder>,
+) -> GsPartition {
     let n = a.nrows();
     let rowptr = a.rowptr().to_vec();
     let mut up_start = vec![0usize; n];
@@ -151,16 +161,23 @@ pub fn partition_rows_gs(a: &mut Csr, nc: usize, own: &ThreadOwnership) -> GsPar
         let mut diag = None;
         for k in r.clone() {
             let (c, v) = (colidx[k], values[k]);
-            if c == i {
+            let segment = if c == i {
                 diag = Some(v);
+                0
             } else if my_c.contains(&c) || my_f.contains(&c) {
                 if c < i {
                     low.push((c, v));
+                    1
                 } else {
                     up.push((c, v));
+                    2
                 }
             } else {
                 ext.push((c, v));
+                3
+            };
+            if let Some(o) = order.as_deref_mut() {
+                o.set_group(k, segment);
             }
         }
         let d = diag.unwrap_or_else(|| panic!("row {i} has no diagonal"));
@@ -243,7 +260,7 @@ mod tests {
         let mut a = laplace2d(6, 6);
         let nc = 14;
         let own = ThreadOwnership::build(&a, nc, 3);
-        let g = partition_rows_gs(&mut a, nc, &own);
+        let g = partition_rows_gs(&mut a, nc, &own, None);
         for i in 0..a.nrows() {
             let r = a.row_range(i);
             // Diagonal first.
@@ -274,7 +291,7 @@ mod tests {
         for tasks in 1..=4 {
             let mut a = base.clone();
             let own = ThreadOwnership::build(&a, nc, tasks);
-            let g = partition_rows_gs(&mut a, nc, &own);
+            let g = partition_rows_gs(&mut a, nc, &own, None);
             let want: BTreeSet<usize> = (0..a.nrows())
                 .flat_map(|i| a.colidx()[g.ext_start[i]..a.rowptr()[i + 1]].to_vec())
                 .collect();
@@ -292,7 +309,7 @@ mod tests {
         let c = crate::coarsen::pmis(&s, 1);
         let (mut a, ord) = cf_reorder(&a0, &c.is_coarse);
         let own = ThreadOwnership::build(&a, ord.nc, 2);
-        let g = partition_rows_gs(&mut a, ord.nc, &own);
+        let g = partition_rows_gs(&mut a, ord.nc, &own, None);
         assert!(!g.ext_cols.is_empty());
         assert!(
             g.ext_cols.len() <= 6 * 64,
@@ -307,7 +324,7 @@ mod tests {
         let mut a = laplace2d(7, 5);
         let before = a.clone();
         let own = ThreadOwnership::build(&a, 10, 4);
-        let _ = partition_rows_gs(&mut a, 10, &own);
+        let _ = partition_rows_gs(&mut a, 10, &own, None);
         let x: Vec<f64> = (0..35).map(|i| f64::from(i % 7) - 3.0).collect();
         let mut y1 = vec![0.0; 35];
         let mut y2 = vec![0.0; 35];
@@ -323,6 +340,6 @@ mod tests {
     fn gs_partition_requires_diagonal() {
         let mut a = Csr::from_triplets(2, 2, vec![(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
         let own = ThreadOwnership::build(&a, 0, 1);
-        partition_rows_gs(&mut a, 0, &own);
+        partition_rows_gs(&mut a, 0, &own, None);
     }
 }

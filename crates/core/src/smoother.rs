@@ -13,6 +13,7 @@
 
 use crate::reorder::{GsPartition, ThreadOwnership};
 use famg_sparse::multivec::{gather_col, scatter_col, width};
+use famg_sparse::permute::RowOrder;
 use famg_sparse::{lanes, Csr, MultiVec};
 use std::ops::Range;
 
@@ -65,7 +66,7 @@ pub enum Class {
 }
 
 /// A smoother instance bound to one multigrid level's matrix.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Smoother {
     /// Baseline hybrid GS (Fig. 2a): unreordered matrix, per-row class
     /// branch, per-nonzero ownership branch.
@@ -87,13 +88,12 @@ pub enum Smoother {
 }
 
 fn diag_inv(a: &Csr) -> Vec<f64> {
-    (0..a.nrows())
-        .map(|i| {
-            let d = a.diag(i);
-            assert!(d != 0.0, "zero diagonal in row {i}");
-            1.0 / d
-        })
-        .collect()
+    (0..a.nrows()).map(|i| recip_diag(i, a.diag(i))).collect()
+}
+
+fn recip_diag(i: usize, d: f64) -> f64 {
+    assert!(d != 0.0, "zero diagonal in row {i}");
+    1.0 / d
 }
 
 impl Smoother {
@@ -110,9 +110,45 @@ impl Smoother {
     /// Optimized hybrid GS: reorders `a`'s rows in place (Fig. 2b
     /// partition) against a fresh [`ThreadOwnership`].
     pub fn hybrid_opt(a: &mut Csr, nc: usize, nthreads: usize) -> Self {
+        Self::hybrid_opt_recording(a, nc, nthreads, None)
+    }
+
+    /// [`Smoother::hybrid_opt`], recording into `order` the in-row order
+    /// `a` had before (see [`crate::reorder::partition_rows_gs`]).
+    pub(crate) fn hybrid_opt_recording(
+        a: &mut Csr,
+        nc: usize,
+        nthreads: usize,
+        order: Option<&mut RowOrder>,
+    ) -> Self {
         let own = ThreadOwnership::build(a, nc, nthreads);
-        let part = crate::reorder::partition_rows_gs(a, nc, &own);
+        let part = crate::reorder::partition_rows_gs(a, nc, &own, order);
         Smoother::HybridOpt { part }
+    }
+
+    /// Recomputes the reciprocal diagonal from `a`'s values, the only part
+    /// of either smoother that depends on them: its row blocks, marker and
+    /// row partition are the pattern's. `a` is the operator the smoother
+    /// was built over, with new values.
+    ///
+    /// # Panics
+    /// On a zero diagonal, like the constructors.
+    pub fn refill_diagonal(&mut self, a: &Csr) {
+        match self {
+            Smoother::HybridBase { dinv, .. } => {
+                assert_eq!(dinv.len(), a.nrows());
+                for (i, d) in dinv.iter_mut().enumerate() {
+                    *d = recip_diag(i, a.diag(i));
+                }
+            }
+            // The partition put each row's diagonal first.
+            Smoother::HybridOpt { part } => {
+                assert_eq!(part.dinv.len(), a.nrows());
+                for (i, d) in part.dinv.iter_mut().enumerate() {
+                    *d = recip_diag(i, a.values()[a.rowptr()[i]]);
+                }
+            }
+        }
     }
 
     /// Pre-smoothing: C then F relaxation. `x_is_zero` enables the

@@ -404,7 +404,6 @@ impl AmgSolver {
         let perm = h.levels[0].perm.as_ref();
         let mut pb = std::mem::take(&mut ws.fine_b);
         let mut px = std::mem::take(&mut ws.fine_x);
-        let mut r = std::mem::take(&mut ws.fine_r);
         if let Some(q) = perm {
             q.apply_rows_into(b, k, &mut pb);
             q.apply_rows_into(x, k, &mut px);
@@ -444,15 +443,17 @@ impl AmgSolver {
             }
         };
 
+        // The residual goes to the finest level's residual buffer, which
+        // the cycle only uses inside a cycle.
         let mut relres = vec![0.0; k]; // ALLOC: k-sized bookkeeping, not O(n)
-        norm_of(&px, &mut r, &mut relres);
+        norm_of(&px, &mut ws.r[0], &mut relres);
         let mut cols = ColumnTracker::new(&relres, cfg.tolerance);
         let mut iterations = 0usize;
         while cols.any_live() && iterations < cfg.max_iterations {
             cols.freeze_stopped(&px);
             vcycle_rows(h, &pb, &mut px, k, ws);
             iterations += 1;
-            norm_of(&px, &mut r, &mut relres);
+            norm_of(&px, &mut ws.r[0], &mut relres);
             cols.record(iterations, &relres);
         }
         let converged = cols.finish(&mut px);
@@ -464,7 +465,6 @@ impl AmgSolver {
         }
         ws.fine_b = pb;
         ws.fine_x = px;
-        ws.fine_r = r;
         drop(permute_span);
 
         drop(root_span);

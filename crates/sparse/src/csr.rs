@@ -228,6 +228,13 @@ impl Csr {
         (&mut self.colidx, &mut self.values)
     }
 
+    /// The row pointer beside mutable column indices and values, for
+    /// kernels that reorder entries within rows in parallel.
+    #[inline]
+    pub fn rows_mut(&mut self) -> (&[usize], &mut [usize], &mut [f64]) {
+        (&self.rowptr, &mut self.colidx, &mut self.values)
+    }
+
     /// The frozen pattern (`rowptr`, `colidx`) beside the mutable values,
     /// for the numeric-only kernels that re-fill a matrix in place.
     #[inline]

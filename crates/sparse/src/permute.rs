@@ -193,6 +193,296 @@ fn move_rows(
     Csr::from_parts_unchecked(n, a.ncols(), rowptr, colidx, values)
 }
 
+/// The in-row order a matrix had before its rows were stably partitioned
+/// into at most four groups (the smoother's `[diag | own-lower |
+/// own-upper | ext]`): two bits per entry, the code at position
+/// `rowptr[i] + j` naming the group the row's `j`-th entry in the old
+/// order went to. A stable partition keeps each group in the old order,
+/// so [`RowOrder::walk`] merges the groups back exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowOrder {
+    codes: Vec<u8>,
+    len: usize,
+}
+
+impl RowOrder {
+    /// A code of `len` entries, all in group 0.
+    pub fn new(len: usize) -> Self {
+        RowOrder {
+            codes: vec![0; len.div_ceil(4)],
+            len,
+        }
+    }
+
+    /// Number of entries coded.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no entry is coded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Records that the entry at old-order position `k` went to `group`.
+    pub fn set_group(&mut self, k: usize, group: usize) {
+        assert!(
+            group < 4 && k < self.len,
+            "row order: entry {k}, group {group}"
+        );
+        let shift = 2 * (k % 4);
+        let byte = &mut self.codes[k / 4];
+        *byte = (*byte & !(3 << shift)) | ((group as u8) << shift);
+    }
+
+    #[inline(always)]
+    fn group(&self, k: usize) -> usize {
+        usize::from((self.codes[k / 4] >> (2 * (k % 4))) & 3)
+    }
+
+    /// Calls `f` with the position each entry of the partitioned row
+    /// stored at `row` now has, in the row's old order.
+    #[inline(always)]
+    pub fn walk(&self, row: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
+        let (start, end) = (row.start, row.end);
+        if end - start >= 1 << 16 {
+            return self.walk_long(row, f);
+        }
+        // The four groups' counts, then their cursors, as 16-bit lanes of
+        // one register (no lane reaches the row length), a byte of codes
+        // at a time: the positions of a byte's entries depend on the
+        // cursors before it alone.
+        let mut lanes = 0u64;
+        self.bytes(start, end, |b, m| lanes += PREFIX[b][m]);
+        // Exclusive prefix over the lanes: lane g gains lanes 0..g.
+        let mut next = (lanes << 16) + (lanes << 32) + (lanes << 48);
+        self.bytes(start, end, |b, m| {
+            let before = &PREFIX[b];
+            for (j, at) in before[..m].iter().enumerate() {
+                let shift = 16 * ((b >> (2 * j)) & 3);
+                f(start + (((next + at) >> shift) & 0xffff) as usize);
+            }
+            next += before[m];
+        });
+    }
+
+    /// Calls `f(codes, m)` for the codes of positions `start..end`, up to
+    /// four at a time, the `m` of a call in the low bits of `codes`.
+    #[inline(always)]
+    fn bytes(&self, start: usize, end: usize, mut f: impl FnMut(usize, usize)) {
+        let mut k = start;
+        while k < end {
+            let skip = k % 4;
+            let m = (4 - skip).min(end - k);
+            f(usize::from(self.codes[k / 4] >> (2 * skip)), m);
+            k += m;
+        }
+    }
+
+    /// Puts the column indices of every row of `a` — partitioned when this
+    /// order was recorded — back in their old order, in place; the values
+    /// are left where they are, for a writer that matches rows by column.
+    pub fn restore_pattern(&self, a: &mut Csr) {
+        self.move_entries(a, true);
+    }
+
+    /// Partitions the rows of `a`, entries in their old order, again: the
+    /// layout the order was recorded from.
+    pub fn partition(&self, a: &mut Csr) {
+        self.move_entries(a, false);
+    }
+
+    /// One walk per row, the rows in parallel blocks, each row through a
+    /// scratch copy of itself; `restore` moves column indices only.
+    fn move_entries(&self, a: &mut Csr, restore: bool) {
+        assert_eq!(self.len, a.nnz(), "row order: operator");
+        let (rowptr, cols, vals) = a.rows_mut();
+        let mut blocks = row_blocks(rowptr, cols, vals);
+        blocks.par_iter_mut().for_each(|(rows, cols, vals)| {
+            let base = rowptr[rows.start];
+            let (mut row_cols, mut row_vals) = (Vec::new(), Vec::new());
+            for i in rows.clone() {
+                let (start, end) = (rowptr[i] - base, rowptr[i + 1] - base);
+                let (cols, vals) = (&mut cols[start..end], &mut vals[start..end]);
+                row_cols.clear();
+                row_cols.extend_from_slice(cols);
+                let mut old = 0;
+                if restore {
+                    self.walk(rowptr[i]..rowptr[i + 1], |pos| {
+                        cols[old] = row_cols[pos - rowptr[i]];
+                        old += 1;
+                    });
+                } else {
+                    row_vals.clear();
+                    row_vals.extend_from_slice(vals);
+                    self.walk(rowptr[i]..rowptr[i + 1], |pos| {
+                        let now = pos - rowptr[i];
+                        (cols[now], vals[now]) = (row_cols[old], row_vals[old]);
+                        old += 1;
+                    });
+                }
+            }
+        });
+    }
+
+    /// [`RowOrder::walk`] for a row too long for 16-bit cursors.
+    #[cold]
+    fn walk_long(&self, row: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
+        let mut next = [0usize; 4];
+        for k in row.clone() {
+            next[self.group(k)] += 1;
+        }
+        let mut at = row.start;
+        for n in &mut next {
+            (*n, at) = (at, at + *n);
+        }
+        for k in row {
+            let g = &mut next[self.group(k)];
+            f(*g);
+            *g += 1;
+        }
+    }
+}
+
+/// `PREFIX[b][m]`: how many of the first `m` codes of byte `b` name each
+/// group, as the 16-bit lanes [`RowOrder::walk`] counts in.
+const PREFIX: [[u64; 5]; 256] = {
+    let mut table = [[0u64; 5]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut j = 0;
+        while j < 4 {
+            table[b][j + 1] = table[b][j] + (1 << (16 * ((b >> (2 * j)) & 3)));
+            j += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Cuts the column indices and values of a matrix into per-thread
+/// blocks of whole rows (nnz-balanced), each with its row range.
+#[allow(clippy::type_complexity)]
+fn row_blocks<'a>(
+    rowptr: &[usize],
+    mut cols_left: &'a mut [usize],
+    mut vals_left: &'a mut [f64],
+) -> Vec<(std::ops::Range<usize>, &'a mut [usize], &'a mut [f64])> {
+    split_rows_by_nnz(rowptr, num_threads())
+        .into_iter()
+        .map(|rows| {
+            let len = rowptr[rows.end] - rowptr[rows.start];
+            let (cols, rest) = std::mem::take(&mut cols_left).split_at_mut(len);
+            cols_left = rest;
+            let (vals, rest) = std::mem::take(&mut vals_left).split_at_mut(len);
+            vals_left = rest;
+            (rows, cols, vals)
+        })
+        .collect()
+}
+
+/// Where each entry of a raw operator lies in the `stored` one
+/// `permute_symmetric` made of it with `perm`, in any in-row order that
+/// keeps the raw one (`None` = the identity): entry `k` of raw row `r`,
+/// counted from the row's start, is stored position `map[k]`.
+///
+/// # Panics
+/// When `stored` has `u32::MAX` nonzeros or more.
+pub fn stored_positions(stored: &Csr, perm: Option<&Permutation>) -> Vec<u32> {
+    let fits = u32::try_from(stored.nnz()).is_ok_and(|n| n < u32::MAX);
+    assert!(
+        fits,
+        "stored positions: {} nonzeros exceed u32",
+        stored.nnz()
+    );
+    let n = stored.nrows();
+    let stored_row = |r: usize| perm.map_or(r, |q| q.forward[r]);
+    let mut map = Vec::with_capacity(stored.nnz());
+    for r in 0..n {
+        map.extend(stored.row_range(stored_row(r)).map(|pos| pos as u32));
+    }
+    map
+}
+
+/// The raw operator a `stored` one was made from (see
+/// [`stored_positions`]): row `r` is stored row `perm(r)`, its columns
+/// mapped back through `perm⁻¹` — bitwise the matrix `permute_symmetric`
+/// was given when `stored` holds its rows in their raw in-row order.
+pub fn unpermute_symmetric(stored: &Csr, perm: &Permutation) -> Csr {
+    assert_eq!(stored.nrows(), perm.len());
+    let back = Permutation {
+        forward: perm.inverse.clone(),
+        inverse: perm.forward.clone(),
+    };
+    move_rows(stored, &back, |s, cols, vals| {
+        for (dst, &c) in cols.iter_mut().zip(stored.row_cols(s)) {
+            *dst = perm.inverse[c];
+        }
+        vals.copy_from_slice(stored.row_vals(s));
+    })
+}
+
+/// [`permute_symmetric`] into `out`, a matrix with its row pointer:
+/// column indices and values are written, nothing is allocated.
+///
+/// # Panics
+/// When a row of `out` is not as long as the row of `a` it receives.
+pub fn permute_symmetric_into(a: &Csr, perm: &Permutation, out: &mut Csr) {
+    let n = a.nrows();
+    assert_eq!((out.nrows(), out.ncols(), perm.len()), (n, n, n));
+    let (rowptr, cols, vals) = out.rows_mut();
+    let mut blocks = row_blocks(rowptr, cols, vals);
+    blocks.par_iter_mut().for_each(|(rows, cols, vals)| {
+        let base = rowptr[rows.start];
+        for s in rows.clone() {
+            let old = perm.inverse[s];
+            let r = rowptr[s] - base..rowptr[s + 1] - base;
+            assert_eq!(r.len(), a.row_nnz(old), "permuted row {s}: length");
+            for (dst, &c) in cols[r.clone()].iter_mut().zip(a.row_cols(old)) {
+                *dst = perm.forward[c];
+            }
+            vals[r].copy_from_slice(a.row_vals(old));
+        }
+    });
+}
+
+/// Writes the values of `a` into `stored`, a matrix with the pattern of
+/// `permute_symmetric(a, perm)` in any in-row order (`None` = the
+/// identity): `stored[p(i), p(j)] = a[i, j]`, each row matched by column
+/// through the frozen-row marker, so nothing of `stored` but its values
+/// moves.
+///
+/// # Panics
+/// When a row of `stored` has no entry for a column of `a`'s row.
+pub fn permute_symmetric_values(a: &Csr, perm: Option<&Permutation>, stored: &mut Csr) {
+    use crate::triple::{FrozenRow, ValuesPtr};
+    let n = a.nrows();
+    assert_eq!(
+        (stored.nrows(), stored.ncols(), stored.nnz()),
+        (n, n, a.nnz())
+    );
+    if let Some(q) = perm {
+        assert_eq!(q.len(), n);
+    }
+    // One block per thread: each holds a marker of `n` entries.
+    let blocks = split_rows_by_nnz(a.rowptr(), num_threads());
+    let key = perm.map(|q| &q.inverse[..]);
+    let (rowptr, colidx, values) = stored.pattern_and_values_mut();
+    let ptr = ValuesPtr(values.as_mut_ptr());
+    blocks.par_iter().for_each(|rows| {
+        let mut marker = vec![usize::MAX; n];
+        for i in rows.clone() {
+            let s = perm.map_or(i, |q| q.forward[i]);
+            // SAFETY: `s` ranges over the images of this block's rows,
+            // which no other block has: `perm` is a bijection.
+            let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, &ptr, s, key) };
+            for (c, v) in a.row_iter(i) {
+                out.set(c, v);
+            }
+        }
+    });
+}
+
 /// Permutes only the columns of `a`: `B[i, p(j)] = A[i, j]`.
 pub fn permute_cols(a: &Csr, perm: &Permutation) -> Csr {
     assert_eq!(a.ncols(), perm.len());
@@ -207,8 +497,57 @@ pub fn permute_cols(a: &Csr, perm: &Permutation) -> Csr {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::testutil::random_csr;
+
+    /// Stably partitions every row of `a` by `group(row, col)` (0..4, groups
+    /// in ascending order) the way the smoother's row partition does, and
+    /// returns the order it recorded.
+    pub(crate) fn partition_recorded(
+        a: &mut Csr,
+        group: impl Fn(usize, usize) -> usize,
+    ) -> RowOrder {
+        let mut order = RowOrder::new(a.nnz());
+        let rowptr = a.rowptr().to_vec();
+        let (colidx, values) = a.colidx_values_mut();
+        for i in 0..rowptr.len() - 1 {
+            let r = rowptr[i]..rowptr[i + 1];
+            let mut row: Vec<(usize, usize, f64)> = r
+                .clone()
+                .map(|k| (group(i, colidx[k]), colidx[k], values[k]))
+                .collect();
+            for (k, &(g, _, _)) in r.clone().zip(&row) {
+                order.set_group(k, g);
+            }
+            row.sort_by_key(|&(g, _, _)| g); // stable
+            for (k, (_, c, v)) in r.zip(row) {
+                (colidx[k], values[k]) = (c, v);
+            }
+        }
+        order
+    }
+
+    /// The smoother's four segments against a random ownership: rows and
+    /// columns are cut into `tasks` contiguous ranges at random points, and a
+    /// column is the row's own when it falls in the row's range.
+    pub(crate) fn random_segments(
+        n: usize,
+        tasks: usize,
+        seed: u64,
+    ) -> impl Fn(usize, usize) -> usize {
+        let mut cuts: Vec<usize> = (1..tasks)
+            .map(|t| (t as u64 * 7919 + seed * 104_729) as usize % n.max(1))
+            .collect();
+        cuts.sort_unstable();
+        let owner = move |x: usize| cuts.partition_point(|&c| c <= x);
+        move |i, c| match (c == i, owner(c) == owner(i), c < i) {
+            (true, ..) => 0,
+            (false, true, true) => 1,
+            (false, true, false) => 2,
+            (false, false, _) => 3,
+        }
+    }
 
     #[test]
     fn permutation_roundtrip() {
@@ -316,5 +655,107 @@ mod tests {
         for (u, v) in y1.iter().zip(&py) {
             assert!((u - v).abs() < 1e-14);
         }
+    }
+
+    /// A random square matrix with its diagonal, a permutation that
+    /// interleaves, and the matrix stored as a hierarchy stores it:
+    /// permuted, then rows partitioned into the smoother's segments.
+    fn stored_fixture(n: usize, tasks: usize, seed: u64) -> (Csr, Permutation, Csr, RowOrder) {
+        let mut trips: Vec<_> = (0..n).map(|i| (i, i, 4.0 + i as f64)).collect();
+        let off = random_csr(n, n, 5, seed);
+        trips.extend((0..n).flat_map(|i| off.row_iter(i).map(move |(j, v)| (i, j, v))));
+        let a = Csr::from_triplets(n, n, trips);
+        let q = Permutation::from_forward((0..n).map(|i| (i * 37 + seed as usize) % n).collect());
+        let mut stored = permute_symmetric(&a, &q);
+        let order = partition_recorded(&mut stored, random_segments(n, tasks, seed));
+        (a, q, stored, order)
+    }
+
+    #[test]
+    fn the_row_order_walks_each_partitioned_row_in_its_old_order() {
+        for (n, tasks, seed) in [(1, 1, 1), (40, 1, 2), (97, 2, 3), (300, 3, 4), (301, 4, 5)] {
+            let (a, q, stored, order) = stored_fixture(n, tasks, seed);
+            let before = permute_symmetric(&a, &q);
+            assert!(
+                n == 1 || stored != before,
+                "n={n}: the partition moved nothing"
+            );
+            for i in 0..n {
+                let mut walked = Vec::new();
+                order.walk(stored.row_range(i), |k| {
+                    walked.push((stored.colidx()[k], stored.values()[k]));
+                });
+                let want: Vec<_> = before.row_iter(i).collect();
+                assert_eq!(walked, want, "n={n} tasks={tasks} row {i}");
+            }
+            // The pattern back in the old order, values written through the
+            // permutation, and partitioned again: the stored operator.
+            let mut restored = stored.clone();
+            order.restore_pattern(&mut restored);
+            assert_eq!(restored.colidx(), before.colidx(), "n={n}");
+            restored.values_mut().fill(f64::NAN);
+            permute_symmetric_into(&a, &q, &mut restored);
+            assert_eq!(restored, before, "n={n}");
+            // Back to the raw operator, and each raw entry's place.
+            assert_eq!(unpermute_symmetric(&restored, &q), a, "n={n}");
+            let map = stored_positions(&restored, Some(&q));
+            for i in 0..n {
+                for k in a.row_range(i) {
+                    let at = map[k] as usize;
+                    assert!(restored.row_range(q.forward[i]).contains(&at));
+                    assert_eq!(restored.colidx()[at], q.forward[a.colidx()[k]]);
+                    assert_eq!(restored.values()[at].to_bits(), a.values()[k].to_bits());
+                }
+            }
+            order.partition(&mut restored);
+            assert_eq!(restored, stored, "n={n}");
+        }
+    }
+
+    #[test]
+    fn a_row_order_with_every_group_size() {
+        // Every split of a six-entry row over the four groups, incl. empty.
+        for code in 0..4usize.pow(6) {
+            let groups: Vec<usize> = (0..6).map(|j| code / 4usize.pow(j) % 4).collect();
+            let mut order = RowOrder::new(8);
+            for (j, &g) in groups.iter().enumerate() {
+                order.set_group(j + 1, g);
+            }
+            let mut stable: Vec<usize> = (0..6).collect();
+            stable.sort_by_key(|&j| groups[j]);
+            let mut walked = Vec::new();
+            order.walk(1..7, |pos| walked.push(stable[pos - 1]));
+            assert_eq!(walked, (0..6).collect::<Vec<_>>(), "groups {groups:?}");
+        }
+    }
+
+    #[test]
+    fn values_land_in_the_stored_layout() {
+        for (n, tasks, seed) in [(1, 1, 6), (120, 2, 7), (500, 3, 8)] {
+            let (a, q, mut stored, _) = stored_fixture(n, tasks, seed);
+            let want = stored.clone();
+            stored.values_mut().fill(f64::NAN);
+            permute_symmetric_values(&a, Some(&q), &mut stored);
+            assert_eq!(stored, want, "n={n}");
+            let mut plain = a.clone();
+            plain.values_mut().fill(0.5);
+            permute_symmetric_values(&a, None, &mut plain);
+            assert_eq!(plain, a);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "frozen pattern of row")]
+    fn a_value_copy_onto_another_pattern_panics() {
+        // Same shape and nonzero count, consecutive columns per row.
+        let (a, q, _, _) = stored_fixture(60, 2, 9);
+        let mut other = Csr::from_parts_unchecked(
+            60,
+            60,
+            (0..=60).map(|i| i * a.nnz() / 60).collect(),
+            (0..a.nnz()).map(|k| k % 60).collect(),
+            vec![0.0; a.nnz()],
+        );
+        permute_symmetric_values(&a, Some(&q), &mut other);
     }
 }

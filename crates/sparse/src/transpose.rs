@@ -56,27 +56,11 @@ pub fn transpose_par(a: &Csr) -> Csr {
         return transpose(a);
     }
     let blocks = split_rows_by_nnz(a.rowptr(), nthreads);
+    let mut hists = histograms(a, &blocks);
 
-    // Phase 1: per-block histograms of output-row counts.
-    let mut hists: Vec<Vec<usize>> = {
-        use rayon::prelude::*;
-        blocks
-            .par_iter()
-            .map(|r| {
-                let mut h = vec![0usize; ncols];
-                for i in r.clone() {
-                    for &c in a.row_cols(i) {
-                        h[c] += 1;
-                    }
-                }
-                h
-            })
-            .collect()
-    };
-
-    // Phase 2: column-major prefix sum over (block, col) so block b's
-    // entries for output row c land after blocks 0..b's entries — this is
-    // what makes the result identical to the sequential transpose.
+    // Column-major prefix sum over (block, col) so block b's entries for
+    // output row c land after blocks 0..b's entries — this is what makes
+    // the result identical to the sequential transpose.
     let mut rowptr = vec![0usize; ncols + 1];
     for c in 0..ncols {
         let mut col_total = 0usize;
@@ -90,44 +74,107 @@ pub fn transpose_par(a: &Csr) -> Csr {
     for c in 0..ncols {
         rowptr[c + 1] += rowptr[c];
     }
+    for h in &mut hists {
+        for (base, &at) in h.iter_mut().zip(&rowptr) {
+            *base += at;
+        }
+    }
 
-    // Phase 3: scatter.
     let mut colidx = vec![0usize; nnz];
     let mut values = vec![0.0f64; nnz];
-    {
-        // Each thread scatters into per-(block, output-row) ranges that are
-        // disjoint by construction, so raw-pointer writes cannot alias.
-        struct Ptr(*mut usize, *mut f64);
-        // SAFETY: threads write through the pointers only at indices in
-        // their own (block, output-row) ranges, which are disjoint by
-        // the phase-2 prefix sum; nobody reads until the scope joins.
-        unsafe impl Sync for Ptr {}
-        let p = Ptr(colidx.as_mut_ptr(), values.as_mut_ptr());
-        rayon::scope(|s| {
-            for (b, r) in blocks.iter().enumerate() {
-                let base = &hists[b];
-                let rowptr = &rowptr;
-                let p = &p;
-                let r = r.clone();
-                s.spawn(move |_| {
-                    let mut cursor = base.clone();
-                    for i in r {
-                        for (c, v) in a.row_iter(i) {
-                            let dst = rowptr[c] + cursor[c];
-                            cursor[c] += 1;
-                            // SAFETY: (block, col) ranges are disjoint:
-                            // dst in [rowptr[c]+base[c], rowptr[c]+base[c]+hist)
-                            unsafe {
-                                *p.0.add(dst) = i;
-                                *p.1.add(dst) = v;
+    scatter(
+        a,
+        &blocks,
+        &hists,
+        Some(colidx.as_mut_ptr()),
+        values.as_mut_ptr(),
+    );
+    Csr::from_parts_unchecked(ncols, nrows, rowptr, colidx, values)
+}
+
+/// Rewrites the values of `t`, which holds [`transpose`]`(a)`'s pattern
+/// (of an earlier `a` with this one's), with `a`'s — bitwise
+/// `transpose_par(a)`'s values, moved by the same kernel, its pattern read
+/// from `t` instead of rebuilt. Allocates per-block cursors only.
+///
+/// # Panics
+/// When the shapes or nonzero counts differ.
+pub fn transpose_par_into(a: &Csr, t: &mut Csr) {
+    let (nrows, ncols) = (a.nrows(), a.ncols());
+    assert_eq!((t.nrows(), t.ncols(), t.nnz()), (ncols, nrows, a.nnz()));
+    let nthreads = crate::partition::num_threads();
+    let parts = if nrows < 1024 { 1 } else { nthreads };
+    let blocks = split_rows_by_nnz(a.rowptr(), parts);
+    let mut hists = histograms(a, &blocks);
+    let (rowptr, _, values) = t.pattern_and_values_mut();
+    for c in 0..ncols {
+        let mut at = rowptr[c];
+        for h in &mut hists {
+            (h[c], at) = (at, at + h[c]);
+        }
+        assert_eq!(at, rowptr[c + 1], "transpose refill: column {c} count");
+    }
+    scatter(a, &blocks, &hists, None, values.as_mut_ptr());
+}
+
+/// Per-block histograms of output-row counts.
+fn histograms(a: &Csr, blocks: &[std::ops::Range<usize>]) -> Vec<Vec<usize>> {
+    use rayon::prelude::*;
+    blocks
+        .par_iter()
+        .map(|r| {
+            let mut h = vec![0usize; a.ncols()];
+            for i in r.clone() {
+                for &c in a.row_cols(i) {
+                    h[c] += 1;
+                }
+            }
+            h
+        })
+        .collect()
+}
+
+/// Scatters each block's entries from its own first position per output
+/// row (`starts[b][c]`, absolute), values always and row indices when
+/// `colidx` is given.
+fn scatter(
+    a: &Csr,
+    blocks: &[std::ops::Range<usize>],
+    starts: &[Vec<usize>],
+    colidx: Option<*mut usize>,
+    values: *mut f64,
+) {
+    // Each thread scatters into per-(block, output-row) ranges that are
+    // disjoint by construction, so raw-pointer writes cannot alias.
+    struct Ptr(Option<*mut usize>, *mut f64);
+    // SAFETY: threads write through the pointers only at indices in
+    // their own (block, output-row) ranges, which are disjoint by
+    // the prefix sum over blocks; nobody reads until the scope joins.
+    unsafe impl Sync for Ptr {}
+    let p = Ptr(colidx, values);
+    rayon::scope(|s| {
+        for (r, base) in blocks.iter().zip(starts) {
+            let p = &p;
+            let r = r.clone();
+            s.spawn(move |_| {
+                let mut cursor = base.clone();
+                for i in r {
+                    for (c, v) in a.row_iter(i) {
+                        let dst = cursor[c];
+                        cursor[c] += 1;
+                        // SAFETY: (block, col) ranges are disjoint:
+                        // dst in [base[c], base[c] + hist[c]).
+                        unsafe {
+                            if let Some(cols) = p.0 {
+                                *cols.add(dst) = i;
                             }
+                            *p.1.add(dst) = v;
                         }
                     }
-                });
-            }
-        });
-    }
-    Csr::from_parts_unchecked(ncols, nrows, rowptr, colidx, values)
+                }
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -205,7 +252,14 @@ mod tests {
                 }
             }
             let a = Csr::from_triplets(nrows, ncols, trips);
-            assert_eq!(transpose(&a), transpose_par(&a), "{nrows} x {ncols}"); // bitwise
+            let t = transpose(&a);
+            assert_eq!(t, transpose_par(&a), "{nrows} x {ncols}"); // bitwise
+                                                                   // The refill moves new values by the same kernel.
+            let mut b = a.clone();
+            b.values_mut().iter_mut().for_each(|v| *v = -*v * 0.5);
+            let mut refilled = t;
+            transpose_par_into(&b, &mut refilled);
+            assert_eq!(refilled, transpose(&b), "{nrows} x {ncols}");
         }
     }
 

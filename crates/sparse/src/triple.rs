@@ -38,6 +38,7 @@
 use crate::counters::FlopCount;
 use crate::csr::Csr;
 use crate::partition::{num_threads, split_rows_by_nnz};
+use crate::permute::Permutation;
 use crate::spa::Spa;
 use crate::spgemm::spgemm;
 use crate::transpose::transpose_par;
@@ -345,16 +346,18 @@ pub fn rap_cf_from_parts(a_perm: &Csr, nc: usize, pf: &Csr) -> Csr {
 }
 
 /// Shared-across-the-scope write cursor for the numeric-only kernels.
-struct ValuesPtr(*mut f64);
-// SAFETY: each spawned block writes only the value range of its own rows
-// (`rowptr[block.start]..rowptr[block.end]`), the blocks tile the row
-// space disjointly, and nothing reads the buffer until the scope joins.
+pub(crate) struct ValuesPtr(pub(crate) *mut f64);
+// SAFETY: each parallel block writes only the value ranges of its own
+// output rows — one row per input row, through a bijection — so no two
+// blocks write one position, and nothing reads the buffer until the
+// blocks join.
 unsafe impl Sync for ValuesPtr {}
 
 /// One row of a frozen output pattern, open for accumulation.
-struct FrozenRow<'a> {
-    /// `marker[c]` = value position of column `c`, valid iff it falls in
-    /// `start..end` (older rows' stamps and the `usize::MAX` fill do not).
+pub(crate) struct FrozenRow<'a> {
+    /// `marker[key(c)]` = value position of stored column `c`, valid iff it
+    /// falls in `start..end` (older rows' stamps and the `usize::MAX` fill
+    /// do not).
     marker: &'a [usize],
     ptr: &'a ValuesPtr,
     start: usize,
@@ -365,24 +368,26 @@ struct FrozenRow<'a> {
 impl<'a> FrozenRow<'a> {
     /// Pre-seeds `marker` with the output positions of row `i`'s frozen
     /// columns and zeroes that row's values, so subsequent accumulations
-    /// are indexed adds.
+    /// are indexed adds. Column `c` is keyed `key[c]` (the caller's
+    /// numbering of a permuted target's columns), or `c` without a key.
     ///
     /// # Safety
     /// `ptr` must point at the value buffer `rowptr`/`colidx` describe, and
     /// the caller must be the only writer of row `i`'s range for as long
     /// as the returned row lives.
     #[inline]
-    unsafe fn seed(
+    pub(crate) unsafe fn seed(
         marker: &'a mut [usize],
         rowptr: &[usize],
         colidx: &[usize],
         ptr: &'a ValuesPtr,
         i: usize,
+        key: Option<&[usize]>,
     ) -> Self {
         let start = rowptr[i];
         let end = rowptr[i + 1];
         for (off, &c) in colidx[start..end].iter().enumerate() {
-            marker[c] = start + off;
+            marker[key.map_or(c, |k| k[c])] = start + off;
             // SAFETY: start + off lies in row i's value range, owned
             // exclusively by this block per the function contract.
             unsafe { *ptr.0.add(start + off) = 0.0 };
@@ -405,16 +410,31 @@ impl<'a> FrozenRow<'a> {
     /// row's, possibly another thread's, position), so it stays in
     /// release builds: one predictable compare per add.
     #[inline]
-    fn add(&self, c: usize, v: f64) {
+    pub(crate) fn add(&self, c: usize, v: f64) {
+        let pos = self.at(c);
+        // SAFETY: pos lies in start..end, the value range `seed`'s caller
+        // owns exclusively.
+        unsafe { *self.ptr.0.add(pos) += v };
+    }
+
+    /// Stores `v` at the frozen position of column `c`; panics like
+    /// [`FrozenRow::add`].
+    #[inline]
+    pub(crate) fn set(&self, c: usize, v: f64) {
+        let pos = self.at(c);
+        // SAFETY: as in `add`.
+        unsafe { *self.ptr.0.add(pos) = v };
+    }
+
+    #[inline]
+    fn at(&self, c: usize) -> usize {
         let pos = self.marker[c];
         assert!(
             pos.wrapping_sub(self.start) < self.end - self.start,
             "numeric RAP: frozen pattern of row {} has no entry for column {c}",
             self.row
         );
-        // SAFETY: pos lies in start..end, the value range `seed`'s caller
-        // owns exclusively.
-        unsafe { *self.ptr.0.add(pos) += v };
+        pos
     }
 }
 
@@ -447,7 +467,7 @@ pub fn rap_row_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
                 let mut marker = vec![usize::MAX; ncols];
                 for i in range {
                     // SAFETY: blocks tile the rows disjointly.
-                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i) };
+                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i, None) };
                     for (j, rv) in r.row_iter(i) {
                         for (k, av) in a.row_iter(j) {
                             spa_b.add(k, rv * av);
@@ -490,7 +510,7 @@ pub fn rap_scalar_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
                 let mut marker = vec![usize::MAX; ncols];
                 for i in range {
                     // SAFETY: blocks tile the rows disjointly.
-                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i) };
+                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i, None) };
                     for (j, rv) in r.row_iter(i) {
                         for (k, av) in a.row_iter(j) {
                             let temp = rv * av;
@@ -512,12 +532,33 @@ pub fn rap_scalar_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
 /// side is an indexed add. Panics like [`rap_row_fused_numeric`] on a
 /// pattern that does not cover the product.
 pub fn rap_cf_numeric(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr, c: &mut Csr) {
+    rap_cf_numeric_into(a_perm, nc, pf, pft, c, None);
+}
+
+/// [`rap_cf_numeric`] into a next level stored permuted: coarse row `r` is
+/// written into row `c_perm(r)` of `c`, its column `l` where `c` stores
+/// `c_perm(l)`, in whatever order `c`'s row holds it. Bitwise, `c` ends as
+/// `permute_symmetric(rap_cf(..), c_perm)` with `c`'s own in-row order.
+///
+/// # Panics
+/// On mismatched shapes, and like [`rap_row_fused_numeric`] on a pattern
+/// that does not cover the product.
+pub fn rap_cf_numeric_into(
+    a_perm: &Csr,
+    nc: usize,
+    pf: &Csr,
+    pft: &Csr,
+    c: &mut Csr,
+    c_perm: Option<&Permutation>,
+) {
     let nf = check_cf_shapes(a_perm, nc, pf, pft);
     assert_eq!((c.nrows(), c.ncols()), (nc, nc));
+    assert!(c_perm.is_none_or(|q| q.len() == nc));
     if nc == 0 {
         return;
     }
     let blocks = split_rows_by_nnz(pft.rowptr(), num_threads());
+    let key = c_perm.map(|q| &q.inverse[..]);
     let (rowptr, colidx, values) = c.pattern_and_values_mut();
     let ptr = ValuesPtr(values.as_mut_ptr());
     rayon::scope(|s| {
@@ -528,8 +569,12 @@ pub fn rap_cf_numeric(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr, c: &mut Csr)
                 let mut spa_b = Spa::new(nf);
                 let mut marker = vec![usize::MAX; nc];
                 for i in range {
-                    // SAFETY: blocks tile the rows disjointly.
-                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i) };
+                    let row = c_perm.map_or(i, |q| q.forward[i]);
+                    let out = {
+                        // SAFETY: blocks tile the rows disjointly and
+                        // `c_perm` is a bijection.
+                        unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, row, key) }
+                    };
                     cf_row(a_perm, nc, pf, pft, i, &mut spa_b, |col, v| out.add(col, v));
                 }
             });
@@ -545,6 +590,7 @@ pub fn rap_cf_numeric_from_parts(a_perm: &Csr, nc: usize, pf: &Csr, c: &mut Csr)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::permute::{permute_symmetric, RowOrder};
     use crate::transpose::transpose;
 
     fn random_csr(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr {
@@ -941,5 +987,67 @@ mod tests {
         let (a, pf) = cf_fixture(15, 25, 171);
         let mut c = drop_one_entry(&rap_cf_from_parts(&a, 15, &pf));
         rap_cf_numeric_from_parts(&a, 15, &pf, &mut c);
+    }
+
+    /// The CF fixture as a hierarchy stores it: the fine level's rows
+    /// partitioned into smoother segments (order recorded), and
+    /// `stored(c)`: a product `c` permuted by `q` and partitioned too, with
+    /// the order its partition recorded.
+    #[allow(clippy::type_complexity)]
+    fn stored_levels<'q>(
+        a: &Csr,
+        nc: usize,
+        q: &'q Permutation,
+    ) -> (RowOrder, impl Fn(&Csr) -> (Csr, RowOrder) + 'q) {
+        use crate::permute::tests::{partition_recorded, random_segments};
+        let order = partition_recorded(&mut a.clone(), random_segments(a.nrows(), 3, 5));
+        let stored = move |c: &Csr| {
+            let mut s = permute_symmetric(c, q);
+            let order = partition_recorded(&mut s, random_segments(nc, 2, 6));
+            (s, order)
+        };
+        (order, stored)
+    }
+
+    #[test]
+    fn cf_numeric_between_stored_levels_is_the_stored_product() {
+        let (a, nc, pf) = interleaved_fixture(90, 181, |i| i % 3 != 1, |_, _| true);
+        assert_eq!(nc, 60);
+        let q = Permutation::from_forward((0..nc).map(|i| (i * 7 + 3) % nc).collect());
+        let (order, stored) = stored_levels(&a, nc, &q);
+        let (mut target, target_order) = stored(&rap_cf(&a, nc, &pf, &transpose(&pf)));
+
+        let (a2, pf2) = (perturb(&a, 182), perturb(&pf, 183));
+        let pft2 = transpose(&pf2);
+        assert_eq!(
+            stored_levels(&a2, nc, &q).0,
+            order,
+            "the partition is the pattern's"
+        );
+        // Written by column into the target's partitioned rows ...
+        let mut old_layout = target.clone();
+        rap_cf_numeric_into(&a2, nc, &pf2, &pft2, &mut target, Some(&q));
+        let (want, _) = stored(&rap_cf(&a2, nc, &pf2, &pft2));
+        assert_eq!(target, want); // bitwise, in the target's own row order
+
+        // ... and into the same rows with their pattern back in the order
+        // they had before the partition, which then applies again.
+        target_order.restore_pattern(&mut old_layout);
+        rap_cf_numeric_into(&a2, nc, &pf2, &pft2, &mut old_layout, Some(&q));
+        let product = rap_cf(&a2, nc, &pf2, &pft2);
+        assert_eq!(old_layout, permute_symmetric(&product, &q));
+        target_order.partition(&mut old_layout);
+        assert_eq!(old_layout, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "frozen pattern of row")]
+    fn cf_numeric_into_a_short_stored_level_panics() {
+        let (a, nc, pf) = interleaved_fixture(90, 191, |i| i % 3 != 1, |_, _| true);
+        let q = Permutation::from_forward((0..nc).map(|i| (i * 7 + 3) % nc).collect());
+        let (_, stored) = stored_levels(&a, nc, &q);
+        let pft = transpose(&pf);
+        let mut c = drop_one_entry(&stored(&rap_cf(&a, nc, &pf, &pft)).0);
+        rap_cf_numeric_into(&a, nc, &pf, &pft, &mut c, Some(&q));
     }
 }

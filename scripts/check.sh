@@ -99,13 +99,16 @@ cargo test -q --release --test setup_refresh
 # <= 2.5x the operator) and around a second refresh (the refresh pin: its
 # high-water <= 0.25x the operator, as it rewrites the hierarchy in place);
 # the release-mode test that P's coarse rows are unit rows where P_F is
-# taken (a release assert, not a debug_assert!); and the refresh unit tests —
-# transactional errors across the commit point, a panic mid-refresh, a
-# frozen setup of another hierarchy — where the in-place path runs in
-# production.
+# taken (a release assert, not a debug_assert!); the numeric triple
+# products, whose frozen-pattern range test (`FrozenRow::add`) is a release
+# assert too and the refresh writes every coarse operator through it; and
+# the refresh unit tests — transactional errors across the commit point, a
+# composed scheme re-run below level 0, a panic mid-refresh, a frozen setup
+# of another hierarchy — where the in-place path runs in production.
 echo "==> setup + refresh memory high-water, P = [I; P_F] guard, refresh contract (release)"
 cargo test -q --release --test setup_peak_bytes
 cargo test -q --release -p famg-core --lib hierarchy::tests::coarse_
+cargo test -q --release -p famg-sparse --lib triple::
 cargo test -q --release -p famg-core --lib refresh::
 
 echo "==> numeric-refresh bench smoke (asserts refresh >= 2x full setup)"

@@ -85,7 +85,7 @@ pub fn transpose_par(a: &Csr) -> Csr {
     scatter(
         a,
         &blocks,
-        &hists,
+        &mut hists,
         Some(colidx.as_mut_ptr()),
         values.as_mut_ptr(),
     );
@@ -114,7 +114,7 @@ pub fn transpose_par_into(a: &Csr, t: &mut Csr) {
         }
         assert_eq!(at, rowptr[c + 1], "transpose refill: column {c} count");
     }
-    scatter(a, &blocks, &hists, None, values.as_mut_ptr());
+    scatter(a, &blocks, &mut hists, None, values.as_mut_ptr());
 }
 
 /// Per-block histograms of output-row counts.
@@ -135,12 +135,12 @@ fn histograms(a: &Csr, blocks: &[std::ops::Range<usize>]) -> Vec<Vec<usize>> {
 }
 
 /// Scatters each block's entries from its own first position per output
-/// row (`starts[b][c]`, absolute), values always and row indices when
-/// `colidx` is given.
+/// row (`cursors[b][c]`, absolute, advanced in place), values always and
+/// row indices when `colidx` is given.
 fn scatter(
     a: &Csr,
     blocks: &[std::ops::Range<usize>],
-    starts: &[Vec<usize>],
+    cursors: &mut [Vec<usize>],
     colidx: Option<*mut usize>,
     values: *mut f64,
 ) {
@@ -153,17 +153,17 @@ fn scatter(
     unsafe impl Sync for Ptr {}
     let p = Ptr(colidx, values);
     rayon::scope(|s| {
-        for (r, base) in blocks.iter().zip(starts) {
+        for (r, cursor) in blocks.iter().zip(cursors) {
             let p = &p;
             let r = r.clone();
             s.spawn(move |_| {
-                let mut cursor = base.clone();
                 for i in r {
                     for (c, v) in a.row_iter(i) {
                         let dst = cursor[c];
                         cursor[c] += 1;
-                        // SAFETY: (block, col) ranges are disjoint:
-                        // dst in [base[c], base[c] + hist[c]).
+                        // SAFETY: (block, col) ranges are disjoint: dst
+                        // stays below where the next block's entries of
+                        // output row c start.
                         unsafe {
                             if let Some(cols) = p.0 {
                                 *cols.add(dst) = i;

@@ -20,8 +20,9 @@
 //! operator is the caller's, and its positions are positions in that
 //! operator's value array. Capture records them in the level's raw
 //! operator, the one the builder reads; the hierarchy then moves them
-//! ([`ExtITape::remap`]) onto the operator it stores — CF-permuted, rows
-//! partitioned for the smoother — and replays there, the level's only
+//! ([`ExtITape::remap`]) onto the operator it stores — CF-permuted, its
+//! rows in the order they had before the smoother partitioned them, the
+//! layout a refresh holds it in — and replays there, on the level's only
 //! copy. The decisions frozen into the tape (beyond the sparsity pattern
 //! itself) are:
 //!
@@ -393,8 +394,8 @@ impl ExtITape {
     }
 
     /// Moves the circuit onto another layout of its operand: every
-    /// position `k` it reads becomes `map[k]` (`stored_positions` of the
-    /// layout the hierarchy stores the level's operator in).
+    /// position `k` it reads becomes `map[k]` (the level's
+    /// `stored_positions`).
     pub(crate) fn remap(&mut self, map: &[u32]) {
         assert_eq!(map.len(), self.a_shape.1, "extended+i tape: position map");
         self.parts.par_iter_mut().for_each(|p| p.remap(map));

@@ -17,23 +17,28 @@
 //! [`Hierarchy::refresh`] then absorbs a same-pattern operator by
 //! re-running only numeric passes, each over the operator the hierarchy
 //! stores — CF-permuted, rows partitioned for the smoother — which is
-//! the level's only copy. Per level:
+//! the level's only copy. The partition is the smoother's and depends on
+//! the pattern alone; the build's RAP read each row in the order it had
+//! before it, so capture records that order (two bits an entry) and a
+//! refresh holds an operator in it from the moment it is written until
+//! its own RAP has read it. Per level:
 //!
-//! 1. at level 0, the caller's values are copied into the stored `A_0`
-//!    through the level's permutation (each row matched by column);
+//! 1. the operator arrives in that order: level 0's written from the
+//!    caller's through the level's permutation, a coarser one by the RAP
+//!    of the level above;
 //! 2. an extended+i level replays the circuit its build recorded, moved
 //!    at capture onto the stored operator's positions, straight into the
 //!    level's `P_F` (a composed scheme re-runs its builder instead);
 //! 3. `P_Fᵀ` (or the cached `R`) is refilled in its own buffers;
-//! 4. the numeric-only RAP reads the stored operator in the in-row order
-//!    the build's product read — recorded as a two-bit code per entry
-//!    when the smoother partitioned the rows — and writes each coarse row
-//!    into the next level's stored row, matched by column;
-//! 5. the smoother refills its diagonal: its partition is the pattern's.
+//! 4. the numeric-only RAP writes each coarse row into the next level's
+//!    stored row, matched by column, after putting that operator's
+//!    pattern back in its pre-partition order;
+//! 5. the operator is partitioned again and the smoother refills its
+//!    diagonal: its partition and task ranges are the pattern's.
 //!
 //! At the coarsest level the smoother's diagonal and the dense LU are
 //! redone from the stored operator. Strength, PMIS, the permutations, the
-//! symbolic products and the row partitions are never recomputed.
+//! symbolic products and the smoother's decisions are never recomputed.
 //!
 //! ## Refresh contract
 //!
@@ -503,11 +508,21 @@ mod tests {
     }
 
     fn configs() -> Vec<AmgConfig> {
+        // Two ablation rows besides: the full `P` with its transpose kept
+        // (refilled in place), and permuted levels the baseline kernel
+        // relaxes (no row partition to undo).
+        let paper = AmgConfig::single_node_paper();
+        let mut unpermuted = paper.clone();
+        unpermuted.opt.cf_reorder = false;
+        let mut unpartitioned = paper.clone();
+        unpartitioned.opt.reordered_smoother = false;
         vec![
-            AmgConfig::single_node_paper(),
+            paper,
             AmgConfig::single_node_baseline(),
             AmgConfig::multi_node_mp(),
             AmgConfig::multi_node_2s_ei444(),
+            unpermuted,
+            unpartitioned,
         ]
     }
 
@@ -547,6 +562,8 @@ mod tests {
                     _ => panic!("transfer representation differs at level {lvl}"),
                 }
             }
+            // The smoothers and the coarse LU too, through a V-cycle.
+            assert_eq!(fingerprint(&h), fingerprint(&full), "{:?}", cfg.opt);
         }
     }
 

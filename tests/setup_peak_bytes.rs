@@ -11,9 +11,12 @@
 //! alive to the end of the level (4.91–4.99 ×). Both keep 1.69 × in the
 //! hierarchy. A frozen setup kept 7.57–7.67 ×, 6.43–6.44 × with its tapes
 //! trimmed to their lengths, and 4.68–4.69 × since a tape level keeps no
-//! `S` and no `P` and a tape no separate `b_ik` stream. A refresh that
-//! assembled a second hierarchy beside the live one read a high-water of
-//! 1.69 ×; one that rewrites the hierarchy in place reads 0.02 ×.
+//! `S` and no `P` and a tape no separate `b_ik` stream, and 4.50–4.51 ×
+//! since no frozen level keeps a copy of the next operator. Freeing `P`
+//! once `P_F` is taken brought the build's high-water from 1.93–2.01 × to
+//! 1.85–1.86 ×. A refresh that assembled a second hierarchy beside the
+//! live one read a high-water of 1.69 ×; one that rewrites the hierarchy
+//! in place reads 0.02–0.06 × (its numeric RAP's per-block scratch).
 //!
 //! One test function: the counters are process-wide, and a second test
 //! thread would allocate into the window.

@@ -70,7 +70,7 @@ use crate::params::AmgConfig;
 use crate::smoother::Smoother;
 use crate::stats::PhaseTimes;
 use famg_sparse::permute::{
-    permute_symmetric_into, permute_symmetric_values, unpermute_symmetric, RowOrder,
+    copy_values_by_column, permute_symmetric_into, unpermute_symmetric, RowOrder,
 };
 use famg_sparse::transpose::{transpose_par, transpose_par_into};
 use famg_sparse::triple::{rap_cf_numeric_into, rap_row_fused_numeric, rap_scalar_fused_numeric};
@@ -439,7 +439,7 @@ impl Hierarchy {
         let coarsest = self.levels.last_mut().expect("a hierarchy has a level");
         let op = incoming.unwrap_or_else(|| {
             let mut op = std::mem::replace(&mut coarsest.a, Csr::zero(0, 0));
-            permute_symmetric_values(a, None, &mut op);
+            copy_values_by_column(a, &mut op);
             op
         });
         coarsest.smoother.refill_diagonal(&op);
@@ -761,6 +761,36 @@ mod tests {
             let full = Hierarchy::build(&a2, &cfg);
             for (lvl, (r, f)) in h.levels.iter().zip(&full.levels).enumerate() {
                 assert_eq!(r.a, f.a, "{:?} level {lvl}", cfg.opt);
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_level_hierarchy_refreshes_bitwise() {
+        // The input's values go straight into the coarsest operator, whose
+        // rows the smoother partitioned: a tiny operator with its dense LU,
+        // and a larger one capped at one level.
+        let cases = [((4, 4, 3), None), ((12, 12, 8), Some(1))];
+        for ((nx, ny, nz), max_levels) in cases {
+            let a1 = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.0));
+            let a2 = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.35));
+            for base in [
+                AmgConfig::single_node_paper(),
+                AmgConfig::single_node_baseline(),
+            ] {
+                let cfg = AmgConfig {
+                    max_levels: max_levels.unwrap_or(base.max_levels),
+                    ..base
+                };
+                let (mut h, mut frozen) = Hierarchy::build_frozen(&a1, &cfg);
+                assert_eq!(h.num_levels(), 1, "{nx}x{ny}x{nz}");
+                assert_eq!(h.coarse_lu.is_some(), max_levels.is_none());
+                h.refresh(&a2, &mut frozen).unwrap();
+                let full = Hierarchy::build(&a2, &cfg);
+                assert_eq!(h.levels[0].a, full.levels[0].a, "{:?}", cfg.opt);
+                let lu = |h: &Hierarchy| format!("{:?}", h.coarse_lu);
+                assert_eq!(lu(&h), lu(&full), "{:?}", cfg.opt);
+                assert_eq!(fingerprint(&h), fingerprint(&full), "{:?}", cfg.opt);
             }
         }
     }

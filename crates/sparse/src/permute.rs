@@ -241,41 +241,22 @@ impl RowOrder {
     }
 
     /// Calls `f` with the position each entry of the partitioned row
-    /// stored at `row` now has, in the row's old order.
+    /// stored at `row` now has, in the row's old order: one pass counts the
+    /// groups, a second advances a cursor per group.
     #[inline(always)]
     pub fn walk(&self, row: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
-        let (start, end) = (row.start, row.end);
-        if end - start >= 1 << 16 {
-            return self.walk_long(row, f);
+        let mut next = [0usize; 4];
+        for k in row.clone() {
+            next[self.group(k)] += 1;
         }
-        // The four groups' counts, then their cursors, as 16-bit lanes of
-        // one register (no lane reaches the row length), a byte of codes
-        // at a time: the positions of a byte's entries depend on the
-        // cursors before it alone.
-        let mut lanes = 0u64;
-        self.bytes(start, end, |b, m| lanes += PREFIX[b][m]);
-        // Exclusive prefix over the lanes: lane g gains lanes 0..g.
-        let mut next = (lanes << 16) + (lanes << 32) + (lanes << 48);
-        self.bytes(start, end, |b, m| {
-            let before = &PREFIX[b];
-            for (j, at) in before[..m].iter().enumerate() {
-                let shift = 16 * ((b >> (2 * j)) & 3);
-                f(start + (((next + at) >> shift) & 0xffff) as usize);
-            }
-            next += before[m];
-        });
-    }
-
-    /// Calls `f(codes, m)` for the codes of positions `start..end`, up to
-    /// four at a time, the `m` of a call in the low bits of `codes`.
-    #[inline(always)]
-    fn bytes(&self, start: usize, end: usize, mut f: impl FnMut(usize, usize)) {
-        let mut k = start;
-        while k < end {
-            let skip = k % 4;
-            let m = (4 - skip).min(end - k);
-            f(usize::from(self.codes[k / 4] >> (2 * skip)), m);
-            k += m;
+        let mut at = row.start;
+        for n in &mut next {
+            (*n, at) = (at, at + *n);
+        }
+        for k in row {
+            let g = &mut next[self.group(k)];
+            f(*g);
+            *g += 1;
         }
     }
 
@@ -324,41 +305,7 @@ impl RowOrder {
             }
         });
     }
-
-    /// [`RowOrder::walk`] for a row too long for 16-bit cursors.
-    #[cold]
-    fn walk_long(&self, row: std::ops::Range<usize>, mut f: impl FnMut(usize)) {
-        let mut next = [0usize; 4];
-        for k in row.clone() {
-            next[self.group(k)] += 1;
-        }
-        let mut at = row.start;
-        for n in &mut next {
-            (*n, at) = (at, at + *n);
-        }
-        for k in row {
-            let g = &mut next[self.group(k)];
-            f(*g);
-            *g += 1;
-        }
-    }
 }
-
-/// `PREFIX[b][m]`: how many of the first `m` codes of byte `b` name each
-/// group, as the 16-bit lanes [`RowOrder::walk`] counts in.
-const PREFIX: [[u64; 5]; 256] = {
-    let mut table = [[0u64; 5]; 256];
-    let mut b = 0;
-    while b < 256 {
-        let mut j = 0;
-        while j < 4 {
-            table[b][j + 1] = table[b][j] + (1 << (16 * ((b >> (2 * j)) & 3)));
-            j += 1;
-        }
-        b += 1;
-    }
-    table
-};
 
 /// Cuts the column indices and values of a matrix into per-thread
 /// blocks of whole rows (nnz-balanced), each with its row range.
@@ -446,36 +393,28 @@ pub fn permute_symmetric_into(a: &Csr, perm: &Permutation, out: &mut Csr) {
     });
 }
 
-/// Writes the values of `a` into `stored`, a matrix with the pattern of
-/// `permute_symmetric(a, perm)` in any in-row order (`None` = the
-/// identity): `stored[p(i), p(j)] = a[i, j]`, each row matched by column
-/// through the frozen-row marker, so nothing of `stored` but its values
-/// moves.
+/// Writes the values of `a` into `stored`, a matrix with `a`'s pattern in
+/// any in-row order: each row matched by column through the frozen-row
+/// marker, so nothing of `stored` but its values moves.
 ///
 /// # Panics
 /// When a row of `stored` has no entry for a column of `a`'s row.
-pub fn permute_symmetric_values(a: &Csr, perm: Option<&Permutation>, stored: &mut Csr) {
+pub fn copy_values_by_column(a: &Csr, stored: &mut Csr) {
     use crate::triple::{FrozenRow, ValuesPtr};
     let n = a.nrows();
     assert_eq!(
         (stored.nrows(), stored.ncols(), stored.nnz()),
-        (n, n, a.nnz())
+        (n, a.ncols(), a.nnz())
     );
-    if let Some(q) = perm {
-        assert_eq!(q.len(), n);
-    }
-    // One block per thread: each holds a marker of `n` entries.
+    // One block per thread: each holds a marker of `ncols` entries.
     let blocks = split_rows_by_nnz(a.rowptr(), num_threads());
-    let key = perm.map(|q| &q.inverse[..]);
     let (rowptr, colidx, values) = stored.pattern_and_values_mut();
     let ptr = ValuesPtr(values.as_mut_ptr());
     blocks.par_iter().for_each(|rows| {
-        let mut marker = vec![usize::MAX; n];
+        let mut marker = vec![usize::MAX; a.ncols()];
         for i in rows.clone() {
-            let s = perm.map_or(i, |q| q.forward[i]);
-            // SAFETY: `s` ranges over the images of this block's rows,
-            // which no other block has: `perm` is a bijection.
-            let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, &ptr, s, key) };
+            // SAFETY: the blocks' row ranges are disjoint.
+            let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, &ptr, i, None) };
             for (c, v) in a.row_iter(i) {
                 out.set(c, v);
             }
@@ -730,17 +669,38 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn values_land_in_the_stored_layout() {
+    fn a_row_longer_than_a_u16_walks_restores_and_partitions() {
+        // Row `m` holds every column, its four groups interleaved: its
+        // positions run far past 65535.
+        let (n, m) = (70_000usize, 35_000usize);
+        let mut trips: Vec<_> = (0..n).map(|j| (m, j, j as f64 + 0.5)).collect();
+        trips.extend((0..n).filter(|&i| i != m).map(|i| (i, i, -(i as f64))));
+        let a = Csr::from_triplets(n, n, trips);
+        let mut stored = a.clone();
+        let order = partition_recorded(&mut stored, random_segments(n, 3, 10));
+        assert_ne!(stored, a, "the partition moved nothing");
+        let mut walked = Vec::with_capacity(n);
+        order.walk(stored.row_range(m), |k| {
+            walked.push((stored.colidx()[k], stored.values()[k]));
+        });
+        assert_eq!(walked, a.row_iter(m).collect::<Vec<_>>());
+        let mut restored = stored.clone();
+        order.restore_pattern(&mut restored);
+        assert_eq!(restored.colidx(), a.colidx());
+        order.partition(&mut restored);
+        assert_eq!(restored.colidx(), stored.colidx());
+    }
+
+    #[test]
+    fn values_land_in_any_in_row_order() {
         for (n, tasks, seed) in [(1, 1, 6), (120, 2, 7), (500, 3, 8)] {
-            let (a, q, mut stored, _) = stored_fixture(n, tasks, seed);
+            let (a, _, _, _) = stored_fixture(n, tasks, seed);
+            let mut stored = a.clone();
+            partition_recorded(&mut stored, random_segments(n, tasks, seed));
             let want = stored.clone();
             stored.values_mut().fill(f64::NAN);
-            permute_symmetric_values(&a, Some(&q), &mut stored);
+            copy_values_by_column(&a, &mut stored);
             assert_eq!(stored, want, "n={n}");
-            let mut plain = a.clone();
-            plain.values_mut().fill(0.5);
-            permute_symmetric_values(&a, None, &mut plain);
-            assert_eq!(plain, a);
         }
     }
 
@@ -748,7 +708,7 @@ pub(crate) mod tests {
     #[should_panic(expected = "frozen pattern of row")]
     fn a_value_copy_onto_another_pattern_panics() {
         // Same shape and nonzero count, consecutive columns per row.
-        let (a, q, _, _) = stored_fixture(60, 2, 9);
+        let (a, _, _, _) = stored_fixture(60, 2, 9);
         let mut other = Csr::from_parts_unchecked(
             60,
             60,
@@ -756,6 +716,6 @@ pub(crate) mod tests {
             (0..a.nnz()).map(|k| k % 60).collect(),
             vec![0.0; a.nnz()],
         );
-        permute_symmetric_values(&a, Some(&q), &mut other);
+        copy_values_by_column(&a, &mut other);
     }
 }

@@ -1,7 +1,7 @@
 //! Refresh span probe: on one `e2e` workload's operator at its full size
 //! (seed 1) with `e2e`'s configuration, the median over 20 same-operator
 //! refreshes of the wall time and of each stage's span time summed over
-//! levels (the refresh's own profile tree; `row_order` is part of `rap`).
+//! levels (the refresh's own profile tree; `row_order` is a stage of its own).
 //! Own package (empty `[workspace]`, path dependencies on `famg-core` and
 //! `famg-matgen` of one tree, built once per side); run as
 //! `RAYON_NUM_THREADS=<t> refresh_spans <reservoir|lap27|lap2d|amg2013>`.

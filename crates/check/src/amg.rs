@@ -37,7 +37,7 @@ pub fn check_cf_splitting(s: &Csr, is_coarse: &[bool], max_dist: usize) -> Check
         if !is_coarse[i] {
             continue;
         }
-        for &j in s.row_cols(i).iter().chain(st.row_cols(i)) {
+        for j in s.col_iter(i).chain(st.col_iter(i)) {
             if is_coarse[j] {
                 return fail(
                     "cf_independent",
@@ -58,7 +58,7 @@ pub fn check_cf_splitting(s: &Csr, is_coarse: &[bool], max_dist: usize) -> Check
         'bfs: for _ in 0..max_dist {
             let mut next = Vec::new();
             for &u in &frontier {
-                for &v in s.row_cols(u).iter().chain(st.row_cols(u)) {
+                for v in s.col_iter(u).chain(st.col_iter(u)) {
                     if is_coarse[v] {
                         found = true;
                         break 'bfs;
@@ -94,7 +94,7 @@ pub fn check_interp_c_identity(p: &Csr, is_coarse: &[bool]) -> CheckResult {
             continue;
         }
         let (cols, vals) = (p.row_cols(i), p.row_vals(i));
-        if cols.len() != 1 || cols[0] != ci || vals[0] != 1.0 {
+        if cols.len() != 1 || usize::from(cols[0]) != ci || vals[0] != 1.0 {
             return fail(
                 "interp_c_identity",
                 format!(
@@ -125,7 +125,7 @@ pub fn check_interp_identity_block(pfull: &Csr, nc: usize) -> CheckResult {
     }
     for i in 0..nc.min(pfull.nrows()) {
         let (cols, vals) = (pfull.row_cols(i), pfull.row_vals(i));
-        if cols.len() != 1 || cols[0] != i || vals[0] != 1.0 {
+        if cols.len() != 1 || usize::from(cols[0]) != i || vals[0] != 1.0 {
             return fail(
                 "interp_identity_block",
                 format!("row {i} of the C-block is not e_{i}: cols {cols:?}, vals {vals:?}"),

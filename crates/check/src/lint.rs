@@ -2,7 +2,7 @@
 //! determinism conventions (no `syn`, no AST — the workspace is hermetic).
 //!
 //! The linter scans every `.rs` file under `crates/*/src` and `shims/*/src`
-//! and enforces four rules (see [`Rule`]):
+//! and enforces five rules (see [`Rule`]):
 //!
 //! * **`unsafe-safety`** — every `unsafe {` block and `unsafe impl` must be
 //!   preceded by a `// SAFETY:` comment (same line or the comment block
@@ -23,6 +23,13 @@
 //!   in kernel code outside the sanctioned bench/telemetry allowlist
 //!   ([`WALLCLOCK_ALLOWLIST`]); timing reads in compute paths are a
 //!   determinism and reproducibility hazard.
+//! * **`index-narrowing`** — `as u32` must not appear in numeric kernel
+//!   modules: a column index narrows to 32 bits only through `Col`'s
+//!   constructors (`crates/sparse/src/csr.rs`, the one file on
+//!   [`NARROWING_ALLOWLIST`], where a `// NARROWING:` comment states the
+//!   bound), and every other `u32` index is made by a checked
+//!   `u32::try_from` (the extended+i tape's `idx()`). A silent `as u32`
+//!   wraps instead of failing.
 //!
 //! Code inside `#[cfg(test)]`-gated regions and `cfg(test)` modules is
 //! exempt from all rules; so is everything outside `src/` (integration
@@ -44,6 +51,8 @@ pub enum Rule {
     HashMapKernel,
     /// `Instant::now`/`SystemTime` outside the bench/telemetry allowlist.
     WallclockKernel,
+    /// `as u32` in a numeric kernel module outside the narrowing allowlist.
+    IndexNarrowing,
 }
 
 impl Rule {
@@ -54,6 +63,7 @@ impl Rule {
             Rule::OrderingJustified => "ordering-justified",
             Rule::HashMapKernel => "hashmap-kernel",
             Rule::WallclockKernel => "wallclock-kernel",
+            Rule::IndexNarrowing => "index-narrowing",
         }
     }
 }
@@ -73,8 +83,12 @@ pub const WALLCLOCK_ALLOWLIST: &[&str] = &[
     "crates/dist/src/comm.rs",
 ];
 
+/// Kernel files that may narrow with `as u32`, on a line vouched for by a
+/// `// NARROWING:` comment: `Col`'s constructors.
+pub const NARROWING_ALLOWLIST: &[&str] = &["crates/sparse/src/csr.rs"];
+
 /// Crates whose `src/` trees count as numeric kernels for the
-/// `hashmap-kernel` rule.
+/// `hashmap-kernel` and `index-narrowing` rules.
 const KERNEL_CRATES: &[&str] = &[
     "crates/core/src",
     "crates/sparse/src",
@@ -376,6 +390,16 @@ fn wallclock_allowed(path: &str) -> bool {
     WALLCLOCK_ALLOWLIST.iter().any(|a| path.contains(a))
 }
 
+/// True if `code` casts with `as` to the type `ty` (`x as u32`): the
+/// identifier tokens `as`, `ty` in a row.
+fn casts_to(code: &str, ty: &str) -> bool {
+    let words: Vec<&str> = code
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect();
+    words.windows(2).any(|w| w[0] == "as" && w[1] == ty)
+}
+
 /// Lints one file's source. `path` is used for path-scoped rules and
 /// diagnostics; forward slashes are expected (the workspace walker
 /// normalizes them).
@@ -438,6 +462,22 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
                  nondeterministic and breaks the bitwise determinism contract — use \
                  BTreeMap/BTreeSet or index-sorted vectors (or vouch with `// DETERMINISM:` \
                  if it provably never iterates)"
+                    .to_string(),
+            ));
+        }
+
+        // index-narrowing: `as u32` only where a Col is made.
+        if is_kernel_path(path)
+            && casts_to(&l.code, "u32")
+            && !(NARROWING_ALLOWLIST.iter().any(|a| path.contains(a))
+                && justified(&lines, i, "NARROWING:", |_| false))
+        {
+            out.push(diag(
+                i,
+                Rule::IndexNarrowing,
+                "`as u32` in a numeric kernel module silently wraps an index wider than \
+                 32 bits — make a column with `Col::new`/`Col::try_from`, any other u32 \
+                 with `u32::try_from`"
                     .to_string(),
             ));
         }

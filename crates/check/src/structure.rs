@@ -6,7 +6,7 @@
 
 use crate::{fail, CheckResult};
 use famg_sparse::transpose::transpose;
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 
 /// Validates raw CSR buffers: row-pointer shape and monotonicity,
 /// in-bounds column indices, and finite values.
@@ -17,7 +17,7 @@ pub fn check_raw_parts(
     nrows: usize,
     ncols: usize,
     rowptr: &[usize],
-    colidx: &[usize],
+    colidx: &[Col],
     values: &[f64],
 ) -> CheckResult {
     if rowptr.len() != nrows + 1 {
@@ -57,7 +57,7 @@ pub fn check_raw_parts(
         );
     }
     for (k, &c) in colidx.iter().enumerate() {
-        if c >= ncols {
+        if usize::from(c) >= ncols {
             return fail(
                 "colidx_in_bounds",
                 format!("colidx[{k}] = {c} out of bounds for ncols = {ncols}"),
@@ -112,7 +112,7 @@ pub fn check_sorted_unique(a: &Csr) -> CheckResult {
 /// order (unsorted by design), but their sparse accumulators must have
 /// merged duplicates.
 pub fn check_no_duplicates(a: &Csr) -> CheckResult {
-    let mut scratch: Vec<usize> = Vec::new();
+    let mut scratch: Vec<Col> = Vec::new();
     for i in 0..a.nrows() {
         scratch.clear();
         scratch.extend_from_slice(a.row_cols(i));
@@ -195,21 +195,23 @@ mod tests {
 
     #[test]
     fn rejects_bad_rowptr() {
-        let err = check_raw_parts(2, 2, &[0, 2, 1], &[0, 1, 0], &[1.0, 2.0, 3.0]).unwrap_err();
+        let err = check_raw_parts(2, 2, &[0, 2, 1], &[0, 1, 0].map(Col::new), &[1.0, 2.0, 3.0])
+            .unwrap_err();
         assert_eq!(err.check, "rowptr_monotone");
-        let err = check_raw_parts(2, 2, &[1, 1, 2], &[0, 1], &[1.0, 2.0]).unwrap_err();
+        let err =
+            check_raw_parts(2, 2, &[1, 1, 2], &[0, 1].map(Col::new), &[1.0, 2.0]).unwrap_err();
         assert_eq!(err.check, "rowptr_start");
         let err = check_raw_parts(1, 2, &[0], &[], &[]).unwrap_err();
         assert_eq!(err.check, "rowptr_len");
-        let err = check_raw_parts(1, 2, &[0, 3], &[0, 1], &[1.0, 2.0]).unwrap_err();
+        let err = check_raw_parts(1, 2, &[0, 3], &[0, 1].map(Col::new), &[1.0, 2.0]).unwrap_err();
         assert_eq!(err.check, "nnz_consistent");
     }
 
     #[test]
     fn rejects_out_of_bounds_and_nonfinite() {
-        let err = check_raw_parts(1, 2, &[0, 1], &[5], &[1.0]).unwrap_err();
+        let err = check_raw_parts(1, 2, &[0, 1], &[5].map(Col::new), &[1.0]).unwrap_err();
         assert_eq!(err.check, "colidx_in_bounds");
-        let err = check_raw_parts(1, 2, &[0, 1], &[0], &[f64::NAN]).unwrap_err();
+        let err = check_raw_parts(1, 2, &[0, 1], &[0].map(Col::new), &[f64::NAN]).unwrap_err();
         assert_eq!(err.check, "values_finite");
     }
 

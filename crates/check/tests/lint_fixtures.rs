@@ -93,6 +93,28 @@ fn wallclock_reads_outside_allowlist_are_flagged() {
 }
 
 #[test]
+fn index_narrowing_outside_the_allowlist_is_flagged() {
+    let src = fixture("index_narrowing.rsfix");
+    // Line 5: a bare `as u32`; line 10: vouched for, but in a file that is
+    // not on the allowlist. Checked and widening casts, the string literal
+    // and the test module stay quiet.
+    for path in ["crates/core/src/fixture.rs", "crates/dist/src/interp.rs"] {
+        let got = findings(path, &src);
+        assert_eq!(
+            got,
+            vec![(5, "index-narrowing"), (10, "index-narrowing")],
+            "diagnostics: {:?}",
+            lint_file(path, &src)
+        );
+    }
+    // In `Col`'s file the vouched cast is allowed and the bare one is not.
+    let got = findings("crates/sparse/src/csr.rs", &src);
+    assert_eq!(got, vec![(5, "index-narrowing")]);
+    // Outside the kernel crates the rule does not apply.
+    assert!(findings("crates/bench/src/fixture.rs", &src).is_empty());
+}
+
+#[test]
 fn clean_fixture_produces_no_diagnostics_anywhere() {
     let src = fixture("clean.rsfix");
     for path in [

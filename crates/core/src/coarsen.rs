@@ -76,7 +76,7 @@ fn dependants(s: &Csr) -> Vec<u32> {
         .map(|block| {
             let mut count = vec![0u32; n];
             for &j in &s.colidx()[block.clone()] {
-                count[j] += 1;
+                count[usize::from(j)] += 1;
             }
             count
         })
@@ -111,7 +111,7 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
                 return;
             }
             let mut beaten = false;
-            for &j in s.row_cols(i).iter().filter(|&&j| undecided(j)) {
+            for j in s.col_iter(i).filter(|&j| undecided(j)) {
                 beaten |= measure[i] <= measure[j];
                 if measure[j] <= measure[i] {
                     put(&mark[j], round);
@@ -143,10 +143,10 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
         // never C), then pull along `S_i` (C-points of earlier rounds
         // demoted their neighbours then).
         selected.par_iter().with_min_len(512).for_each(|&c| {
-            s.row_cols(c).iter().for_each(|&j| put(&mark[j], FINE));
+            s.col_iter(c).for_each(|j| put(&mark[j], FINE));
         });
         (0..n).into_par_iter().with_min_len(512).for_each(|i| {
-            if undecided(i) && s.row_cols(i).iter().any(|&j| get(&mark[j]) == COARSE) {
+            if undecided(i) && s.col_iter(i).any(|j| get(&mark[j]) == COARSE) {
                 put(&mark[i], FINE);
             }
         });
@@ -186,9 +186,9 @@ pub fn aggressive_pmis_stages(s: &Csr, seed: u64) -> (Coarsening, Coarsening) {
                 trips.push((ci, cidx[j], 1.0));
             }
         };
-        for &j in s.row_cols(i) {
+        for j in s.col_iter(i) {
             push(j);
-            for &k in s.row_cols(j) {
+            for k in s.col_iter(j) {
                 push(k);
             }
         }
@@ -216,7 +216,7 @@ pub fn validate_cf(s: &Csr, c: &Coarsening, dist: usize) -> Result<(), String> {
         if !c.is_coarse[i] {
             continue;
         }
-        for &j in s.row_cols(i).iter().chain(st.row_cols(i)) {
+        for j in s.col_iter(i).chain(st.col_iter(i)) {
             if c.is_coarse[j] {
                 return Err(format!("C-points {i} and {j} are neighbours"));
             }
@@ -232,7 +232,7 @@ pub fn validate_cf(s: &Csr, c: &Coarsening, dist: usize) -> Result<(), String> {
         'bfs: for _ in 0..dist {
             let mut next = Vec::new();
             for &u in &frontier {
-                for &v in s.row_cols(u) {
+                for v in s.col_iter(u) {
                     if c.is_coarse[v] {
                         found = true;
                         break 'bfs;
@@ -267,7 +267,7 @@ mod tests {
         }
         let n = s.nrows();
         let st = transpose(s);
-        let both = |i: usize| s.row_cols(i).iter().chain(st.row_cols(i)).copied();
+        let both = |i: usize| s.col_iter(i).chain(st.col_iter(i));
         let measure: Vec<f64> = (0..n)
             .map(|i| st.row_nnz(i) as f64 + uniform01(seed, i as u64))
             .collect();
@@ -305,11 +305,11 @@ mod tests {
     fn independent_and_maximal(s: &Csr, is_coarse: &[bool]) -> bool {
         let st = transpose(s);
         (0..s.nrows()).all(|i| {
-            let mut both = s.row_cols(i).iter().chain(st.row_cols(i));
+            let mut both = s.col_iter(i).chain(st.col_iter(i));
             if is_coarse[i] {
-                !both.any(|&j| is_coarse[j])
+                !both.any(|j| is_coarse[j])
             } else {
-                st.row_nnz(i) == 0 || both.any(|&j| is_coarse[j])
+                st.row_nnz(i) == 0 || both.any(|j| is_coarse[j])
             }
         })
     }
@@ -343,7 +343,7 @@ mod tests {
             asym.row_nnz(2) == 0 && st.row_nnz(2) == 0,
             "an isolated point"
         );
-        assert!((0..3000).any(|i| asym.row_cols(i).iter().any(|&j| asym.get(j, i).is_none())));
+        assert!((0..3000).any(|i| asym.col_iter(i).any(|j| asym.get(j, i).is_none())));
         let cases = [
             ("laplace2d", strength(&laplace2d(60, 50), 0.25, 0.8)),
             (

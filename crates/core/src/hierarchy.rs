@@ -31,7 +31,7 @@ use famg_sparse::permute::{stored_positions, Permutation, RowOrder};
 use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 use std::borrow::Cow;
 
 /// Grid-transfer operators between a level and the next coarser one.
@@ -597,7 +597,7 @@ pub(crate) fn extract_fine_block(p: &Csr, perm: &Permutation, nc: usize, level: 
     let mut run = 0;
     for (c, &i) in coarse.iter().enumerate() {
         assert!(
-            p.row_cols(i) == [c] && p.row_vals(i) == [1.0],
+            p.row_cols(i) == [Col::new(c)] && p.row_vals(i) == [1.0],
             "level {level}: coarse row {i} of P is not the unit row (column {c}, value 1)"
         );
         let at = p.rowptr()[i];

@@ -1,6 +1,6 @@
 //! Shared interpolation plumbing: CF index maps and truncation.
 
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 
 /// C/F splitting with the coarse-index map used to number `P`'s columns.
 #[derive(Debug, Clone)]
@@ -175,10 +175,10 @@ pub fn truncate_matrix(p: &Csr, params: &TruncParams) -> Csr {
     for i in 0..n {
         cols.clear();
         vals.clear();
-        cols.extend_from_slice(p.row_cols(i));
+        cols.extend(p.col_iter(i));
         vals.extend_from_slice(p.row_vals(i));
         truncate_row(&mut cols, &mut vals, params);
-        colidx.extend_from_slice(&cols);
+        colidx.extend(cols.iter().map(|&c| Col::new(c)));
         values.extend_from_slice(&vals);
         rowptr.push(colidx.len());
     }
@@ -188,7 +188,7 @@ pub fn truncate_matrix(p: &Csr, params: &TruncParams) -> Csr {
 /// Shared row-assembly buffer for interpolation builders.
 pub(crate) struct RowBuilder {
     pub rowptr: Vec<usize>,
-    pub colidx: Vec<usize>,
+    pub colidx: Vec<Col>,
     pub values: Vec<f64>,
 }
 
@@ -214,7 +214,7 @@ impl RowBuilder {
         if let Some(t) = trunc {
             truncate_row(cols, vals, t);
         }
-        self.colidx.extend_from_slice(cols);
+        self.colidx.extend(cols.iter().map(|&c| Col::new(c)));
         self.values.extend_from_slice(vals);
         self.rowptr.push(self.colidx.len());
         cols.clear();

@@ -42,7 +42,7 @@ pub fn direct_rows(
             b.push_row(&mut cols, &mut vals, None);
             continue;
         }
-        for &j in s.row_cols(i) {
+        for j in s.col_iter(i) {
             strong[j] = i;
         }
         // Sums of negative / positive connections over all neighbours and
@@ -116,7 +116,7 @@ mod tests {
         for i in 0..a.nrows() {
             if cf.is_coarse[i] {
                 assert_eq!(p.row_nnz(i), 1);
-                assert_eq!(p.row_cols(i), &[cf.cmap[i]]);
+                assert_eq!(p.col_iter(i).collect::<Vec<_>>(), [cf.cmap[i]]);
                 assert_eq!(p.row_vals(i), &[1.0]);
             }
         }

@@ -28,7 +28,7 @@
 
 use super::common::{truncate_row, CfMap, TruncParams};
 use famg_sparse::partition::{exclusive_prefix_sum, num_threads, split_evenly};
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -127,7 +127,7 @@ struct CoarseView {
     opp_ptr: Vec<usize>,
     opp: Vec<Opp>,
     strong_ptr: Vec<usize>,
-    strong: Vec<usize>,
+    strong: Vec<Col>,
 }
 
 impl CoarseView {
@@ -137,7 +137,7 @@ impl CoarseView {
             opp_len: Vec<usize>,
             opp: Vec<Opp>,
             strong_len: Vec<usize>,
-            strong: Vec<usize>,
+            strong: Vec<Col>,
         }
         let av = a.values();
         let parts: Vec<Part> = blocks
@@ -155,20 +155,20 @@ impl CoarseView {
                     let cols = &a.colidx()[r.clone()];
                     let akk = cols
                         .iter()
-                        .position(|&c| c == k)
+                        .position(|&c| usize::from(c) == k)
                         .map_or(0.0, |o| av[r.start + o]);
                     p.diag.push(akk);
                     let (opp0, strong0) = (p.opp.len(), p.strong.len());
                     if !cf.is_coarse[k] {
                         // `l` coarse and `k` fine, so `l ≠ k` already.
                         for (pos, &col) in r.zip(cols) {
-                            let val = av[pos];
+                            let (col, val) = (usize::from(col), av[pos]);
                             if cf.is_coarse[col] && opposes(val, akk) {
                                 p.opp.push(Opp { col, pos, val });
                             }
                         }
-                        let sk = s.row_cols(k).iter().filter(|&&l| cf.is_coarse[l]);
-                        p.strong.extend(sk);
+                        let coarse = |l: &&Col| cf.is_coarse[usize::from(**l)];
+                        p.strong.extend(s.row_cols(k).iter().filter(coarse));
                     }
                     p.opp_len.push(p.opp.len() - opp0);
                     p.strong_len.push(p.strong.len() - strong0);
@@ -189,7 +189,7 @@ impl CoarseView {
         &self.opp[self.opp_ptr[k]..self.opp_ptr[k + 1]]
     }
 
-    fn strong(&self, k: usize) -> &[usize] {
+    fn strong(&self, k: usize) -> &[Col] {
         &self.strong[self.strong_ptr[k]..self.strong_ptr[k + 1]]
     }
 }
@@ -262,17 +262,17 @@ fn fine_row<K: Sink>(
     sc.chat.clear();
     sc.num.clear();
     // --- Step 1: mark S_i and build Ĉ_i. ---
-    for &j in s.row_cols(i) {
+    for j in s.col_iter(i) {
         sc.strong[j] = stamp;
     }
-    for &j in s.row_cols(i) {
+    for j in s.col_iter(i) {
         if cf.is_coarse[j] {
             sc.add_chat(j, stamp);
         } else {
             let sj = view.strong(j);
             sc.visited += sj.len();
             for &k in sj {
-                sc.add_chat(k, stamp);
+                sc.add_chat(usize::from(k), stamp);
             }
         }
     }
@@ -285,7 +285,7 @@ fn fine_row<K: Sink>(
     // First pass over A_i: diagonal, weak lumping, direct numerator
     // contributions.
     let row_i = a.row_range(i);
-    for (pos, &j) in row_i.clone().zip(a.row_cols(i)) {
+    for (pos, j) in row_i.clone().zip(a.col_iter(i)) {
         if j == i {
             atilde += av[pos];
             sink.diag_term(pos);
@@ -301,7 +301,7 @@ fn fine_row<K: Sink>(
         // neighbours are in Ĉ_i (handled above).
     }
     // Distribution through strong fine neighbours.
-    for (aik_pos, &k) in row_i.zip(a.row_cols(i)) {
+    for (aik_pos, k) in row_i.zip(a.col_iter(i)) {
         if k == i || sc.strong[k] != stamp || cf.is_coarse[k] {
             continue;
         }
@@ -313,7 +313,7 @@ fn fine_row<K: Sink>(
         let row_k = a.row_range(k);
         let abar_pos = a.colidx()[row_k.clone()]
             .iter()
-            .position(|&l| l == i)
+            .position(|&l| usize::from(l) == i)
             .map(|o| row_k.start + o)
             .filter(|&p| opposes(av[p], akk));
         // b_ik = Σ_{l∈Ĉ_i∪{i}} ā_kl, summed in row-k order (ā_ki falls
@@ -388,7 +388,7 @@ pub(super) fn build<K: Sink>(
 
     struct Chunk<K> {
         row_nnz: Vec<usize>,
-        colidx: Vec<usize>,
+        colidx: Vec<Col>,
         values: Vec<f64>,
         visited: usize,
         sink: K,
@@ -412,7 +412,7 @@ pub(super) fn build<K: Sink>(
             for i in rows.clone() {
                 if cf.is_coarse[i] {
                     ch.row_nnz.push(1);
-                    ch.colidx.push(cf.cmap[i]);
+                    ch.colidx.push(Col::new(cf.cmap[i]));
                     ch.values.push(1.0);
                     ch.sink.end_row(0, &[]);
                     continue;
@@ -435,7 +435,7 @@ pub(super) fn build<K: Sink>(
                     }
                 }
                 ch.row_nnz.push(out_cols.len());
-                ch.colidx.extend_from_slice(&out_cols);
+                ch.colidx.extend(out_cols.iter().map(|&c| Col::new(c)));
                 ch.values.extend_from_slice(&out_vals);
                 ch.sink.end_row(sc.chat.len(), &out_cols);
             }
@@ -493,9 +493,9 @@ mod tests {
         let w: f64 = p.row_vals(2).iter().sum();
         assert!((w - 1.0).abs() < 1e-12);
         // Coarse rows identity.
-        assert_eq!(p.row_cols(0), &[0]);
+        assert_eq!(p.col_iter(0).collect::<Vec<_>>(), [0]);
         assert_eq!(p.row_vals(0), &[1.0]);
-        assert_eq!(p.row_cols(3), &[1]);
+        assert_eq!(p.col_iter(3).collect::<Vec<_>>(), [1]);
     }
 
     fn setup(a: &Csr, seed: u64) -> (Csr, CfMap) {
@@ -591,7 +591,7 @@ mod tests {
         let a = Csr::from_triplets(5, 5, trips);
         let s = strength(&a, 0.25, 10.0);
         let cf = CfMap::new(vec![true, false, false, false, true]);
-        assert!(!s.row_cols(2).iter().any(|&j| cf.is_coarse[j]));
+        assert!(!s.col_iter(2).any(|j| cf.is_coarse[j]));
         let p = extended_i(&a, &s, &cf, None);
         assert_eq!(p.row_nnz(2), 2, "point 2 must interpolate at distance 2");
         assert!((p.get(2, 0).unwrap() - 0.5).abs() < 1e-12);

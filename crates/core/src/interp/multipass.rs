@@ -62,7 +62,7 @@ impl<'a> Multipass<'a> {
             rows,
             nc: cf.nc,
             span,
-            cols: direct.colidx().to_vec(),
+            cols: direct.colidx().iter().map(|&c| usize::from(c)).collect(),
             vals: direct.values().to_vec(),
             marker: vec![usize::MAX; cf.nc],
             strong: vec![0; a.nrows()],
@@ -108,10 +108,10 @@ impl<'a> Multipass<'a> {
         let mut fresh: Vec<(usize, usize)> = Vec::new();
         for i in self.rows.clone() {
             let assigned = |j: usize| self.span[j].1 > 0;
-            if assigned(i) || !s.row_cols(i).iter().any(|&j| assigned(j)) {
+            if assigned(i) || !s.col_iter(i).any(&assigned) {
                 continue;
             }
-            for &j in s.row_cols(i) {
+            for j in s.col_iter(i) {
                 self.strong[j] = i + 1;
             }
             let (mut diag, mut all_sum, mut strong_done_sum) = (0.0f64, 0.0f64, 0.0f64);

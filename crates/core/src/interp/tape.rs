@@ -433,7 +433,7 @@ mod tests {
         let mut stamp = vec![usize::MAX; frozen.ncols()];
         let mut pos = vec![0usize; frozen.ncols()];
         for i in 0..n {
-            for (k, &c) in raw.row_cols(i).iter().enumerate() {
+            for (k, c) in raw.col_iter(i).enumerate() {
                 stamp[c] = i;
                 pos[c] = k;
             }
@@ -441,7 +441,7 @@ mod tests {
             let sum_before: f64 = rvals.iter().sum();
             let out = &mut values[frozen.row_range(i)];
             let mut sum_after = 0.0f64;
-            for (o, &c) in out.iter_mut().zip(frozen.row_cols(i)) {
+            for (o, c) in out.iter_mut().zip(frozen.col_iter(i)) {
                 // A frozen entry the new weights no longer produce stays as
                 // an explicit zero (pattern is frozen by contract).
                 *o = if stamp[c] == i { rvals[pos[c]] } else { 0.0 };

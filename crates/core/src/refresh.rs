@@ -74,7 +74,7 @@ use famg_sparse::permute::{
 };
 use famg_sparse::transpose::{transpose_par, transpose_par_into};
 use famg_sparse::triple::{rap_cf_numeric_into, rap_row_fused_numeric, rap_scalar_fused_numeric};
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 use std::borrow::Cow;
 
 /// Everything pattern-derived about one level that the live level does not
@@ -128,7 +128,7 @@ pub struct FrozenSetup {
     /// Finest-level row pointer, for the input-pattern guard.
     pub(crate) fine_rowptr: Vec<usize>,
     /// Finest-level column indices, for the input-pattern guard.
-    pub(crate) fine_colidx: Vec<usize>,
+    pub(crate) fine_colidx: Vec<Col>,
     /// Per-level frozen structure (one entry per non-coarsest level).
     pub(crate) levels: Vec<FrozenLevel>,
 }
@@ -628,7 +628,8 @@ mod tests {
     }
 
     fn hash_csr(h: u64, c: &Csr) -> u64 {
-        let pattern = c.rowptr().iter().chain(c.colidx()).map(|&v| v as u64);
+        let cols = c.colidx().iter().map(|&v| usize::from(v));
+        let pattern = c.rowptr().iter().copied().chain(cols).map(|v| v as u64);
         let words = pattern.chain(c.values().iter().map(|v| v.to_bits()));
         words.fold(fnv1a(h, c.ncols() as u64), fnv1a)
     }
@@ -724,7 +725,9 @@ mod tests {
         let a = laplace2d(24, 24);
         let n = a.nrows();
         let mut singular = a.clone();
-        let at = singular.row_range(5).find(|&k| singular.colidx()[k] == 5);
+        let at = singular
+            .row_range(5)
+            .find(|&k| usize::from(singular.colidx()[k]) == 5);
         singular.values_mut()[at.expect("stored diagonal")] = 0.0;
         for cfg in [
             AmgConfig::single_node_paper(),
@@ -802,12 +805,12 @@ mod tests {
         let k = (0..p.nrows())
             .flat_map(|i| p.row_range(i).map(move |k| (i, k)))
             .find(|&(i, k)| {
-                let c = p.colidx()[k] + 1;
-                c < p.ncols() && !p.row_cols(i).contains(&c)
+                let c = usize::from(p.colidx()[k]) + 1;
+                c < p.ncols() && !p.col_iter(i).any(|j| j == c)
             })
             .map(|(_, k)| k)
             .expect("a movable entry");
-        colidx[k] += 1;
+        colidx[k] = Col::new(usize::from(colidx[k]) + 1);
         let (rowptr, values) = (p.rowptr().to_vec(), p.values().to_vec());
         Csr::from_parts_unchecked(p.nrows(), p.ncols(), rowptr, colidx, values)
     }

@@ -16,7 +16,7 @@
 //! (`interp::extended_i`) and leaves the operator's row order alone.
 
 use famg_sparse::permute::{cf_permutation, permute_symmetric, Permutation, RowOrder};
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 use std::ops::Range;
 
 /// The CF ordering of one level: permutation plus coarse count.
@@ -108,17 +108,23 @@ fn pad(mut v: Vec<Range<usize>>, nthreads: usize, end: usize) -> Vec<Range<usize
 pub struct GsPartition {
     /// Thread ownership the partition was computed against.
     pub own: ThreadOwnership,
-    /// For each row: start of the own-thread upper segment.
-    pub up_start: Vec<usize>,
+    /// For each row: start of the own-thread upper segment, as an offset
+    /// from the row's start (`rowptr[i]`).
+    pub up_start: Vec<u32>,
     /// For each row: start of the other-thread (external) segment
-    /// (`extptr` in Fig. 2b).
-    pub ext_start: Vec<usize>,
+    /// (`extptr` in Fig. 2b), as an offset from the row's start.
+    pub ext_start: Vec<u32>,
     /// Reciprocal diagonal of each row.
     pub dinv: Vec<f64>,
     /// Sorted distinct columns of every row's external segment: the only
     /// entries of the pre-sweep snapshot a sweep reads, so the only ones it
     /// takes. Empty with one task.
-    pub ext_cols: Vec<usize>,
+    pub ext_cols: Vec<Col>,
+}
+
+/// An in-row offset of the GS partition.
+fn offset(k: usize) -> u32 {
+    u32::try_from(k).expect("GS partition: a row longer than u32")
 }
 
 /// Reorders each row of `a` into `[diag | own-lower | own-upper | ext]`
@@ -142,14 +148,14 @@ pub fn partition_rows_gs(
 ) -> GsPartition {
     let n = a.nrows();
     let rowptr = a.rowptr().to_vec();
-    let mut up_start = vec![0usize; n];
-    let mut ext_start = vec![0usize; n];
+    let mut up_start = vec![0u32; n];
+    let mut ext_start = vec![0u32; n];
     let mut dinv = vec![0.0f64; n];
     let (colidx, values) = a.colidx_values_mut();
-    let mut low: Vec<(usize, f64)> = Vec::new();
-    let mut up: Vec<(usize, f64)> = Vec::new();
-    let mut ext: Vec<(usize, f64)> = Vec::new();
-    let mut ext_cols: Vec<usize> = Vec::new();
+    let mut low: Vec<(Col, f64)> = Vec::new();
+    let mut up: Vec<(Col, f64)> = Vec::new();
+    let mut ext: Vec<(Col, f64)> = Vec::new();
+    let mut ext_cols: Vec<Col> = Vec::new();
     for i in 0..n {
         let r = rowptr[i]..rowptr[i + 1];
         let t = own.owner_of(i, nc);
@@ -160,20 +166,21 @@ pub fn partition_rows_gs(
         ext.clear();
         let mut diag = None;
         for k in r.clone() {
-            let (c, v) = (colidx[k], values[k]);
+            let (col, v) = (colidx[k], values[k]);
+            let c = usize::from(col);
             let segment = if c == i {
                 diag = Some(v);
                 0
             } else if my_c.contains(&c) || my_f.contains(&c) {
                 if c < i {
-                    low.push((c, v));
+                    low.push((col, v));
                     1
                 } else {
-                    up.push((c, v));
+                    up.push((col, v));
                     2
                 }
             } else {
-                ext.push((c, v));
+                ext.push((col, v));
                 3
             };
             if let Some(o) = order.as_deref_mut() {
@@ -184,7 +191,7 @@ pub fn partition_rows_gs(
         assert!(d != 0.0, "zero diagonal in row {i}");
         dinv[i] = 1.0 / d;
         let mut k = r.start;
-        colidx[k] = i;
+        colidx[k] = Col::new(i);
         values[k] = d;
         k += 1;
         for &(c, v) in low.iter().chain(&up).chain(&ext) {
@@ -192,8 +199,8 @@ pub fn partition_rows_gs(
             values[k] = v;
             k += 1;
         }
-        up_start[i] = r.start + 1 + low.len();
-        ext_start[i] = r.start + 1 + low.len() + up.len();
+        up_start[i] = offset(1 + low.len());
+        ext_start[i] = offset(1 + low.len() + up.len());
         ext_cols.extend(ext.iter().map(|&(c, _)| c));
     }
     ext_cols.sort_unstable();
@@ -264,20 +271,22 @@ mod tests {
         for i in 0..a.nrows() {
             let r = a.row_range(i);
             // Diagonal first.
-            assert_eq!(a.colidx()[r.start], i);
+            assert_eq!(usize::from(a.colidx()[r.start]), i);
             assert_eq!(g.dinv[i], 1.0 / 4.0);
             let t = own.owner_of(i, nc);
             let mine = |c: usize| own.coarse[t].contains(&c) || own.fine[t].contains(&c);
-            for k in r.start + 1..g.up_start[i] {
-                let c = a.colidx()[k];
+            let up = r.start + g.up_start[i] as usize;
+            let ext = r.start + g.ext_start[i] as usize;
+            for k in r.start + 1..up {
+                let c = usize::from(a.colidx()[k]);
                 assert!(mine(c) && c < i, "row {i} lower seg");
             }
-            for k in g.up_start[i]..g.ext_start[i] {
-                let c = a.colidx()[k];
+            for k in up..ext {
+                let c = usize::from(a.colidx()[k]);
                 assert!(mine(c) && c > i, "row {i} upper seg");
             }
-            for k in g.ext_start[i]..r.end {
-                let c = a.colidx()[k];
+            for k in ext..r.end {
+                let c = usize::from(a.colidx()[k]);
                 assert!(!mine(c), "row {i} ext seg");
             }
         }
@@ -292,8 +301,11 @@ mod tests {
             let mut a = base.clone();
             let own = ThreadOwnership::build(&a, nc, tasks);
             let g = partition_rows_gs(&mut a, nc, &own, None);
-            let want: BTreeSet<usize> = (0..a.nrows())
-                .flat_map(|i| a.colidx()[g.ext_start[i]..a.rowptr()[i + 1]].to_vec())
+            let want: BTreeSet<Col> = (0..a.nrows())
+                .flat_map(|i| {
+                    let r = a.row_range(i);
+                    a.colidx()[r.start + g.ext_start[i] as usize..r.end].to_vec()
+                })
                 .collect();
             assert_eq!(g.ext_cols, want.into_iter().collect::<Vec<_>>());
             assert_eq!(g.ext_cols.is_empty(), tasks == 1, "tasks={tasks}");

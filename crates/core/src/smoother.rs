@@ -351,6 +351,7 @@ impl Smoother {
 /// level included, no row of this operator looks at it.
 fn snapshot_ext(part: &GsPartition, xd: &[f64], k: usize, temp: &mut [f64]) {
     for &c in &part.ext_cols {
+        let c = usize::from(c);
         temp[c * k..c * k + k].copy_from_slice(&xd[c * k..c * k + k]);
     }
 }
@@ -379,18 +380,21 @@ fn hybrid_opt_rows<const K: usize>(
     let kk = width::<K>(k);
     debug_assert!(kk <= 8);
     for i in rows {
-        let end = rowptr[i + 1];
+        let (start, end) = (rowptr[i], rowptr[i + 1]);
+        // One offset a row: where the live loop ends and the snapshot
+        // loop starts.
         let (live_end, ext) = if x_is_zero {
-            (part.up_start[i], end)
+            (start + part.up_start[i] as usize, end)
         } else {
-            (part.ext_start[i], part.ext_start[i])
+            let ext = start + part.ext_start[i] as usize;
+            (ext, ext)
         };
         let mut acc = [0.0f64; 8];
         acc[..kk].copy_from_slice(&bd[i * kk..i * kk + kk]);
         // Own columns: live x (updated below row i, pre-sweep above it).
-        for e in rowptr[i] + 1..live_end {
+        for e in start + 1..live_end {
             let v = values[e];
-            let cb = colidx[e] * kk;
+            let cb = usize::from(colidx[e]) * kk;
             for j in 0..kk {
                 // SAFETY: own column, only this task writes its lanes.
                 acc[j] -= v * unsafe { *p.0.add(cb + j) };
@@ -399,7 +403,7 @@ fn hybrid_opt_rows<const K: usize>(
         // External columns: snapshot.
         for e in ext..end {
             let v = values[e];
-            let cb = colidx[e] * kk;
+            let cb = usize::from(colidx[e]) * kk;
             for j in 0..kk {
                 acc[j] -= v * temp[cb + j];
             }

@@ -16,7 +16,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use famg_sparse::partition::{exclusive_prefix_sum, num_threads};
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -68,7 +68,7 @@ pub fn strength_seq(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f6
     rowptr.push(0);
     for i in rows {
         row_strong(a, i, threshold, max_row_sum, |k, v| {
-            colidx.push(k);
+            colidx.push(Col::new(k));
             values.push(v);
         });
         rowptr.push(colidx.len());
@@ -100,10 +100,10 @@ pub fn strength_par(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f6
     let mut rowptr = counts;
     rowptr.push(nnz);
     // Pass 2: fill into disjoint row slices.
-    let mut colidx = vec![0usize; nnz];
+    let mut colidx = vec![Col::default(); nnz];
     let mut values = vec![0.0f64; nnz];
     {
-        struct Ptr(*mut usize, *mut f64);
+        struct Ptr(*mut Col, *mut f64);
         // SAFETY: row i writes only [rowptr[i], rowptr[i+1]), and those
         // slices are disjoint across the parallel iterator.
         unsafe impl Sync for Ptr {}
@@ -118,7 +118,7 @@ pub fn strength_par(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f6
                 row_strong(a, i, threshold, max_row_sum, |k, v| {
                     // SAFETY: rows write disjoint [rowptr[i], rowptr[i+1]) slices.
                     unsafe {
-                        *p.0.add(dst) = k;
+                        *p.0.add(dst) = Col::new(k);
                         *p.1.add(dst) = v;
                     }
                     dst += 1;
@@ -157,8 +157,8 @@ mod tests {
         let s = strength_seq(&a, 0..a.nrows(), 0.25, 0.9);
         let i = 12; // interior
         assert_eq!(s.row_nnz(i), 2); // left/right only
-        assert!(s.row_cols(i).contains(&11));
-        assert!(s.row_cols(i).contains(&13));
+        assert!(s.col_iter(i).any(|j| j == 11));
+        assert!(s.col_iter(i).any(|j| j == 13));
     }
 
     #[test]
@@ -223,7 +223,7 @@ mod tests {
         let a = laplace2d(6, 6);
         let s = strength(&a, 0.25, 0.8);
         for i in 0..s.nrows() {
-            assert!(!s.row_cols(i).contains(&i));
+            assert!(!s.col_iter(i).any(|j| j == i));
         }
     }
 }

@@ -14,7 +14,7 @@ use crate::parcsr::{ExtSpace, ParCsr};
 use crate::spgemm::dist_transpose;
 use famg_core::interp::CfMap;
 use famg_core::rng::uniform01;
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 
 /// One rank's share of a C/F splitting.
 #[derive(Debug, Clone)]
@@ -150,17 +150,15 @@ pub fn dist_pmis(comm: &Comm, s: &ParCsr, seed: u64, active: Option<&[bool]>) ->
             }
             let m = measure[i];
             let win_local = |j: usize| state[j] != UNDECIDED || m > measure[j];
-            let wins = s.diag.row_cols(i).iter().all(|&j| win_local(j))
-                && st.diag.row_cols(i).iter().all(|&j| win_local(j))
+            let wins = s.diag.col_iter(i).all(&win_local)
+                && st.diag.col_iter(i).all(win_local)
                 && s.offd
-                    .row_cols(i)
-                    .iter()
-                    .all(|&k| state_ext_s[k] != UNDECIDED || m > measure_ext_s[k])
+                    .col_iter(i)
+                    .all(|k| state_ext_s[k] != UNDECIDED || m > measure_ext_s[k])
                 && st
                     .offd
-                    .row_cols(i)
-                    .iter()
-                    .all(|&k| state_ext_st[k] != UNDECIDED || m > measure_ext_st[k]);
+                    .col_iter(i)
+                    .all(|k| state_ext_st[k] != UNDECIDED || m > measure_ext_st[k]);
             if wins {
                 selected.push(i);
             }
@@ -174,8 +172,8 @@ pub fn dist_pmis(comm: &Comm, s: &ParCsr, seed: u64, active: Option<&[bool]>) ->
             if state[i] != UNDECIDED {
                 continue;
             }
-            let dep_coarse = s.diag.row_cols(i).iter().any(|&j| state[j] == COARSE)
-                || s.offd.row_cols(i).iter().any(|&k| state_ext_s[k] == COARSE);
+            let dep_coarse = s.diag.col_iter(i).any(|j| state[j] == COARSE)
+                || s.offd.col_iter(i).any(|k| state_ext_s[k] == COARSE);
             if dep_coarse {
                 state[i] = FINE;
             }
@@ -218,7 +216,7 @@ pub fn dist_aggressive_pmis(
     // S2 rows (compact coarse space) of the local C-points: the coarse
     // points within two strength edges, each once, ascending.
     let mut rowptr = Vec::with_capacity(first.ncoarse_local + 1);
-    let mut colidx: Vec<usize> = Vec::new();
+    let mut colidx: Vec<Col> = Vec::new();
     let mut seen = vec![usize::MAX; coarse.ext2g.len()];
     rowptr.push(0);
     for i in space.own.clone().filter(|&i| cf.is_coarse[i]) {
@@ -228,12 +226,12 @@ pub fn dist_aggressive_pmis(
         let mut push = |p: usize| {
             if cf.is_coarse[p] && seen[cf.cmap[p]] != me {
                 seen[cf.cmap[p]] = me;
-                colidx.push(cf.cmap[p]);
+                colidx.push(Col::new(cf.cmap[p]));
             }
         };
-        for &j in s_ext.row_cols(i) {
+        for j in s_ext.col_iter(i) {
             push(j);
-            s_ext.row_cols(j).iter().for_each(|&k| push(k));
+            s_ext.col_iter(j).for_each(&mut push);
         }
         colidx[row_start..].sort_unstable();
         rowptr.push(colidx.len());

@@ -236,17 +236,13 @@ pub fn dist_multipass(
         let mut todo = false;
         wanted.clear();
         for i in own.clone().filter(|&i| sweep.row(i).is_none()) {
-            let strong = x.s.row_cols(i);
+            let strong = x.s.col_iter(i);
             if strong
-                .iter()
-                .any(|&j| halo_done[j] || sweep.row(j).is_some())
+                .clone()
+                .any(|j| halo_done[j] || sweep.row(j).is_some())
             {
                 todo = true;
-                wanted.extend(
-                    strong
-                        .iter()
-                        .filter(|&&j| halo_done[j] && sweep.row(j).is_none()),
-                );
+                wanted.extend(strong.filter(|&j| halo_done[j] && sweep.row(j).is_none()));
             }
         }
         wanted.sort_unstable();
@@ -407,7 +403,7 @@ mod tests {
             if name == "holes" {
                 let through_hole = (0..144).any(|i| {
                     let fine = |p: usize| !c_serial.is_coarse[p];
-                    fine(i) && s.row_cols(i).iter().any(|&k| fine(k) && k % 5 == 2)
+                    fine(i) && s.col_iter(i).any(|k| fine(k) && k % 5 == 2)
                 });
                 assert!(through_hole, "no fine row distributes through a hole");
             }

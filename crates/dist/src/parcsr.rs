@@ -19,7 +19,8 @@
 //! row the same way at every rank count (DESIGN.md §2.3).
 
 use crate::halo::GatheredRows;
-use famg_sparse::Csr;
+use famg_sparse::csr::MAX_COLS;
+use famg_sparse::{Col, Csr};
 use std::ops::Range;
 
 /// One rank's share of a distributed matrix.
@@ -58,7 +59,8 @@ fn interior_boundary_split(offd: &Csr) -> (Vec<usize>, Vec<usize>) {
 
 /// One rank's local index space over global ids: the halo ids below the
 /// owned range, the owned range, the halo ids above it — ascending in the
-/// global id throughout.
+/// global id throughout. Global ids are `usize`; a local index must fit a
+/// [`Col`], the column index of the extended local CSR.
 #[derive(Debug, Clone)]
 pub struct ExtSpace {
     /// Local → global, strictly ascending.
@@ -80,6 +82,7 @@ impl ExtSpace {
         ext2g.extend_from_slice(&halo[..lo]);
         ext2g.extend(own.0..own.1);
         ext2g.extend_from_slice(&halo[lo..]);
+        debug_assert!(ext2g.len() <= MAX_COLS, "local space wider than a Col");
         ExtSpace {
             ext2g,
             own: lo..lo + (own.1 - own.0),
@@ -122,6 +125,12 @@ impl ExtSpace {
             .unwrap_or_else(|_| panic!("global index {g} is not in the local index space"))
     }
 
+    /// [`local`](Self::local) as a stored column index.
+    #[inline]
+    pub fn col(&self, g: usize) -> Col {
+        Col::new(self.local(g))
+    }
+
     /// Adds the sorted, distinct halo ids `new`, none of them present, and
     /// returns the old → new local index map.
     pub fn insert_sorted(&mut self, new: &[usize]) -> Vec<usize> {
@@ -137,6 +146,7 @@ impl ExtSpace {
             merged.push(g);
         }
         merged.extend_from_slice(&new[k..]);
+        debug_assert!(merged.len() <= MAX_COLS, "local space wider than a Col");
         let below = new.partition_point(|&g| g < self.own_start);
         self.own = self.own.start + below..self.own.end + below;
         self.ext2g = merged;
@@ -185,7 +195,8 @@ impl ParCsr {
         assert!(row_end <= a.nrows());
         let span = a.rowptr()[row_start]..a.rowptr()[row_end];
         let own = (col_starts[my_rank], col_starts[my_rank + 1]);
-        let cols = ExtSpace::with_received(own, &[], a.colidx()[span.clone()].iter().copied());
+        let global = a.colidx()[span.clone()].iter().map(|&g| usize::from(g));
+        let cols = ExtSpace::with_received(own, &[], global);
         let mut local = Csr::from_parts_unchecked(
             row_end - row_start,
             cols.ext2g.len(),
@@ -193,7 +204,10 @@ impl ParCsr {
                 .iter()
                 .map(|&p| p - span.start))
             .collect(),
-            (a.colidx()[span.clone()].iter().map(|&g| cols.local(g))).collect(),
+            (a.colidx()[span.clone()]
+                .iter()
+                .map(|&g| cols.col(usize::from(g))))
+            .collect(),
             a.values()[span].to_vec(),
         );
         local.sort_rows();
@@ -230,17 +244,19 @@ impl ParCsr {
             // A row is ascending, so it is three runs: halo below, owned,
             // halo above. Most rows are the owned run alone.
             let (rc, rv) = (local.row_cols(i), local.row_vals(i));
-            let interior = rc.first().is_none_or(|&c| c >= own.start)
-                && rc.last().is_none_or(|&c| c < own.end);
+            let below = |c: &Col| usize::from(*c) < own.start;
+            let above = |c: &Col| usize::from(*c) >= own.end;
+            let interior = !rc.first().is_some_and(below) && !rc.last().is_some_and(above);
             let (b, e) = if interior {
                 (0, rc.len())
             } else {
-                (
-                    rc.partition_point(|&c| c < own.start),
-                    rc.partition_point(|&c| c < own.end),
-                )
+                (rc.partition_point(below), rc.partition_point(|c| !above(c)))
             };
-            d_ci.extend(rc[b..e].iter().map(|&c| c - own.start));
+            d_ci.extend(
+                rc[b..e]
+                    .iter()
+                    .map(|&c| Col::new(usize::from(c) - own.start)),
+            );
             d_v.extend_from_slice(&rv[b..e]);
             o_ci.extend(rc[..b].iter().chain(&rc[e..]));
             o_v.extend(rv[..b].iter().chain(&rv[e..]));
@@ -250,7 +266,7 @@ impl ParCsr {
         // Compress the halo columns some row references.
         let mut compressed = vec![usize::MAX; cols.ext2g.len()];
         for &c in &o_ci {
-            compressed[c] = 0;
+            compressed[usize::from(c)] = 0;
         }
         let mut colmap = Vec::new();
         for (c, k) in compressed.iter_mut().enumerate() {
@@ -260,7 +276,7 @@ impl ParCsr {
             }
         }
         for c in &mut o_ci {
-            *c = compressed[*c];
+            *c = Col::new(compressed[usize::from(*c)]);
         }
         let offd = Csr::from_parts_unchecked(nl, colmap.len(), o_rp, o_ci, o_v);
         let (interior_rows, boundary_rows) = interior_boundary_split(&offd);
@@ -284,7 +300,7 @@ impl ParCsr {
         let (mut d, mut o) = (0usize, 0usize);
         let (dv, ov) = (self.diag.values_mut(), self.offd.values_mut());
         for (&c, &v) in local.colidx().iter().zip(local.values()) {
-            if cols.own.contains(&c) {
+            if cols.own.contains(&usize::from(c)) {
                 dv[d] = v;
                 d += 1;
             } else {
@@ -313,7 +329,7 @@ impl ParCsr {
         halo: Option<&GatheredRows>,
     ) -> Csr {
         debug_assert_eq!(rows.own.len(), self.local_rows());
-        let offd_local: Vec<usize> = self.colmap.iter().map(|&g| cols.local(g)).collect();
+        let offd_local: Vec<Col> = self.colmap.iter().map(|&g| cols.col(g)).collect();
         let nnz = self.local_nnz() + halo.map_or(0, |h| h.cols.len());
         let mut rowptr = Vec::with_capacity(rows.ext2g.len() + 1);
         let mut colidx = Vec::with_capacity(nnz);
@@ -325,11 +341,12 @@ impl ParCsr {
                 let i = e - rows.own.start;
                 if self.offd.row_nnz(i) == 0 {
                     // An interior row is its diagonal block shifted.
-                    colidx.extend(self.diag.row_cols(i).iter().map(|&c| cols.own.start + c));
+                    let shift = |c: usize| Col::new(cols.own.start + c);
+                    colidx.extend(self.diag.col_iter(i).map(shift));
                     values.extend_from_slice(self.diag.row_vals(i));
                 } else {
                     let col = |c: Result<usize, usize>| {
-                        c.map_or_else(|k| offd_local[k], |c| cols.own.start + c)
+                        c.map_or_else(|k| offd_local[k], |c| Col::new(cols.own.start + c))
                     };
                     self.visit_row(i, my_rank, |c, v| {
                         colidx.push(col(c));
@@ -338,7 +355,7 @@ impl ParCsr {
                 }
             } else if let Some(h) = halo.filter(|h| h.rows.get(next) == Some(&rows.ext2g[e])) {
                 let (hc, hv) = h.row(next);
-                colidx.extend(hc.iter().map(|&g| cols.local(g)));
+                colidx.extend(hc.iter().map(|&g| cols.col(g)));
                 values.extend_from_slice(hv);
                 next += 1;
             }
@@ -507,7 +524,7 @@ mod tests {
             // Every colmap entry is actually referenced.
             let mut used = vec![false; p.colmap.len()];
             for &c in p.offd.colidx() {
-                used[c] = true;
+                used[usize::from(c)] = true;
             }
             assert!(used.iter().all(|&u| u));
             // No colmap entry lies in the owned range.

@@ -18,7 +18,7 @@ use crate::parcsr::{ExtSpace, ParCsr};
 use crate::renumber::{renumber_par, renumber_seq};
 use famg_sparse::spgemm::{numeric_only, spgemm};
 use famg_sparse::transpose::transpose_par;
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 
 /// A local product with everything pattern-derived it was computed from.
 struct Product {
@@ -169,7 +169,7 @@ pub fn dist_transpose(comm: &Comm, a: &ParCsr) -> ParCsr {
                 .flat_map(|h| std::iter::repeat_n(a.colmap[h], offd_t.row_nnz(h)))
                 .collect();
             let sources = (offd_t.colidx()[span.clone()].iter())
-                .map(|&i| a.row_start + i)
+                .map(|&i| a.row_start + usize::from(i))
                 .collect();
             (owner, (targets, sources, offd_t.values()[span].to_vec()))
         })
@@ -194,13 +194,13 @@ pub fn dist_transpose(comm: &Comm, a: &ParCsr) -> ParCsr {
     for i in 0..t1 - t0 {
         rowptr[i + 1] += rowptr[i];
     }
-    let mut colidx = vec![0usize; rowptr[t1 - t0]];
+    let mut colidx = vec![Col::default(); rowptr[t1 - t0]];
     let mut values = vec![0.0f64; rowptr[t1 - t0]];
     let mut cursor = rowptr[..t1 - t0].to_vec();
     for (_, (targets, sources, vals)) in &inbound {
         for ((&g, &gi), &v) in targets.iter().zip(sources).zip(vals) {
             let at = &mut cursor[g - t0];
-            colidx[*at] = cols.local(gi);
+            colidx[*at] = cols.col(gi);
             values[*at] = v;
             *at += 1;
         }

@@ -1,6 +1,6 @@
 //! Constant-coefficient Laplacian discretizations.
 
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 
 /// 2D Poisson, 5-point finite differences, homogeneous Dirichlet boundary:
 /// diagonal `4`, cross neighbours `-1`. The paper's `lap2d_2000` matrix is
@@ -16,21 +16,21 @@ pub fn laplace2d(nx: usize, ny: usize) -> Csr {
     for i in 0..ny {
         for j in 0..nx {
             if i > 0 {
-                colidx.push(idx(i - 1, j));
+                colidx.push(Col::new(idx(i - 1, j)));
                 values.push(-1.0);
             }
             if j > 0 {
-                colidx.push(idx(i, j - 1));
+                colidx.push(Col::new(idx(i, j - 1)));
                 values.push(-1.0);
             }
-            colidx.push(idx(i, j));
+            colidx.push(Col::new(idx(i, j)));
             values.push(4.0);
             if j + 1 < nx {
-                colidx.push(idx(i, j + 1));
+                colidx.push(Col::new(idx(i, j + 1)));
                 values.push(-1.0);
             }
             if i + 1 < ny {
-                colidx.push(idx(i + 1, j));
+                colidx.push(Col::new(idx(i + 1, j)));
                 values.push(-1.0);
             }
             rowptr.push(colidx.len());
@@ -89,21 +89,21 @@ pub fn laplace2d_aniso(nx: usize, ny: usize, eps: f64) -> Csr {
     for i in 0..ny {
         for j in 0..nx {
             if i > 0 {
-                colidx.push(idx(i - 1, j));
+                colidx.push(Col::new(idx(i - 1, j)));
                 values.push(-eps);
             }
             if j > 0 {
-                colidx.push(idx(i, j - 1));
+                colidx.push(Col::new(idx(i, j - 1)));
                 values.push(-1.0);
             }
-            colidx.push(idx(i, j));
+            colidx.push(Col::new(idx(i, j)));
             values.push(diag);
             if j + 1 < nx {
-                colidx.push(idx(i, j + 1));
+                colidx.push(Col::new(idx(i, j + 1)));
                 values.push(-1.0);
             }
             if i + 1 < ny {
-                colidx.push(idx(i + 1, j));
+                colidx.push(Col::new(idx(i + 1, j)));
                 values.push(-eps);
             }
             rowptr.push(colidx.len());
@@ -235,7 +235,9 @@ pub fn stencil3d(
                         && (jj as usize) < nx
                         && (kk as usize) < nz
                     {
-                        colidx.push(kk as usize * nx * ny + ii as usize * nx + jj as usize);
+                        colidx.push(Col::new(
+                            kk as usize * nx * ny + ii as usize * nx + jj as usize,
+                        ));
                         values.push(w);
                     }
                 }

@@ -6,7 +6,7 @@
 //! definite M-matrix for any positive coefficient field — the structure
 //! both the AMG2013-like and reservoir problems are built on.
 
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 
 /// Assembles the 7-point variable-coefficient operator for coefficient
 /// field `k` given per-cell values (row-major `x` fastest, then `y`, `z`).
@@ -50,29 +50,29 @@ pub fn varcoef3d_7pt(nx: usize, ny: usize, nz: usize, k: &[f64]) -> Csr {
                 diag += tzm + tym + txm + txp + typ + tzp;
 
                 if z > 0 {
-                    colidx.push(idx(x, y, z - 1));
+                    colidx.push(Col::new(idx(x, y, z - 1)));
                     values.push(-tzm);
                 }
                 if y > 0 {
-                    colidx.push(idx(x, y - 1, z));
+                    colidx.push(Col::new(idx(x, y - 1, z)));
                     values.push(-tym);
                 }
                 if x > 0 {
-                    colidx.push(idx(x - 1, y, z));
+                    colidx.push(Col::new(idx(x - 1, y, z)));
                     values.push(-txm);
                 }
-                colidx.push(me);
+                colidx.push(Col::new(me));
                 values.push(diag);
                 if x + 1 < nx {
-                    colidx.push(idx(x + 1, y, z));
+                    colidx.push(Col::new(idx(x + 1, y, z)));
                     values.push(-txp);
                 }
                 if y + 1 < ny {
-                    colidx.push(idx(x, y + 1, z));
+                    colidx.push(Col::new(idx(x, y + 1, z)));
                     values.push(-typ);
                 }
                 if z + 1 < nz {
-                    colidx.push(idx(x, y, z + 1));
+                    colidx.push(Col::new(idx(x, y, z + 1)));
                     values.push(-tzp);
                 }
                 rowptr.push(colidx.len());

@@ -6,8 +6,107 @@
 //! kernels deliberately reorder columns within a row (lower/upper/external
 //! splits, coarse/fine splits), so sortedness is a property checked where
 //! needed rather than a type invariant.
+//!
+//! Column indices are stored as [`Col`], a 32-bit newtype, so a matrix has
+//! at most `u32::MAX` columns; row pointers (nnz positions) stay `usize`.
 
 use std::fmt;
+use std::ops::{Index, IndexMut};
+
+/// The widest column count a [`Csr`] accepts: every column index must fit
+/// in a [`Col`].
+pub const MAX_COLS: usize = u32::MAX as usize;
+
+/// A stored column index: 32 bits wide, so an operator keeps and streams
+/// 4 bytes less per nonzero than with `usize` indices.
+///
+/// Read it as a `usize` through `usize::from(c)`; `[f64]` is indexed by it
+/// directly. A `Col` is made from a `usize` by [`Col::new`] (debug-checked;
+/// for kernels whose output columns are bounded by an input's `ncols`) or
+/// by the checked `Col::try_from`.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
+pub struct Col(u32);
+
+/// The error of `Col::try_from` on an index wider than 32 bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColOverflow(pub usize);
+
+impl fmt::Display for ColOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "column index {} exceeds the 32-bit Col", self.0)
+    }
+}
+
+impl std::error::Error for ColOverflow {}
+
+impl Col {
+    /// Narrows `c`, which the caller bounds by a matrix's `ncols` (at most
+    /// [`MAX_COLS`], which every constructor checks).
+    #[inline]
+    pub fn new(c: usize) -> Col {
+        debug_assert!(c <= MAX_COLS, "column index {c} exceeds the 32-bit Col");
+        // NARROWING: callers bound `c` by an `ncols` every `Csr` constructor
+        // checks against `MAX_COLS`; debug builds check it here too.
+        Col(c as u32)
+    }
+}
+
+impl TryFrom<usize> for Col {
+    type Error = ColOverflow;
+
+    #[inline]
+    fn try_from(c: usize) -> Result<Col, ColOverflow> {
+        u32::try_from(c).map(Col).map_err(|_| ColOverflow(c))
+    }
+}
+
+impl From<Col> for usize {
+    #[inline]
+    fn from(c: Col) -> usize {
+        c.0 as usize
+    }
+}
+
+impl fmt::Debug for Col {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
+    }
+}
+
+impl fmt::Display for Col {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0, f)
+    }
+}
+
+impl Index<Col> for [f64] {
+    type Output = f64;
+
+    #[inline]
+    fn index(&self, c: Col) -> &f64 {
+        &self[c.0 as usize]
+    }
+}
+
+impl IndexMut<Col> for [f64] {
+    #[inline]
+    fn index_mut(&mut self, c: Col) -> &mut f64 {
+        &mut self[c.0 as usize]
+    }
+}
+
+/// Panics unless every column index of an `ncols`-wide matrix fits a
+/// [`Col`].
+// PANIC-FREE: a width check on construction; no solve-path matrix is
+// wider than `MAX_COLS` once built.
+#[inline]
+fn check_width(ncols: usize) {
+    assert!(
+        ncols <= MAX_COLS,
+        "Csr: {ncols} columns exceed the 32-bit column index (at most {MAX_COLS})"
+    );
+}
 
 /// A sparse matrix in compressed sparse row format over `f64` values.
 #[derive(Clone, PartialEq)]
@@ -15,7 +114,7 @@ pub struct Csr {
     nrows: usize,
     ncols: usize,
     rowptr: Vec<usize>,
-    colidx: Vec<usize>,
+    colidx: Vec<Col>,
     values: Vec<f64>,
 }
 
@@ -29,8 +128,9 @@ impl Csr {
     /// Builds a CSR matrix from raw parts, validating structural invariants.
     ///
     /// # Panics
-    /// Panics if `rowptr` has the wrong length, is not monotone, does not
-    /// span `colidx`/`values`, or any column index is out of bounds.
+    /// Panics if `ncols` exceeds [`MAX_COLS`], `rowptr` has the wrong
+    /// length, is not monotone, does not span `colidx`/`values`, or any
+    /// column index is out of bounds.
     // PANIC-FREE: CSR structural validation. Solve-path callers
     // (`RowBuilder::finish`) emit rowptr/colidx/values that satisfy
     // these invariants by construction; the asserts guard external
@@ -39,9 +139,10 @@ impl Csr {
         nrows: usize,
         ncols: usize,
         rowptr: Vec<usize>,
-        colidx: Vec<usize>,
+        colidx: Vec<Col>,
         values: Vec<f64>,
     ) -> Self {
+        check_width(ncols);
         assert_eq!(rowptr.len(), nrows + 1, "rowptr length must be nrows+1");
         assert_eq!(rowptr[0], 0, "rowptr must start at 0");
         assert_eq!(
@@ -55,7 +156,7 @@ impl Csr {
             "rowptr must be monotone non-decreasing"
         );
         assert!(
-            colidx.iter().all(|&c| c < ncols),
+            colidx.iter().all(|&c| usize::from(c) < ncols),
             "column index out of bounds"
         );
         Csr {
@@ -70,17 +171,18 @@ impl Csr {
     /// Builds a CSR matrix without validating invariants.
     ///
     /// Used by kernels that construct output structurally-by-construction;
-    /// debug builds still validate.
+    /// debug builds still validate. The column width is checked always.
     pub fn from_parts_unchecked(
         nrows: usize,
         ncols: usize,
         rowptr: Vec<usize>,
-        colidx: Vec<usize>,
+        colidx: Vec<Col>,
         values: Vec<f64>,
     ) -> Self {
         if cfg!(debug_assertions) {
             Self::from_parts(nrows, ncols, rowptr, colidx, values)
         } else {
+            check_width(ncols);
             Csr {
                 nrows,
                 ncols,
@@ -93,6 +195,7 @@ impl Csr {
 
     /// An `nrows x ncols` matrix with no stored entries.
     pub fn zero(nrows: usize, ncols: usize) -> Self {
+        check_width(ncols);
         Csr {
             nrows,
             ncols,
@@ -104,11 +207,12 @@ impl Csr {
 
     /// The `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
+        check_width(n);
         Csr {
             nrows: n,
             ncols: n,
             rowptr: (0..=n).collect(),
-            colidx: (0..n).collect(),
+            colidx: (0..n).map(Col::new).collect(),
             values: vec![1.0; n],
         }
     }
@@ -120,6 +224,7 @@ impl Csr {
         ncols: usize,
         triplets: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Self {
+        check_width(ncols);
         let mut per_row: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
         for (r, c, v) in triplets {
             assert!(r < nrows && c < ncols, "triplet out of bounds");
@@ -139,7 +244,7 @@ impl Csr {
                     v += row[i].1;
                     i += 1;
                 }
-                colidx.push(c);
+                colidx.push(Col::new(c));
                 values.push(v);
             }
             rowptr.push(colidx.len());
@@ -156,6 +261,7 @@ impl Csr {
     /// Builds from a dense row-major slice, dropping exact zeros.
     pub fn from_dense(nrows: usize, ncols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), nrows * ncols);
+        check_width(ncols);
         let mut rowptr = Vec::with_capacity(nrows + 1);
         let mut colidx = Vec::new();
         let mut values = Vec::new();
@@ -164,7 +270,7 @@ impl Csr {
             for j in 0..ncols {
                 let v = data[i * ncols + j];
                 if v != 0.0 {
-                    colidx.push(j);
+                    colidx.push(Col::new(j));
                     values.push(v);
                 }
             }
@@ -205,7 +311,7 @@ impl Csr {
 
     /// Column indices, parallel to [`Csr::values`].
     #[inline]
-    pub fn colidx(&self) -> &[usize] {
+    pub fn colidx(&self) -> &[Col] {
         &self.colidx
     }
 
@@ -224,21 +330,21 @@ impl Csr {
     /// Mutable column indices and values together; used by in-place row
     /// reordering kernels (lower/upper partitioning, CF partitioning).
     #[inline]
-    pub fn colidx_values_mut(&mut self) -> (&mut [usize], &mut [f64]) {
+    pub fn colidx_values_mut(&mut self) -> (&mut [Col], &mut [f64]) {
         (&mut self.colidx, &mut self.values)
     }
 
     /// The row pointer beside mutable column indices and values, for
     /// kernels that reorder entries within rows in parallel.
     #[inline]
-    pub fn rows_mut(&mut self) -> (&[usize], &mut [usize], &mut [f64]) {
+    pub fn rows_mut(&mut self) -> (&[usize], &mut [Col], &mut [f64]) {
         (&self.rowptr, &mut self.colidx, &mut self.values)
     }
 
     /// The frozen pattern (`rowptr`, `colidx`) beside the mutable values,
     /// for the numeric-only kernels that re-fill a matrix in place.
     #[inline]
-    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[Col], &mut [f64]) {
         (&self.rowptr, &self.colidx, &mut self.values)
     }
 
@@ -250,8 +356,14 @@ impl Csr {
 
     /// Column indices of row `i`.
     #[inline]
-    pub fn row_cols(&self, i: usize) -> &[usize] {
+    pub fn row_cols(&self, i: usize) -> &[Col] {
         &self.colidx[self.row_range(i)]
+    }
+
+    /// Column indices of row `i` as `usize`.
+    #[inline]
+    pub fn col_iter(&self, i: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.row_cols(i).iter().map(|&c| usize::from(c))
     }
 
     /// Values of row `i`.
@@ -265,7 +377,7 @@ impl Csr {
     pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.row_cols(i)
             .iter()
-            .copied()
+            .map(|&c| usize::from(c))
             .zip(self.row_vals(i).iter().copied())
     }
 
@@ -308,7 +420,7 @@ impl Csr {
         // One scratch row for the whole matrix: a product's rows are all
         // unsorted, and a pair of allocations per row costs more than the
         // sort.
-        let mut row: Vec<(usize, f64)> = Vec::new();
+        let mut row: Vec<(Col, f64)> = Vec::new();
         for i in 0..self.nrows {
             let r = self.rowptr[i]..self.rowptr[i + 1];
             let (cols, vals) = (&mut self.colidx[r.clone()], &mut self.values[r]);
@@ -335,6 +447,7 @@ impl Csr {
         let mut seen = vec![usize::MAX; self.ncols];
         for i in 0..self.nrows {
             for &c in self.row_cols(i) {
+                let c = usize::from(c);
                 if seen[c] == i {
                     return false;
                 }
@@ -396,7 +509,7 @@ impl Csr {
         for i in 0..self.nrows {
             for (c, v) in self.row_iter(i) {
                 if c == i || v.abs() > threshold {
-                    colidx.push(c);
+                    colidx.push(Col::new(c));
                     values.push(v);
                 }
             }
@@ -410,6 +523,10 @@ impl Csr {
 mod tests {
     use super::*;
 
+    fn cols(c: &[usize]) -> Vec<Col> {
+        c.iter().map(|&c| Col::new(c)).collect()
+    }
+
     fn small() -> Csr {
         // [1 2 0]
         // [0 3 4]
@@ -418,7 +535,7 @@ mod tests {
             3,
             3,
             vec![0, 2, 4, 6],
-            vec![0, 1, 1, 2, 0, 2],
+            cols(&[0, 1, 1, 2, 0, 2]),
             vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
         )
     }
@@ -465,11 +582,11 @@ mod tests {
 
     #[test]
     fn sort_rows_orders_columns() {
-        let mut a = Csr::from_parts(1, 4, vec![0, 3], vec![3, 0, 2], vec![3.0, 0.5, 2.0]);
+        let mut a = Csr::from_parts(1, 4, vec![0, 3], cols(&[3, 0, 2]), vec![3.0, 0.5, 2.0]);
         assert!(!a.rows_sorted());
         a.sort_rows();
         assert!(a.rows_sorted());
-        assert_eq!(a.row_cols(0), &[0, 2, 3]);
+        assert_eq!(a.row_cols(0), cols(&[0, 2, 3]));
         assert_eq!(a.row_vals(0), &[0.5, 2.0, 3.0]);
     }
 
@@ -501,7 +618,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "rowptr must end at nnz")]
     fn invalid_rowptr_panics() {
-        Csr::from_parts(1, 1, vec![0, 2], vec![0], vec![1.0]);
+        Csr::from_parts(1, 1, vec![0, 2], cols(&[0]), vec![1.0]);
     }
 
     #[test]
@@ -513,8 +630,24 @@ mod tests {
 
     #[test]
     fn duplicate_detection() {
-        let dup = Csr::from_parts(1, 3, vec![0, 2], vec![1, 1], vec![1.0, 2.0]);
+        let dup = Csr::from_parts(1, 3, vec![0, 2], cols(&[1, 1]), vec![1.0, 2.0]);
         assert!(!dup.no_duplicate_cols());
         assert!(small().no_duplicate_cols());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 32-bit column index")]
+    fn a_matrix_wider_than_a_col_is_refused() {
+        // No storage is allocated: the width check runs first.
+        Csr::from_parts(0, MAX_COLS + 2, vec![0], vec![], vec![]);
+    }
+
+    #[test]
+    fn col_conversions_are_checked() {
+        assert!(Col::try_from(1usize << 32).is_err());
+        assert_eq!(Col::try_from(MAX_COLS).map(usize::from), Ok(MAX_COLS));
+        assert_eq!(usize::from(Col::new(7)), 7);
+        let x = [1.0, 2.0, 3.0];
+        assert_eq!(x[Col::new(2)], 3.0);
     }
 }

@@ -60,6 +60,6 @@ pub mod triple;
 pub mod util;
 pub mod vecops;
 
-pub use csr::Csr;
+pub use csr::{Col, Csr};
 pub use dense::DenseMatrix;
 pub use multivec::MultiVec;

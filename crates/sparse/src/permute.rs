@@ -10,7 +10,7 @@
 //!   of a per-row `is_coarse` branch,
 //! * "is this column coarse" becomes `col < nc`.
 
-use crate::csr::Csr;
+use crate::csr::{Col, Csr};
 use crate::lanes;
 use crate::multivec::width;
 use crate::partition::{num_threads, split_rows_by_nnz};
@@ -44,6 +44,12 @@ impl Permutation {
             forward: (0..n).collect(),
             inverse: (0..n).collect(),
         }
+    }
+
+    /// The new index of column `c`.
+    #[inline]
+    pub fn col(&self, c: Col) -> Col {
+        Col::new(self.forward[usize::from(c)])
     }
 
     /// Number of points.
@@ -135,7 +141,7 @@ pub fn permute_symmetric(a: &Csr, perm: &Permutation) -> Csr {
     assert_eq!(a.nrows(), a.ncols());
     move_rows(a, perm, |old, cols, vals| {
         for (dst, &c) in cols.iter_mut().zip(a.row_cols(old)) {
-            *dst = perm.forward[c];
+            *dst = perm.col(c);
         }
         vals.copy_from_slice(a.row_vals(old));
     })
@@ -159,7 +165,7 @@ const MIN_BLOCK_NNZ: usize = 1 << 15;
 fn move_rows(
     a: &Csr,
     perm: &Permutation,
-    fill: impl Fn(usize, &mut [usize], &mut [f64]) + Sync,
+    fill: impl Fn(usize, &mut [Col], &mut [f64]) + Sync,
 ) -> Csr {
     assert_eq!(a.nrows(), perm.len());
     let n = a.nrows();
@@ -168,7 +174,7 @@ fn move_rows(
         rowptr[new + 1] = rowptr[new] + a.row_nnz(perm.inverse[new]);
     }
     let nnz = rowptr[n];
-    let mut colidx = vec![0usize; nnz];
+    let mut colidx = vec![Col::default(); nnz];
     let mut values = vec![0.0f64; nnz];
     let nblocks = (nnz / MIN_BLOCK_NNZ).clamp(1, num_threads() * 4);
     let (mut cols_left, mut vals_left) = (&mut colidx[..], &mut values[..]);
@@ -312,9 +318,9 @@ impl RowOrder {
 #[allow(clippy::type_complexity)]
 fn row_blocks<'a>(
     rowptr: &[usize],
-    mut cols_left: &'a mut [usize],
+    mut cols_left: &'a mut [Col],
     mut vals_left: &'a mut [f64],
-) -> Vec<(std::ops::Range<usize>, &'a mut [usize], &'a mut [f64])> {
+) -> Vec<(std::ops::Range<usize>, &'a mut [Col], &'a mut [f64])> {
     split_rows_by_nnz(rowptr, num_threads())
         .into_iter()
         .map(|rows| {
@@ -344,9 +350,12 @@ pub fn stored_positions(stored: &Csr, perm: Option<&Permutation>) -> Vec<u32> {
     );
     let n = stored.nrows();
     let stored_row = |r: usize| perm.map_or(r, |q| q.forward[r]);
+    // Every position fits: the nonzero count was checked above.
+    let pos = |p: usize| u32::try_from(p).expect("checked above");
     let mut map = Vec::with_capacity(stored.nnz());
     for r in 0..n {
-        map.extend(stored.row_range(stored_row(r)).map(|pos| pos as u32));
+        let row = stored.row_range(stored_row(r));
+        map.extend(pos(row.start)..pos(row.end));
     }
     map
 }
@@ -363,7 +372,7 @@ pub fn unpermute_symmetric(stored: &Csr, perm: &Permutation) -> Csr {
     };
     move_rows(stored, &back, |s, cols, vals| {
         for (dst, &c) in cols.iter_mut().zip(stored.row_cols(s)) {
-            *dst = perm.inverse[c];
+            *dst = Col::new(perm.inverse[usize::from(c)]);
         }
         vals.copy_from_slice(stored.row_vals(s));
     })
@@ -386,7 +395,7 @@ pub fn permute_symmetric_into(a: &Csr, perm: &Permutation, out: &mut Csr) {
             let r = rowptr[s] - base..rowptr[s + 1] - base;
             assert_eq!(r.len(), a.row_nnz(old), "permuted row {s}: length");
             for (dst, &c) in cols[r.clone()].iter_mut().zip(a.row_cols(old)) {
-                *dst = perm.forward[c];
+                *dst = perm.col(c);
             }
             vals[r].copy_from_slice(a.row_vals(old));
         }
@@ -425,7 +434,7 @@ pub fn copy_values_by_column(a: &Csr, stored: &mut Csr) {
 /// Permutes only the columns of `a`: `B[i, p(j)] = A[i, j]`.
 pub fn permute_cols(a: &Csr, perm: &Permutation) -> Csr {
     assert_eq!(a.ncols(), perm.len());
-    let colidx: Vec<usize> = a.colidx().iter().map(|&c| perm.forward[c]).collect();
+    let colidx: Vec<Col> = a.colidx().iter().map(|&c| perm.col(c)).collect();
     Csr::from_parts_unchecked(
         a.nrows(),
         a.ncols(),
@@ -452,9 +461,9 @@ pub(crate) mod tests {
         let (colidx, values) = a.colidx_values_mut();
         for i in 0..rowptr.len() - 1 {
             let r = rowptr[i]..rowptr[i + 1];
-            let mut row: Vec<(usize, usize, f64)> = r
+            let mut row: Vec<(usize, Col, f64)> = r
                 .clone()
-                .map(|k| (group(i, colidx[k]), colidx[k], values[k]))
+                .map(|k| (group(i, usize::from(colidx[k])), colidx[k], values[k]))
                 .collect();
             for (k, &(g, _, _)) in r.clone().zip(&row) {
                 order.set_group(k, g);
@@ -560,7 +569,7 @@ pub(crate) mod tests {
         let rows = permute_rows(&a, &p);
         for old in 0..n {
             let new = p.forward[old];
-            let mapped: Vec<usize> = a.row_cols(old).iter().map(|&c| p.forward[c]).collect();
+            let mapped: Vec<Col> = a.row_cols(old).iter().map(|&c| p.col(c)).collect();
             assert_eq!(sym.row_cols(new), &mapped[..]);
             assert_eq!(sym.row_vals(new), a.row_vals(old));
             assert_eq!(rows.row_cols(new), a.row_cols(old));
@@ -622,7 +631,7 @@ pub(crate) mod tests {
             for i in 0..n {
                 let mut walked = Vec::new();
                 order.walk(stored.row_range(i), |k| {
-                    walked.push((stored.colidx()[k], stored.values()[k]));
+                    walked.push((usize::from(stored.colidx()[k]), stored.values()[k]));
                 });
                 let want: Vec<_> = before.row_iter(i).collect();
                 assert_eq!(walked, want, "n={n} tasks={tasks} row {i}");
@@ -642,7 +651,7 @@ pub(crate) mod tests {
                 for k in a.row_range(i) {
                     let at = map[k] as usize;
                     assert!(restored.row_range(q.forward[i]).contains(&at));
-                    assert_eq!(restored.colidx()[at], q.forward[a.colidx()[k]]);
+                    assert_eq!(restored.colidx()[at], q.col(a.colidx()[k]));
                     assert_eq!(restored.values()[at].to_bits(), a.values()[k].to_bits());
                 }
             }
@@ -681,7 +690,7 @@ pub(crate) mod tests {
         assert_ne!(stored, a, "the partition moved nothing");
         let mut walked = Vec::with_capacity(n);
         order.walk(stored.row_range(m), |k| {
-            walked.push((stored.colidx()[k], stored.values()[k]));
+            walked.push((usize::from(stored.colidx()[k]), stored.values()[k]));
         });
         assert_eq!(walked, a.row_iter(m).collect::<Vec<_>>());
         let mut restored = stored.clone();
@@ -713,7 +722,7 @@ pub(crate) mod tests {
             60,
             60,
             (0..=60).map(|i| i * a.nnz() / 60).collect(),
-            (0..a.nnz()).map(|k| k % 60).collect(),
+            (0..a.nnz()).map(|k| Col::new(k % 60)).collect(),
             vec![0.0; a.nnz()],
         );
         copy_values_by_column(&a, &mut other);

@@ -9,6 +9,8 @@
 //! output row's column indices — exactly the structure the paper identifies
 //! as the branch-heavy bottleneck of the setup phase.
 
+use crate::csr::Col;
+
 /// A reusable sparse accumulator over columns `0..ncols`.
 ///
 /// A single `Spa` is reused across all rows processed by one thread; reset
@@ -94,9 +96,9 @@ impl Spa {
 
     /// Appends the current row to output CSR arrays and resets for the next
     /// row. Returns the number of entries emitted.
-    pub fn flush_into(&mut self, colidx: &mut Vec<usize>, values: &mut Vec<f64>) -> usize {
+    pub fn flush_into(&mut self, colidx: &mut Vec<Col>, values: &mut Vec<f64>) -> usize {
         let n = self.cols.len();
-        colidx.extend_from_slice(&self.cols);
+        colidx.extend(self.cols.iter().map(|&c| Col::new(c)));
         values.extend_from_slice(&self.vals);
         self.reset();
         n
@@ -104,11 +106,11 @@ impl Spa {
 
     /// Appends the current row *sorted by column* (used where downstream
     /// kernels require sorted rows) and resets.
-    pub fn flush_sorted_into(&mut self, colidx: &mut Vec<usize>, values: &mut Vec<f64>) -> usize {
+    pub fn flush_sorted_into(&mut self, colidx: &mut Vec<Col>, values: &mut Vec<f64>) -> usize {
         let n = self.cols.len();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&k| self.cols[k]);
-        colidx.extend(order.iter().map(|&k| self.cols[k]));
+        colidx.extend(order.iter().map(|&k| Col::new(self.cols[k])));
         values.extend(order.iter().map(|&k| self.vals[k]));
         self.reset();
         n
@@ -156,7 +158,7 @@ mod tests {
         let mut vals = Vec::new();
         let n = spa.flush_into(&mut cols, &mut vals);
         assert_eq!(n, 2);
-        assert_eq!(cols, vec![5, 2]);
+        assert_eq!(cols, [5, 2].map(Col::new));
         assert_eq!(vals, vec![2.0, 2.0]);
         assert!(spa.is_empty());
     }
@@ -170,7 +172,7 @@ mod tests {
         let mut cols = Vec::new();
         let mut vals = Vec::new();
         spa.flush_sorted_into(&mut cols, &mut vals);
-        assert_eq!(cols, vec![2, 5, 7]);
+        assert_eq!(cols, [2, 5, 7].map(Col::new));
         assert_eq!(vals, vec![2.0, 1.0, 3.0]);
     }
 

@@ -23,7 +23,7 @@
 //! and each row's accumulation order is fixed by the input structure).
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::csr::Csr;
+use crate::csr::{Col, Csr};
 use crate::partition::{num_threads, split_rows_by_nnz};
 use crate::spa::Spa;
 
@@ -39,8 +39,8 @@ pub fn spgemm_two_pass(a: &Csr, b: &Csr) -> Csr {
         let mut marker = vec![usize::MAX; ncols];
         for i in 0..nrows {
             let mut cnt = 0usize;
-            for &j in a.row_cols(i) {
-                for &k in b.row_cols(j) {
+            for j in a.col_iter(i) {
+                for k in b.col_iter(j) {
                     if marker[k] != i {
                         marker[k] = i;
                         cnt += 1;
@@ -53,8 +53,8 @@ pub fn spgemm_two_pass(a: &Csr, b: &Csr) -> Csr {
 
     // Numeric pass: re-read both inputs and fill.
     let nnz = rowptr[nrows];
-    let mut colidx = vec![0usize; nnz];
-    let mut values = vec![0.0f64; nnz];
+    let mut colidx = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
     let mut spa = Spa::new(ncols);
     for i in 0..nrows {
         for (j, av) in a.row_iter(i) {
@@ -62,12 +62,7 @@ pub fn spgemm_two_pass(a: &Csr, b: &Csr) -> Csr {
                 spa.add(k, av * bv);
             }
         }
-        let base = rowptr[i];
-        let cols = spa.cols();
-        let vals = spa.vals();
-        colidx[base..base + cols.len()].copy_from_slice(cols);
-        values[base..base + vals.len()].copy_from_slice(vals);
-        spa.reset();
+        spa.flush_into(&mut colidx, &mut values);
     }
     Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
 }
@@ -75,7 +70,7 @@ pub fn spgemm_two_pass(a: &Csr, b: &Csr) -> Csr {
 /// Per-thread output staging buffer for the one-pass kernel.
 struct Chunk {
     row_nnz: Vec<usize>,
-    colidx: Vec<usize>,
+    colidx: Vec<Col>,
     values: Vec<f64>,
 }
 
@@ -100,7 +95,7 @@ pub fn spgemm_one_pass(a: &Csr, b: &Csr) -> Csr {
                 // B.rowptr (indexed but tiny) are touched.
                 let bound: usize = r
                     .clone()
-                    .map(|i| a.row_cols(i).iter().map(|&j| b.row_nnz(j)).sum::<usize>())
+                    .map(|i| a.col_iter(i).map(|j| b.row_nnz(j)).sum::<usize>())
                     .sum();
                 let mut c = Chunk {
                     row_nnz: Vec::with_capacity(r.len()),
@@ -138,7 +133,7 @@ pub fn spgemm_one_pass(a: &Csr, b: &Csr) -> Csr {
         rowptr[nrows] = acc;
     }
     let nnz = rowptr[nrows];
-    let mut colidx = vec![0usize; nnz];
+    let mut colidx = vec![Col::default(); nnz];
     let mut values = vec![0.0f64; nnz];
     {
         let mut dst = 0usize;
@@ -192,7 +187,7 @@ pub fn numeric_only(a: &Csr, b: &Csr, c: &mut Csr) {
                     let start = rowptr[i];
                     let end = rowptr[i + 1];
                     for (off, &k) in colidx[start..end].iter().enumerate() {
-                        marker[k] = start + off;
+                        marker[usize::from(k)] = start + off;
                         // SAFETY: rows within a block are disjoint slices of
                         // the values buffer.
                         unsafe { *p.0.add(start + off) = 0.0 };
@@ -241,7 +236,7 @@ pub const SPGEMM_TWO_PASS_MAX_FLOPS: usize = 1 << 16;
 /// Cheap upper bound on the multiply-add count of `A·B` (only touches
 /// `A.colidx` and `B.rowptr`).
 pub fn spgemm_flops_bound(a: &Csr, b: &Csr) -> usize {
-    a.colidx().iter().map(|&j| b.row_nnz(j)).sum()
+    a.colidx().iter().map(|&j| b.row_nnz(usize::from(j))).sum()
 }
 
 /// SpGEMM with an explicit kernel choice. `Auto` applies the

@@ -12,7 +12,7 @@
 //! computes `R = Pᵀ` once during setup and reuses it.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::csr::Csr;
+use crate::csr::{Col, Csr};
 use crate::partition::split_rows_by_nnz;
 
 /// Sequential counting-sort transpose.
@@ -20,20 +20,20 @@ pub fn transpose(a: &Csr) -> Csr {
     let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
     let mut counts = vec![0usize; ncols];
     for &c in a.colidx() {
-        counts[c] += 1;
+        counts[usize::from(c)] += 1;
     }
     let mut rp = vec![0usize; ncols + 1];
     for j in 0..ncols {
         rp[j + 1] = rp[j] + counts[j];
     }
     let mut cursor = rp[..ncols].to_vec();
-    let mut colidx = vec![0usize; nnz];
+    let mut colidx = vec![Col::default(); nnz];
     let mut values = vec![0.0f64; nnz];
     for i in 0..nrows {
         for (c, v) in a.row_iter(i) {
             let dst = cursor[c];
             cursor[c] += 1;
-            colidx[dst] = i;
+            colidx[dst] = Col::new(i);
             values[dst] = v;
         }
     }
@@ -80,7 +80,7 @@ pub fn transpose_par(a: &Csr) -> Csr {
         }
     }
 
-    let mut colidx = vec![0usize; nnz];
+    let mut colidx = vec![Col::default(); nnz];
     let mut values = vec![0.0f64; nnz];
     scatter(
         a,
@@ -126,7 +126,7 @@ fn histograms(a: &Csr, blocks: &[std::ops::Range<usize>]) -> Vec<Vec<usize>> {
             let mut h = vec![0usize; a.ncols()];
             for i in r.clone() {
                 for &c in a.row_cols(i) {
-                    h[c] += 1;
+                    h[usize::from(c)] += 1;
                 }
             }
             h
@@ -141,12 +141,12 @@ fn scatter(
     a: &Csr,
     blocks: &[std::ops::Range<usize>],
     cursors: &mut [Vec<usize>],
-    colidx: Option<*mut usize>,
+    colidx: Option<*mut Col>,
     values: *mut f64,
 ) {
     // Each thread scatters into per-(block, output-row) ranges that are
     // disjoint by construction, so raw-pointer writes cannot alias.
-    struct Ptr(Option<*mut usize>, *mut f64);
+    struct Ptr(Option<*mut Col>, *mut f64);
     // SAFETY: threads write through the pointers only at indices in
     // their own (block, output-row) ranges, which are disjoint by
     // the prefix sum over blocks; nobody reads until the scope joins.
@@ -166,7 +166,7 @@ fn scatter(
                         // output row c start.
                         unsafe {
                             if let Some(cols) = p.0 {
-                                *cols.add(dst) = i;
+                                *cols.add(dst) = Col::new(i);
                             }
                             *p.1.add(dst) = v;
                         }

@@ -36,7 +36,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::counters::FlopCount;
-use crate::csr::Csr;
+use crate::csr::{Col, Csr};
 use crate::partition::{num_threads, split_rows_by_nnz};
 use crate::permute::Permutation;
 use crate::spa::Spa;
@@ -75,7 +75,7 @@ pub fn rap_unfused(r: &Csr, a: &Csr, p: &Csr) -> Csr {
 /// Per-thread staging chunk shared by the fused kernels.
 struct Chunk {
     row_nnz: Vec<usize>,
-    colidx: Vec<usize>,
+    colidx: Vec<Col>,
     values: Vec<f64>,
 }
 
@@ -91,7 +91,7 @@ fn stitch(nrows: usize, ncols: usize, chunks: Vec<Chunk>) -> Csr {
         }
     }
     rowptr[nrows] = acc;
-    let mut colidx = vec![0usize; acc];
+    let mut colidx = vec![Col::default(); acc];
     let mut values = vec![0.0f64; acc];
     let mut dst = 0usize;
     for c in &chunks {
@@ -199,8 +199,8 @@ pub fn rap_row_fused_flops(r: &Csr, a: &Csr, p: &Csr) -> FlopCount {
     let mut fc = FlopCount::default();
     let mut spa_b = Spa::new(a.ncols());
     for i in 0..r.nrows() {
-        for &j in r.row_cols(i) {
-            for &k in a.row_cols(j) {
+        for j in r.col_iter(i) {
+            for k in a.col_iter(j) {
                 spa_b.add(k, 1.0);
                 fc.muls += 1;
                 fc.adds += 1;
@@ -220,8 +220,8 @@ pub fn rap_row_fused_flops(r: &Csr, a: &Csr, p: &Csr) -> FlopCount {
 pub fn rap_scalar_fused_flops(r: &Csr, a: &Csr, p: &Csr) -> FlopCount {
     let mut fc = FlopCount::default();
     for i in 0..r.nrows() {
-        for &j in r.row_cols(i) {
-            for &k in a.row_cols(j) {
+        for j in r.col_iter(i) {
+            for k in a.col_iter(j) {
                 fc.muls += 1; // temp = r_ij * a_jk
                 let n = p.row_nnz(k) as u64;
                 fc.muls += n;
@@ -379,7 +379,7 @@ impl<'a> FrozenRow<'a> {
     pub(crate) unsafe fn seed(
         marker: &'a mut [usize],
         rowptr: &[usize],
-        colidx: &[usize],
+        colidx: &[Col],
         ptr: &'a ValuesPtr,
         i: usize,
         key: Option<&[usize]>,
@@ -387,6 +387,7 @@ impl<'a> FrozenRow<'a> {
         let start = rowptr[i];
         let end = rowptr[i + 1];
         for (off, &c) in colidx[start..end].iter().enumerate() {
+            let c = usize::from(c);
             marker[key.map_or(c, |k| k[c])] = start + off;
             // SAFETY: start + off lies in row i's value range, owned
             // exclusively by this block per the function contract.
@@ -905,10 +906,11 @@ mod tests {
         // No split point: some row meets a fine column before a coarse one.
         assert!((0..a.nrows()).any(|i| {
             let cols = a.row_cols(i);
-            cols.windows(2).any(|w| w[0] >= nc && w[1] < nc)
+            cols.windows(2)
+                .any(|w| usize::from(w[0]) >= nc && usize::from(w[1]) < nc)
         }));
-        assert!(a.row_cols(1).iter().all(|&c| c < nc)); // natural row 3
-        assert!(a.row_cols(nc + 2).iter().all(|&c| c >= nc)); // natural row 4
+        assert!(a.row_iter(1).all(|(c, _)| c < nc)); // natural row 3
+        assert!(a.row_iter(nc + 2).all(|(c, _)| c >= nc)); // natural row 4
         assert_eq!(a.get(2, 2), None); // natural row 6
         assert_eq!(a.get(nc + 4, nc + 4), None); // natural row 7
 

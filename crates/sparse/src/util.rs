@@ -1,7 +1,7 @@
 //! General matrix utilities rounding out the public API: norms, row
 //! statistics, diagonal scaling, and submatrix extraction.
 
-use crate::csr::Csr;
+use crate::csr::{Col, Csr};
 
 /// Row sums of a matrix.
 pub fn row_sums(a: &Csr) -> Vec<f64> {
@@ -63,7 +63,7 @@ pub fn extract_submatrix(a: &Csr, rows: &[usize], cols: &[usize]) -> Csr {
     for &r in rows {
         for (c, v) in a.row_iter(r) {
             if let Ok(k) = cols.binary_search(&c) {
-                colidx.push(k);
+                colidx.push(Col::new(k));
                 values.push(v);
             }
         }

@@ -30,7 +30,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (base)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> famg-lint (unsafe/ordering/hashmap/wallclock audit)"
+echo "==> famg-lint (unsafe/ordering/hashmap/wallclock/narrowing audit)"
 cargo run -q -p famg-check --bin famg-lint
 
 echo "==> famg-analyze (solve-path invariants: no-alloc, no-panic, blessed reductions)"

@@ -72,7 +72,7 @@ fn eq1_reference(a: &Csr, s: &Csr, cf: &CfMap, cov: &mut Eq1Coverage) -> Vec<Vec
     let n = a.nrows();
     let dense = a.to_dense();
     let at = |i: usize, j: usize| dense[i * n + j];
-    let stored = |i: usize, j: usize| a.row_cols(i).contains(&j);
+    let stored = |i: usize, j: usize| a.col_iter(i).any(|c| c == j);
     // ā_kl: a_kl where it opposes the sign of a_kk, else 0.
     let abar = |k: usize, l: usize| {
         if at(k, l) * at(k, k) < 0.0 {
@@ -81,7 +81,7 @@ fn eq1_reference(a: &Csr, s: &Csr, cf: &CfMap, cov: &mut Eq1Coverage) -> Vec<Vec
             0.0
         }
     };
-    let strong = |i: usize| -> BTreeSet<usize> { s.row_cols(i).iter().copied().collect() };
+    let strong = |i: usize| -> BTreeSet<usize> { s.col_iter(i).collect() };
     let coarse = |set: &BTreeSet<usize>| -> BTreeSet<usize> {
         set.iter().copied().filter(|&j| cf.is_coarse[j]).collect()
     };

@@ -12,7 +12,7 @@ use famg::core::interp::{extended_i, CfMap};
 use famg::core::strength::strength;
 use famg::sparse::spgemm::spgemm_one_pass;
 use famg::sparse::transpose::transpose;
-use famg::sparse::Csr;
+use famg::sparse::{Col, Csr};
 
 const CASES: u64 = 24;
 
@@ -58,7 +58,7 @@ fn structure_checks_catch_random_corruption() {
         let k = rng.below(nnz);
         {
             let (cols, _) = bad.colidx_values_mut();
-            cols[k] = n + rng.below(5);
+            cols[k] = Col::new(n + rng.below(5));
         }
         assert!(check::check_csr(&bad).is_err(), "case {case}: oob column");
         // Duplicate column inside a multi-entry row.
@@ -132,8 +132,7 @@ fn cf_splitting_check_catches_promotions_and_demotions() {
         // Promote a random F-point that neighbours a C-point:
         // independence must break.
         let n = s.nrows();
-        let promoted =
-            (0..n).find(|&i| !is_coarse[i] && s.row_cols(i).iter().any(|&j| is_coarse[j]));
+        let promoted = (0..n).find(|&i| !is_coarse[i] && s.col_iter(i).any(|j| is_coarse[j]));
         if let Some(i) = promoted {
             is_coarse[i] = true;
             assert!(

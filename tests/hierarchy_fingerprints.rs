@@ -52,7 +52,11 @@ fn hash_usizes(h: u64, xs: &[usize]) -> u64 {
 fn hash_csr(h: u64, c: &Csr) -> u64 {
     let h = hash_usizes(h, &[c.nrows(), c.ncols()]);
     let h = hash_usizes(h, c.rowptr());
-    let h = hash_usizes(h, c.colidx());
+    // Each column hashed as a `u64`, whatever its stored width.
+    let h = c
+        .colidx()
+        .iter()
+        .fold(h, |h, &j| fnv1a(h, usize::from(j) as u64));
     c.values().iter().fold(h, |h, v| fnv1a(h, v.to_bits()))
 }
 
@@ -94,7 +98,7 @@ fn scaled(a: &Csr, t: f64) -> Csr {
     let vals = out.values_mut();
     for i in 0..a.nrows() {
         for k in a.row_range(i) {
-            vals[k] *= d(i) * d(a.colidx()[k]);
+            vals[k] *= d(i) * d(usize::from(a.colidx()[k]));
         }
     }
     out

@@ -16,7 +16,10 @@
 //! once `P_F` is taken brought the build's high-water from 1.93–2.01 × to
 //! 1.85–1.86 ×. A refresh that assembled a second hierarchy beside the
 //! live one read a high-water of 1.69 ×; one that rewrites the hierarchy
-//! in place reads 0.02–0.06 × (its numeric RAP's per-block scratch).
+//! in place reads 0.02–0.08 × (its numeric RAP's per-block scratch).
+//! With 32-bit column indices the build's high-water reads 1.42 × and a
+//! built hierarchy keeps 1.27 × (1.85–1.86 × and 1.69 × before), a frozen
+//! setup keeps 3.84–3.85 × (4.50–4.51 ×); the unit below did not change.
 //!
 //! One test function: the counters are process-wide, and a second test
 //! thread would allocate into the window.
@@ -81,7 +84,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Heap bytes of a CSR matrix at its exact size.
+/// The unit of every reading: 8 bytes for each row pointer, column index
+/// and value of the operator — a count, not the operator's heap bytes, so
+/// readings compare across storage widths (with 32-bit column indices the
+/// operator itself holds 0.75 × this unit).
 fn csr_bytes(a: &Csr) -> usize {
     8 * (a.rowptr().len() + 2 * a.nnz())
 }

@@ -51,7 +51,8 @@ fn hash_u64s(h: u64, ws: impl IntoIterator<Item = u64>) -> u64 {
 fn hash_csr(h: u64, c: &Csr) -> u64 {
     let h = hash_u64s(h, [c.nrows() as u64, c.ncols() as u64]);
     let h = hash_u64s(h, c.rowptr().iter().map(|&p| p as u64));
-    let h = hash_u64s(h, c.colidx().iter().map(|&j| j as u64));
+    // Each column hashed as a `u64`, whatever its stored width.
+    let h = hash_u64s(h, c.colidx().iter().map(|&j| usize::from(j) as u64));
     hash_u64s(h, c.values().iter().map(|v| v.to_bits()))
 }
 

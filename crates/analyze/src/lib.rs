@@ -91,12 +91,24 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
 
 /// Every non-test `pub fn` under [`ANALYZED_ROOTS`] that no non-test
 /// function under [`CONSUMER_ROOTS`] reaches, as sorted `path: Type::fn`
-/// lines. Reachability follows [`Model::mentioned`], which edges to every
-/// function a body names, so an item is listed only when no program can
-/// get to it: the list may miss test-only items, never name a used one.
+/// lines (see [`test_only_pub_sources`]).
 pub fn test_only_pub(root: &Path) -> io::Result<Vec<String>> {
     let kernel = read_sources(root, ANALYZED_ROOTS)?;
     let programs = read_sources(root, CONSUMER_ROOTS)?;
+    Ok(test_only_pub_sources(&kernel, &programs))
+}
+
+/// The `pub fn`s of the `kernel` sources that no non-test function of the
+/// `programs` sources reaches, as sorted `path: Type::fn` lines.
+/// Reachability follows [`Model::mentioned`], which edges to every
+/// function a body names (narrowed by type only for a `Type::name` path),
+/// so an item is listed only when no program can get to it: the list may
+/// miss test-only items, never name a used one.
+#[must_use]
+pub fn test_only_pub_sources(
+    kernel: &[(String, String)],
+    programs: &[(String, String)],
+) -> Vec<String> {
     let nk = kernel.len();
     let m = Model::build(&[kernel, programs].concat());
     let mut seen = vec![false; m.fns.len()];
@@ -112,7 +124,7 @@ pub fn test_only_pub(root: &Path) -> io::Result<Vec<String>> {
         .collect();
     out.sort();
     out.dedup();
-    Ok(out)
+    out
 }
 
 /// Reads every `.rs` file under `subs` of `root` as workspace-relative

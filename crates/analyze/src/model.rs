@@ -260,13 +260,33 @@ impl Model {
     }
 
     /// Every function whose name occurs as an identifier in `f`'s body:
-    /// calls, paths and function references alike, qualifiers ignored. The
-    /// widest edge set the model can draw, so a reachability built on it
-    /// only ever over-states what is reached.
-    pub fn mentioned<'a>(&'a self, f: &FnNode) -> impl Iterator<Item = usize> + 'a {
+    /// calls, paths and function references alike. A path `Q::name` (or
+    /// `Self::name` inside an impl of `Q`) names only the `name`s whose self
+    /// type is `Q` when there are any; every other mention edges to each
+    /// function of that name. So a reachability built on it only ever
+    /// over-states what is reached.
+    pub fn mentioned<'a>(&'a self, f: &'a FnNode) -> impl Iterator<Item = usize> + 'a {
         let (s, e) = f.item.body.unwrap_or((0, 0));
         let toks = &self.files[f.file].lexed.toks[s..e];
-        idents(toks).flat_map(|id| self.index.get(id).into_iter().flatten().copied())
+        (0..toks.len())
+            .filter(move |&j| toks[j].kind == Kind::Ident)
+            .flat_map(move |j| {
+                let cands = self.index.get(&toks[j].text).map_or(&[][..], Vec::as_slice);
+                let qual = (j >= 3
+                    && toks[j - 1].is(':')
+                    && toks[j - 2].is(':')
+                    && toks[j - 3].kind == Kind::Ident)
+                    .then(|| toks[j - 3].text.as_str())
+                    .and_then(|q| match q {
+                        "Self" => f.item.self_ty.as_deref(),
+                        _ => Some(q),
+                    });
+                let of_qual = move |i: &usize| {
+                    qual.is_some_and(|q| self.fns[*i].item.self_ty.as_deref() == Some(q))
+                };
+                let narrow = cands.iter().any(of_qual);
+                cands.iter().copied().filter(move |i| !narrow || of_qual(i))
+            })
     }
 
     /// Qualified display name, `Type::fn` or plain `fn`.

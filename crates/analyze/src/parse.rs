@@ -64,11 +64,18 @@ pub fn parse_file(lx: &Lexed) -> (Vec<FnItem>, Vec<TypeItem>) {
         out: Vec::new(),
         types: Vec::new(),
     };
-    let ctx = Ctx {
+    let mut ctx = Ctx {
         module: Vec::new(),
         self_ty: None,
         in_test: false,
     };
+    // The file's inner attributes: `#![cfg(test)]` makes all of it test code.
+    while p.at('#') && p.t.get(p.i + 1).is_some_and(|t| t.is('!')) {
+        p.i += 2;
+        let start = p.i;
+        p.skip_balanced('[', ']');
+        ctx.in_test |= attr_is_test(&p.t[start..p.i]);
+    }
     p.items(&ctx);
     (p.out, p.types)
 }
@@ -505,6 +512,18 @@ mod tests {
                 ("still_live".into(), false),
             ]
         );
+    }
+
+    #[test]
+    fn a_file_level_cfg_test_marks_the_whole_file() {
+        let src =
+            "//! Test inputs.\n#![cfg(test)]\nuse x::Y;\npub fn a() {}\nimpl T { pub fn b() {} }\n";
+        let got = fns(src);
+        assert_eq!(got.len(), 2);
+        assert!(got.iter().all(|f| f.in_test));
+        assert!(fns("#![allow(dead_code)]\npub fn live() {}")
+            .iter()
+            .all(|f| !f.in_test));
     }
 
     #[test]

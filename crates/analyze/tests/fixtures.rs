@@ -126,3 +126,25 @@ fn every_shipped_root_is_pinned_to_its_line() {
     assert_eq!(diags.len(), famg_analyze::rules::SOLVE_ROOTS.len());
     assert!(diags.iter().all(|d| d.line > 0), "{diags:?}");
 }
+
+/// The `--test-only-pub` report resolves a `Type::name` path by type: of
+/// two types with the same two fns, the one the program never names by
+/// path is listed, while a qualifier that names no such type (a module)
+/// keeps the name-wide edge.
+#[test]
+fn test_only_pub_resolves_type_paths_by_type() {
+    let (kernel, _) = load("qualified_mention.rsfix");
+    let program =
+        "fn main() {\n    let _ = fx_qual::Open::build();\n    let _ = fx_qual::tally();\n}\n";
+    let report = famg_analyze::test_only_pub_sources(
+        &[("crates/core/src/fx_qual.rs".to_string(), kernel)],
+        &[("examples/fx_qual_main.rs".to_string(), program.to_string())],
+    );
+    assert_eq!(
+        report,
+        [
+            "crates/core/src/fx_qual.rs: Closed::build",
+            "crates/core/src/fx_qual.rs: Closed::none",
+        ]
+    );
+}

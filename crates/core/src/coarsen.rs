@@ -157,14 +157,9 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
 /// Aggressive coarsening: a second PMIS pass over the distance-≤2
 /// strength graph restricted to the first pass's C-points. Produces a much
 /// smaller coarse grid (the paper pairs it with long-range interpolation:
-/// multipass or 2-stage extended+i).
-pub fn aggressive_pmis(s: &Csr, seed: u64) -> Coarsening {
-    aggressive_pmis_stages(s, seed).1
-}
-
-/// Aggressive coarsening returning both stages: the first-pass PMIS
-/// splitting (needed by 2-stage extended+i interpolation) and the final
-/// splitting (a subset of the first-pass C-points).
+/// multipass or 2-stage extended+i). Returns both stages: the first-pass
+/// PMIS splitting (needed by 2-stage extended+i interpolation) and the
+/// final splitting (a subset of the first-pass C-points).
 pub fn aggressive_pmis_stages(s: &Csr, seed: u64) -> (Coarsening, Coarsening) {
     let first = pmis(s, seed);
     let n = s.nrows();
@@ -247,6 +242,12 @@ pub fn validate_cf(s: &Csr, c: &Coarsening, dist: usize) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The final splitting of [`aggressive_pmis_stages`].
+#[cfg(test)]
+pub(crate) fn aggressive_pmis(s: &Csr, seed: u64) -> Coarsening {
+    aggressive_pmis_stages(s, seed).1
 }
 
 #[cfg(test)]

@@ -138,15 +138,6 @@ pub fn asymptotic_factor(history: &[f64], tail: usize) -> Option<f64> {
     Some((log_sum / tail as f64).exp())
 }
 
-/// Estimated cycles needed to reduce the residual by `target` (e.g.
-/// `1e-7`) at the given convergence factor.
-pub fn cycles_to_tolerance(factor: f64, target: f64) -> usize {
-    assert!(factor > 0.0 && factor < 1.0);
-    assert!(target > 0.0 && target < 1.0);
-    // Guard against FP dust pushing an exact quotient over the ceiling.
-    ((target.ln() / factor.ln()) - 1e-9).ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,12 +152,6 @@ mod tests {
         }
         let af = asymptotic_factor(&h, 2).unwrap();
         assert!((af - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cycles_estimate() {
-        assert_eq!(cycles_to_tolerance(0.1, 1e-7), 7);
-        assert_eq!(cycles_to_tolerance(0.25, 1e-7), 12);
     }
 
     #[test]
@@ -188,9 +173,5 @@ mod tests {
         let af = asymptotic_factor(&res.history, 4).unwrap();
         // PMIS + ext+i on the 5-point Laplacian: factor well below 0.5.
         assert!(af > 0.0 && af < 0.5, "factor {af}");
-        // The estimate predicts the observed iteration count to within a
-        // couple of cycles.
-        let predicted = cycles_to_tolerance(af, 1e-7);
-        assert!(predicted.abs_diff(res.iterations) <= 4);
     }
 }

@@ -565,7 +565,7 @@ fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuF
 /// The dense LU factorization of the coarsest operator, when it is small
 /// enough for one (any in-row order: the dense matrix is the same).
 pub(crate) fn coarse_lu(a: &Csr, cfg: &AmgConfig) -> Option<LuFactor> {
-    if a.nrows() <= cfg.coarse_solve_size && a.nrows() > 0 {
+    if cfg.coarse_lu_fits(a.nrows()) {
         LuFactor::new(&DenseMatrix::from_csr(a))
     } else {
         None

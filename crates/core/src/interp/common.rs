@@ -61,14 +61,6 @@ impl TruncParams {
             max_elements: 4,
         }
     }
-
-    /// No truncation.
-    pub fn none() -> Self {
-        TruncParams {
-            factor: 0.0,
-            max_elements: 0,
-        }
-    }
 }
 
 /// Truncates one interpolation row in place: drops entries below
@@ -291,7 +283,11 @@ mod tests {
 
         let mut cols = vec![0, 1];
         let mut vals = vec![0.9, 0.1];
-        truncate_row(&mut cols, &mut vals, &TruncParams::none());
+        let none = TruncParams {
+            factor: 0.0,
+            max_elements: 0,
+        };
+        truncate_row(&mut cols, &mut vals, &none);
         assert_eq!(cols.len(), 2);
     }
 

@@ -220,6 +220,14 @@ impl AmgConfig {
             (self.coarsen, self.interp)
         }
     }
+
+    /// Whether a coarsest operator of `n` (global) rows is solved by a
+    /// dense LU factorization. A larger one, where `max_levels` stopped the
+    /// build, is smoothed instead. The serial and the distributed build
+    /// both decide by this rule.
+    pub fn coarse_lu_fits(&self, n: usize) -> bool {
+        n > 0 && n <= self.coarse_solve_size
+    }
 }
 
 #[cfg(test)]

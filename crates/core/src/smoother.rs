@@ -164,11 +164,6 @@ impl Smoother {
         self.pre_smooth_rows(a, b, x, 1, ws, x_is_zero);
     }
 
-    /// Post-smoothing: F then C relaxation.
-    pub fn post_smooth(&self, a: &Csr, b: &[f64], x: &mut [f64], ws: &mut Workspace) {
-        self.post_smooth_rows(a, b, x, 1, ws);
-    }
-
     /// One half-sweep over the given class.
     pub fn sweep(
         &self,
@@ -419,7 +414,8 @@ fn hybrid_opt_rows<const K: usize>(
 }
 
 /// Sequential textbook Gauss-Seidel sweep (test oracle).
-pub fn gauss_seidel_seq(a: &Csr, b: &[f64], x: &mut [f64]) {
+#[cfg(test)]
+fn gauss_seidel_seq(a: &Csr, b: &[f64], x: &mut [f64]) {
     for i in 0..a.nrows() {
         let mut acc = b[i];
         let mut d = 0.0;
@@ -476,8 +472,8 @@ mod tests {
         base.pre_smooth(&ap, &b, &mut xb, &mut ws, false);
         opt.pre_smooth(&ap, &b, &mut xo, &mut ws, false);
         assert_eq!(xb, xo);
-        base.post_smooth(&ap, &b, &mut xb, &mut ws);
-        opt.post_smooth(&ap, &b, &mut xo, &mut ws);
+        base.post_smooth_rows(&ap, &b, &mut xb, 1, &mut ws);
+        opt.post_smooth_rows(&ap, &b, &mut xo, 1, &mut ws);
         assert_eq!(xb, xo);
     }
 
@@ -719,7 +715,7 @@ mod tests {
                         let mut solo = xc[j].clone();
                         let mut ws2 = Workspace::new();
                         sm.pre_smooth(a, &bc[j], &mut solo, &mut ws2, zero_guess);
-                        sm.post_smooth(a, &bc[j], &mut solo, &mut ws2);
+                        sm.post_smooth_rows(a, &bc[j], &mut solo, 1, &mut ws2);
                         assert_eq!(
                             x.col(j),
                             solo,

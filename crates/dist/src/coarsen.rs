@@ -6,7 +6,7 @@
 //! splitting is identical for every rank count — which lets the tests
 //! compare the distributed result bitwise against `famg_core::coarsen` on
 //! symmetric strength patterns (the demotion round here looks at `S` rows
-//! only, the shared-memory one at `S ∪ Sᵀ`; ROADMAP item 1a).
+//! only, the shared-memory one at `S ∪ Sᵀ`; ROADMAP item 2(a)).
 
 use crate::comm::Comm;
 use crate::halo::{fetch_values, gather_rows, VectorExchange};
@@ -107,8 +107,8 @@ const FINE: f64 = 2.0;
 
 /// Distributed PMIS over a distributed strength matrix (square
 /// partition). `active` masks the candidate set (used by the aggressive
-/// second pass); inactive points are fine from the start. `index_of`
-/// maps local points to the global indices used for the random weights.
+/// second pass); inactive points are fine from the start. The random
+/// weight of local point `i` is keyed on its global index `row_start + i`.
 pub fn dist_pmis(comm: &Comm, s: &ParCsr, seed: u64, active: Option<&[bool]>) -> DistCoarsening {
     let nl = s.local_rows();
     let st = dist_transpose(comm, s);

@@ -53,14 +53,6 @@ pub struct RecvHandle<T> {
     _payload: std::marker::PhantomData<T>,
 }
 
-impl<T> RecvHandle<T> {
-    /// True if the message had already arrived when the handle was posted
-    /// (waiting on it will not block).
-    pub fn is_ready(&self) -> bool {
-        self.ready.is_some()
-    }
-}
-
 /// Which solver phase a message belongs to (telemetry attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CommPhase {
@@ -822,37 +814,6 @@ impl Comm {
         }
         out
     }
-
-    /// All-to-all: `sends[dst]` goes to rank `dst`; returns `recv[src]`.
-    /// `bytes(payload)` accounts the wire size.
-    ///
-    /// This is the dense baseline — P−1 messages per rank regardless of
-    /// content. Production paths use [`Comm::alltoallv`] and the tree
-    /// collectives; this stays as the reference implementation the
-    /// comm-volume regression tests compare against.
-    pub fn alltoall<T: Send + 'static>(
-        &self,
-        mut sends: Vec<T>,
-        tag: u64,
-        bytes: impl Fn(&T) -> usize,
-    ) -> Vec<T> {
-        assert_eq!(sends.len(), self.size);
-        // Take out our own slot without communication.
-        let mine = sends.remove(self.rank);
-        for (dst, payload) in sends.into_iter().enumerate() {
-            let dst = if dst >= self.rank { dst + 1 } else { dst };
-            let b = bytes(&payload);
-            self.send(dst, tag, payload, b);
-        }
-        let mut out: Vec<Option<T>> = (0..self.size).map(|_| None).collect();
-        out[self.rank] = Some(mine);
-        for src in 0..self.size {
-            if src != self.rank {
-                out[src] = Some(self.recv(src, tag));
-            }
-        }
-        out.into_iter().map(|o| o.unwrap()).collect()
-    }
 }
 
 /// Runs `nranks` copies of `f` as SPMD threads; returns each rank's value
@@ -1104,22 +1065,6 @@ mod tests {
         let (vals, report) = run_ranks(1, |c| c.alltoallv(vec![(0, 7u64)], 36, |_| 8));
         assert_eq!(vals[0], vec![(0, 7)]);
         assert_eq!(report.total_messages(), 0);
-    }
-
-    #[test]
-    fn alltoall_routes_correctly() {
-        let (vals, report) = run_ranks(3, |c| {
-            let sends: Vec<u64> = (0..3).map(|d| (10 * c.rank() + d) as u64).collect();
-            c.alltoall(sends, 5, |_| 8)
-        });
-        // vals[r][s] = 10*s + r
-        for r in 0..3 {
-            for s in 0..3 {
-                assert_eq!(vals[r][s], (10 * s + r) as u64);
-            }
-        }
-        // 6 inter-rank messages (self slots don't hit the wire).
-        assert_eq!(report.total_messages(), 6);
     }
 
     #[test]

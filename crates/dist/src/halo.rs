@@ -133,7 +133,7 @@ impl VectorExchange {
     /// `x_local` into every requester's external buffer; returns this
     /// rank's external vector (parallel to its colmap). Posts exactly one
     /// message per neighbor with traffic. Equivalent to
-    /// [`post`](Self::post) immediately followed by
+    /// [`post_rows`](Self::post_rows) at `k = 1` immediately followed by
     /// [`finish`](InFlightHalo::finish) — the entire wait is exposed.
     pub fn exchange(&self, comm: &Comm, x_local: &[f64]) -> Vec<f64> {
         self.exchange_rows(comm, x_local, 1)
@@ -143,12 +143,6 @@ impl VectorExchange {
     /// envelope per neighbor carrying all `k` columns.
     pub fn exchange_rows(&self, comm: &Comm, xd: &[f64], k: usize) -> Vec<f64> {
         self.post_rows(comm, xd, k).finish(comm)
-    }
-
-    /// Starts the exchange of a single vector (the `k = 1` block of
-    /// [`post_rows`](Self::post_rows)).
-    pub fn post(&self, comm: &Comm, x_local: &[f64]) -> InFlightHalo {
-        self.post_rows(comm, x_local, 1)
     }
 
     /// Starts the exchange of the `k`-interleaved block `(xd, k)`: fills
@@ -223,11 +217,6 @@ impl VectorExchange {
     /// Ranks this plan sends values to (one message each per exchange).
     pub fn send_peer_ranks(&self) -> Vec<usize> {
         self.send_peers.iter().map(|(r, _)| *r).collect()
-    }
-
-    /// Ranks this plan receives values from (self excluded).
-    pub fn recv_peer_ranks(&self) -> Vec<usize> {
-        self.recv_peers.iter().map(|(r, _, _)| *r).collect()
     }
 }
 
@@ -667,7 +656,6 @@ mod tests {
             let plan = VectorExchange::plan(c, &colmap, &starts);
             // Self never appears as a wire peer.
             assert!(!plan.send_peer_ranks().contains(&r));
-            assert!(!plan.recv_peer_ranks().contains(&r));
             let x_local: Vec<f64> = (0..4).map(|i| (10 * r + i) as f64).collect();
             plan.exchange(c, &x_local)
         });

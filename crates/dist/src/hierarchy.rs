@@ -4,7 +4,8 @@
 //! local strength → distributed PMIS (optionally aggressive) →
 //! distributed interpolation → `R = Pᵀ` kept from setup → distributed
 //! Galerkin product, with the §4 knobs (parallel renumbering, remote-row
-//! filtering, persistent exchange plans) selectable per run.
+//! filtering, halo overlap) selectable per run. Every level's halo plans
+//! are built once at setup (§4.4 persistent communication).
 
 use crate::coarsen::{dist_aggressive_pmis, dist_pmis, DistCoarsening};
 use crate::comm::{Comm, CommPhase};
@@ -111,9 +112,6 @@ pub struct DistOptFlags {
     pub parallel_renumber: bool,
     /// Filter remote interpolation rows before sending (§4.3).
     pub filter_interp: bool,
-    /// Plan halo exchanges once per operator (§4.4 persistent
-    /// communication) instead of per application.
-    pub persistent_comm: bool,
     /// Overlap halo exchanges with interior computation in the solve
     /// kernels (SpMV, residual, hybrid-GS half-sweeps): post the halo,
     /// compute rows with an empty `offd` row while it is in flight,
@@ -128,7 +126,6 @@ impl DistOptFlags {
         DistOptFlags {
             parallel_renumber: true,
             filter_interp: true,
-            persistent_comm: true,
             overlap_comm: true,
         }
     }
@@ -138,7 +135,6 @@ impl DistOptFlags {
         DistOptFlags {
             parallel_renumber: false,
             filter_interp: false,
-            persistent_comm: false,
             overlap_comm: false,
         }
     }
@@ -279,10 +275,9 @@ impl DistLevel {
 pub struct DistHierarchy {
     /// Levels, finest first.
     pub levels: Vec<DistLevel>,
-    /// Coarsest-level dense factorization, held by rank 0.
+    /// Coarsest-level dense factorization, held by rank 0 when the level is
+    /// small enough for one ([`AmgConfig::coarse_lu_fits`]).
     pub coarse_lu: Option<LuFactor>,
-    /// Coarsest-level row partition (for the gather/scatter solve).
-    pub coarse_starts: Vec<usize>,
     /// Solver configuration.
     pub config: AmgConfig,
     /// §4 optimization flags the hierarchy was built with.
@@ -456,8 +451,7 @@ impl DistHierarchy {
             famg_check::check_parcsr(&parcsr_parts(&current, rank)),
         );
         let coarse_span = famg_prof::scope_at("coarse", levels.len());
-        let coarse_starts = current.col_starts.clone();
-        let coarse_lu = factor_coarsest(comm, &current, rank);
+        let coarse_lu = factor_coarsest(comm, &current, rank, cfg);
         let plan_a = VectorExchange::plan(comm, &current.colmap, &current.col_starts);
         let dinv = local_dinv(&current);
         let nl = current.local_rows();
@@ -483,7 +477,6 @@ impl DistHierarchy {
         DistHierarchy {
             levels,
             coarse_lu,
-            coarse_starts,
             config: cfg.clone(),
             dist_opt: dopt,
             stats,
@@ -683,7 +676,7 @@ impl DistHierarchy {
         // Coarsest level: re-gather and re-factor over the new values.
         let _scope = comm.scoped(levels.len(), CommPhase::Setup);
         let coarse_span = famg_prof::scope_at("coarse", levels.len());
-        let coarse_lu = factor_coarsest(comm, &current, rank);
+        let coarse_lu = factor_coarsest(comm, &current, rank, &cfg);
         let plan_a = self
             .levels
             .last()
@@ -709,10 +702,16 @@ impl DistHierarchy {
 
 /// Gathers the coarsest operator to rank 0 and densely factors it
 /// (returns `None` on every other rank, and everywhere when the operator
-/// is empty).
-fn factor_coarsest(comm: &Comm, current: &ParCsr, rank: usize) -> Option<LuFactor> {
-    let n_coarse = *current.col_starts.last().unwrap();
-    if n_coarse == 0 {
+/// is empty or too large for a dense factorization, which the solve then
+/// smooths instead).
+fn factor_coarsest(
+    comm: &Comm,
+    current: &ParCsr,
+    rank: usize,
+    cfg: &AmgConfig,
+) -> Option<LuFactor> {
+    let n_coarse = current.col_starts.last().copied().unwrap_or(0);
+    if !cfg.coarse_lu_fits(n_coarse) {
         return None;
     }
     // Ship local rows to rank 0 as triplets.
@@ -918,25 +917,30 @@ mod tests {
         assert!(oks.into_iter().all(|x| x));
     }
 
+    /// A build that `max_levels` stops above `coarse_solve_size` factors
+    /// nothing, as the serial `coarse_lu` does: the solve smooths the
+    /// coarsest level instead of back-substituting through a dense LU of
+    /// the whole operator on rank 0.
     #[test]
-    fn renumber_flag_changes_nothing_numerically() {
-        let a = laplace2d(16, 16);
-        let cfg = AmgConfig::single_node_paper();
-        let starts = default_partition(256, 4);
-        let run = |dopt: DistOptFlags| {
-            let (parts, _) = run_ranks(4, |c| {
-                let pa = ParCsr::from_global_rows(
-                    &a,
-                    starts[c.rank()],
-                    starts[c.rank() + 1],
-                    starts.clone(),
-                    c.rank(),
-                );
-                let h = DistHierarchy::build(c, pa, &cfg, dopt);
-                h.stats.level_nnz.clone()
-            });
-            parts[0].clone()
+    fn an_oversized_coarsest_level_is_not_factored() {
+        let a = laplace2d(40, 40);
+        let cfg = AmgConfig {
+            max_levels: 1,
+            ..AmgConfig::single_node_paper()
         };
-        assert_eq!(run(DistOptFlags::all()), run(DistOptFlags::none()));
+        assert!(famg_core::hierarchy::Hierarchy::build(&a, &cfg)
+            .coarse_lu
+            .is_none());
+        let b = famg_matgen::rhs::ones(1600);
+        let starts = default_partition(1600, 2);
+        let (parts, _) = run_ranks(2, |c| {
+            let (s, e) = (starts[c.rank()], starts[c.rank() + 1]);
+            let pa = ParCsr::from_global_rows(&a, s, e, starts.clone(), c.rank());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
+            let mut x = vec![0.0; e - s];
+            let solved = crate::solve::try_dist_amg_solve(c, &h, &b[s..e], &mut x);
+            (h.num_levels(), h.coarse_lu.is_some(), solved.is_ok())
+        });
+        assert_eq!(parts, [(1, false, true); 2]);
     }
 }

@@ -22,7 +22,7 @@
 //! * [`renumber`] — sequential and parallel column-index renumbering for
 //!   received rows (§4.2, Fig. 4),
 //! * [`halo`] — vector halo exchange (Fig. 3b), ad-hoc and persistent
-//!   (§4.4), split into `post`/`finish` halves so kernels can overlap the
+//!   (§4.4), split into `post_rows`/`finish` halves so kernels can overlap the
 //!   in-flight halo with interior computation, and matrix-row gathering
 //!   (Fig. 3c) with optional §4.3 filtering,
 //! * [`spmv`] — distributed SpMV and fused residual norms, synchronous

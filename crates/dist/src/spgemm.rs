@@ -50,13 +50,13 @@ fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> Prod
     });
     // Renumber received columns into B's extended off-diagonal space.
     let own_cols = b.col_range(rank);
-    let renumbered = if parallel_renumber {
+    let new = if parallel_renumber {
         renumber_par(&halo.cols, &b.colmap, own_cols)
     } else {
         renumber_seq(&halo.cols, &b.colmap, own_cols)
     };
     let mut cols = b.col_space(rank);
-    cols.insert_sorted(&renumbered.new);
+    cols.insert_sorted(&new);
     let inner = a.col_space(rank);
     let a_loc = a.merged(rank, &inner);
     let b_ext = b.extended(rank, &inner, &cols, Some(&halo));

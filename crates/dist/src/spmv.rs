@@ -149,26 +149,6 @@ pub fn try_dist_spmv_rows(
     Ok(())
 }
 
-/// Distributed residual only: `r = b - A x` with no global reduction —
-/// one halo exchange is the entire communication. Returns the *local*
-/// squared norm so callers that want the global value can finish it with
-/// one all-reduce (see [`try_dist_residual_norm_sq`]). Shape errors are
-/// typed; `overlap` selects the halo mode.
-pub fn try_dist_residual(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x_local: &[f64],
-    b_local: &[f64],
-    r: &mut [f64],
-    overlap: bool,
-) -> Result<f64, SolveError> {
-    try_dist_residual_rows(comm, a, plan, x_local, b_local, r, 1, overlap)?;
-    let mut local_sq = [0.0];
-    dot_rows_seq(r, r, 1, &mut local_sq);
-    Ok(local_sq[0])
-}
-
 /// `R = B - A X` over `k`-interleaved blocks with one halo exchange for
 /// all columns and no reduction — what a V-cycle level needs.
 #[allow(clippy::too_many_arguments)]
@@ -228,22 +208,6 @@ pub fn try_dist_residual_rows(
     let x_ext = halo.finish(comm);
     lanes!(k, rows(a, &a.boundary_rows, xd, Some(&x_ext), bd, k, rd));
     Ok(())
-}
-
-/// Fused distributed residual: `r = b - A x` with `‖r‖²` reduced across
-/// ranks in a single collective. Returns the *global* squared norm.
-pub fn try_dist_residual_norm_sq(
-    comm: &Comm,
-    a: &ParCsr,
-    plan: &VectorExchange,
-    x_local: &[f64],
-    b_local: &[f64],
-    r: &mut [f64],
-    overlap: bool,
-) -> Result<f64, SolveError> {
-    let mut norm_sq = [0.0];
-    try_dist_residual_norm_sq_rows(comm, a, plan, x_local, b_local, r, 1, overlap, &mut norm_sq)?;
-    Ok(norm_sq[0])
 }
 
 /// [`try_dist_residual_rows`] plus the per-column global `‖r_j‖²`. The
@@ -344,17 +308,20 @@ mod tests {
                     let p = ParCsr::from_global_rows(&a, s, e, starts.clone(), rk);
                     let plan = VectorExchange::plan(c, &p.colmap, &starts);
                     let mut r = vec![0.0; p.local_rows()];
-                    let nsq = try_dist_residual_norm_sq(
+                    let mut nsq = [0.0];
+                    try_dist_residual_norm_sq_rows(
                         c,
                         &p,
                         &plan,
                         &x[s..e],
                         &b[s..e],
                         &mut r,
+                        1,
                         overlap,
+                        &mut nsq,
                     )
                     .unwrap();
-                    (nsq, r)
+                    (nsq[0], r)
                 });
                 for (nsq, _) in &results {
                     assert!((nsq - norm_ref).abs() < 1e-9 * norm_ref.max(1.0));
@@ -424,18 +391,21 @@ mod tests {
                             scalar_msgs += c.messages_sent() - before;
                             assert_eq!(ym.col(j), y, "spmv {tag} col {j}");
                             let mut r = vec![0.0; nl];
-                            let norm = try_dist_residual_norm_sq(
+                            let mut norm = [0.0];
+                            try_dist_residual_norm_sq_rows(
                                 c,
                                 &p,
                                 &plan,
                                 &xl_cols[j],
                                 &bl_cols[j],
                                 &mut r,
+                                1,
                                 overlap,
+                                &mut norm,
                             )
                             .unwrap();
                             assert_eq!(rm.col(j), r, "resid {tag} col {j}");
-                            assert_eq!(norms[j].to_bits(), norm.to_bits(), "norm {tag} col {j}");
+                            assert_eq!(norms[j].to_bits(), norm[0].to_bits(), "norm {tag} col {j}");
                             let dot = dist_dot(c, &xl_cols[j], &bl_cols[j]);
                             assert_eq!(dots[j].to_bits(), dot.to_bits(), "dot {tag} col {j}");
                         }

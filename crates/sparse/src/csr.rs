@@ -259,7 +259,8 @@ impl Csr {
     }
 
     /// Builds from a dense row-major slice, dropping exact zeros.
-    pub fn from_dense(nrows: usize, ncols: usize, data: &[f64]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_dense(nrows: usize, ncols: usize, data: &[f64]) -> Self {
         assert_eq!(data.len(), nrows * ncols);
         check_width(ncols);
         let mut rowptr = Vec::with_capacity(nrows + 1);
@@ -499,24 +500,6 @@ impl Csr {
             && self.rowptr == other.rowptr
             && self.colidx == other.colidx
     }
-
-    /// Drops stored entries with `|v| <= threshold`, keeping the diagonal.
-    pub fn drop_small(&self, threshold: f64) -> Csr {
-        let mut rowptr = Vec::with_capacity(self.nrows + 1);
-        let mut colidx = Vec::new();
-        let mut values = Vec::new();
-        rowptr.push(0);
-        for i in 0..self.nrows {
-            for (c, v) in self.row_iter(i) {
-                if c == i || v.abs() > threshold {
-                    colidx.push(Col::new(c));
-                    values.push(v);
-                }
-            }
-            rowptr.push(colidx.len());
-        }
-        Csr::from_parts_unchecked(self.nrows, self.ncols, rowptr, colidx, values)
-    }
 }
 
 #[cfg(test)]
@@ -600,19 +583,6 @@ mod tests {
         assert!(s.is_symmetric(1e-14));
         let ns = Csr::from_triplets(2, 2, vec![(0, 1, -1.0), (1, 1, 2.0)]);
         assert!(!ns.is_symmetric(1e-14));
-    }
-
-    #[test]
-    fn drop_small_keeps_diagonal() {
-        let a = Csr::from_triplets(
-            2,
-            2,
-            vec![(0, 0, 1e-12), (0, 1, 5.0), (1, 0, 1e-12), (1, 1, 2.0)],
-        );
-        let b = a.drop_small(1e-6);
-        assert_eq!(b.get(0, 0), Some(1e-12)); // diagonal kept
-        assert_eq!(b.get(1, 0), None); // small off-diagonal dropped
-        assert_eq!(b.get(0, 1), Some(5.0));
     }
 
     #[test]

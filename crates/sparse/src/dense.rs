@@ -2,8 +2,7 @@
 //!
 //! AMG's coarsest level is solved directly; HYPRE uses a dense Gaussian
 //! elimination once the grid is small enough. This module provides a
-//! row-major dense matrix with partially pivoted LU, plus helpers used as
-//! test oracles for the sparse kernels.
+//! row-major dense matrix with partially pivoted LU.
 
 /// Row-major dense matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,21 +13,6 @@ pub struct DenseMatrix {
 }
 
 impl DenseMatrix {
-    /// Zero matrix of the given shape.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        DenseMatrix {
-            nrows,
-            ncols,
-            data: vec![0.0; nrows * ncols],
-        }
-    }
-
-    /// Builds from a row-major slice.
-    pub fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), nrows * ncols);
-        DenseMatrix { nrows, ncols, data }
-    }
-
     /// Builds from a sparse matrix.
     pub fn from_csr(a: &crate::csr::Csr) -> Self {
         DenseMatrix {
@@ -64,9 +48,29 @@ impl DenseMatrix {
     pub fn data(&self) -> &[f64] {
         &self.data
     }
+}
+
+/// Constructors and the product the LU tests build inputs and check
+/// residuals with.
+#[cfg(test)]
+impl DenseMatrix {
+    /// Zero matrix of the given shape.
+    fn zeros(nrows: usize, ncols: usize) -> Self {
+        DenseMatrix {
+            nrows,
+            ncols,
+            data: vec![0.0; nrows * ncols],
+        }
+    }
+
+    /// Builds from a row-major slice.
+    fn from_row_major(nrows: usize, ncols: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), nrows * ncols);
+        DenseMatrix { nrows, ncols, data }
+    }
 
     /// `y = self * x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
+    fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.ncols);
         (0..self.nrows)
             .map(|i| (0..self.ncols).map(|j| self.get(i, j) * x[j]).sum())

@@ -15,8 +15,8 @@
 //!   deterministic vector reductions, monomorphized over the lane width
 //!   (column `j` of a `k`-wide result is bitwise the `k = 1` result),
 //! * [`spmv`] — sparse matrix–vector products: the `k = 1` lane of the
-//!   block kernels, plus the sequential oracle, the fused SpMV +
-//!   inner-product kernel and the paper's ablation baselines,
+//!   block kernels, plus the sequential oracle and the paper's ablation
+//!   baselines,
 //! * [`spgemm`] — Gustavson sparse matrix–matrix multiplication in three
 //!   flavours: the classic two-pass (symbolic + numeric) baseline, the
 //!   paper's one-pass variant with per-thread pre-allocated output chunks,
@@ -52,12 +52,10 @@ pub mod spa;
 pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
-#[cfg(test)]
 mod testutil;
 pub mod traffic;
 pub mod transpose;
 pub mod triple;
-pub mod util;
 pub mod vecops;
 
 pub use csr::{Col, Csr};

@@ -84,11 +84,6 @@ impl MultiVec {
         &self.data[i * self.k..(i + 1) * self.k]
     }
 
-    /// Mutable lanes of row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.k..(i + 1) * self.k]
-    }
-
     /// Extracts column `j` into a fresh vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
         let mut out = vec![0.0; self.n];
@@ -337,7 +332,7 @@ pub fn axpy_rows(alpha: &[f64], xd: &[f64], yd: &mut [f64], k: usize) {
 }
 
 /// Per-column `y[:,j] = x[:,j] + beta[j] * y[:,j]` on raw
-/// `k`-interleaved slices; [`crate::vecops::xpby`] is the `k = 1` call.
+/// `k`-interleaved slices.
 pub fn xpby_rows(xd: &[f64], beta: &[f64], yd: &mut [f64], k: usize) {
     assert_eq!(beta.len(), k);
     for_row_chunks(xd, yd, k, |cx, cy| lanes!(k, xpby_lanes(beta, cx, cy, k)));

@@ -73,35 +73,6 @@ pub fn exclusive_prefix_sum(a: &mut [usize]) -> usize {
     acc
 }
 
-/// Parallel-friendly exclusive prefix sum: computed per-chunk then fixed up.
-/// For the sizes famg handles the sequential scan is memory-bound anyway,
-/// so this is a straightforward two-pass blocked implementation.
-pub fn exclusive_prefix_sum_blocked(a: &mut [usize], block: usize) -> usize {
-    if a.is_empty() {
-        return 0;
-    }
-    let block = block.max(1);
-    let nblocks = a.len().div_ceil(block);
-    let mut block_sums = Vec::with_capacity(nblocks);
-    for b in 0..nblocks {
-        let s = b * block;
-        let e = ((b + 1) * block).min(a.len());
-        block_sums.push(a[s..e].iter().sum::<usize>());
-    }
-    let total = exclusive_prefix_sum(&mut block_sums);
-    for b in 0..nblocks {
-        let s = b * block;
-        let e = ((b + 1) * block).min(a.len());
-        let mut acc = block_sums[b];
-        for x in &mut a[s..e] {
-            let v = *x;
-            *x = acc;
-            acc += v;
-        }
-    }
-    total
-}
-
 /// The number of worker threads famg kernels should use.
 ///
 /// Follows rayon's current pool size so `RAYON_NUM_THREADS` controls both
@@ -170,21 +141,8 @@ mod tests {
     }
 
     #[test]
-    fn prefix_sum_blocked_matches_sequential() {
-        for block in [1, 2, 3, 7, 100] {
-            let mut a: Vec<usize> = (0..23).map(|i| (i * 7 + 3) % 11).collect();
-            let mut b = a.clone();
-            let t1 = exclusive_prefix_sum(&mut a);
-            let t2 = exclusive_prefix_sum_blocked(&mut b, block);
-            assert_eq!(t1, t2);
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn prefix_sum_empty() {
         let mut a: Vec<usize> = vec![];
         assert_eq!(exclusive_prefix_sum(&mut a), 0);
-        assert_eq!(exclusive_prefix_sum_blocked(&mut a, 4), 0);
     }
 }

@@ -38,14 +38,6 @@ impl Permutation {
         Permutation { forward, inverse }
     }
 
-    /// The identity permutation on `n` points.
-    pub fn identity(n: usize) -> Self {
-        Permutation {
-            forward: (0..n).collect(),
-            inverse: (0..n).collect(),
-        }
-    }
-
     /// The new index of column `c`.
     #[inline]
     pub fn col(&self, c: Col) -> Col {
@@ -143,14 +135,6 @@ pub fn permute_symmetric(a: &Csr, perm: &Permutation) -> Csr {
         for (dst, &c) in cols.iter_mut().zip(a.row_cols(old)) {
             *dst = perm.col(c);
         }
-        vals.copy_from_slice(a.row_vals(old));
-    })
-}
-
-/// Permutes only the rows of `a`: `B[p(i), j] = A[i, j]`.
-pub fn permute_rows(a: &Csr, perm: &Permutation) -> Csr {
-    move_rows(a, perm, |old, cols, vals| {
-        cols.copy_from_slice(a.row_cols(old));
         vals.copy_from_slice(a.row_vals(old));
     })
 }
@@ -431,19 +415,6 @@ pub fn copy_values_by_column(a: &Csr, stored: &mut Csr) {
     });
 }
 
-/// Permutes only the columns of `a`: `B[i, p(j)] = A[i, j]`.
-pub fn permute_cols(a: &Csr, perm: &Permutation) -> Csr {
-    assert_eq!(a.ncols(), perm.len());
-    let colidx: Vec<Col> = a.colidx().iter().map(|&c| perm.col(c)).collect();
-    Csr::from_parts_unchecked(
-        a.nrows(),
-        a.ncols(),
-        a.rowptr().to_vec(),
-        colidx,
-        a.values().to_vec(),
-    )
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -541,17 +512,8 @@ pub(crate) mod tests {
     #[test]
     fn symmetric_permutation_identity_is_noop() {
         let a = Csr::from_triplets(3, 3, vec![(0, 1, 1.0), (2, 2, 5.0)]);
-        let p = Permutation::identity(3);
+        let p = Permutation::from_forward((0..3).collect());
         assert_eq!(permute_symmetric(&a, &p).to_dense(), a.to_dense());
-    }
-
-    #[test]
-    fn row_and_col_permutations_compose_to_symmetric() {
-        let a = Csr::from_triplets(3, 3, vec![(0, 0, 1.0), (1, 2, 2.0), (2, 1, 3.0)]);
-        let p = Permutation::from_forward(vec![1, 2, 0]);
-        let via_blocks = permute_cols(&permute_rows(&a, &p), &p);
-        let direct = permute_symmetric(&a, &p);
-        assert_eq!(via_blocks.to_dense(), direct.to_dense());
     }
 
     #[test]
@@ -566,14 +528,11 @@ pub(crate) mod tests {
         assert!(a.nnz() / MIN_BLOCK_NNZ >= 2);
         let p = Permutation::from_forward((0..n).map(|i| (i * 7919 + 13) % n).collect());
         let sym = permute_symmetric(&a, &p);
-        let rows = permute_rows(&a, &p);
         for old in 0..n {
             let new = p.forward[old];
             let mapped: Vec<Col> = a.row_cols(old).iter().map(|&c| p.col(c)).collect();
             assert_eq!(sym.row_cols(new), &mapped[..]);
             assert_eq!(sym.row_vals(new), a.row_vals(old));
-            assert_eq!(rows.row_cols(new), a.row_cols(old));
-            assert_eq!(rows.row_vals(new), a.row_vals(old));
         }
     }
 

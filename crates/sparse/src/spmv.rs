@@ -1,21 +1,15 @@
 //! Sparse matrix–vector products.
 //!
-//! The solve-phase kernels here — `spmv`, `spmv_axpby`, the fused
-//! `residual_norm_sq` (§3.3: the residual is consumed by its norm while
-//! still in registers, saving one write + read of the vector) and the
-//! identity-block-skipping `interp_apply` / `restrict_apply` (§3.1.2:
-//! after CF permutation `P = [I; P_F]`, so prolongation copies the coarse
-//! part and multiplies only the fine rows) — are the `k = 1` lane of the
-//! block kernels in [`crate::spmm`]: each borrows the caller's slices as
-//! a width-1 block. What is implemented here has no k-wide twin: the
-//! sequential oracle `spmv_seq`, the fused `spmv_dot`, and the paper's
-//! ablation baselines `spmv_unrolled` and `residual_norm_sq_unfused`.
+//! `spmv` and the fused `residual_norm_sq` (§3.3: the residual is
+//! consumed by its norm while still in registers, saving one write + read
+//! of the vector) are the `k = 1` lane of the block kernels in
+//! [`crate::spmm`]: each borrows the caller's slices as a width-1 block.
+//! What is implemented here has no k-wide twin: the sequential oracle
+//! `spmv_seq` and the paper's ablation baselines `spmv_unrolled` and
+//! `residual_norm_sq_unfused`.
 
 use crate::csr::Csr;
-use crate::spmm::{
-    interp_apply_add_rows, interp_apply_rows, residual_rows, restrict_apply_rows, spmm_axpby_rows,
-    spmm_rows, PAR_THRESHOLD,
-};
+use crate::spmm::{residual_rows, spmm_rows, PAR_THRESHOLD};
 use rayon::prelude::*;
 
 #[inline]
@@ -39,48 +33,6 @@ pub fn spmv_seq(a: &Csr, x: &[f64], y: &mut [f64]) {
 /// `y = A * x`, parallel over row blocks.
 pub fn spmv(a: &Csr, x: &[f64], y: &mut [f64]) {
     spmm_rows(a, x, 1, y);
-}
-
-/// `y = alpha * A * x + beta * y`.
-pub fn spmv_axpby(a: &Csr, alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    spmm_axpby_rows(a, alpha, x, beta, 1, y);
-}
-
-/// Fused `y = A*x` and `y . z` in one sweep; returns the dot product.
-///
-/// The paper fuses SpMV with the inner product that follows it so the
-/// output vector is produced and consumed while still in registers/cache.
-pub fn spmv_dot(a: &Csr, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    assert_eq!(z.len(), a.nrows());
-    if a.nrows() < PAR_THRESHOLD {
-        let mut acc = 0.0;
-        for i in 0..a.nrows() {
-            let v = row_dot(a, i, x);
-            y[i] = v;
-            acc += v * z[i];
-        }
-        return acc;
-    }
-    // Fixed row-chunking keeps the reduction deterministic.
-    let chunk = 4096;
-    y.par_chunks_mut(chunk)
-        .enumerate()
-        .map(|(ci, yc)| {
-            let base = ci * chunk;
-            let mut acc = 0.0;
-            for (k, yk) in yc.iter_mut().enumerate() {
-                let i = base + k;
-                let v = row_dot(a, i, x);
-                *yk = v;
-                acc += v * z[i];
-            }
-            acc
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .sum() // DETERMINISM: fixed-size chunks combined by an ordered sequential sum.
 }
 
 /// Fused residual `r = b - A*x` with `||r||^2` returned in one sweep.
@@ -140,33 +92,9 @@ pub fn spmv_unrolled(a: &Csr, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Prolongation with a CF-permuted `P = [I; P_F]`.
-///
-/// `xc` has `nc` coarse entries; the output fine-level vector `xf` gets
-/// `xf[0..nc] = xc` (identity block) and `xf[nc..] = P_F * xc`. `pf` is the
-/// fine-rows-only block with `nrows = n - nc`.
-pub fn interp_apply(pf: &Csr, nc: usize, xc: &[f64], xf: &mut [f64]) {
-    interp_apply_rows(pf, nc, xc, 1, xf);
-}
-
-/// Prolongation-and-correct: `xf += [I; P_F] * xc` (the V-cycle update).
-pub fn interp_apply_add(pf: &Csr, nc: usize, xc: &[f64], xf: &mut [f64]) {
-    interp_apply_add_rows(pf, nc, xc, 1, xf);
-}
-
-/// Restriction with a CF-permuted `R = Pᵀ = [I  P_Fᵀ]`.
-///
-/// `rf` must be `P_Fᵀ` stored explicitly (kept from the setup phase — the
-/// paper's "keep the transpose" optimization); the result is
-/// `xc = xf[0..nc] + P_Fᵀ * xf[nc..]`.
-pub fn restrict_apply(rf: &Csr, nc: usize, xf: &[f64], xc: &mut [f64]) {
-    restrict_apply_rows(rf, nc, xf, 1, xc);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vecops;
 
     fn dense_mv(d: &[f64], nrows: usize, ncols: usize, x: &[f64]) -> Vec<f64> {
         (0..nrows)
@@ -204,10 +132,9 @@ mod tests {
 
     #[test]
     fn k1_lane_matches_sequential_oracles() {
-        // `spmv`, `spmv_axpby` and `residual_norm_sq` are the K = 1 lane
-        // of the block kernels; their oracles are `spmv_seq` plus plain
-        // loops, below and above PAR_THRESHOLD and across a ragged
-        // reduction chunk.
+        // `spmv` and `residual_norm_sq` are the K = 1 lane of the block
+        // kernels; their oracles are `spmv_seq` plus plain loops, below and
+        // above PAR_THRESHOLD and across a ragged reduction chunk.
         for n in [60, PAR_THRESHOLD - 1, PAR_THRESHOLD, 5000, 9000] {
             let a = random_csr(n, n, n as u64);
             let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 * 0.1 - 0.7).collect();
@@ -218,15 +145,6 @@ mod tests {
             let mut y = vec![f64::NAN; n];
             spmv(&a, &x, &mut y);
             assert_eq!(y, ax, "spmv n={n}");
-
-            let mut y = b.clone();
-            spmv_axpby(&a, 1.5, &x, -0.25, &mut y);
-            let expect: Vec<f64> = ax
-                .iter()
-                .zip(&b)
-                .map(|(v, y0)| 1.5 * v + -0.25 * y0)
-                .collect();
-            assert_eq!(y, expect, "spmv_axpby n={n}");
 
             let mut r = vec![f64::NAN; n];
             let norm_sq = residual_norm_sq(&a, &x, &b, &mut r);
@@ -272,30 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_axpby_scales() {
-        let a = Csr::identity(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let mut y = vec![1.0; 4];
-        spmv_axpby(&a, 2.0, &x, -1.0, &mut y);
-        assert_eq!(y, vec![1.0, 3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn fused_dot_matches_unfused() {
-        let n = 1500;
-        let a = random_csr(n, n, 3);
-        let x: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
-        let z: Vec<f64> = (0..n).map(|i| ((i + 3) % 5) as f64 - 2.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        let d_fused = spmv_dot(&a, &x, &mut y1, &z);
-        spmv(&a, &x, &mut y2);
-        let d_ref = vecops::dot_seq(&y2, &z);
-        assert_eq!(y1, y2);
-        assert!((d_fused - d_ref).abs() <= 1e-9 * d_ref.abs().max(1.0));
-    }
-
-    #[test]
     fn fused_residual_matches_unfused() {
         let n = 1200;
         let a = random_csr(n, n, 9);
@@ -307,36 +201,5 @@ mod tests {
         let n2 = residual_norm_sq_unfused(&a, &x, &b, &mut r2);
         assert_eq!(r1, r2);
         assert!((n1 - n2).abs() <= 1e-9 * n2.abs().max(1.0));
-    }
-
-    #[test]
-    fn interp_identity_block() {
-        // P = [I2; P_F] with P_F = [0.5 0.5; 1 0]
-        let pf = Csr::from_dense(2, 2, &[0.5, 0.5, 1.0, 0.0]);
-        let xc = vec![2.0, 4.0];
-        let mut xf = vec![0.0; 4];
-        interp_apply(&pf, 2, &xc, &mut xf);
-        assert_eq!(xf, vec![2.0, 4.0, 3.0, 2.0]);
-    }
-
-    #[test]
-    fn interp_add_accumulates() {
-        let pf = Csr::from_dense(1, 2, &[1.0, 1.0]);
-        let xc = vec![1.0, 2.0];
-        let mut xf = vec![10.0, 10.0, 10.0];
-        interp_apply_add(&pf, 2, &xc, &mut xf);
-        assert_eq!(xf, vec![11.0, 12.0, 13.0]);
-    }
-
-    #[test]
-    fn restrict_is_transpose_of_interp() {
-        let pf = Csr::from_dense(2, 2, &[0.5, 0.5, 1.0, 0.0]);
-        let rf = crate::transpose::transpose(&pf); // P_Fᵀ: 2x2
-        let xf = vec![1.0, 2.0, 3.0, 4.0];
-        let mut xc = vec![0.0; 2];
-        restrict_apply(&rf, 2, &xf, &mut xc);
-        // xc = xf[0..2] + P_Fᵀ * xf[2..4]
-        // P_Fᵀ = [0.5 1; 0.5 0] => [0.5*3+1*4, 0.5*3] = [5.5, 1.5]
-        assert_eq!(xc, vec![6.5, 3.5]);
     }
 }

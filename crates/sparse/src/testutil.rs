@@ -1,4 +1,5 @@
 //! Inputs and oracles shared by the solve-kernel tests.
+#![cfg(test)]
 
 use crate::csr::Csr;
 use crate::multivec::CHUNK;

@@ -33,13 +33,6 @@ pub fn gs_sweep_bytes(a: &Csr) -> usize {
     spmv_bytes(a) + a.nrows() * (2 * VAL_BYTES + GS_OFFSET_BYTES)
 }
 
-/// Compulsory traffic of `C = A·B` counting each input read once and the
-/// output written once (the one-pass kernel's model; the two-pass
-/// baseline reads the inputs twice — multiply input terms accordingly).
-pub fn spgemm_bytes(a: &Csr, b: &Csr, c: &Csr) -> usize {
-    matrix_bytes(a) + matrix_bytes(b) + matrix_bytes(c)
-}
-
 /// Bytes of one full read (or write) of a CSR matrix.
 pub fn matrix_bytes(m: &Csr) -> usize {
     (m.nrows() + 1) * ROWPTR_BYTES + m.nnz() * (COL_BYTES + VAL_BYTES)

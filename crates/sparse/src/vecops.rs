@@ -35,11 +35,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     crate::multivec::axpy_rows(&[alpha], x, y, 1);
 }
 
-/// `y = x + beta * y` (scaled update used by residual corrections).
-pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
-    crate::multivec::xpby_rows(x, &[beta], y, 1);
-}
-
 /// `x *= alpha`.
 pub fn scale(alpha: f64, x: &mut [f64]) {
     if x.len() < 2 * CHUNK {
@@ -80,11 +75,6 @@ pub fn fill(x: &mut [f64], v: f64) {
 pub fn sub(x: &[f64], y: &[f64]) -> Vec<f64> {
     assert_eq!(x.len(), y.len());
     x.iter().zip(y).map(|(a, b)| a - b).collect()
-}
-
-/// Maximum absolute entry.
-pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
 #[cfg(test)]
@@ -148,14 +138,6 @@ mod tests {
     }
 
     #[test]
-    fn xpby_combines() {
-        let x = vec![1.0, 2.0];
-        let mut y = vec![10.0, 20.0];
-        xpby(&x, 0.5, &mut y);
-        assert_eq!(y, vec![6.0, 12.0]);
-    }
-
-    #[test]
     fn scale_and_fill() {
         let mut x = vec![2.0; 10];
         scale(0.5, &mut x);
@@ -168,7 +150,6 @@ mod tests {
     fn norms() {
         let x = vec![3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm_inf(&x), 4.0);
     }
 
     #[test]

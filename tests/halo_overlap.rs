@@ -16,8 +16,9 @@ use famg::dist::halo::VectorExchange;
 use famg::dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg::dist::parcsr::{default_partition, owner_of, ParCsr};
 use famg::dist::solve::{dist_amg_solve, dist_fgmres_amg};
-use famg::dist::spmv::{try_dist_residual, try_dist_residual_norm_sq, try_dist_spmv};
+use famg::dist::spmv::{try_dist_residual_norm_sq_rows, try_dist_residual_rows, try_dist_spmv};
 use famg::matgen::{laplace2d, rhs};
+use famg::sparse::multivec::dot_rows_seq;
 use famg::sparse::Csr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -77,10 +78,23 @@ fn residual_and_norm_overlap_bitwise_identical() {
                 let xl = x[starts[rk]..starts[rk + 1]].to_vec();
                 let bl = b[starts[rk]..starts[rk + 1]].to_vec();
                 let mut r = vec![0.0; pa.local_rows()];
-                let local = try_dist_residual(c, &pa, &plan, &xl, &bl, &mut r, overlap).unwrap();
-                let global =
-                    try_dist_residual_norm_sq(c, &pa, &plan, &xl, &bl, &mut r, overlap).unwrap();
-                (r, local, global)
+                try_dist_residual_rows(c, &pa, &plan, &xl, &bl, &mut r, 1, overlap).unwrap();
+                let mut local = [0.0];
+                dot_rows_seq(&r, &r, 1, &mut local);
+                let mut global = [0.0];
+                try_dist_residual_norm_sq_rows(
+                    c,
+                    &pa,
+                    &plan,
+                    &xl,
+                    &bl,
+                    &mut r,
+                    1,
+                    overlap,
+                    &mut global,
+                )
+                .unwrap();
+                (r, local[0], global[0])
             });
             let r: Vec<f64> = parts.iter().flat_map(|(r, _, _)| r.clone()).collect();
             let locals: Vec<f64> = parts.iter().map(|&(_, l, _)| l).collect();
@@ -307,7 +321,8 @@ fn kernel_try_variants_reject_bad_shapes() {
             ));
             let b = vec![0.0; n - 1];
             let mut res = vec![0.0; n];
-            let err = try_dist_residual(c, &pa, &plan, &x, &b, &mut res, overlap).unwrap_err();
+            let err =
+                try_dist_residual_rows(c, &pa, &plan, &x, &b, &mut res, 1, overlap).unwrap_err();
             assert!(matches!(
                 err,
                 SolveError::DimensionMismatch {

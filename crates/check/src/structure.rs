@@ -219,7 +219,7 @@ mod tests {
     fn rejects_unsorted_and_duplicate_cols() {
         let mut a = tridiag(4);
         {
-            let (cols, _) = a.colidx_values_mut();
+            let (_, cols, _) = a.rows_mut();
             cols.swap(0, 1);
         }
         assert_eq!(
@@ -228,7 +228,7 @@ mod tests {
         );
         let mut b = tridiag(4);
         {
-            let (cols, _) = b.colidx_values_mut();
+            let (_, cols, _) = b.rows_mut();
             cols[1] = cols[0];
         }
         assert_eq!(

@@ -67,11 +67,12 @@ fn put(word: &AtomicU32, v: u32) {
     word.store(v, Ordering::Relaxed); // ORDERING: idempotent flag, see above.
 }
 
-/// `|Sᵀ_i|` for every `i`: the histogram of `s`'s column indices, counted
-/// per block of nonzeros and summed (no scatter, no transpose).
-fn dependants(s: &Csr) -> Vec<u32> {
+/// Per block of `s`'s nonzeros, the histogram of their column indices:
+/// summed over the blocks, `|Sᵀ_i|` for every `i` (no scatter, no
+/// transpose).
+fn dependants(s: &Csr) -> Vec<Vec<u32>> {
     let n = s.ncols();
-    let counts: Vec<Vec<u32>> = split_evenly(s.nnz(), num_threads())
+    split_evenly(s.nnz(), num_threads())
         .par_iter()
         .map(|block| {
             let mut count = vec![0u32; n];
@@ -80,36 +81,54 @@ fn dependants(s: &Csr) -> Vec<u32> {
             }
             count
         })
-        .collect();
-    (0..n).map(|i| counts.iter().map(|c| c[i]).sum()).collect()
+        .collect()
 }
 
 /// PMIS coarsening over strength matrix `s` (row `i` = points `i`
 /// strongly depends on).
+///
+/// After the first round, a round visits the undecided points only: they
+/// are kept, ascending, in an active list that each round's demotion pass
+/// shrinks. Which points a pass visits changes nothing it decides, since
+/// a decided point's word is final and the flags are set memberships.
 pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
     let n = s.nrows();
     assert_eq!(n, s.ncols());
-    let dependants = dependants(s);
-    // measure(i) = |{j : j depends on i}| + rand[0,1).
-    let measure: Vec<f64> = (0..n)
-        .into_par_iter()
-        .with_min_len(512)
-        .map(|i| f64::from(dependants[i]) + uniform01(seed, i as u64))
-        .collect();
-    // Nobody depends on i: it can never be a useful C-point.
-    let start = |&d: &u32| AtomicU32::new(if d == 0 { FINE } else { 0 });
-    let mark: Vec<AtomicU32> = dependants.iter().map(start).collect();
-    drop(dependants);
+    let counts = dependants(s);
+    // measure(i) = |{j : j depends on i}| + rand[0,1); nobody depends on
+    // i: it can never be a useful C-point, F from the start.
+    let mut measure = vec![0.0f64; n];
+    let mut start = vec![0u32; n];
+    measure
+        .par_iter_mut()
+        .zip(start.par_iter_mut())
+        .enumerate()
+        .with_min_len(4096)
+        .for_each(|(i, (m, w))| {
+            let d: u32 = counts.iter().map(|c| c[i]).sum();
+            *m = f64::from(d) + uniform01(seed, i as u64);
+            *w = if d == 0 { FINE } else { 0 };
+        });
+    drop(counts);
+    let mark: Vec<AtomicU32> = start.into_iter().map(AtomicU32::new).collect();
     let undecided = |i: usize| get(&mark[i]) < FINE;
+    // The points a round visits, ascending: every point in the first, then
+    // those still undecided after the round before.
+    let mut active: Option<Vec<usize>> = None;
 
     // Round-based parallel MIS.
     for round in 1..FINE {
+        let len = active.as_ref().map_or(n, Vec::len);
+        let visit = || {
+            (0..len)
+                .into_par_iter()
+                .with_min_len(512)
+                .map(|k| active.as_ref().map_or(k, |a| a[k]))
+                .filter(|&i| undecided(i))
+        };
         // Selection: every S-edge between two undecided points flags the
         // end(s) that do not strictly beat the other …
-        (0..n).into_par_iter().with_min_len(512).for_each(|i| {
-            if !undecided(i) {
-                return;
-            }
+        visit().for_each(|i| {
             let mut beaten = false;
             for j in s.col_iter(i).filter(|&j| undecided(j)) {
                 beaten |= measure[i] <= measure[j];
@@ -122,11 +141,7 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
             }
         });
         // … and an undecided point no edge flagged this round joins C.
-        let selected: Vec<usize> = (0..n)
-            .into_par_iter()
-            .with_min_len(512)
-            .filter(|&i| undecided(i) && get(&mark[i]) != round)
-            .collect();
+        let selected: Vec<usize> = visit().filter(|&i| get(&mark[i]) != round).collect();
         selected.iter().for_each(|&c| put(&mark[c], COARSE));
         if selected.is_empty() {
             // No undecided point can win => no undecided points remain
@@ -141,17 +156,34 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
         // later round while already neighbouring a C-point. Push along
         // `S_c` (a neighbour of a point just selected is undecided or F,
         // never C), then pull along `S_i` (C-points of earlier rounds
-        // demoted their neighbours then).
+        // demoted their neighbours then); what is still undecided after
+        // the pull is the next round's active list.
         selected.par_iter().with_min_len(512).for_each(|&c| {
             s.col_iter(c).for_each(|j| put(&mark[j], FINE));
         });
-        (0..n).into_par_iter().with_min_len(512).for_each(|i| {
-            if undecided(i) && s.col_iter(i).any(|j| get(&mark[j]) == COARSE) {
-                put(&mark[i], FINE);
-            }
-        });
+        let next = visit()
+            .filter(|&i| {
+                let demoted = s.col_iter(i).any(|j| get(&mark[j]) == COARSE);
+                if demoted {
+                    put(&mark[i], FINE);
+                }
+                !demoted
+            })
+            .collect();
+        active = Some(next);
     }
-    Coarsening::from_marker(mark.iter().map(|m| get(m) == COARSE).collect())
+    let mut is_coarse = vec![false; n];
+    is_coarse
+        .par_iter_mut()
+        .zip(mark.par_iter())
+        .with_min_len(4096)
+        .for_each(|(c, m)| *c = get(m) == COARSE);
+    let ncoarse = is_coarse
+        .par_iter()
+        .with_min_len(4096)
+        .filter(|&&c| c)
+        .count();
+    Coarsening { is_coarse, ncoarse }
 }
 
 /// Aggressive coarsening: a second PMIS pass over the distance-≤2

@@ -27,11 +27,13 @@ use crate::smoother::Smoother;
 use crate::stats::{PhaseTimes, SetupStats};
 use crate::strength::strength;
 use famg_sparse::dense::{DenseMatrix, LuFactor};
+use famg_sparse::partition::{num_threads, split_evenly, split_mut_at};
 use famg_sparse::permute::{stored_positions, Permutation, RowOrder};
 use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
 use famg_sparse::{Col, Csr};
+use rayon::prelude::*;
 use std::borrow::Cow;
 
 /// Grid-transfer operators between a level and the next coarser one.
@@ -340,14 +342,15 @@ impl Hierarchy {
             let (p, tape) = build_interp(&current, &s, &cf, s1, ikind, cfg, recording);
             drop(interp_span);
             stats.interp_nnz.push(p.nnz());
-            // `S` is done with: freed before the level's largest allocations.
-            // A builder's frozen level keeps a copy of its length
-            // (`strength_seq` reserves nnz(A)); a tape level keeps none.
-            let rerun = (recording && tape.is_none()).then(|| {
-                let _span = famg_prof::scope_at("capture", lvl_idx);
-                (s.clone(), stage1, cf)
-            });
-            drop(s);
+            // `S` is done with: freed before the level's largest allocations,
+            // or moved, at its exact length, into a builder's frozen level.
+            // A tape level keeps none.
+            let rerun = if recording && tape.is_none() {
+                Some((s, stage1, cf))
+            } else {
+                drop(s);
+                None
+            };
             #[cfg(feature = "validate")]
             let validate = |a_raw: &Csr, next: &Csr| {
                 let exact = !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI);
@@ -589,30 +592,53 @@ pub(crate) fn extract_fine_block(p: &Csr, perm: &Permutation, nc: usize, level: 
     let n = p.nrows();
     assert_eq!(perm.len(), n, "level {level}: P and the CF permutation");
     let (coarse, fine) = perm.inverse.split_at(nc);
-    let nnz_f = p.nnz().saturating_sub(nc);
-    let mut colidx = Vec::with_capacity(nnz_f);
-    let mut values = Vec::with_capacity(nnz_f);
-    // The fine rows between two coarse rows are contiguous in `p`: one
-    // copy per run, `run` being where the uncopied entries start.
-    let mut run = 0;
-    for (c, &i) in coarse.iter().enumerate() {
-        assert!(
-            p.row_cols(i) == [Col::new(c)] && p.row_vals(i) == [1.0],
-            "level {level}: coarse row {i} of P is not the unit row (column {c}, value 1)"
-        );
-        let at = p.rowptr()[i];
-        colidx.extend_from_slice(&p.colidx()[run..at]);
-        values.extend_from_slice(&p.values()[run..at]);
-        run = at + 1;
-    }
-    colidx.extend_from_slice(&p.colidx()[run..]);
-    values.extend_from_slice(&p.values()[run..]);
+    coarse
+        .par_iter()
+        .enumerate()
+        .with_min_len(4096)
+        .for_each(|(c, &i)| {
+            assert!(
+                p.row_cols(i) == [Col::new(c)] && p.row_vals(i) == [1.0],
+                "level {level}: coarse row {i} of P is not the unit row (column {c}, value 1)"
+            );
+        });
+    // Run `r` of `0..=nc` is the fine rows between coarse rows `r − 1` and
+    // `r`: contiguous in `p`, and `r` entries lower in `P_F`, one for each
+    // coarse row before it. Blocks of runs copy in parallel.
+    let prp = p.rowptr();
+    let run = |r: usize| {
+        let start = if r == 0 { 0 } else { prp[coarse[r - 1] + 1] };
+        start..if r == nc { p.nnz() } else { prp[coarse[r]] }
+    };
+    let mut colidx = vec![Col::default(); p.nnz() - nc];
+    let mut values = vec![0.0f64; p.nnz() - nc];
+    let blocks = split_evenly(nc + 1, num_threads());
+    let lens = blocks
+        .iter()
+        .map(|b| run(b.end - 1).end - run(b.start).start - (b.len() - 1));
+    let mut parts: Vec<_> = blocks
+        .iter()
+        .zip(split_mut_at(&mut colidx, lens.clone()))
+        .zip(split_mut_at(&mut values, lens))
+        .collect();
+    parts.par_iter_mut().for_each(|((runs, cols), vals)| {
+        let mut at = 0;
+        for src in runs.clone().map(run) {
+            let to = at..at + src.len();
+            at = to.end;
+            cols[to.clone()].copy_from_slice(&p.colidx()[src.clone()]);
+            vals[to].copy_from_slice(&p.values()[src]);
+        }
+    });
     // Every coarse row is one entry, and point `i`, the `k`-th fine one,
     // has `i − k` of them before it.
-    let ends = fine.iter().enumerate();
-    let rowptr = std::iter::once(0)
-        .chain(ends.map(|(k, &i)| p.rowptr()[i + 1] - (i - k)))
-        .collect();
+    let mut rowptr = vec![0usize; n - nc + 1];
+    rowptr[1..]
+        .par_iter_mut()
+        .zip(fine.par_iter())
+        .enumerate()
+        .with_min_len(4096)
+        .for_each(|(k, (end, &i))| *end = prp[i + 1] - (i - k));
     Csr::from_parts_unchecked(n - nc, p.ncols(), rowptr, colidx, values)
 }
 

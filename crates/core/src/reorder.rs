@@ -15,8 +15,12 @@
 //! place here: extended+i gathers the one class it reads into a side view
 //! (`interp::extended_i`) and leaves the operator's row order alone.
 
-use famg_sparse::permute::{cf_permutation, permute_symmetric, Permutation, RowOrder};
+use famg_sparse::partition::{num_threads, split_mut_at, split_rows_by_nnz};
+use famg_sparse::permute::{
+    cf_permutation, permute_symmetric, Permutation, RowOrder, RowOrderBlock,
+};
 use famg_sparse::{Col, Csr};
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// The CF ordering of one level: permutation plus coarse count.
@@ -56,19 +60,13 @@ impl ThreadOwnership {
         let coarse = if nc == 0 {
             vec![0..0; nthreads]
         } else {
-            pad(
-                famg_sparse::partition::split_rows_by_nnz(&rowptr[..=nc], nthreads),
-                nthreads,
-                nc,
-            )
+            pad(split_rows_by_nnz(&rowptr[..=nc], nthreads), nthreads, nc)
         };
         let fine = if n == nc {
             vec![n..n; nthreads]
         } else {
-            // Shift the fine sub-rowptr to start at 0 for the splitter.
-            let sub: Vec<usize> = rowptr[nc..=n].iter().map(|&p| p - rowptr[nc]).collect();
             pad(
-                famg_sparse::partition::split_rows_by_nnz(&sub, nthreads)
+                split_rows_by_nnz(&rowptr[nc..=n], nthreads)
                     .into_iter()
                     .map(|r| r.start + nc..r.end + nc)
                     .collect(),
@@ -138,35 +136,115 @@ fn offset(k: usize) -> u32 {
 /// the order above), so a refresh can read the rows in the order the
 /// build's triple product did.
 ///
+/// Rows are cut into one nnz-balanced block per pool thread, each
+/// rewriting its own rows in place; a row's segments are its own business,
+/// so the cut changes nothing but who writes. Each block collects its own
+/// external columns, and they are merged sorted after the join.
+///
 /// # Panics
 /// Panics when a row has no diagonal entry or the diagonal is zero.
 pub fn partition_rows_gs(
     a: &mut Csr,
     nc: usize,
     own: &ThreadOwnership,
+    order: Option<&mut RowOrder>,
+) -> GsPartition {
+    partition_rows_gs_blocks(a, nc, own, order, num_threads())
+}
+
+/// One block of rows of [`partition_rows_gs`] and everything it writes.
+struct GsBlock<'a> {
+    rows: Range<usize>,
+    cols: &'a mut [Col],
+    vals: &'a mut [f64],
+    up_start: &'a mut [u32],
+    ext_start: &'a mut [u32],
+    dinv: &'a mut [f64],
+    order: Option<RowOrderBlock<'a>>,
+    ext_cols: Vec<Col>,
+}
+
+/// [`partition_rows_gs`] over `nblocks` row blocks.
+fn partition_rows_gs_blocks(
+    a: &mut Csr,
+    nc: usize,
+    own: &ThreadOwnership,
     mut order: Option<&mut RowOrder>,
+    nblocks: usize,
 ) -> GsPartition {
     let n = a.nrows();
-    let rowptr = a.rowptr().to_vec();
     let mut up_start = vec![0u32; n];
     let mut ext_start = vec![0u32; n];
     let mut dinv = vec![0.0f64; n];
-    let (colidx, values) = a.colidx_values_mut();
+    let (rowptr, colidx, values) = a.rows_mut();
+    let rows = split_rows_by_nnz(rowptr, nblocks);
+    let entries: Vec<Range<usize>> = rows
+        .iter()
+        .map(|r| rowptr[r.start]..rowptr[r.end])
+        .collect();
+    let row_lens = || rows.iter().map(Range::len);
+    let entry_lens = entries.iter().map(Range::len);
+    let mut orders = order.as_deref_mut().map(|o| o.blocks(&entries).into_iter());
+    let mut blocks: Vec<GsBlock<'_>> = rows
+        .iter()
+        .zip(split_mut_at(colidx, entry_lens.clone()))
+        .zip(split_mut_at(values, entry_lens))
+        .zip(split_mut_at(&mut up_start, row_lens()))
+        .zip(split_mut_at(&mut ext_start, row_lens()))
+        .zip(split_mut_at(&mut dinv, row_lens()))
+        .map(
+            |(((((r, cols), vals), up_start), ext_start), dinv)| GsBlock {
+                rows: r.clone(),
+                cols,
+                vals,
+                up_start,
+                ext_start,
+                dinv,
+                order: orders.as_mut().and_then(Iterator::next),
+                ext_cols: Vec::new(),
+            },
+        )
+        .collect();
+    blocks
+        .par_iter_mut()
+        .for_each(|b| partition_block(b, rowptr, nc, own));
+    let mut ext_cols = Vec::new();
+    let mut edges = Vec::new();
+    for b in blocks {
+        ext_cols.extend(b.ext_cols);
+        edges.extend(b.order.map(RowOrderBlock::edges).unwrap_or_default());
+    }
+    if let Some(o) = order {
+        edges.into_iter().for_each(|(k, g)| o.set_group(k, g));
+    }
+    ext_cols.sort_unstable();
+    ext_cols.dedup();
+    GsPartition {
+        own: own.clone(),
+        up_start,
+        ext_start,
+        dinv,
+        ext_cols,
+    }
+}
+
+/// The row walk of [`partition_rows_gs`] over one block: its rows'
+/// entries, boundaries, inverse diagonals and codes, and its sorted
+/// distinct external columns.
+fn partition_block(b: &mut GsBlock<'_>, rowptr: &[usize], nc: usize, own: &ThreadOwnership) {
+    let base = rowptr[b.rows.start];
     let mut low: Vec<(Col, f64)> = Vec::new();
     let mut up: Vec<(Col, f64)> = Vec::new();
     let mut ext: Vec<(Col, f64)> = Vec::new();
-    let mut ext_cols: Vec<Col> = Vec::new();
-    for i in 0..n {
-        let r = rowptr[i]..rowptr[i + 1];
+    for i in b.rows.clone() {
         let t = own.owner_of(i, nc);
-        let my_c = own.coarse[t].clone();
-        let my_f = own.fine[t].clone();
+        let (my_c, my_f) = (&own.coarse[t], &own.fine[t]);
         low.clear();
         up.clear();
         ext.clear();
         let mut diag = None;
-        for k in r.clone() {
-            let (col, v) = (colidx[k], values[k]);
+        for k in rowptr[i]..rowptr[i + 1] {
+            let (col, v) = (b.cols[k - base], b.vals[k - base]);
             let c = usize::from(col);
             let segment = if c == i {
                 diag = Some(v);
@@ -183,35 +261,26 @@ pub fn partition_rows_gs(
                 ext.push((col, v));
                 3
             };
-            if let Some(o) = order.as_deref_mut() {
+            if let Some(o) = b.order.as_mut() {
                 o.set_group(k, segment);
             }
         }
         let d = diag.unwrap_or_else(|| panic!("row {i} has no diagonal"));
         assert!(d != 0.0, "zero diagonal in row {i}");
-        dinv[i] = 1.0 / d;
-        let mut k = r.start;
-        colidx[k] = Col::new(i);
-        values[k] = d;
-        k += 1;
+        let r = i - b.rows.start;
+        b.dinv[r] = 1.0 / d;
+        let mut k = rowptr[i] - base;
+        (b.cols[k], b.vals[k]) = (Col::new(i), d);
         for &(c, v) in low.iter().chain(&up).chain(&ext) {
-            colidx[k] = c;
-            values[k] = v;
             k += 1;
+            (b.cols[k], b.vals[k]) = (c, v);
         }
-        up_start[i] = offset(1 + low.len());
-        ext_start[i] = offset(1 + low.len() + up.len());
-        ext_cols.extend(ext.iter().map(|&(c, _)| c));
+        b.up_start[r] = offset(1 + low.len());
+        b.ext_start[r] = offset(1 + low.len() + up.len());
+        b.ext_cols.extend(ext.iter().map(|&(c, _)| c));
     }
-    ext_cols.sort_unstable();
-    ext_cols.dedup();
-    GsPartition {
-        own: own.clone(),
-        up_start,
-        ext_start,
-        dinv,
-        ext_cols,
-    }
+    b.ext_cols.sort_unstable();
+    b.ext_cols.dedup();
 }
 
 #[cfg(test)]
@@ -219,6 +288,141 @@ mod tests {
     use super::*;
     use famg_matgen::laplace2d;
     use famg_sparse::spmv::spmv_seq;
+
+    /// The row partition as one serial walk over the rows: what
+    /// [`partition_rows_gs`] must write for any cut into blocks.
+    fn partition_rows_gs_serial(
+        a: &mut Csr,
+        nc: usize,
+        own: &ThreadOwnership,
+        mut order: Option<&mut RowOrder>,
+    ) -> GsPartition {
+        let n = a.nrows();
+        let mut up_start = vec![0u32; n];
+        let mut ext_start = vec![0u32; n];
+        let mut dinv = vec![0.0f64; n];
+        let (rowptr, colidx, values) = a.rows_mut();
+        let mut low: Vec<(Col, f64)> = Vec::new();
+        let mut up: Vec<(Col, f64)> = Vec::new();
+        let mut ext: Vec<(Col, f64)> = Vec::new();
+        let mut ext_cols: Vec<Col> = Vec::new();
+        for i in 0..n {
+            let r = rowptr[i]..rowptr[i + 1];
+            let t = own.owner_of(i, nc);
+            let my_c = own.coarse[t].clone();
+            let my_f = own.fine[t].clone();
+            low.clear();
+            up.clear();
+            ext.clear();
+            let mut diag = None;
+            for k in r.clone() {
+                let (col, v) = (colidx[k], values[k]);
+                let c = usize::from(col);
+                let segment = if c == i {
+                    diag = Some(v);
+                    0
+                } else if my_c.contains(&c) || my_f.contains(&c) {
+                    if c < i {
+                        low.push((col, v));
+                        1
+                    } else {
+                        up.push((col, v));
+                        2
+                    }
+                } else {
+                    ext.push((col, v));
+                    3
+                };
+                if let Some(o) = order.as_deref_mut() {
+                    o.set_group(k, segment);
+                }
+            }
+            let d = diag.unwrap_or_else(|| panic!("row {i} has no diagonal"));
+            assert!(d != 0.0, "zero diagonal in row {i}");
+            dinv[i] = 1.0 / d;
+            let mut k = r.start;
+            colidx[k] = Col::new(i);
+            values[k] = d;
+            k += 1;
+            for &(c, v) in low.iter().chain(&up).chain(&ext) {
+                colidx[k] = c;
+                values[k] = v;
+                k += 1;
+            }
+            up_start[i] = offset(1 + low.len());
+            ext_start[i] = offset(1 + low.len() + up.len());
+            ext_cols.extend(ext.iter().map(|&(c, _)| c));
+        }
+        ext_cols.sort_unstable();
+        ext_cols.dedup();
+        GsPartition {
+            own: own.clone(),
+            up_start,
+            ext_start,
+            dinv,
+            ext_cols,
+        }
+    }
+
+    /// The blocked partition at block counts 1 to 7 against the serial
+    /// walk: rows, boundaries, inverse diagonal, external columns and the
+    /// recorded order, bit for bit.
+    fn assert_blocked_is_serial(base: &Csr, nc: usize, tasks: usize) {
+        let own = ThreadOwnership::build(base, nc, tasks);
+        let mut want = base.clone();
+        let mut want_order = RowOrder::new(base.nnz());
+        let w = partition_rows_gs_serial(&mut want, nc, &own, Some(&mut want_order));
+        for nblocks in 1..=7 {
+            let mut got = base.clone();
+            let mut order = RowOrder::new(base.nnz());
+            let g = partition_rows_gs_blocks(&mut got, nc, &own, Some(&mut order), nblocks);
+            let at = format!("n={} tasks={tasks} blocks={nblocks}", base.nrows());
+            assert_eq!(got, want, "{at}");
+            assert_eq!(order, want_order, "{at}");
+            assert_eq!(
+                (&g.up_start, &g.ext_start),
+                (&w.up_start, &w.ext_start),
+                "{at}"
+            );
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&g.dinv), bits(&w.dinv), "{at}");
+            assert_eq!(g.ext_cols, w.ext_cols, "{at}");
+            let mut plain = base.clone();
+            partition_rows_gs_blocks(&mut plain, nc, &own, None, nblocks);
+            assert_eq!(plain, want, "{at}");
+        }
+    }
+
+    #[test]
+    fn blocked_partition_is_the_serial_walk() {
+        // Rows of 1 to 6 entries: row starts fall on every residue mod 4,
+        // so blocks share bytes of the recorded order.
+        let n = 500;
+        let trips = (0..n).flat_map(|i| {
+            let off = (0..i % 6).map(move |d| (i, (i + 1 + 7 * d) % n, -1.0 - d as f64));
+            std::iter::once((i, i, 4.0 + i as f64)).chain(off)
+        });
+        let ragged = Csr::from_triplets(n, n, trips);
+        let shared = (2..=7).any(|nb| {
+            split_rows_by_nnz(ragged.rowptr(), nb)
+                .iter()
+                .any(|r| !ragged.rowptr()[r.start].is_multiple_of(4))
+        });
+        assert!(shared, "no block starts inside a byte of the order");
+        for tasks in 1..=3 {
+            assert_blocked_is_serial(&ragged, 170, tasks);
+        }
+        // A real C/F ordering of a grid.
+        let a0 = laplace2d(30, 29);
+        let s = crate::strength::strength(&a0, 0.25, 0.8);
+        let (a, ord) = cf_reorder(&a0, &crate::coarsen::pmis(&s, 1).is_coarse);
+        assert_blocked_is_serial(&a, ord.nc, 2);
+        // A 70 000-entry row among rows of the diagonal alone.
+        let (n, m) = (70_000usize, 35_001usize);
+        let mut trips: Vec<_> = (0..n).map(|j| (m, j, j as f64 + 0.5)).collect();
+        trips.extend((0..n).filter(|&i| i != m).map(|i| (i, i, 1.0 + i as f64)));
+        assert_blocked_is_serial(&Csr::from_triplets(n, n, trips), 20_000, 3);
+    }
 
     #[test]
     fn cf_reorder_moves_coarse_first() {

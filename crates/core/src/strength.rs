@@ -9,13 +9,11 @@
 //! mirrors HYPRE's `max_row_sum` parameter used in Table 3.
 //!
 //! Two implementations: a sequential baseline and the paper's §3.3
-//! parallel version (per-row counts, prefix sum, parallel fill). Both take
+//! parallel version (row blocks filled in parallel, then packed). Both take
 //! the row range to emit: the serial setup passes every row, a rank of the
 //! distributed setup the owned rows of its extended local CSR (whose halo
 //! rows have no strength rows of their own).
-#![deny(unsafe_op_in_unsafe_fn)]
-
-use famg_sparse::partition::{exclusive_prefix_sum, num_threads};
+use famg_sparse::partition::{num_threads, split_mut_at, split_rows_by_nnz};
 use famg_sparse::{Col, Csr};
 use rayon::prelude::*;
 use std::ops::Range;
@@ -56,12 +54,13 @@ fn row_strong(
 }
 
 /// Sequential strength matrix of rows `rows` (`rows.len() × n`; values
-/// carry the originating `a_ij`).
+/// carry the originating `a_ij`), its arrays at their exact length.
 pub fn strength_seq(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f64) -> Csr {
     assert_eq!(a.nrows(), a.ncols());
     let n = rows.len();
     let mut rowptr = Vec::with_capacity(n + 1);
-    // `S ⊂ A`: reserved once, the part `S` does not fill is never touched.
+    // `S ⊂ A`: reserved once, the part `S` does not fill is never touched
+    // and is given back (in place) at the end.
     let bound = a.rowptr()[rows.end] - a.rowptr()[rows.start];
     let mut colidx = Vec::with_capacity(bound);
     let mut values = Vec::with_capacity(bound);
@@ -73,59 +72,72 @@ pub fn strength_seq(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f6
         });
         rowptr.push(colidx.len());
     }
+    colidx.shrink_to_fit();
+    values.shrink_to_fit();
     Csr::from_parts_unchecked(n, a.ncols(), rowptr, colidx, values)
 }
 
-/// Parallel strength matrix: count pass → prefix sum → fill pass (§3.3).
-/// Bitwise identical to [`strength_seq`].
+/// Parallel strength matrix in one pass over `A` (§3.3). Bitwise identical
+/// to [`strength_seq`].
+///
+/// `S ⊂ A`, so each nnz-balanced block of rows writes its strong entries
+/// from where its rows start in `A` and counts them into the row pointer.
+/// The blocks are then moved down onto each other in order, the row
+/// pointer offset by the entries before each block, and the arrays cut to
+/// `S`'s length: no count pass, and no second copy of `S`.
 pub fn strength_par(a: &Csr, rows: Range<usize>, threshold: f64, max_row_sum: f64) -> Csr {
     assert_eq!(a.nrows(), a.ncols());
     let n = rows.len();
-    // One thread gains nothing from the counting pass.
+    // One thread gains nothing from the blocks.
     if n < 2048 || num_threads() == 1 {
         return strength_seq(a, rows, threshold, max_row_sum);
     }
-    // Pass 1: per-row strong counts.
-    let mut counts: Vec<usize> = rows
-        .clone()
-        .into_par_iter()
-        .with_min_len(512)
-        .map(|i| {
-            let mut c = 0usize;
-            row_strong(a, i, threshold, max_row_sum, |_, _| c += 1);
-            c
+    let arp = &a.rowptr()[rows.start..=rows.end];
+    let bound = arp[n] - arp[0];
+    let mut rowptr = vec![0usize; n + 1];
+    let mut colidx = vec![Col::default(); bound];
+    let mut values = vec![0.0f64; bound];
+    let blocks = split_rows_by_nnz(arp, num_threads());
+    let lens = blocks.iter().map(|b| arp[b.end] - arp[b.start]);
+    let mut parts: Vec<_> = blocks
+        .iter()
+        .zip(split_mut_at(
+            &mut rowptr[1..],
+            blocks.iter().map(Range::len),
+        ))
+        .zip(split_mut_at(&mut colidx, lens.clone()))
+        .zip(split_mut_at(&mut values, lens))
+        .map(|(((b, ends), cols), vals)| (b.clone(), ends, cols, vals))
+        .collect();
+    let counts: Vec<usize> = parts
+        .par_iter_mut()
+        .map(|(block, ends, cols, vals)| {
+            let mut k = 0;
+            for (i, end) in block.clone().zip(ends.iter_mut()) {
+                row_strong(a, rows.start + i, threshold, max_row_sum, |c, v| {
+                    (cols[k], vals[k]) = (Col::new(c), v);
+                    k += 1;
+                });
+                *end = k;
+            }
+            k
         })
         .collect();
-    let nnz = exclusive_prefix_sum(&mut counts);
-    let mut rowptr = counts;
-    rowptr.push(nnz);
-    // Pass 2: fill into disjoint row slices.
-    let mut colidx = vec![Col::default(); nnz];
-    let mut values = vec![0.0f64; nnz];
-    {
-        struct Ptr(*mut Col, *mut f64);
-        // SAFETY: row i writes only [rowptr[i], rowptr[i+1]), and those
-        // slices are disjoint across the parallel iterator.
-        unsafe impl Sync for Ptr {}
-        let p = Ptr(colidx.as_mut_ptr(), values.as_mut_ptr());
-        let p = &p;
-        let rowptr_ref = &rowptr;
-        rows.clone()
-            .into_par_iter()
-            .with_min_len(512)
-            .for_each(|i| {
-                let mut dst = rowptr_ref[i - rows.start];
-                row_strong(a, i, threshold, max_row_sum, |k, v| {
-                    // SAFETY: rows write disjoint [rowptr[i], rowptr[i+1]) slices.
-                    unsafe {
-                        *p.0.add(dst) = Col::new(k);
-                        *p.1.add(dst) = v;
-                    }
-                    dst += 1;
-                });
-                debug_assert_eq!(dst, rowptr_ref[i - rows.start + 1]);
-            });
+    drop(parts);
+    let mut nnz = 0;
+    for (block, count) in blocks.iter().zip(counts) {
+        let from = arp[block.start] - arp[0];
+        colidx.copy_within(from..from + count, nnz);
+        values.copy_within(from..from + count, nnz);
+        rowptr[block.start + 1..=block.end]
+            .iter_mut()
+            .for_each(|end| *end += nnz);
+        nnz += count;
     }
+    colidx.truncate(nnz);
+    colidx.shrink_to_fit();
+    values.truncate(nnz);
+    values.shrink_to_fit();
     Csr::from_parts_unchecked(n, a.ncols(), rowptr, colidx, values)
 }
 
@@ -200,6 +212,12 @@ mod tests {
         let s1 = strength_seq(&a, 0..a.nrows(), 0.25, 0.8);
         let s2 = strength_par(&a, 0..a.nrows(), 0.25, 0.8);
         assert_eq!(s1, s2);
+        // A window of rows, as a rank of the distributed setup asks for.
+        let rows = 1234..5678;
+        assert_eq!(
+            strength_seq(&a, rows.clone(), 0.25, 0.8),
+            strength_par(&a, rows, 0.25, 0.8)
+        );
         let b = laplace2d_aniso(70, 90, 0.05);
         assert_eq!(
             strength_seq(&b, 0..b.nrows(), 0.25, 0.8),

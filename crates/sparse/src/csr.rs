@@ -328,13 +328,6 @@ impl Csr {
         &mut self.values
     }
 
-    /// Mutable column indices and values together; used by in-place row
-    /// reordering kernels (lower/upper partitioning, CF partitioning).
-    #[inline]
-    pub fn colidx_values_mut(&mut self) -> (&mut [Col], &mut [f64]) {
-        (&mut self.colidx, &mut self.values)
-    }
-
     /// The row pointer beside mutable column indices and values, for
     /// kernels that reorder entries within rows in parallel.
     #[inline]

@@ -9,14 +9,16 @@
 /// range holds a roughly equal share of non-zeros according to `rowptr`.
 ///
 /// Always returns at least one range when `nrows > 0`; never returns empty
-/// ranges. The concatenation of the ranges is exactly `0..nrows`.
+/// ranges. The concatenation of the ranges is exactly `0..nrows`. `rowptr`
+/// may be a window of a larger row pointer: the shares are counted from
+/// `rowptr[0]`.
 pub fn split_rows_by_nnz(rowptr: &[usize], nparts: usize) -> Vec<std::ops::Range<usize>> {
     let nrows = rowptr.len() - 1;
     if nrows == 0 {
         return Vec::new();
     }
     let nparts = nparts.max(1).min(nrows);
-    let total = rowptr[nrows];
+    let (first, total) = (rowptr[0], rowptr[nrows] - rowptr[0]);
     let mut out = Vec::with_capacity(nparts);
     let mut start = 0usize;
     for p in 0..nparts {
@@ -24,7 +26,7 @@ pub fn split_rows_by_nnz(rowptr: &[usize], nparts: usize) -> Vec<std::ops::Range
             break;
         }
         // Target cumulative nnz at the end of partition p.
-        let target = (total as u128 * (p as u128 + 1) / nparts as u128) as usize;
+        let target = first + (total as u128 * (p as u128 + 1) / nparts as u128) as usize;
         let mut end = match rowptr[start + 1..=nrows].binary_search(&target) {
             Ok(k) | Err(k) => start + 1 + k,
         };
@@ -60,6 +62,69 @@ pub fn split_evenly(n: usize, nparts: usize) -> Vec<std::ops::Range<usize>> {
             s..e
         })
         .collect()
+}
+
+/// Cuts `s` into consecutive pieces of the lengths `lens` yields, for
+/// parallel blocks that each write their own piece.
+///
+/// # Panics
+/// When the lengths add up to more than `s.len()`.
+pub fn split_mut_at<T>(mut s: &mut [T], lens: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.into_iter()
+        .map(|len| {
+            let (piece, rest) = std::mem::take(&mut s).split_at_mut(len);
+            s = rest;
+            piece
+        })
+        .collect()
+}
+
+/// Writes the row pointer of rows of lengths `len(0)`, `len(1)`, … into
+/// `ptr` (`ptr[0] = 0`, `ptr[i + 1] = ptr[i] + len(i)`): blocks of rows sum
+/// their own lengths in parallel, then each adds what the blocks before it
+/// hold.
+pub fn par_row_pointer(ptr: &mut [usize], len: impl Fn(usize) -> usize + Sync) {
+    use rayon::prelude::*;
+    let Some((first, ends)) = ptr.split_first_mut() else {
+        return;
+    };
+    *first = 0;
+    let blocks = split_evenly(ends.len(), num_threads());
+    let mut parts: Vec<_> = blocks
+        .iter()
+        .cloned()
+        .zip(split_mut_at(
+            ends,
+            blocks.iter().map(ExactSizeIterator::len),
+        ))
+        .collect();
+    let totals: Vec<usize> = parts
+        .par_iter_mut()
+        .map(|(rows, ends)| {
+            let mut sum = 0;
+            for (i, end) in rows.clone().zip(ends.iter_mut()) {
+                sum += len(i);
+                *end = sum;
+            }
+            sum
+        })
+        .collect();
+    let mut before = 0;
+    let offsets: Vec<usize> = totals
+        .iter()
+        .map(|t| {
+            before += t;
+            before - t
+        })
+        .collect();
+    parts
+        .par_iter_mut()
+        .zip(offsets.par_iter())
+        .filter(|(_, &offset)| offset > 0)
+        .for_each(|((_, ends), &offset)| {
+            // DETERMINISM: an integer offset added to the block's own rows.
+            ends.iter_mut().for_each(|e| *e += offset);
+        });
 }
 
 /// Exclusive prefix sum in place: `a[i] <- sum(a[..i])`; returns the total.
@@ -130,6 +195,39 @@ mod tests {
         let rowptr = vec![0, 7];
         let parts = split_rows_by_nnz(&rowptr, 8);
         assert_eq!(parts, vec![0..1]);
+    }
+
+    #[test]
+    fn split_by_nnz_counts_a_window_from_its_start() {
+        let rowptr = vec![0, 10, 11, 12, 13, 14, 24, 30];
+        let shifted: Vec<usize> = rowptr.iter().map(|p| p + 1000).collect();
+        for parts in 1..=7 {
+            assert_eq!(
+                split_rows_by_nnz(&shifted, parts),
+                split_rows_by_nnz(&rowptr, parts)
+            );
+        }
+    }
+
+    #[test]
+    fn row_pointer_is_the_running_sum() {
+        for n in [0usize, 1, 5, 1000, 70_001] {
+            let len = |i: usize| (i * 7 + 3) % 11;
+            let mut ptr = vec![usize::MAX; n + 1];
+            par_row_pointer(&mut ptr, len);
+            let mut want = vec![0usize];
+            for i in 0..n {
+                want.push(want[i] + len(i));
+            }
+            assert_eq!(ptr, want, "n={n}");
+        }
+        let mut data = [1, 2, 3, 4, 5, 6];
+        let pieces = split_mut_at(&mut data, [2, 0, 3]);
+        assert_eq!(
+            pieces.iter().map(|p| p.len()).collect::<Vec<_>>(),
+            [2, 0, 3]
+        );
+        assert_eq!(pieces[2], [3, 4, 5]);
     }
 
     #[test]

@@ -13,8 +13,11 @@
 use crate::csr::{Col, Csr};
 use crate::lanes;
 use crate::multivec::width;
-use crate::partition::{num_threads, split_rows_by_nnz};
+use crate::partition::{
+    num_threads, par_row_pointer, split_evenly, split_mut_at, split_rows_by_nnz,
+};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// A permutation `new_index = perm[old_index]` together with its inverse.
 #[derive(Debug, Clone)]
@@ -25,9 +28,10 @@ pub struct Permutation {
     pub inverse: Vec<usize>,
 }
 
+#[cfg(test)]
 impl Permutation {
     /// Builds from an `old -> new` map, validating bijectivity.
-    pub fn from_forward(forward: Vec<usize>) -> Self {
+    pub(crate) fn from_forward(forward: Vec<usize>) -> Self {
         let n = forward.len();
         let mut inverse = vec![usize::MAX; n];
         for (old, &new) in forward.iter().enumerate() {
@@ -37,7 +41,9 @@ impl Permutation {
         }
         Permutation { forward, inverse }
     }
+}
 
+impl Permutation {
     /// The new index of column `c`.
     #[inline]
     pub fn col(&self, c: Col) -> Col {
@@ -107,22 +113,54 @@ impl Permutation {
 /// Builds the coarse-first permutation from a CF marker array
 /// (`true` = coarse). Coarse points keep their relative order and map to
 /// `0..ncoarse`; fine points follow. Returns the permutation and `ncoarse`.
+///
+/// Blocks of points count their coarse ones, then number their points
+/// from the counts of the blocks before them: each block's coarse and
+/// fine points land in one contiguous piece of the inverse each, so the
+/// blocks write both maps in parallel.
 pub fn cf_permutation(is_coarse: &[bool]) -> (Permutation, usize) {
     let n = is_coarse.len();
-    let ncoarse = is_coarse.iter().filter(|&&c| c).count();
+    let blocks = split_evenly(n, num_threads());
+    let coarse: Vec<usize> = blocks
+        .par_iter()
+        .map(|b| is_coarse[b.clone()].iter().filter(|&&c| c).count())
+        .collect();
+    let ncoarse = coarse.iter().sum();
+    let fine = blocks.iter().zip(&coarse).map(|(b, c)| b.len() - c);
     let mut forward = vec![0usize; n];
-    let mut next_c = 0usize;
-    let mut next_f = ncoarse;
-    for (i, &c) in is_coarse.iter().enumerate() {
-        if c {
-            forward[i] = next_c;
-            next_c += 1;
-        } else {
-            forward[i] = next_f;
-            next_f += 1;
-        }
-    }
-    (Permutation::from_forward(forward), ncoarse)
+    let mut inverse = vec![0usize; n];
+    let (inv_coarse, inv_fine) = inverse.split_at_mut(ncoarse);
+    let (mut next_c, mut next_f) = (0, ncoarse);
+    let mut parts: Vec<_> = blocks
+        .iter()
+        .zip(split_mut_at(
+            &mut forward,
+            blocks.iter().map(ExactSizeIterator::len),
+        ))
+        .zip(split_mut_at(inv_coarse, coarse.iter().copied()))
+        .zip(split_mut_at(inv_fine, fine.clone()))
+        .zip(coarse.iter().zip(fine))
+        .map(|((((b, fwd), inv_c), inv_f), (nc, nf))| {
+            let first = (next_c, next_f);
+            (next_c, next_f) = (next_c + nc, next_f + nf);
+            (b.clone(), fwd, inv_c, inv_f, first)
+        })
+        .collect();
+    parts
+        .par_iter_mut()
+        .for_each(|(points, fwd, inv_c, inv_f, (first_c, first_f))| {
+            let (mut c, mut f) = (0, 0);
+            for (i, new) in points.clone().zip(fwd.iter_mut()) {
+                if is_coarse[i] {
+                    (*new, inv_c[c]) = (*first_c + c, i);
+                    c += 1;
+                } else {
+                    (*new, inv_f[f]) = (*first_f + f, i);
+                    f += 1;
+                }
+            }
+        });
+    (Permutation { forward, inverse }, ncoarse)
 }
 
 /// Symmetric permutation `B = Q A Qᵀ`, i.e. `B[p(i), p(j)] = A[i, j]`.
@@ -154,25 +192,12 @@ fn move_rows(
     assert_eq!(a.nrows(), perm.len());
     let n = a.nrows();
     let mut rowptr = vec![0usize; n + 1];
-    for new in 0..n {
-        rowptr[new + 1] = rowptr[new] + a.row_nnz(perm.inverse[new]);
-    }
+    par_row_pointer(&mut rowptr, |new| a.row_nnz(perm.inverse[new]));
     let nnz = rowptr[n];
     let mut colidx = vec![Col::default(); nnz];
     let mut values = vec![0.0f64; nnz];
     let nblocks = (nnz / MIN_BLOCK_NNZ).clamp(1, num_threads() * 4);
-    let (mut cols_left, mut vals_left) = (&mut colidx[..], &mut values[..]);
-    let mut blocks: Vec<_> = split_rows_by_nnz(&rowptr, nblocks)
-        .into_iter()
-        .map(|rows| {
-            let len = rowptr[rows.end] - rowptr[rows.start];
-            let (cols, rest) = std::mem::take(&mut cols_left).split_at_mut(len);
-            cols_left = rest;
-            let (vals, rest) = std::mem::take(&mut vals_left).split_at_mut(len);
-            vals_left = rest;
-            (rows, cols, vals)
-        })
-        .collect();
+    let mut blocks = row_blocks(&rowptr, &mut colidx, &mut values, nblocks);
     blocks.par_iter_mut().for_each(|(rows, cols, vals)| {
         let base = rowptr[rows.start];
         for new in rows.clone() {
@@ -220,9 +245,38 @@ impl RowOrder {
             group < 4 && k < self.len,
             "row order: entry {k}, group {group}"
         );
-        let shift = 2 * (k % 4);
-        let byte = &mut self.codes[k / 4];
-        *byte = (*byte & !(3 << shift)) | ((group as u8) << shift);
+        set_code(&mut self.codes, k, group);
+    }
+
+    /// Cuts the codes into blocks of consecutive entries, one per range of
+    /// `entries` (ascending, each starting where the one before ends), for
+    /// a recording that runs the blocks in parallel. A block writes the
+    /// bytes that lie wholly inside it; the codes of the at most three
+    /// entries at either end that share a byte with the next block wait in
+    /// the block ([`RowOrderBlock::edges`]) and are set after the join.
+    pub fn blocks(&mut self, entries: &[Range<usize>]) -> Vec<RowOrderBlock<'_>> {
+        assert!(
+            entries.last().map_or(0, |e| e.end) <= self.len,
+            "row order: blocks past {} entries",
+            self.len
+        );
+        let (mut rest, mut at) = (&mut self.codes[..], 0);
+        entries
+            .iter()
+            .map(|e| {
+                let lo = e.start.div_ceil(4);
+                let hi = (e.end / 4).max(lo);
+                let (_, tail) = std::mem::take(&mut rest).split_at_mut(lo - at);
+                let (codes, tail) = tail.split_at_mut(hi - lo);
+                (rest, at) = (tail, hi);
+                RowOrderBlock {
+                    entries: e.clone(),
+                    first: 4 * lo,
+                    codes,
+                    edges: Vec::new(),
+                }
+            })
+            .collect()
     }
 
     #[inline(always)]
@@ -268,7 +322,7 @@ impl RowOrder {
     fn move_entries(&self, a: &mut Csr, restore: bool) {
         assert_eq!(self.len, a.nnz(), "row order: operator");
         let (rowptr, cols, vals) = a.rows_mut();
-        let mut blocks = row_blocks(rowptr, cols, vals);
+        let mut blocks = row_blocks(rowptr, cols, vals, num_threads());
         blocks.par_iter_mut().for_each(|(rows, cols, vals)| {
             let base = rowptr[rows.start];
             let (mut row_cols, mut row_vals) = (Vec::new(), Vec::new());
@@ -297,24 +351,63 @@ impl RowOrder {
     }
 }
 
-/// Cuts the column indices and values of a matrix into per-thread
-/// blocks of whole rows (nnz-balanced), each with its row range.
+/// Writes `group` as the two-bit code of entry `k` (`k` counted from the
+/// start of `codes`).
+fn set_code(codes: &mut [u8], k: usize, group: usize) {
+    let shift = 2 * (k % 4);
+    let byte = &mut codes[k / 4];
+    *byte = (*byte & !(3 << shift)) | ((group as u8) << shift);
+}
+
+/// One block of a [`RowOrder`] being recorded in parallel (see
+/// [`RowOrder::blocks`]).
+#[derive(Debug)]
+pub struct RowOrderBlock<'a> {
+    entries: Range<usize>,
+    /// The entry the first of `codes` starts at.
+    first: usize,
+    codes: &'a mut [u8],
+    edges: Vec<(usize, usize)>,
+}
+
+impl RowOrderBlock<'_> {
+    /// Records that the entry at old-order position `k`, one of the
+    /// block's, went to `group`.
+    pub fn set_group(&mut self, k: usize, group: usize) {
+        assert!(
+            group < 4 && self.entries.contains(&k),
+            "row order block: entry {k}, group {group}"
+        );
+        match k.checked_sub(self.first) {
+            Some(j) if j < 4 * self.codes.len() => set_code(self.codes, j, group),
+            _ => self.edges.push((k, group)),
+        }
+    }
+
+    /// The `(entry, group)` records whose byte the block shares with a
+    /// neighbour, for [`RowOrder::set_group`] once the blocks are done.
+    pub fn edges(self) -> Vec<(usize, usize)> {
+        self.edges
+    }
+}
+
+/// Cuts the column indices and values of a matrix into `nblocks` blocks
+/// of whole rows (nnz-balanced), each with its row range.
 #[allow(clippy::type_complexity)]
 fn row_blocks<'a>(
     rowptr: &[usize],
-    mut cols_left: &'a mut [Col],
-    mut vals_left: &'a mut [f64],
-) -> Vec<(std::ops::Range<usize>, &'a mut [Col], &'a mut [f64])> {
-    split_rows_by_nnz(rowptr, num_threads())
-        .into_iter()
-        .map(|rows| {
-            let len = rowptr[rows.end] - rowptr[rows.start];
-            let (cols, rest) = std::mem::take(&mut cols_left).split_at_mut(len);
-            cols_left = rest;
-            let (vals, rest) = std::mem::take(&mut vals_left).split_at_mut(len);
-            vals_left = rest;
-            (rows, cols, vals)
-        })
+    cols: &'a mut [Col],
+    vals: &'a mut [f64],
+    nblocks: usize,
+) -> Vec<(Range<usize>, &'a mut [Col], &'a mut [f64])> {
+    let rows = split_rows_by_nnz(rowptr, nblocks);
+    let lens = rows.iter().map(|r| rowptr[r.end] - rowptr[r.start]);
+    let cols = split_mut_at(cols, lens.clone());
+    let vals = split_mut_at(vals, lens);
+    rows.into_iter()
+        .zip(cols)
+        .zip(vals)
+        .map(|((r, c), v)| (r, c, v))
         .collect()
 }
 
@@ -371,7 +464,7 @@ pub fn permute_symmetric_into(a: &Csr, perm: &Permutation, out: &mut Csr) {
     let n = a.nrows();
     assert_eq!((out.nrows(), out.ncols(), perm.len()), (n, n, n));
     let (rowptr, cols, vals) = out.rows_mut();
-    let mut blocks = row_blocks(rowptr, cols, vals);
+    let mut blocks = row_blocks(rowptr, cols, vals, num_threads());
     blocks.par_iter_mut().for_each(|(rows, cols, vals)| {
         let base = rowptr[rows.start];
         for s in rows.clone() {
@@ -428,8 +521,7 @@ pub(crate) mod tests {
         group: impl Fn(usize, usize) -> usize,
     ) -> RowOrder {
         let mut order = RowOrder::new(a.nnz());
-        let rowptr = a.rowptr().to_vec();
-        let (colidx, values) = a.colidx_values_mut();
+        let (rowptr, colidx, values) = a.rows_mut();
         for i in 0..rowptr.len() - 1 {
             let r = rowptr[i]..rowptr[i + 1];
             let mut row: Vec<(usize, Col, f64)> = r

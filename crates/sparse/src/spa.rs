@@ -55,25 +55,28 @@ impl Spa {
     /// Adds `v` into column `c` of the current row.
     #[inline]
     pub fn add(&mut self, c: usize, v: f64) {
-        let m = self.marker[c];
-        if m < self.epoch || m == STALE || m - self.epoch >= self.cols.len() {
+        if let Some(p) = self.slot(c) {
+            self.vals[p] += v;
+        } else {
             self.marker[c] = self.epoch + self.cols.len();
             self.cols.push(c);
             self.vals.push(v);
-        } else {
-            self.vals[m - self.epoch] += v;
         }
     }
 
     /// Position of column `c` in the current row, if present.
     #[inline]
     pub fn position(&self, c: usize) -> Option<usize> {
-        let m = self.marker[c];
-        if m != STALE && m >= self.epoch && m - self.epoch < self.cols.len() {
-            Some(m - self.epoch)
-        } else {
-            None
-        }
+        self.slot(c)
+    }
+
+    /// The marker test in one compare: a stamp of an earlier row (below
+    /// `epoch`) and `STALE` both wrap to at least `usize::MAX / 2` past the
+    /// epoch, which [`Spa::reset`] keeps at most that.
+    #[inline(always)]
+    fn slot(&self, c: usize) -> Option<usize> {
+        let p = self.marker[c].wrapping_sub(self.epoch);
+        (p < self.cols.len()).then_some(p)
     }
 
     /// The value accumulated for column `c` in the current row (0.0 absent).

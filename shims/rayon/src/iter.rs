@@ -124,11 +124,18 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         C: FromIterator<Self::Item>,
     {
-        let parts = self.collect_blocks();
-        parts
+        let parts: Vec<Vec<Self::Item>> = self
+            .collect_blocks()
             .into_iter()
-            .flat_map(|m| m.into_inner().unwrap())
-            .collect()
+            .map(|m| m.into_inner().unwrap())
+            .collect();
+        let left = parts.iter().map(Vec::len).sum();
+        Concat {
+            parts: parts.into_iter(),
+            part: Vec::new().into_iter(),
+            left,
+        }
+        .collect()
     }
 
     /// Sums the items **in sequential order**: the ordered item values are
@@ -190,6 +197,32 @@ pub trait ParallelIterator: Sized + Send + Sync {
             *parts_ref[b].lock().unwrap() = items;
         });
         parts
+    }
+}
+
+/// The blocks' items in block order, with their exact count as the size
+/// hint, so a collecting container allocates once.
+struct Concat<T> {
+    parts: std::vec::IntoIter<Vec<T>>,
+    part: std::vec::IntoIter<T>,
+    left: usize,
+}
+
+impl<T> Iterator for Concat<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        loop {
+            if let Some(item) = self.part.next() {
+                self.left -= 1;
+                return Some(item);
+            }
+            self.part = self.parts.next()?.into_iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 

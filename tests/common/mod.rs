@@ -109,7 +109,14 @@ pub fn random_permutation(rng: &mut FuzzRng, n: usize) -> Permutation {
         let j = rng.below(i + 1);
         fwd.swap(i, j);
     }
-    Permutation::from_forward(fwd)
+    let mut inverse = vec![0; n];
+    for (old, &new) in fwd.iter().enumerate() {
+        inverse[new] = old;
+    }
+    Permutation {
+        forward: fwd,
+        inverse,
+    }
 }
 
 /// A random C/F marker vector.

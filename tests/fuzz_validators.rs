@@ -57,7 +57,7 @@ fn structure_checks_catch_random_corruption() {
         let mut bad = a.clone();
         let k = rng.below(nnz);
         {
-            let (cols, _) = bad.colidx_values_mut();
+            let (_, cols, _) = bad.rows_mut();
             cols[k] = Col::new(n + rng.below(5));
         }
         assert!(check::check_csr(&bad).is_err(), "case {case}: oob column");
@@ -65,7 +65,7 @@ fn structure_checks_catch_random_corruption() {
         let mut bad = a.clone();
         if let Some(i) = (0..n).find(|&i| bad.row_nnz(i) >= 2) {
             let r = bad.row_range(i);
-            let (cols, _) = bad.colidx_values_mut();
+            let (_, cols, _) = bad.rows_mut();
             cols[r.start + 1] = cols[r.start];
             assert!(
                 check::check_no_duplicates(&bad).is_err(),
@@ -77,7 +77,7 @@ fn structure_checks_catch_random_corruption() {
         let mut bad = a.clone();
         if let Some(i) = (0..n).find(|&i| bad.row_nnz(i) >= 2) {
             let r = bad.row_range(i);
-            let (cols, _) = bad.colidx_values_mut();
+            let (_, cols, _) = bad.rows_mut();
             cols.swap(r.start, r.start + 1);
             assert!(
                 check::check_sorted_unique(&bad).is_err(),

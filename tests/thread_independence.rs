@@ -11,17 +11,22 @@
 //! sweeps (task counts pinned — the task decomposition is part of the
 //! numerical method),
 //! end-to-end AMG solves (`smoother_tasks` pinned), the parallel sort,
-//! and the fused residual/dot reductions.
+//! the fused residual/dot reductions, and whole builds — plain, frozen and
+//! refreshed — on operators large enough that every row-blocked setup
+//! stage (strength, PMIS, CF permutation, `P_F` extraction, the smoother's
+//! row partition and its recorded order) cuts at least one block per
+//! thread at pool size 4.
 
 mod common;
 
 use common::{graph_laplacian, random_csr, random_marker, FuzzRng};
 use famg::core::coarsen::pmis;
+use famg::core::hierarchy::TransferOps;
 use famg::core::interp::{extended_i, CfMap, ExtITape, TruncParams};
 use famg::core::reorder::cf_reorder;
 use famg::core::smoother::{Smoother, Workspace};
 use famg::core::strength::strength;
-use famg::core::{AmgConfig, AmgSolver};
+use famg::core::{AmgConfig, AmgSolver, Hierarchy};
 use famg::matgen::{laplace2d, laplace3d_27pt, reservoir_field, varcoef3d_7pt};
 use famg::sparse::permute::permute_symmetric;
 use famg::sparse::spgemm::spgemm_one_pass;
@@ -58,6 +63,74 @@ fn hash_csr(h: u64, c: &Csr) -> u64 {
 
 fn hash_f64s(h: u64, xs: &[f64]) -> u64 {
     hash_u64s(h, xs.iter().map(|v| v.to_bits()))
+}
+
+/// Every level of a hierarchy: its stored operator and permutation, `P_F`
+/// and `P_Fᵀ` (or `P` and `R`), and its smoother — the GS partition's
+/// boundaries, inverse diagonal and snapshot columns.
+fn hash_hierarchy(h: u64, hier: &Hierarchy) -> u64 {
+    let mut h = hash_u64s(h, [hier.levels.len() as u64]);
+    for lvl in &hier.levels {
+        h = hash_csr(h, &lvl.a);
+        h = hash_u64s(h, [lvl.nc as u64]);
+        if let Some(q) = &lvl.perm {
+            h = hash_u64s(h, q.forward.iter().map(|&i| i as u64));
+        }
+        match &lvl.ops {
+            None => {}
+            Some(TransferOps::CfBlock { pf, pft }) => h = hash_csr(hash_csr(h, pf), pft),
+            Some(TransferOps::Full { p, r }) => {
+                h = hash_csr(h, p);
+                if let Some(r) = r {
+                    h = hash_csr(h, r);
+                }
+            }
+        }
+        match &lvl.smoother {
+            Smoother::HybridOpt { part } => {
+                h = hash_u64s(h, part.up_start.iter().map(|&o| u64::from(o)));
+                h = hash_u64s(h, part.ext_start.iter().map(|&o| u64::from(o)));
+                h = hash_f64s(h, &part.dinv);
+                h = hash_u64s(h, part.ext_cols.iter().map(|&c| usize::from(c) as u64));
+            }
+            Smoother::HybridBase { dinv, .. } => h = hash_f64s(h, dinv),
+        }
+    }
+    h
+}
+
+/// Whole setups: plain, frozen, and refreshed on drifted values. Of the
+/// frozen state, the recorded row orders are hashed, read from its
+/// `Debug` form (the tapes keep the row blocks they were recorded in, so
+/// their layout follows the pool size; what they replay does not).
+fn fp_builds() -> u64 {
+    let cfg = AmgConfig {
+        smoother_tasks: Some(PINNED_TASKS),
+        ..AmgConfig::single_node_paper()
+    };
+    let mut h = FNV_SEED;
+    for a in [laplace3d_27pt(24, 24, 24), laplace2d(160, 160)] {
+        h = hash_hierarchy(h, &Hierarchy::build(&a, &cfg));
+        let (mut hf, mut frozen) = Hierarchy::build_frozen(&a, &cfg);
+        h = hash_hierarchy(h, &hf);
+        let state = format!("{frozen:?}");
+        let orders: Vec<&str> = state
+            .match_indices("RowOrder {")
+            .map(|(at, _)| &state[at..at + state[at..].find('}').expect("closing brace")])
+            .collect();
+        assert!(
+            orders.len() + 1 >= hf.levels.len(),
+            "a level without its order"
+        );
+        h = hash_u64s(h, orders.iter().flat_map(|o| o.bytes()).map(u64::from));
+        let mut drifted = a.clone();
+        for (k, v) in drifted.values_mut().iter_mut().enumerate() {
+            *v *= 1.0 + 1e-6 * (k % 13) as f64;
+        }
+        hf.refresh(&drifted, &mut frozen).expect("same pattern");
+        h = hash_hierarchy(h, &hf);
+    }
+    h
 }
 
 fn fp_spgemm_rap_transpose() -> u64 {
@@ -233,6 +306,7 @@ fn fingerprint_worker() {
     println!("FP smoother_sweeps {:016x}", fp_smoother_sweeps());
     println!("FP e2e_solve {:016x}", fp_e2e_solve());
     println!("FP sort_reductions {:016x}", fp_sort_and_reductions());
+    println!("FP builds {:016x}", fp_builds());
 }
 
 fn collect_fingerprints(num_threads: usize) -> Vec<(String, String)> {
@@ -261,8 +335,8 @@ fn collect_fingerprints(num_threads: usize) -> Vec<(String, String)> {
         .collect();
     assert_eq!(
         fps.len(),
-        8,
-        "expected 8 fingerprint lines from subprocess, got:\n{stdout}"
+        9,
+        "expected 9 fingerprint lines from subprocess, got:\n{stdout}"
     );
     fps
 }

@@ -1,12 +1,12 @@
-//! Solve-path invariant analyzer; see [`famg_analyze`] for the rules.
+//! The workspace's source auditor; see [`famg_analyze`] for the rules.
 //!
 //! Usage: `cargo run -q -p famg-analyze --bin famg-analyze
 //! [--format json|text] [--test-only-pub] [workspace-root]` (default root:
-//! the current directory, default format: text). Text mode prints one
+//! the current directory, default format: text). One run reports the site
+//! rules and the flow rules together. Text mode prints one
 //! `path:line: [rule] message` diagnostic per finding; `--format json`
-//! emits the shared `famg-diag-v1` document (see
-//! [`famg_analyze::to_json`]), the same schema `famg-lint` uses. Exits
-//! non-zero on findings — wired into `scripts/check.sh` as the
+//! emits the `famg-diag-v1` document (see [`famg_analyze::to_json`]).
+//! Exits non-zero on findings — wired into `scripts/check.sh` as the
 //! `==> famg-analyze` stage.
 //!
 //! `--test-only-pub` prints the [`famg_analyze::test_only_pub`] report

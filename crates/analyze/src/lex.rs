@@ -61,8 +61,8 @@ impl Tok {
 /// Per-line facts needed by the annotation walk-up.
 #[derive(Debug, Clone, Default)]
 pub struct LineInfo {
-    /// Concatenated comment text on this line (line comments and block
-    /// comments that *start* here).
+    /// Concatenated comment text on this line: line comments, and the
+    /// part of every block comment that lies on it.
     pub comment: String,
     /// True if at least one token starts on this line.
     pub has_code: bool,
@@ -122,9 +122,9 @@ pub fn lex(src: &str) -> Lexed {
             i = j;
             continue;
         }
-        // Block comment, possibly nested, possibly multi-line.
+        // Block comment, possibly nested, possibly multi-line: each line
+        // it spans records its own piece of the text.
         if c == '/' && i + 1 < n && b[i + 1] == '*' {
-            let start_line = line;
             let mut depth = 1usize;
             let mut j = i + 2;
             let mut text = String::new();
@@ -140,12 +140,15 @@ pub fn lex(src: &str) -> Lexed {
                     continue;
                 }
                 if b[j] == '\n' {
+                    push_comment(&mut lx.lines, line, text.trim());
+                    text.clear();
                     line += 1;
+                } else {
+                    text.push(b[j]);
                 }
-                text.push(b[j]);
                 j += 1;
             }
-            push_comment(&mut lx.lines, start_line, text.trim());
+            push_comment(&mut lx.lines, line, text.trim());
             i = j;
             continue;
         }
@@ -283,7 +286,7 @@ fn push_tok(lx: &mut Lexed, kind: Kind, text: String, line: usize) {
 }
 
 fn push_comment(lines: &mut [LineInfo], line: usize, text: &str) {
-    if line < lines.len() {
+    if line < lines.len() && !text.is_empty() {
         let c = &mut lines[line].comment;
         if !c.is_empty() {
             c.push(' ');
@@ -384,6 +387,15 @@ mod tests {
         // Nested delimiters are dropped; only the text matters for markers.
         assert_eq!(lx.lines[1].comment, "a  b  c");
         assert!(lx.toks[0].is_ident("fn"));
+    }
+
+    #[test]
+    fn block_comments_record_text_on_every_line_they_span() {
+        let lx = lex("/* SAFETY: first\n   second */ unsafe {}\n");
+        assert_eq!(lx.lines[1].comment, "SAFETY: first");
+        assert_eq!(lx.lines[2].comment, "second");
+        assert!(!lx.lines[1].has_code);
+        assert!(lx.lines[2].has_code);
     }
 
     #[test]

@@ -1,11 +1,18 @@
-//! famg-analyze: call-graph-aware static analysis for the famg workspace.
+//! famg-analyze: the workspace's source auditor.
 //!
-//! Where `famg-lint` (see `famg_check::lint`) audits individual source
-//! lines, this crate proves *flow* properties: it parses a pragmatic
-//! subset of Rust (items, fn signatures, bodies as token streams), builds
-//! a conservative name-resolved call graph across the kernel crates, and
-//! checks three solve-path invariants from the Park et al. (SC'15)
-//! reproduction:
+//! One run reports two rule families over one lexer ([`lex`]) and one
+//! item parser ([`parse`]).
+//!
+//! **Site rules** ([`lint`]) audit the concurrency and determinism
+//! conventions token by token in every `crates/*/src` and `shims/*/src`
+//! file: `unsafe-safety`, `ordering-justified`, `hashmap-kernel`,
+//! `wallclock-kernel` and `index-narrowing`, each with a written escape
+//! hatch (`// SAFETY:`, `// ORDERING:`, `// DETERMINISM:`,
+//! `// NARROWING:`).
+//!
+//! **Flow rules** ([`rules`]) prove properties of a conservative
+//! name-resolved call graph across the kernel crates, the solve-path
+//! invariants of the Park et al. (SC'15) reproduction:
 //!
 //! * **`alloc-in-solve-path`** — the V-cycle, Krylov, smoother, and
 //!   SpMV/SpMM hot paths never heap-allocate; buffers are hoisted into
@@ -24,7 +31,7 @@
 //! function.
 //!
 //! The call graph is over-approximate (method and trait calls edge to
-//! every same-named function; see [`model`]), so every rule has a
+//! every same-named function; see [`model`]), so every flow rule has a
 //! written escape hatch (`// ALLOC:`, `// PANIC-FREE:`,
 //! `// DETERMINISM:`) that demands a justification rather than silence.
 //!
@@ -32,13 +39,16 @@
 //! kernel crates that no program of the workspace reaches — API that only
 //! tests select, the candidates for deletion.
 //!
-//! Scope: only the kernel crates listed in [`ANALYZED_ROOTS`] are
-//! scanned. Telemetry, verification, and generator crates (prof, check,
-//! model, bench, matgen) allocate and panic freely by design, and the
-//! rayon shim is the substrate *below* these invariants — its ordered
-//! reduce is exactly what makes the blessed modules deterministic.
+//! Scope of the flow rules: only the kernel crates listed in
+//! [`ANALYZED_ROOTS`]. Telemetry, verification, and generator crates
+//! (prof, check, model, bench, matgen) allocate and panic freely by
+//! design, and the rayon shim is the substrate *below* these invariants —
+//! its ordered reduce is exactly what makes the blessed modules
+//! deterministic.
 
+pub mod diag;
 pub mod lex;
+pub mod lint;
 pub mod model;
 pub mod parse;
 pub mod rules;
@@ -47,7 +57,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use famg_check::diag::{to_json, Diagnostic};
+pub use diag::{to_json, Diagnostic};
 pub use model::Model;
 
 /// Source roots (relative to the workspace root) included in the model.
@@ -60,33 +70,53 @@ pub const ANALYZED_ROOTS: &[&str] = &[
 
 /// Source roots (relative to the workspace root) whose non-test functions
 /// are the programs [`test_only_pub`] starts from: the benchmark package,
-/// the examples, the figure binaries and benches, and the checker.
+/// the examples, the figure binaries, and the checker.
 pub const CONSUMER_ROOTS: &[&str] = &[
     "e2e/src",
     "examples",
     "crates/bench/src",
-    "crates/bench/benches",
     "crates/check/src",
 ];
 
-/// Analyzes in-memory `(path, source)` pairs and returns sorted
-/// diagnostics. Paths are workspace-relative with forward slashes; they
-/// select rule scope (e.g. [`rules::REDUCTION_BLESSED`]), so fixtures
-/// should use realistic paths.
+/// Analyzes in-memory `(path, source)` pairs with both rule families and
+/// returns sorted diagnostics. Paths are workspace-relative with forward
+/// slashes; they select rule scope (e.g. [`rules::REDUCTION_BLESSED`],
+/// [`lint::WALLCLOCK_ALLOWLIST`]), so fixtures should use realistic paths.
 #[must_use]
 pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
-    rules::run_all(&Model::build(sources))
+    let mut diags = rules::run_all(&Model::build(sources));
+    diags.extend(sources.iter().flat_map(|(p, s)| lint::lint_source(p, s)));
+    sorted(diags)
 }
 
-/// Walks [`ANALYZED_ROOTS`] under `root`, reads every `.rs` file, and
-/// analyzes them as one workspace — the site rules plus
+/// Audits the workspace at `root`: the site rules over every `.rs` file
+/// under `crates/*/src` and `shims/*/src`, and the flow rules over
+/// [`ANALYZED_ROOTS`] analyzed as one workspace, plus
 /// [`rules::rule_stale_roots`], which only makes sense over the whole
-/// solve stack. File order is sorted for deterministic diagnostics.
+/// solve stack. Diagnostics are sorted by `(path, line, rule)`.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
     let model = Model::build(&read_sources(root, ANALYZED_ROOTS)?);
     let mut diags = rules::rule_stale_roots(&model, rules::SOLVE_ROOTS);
     diags.extend(rules::run_all(&model));
-    Ok(diags)
+    let mut linted = Vec::new();
+    for group in ["crates", "shims"] {
+        if let Ok(members) = fs::read_dir(root.join(group)) {
+            for m in members {
+                let name = m?.file_name();
+                linted.push(format!("{group}/{}/src", name.to_string_lossy()));
+            }
+        }
+    }
+    let linted: Vec<&str> = linted.iter().map(String::as_str).collect();
+    for (path, src) in read_sources(root, &linted)? {
+        diags.extend(lint::lint_source(&path, &src));
+    }
+    Ok(sorted(diags))
+}
+
+fn sorted(mut diags: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    diags.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
+    diags
 }
 
 /// Every non-test `pub fn` under [`ANALYZED_ROOTS`] that no non-test

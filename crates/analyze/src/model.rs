@@ -117,7 +117,7 @@ impl Model {
         for (path, src) in sources {
             let lexed = lex::lex(src);
             let file = m.files.len();
-            let (fns, types) = parse::parse_file(&lexed);
+            let parse::Parsed { fns, types, .. } = parse::parse_file(&lexed);
             for ty in types.iter().filter(|t| !t.in_test) {
                 *private.entry(ty.name.clone()).or_insert(true) &= !ty.is_pub;
                 let (s, e) = ty.span;

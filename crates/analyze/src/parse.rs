@@ -6,6 +6,8 @@
 //! Type definitions are recorded by name, visibility and token range only
 //! (the model asks which crate-private types a function can name);
 //! everything else (consts, uses) is skipped with bracket-balanced scans.
+//! The token ranges of test-only items are recorded too: the site rules
+//! ([`crate::lint`]) skip them.
 //!
 //! The parser is deliberately forgiving: a construct outside the supported
 //! subset is skipped token-by-token rather than aborting the file, so one
@@ -55,14 +57,27 @@ pub struct TypeItem {
     pub span: (usize, usize),
 }
 
-/// Parses all `fn` items and type definitions out of a lexed file.
+/// What [`parse_file`] extracts from one file.
+#[derive(Debug, Default)]
+pub struct Parsed {
+    /// Every `fn` item, test-only ones included (marked `in_test`).
+    pub fns: Vec<FnItem>,
+    /// Every `struct`/`enum`/`union` definition.
+    pub types: Vec<TypeItem>,
+    /// Half-open token-index ranges of the outermost test-only items
+    /// (`#[cfg(test)]`, `#[test]`, ...), attributes included; the whole
+    /// file when its inner attribute is `#![cfg(test)]`.
+    pub tests: Vec<(usize, usize)>,
+}
+
+/// Parses all `fn` items, type definitions and test-only regions out of
+/// a lexed file.
 #[must_use]
-pub fn parse_file(lx: &Lexed) -> (Vec<FnItem>, Vec<TypeItem>) {
+pub fn parse_file(lx: &Lexed) -> Parsed {
     let mut p = Parser {
         t: &lx.toks,
         i: 0,
-        out: Vec::new(),
-        types: Vec::new(),
+        out: Parsed::default(),
     };
     let mut ctx = Ctx {
         module: Vec::new(),
@@ -76,8 +91,11 @@ pub fn parse_file(lx: &Lexed) -> (Vec<FnItem>, Vec<TypeItem>) {
         p.skip_balanced('[', ']');
         ctx.in_test |= attr_is_test(&p.t[start..p.i]);
     }
+    if ctx.in_test {
+        p.out.tests.push((0, p.t.len()));
+    }
     p.items(&ctx);
-    (p.out, p.types)
+    p.out
 }
 
 #[derive(Clone)]
@@ -90,8 +108,7 @@ struct Ctx {
 struct Parser<'a> {
     t: &'a [Tok],
     i: usize,
-    out: Vec<FnItem>,
-    types: Vec<TypeItem>,
+    out: Parsed,
 }
 
 impl Parser<'_> {
@@ -132,6 +149,7 @@ impl Parser<'_> {
     }
 
     fn item(&mut self, ctx: &Ctx) {
+        let start = self.i;
         let mut in_test = ctx.in_test;
         let mut attr_line = None;
         // Outer attributes and doc attributes; `#![..]` inner attrs are
@@ -236,6 +254,9 @@ impl Parser<'_> {
             }
             _ => self.i += 1, // stray token: skip, stay robust
         }
+        if in_test && !ctx.in_test {
+            self.out.tests.push((start, self.i));
+        }
     }
 
     fn fn_item(&mut self, ctx: &Ctx, is_pub: bool, in_test: bool, attr_line: Option<usize>) {
@@ -274,7 +295,7 @@ impl Parser<'_> {
                 self.i += 1;
             }
         }
-        self.out.push(FnItem {
+        self.out.fns.push(FnItem {
             name,
             self_ty: ctx.self_ty.clone(),
             module: ctx.module.clone(),
@@ -362,7 +383,7 @@ impl Parser<'_> {
                 self.i += 1;
             }
         }
-        self.types.push(TypeItem {
+        self.out.types.push(TypeItem {
             name,
             is_pub,
             in_test,
@@ -447,11 +468,29 @@ impl Parser<'_> {
 }
 
 /// True if an attribute token slice marks test-only code: `#[test]`,
-/// `#[cfg(test)]`, `#[cfg(all(test, ..))]`, bench variants. `not(test)`
-/// keeps the item analyzed (the conservative direction).
+/// `#[cfg(test)]`, `#[cfg(all(test, ..))]` (also `all(test, not(x))`),
+/// bench variants. A `test` under `not(..)` keeps the item analyzed (the
+/// conservative direction).
 fn attr_is_test(toks: &[Tok]) -> bool {
-    let has = |s: &str| toks.iter().any(|t| t.is_ident(s));
-    has("test") && !has("not")
+    // Depths of the open parentheses that a `not` opened.
+    let mut negated: Vec<usize> = Vec::new();
+    let mut depth = 0;
+    for (j, t) in toks.iter().enumerate() {
+        if t.is('(') {
+            depth += 1;
+            if j > 0 && toks[j - 1].is_ident("not") {
+                negated.push(depth);
+            }
+        } else if t.is(')') {
+            if negated.last() == Some(&depth) {
+                negated.pop();
+            }
+            depth -= 1;
+        } else if t.is_ident("test") && negated.is_empty() {
+            return true;
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -460,7 +499,7 @@ mod tests {
     use crate::lex::lex;
 
     fn fns(src: &str) -> Vec<FnItem> {
-        parse_file(&lex(src)).0
+        parse_file(&lex(src)).fns
     }
 
     #[test]
@@ -499,19 +538,29 @@ mod tests {
             }
             #[cfg(not(test))]
             fn still_live() {}
+            #[cfg(all(test, not(feature = \"prof\")))]
+            fn test_without_prof() {}
         ";
-        let got = fns(src);
-        let test_flags: Vec<(String, bool)> =
-            got.into_iter().map(|f| (f.name, f.in_test)).collect();
+        let lx = lex(src);
+        let parsed = parse_file(&lx);
+        let test_flags: Vec<(&str, bool)> = (parsed.fns.iter())
+            .map(|f| (f.name.as_str(), f.in_test))
+            .collect();
         assert_eq!(
             test_flags,
             [
-                ("live".into(), false),
-                ("helper".into(), true),
-                ("case".into(), true),
-                ("still_live".into(), false),
+                ("live", false),
+                ("helper", true),
+                ("case", true),
+                ("still_live", false),
+                ("test_without_prof", true),
             ]
         );
+        // One region per outermost test item, from its `#` to its end.
+        let regions: Vec<(usize, usize)> = (parsed.tests.iter())
+            .map(|&(s, e)| (lx.toks[s].line, lx.toks[e - 1].line))
+            .collect();
+        assert_eq!(regions, [(3, 8), (11, 12)]);
     }
 
     #[test]
@@ -587,7 +636,7 @@ mod tests {
             fn after() {}
         ";
         let lx = lex(src);
-        let (fns, types) = parse_file(&lx);
+        let Parsed { fns, types, .. } = parse_file(&lx);
         assert_eq!(fns.len(), 1);
         let got: Vec<(&str, bool, bool)> = types
             .iter()

@@ -1,4 +1,5 @@
-//! The three solve-path rules: reachability BFS plus per-site reporting.
+//! The flow rules: reachability BFS over the call graph plus per-site
+//! reporting.
 //!
 //! * [`rule_alloc`] (`alloc-in-solve-path`) — no heap allocation in any
 //!   function reachable from a solve root. Setup/refresh-flavored callees
@@ -27,7 +28,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use famg_check::diag::Diagnostic;
+use crate::diag::Diagnostic;
 
 use crate::model::{FnNode, Model};
 
@@ -301,13 +302,11 @@ pub fn rule_stale_roots(m: &Model, roots: &[&str]) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// Runs the three site rules and returns diagnostics sorted by
-/// `(path, line, rule)`.
+/// Runs the three flow rules (unsorted; the crate's entry points sort).
 #[must_use]
 pub fn run_all(m: &Model) -> Vec<Diagnostic> {
     let mut out = rule_alloc(m);
     out.extend(rule_panic(m));
     out.extend(rule_reduction(m));
-    out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     out
 }

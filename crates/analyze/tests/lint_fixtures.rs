@@ -1,19 +1,25 @@
-//! Fixture tests for the `famg-lint` rules.
+//! Fixture tests for the site rules (`famg_analyze::lint`).
 //!
 //! Each fixture under `tests/fixtures/` is a `.rsfix` file (the extension
 //! keeps rustc and the workspace walker away from them) containing both
 //! violating and correctly-justified forms of one rule's trigger syntax.
-//! The assertions pin exact `(line, rule)` pairs so a scanner regression
-//! that shifts or drops a diagnostic fails loudly.
+//! The fixtures run through `analyze_sources`, the same entry as the
+//! flow-rule fixtures, so the flow rules are held to staying quiet on
+//! them too. The assertions pin exact `(line, rule)` pairs so a lexer
+//! regression that shifts or drops a diagnostic fails loudly.
 
-use famg_check::lint::lint_file;
+use famg_analyze::{analyze_sources, Diagnostic};
 
 fn fixture(name: &str) -> String {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
     std::fs::read_to_string(format!("{dir}/{name}")).expect("fixture file readable")
 }
 
-/// `(line, rule-id)` pairs of the diagnostics for `src` linted as `path`.
+fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
+    analyze_sources(&[(path.to_string(), src.to_string())])
+}
+
+/// `(line, rule-id)` pairs of the diagnostics for `src` audited as `path`.
 fn findings(path: &str, src: &str) -> Vec<(usize, &'static str)> {
     lint_file(path, src)
         .into_iter()
@@ -138,5 +144,25 @@ fn diagnostics_render_as_path_line_rule() {
     assert!(
         rendered.starts_with("shims/rayon/src/fixture.rs:5: [unsafe-safety]"),
         "unexpected rendering: {rendered}"
+    );
+}
+
+/// Inputs where a line scanner and a token lexer can disagree. The line
+/// scanner this auditor replaced reported only line 21 here; the token
+/// form also sees the cast split over lines 7-8.
+#[test]
+fn lexer_divergence_inputs() {
+    let src = fixture("lexer_divergence.rsfix");
+    let got = findings("crates/core/src/fixture.rs", &src);
+    // Line 7: `as` at the end of the line, `u32` on the next. Line 12: a
+    // raw string holding `unsafe {` and a quote stays one literal. Line
+    // 16: `Ordering::Relaxed` inside a nested block comment stays comment.
+    // Line 21: the `'{'` char next to lifetimes neither opens a block nor
+    // hides the bare `unsafe {` after it.
+    assert_eq!(
+        got,
+        vec![(7, "index-narrowing"), (21, "unsafe-safety")],
+        "diagnostics: {:?}",
+        lint_file("crates/core/src/fixture.rs", &src)
     );
 }

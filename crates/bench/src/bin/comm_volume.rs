@@ -8,24 +8,21 @@
 //! exchanges do.
 //!
 //! Usage: `cargo run --release -p famg-bench --bin comm_volume
-//!         [--ranks 2,4,8] [--per-rank 12] [--smoke] [--out <dir>]`
+//!         [--ranks 2,4,8] [--per-rank 12] [--smoke]`
 //!
 //! `--smoke` shrinks the problem and rank list for a CI-speed run that
-//! still checks the message-count regression gate. `--out` writes
-//! `BENCH_comm_volume.json` (schema in DESIGN.md §8) recording the
-//! largest rank count of the sweep; `FAMG_CHROME_TRACE=<dir>` dumps rank
-//! 0's setup/solve span trees in chrome://tracing format.
+//! still checks the overlap gate; its 4-rank leg's iterations,
+//! complexities, flops, bytes and messages are pinned exactly by
+//! `tests/comm_volume.rs`. `FAMG_CHROME_TRACE=<dir>` dumps rank 0's
+//! setup/solve span trees in chrome://tracing format.
 
-use famg_bench::arg_ranks;
-use famg_bench::telemetry::{maybe_write_chrome_trace, BenchReport};
-use famg_core::stats::{PhaseTimes, SetupStats};
+use famg_bench::{arg_ranks, maybe_write_chrome_trace};
 use famg_core::AmgConfig;
 use famg_dist::comm::run_ranks;
 use famg_dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg_dist::parcsr::{default_partition, ParCsr};
 use famg_dist::solve::dist_fgmres_amg;
 use famg_matgen::{laplace3d_7pt, rhs};
-use famg_prof::json::Json;
 
 /// Totals recorded at the same shape (12^3 rows/rank, `multi_node_ei4`,
 /// FGMRES to 1e-7) with the pre-rewrite dense-alltoall runtime, where
@@ -37,15 +34,9 @@ const BASELINE: &[(usize, u64, u64)] = &[
     (8, 31_360, 5_250_984),
 ];
 
-/// What each rank reports back to the driver for the telemetry record.
+/// What each rank reports back to the driver.
 struct RankOut {
     iterations: usize,
-    final_relres: f64,
-    converged: bool,
-    setup_times: PhaseTimes,
-    solve_times: PhaseTimes,
-    stats: SetupStats,
-    flops: u64,
     /// Halo wait left exposed during the solve (data still late when
     /// `InFlightHalo::finish` was entered), and the wait hidden behind
     /// the in-flight window. Exposed + hidden = the wait a fully
@@ -66,8 +57,6 @@ fn main() {
     };
     println!("== comm volume: 7-pt 3D Laplacian, {per_rank}^3 rows/rank, FGMRES+AMG ==\n");
 
-    let mut report_out = BenchReport::new("comm_volume", smoke);
-    let mut sweep = Vec::new();
     // (exposed, hidden) halo-wait nanoseconds summed over the sweep, per
     // halo mode. Exposed + hidden = what a synchronous exchange would
     // block for, so exposed / (exposed + hidden) is the fraction of the
@@ -95,12 +84,6 @@ fn main() {
             }
             RankOut {
                 iterations: res.iterations,
-                final_relres: res.final_relres,
-                converged: res.converged,
-                setup_times: h.times.clone(),
-                solve_times: res.times.clone(),
-                stats: h.stats.clone(),
-                flops: h.profile.total_counter("flops") + res.profile.total_counter("flops"),
                 exposed_ns: res.profile.total_counter("halo_exposed_ns"),
                 hidden_ns: res.profile.total_counter("halo_hidden_ns"),
             }
@@ -174,30 +157,6 @@ fn main() {
             sy_hidden as f64 * 1e-6,
         );
         println!();
-
-        sweep.push(Json::Obj(vec![
-            ("ranks".into(), Json::int(nranks as u64)),
-            ("messages".into(), Json::int(msgs)),
-            ("bytes".into(), Json::int(bytes)),
-            ("exposed_wait_overlap_ns".into(), Json::int(ov_exposed)),
-            ("hidden_wait_overlap_ns".into(), Json::int(ov_hidden)),
-            ("exposed_wait_sync_ns".into(), Json::int(sy_exposed)),
-            ("hidden_wait_sync_ns".into(), Json::int(sy_hidden)),
-        ]));
-        // The telemetry record captures the largest rank count of the
-        // sweep; the full sweep rides along under "extra".
-        if nranks == *ranks.last().unwrap() {
-            let r0 = &parts[0];
-            let flops: u64 = parts.iter().map(|p| p.flops).sum();
-            report_out
-                .ranks(nranks)
-                .problem(n, a.nnz())
-                .setup_times(&r0.setup_times)
-                .solve_times(&r0.solve_times)
-                .outcome(r0.iterations, r0.final_relres, r0.converged)
-                .complexity(&r0.stats)
-                .counters(flops, bytes, msgs);
-        }
     }
     // The overlap gate: of the halo wait each mode would suffer
     // synchronously (exposed + hidden), `overlap_comm` must leave a
@@ -223,18 +182,6 @@ fn main() {
              not below the synchronous {sy_frac:.3}"
         );
     }
-    report_out
-        .extra_num("per_rank_side", per_rank as f64)
-        .extra_num("exposed_wait_overlap_seconds", overlap_ns.0 as f64 * 1e-9)
-        .extra_num("hidden_wait_overlap_seconds", overlap_ns.1 as f64 * 1e-9)
-        .extra_num("exposed_wait_sync_seconds", sync_ns.0 as f64 * 1e-9)
-        .extra_num("hidden_wait_sync_seconds", sync_ns.1 as f64 * 1e-9)
-        .extra_num("exposed_wait_overlap_fraction", ov_frac)
-        .extra_num("exposed_wait_sync_fraction", sy_frac)
-        .extra_json("sweep", Json::Arr(sweep));
-    report_out
-        .write_if_requested()
-        .expect("telemetry write failed");
     println!("Baseline totals were recorded before the neighbor-aware rewrite;");
     println!("see DESIGN.md §2 for the exchange-plan and tree-collective design.");
 }

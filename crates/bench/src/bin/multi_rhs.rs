@@ -11,20 +11,18 @@
 //!
 //! * serial throughput: wall time of `k` solo solves vs one `k`-wide
 //!   `solve_batch`, reported as per-RHS speedup (gated at >= 1.3x for
-//!   k = 8, and recorded as `extra.per_rhs_speedup_k8`);
+//!   k = 8);
 //! * distributed amortization: total messages of a 4-rank solve driven
 //!   to a fixed cycle count at k = 1 (scalar path) vs k = 8 (batched
-//!   path) — the counts must be *exactly* equal
-//!   (`extra.halo_messages_k1` == `extra.halo_messages_k8`).
+//!   path) — the counts must be *exactly* equal.
 //!
-//! Usage: `cargo run --release -p famg-bench --bin multi_rhs
-//!         [--smoke] [--out <dir>]`
+//! Usage: `cargo run --release -p famg-bench --bin multi_rhs [--smoke]`
 //!
-//! `--out` writes `BENCH_multi_rhs.json` (schema in DESIGN.md §8);
+//! The smoke run's k=8 iterations, complexities and setup + batch-solve
+//! flops on a 2-thread pool are pinned exactly by `tests/multi_rhs.rs`.
 //! `FAMG_CHROME_TRACE=<dir>` dumps the k=8 batch solve's span tree.
 
-use famg_bench::fmt_secs;
-use famg_bench::telemetry::{maybe_write_chrome_trace, BenchReport};
+use famg_bench::{fmt_secs, maybe_write_chrome_trace};
 use famg_core::params::AmgConfig;
 use famg_core::solver::AmgSolver;
 use famg_dist::comm::run_ranks;
@@ -32,7 +30,6 @@ use famg_dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg_dist::parcsr::{default_partition, ParCsr};
 use famg_dist::solve::{dist_amg_solve, dist_amg_solve_multi};
 use famg_matgen::laplace3d_7pt;
-use famg_prof::json::Json;
 use famg_sparse::MultiVec;
 use std::time::Instant;
 
@@ -57,10 +54,6 @@ fn main() {
     println!("multi_rhs: 7-pt 3D Laplacian {dim}^3 (n = {n}), single_node_paper\n");
 
     let solver = AmgSolver::setup(&a, &cfg);
-    let mut report = BenchReport::new("multi_rhs", smoke);
-    report.problem(n, a.nnz());
-    report.setup_times(&solver.hierarchy().times);
-    report.counters_from(&solver.hierarchy().profile);
 
     // -- serial throughput: k solo solves vs one k-wide batch ----------
     let cols = rhs_columns(n, 8);
@@ -79,7 +72,6 @@ fn main() {
         "{:>4} {:>12} {:>12} {:>10}",
         "k", "batch", "per RHS", "vs solo"
     );
-    let mut sweep = Vec::new();
     let mut speedup_k8 = 0.0;
     for k in [1usize, 2, 4, 8] {
         let b = MultiVec::from_columns(&cols[..k]);
@@ -101,18 +93,8 @@ fn main() {
             fmt_secs(per_rhs),
             speedup
         );
-        sweep.push(Json::Obj(vec![
-            ("k".into(), Json::Num(k as f64)),
-            ("batch_seconds".into(), Json::Num(batch_t.as_secs_f64())),
-            ("per_rhs_speedup".into(), Json::Num(speedup)),
-        ]));
         if k == 8 {
             speedup_k8 = speedup;
-            report
-                .solve_times(&res.times)
-                .outcome(res.iterations[0], res.final_relres[0], res.converged[0])
-                .complexity(&solver.hierarchy().stats)
-                .counters_from(&res.profile);
             maybe_write_chrome_trace("multi_rhs_solve_k8", &res.profile);
         }
     }
@@ -181,12 +163,4 @@ fn main() {
         "per-RHS speedup gate failed: k=8 batch {speedup_k8:.2}x < 1.3x vs solo"
     );
     println!("gate: k=8 per-RHS >= 1.3x solo -- ok");
-
-    report
-        .extra_num("per_rhs_speedup_k8", speedup_k8)
-        .extra_num("halo_messages_k1", messages_k1 as f64)
-        .extra_num("halo_messages_k8", messages_k8 as f64)
-        .extra_num("solo8_seconds", solo8.as_secs_f64())
-        .extra_json("batch_sweep", Json::Arr(sweep));
-    report.write_if_requested().expect("telemetry write failed");
 }

@@ -15,22 +15,19 @@
 //! identically to a from-scratch build.
 //!
 //! Usage: `cargo run --release -p famg-bench --bin setup_refresh
-//!         [--smoke] [--out <dir>]`
+//!         [--smoke]`
 //!
-//! `--smoke` shrinks the grid, and asserts the recorded speedup gate
-//! (refresh ≥ 2× faster than full setup) for CI. `--out` writes
-//! `BENCH_setup_refresh.json` (schema in DESIGN.md §8); the record's
-//! setup buckets are the full-setup totals, with the refresh totals and
-//! speedup under `"extra"`. `FAMG_CHROME_TRACE=<dir>` dumps the final
+//! `--smoke` shrinks the grid for CI; every run asserts the speedup gate
+//! (refresh ≥ 2× faster than full setup). The smoke run's last-step
+//! iterations, complexities and refresh-path flops on a 2-thread pool are
+//! pinned exactly by `tests/setup_refresh.rs`. `FAMG_CHROME_TRACE=<dir>` dumps the final
 //! step's refresh span tree in chrome://tracing format.
 
-use famg_bench::fmt_secs;
-use famg_bench::telemetry::{maybe_write_chrome_trace, BenchReport};
+use famg_bench::{fmt_secs, maybe_write_chrome_trace};
 use famg_core::params::AmgConfig;
 use famg_core::solver::AmgSolver;
 use famg_core::stats::PhaseTimes;
 use famg_matgen::{reservoir_field, rhs, varcoef3d_7pt};
-use famg_prof::json::Json;
 use famg_sparse::Csr;
 use std::time::{Duration, Instant};
 
@@ -92,8 +89,6 @@ fn main() {
     let mut refresh_total = Duration::ZERO;
     let mut full_times = PhaseTimes::default();
     let mut refresh_times = PhaseTimes::default();
-    let mut report = BenchReport::new("setup_refresh", smoke);
-    report.problem(n, a0.nnz());
     println!(
         "\n{:>4} {:>12} {:>12} {:>8}   (each the minimum of {REPS} runs)",
         "step", "full setup", "refresh", "ratio"
@@ -148,14 +143,7 @@ fn main() {
         refresh_total += refresh_t;
         full_times.accumulate(&full_phases);
         refresh_times.accumulate(&refresh_phases);
-        // Per-step flops along the refresh path (numeric refresh + solve).
-        report.counters_from(&refreshed.hierarchy().profile);
-        report.counters_from(&r2.profile);
         if t == steps {
-            report
-                .solve_times(&r2.times)
-                .outcome(r2.iterations, r2.final_relres, r2.converged)
-                .complexity(&refreshed.hierarchy().stats);
             maybe_write_chrome_trace("setup_refresh_refresh", &refreshed.hierarchy().profile);
             maybe_write_chrome_trace("setup_refresh_solve", &r2.profile);
         }
@@ -201,37 +189,4 @@ fn main() {
         fmt_secs(freeze),
         fmt_secs(full_total / steps as u32)
     );
-
-    let bucket_pair = |f: Duration, r: Duration| {
-        Json::Obj(vec![
-            ("full".into(), Json::Num(f.as_secs_f64())),
-            ("refresh".into(), Json::Num(r.as_secs_f64())),
-        ])
-    };
-    report
-        .setup_times(&full_times)
-        .extra_num("refresh_speedup", speedup)
-        .extra_num("frozen_over_full", frozen_over_full)
-        .extra_num("steps", steps as f64)
-        .extra_num("full_setup_seconds", full_total.as_secs_f64())
-        .extra_num("refresh_setup_seconds", refresh_total.as_secs_f64())
-        .extra_json(
-            "setup_breakdown",
-            Json::Obj(vec![
-                (
-                    "strength_coarsen".into(),
-                    bucket_pair(full_times.strength_coarsen, refresh_times.strength_coarsen),
-                ),
-                (
-                    "interp".into(),
-                    bucket_pair(full_times.interp, refresh_times.interp),
-                ),
-                ("rap".into(), bucket_pair(full_times.rap, refresh_times.rap)),
-                (
-                    "setup_etc".into(),
-                    bucket_pair(full_times.setup_etc, refresh_times.setup_etc),
-                ),
-            ]),
-        );
-    report.write_if_requested().expect("telemetry write failed");
 }

@@ -3,8 +3,7 @@
 //! (setup) and the hybrid GS sweep (solve) — at the fig5 proxy sizes,
 //! plus the fused residual norm, the parallel transpose, extended+i
 //! interpolation on the 27-point operator (the wide-stencil setup
-//! kernel), and a full AMG setup + solve whose span profile feeds the
-//! telemetry record.
+//! kernel), and a full AMG setup + solve.
 //!
 //! The pool size is pinned at first use, so one process measures one
 //! size; run the binary once per setting and compare:
@@ -15,9 +14,11 @@
 //! ```
 //!
 //! Flags: `--smoke` (small problem, few reps), `--scale <f>` (footprint
-//! multiplier), `--out <dir>` (write `BENCH_thread_scaling.json`).
-//! `FAMG_CHROME_TRACE=<dir>` additionally dumps the setup/solve span
-//! trees in chrome://tracing format.
+//! multiplier). `FAMG_CHROME_TRACE=<dir>` additionally dumps the
+//! setup/solve span trees in chrome://tracing format. The smoke run's
+//! iteration count, complexities and flop count on a 2-thread pool are
+//! pinned exactly by `tests/solve_fingerprints.rs`
+//! (`thread_scaling_smoke_solve_is_pinned`).
 //!
 //! The acceptance target (on a ≥4-core machine) is ≥2× at 4 threads vs 1
 //! on `spgemm_one_pass` and the hybrid sweep. Outputs are bitwise
@@ -25,8 +26,7 @@
 //! binary prints a fingerprint of each kernel's result so a scaling run
 //! doubles as a determinism check.
 
-use famg_bench::arg_scale;
-use famg_bench::telemetry::{maybe_write_chrome_trace, BenchReport};
+use famg_bench::{arg_scale, maybe_write_chrome_trace};
 use famg_core::coarsen::pmis;
 use famg_core::interp::{extended_i, CfMap, TruncParams};
 use famg_core::reorder::cf_reorder;
@@ -35,7 +35,6 @@ use famg_core::solver::AmgSolver;
 use famg_core::strength::strength;
 use famg_core::AmgConfig;
 use famg_matgen::{laplace2d, laplace3d_27pt};
-use famg_prof::json::Json;
 use famg_sparse::permute::permute_symmetric;
 use famg_sparse::spgemm::spgemm_one_pass;
 use famg_sparse::spmv::residual_norm_sq;
@@ -78,8 +77,6 @@ fn main() {
         rayon::current_num_threads(),
         a.nnz()
     );
-    let mut report = BenchReport::new("thread_scaling", smoke);
-    report.problem(n, a.nnz());
 
     // SpGEMM: A*A (the RAP building block).
     let (t_spgemm, c) = time(reps, || spgemm_one_pass(&a, &a));
@@ -149,8 +146,7 @@ fn main() {
         t_interp * 1e3
     );
 
-    // Full AMG setup + solve; the span profiles provide the telemetry
-    // record's phase buckets and flop counters.
+    // Full AMG setup + solve.
     let cfg = AmgConfig::single_node_paper();
     let solver = AmgSolver::setup(&a, &cfg);
     let mut xs = vec![0.0; n];
@@ -166,31 +162,4 @@ fn main() {
     );
     maybe_write_chrome_trace("thread_scaling_setup", &h.profile);
     maybe_write_chrome_trace("thread_scaling_solve", &res.profile);
-
-    report
-        .setup_times(&h.times)
-        .solve_times(&res.times)
-        .outcome(res.iterations, res.final_relres, res.converged)
-        .complexity(&h.stats)
-        .counters_from(&h.profile)
-        .counters_from(&res.profile)
-        .extra_json(
-            "kernel_seconds",
-            Json::Obj(vec![
-                ("spgemm_one_pass".into(), Json::Num(t_spgemm)),
-                ("transpose_par".into(), Json::Num(t_tr)),
-                ("hybrid_gs_sweep".into(), Json::Num(t_gs)),
-                ("residual_norm_sq".into(), Json::Num(t_res)),
-                ("extended_i".into(), Json::Num(t_interp)),
-            ]),
-        )
-        .extra_json(
-            "extended_i",
-            Json::Obj(vec![
-                ("n".into(), Json::Num(a3.nrows() as f64)),
-                ("fingerprint".into(), Json::Str(format!("{fp_interp:016x}"))),
-                ("interp_entries_visited".into(), Json::Num(visited as f64)),
-            ]),
-        );
-    report.write_if_requested().expect("telemetry write failed");
 }

@@ -17,17 +17,18 @@
 //! | `text_flops_fusion`   | §3.1.1 flop ratio (1.73×) |
 //! | `text_dist_opts`      | §4.2/4.3/4.4 distributed-optimization claims |
 //!
-//! Criterion benches (`cargo bench -p famg-bench`): `kernels`, `spgemm`,
-//! `rap_variants`, `smoothers`.
-
-pub mod telemetry;
+//! The kernel microbenchmarks (SpMV variants, transpose, SpGEMM, the four
+//! RAP variants, the Fig. 2a/2b sweeps) are rows of `text_bandwidth` and
+//! `text_flops_fusion`.
 
 use famg_core::coarsen::pmis;
 use famg_core::interp::{extended_i, CfMap, TruncParams};
 use famg_core::strength::strength;
 use famg_matgen::laplace2d;
+use famg_prof::Profile;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::Csr;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// A finest-level AMG fixture: `(R, A, P)` ready for triple products.
@@ -118,6 +119,28 @@ pub fn arg_ranks(default: &[usize]) -> Vec<usize> {
                 .collect()
         },
     )
+}
+
+/// If `FAMG_CHROME_TRACE` names a directory, writes `profile` there as
+/// `<bench>.trace.json` in chrome://tracing format (load via the
+/// "Load" button on chrome://tracing or https://ui.perfetto.dev).
+pub fn maybe_write_chrome_trace(bench: &str, profile: &Profile) {
+    let Ok(dir) = std::env::var("FAMG_CHROME_TRACE") else {
+        return;
+    };
+    if dir.is_empty() {
+        return;
+    }
+    let dir = PathBuf::from(dir);
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("FAMG_CHROME_TRACE: cannot create {}: {e}", dir.display());
+        return;
+    }
+    let path = dir.join(format!("{bench}.trace.json"));
+    match std::fs::write(&path, profile.to_chrome_trace(0)) {
+        Ok(()) => println!("telemetry: wrote chrome trace {}", path.display()),
+        Err(e) => eprintln!("FAMG_CHROME_TRACE: cannot write {}: {e}", path.display()),
+    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,8 @@
-//! Validation and regression comparison for the `BENCH_*.json` telemetry
-//! records emitted by `famg-bench` (schema in DESIGN.md §8).
-//!
-//! Two halves:
-//!
-//! * a dependency-free JSON parser ([`JsonValue::parse`]) sized for the
-//!   documents the bench binaries write — strict enough to reject
-//!   malformed output, permissive on whitespace;
-//! * the schema contract: [`validate_bench`] checks a document against
-//!   schema v1, and [`compare_bench`] gates a fresh run against a
-//!   committed baseline on the *machine-independent* fields (iterations,
-//!   complexities, flop/comm counters). Wall-clock fields are
-//!   deliberately not gated — they vary with the host — so the committed
-//!   baselines stay meaningful across machines.
+//! A dependency-free JSON parser ([`JsonValue::parse`]) for the
+//! documents the workspace writes with `famg_prof::json::Json` — strict
+//! enough to reject malformed output, permissive on whitespace. The `e2e`
+//! benchmark package reads its spec and run records through it, and the
+//! famg-diag-v1 tests read the audit document back with it.
 
 use std::fmt;
 
@@ -291,240 +282,9 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// The schema version [`validate_bench`] accepts.
-pub const BENCH_SCHEMA_VERSION: f64 = 1.0;
-
-const SETUP_BUCKETS: &[&str] = &["strength_coarsen", "interp", "rap", "setup_etc", "total"];
-const SOLVE_BUCKETS: &[&str] = &["gs", "spmv", "blas1", "solve_etc", "total"];
-
-fn want_num(doc: &JsonValue, path: &str, obj: &str, key: &str) -> Result<f64, String> {
-    let v = doc
-        .get(obj)
-        .ok_or_else(|| format!("{path}: missing `{obj}`"))?
-        .get(key)
-        .ok_or_else(|| format!("{path}: missing `{obj}.{key}`"))?
-        .num()
-        .ok_or_else(|| format!("{path}: `{obj}.{key}` is not a number"))?;
-    if !v.is_finite() || v < 0.0 {
-        return Err(format!(
-            "{path}: `{obj}.{key}` = {v} is not finite and >= 0"
-        ));
-    }
-    Ok(v)
-}
-
-/// Checks `doc` against BENCH schema v1. `path` labels error messages.
-pub fn validate_bench(doc: &JsonValue, path: &str) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(JsonValue::num)
-        .ok_or_else(|| format!("{path}: missing numeric `schema_version`"))?;
-    if version != BENCH_SCHEMA_VERSION {
-        return Err(format!(
-            "{path}: schema_version {version} unsupported (expected {BENCH_SCHEMA_VERSION})"
-        ));
-    }
-    let bench = doc
-        .get("bench")
-        .and_then(JsonValue::str_)
-        .ok_or_else(|| format!("{path}: missing string `bench`"))?
-        .to_string();
-    let mode = doc
-        .get("mode")
-        .and_then(JsonValue::str_)
-        .ok_or_else(|| format!("{path}: missing string `mode`"))?;
-    if mode != "smoke" && mode != "full" {
-        return Err(format!("{path}: mode `{mode}` is not `smoke` or `full`"));
-    }
-    for key in ["threads", "ranks"] {
-        let v = doc
-            .get(key)
-            .and_then(JsonValue::num)
-            .ok_or_else(|| format!("{path}: missing numeric `{key}`"))?;
-        if v < 1.0 || v.fract() != 0.0 {
-            return Err(format!("{path}: `{key}` = {v} is not a positive integer"));
-        }
-    }
-    for key in ["n", "nnz"] {
-        want_num(doc, path, "problem", key)?;
-    }
-    for key in SETUP_BUCKETS {
-        want_num(doc, path, "setup_seconds", key)?;
-    }
-    for key in SOLVE_BUCKETS {
-        want_num(doc, path, "solve_seconds", key)?;
-    }
-    want_num(doc, path, "solve", "iterations")?;
-    want_num(doc, path, "solve", "final_relres")?;
-    doc.get("solve")
-        .and_then(|s| s.get("converged"))
-        .and_then(JsonValue::bool_)
-        .ok_or_else(|| format!("{path}: missing boolean `solve.converged`"))?;
-    for key in ["operator", "grid", "levels"] {
-        want_num(doc, path, "complexity", key)?;
-    }
-    for key in ["flops", "comm_bytes", "comm_messages"] {
-        want_num(doc, path, "counters", key)?;
-    }
-    match doc.get("extra") {
-        Some(JsonValue::Obj(_)) => {}
-        _ => return Err(format!("{path}: missing object `extra`")),
-    }
-    // Bench-specific contract: comm_volume records must carry the
-    // exposed-halo-wait telemetry, and communication overlap must leave a
-    // strictly smaller fraction of the halo wait exposed than the
-    // synchronous path (fractions are same-run ratios, robust to host
-    // scheduler noise; the absolute `*_seconds` fields are informational).
-    // Both fractions are 0 when the profiler is compiled out — accepted
-    // as "no signal".
-    if bench == "comm_volume" {
-        let overlap = want_num(doc, path, "extra", "exposed_wait_overlap_fraction")?;
-        let sync = want_num(doc, path, "extra", "exposed_wait_sync_fraction")?;
-        for (key, v) in [("overlap", overlap), ("sync", sync)] {
-            if v > 1.0 {
-                return Err(format!(
-                    "{path}: `extra.exposed_wait_{key}_fraction` = {v} is not a fraction"
-                ));
-            }
-        }
-        if !(overlap == 0.0 && sync == 0.0) && overlap >= sync {
-            return Err(format!(
-                "{path}: `extra.exposed_wait_overlap_fraction` = {overlap} is not \
-                 strictly below `extra.exposed_wait_sync_fraction` = {sync}"
-            ));
-        }
-    }
-    // Bench-specific contract: multi_rhs records must show the batched
-    // path actually amortizing work — per-RHS time at k = 8 strictly
-    // better than solo solves (a same-run ratio, robust to host speed) —
-    // and the halo message count must be *exactly* k-independent: a k=8
-    // solve driven to the same iteration count sends the same number of
-    // messages as k=1.
-    if bench == "multi_rhs" {
-        let speedup = want_num(doc, path, "extra", "per_rhs_speedup_k8")?;
-        if speedup <= 1.0 {
-            return Err(format!(
-                "{path}: `extra.per_rhs_speedup_k8` = {speedup} is not strictly above 1.0 \
-                 (batching must beat solo per-RHS)"
-            ));
-        }
-        let m1 = want_num(doc, path, "extra", "halo_messages_k1")?;
-        let m8 = want_num(doc, path, "extra", "halo_messages_k8")?;
-        if m1 != m8 {
-            return Err(format!(
-                "{path}: `extra.halo_messages_k8` = {m8} differs from \
-                 `extra.halo_messages_k1` = {m1} (message count must be k-independent)"
-            ));
-        }
-    }
-    // Bucket sums must not exceed their recorded totals (self-time
-    // attribution can only lose clock to unattributed gaps, never invent
-    // it; small float slack for the JSON round-trip).
-    for (obj, buckets) in [
-        ("setup_seconds", SETUP_BUCKETS),
-        ("solve_seconds", SOLVE_BUCKETS),
-    ] {
-        let total = want_num(doc, path, obj, "total")?;
-        let sum: f64 = buckets[..buckets.len() - 1]
-            .iter()
-            .map(|k| want_num(doc, path, obj, k).unwrap_or(0.0))
-            .sum();
-        if sum > total + 1e-9 + total * 1e-9 {
-            return Err(format!(
-                "{path}: `{obj}` buckets sum to {sum} > total {total}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Fields gated by [`compare_bench`]: machine-independent measures where
-/// growth past the allowed ratio means the algorithm regressed, not the
-/// host. `(object, key, floor)` — differences below `floor` are ignored
-/// so tiny baselines don't produce giant ratios.
-const GATED: &[(&str, &str, f64)] = &[
-    ("solve", "iterations", 2.0),
-    ("complexity", "operator", 0.05),
-    ("complexity", "grid", 0.05),
-    ("complexity", "levels", 1.0),
-    ("counters", "flops", 10_000.0),
-    ("counters", "comm_bytes", 10_000.0),
-    ("counters", "comm_messages", 100.0),
-];
-
-/// Compares a fresh run against a committed baseline. Fails when any
-/// gated field grew beyond `max_ratio` × baseline (after the per-field
-/// absolute floor). Returns one description line per gated field.
-///
-/// Both documents must already pass [`validate_bench`], and must record
-/// the same `bench` name, mode, and problem shape — comparing different
-/// experiments is reported as an error, not a regression.
-pub fn compare_bench(
-    current: &JsonValue,
-    baseline: &JsonValue,
-    max_ratio: f64,
-) -> Result<Vec<String>, String> {
-    for key in ["bench", "mode"] {
-        let c = current.get(key).and_then(JsonValue::str_);
-        let b = baseline.get(key).and_then(JsonValue::str_);
-        if c != b {
-            return Err(format!("`{key}` differs: current {c:?} vs baseline {b:?}"));
-        }
-    }
-    for key in ["n", "nnz"] {
-        let c = want_num(current, "current", "problem", key)?;
-        let b = want_num(baseline, "baseline", "problem", key)?;
-        if c != b {
-            return Err(format!(
-                "problem shape differs: `problem.{key}` current {c} vs baseline {b}"
-            ));
-        }
-    }
-    let mut lines = Vec::new();
-    for &(obj, key, floor) in GATED {
-        let c = want_num(current, "current", obj, key)?;
-        let b = want_num(baseline, "baseline", obj, key)?;
-        let grew_past_floor = c > b + floor;
-        let ratio = if b > 0.0 { c / b } else { f64::INFINITY };
-        if grew_past_floor && ratio > max_ratio {
-            return Err(format!(
-                "`{obj}.{key}` regressed: {c} vs baseline {b} ({ratio:.2}x > {max_ratio}x)"
-            ));
-        }
-        lines.push(format!(
-            "{obj}.{key}: {c} vs baseline {b} ({})",
-            if b > 0.0 {
-                format!("{ratio:.2}x")
-            } else {
-                "no baseline signal".to_string()
-            }
-        ));
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(flops: u64, iterations: u64) -> String {
-        format!(
-            r#"{{
-  "schema_version": 1,
-  "bench": "thread_scaling",
-  "mode": "smoke",
-  "threads": 4,
-  "ranks": 1,
-  "problem": {{"n": 100, "nnz": 460}},
-  "setup_seconds": {{"strength_coarsen": 0.01, "interp": 0.02, "rap": 0.03, "setup_etc": 0.005, "total": 0.07}},
-  "solve_seconds": {{"gs": 0.04, "spmv": 0.02, "blas1": 0.001, "solve_etc": 0.002, "total": 0.063}},
-  "solve": {{"iterations": {iterations}, "final_relres": 1.5e-9, "converged": true}},
-  "complexity": {{"operator": 2.4, "grid": 1.5, "levels": 4}},
-  "counters": {{"flops": {flops}, "comm_bytes": 0, "comm_messages": 0}},
-  "extra": {{"note": "test é"}}
-}}"#
-        )
-    }
 
     #[test]
     fn parser_round_trips_scalars_and_nesting() {
@@ -562,148 +322,5 @@ mod tests {
     fn parser_handles_unicode_strings() {
         let doc = JsonValue::parse(r#""café – ünïcode""#).unwrap();
         assert_eq!(doc.str_().unwrap(), "café – ünïcode");
-    }
-
-    #[test]
-    fn validate_accepts_schema_v1() {
-        let doc = JsonValue::parse(&sample(1000, 8)).unwrap();
-        validate_bench(&doc, "test").unwrap();
-    }
-
-    fn comm_volume_sample(overlap_frac: f64, sync_frac: f64) -> String {
-        sample(1000, 8)
-            .replace(
-                "\"bench\": \"thread_scaling\"",
-                "\"bench\": \"comm_volume\"",
-            )
-            .replace(
-                "\"extra\": {\"note\": \"test é\"}",
-                &format!(
-                    "\"extra\": {{\"exposed_wait_overlap_fraction\": {overlap_frac}, \
-                     \"exposed_wait_sync_fraction\": {sync_frac}}}"
-                ),
-            )
-    }
-
-    #[test]
-    fn validate_gates_comm_volume_exposed_wait() {
-        // Overlap strictly below sync: ok.
-        let doc = JsonValue::parse(&comm_volume_sample(0.2, 0.97)).unwrap();
-        validate_bench(&doc, "test").unwrap();
-        // Both zero (profiler compiled out): ok.
-        let doc = JsonValue::parse(&comm_volume_sample(0.0, 0.0)).unwrap();
-        validate_bench(&doc, "test").unwrap();
-        // Overlap not below sync: rejected.
-        let doc = JsonValue::parse(&comm_volume_sample(0.9, 0.9)).unwrap();
-        let err = validate_bench(&doc, "test").unwrap_err();
-        assert!(err.contains("exposed_wait_overlap_fraction"), "got: {err}");
-        // Not a fraction: rejected.
-        let doc = JsonValue::parse(&comm_volume_sample(0.2, 1.5)).unwrap();
-        let err = validate_bench(&doc, "test").unwrap_err();
-        assert!(err.contains("not a fraction"), "got: {err}");
-        // Missing the telemetry entirely: rejected for comm_volume...
-        let missing = sample(1000, 8).replace(
-            "\"bench\": \"thread_scaling\"",
-            "\"bench\": \"comm_volume\"",
-        );
-        let doc = JsonValue::parse(&missing).unwrap();
-        let err = validate_bench(&doc, "test").unwrap_err();
-        assert!(err.contains("exposed_wait_overlap_fraction"), "got: {err}");
-        // ...but other benches carry no such obligation.
-        let doc = JsonValue::parse(&sample(1000, 8)).unwrap();
-        validate_bench(&doc, "test").unwrap();
-    }
-
-    fn multi_rhs_sample(speedup: f64, m1: u64, m8: u64) -> String {
-        sample(1000, 8)
-            .replace("\"bench\": \"thread_scaling\"", "\"bench\": \"multi_rhs\"")
-            .replace(
-                "\"extra\": {\"note\": \"test é\"}",
-                &format!(
-                    "\"extra\": {{\"per_rhs_speedup_k8\": {speedup}, \
-                     \"halo_messages_k1\": {m1}, \"halo_messages_k8\": {m8}}}"
-                ),
-            )
-    }
-
-    #[test]
-    fn validate_gates_multi_rhs_speedup_and_messages() {
-        // Speedup above 1 and identical message counts: ok.
-        let doc = JsonValue::parse(&multi_rhs_sample(1.6, 840, 840)).unwrap();
-        validate_bench(&doc, "test").unwrap();
-        // Per-RHS speedup at or below 1: batching lost, rejected.
-        let doc = JsonValue::parse(&multi_rhs_sample(1.0, 840, 840)).unwrap();
-        let err = validate_bench(&doc, "test").unwrap_err();
-        assert!(err.contains("per_rhs_speedup_k8"), "got: {err}");
-        // Message count grew with k: amortization broken, rejected.
-        let doc = JsonValue::parse(&multi_rhs_sample(1.6, 840, 6720)).unwrap();
-        let err = validate_bench(&doc, "test").unwrap_err();
-        assert!(err.contains("halo_messages_k8"), "got: {err}");
-        // Missing the telemetry entirely: rejected for multi_rhs.
-        let missing =
-            sample(1000, 8).replace("\"bench\": \"thread_scaling\"", "\"bench\": \"multi_rhs\"");
-        let doc = JsonValue::parse(&missing).unwrap();
-        let err = validate_bench(&doc, "test").unwrap_err();
-        assert!(err.contains("per_rhs_speedup_k8"), "got: {err}");
-    }
-
-    #[test]
-    fn validate_rejects_missing_and_mistyped_fields() {
-        let good = sample(1000, 8);
-        for (from, to, want) in [
-            (
-                "\"schema_version\": 1",
-                "\"schema_version\": 2",
-                "schema_version",
-            ),
-            ("\"mode\": \"smoke\"", "\"mode\": \"quick\"", "mode"),
-            ("\"converged\": true", "\"converged\": 1", "converged"),
-            ("\"flops\": 1000", "\"flopz\": 1000", "flops"),
-            ("\"total\": 0.07", "\"total\": 0.0001", "sum"),
-        ] {
-            let bad = good.replace(from, to);
-            assert_ne!(bad, good, "replacement `{from}` did not apply");
-            let doc = JsonValue::parse(&bad).unwrap();
-            let err = validate_bench(&doc, "test").unwrap_err();
-            assert!(
-                err.contains(want),
-                "error `{err}` does not mention `{want}`"
-            );
-        }
-    }
-
-    #[test]
-    fn compare_passes_within_ratio_and_fails_past_it() {
-        let base = JsonValue::parse(&sample(1_000_000, 10)).unwrap();
-        let same = JsonValue::parse(&sample(1_100_000, 11)).unwrap();
-        let lines = compare_bench(&same, &base, 1.25).unwrap();
-        assert!(lines.iter().any(|l| l.contains("counters.flops")));
-
-        let blown = JsonValue::parse(&sample(1_400_000, 10)).unwrap();
-        let err = compare_bench(&blown, &base, 1.25).unwrap_err();
-        assert!(err.contains("counters.flops"), "got: {err}");
-
-        let its = JsonValue::parse(&sample(1_000_000, 16)).unwrap();
-        let err = compare_bench(&its, &base, 1.25).unwrap_err();
-        assert!(err.contains("solve.iterations"), "got: {err}");
-    }
-
-    #[test]
-    fn compare_ignores_sub_floor_noise_on_tiny_baselines() {
-        // 0 -> 60 messages is a huge ratio but below the absolute floor;
-        // serial benches legitimately record 0 comm.
-        let base = JsonValue::parse(&sample(1_000_000, 10)).unwrap();
-        let cur_src =
-            sample(1_000_000, 10).replace("\"comm_messages\": 0", "\"comm_messages\": 60");
-        let cur = JsonValue::parse(&cur_src).unwrap();
-        compare_bench(&cur, &base, 1.25).unwrap();
-    }
-
-    #[test]
-    fn compare_rejects_mismatched_experiments() {
-        let base = JsonValue::parse(&sample(1_000_000, 10)).unwrap();
-        let other_src = sample(1_000_000, 10).replace("\"n\": 100", "\"n\": 200");
-        let other = JsonValue::parse(&other_src).unwrap();
-        assert!(compare_bench(&other, &base, 1.25).is_err());
     }
 }

@@ -23,8 +23,6 @@
 
 pub mod amg;
 pub mod benchjson;
-pub mod diag;
-pub mod lint;
 pub mod parcsr;
 pub mod structure;
 

@@ -341,6 +341,83 @@ mod tests {
         assert_eq!(t.setup_etc, Duration::from_millis(20));
     }
 
+    /// A random well-nested span tree below a root named `phase`: every
+    /// node's children run inside it, so their walls sum to at most its own.
+    fn random_tree(
+        state: &mut u64,
+        name: &'static str,
+        wall: u64,
+        depth: usize,
+        names: &[&'static str],
+    ) -> SpanNode {
+        let mut next = |m: u64| {
+            *state = crate::rng::splitmix64(*state);
+            *state % m
+        };
+        let mut shapes = Vec::new();
+        let mut left = wall;
+        while depth < 4 && left > 0 && next(3) != 0 {
+            let w = next(left + 1);
+            shapes.push((names[next(names.len() as u64) as usize], w));
+            left -= w;
+        }
+        let children = (shapes.into_iter())
+            .map(|(child, w)| random_tree(state, child, w, depth + 1, names))
+            .collect();
+        SpanNode {
+            name,
+            wall: Duration::from_nanos(wall),
+            count: 1,
+            children,
+            ..SpanNode::default()
+        }
+    }
+
+    #[test]
+    fn from_span_buckets_never_sum_past_their_total() {
+        let setup_names = [
+            "strength",
+            "coarsen",
+            "interp",
+            "rap",
+            "spgemm",
+            "transpose",
+            "halo",
+        ];
+        let solve_names = [
+            "vcycle", "smooth", "residual", "restrict", "blas1", "halo", "dot",
+        ];
+        let mut state = 0x5eed;
+        for case in 0..200 {
+            let (phase, names) = if case % 2 == 0 {
+                ("setup", &setup_names[..])
+            } else {
+                ("solve", &solve_names[..])
+            };
+            let wall = crate::rng::splitmix64(case) % 1_000_000_000;
+            let root = random_tree(&mut state, phase, wall, 0, names);
+            let t = PhaseTimes::from_span(&root);
+            let (buckets, total) = if phase == "solve" {
+                ([t.gs, t.spmv, t.blas1, t.solve_etc], t.solve_total())
+            } else {
+                (
+                    [t.strength_coarsen, t.interp, t.rap, t.setup_etc],
+                    t.setup_total(),
+                )
+            };
+            // Self times tile a well-nested tree: the buckets rebuild the
+            // root's wall exactly and invent no clock.
+            assert_eq!(total, root.wall, "case {case}");
+            // Also in the seconds a report prints.
+            let sum: f64 = buckets.iter().map(Duration::as_secs_f64).sum();
+            let total = total.as_secs_f64();
+            assert!(
+                sum <= total + 1e-9 + total * 1e-9,
+                "case {case}: {sum} > {total}"
+            );
+        }
+    }
+
     #[test]
     fn phase_times_accumulate() {
         let mut a = PhaseTimes {

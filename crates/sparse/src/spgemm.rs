@@ -258,40 +258,6 @@ pub fn spgemm_with(kernel: SpgemmKernel, a: &Csr, b: &Csr) -> Csr {
     }
 }
 
-/// A frozen symbolic pattern for repeated products with identical
-/// structure (Gustavson's original use case, §3.1.1): the first product
-/// pays for the symbolic work, later products run the branch-free
-/// numeric pass only.
-#[derive(Debug)]
-pub struct SpgemmPlan {
-    c: Csr,
-}
-
-impl SpgemmPlan {
-    /// Computes the first product and freezes its pattern.
-    pub fn new(a: &Csr, b: &Csr) -> Self {
-        SpgemmPlan {
-            c: spgemm_one_pass(a, b),
-        }
-    }
-
-    /// The most recent product.
-    pub fn result(&self) -> &Csr {
-        &self.c
-    }
-
-    /// Recomputes the product for inputs with the *same sparsity
-    /// structure* as the planning pair (values may differ), returning the
-    /// refreshed result.
-    ///
-    /// # Panics
-    /// Debug builds panic if the structure deviates from the plan.
-    pub fn execute(&mut self, a: &Csr, b: &Csr) -> &Csr {
-        numeric_only(a, b, &mut self.c);
-        &self.c
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,18 +405,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_reuse_matches_fresh_products() {
+    fn numeric_only_reuse_matches_fresh_products() {
         let a = random_csr(60, 50, 4, 101);
         let b = random_csr(50, 40, 3, 102);
-        let mut plan = SpgemmPlan::new(&a, &b);
-        assert_eq!(plan.result(), &spgemm(&a, &b));
+        let mut c = spgemm_one_pass(&a, &b);
+        assert_eq!(c, spgemm(&a, &b));
         // Same structure, new values.
         let mut a2 = a.clone();
         for v in a2.values_mut() {
             *v = -*v + 0.5;
         }
-        let out = plan.execute(&a2, &b).clone();
-        assert_eq!(out.to_dense(), spgemm(&a2, &b).to_dense());
+        numeric_only(&a2, &b, &mut c);
+        assert_eq!(c.to_dense(), spgemm(&a2, &b).to_dense());
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!    independent of message arrival order.
 //! 4. The per-level telemetry scopes account for every byte and message
 //!    the runtime sends: setup + solve windows tile the run.
+//! 5. The `comm_volume --smoke` bench's recorded leg is pinned exactly.
+
+mod common;
 
 use famg::core::AmgConfig;
 use famg::dist::comm::{run_ranks, Comm, CommPhase};
@@ -21,6 +24,8 @@ use famg::dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg::dist::parcsr::{default_partition, ParCsr};
 use famg::dist::solve::{dist_amg_solve, dist_fgmres_amg, dist_pcg_amg, DistSolveResult};
 use famg::matgen::{laplace2d, laplace3d_7pt, rhs};
+
+use common::SmokeFigures;
 
 fn owner(starts: &[usize], g: usize) -> usize {
     starts.partition_point(|&s| s <= g) - 1
@@ -310,3 +315,52 @@ const SETUP_MESSAGES_BYTES: [(u64, u64); 3] = [(217, 152_046), (217, 152_046), (
 /// The same three at 692002a, the parent of PR 22.
 const SETUP_MESSAGES_BYTES_AT_PARENT: [(u64, u64); 3] =
     [(225, 155_374), (257, 217_662), (179, 83_496)];
+
+/// The 4-rank leg of `comm_volume --smoke` (8³ rows per rank stacked in
+/// z, `multi_node_ei4`, FGMRES to 1e-7 after a 50-vector restart): rank
+/// 0's iterations and complexities, the flops of every rank's setup and
+/// solve, and every byte and message of the run. Exact, so any change to
+/// the algorithm or the exchange plans that moves one of them shows here.
+#[test]
+fn bench_smoke_run_is_pinned() {
+    let (side, nranks) = (8, 4);
+    let a = laplace3d_7pt(side, side, side * nranks);
+    let b = rhs::ones(a.nrows());
+    let starts = default_partition(a.nrows(), nranks);
+    let cfg = AmgConfig {
+        smoother_tasks: Some(2),
+        ..AmgConfig::multi_node_ei4()
+    };
+    let (parts, report) = run_ranks(nranks, |c| {
+        let r = c.rank();
+        let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+        let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
+        let bl = b[starts[r]..starts[r + 1]].to_vec();
+        let mut xl = vec![0.0; bl.len()];
+        let res = dist_fgmres_amg(c, &h, &bl, &mut xl, 1e-7, 200, 50);
+        assert!(res.converged, "rank {r}: solve did not converge");
+        let flops = h.profile.total_counter("flops") + res.profile.total_counter("flops");
+        (res.iterations, h.stats, flops)
+    });
+    let flops = parts.iter().map(|p| p.2).sum();
+    let (iterations, stats, _) = &parts[0];
+    SmokeFigures::new(
+        *iterations,
+        stats,
+        flops,
+        report.total_bytes(),
+        report.total_messages(),
+    )
+    .assert_pinned(COMM_VOLUME_SMOKE);
+}
+
+/// Recorded at the change that replaced the bench record's 1.25x gate.
+const COMM_VOLUME_SMOKE: SmokeFigures = SmokeFigures {
+    iterations: 7,
+    operator_complexity: 2.5616656553398056,
+    grid_complexity: 1.43212890625,
+    levels: 4,
+    flops: 3_119_236,
+    comm_bytes: 919_817,
+    comm_messages: 2_527,
+};

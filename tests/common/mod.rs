@@ -123,3 +123,48 @@ pub fn random_permutation(rng: &mut FuzzRng, n: usize) -> Permutation {
 pub fn random_marker(rng: &mut FuzzRng, n: usize) -> Vec<bool> {
     (0..n).map(|_| rng.bool()).collect()
 }
+
+/// The seven figures a bench's smoke run is pinned by: iteration count,
+/// operator and grid complexity, level count, flops (setup and solve,
+/// from the span profiles) and the bytes and messages the run sent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SmokeFigures {
+    pub iterations: usize,
+    pub operator_complexity: f64,
+    pub grid_complexity: f64,
+    pub levels: usize,
+    pub flops: u64,
+    pub comm_bytes: u64,
+    pub comm_messages: u64,
+}
+
+impl SmokeFigures {
+    /// The figures of a run whose hierarchy reports `stats`.
+    pub fn new(
+        iterations: usize,
+        stats: &famg::core::stats::SetupStats,
+        flops: u64,
+        comm_bytes: u64,
+        comm_messages: u64,
+    ) -> Self {
+        SmokeFigures {
+            iterations,
+            operator_complexity: stats.operator_complexity(),
+            grid_complexity: stats.grid_complexity(),
+            levels: stats.level_rows.len(),
+            flops,
+            comm_bytes,
+            comm_messages,
+        }
+    }
+
+    /// Asserts every figure equals `pinned` exactly. With the profiler
+    /// compiled out the flop count reads 0 and is not compared.
+    pub fn assert_pinned(mut self, pinned: SmokeFigures) {
+        println!("{self:?}");
+        if !famg_prof::enabled() {
+            self.flops = pinned.flops;
+        }
+        assert_eq!(self, pinned);
+    }
+}

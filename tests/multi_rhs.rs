@@ -9,15 +9,20 @@
 //! `thread_independence` does), distributed `dist_amg_solve_multi`
 //! against solo solves at 1/2/4 ranks in both halo modes, and the edge
 //! shapes (`k = 0`, `k = 1`, columns that start converged or never
-//! converge).
+//! converge). The `multi_rhs --smoke` bench's k = 8 batch is pinned
+//! exactly.
+
+mod common;
 
 use famg::core::{AmgConfig, AmgSolver};
 use famg::dist::comm::run_ranks;
 use famg::dist::hierarchy::{DistHierarchy, DistOptFlags};
 use famg::dist::parcsr::{default_partition, ParCsr};
 use famg::dist::solve::{dist_amg_solve, dist_amg_solve_multi};
-use famg::matgen::laplace2d;
+use famg::matgen::{laplace2d, laplace3d_7pt};
 use famg::sparse::MultiVec;
+
+use common::SmokeFigures;
 
 /// Deterministic, column-dependent right-hand sides.
 fn rhs_columns(n: usize, k: usize) -> Vec<Vec<f64>> {
@@ -255,3 +260,42 @@ fn dist_batch_message_count_is_k_independent() {
     let m8 = msgs(8);
     assert_eq!(m1, m8, "k=8 solve must send exactly k=1's message count");
 }
+
+/// The k = 8 batch of `multi_rhs --smoke` (7-point 3D Laplacian 20³,
+/// `single_node_paper`, the bench's right-hand sides): column 0's
+/// iterations, the complexities, and the flops of the setup and of the
+/// batched solve.
+#[test]
+fn bench_smoke_batch_is_pinned() {
+    let a = laplace3d_7pt(20, 20, 20);
+    let n = a.nrows();
+    let cfg = AmgConfig {
+        smoother_tasks: Some(2),
+        ..AmgConfig::single_node_paper()
+    };
+    let solver = AmgSolver::setup(&a, &cfg);
+    let cols: Vec<Vec<f64>> = (0..8)
+        .map(|j| {
+            (0..n)
+                .map(|i| ((i * (2 * j + 3) + 11 * j) % 23) as f64 / 23.0 - 0.4)
+                .collect()
+        })
+        .collect();
+    let mut x = MultiVec::new(n, 8);
+    let res = solver.solve_batch(&MultiVec::from_columns(&cols), &mut x);
+    assert!(res.all_converged());
+    let h = solver.hierarchy();
+    let flops = h.profile.total_counter("flops") + res.profile.total_counter("flops");
+    SmokeFigures::new(res.iterations[0], &h.stats, flops, 0, 0).assert_pinned(MULTI_RHS_SMOKE);
+}
+
+/// Recorded at the change that replaced the bench record's 1.25x gate.
+const MULTI_RHS_SMOKE: SmokeFigures = SmokeFigures {
+    iterations: 11,
+    operator_complexity: 2.65214552238806,
+    grid_complexity: 1.393625,
+    levels: 5,
+    flops: 99_049_856,
+    comm_bytes: 0,
+    comm_messages: 0,
+};

@@ -1,14 +1,19 @@
 //! Cross-crate tests of the numeric-refresh setup path: a frozen setup
 //! absorbing same-pattern operators must be indistinguishable — bitwise —
 //! from rebuilding from scratch, across many random coefficient drifts,
-//! and must refuse mismatched inputs without corrupting state.
+//! and must refuse mismatched inputs without corrupting state. The
+//! `setup_refresh --smoke` bench's refresh path is pinned exactly.
+
+mod common;
 
 use famg::core::coarsen::pmis;
 use famg::core::interp::{extended_i, CfMap, ExtITape, TapeMismatch, TruncParams};
 use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver, Hierarchy, InterpKind, RefreshError};
-use famg::matgen::{rhs, varcoef3d_7pt};
+use famg::matgen::{reservoir_field, rhs, varcoef3d_7pt};
 use famg::sparse::Csr;
+
+use common::SmokeFigures;
 
 const NX: usize = 10;
 const NY: usize = 10;
@@ -237,3 +242,56 @@ fn refreshable_setup_runs_extended_i_once_per_level() {
         }
     }
 }
+
+/// The refresh path of `setup_refresh --smoke`: a reservoir 24×24×12
+/// operator frozen at step 0 and refreshed through three drift steps,
+/// each followed by a solve. The last step's iterations and complexities,
+/// and the flops of every refresh and solve.
+#[test]
+fn bench_smoke_refresh_path_is_pinned() {
+    let (nx, ny, nz) = (24, 24, 12);
+    let base = reservoir_field(nx, ny, nz, 6, 2.0, 2, 42);
+    // The bench's drift: a smooth multiplicative 1e-5 * t wave.
+    let step = |t: usize| {
+        let k: Vec<f64> = (base.iter().enumerate())
+            .map(|(i, &k)| {
+                let x = (i % nx) as f64 / nx as f64;
+                let d = (i / nx) as f64 / ((ny * nz) as f64);
+                k * (1.0 + 1e-5 * (t as f64) * (7.0 * (x - d)).cos())
+            })
+            .collect();
+        varcoef3d_7pt(nx, ny, nz, &k)
+    };
+    let cfg = AmgConfig {
+        smoother_tasks: Some(2),
+        ..AmgConfig::single_node_paper()
+    };
+    let mut solver = AmgSolver::setup_refreshable(&step(0), &cfg);
+    let b = rhs::ones(nx * ny * nz);
+    let mut flops = 0;
+    let mut iterations = 0;
+    for t in 1..=3 {
+        solver
+            .refresh(&step(t))
+            .expect("same-pattern drift must refresh");
+        let mut x = vec![0.0; b.len()];
+        let res = solver.solve(&b, &mut x);
+        assert!(res.converged, "step {t} did not converge");
+        flops +=
+            solver.hierarchy().profile.total_counter("flops") + res.profile.total_counter("flops");
+        iterations = res.iterations;
+    }
+    SmokeFigures::new(iterations, &solver.hierarchy().stats, flops, 0, 0)
+        .assert_pinned(SETUP_REFRESH_SMOKE);
+}
+
+/// Recorded at the change that replaced the bench record's 1.25x gate.
+const SETUP_REFRESH_SMOKE: SmokeFigures = SmokeFigures {
+    iterations: 10,
+    operator_complexity: 2.6348090277777776,
+    grid_complexity: 1.3998842592592593,
+    levels: 5,
+    flops: 28_855_764,
+    comm_bytes: 0,
+    comm_messages: 0,
+};

@@ -14,7 +14,13 @@
 //! To re-record after an *intended* numerical change, run
 //! `cargo test --test solve_fingerprints -- --nocapture` and copy the
 //! printed table.
+//!
+//! The `thread_scaling --smoke` bench's AMG setup + solve is pinned here
+//! too, by its iteration count, complexities and flops.
 
+mod common;
+
+use common::SmokeFigures;
 use famg::core::{AmgConfig, AmgSolver};
 use famg::dist::comm::run_ranks;
 use famg::dist::hierarchy::{DistHierarchy, DistOptFlags};
@@ -390,3 +396,29 @@ fn fgmres_iterations_match_parent_and_bits_are_pinned() {
         );
     }
 }
+
+/// The AMG setup + solve of `thread_scaling --smoke`: the 126² 2D
+/// Laplacian, `single_node_paper`, `b = 1` from a zero guess.
+#[test]
+fn thread_scaling_smoke_solve_is_pinned() {
+    let a = laplace2d(126, 126);
+    let solver = AmgSolver::setup(&a, &serial_cfg());
+    let b = vec![1.0; a.nrows()];
+    let mut x = vec![0.0; a.nrows()];
+    let res = solver.solve(&b, &mut x);
+    assert!(res.converged);
+    let h = solver.hierarchy();
+    let flops = h.profile.total_counter("flops") + res.profile.total_counter("flops");
+    SmokeFigures::new(res.iterations, &h.stats, flops, 0, 0).assert_pinned(THREAD_SCALING_SMOKE);
+}
+
+/// Recorded at the change that replaced the bench record's 1.25x gate.
+const THREAD_SCALING_SMOKE: SmokeFigures = SmokeFigures {
+    iterations: 11,
+    operator_complexity: 2.3580556823368326,
+    grid_complexity: 1.4628369866465105,
+    levels: 5,
+    flops: 17_472_325,
+    comm_bytes: 0,
+    comm_messages: 0,
+};

@@ -17,7 +17,7 @@ use famg_core::rng::uniform01;
 use famg_sparse::{Col, Csr};
 
 /// One rank's share of a C/F splitting.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DistCoarsening {
     /// Local C/F marker (index = local row).
     pub is_coarse: Vec<bool>,
@@ -202,7 +202,7 @@ pub fn dist_aggressive_pmis(
 
     // Gather full remote S rows for the halo (distance-2 reach), and the
     // C/F state + compact coarse index of every point they name.
-    let (gathered, _) = gather_rows(comm, &s.colmap, &s.col_starts, |li, _, emit| {
+    let gathered = gather_rows(comm, &s.colmap, &s.col_starts, |li, _, emit| {
         s.visit_global_row(li, rank, emit);
     });
     let space =

@@ -23,7 +23,6 @@ const TAG_REQ: u64 = 0x10;
 const TAG_VAL: u64 = 0x11;
 const TAG_ROW_REQ: u64 = 0x20;
 const TAG_ROW_DATA: u64 = 0x21;
-const TAG_ROW_VAL: u64 = 0x22;
 const TAG_FETCH_REQ: u64 = 0x30;
 const TAG_FETCH_VAL: u64 = 0x31;
 
@@ -354,16 +353,12 @@ type RowBundle = (Vec<usize>, Vec<usize>, Vec<f64>); // row_nnz, cols, vals
 /// `emit(global_col, value)` for every entry that is to travel — all of
 /// them for a full row, fewer under the §4.3 filter. Requests and replies
 /// travel only between true neighbor pairs.
-///
-/// Also returns the gather's frozen geometry: a later exchange of the same
-/// rows with new values needs no request round and ships no indices
-/// ([`RowGatherPlan::execute`]).
 pub fn gather_rows(
     comm: &Comm,
     needed: &[usize],
     row_starts: &[usize],
     serve: impl Fn(usize, usize, &mut dyn FnMut(usize, f64)),
-) -> (GatheredRows, RowGatherPlan) {
+) -> GatheredRows {
     let rank = comm.rank();
     let runs = owner_runs(needed, row_starts);
     let requests: Vec<(usize, Vec<usize>)> = runs
@@ -408,7 +403,6 @@ pub fn gather_rows(
         cols: Vec::new(),
         vals: Vec::new(),
     };
-    let mut row_nnz: Vec<usize> = Vec::with_capacity(needed.len());
     got.rowptr.push(0);
     for &(owner, s, e) in &runs {
         let (counts, cols, vals): RowBundle = if owner == rank {
@@ -420,67 +414,10 @@ pub fn gather_rows(
         for &n in &counts {
             got.rowptr.push(got.rowptr.last().expect("starts at 0") + n);
         }
-        row_nnz.extend(counts);
         got.cols.extend(cols);
         got.vals.extend(vals);
     }
-    let plan = RowGatherPlan {
-        runs,
-        serves,
-        row_nnz,
-    };
-    (got, plan)
-}
-
-/// A frozen-geometry row gather: the request routing and per-row entry
-/// counts of a [`gather_rows`] call, kept so later exchanges ship *values
-/// only* (no column indices, no request round). This is the §4.4
-/// persistent-communication idea applied to the SpGEMM row gather, used by
-/// the numeric-refresh setup path where every matrix pattern is frozen and
-/// only values change between solves.
-#[derive(Debug, Clone)]
-pub struct RowGatherPlan {
-    /// `(owner, start, end)` runs over the requested row list.
-    runs: Vec<(usize, usize, usize)>,
-    /// Serve side: `(requester, local row indices)`, in the order the
-    /// request round delivered them.
-    serves: Vec<(usize, Vec<usize>)>,
-    /// Entries per gathered row, aligned with the request list.
-    row_nnz: Vec<usize>,
-}
-
-impl RowGatherPlan {
-    /// Executes the gather: `serve_vals(local_row, out)` must append an
-    /// owned row's values in the order the planning gather emitted its
-    /// entries. Returns the values of all requested rows, aligned with the
-    /// planning gather's [`GatheredRows::vals`].
-    pub fn execute(&self, comm: &Comm, serve_vals: impl Fn(usize, &mut Vec<f64>)) -> Vec<f64> {
-        let rank = comm.rank();
-        let mut self_vals: Option<Vec<f64>> = None;
-        for (requester, lis) in &self.serves {
-            let mut vals = Vec::new();
-            for &li in lis {
-                serve_vals(li, &mut vals);
-            }
-            if *requester == rank {
-                self_vals = Some(vals);
-            } else {
-                let b = wire::f64s(vals.len());
-                comm.send(*requester, TAG_ROW_VAL, vals, b);
-            }
-        }
-        let mut data: Vec<f64> = Vec::with_capacity(self.row_nnz.iter().sum());
-        for &(owner, s, e) in &self.runs {
-            let vals: Vec<f64> = if owner == rank {
-                self_vals.take().expect("missing self values")
-            } else {
-                comm.recv(owner, TAG_ROW_VAL)
-            };
-            debug_assert_eq!(vals.len(), self.row_nnz[s..e].iter().sum::<usize>());
-            data.extend(vals);
-        }
-        data
-    }
+    got
 }
 
 /// Fetches one `f64` per global index from the owning ranks:
@@ -758,12 +695,9 @@ mod tests {
             let r = c.rank();
             let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
             let needed = p.colmap.clone();
-            let (g, plan) = gather_rows(c, &needed, &starts, |li, _, emit| {
+            let g = gather_rows(c, &needed, &starts, |li, _, emit| {
                 p.visit_global_row(li, r, emit);
             });
-            // The values-only replay of the same gather.
-            let again = plan.execute(c, |li, out| p.visit_global_row(li, r, |_, v| out.push(v)));
-            assert_eq!(again, g.vals);
             (needed, g)
         });
         for (needed, g) in results {
@@ -815,7 +749,7 @@ mod tests {
             let r = c.rank();
             let p = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
             let needed: Vec<usize> = if r == 1 { Vec::new() } else { p.colmap.clone() };
-            let (g, _) = gather_rows(c, &needed, &starts, |li, _, emit| {
+            let g = gather_rows(c, &needed, &starts, |li, _, emit| {
                 p.visit_global_row(li, r, emit);
             });
             g.rows.len()

@@ -139,7 +139,7 @@ pub fn dist_extended_i(
     // Gather remote S rows. They are only ever read to find the *coarse*
     // strong neighbours of boundary fine points (the view's `strong`
     // segment), so the filter strips their fine columns owner-side.
-    let (gathered_s, _) = gather_rows(comm, &s.colmap, &s.col_starts, |li, _, emit| {
+    let gathered_s = gather_rows(comm, &s.colmap, &s.col_starts, |li, _, emit| {
         s.visit_global_row(li, rank, |g, v| {
             if !filter_remote || is_coarse(g) {
                 emit(g, v);
@@ -150,7 +150,7 @@ pub fn dist_extended_i(
     // A row with no stored diagonal has `a_kk = 0`: no entry opposes it,
     // every `b_ik` through it lumps (the serial convention), and nothing of
     // it needs to travel.
-    let (gathered_a, _) = gather_rows(comm, &a.colmap, &a.col_starts, |li, requester, emit| {
+    let gathered_a = gather_rows(comm, &a.colmap, &a.col_starts, |li, requester, emit| {
         let akk = a.diag.diag(li);
         let theirs = a.col_starts[requester]..a.col_starts[requester + 1];
         a.visit_global_row(li, rank, |g, v| {
@@ -257,7 +257,7 @@ pub fn dist_multipass(
         // Every rank participates in the gather (collective), even when
         // it personally needs nothing this pass.
         let needed: Vec<usize> = wanted.iter().map(|&e| x.space.ext2g[e]).collect();
-        let (rows, _) = gather_rows(comm, &needed, &a.col_starts, |li, _, emit| {
+        let rows = gather_rows(comm, &needed, &a.col_starts, |li, _, emit| {
             if let Some((pc, pv)) = sweep.row(own.start + li) {
                 for (&c, &w) in pc.iter().zip(pv) {
                     emit(coarse.ext2g[c], w);

@@ -52,5 +52,5 @@ pub mod spmv;
 
 pub use comm::{run_ranks, Comm, RecvHandle};
 pub use halo::{InFlightHalo, VectorExchange};
-pub use hierarchy::{DistFrozenSetup, DistHierarchy, DistOptFlags};
+pub use hierarchy::{DistHierarchy, DistOptFlags};
 pub use parcsr::ParCsr;

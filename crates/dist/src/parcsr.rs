@@ -43,8 +43,7 @@ pub struct ParCsr {
     pub colmap: Vec<usize>,
     /// Local rows whose `offd` row is empty (ascending). These depend only
     /// on owned data, so kernels can process them while a halo exchange is
-    /// in flight. Computed once at construction; the pattern (and thus the
-    /// split) is frozen, so numeric refresh reuses it unchanged.
+    /// in flight. Computed once at construction.
     pub interior_rows: Vec<usize>,
     /// Local rows with at least one `offd` entry (ascending) — the rows
     /// that must wait for the halo.
@@ -170,18 +169,6 @@ impl ParCsr {
         self.diag.nnz() + self.offd.nnz()
     }
 
-    /// True when `other` has exactly this rank-local sparsity structure
-    /// (partitions, diag/offd patterns, and colmap — values ignored).
-    pub fn same_pattern(&self, other: &ParCsr) -> bool {
-        self.row_start == other.row_start
-            && self.row_end == other.row_end
-            && self.global_cols == other.global_cols
-            && self.col_starts == other.col_starts
-            && self.colmap == other.colmap
-            && self.diag.same_pattern(&other.diag)
-            && self.offd.same_pattern(&other.offd)
-    }
-
     /// Splits rows `[row_start, row_end)` of a global matrix into the
     /// ParCSR layout for one rank. `col_starts` defines the column
     /// ownership (usually the same partition as rows).
@@ -290,23 +277,6 @@ impl ParCsr {
             col_starts,
             interior_rows,
             boundary_rows,
-        }
-    }
-
-    /// Overwrites the values with those of `local`, a matrix of the pattern
-    /// this one was [built from](Self::from_local) over `cols`.
-    pub fn copy_values_from_local(&mut self, local: &Csr, cols: &ExtSpace) {
-        debug_assert_eq!(local.nnz(), self.local_nnz());
-        let (mut d, mut o) = (0usize, 0usize);
-        let (dv, ov) = (self.diag.values_mut(), self.offd.values_mut());
-        for (&c, &v) in local.colidx().iter().zip(local.values()) {
-            if cols.own.contains(&usize::from(c)) {
-                dv[d] = v;
-                d += 1;
-            } else {
-                ov[o] = v;
-                o += 1;
-            }
         }
     }
 
@@ -571,19 +541,6 @@ mod tests {
                 assert_eq!((&q.diag, &q.offd, &q.colmap), (&p.diag, &p.offd, &p.colmap));
                 assert_eq!(q.interior_rows, p.interior_rows);
                 assert_eq!(q.boundary_rows, p.boundary_rows);
-                let mut scaled = local.clone();
-                scaled.values_mut().iter_mut().for_each(|v| *v *= 3.0);
-                let mut q3 = q.clone();
-                q3.copy_values_from_local(&scaled, &cols);
-                for (x, y) in q3
-                    .diag
-                    .values()
-                    .iter()
-                    .chain(q3.offd.values())
-                    .zip(q.diag.values().iter().chain(q.offd.values()))
-                {
-                    assert_eq!(*x, 3.0 * y);
-                }
             }
         }
     }

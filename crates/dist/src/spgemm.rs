@@ -7,34 +7,22 @@
 //! multi-node optimization), and then holds two ordinary matrices: its
 //! rows of `A` over the local row space of `B` (owned rows plus gathered
 //! ones), and those rows of `B` over the extended column space. The product
-//! is [`famg_sparse::spgemm`] on the two, and a same-pattern recomputation
-//! its [`numeric_only`]. Both local spaces are numbered in ascending global
-//! id ([`ExtSpace`]), so every entry of `C` sums its terms in ascending
-//! global inner index — at any rank count the serial product's bits.
+//! is [`famg_sparse::spgemm`] on the two. Both local spaces are numbered in
+//! ascending global id ([`ExtSpace`]), so every entry of `C` sums its terms
+//! in ascending global inner index — at any rank count the serial product's
+//! bits.
 
 use crate::comm::Comm;
-use crate::halo::{gather_rows, owner_runs, GatheredRows, RowGatherPlan};
+use crate::halo::{gather_rows, owner_runs};
 use crate::parcsr::{ExtSpace, ParCsr};
 use crate::renumber::{renumber_par, renumber_seq};
-use famg_sparse::spgemm::{numeric_only, spgemm};
+use famg_sparse::spgemm::spgemm;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::{Col, Csr};
 
-/// A local product with everything pattern-derived it was computed from.
-struct Product {
-    /// This rank's rows of `C` over `cols`, columns ascending.
-    c: Csr,
-    /// `A`'s column space, which is `B`'s local row space.
-    inner: ExtSpace,
-    /// The column space of `B`'s local rows, and of `C`.
-    cols: ExtSpace,
-    /// The remote `B` rows behind `A.colmap`.
-    halo: GatheredRows,
-    /// The geometry of that gather.
-    gather: RowGatherPlan,
-}
-
-fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> Product {
+/// This rank's rows of `C = A · B` over the column space of `B`'s local
+/// rows, columns ascending, with that space.
+fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> (Csr, ExtSpace) {
     // "spgemm" spans inherit the enclosing phase's Fig. 5 bucket (RAP
     // during setup) in `PhaseTimes::from_span`.
     let _span = famg_prof::scope("spgemm");
@@ -45,7 +33,7 @@ fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> Prod
         "A's column partition must match B's row partition"
     );
     // Gather the remote B rows referenced by A's off-diagonal part.
-    let (halo, gather) = gather_rows(comm, &a.colmap, &a.col_starts, |li, _, emit| {
+    let halo = gather_rows(comm, &a.colmap, &a.col_starts, |li, _, emit| {
         b.visit_global_row(li, rank, emit);
     });
     // Renumber received columns into B's extended off-diagonal space.
@@ -62,25 +50,7 @@ fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> Prod
     let b_ext = b.extended(rank, &inner, &cols, Some(&halo));
     let mut c = spgemm(&a_loc, &b_ext);
     c.sort_rows();
-    Product {
-        c,
-        inner,
-        cols,
-        halo,
-        gather,
-    }
-}
-
-/// Splits a product's local rows back into `C`'s ParCSR blocks.
-fn split_product(c: &Csr, cols: &ExtSpace, a: &ParCsr, b: &ParCsr) -> ParCsr {
-    ParCsr::from_local(
-        c,
-        cols,
-        a.row_start,
-        a.row_end,
-        b.global_cols,
-        b.col_starts.clone(),
-    )
+    (c, cols)
 }
 
 /// Distributed sparse matrix–matrix product.
@@ -88,50 +58,15 @@ fn split_product(c: &Csr, cols: &ExtSpace, a: &ParCsr, b: &ParCsr) -> ParCsr {
 /// `parallel_renumber` selects the Fig. 4 parallel renumbering (the
 /// optimized path) or the ordered-set sequential baseline.
 pub fn dist_spgemm(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> ParCsr {
-    let p = product(comm, a, b, parallel_renumber);
-    split_product(&p.c, &p.cols, a, b)
-}
-
-/// A frozen symbolic distributed product: everything pattern-derived
-/// about one `C = A · B` — the remote-row gather geometry, the §4.2
-/// renumbering, and `C`'s structure — kept from the product that computed
-/// it, so later same-pattern products run the branch-free numeric pass
-/// with a values-only halo exchange ([`RowGatherPlan`]).
-pub struct DistSpgemmPlan {
-    /// The planning product; its `c` and `halo` values are rewritten by
-    /// every [`execute`](Self::execute).
-    local: Product,
-    /// The frozen product. The pattern is authoritative; the values are
-    /// rewritten in place by every [`execute`](Self::execute).
-    pub c: ParCsr,
-}
-
-impl DistSpgemmPlan {
-    /// Runs one full (symbolic + numeric) product and freezes its
-    /// structure. `plan.c` is [`dist_spgemm`]'s result for the planning
-    /// operands: the two are one code path.
-    pub fn new(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> DistSpgemmPlan {
-        let local = product(comm, a, b, parallel_renumber);
-        let c = split_product(&local.c, &local.cols, a, b);
-        DistSpgemmPlan { local, c }
-    }
-
-    /// Numeric-only product into the frozen pattern: recomputes `self.c`'s
-    /// values for same-pattern operands `a` and `b`. [`numeric_only`] sums
-    /// every entry in the symbolic product's order, so the values are
-    /// bitwise identical to a from-scratch product.
-    pub fn execute(&mut self, comm: &Comm, a: &ParCsr, b: &ParCsr) {
-        let _span = famg_prof::scope("spgemm");
-        let rank = comm.rank();
-        let p = &mut self.local;
-        p.halo.vals = (p.gather).execute(comm, |li, out| {
-            b.visit_global_row(li, rank, |_, v| out.push(v));
-        });
-        let a_loc = a.merged(rank, &p.inner);
-        let b_ext = b.extended(rank, &p.inner, &p.cols, Some(&p.halo));
-        numeric_only(&a_loc, &b_ext, &mut p.c);
-        self.c.copy_values_from_local(&p.c, &p.cols);
-    }
+    let (c, cols) = product(comm, a, b, parallel_renumber);
+    ParCsr::from_local(
+        &c,
+        &cols,
+        a.row_start,
+        a.row_end,
+        b.global_cols,
+        b.col_starts.clone(),
+    )
 }
 
 /// A matrix's global row partition, from each rank's range (tags `tag`
@@ -259,36 +194,6 @@ mod tests {
                     &format!("{nranks} ranks par {par}"),
                 );
             }
-        }
-    }
-
-    #[test]
-    fn plan_is_the_product_and_replays_it_on_new_values() {
-        let a = skewed(laplace2d(8, 8));
-        let b = skewed(famg_matgen::laplace3d_7pt(4, 4, 4));
-        let (a2, b2) = (skewed(a.clone()), skewed(skewed(b.clone())));
-        let starts = default_partition(64, 3);
-        let (parts, _) = run_ranks(3, |c| {
-            let s = |m: &Csr| split(m, &starts, c.rank());
-            let mut plan = DistSpgemmPlan::new(c, &s(&a), &s(&b), true);
-            let planned = plan.c.clone();
-            plan.execute(c, &s(&a2), &s(&b2));
-            (
-                planned,
-                plan.c.clone(),
-                dist_spgemm(c, &s(&a2), &s(&b2), true),
-            )
-        });
-        let col = |k: usize| {
-            parts
-                .iter()
-                .map(|p| [&p.0, &p.1, &p.2][k].clone())
-                .collect::<Vec<_>>()
-        };
-        assert_parts_are_serial(&col(0), spgemm(&a, &b), "planning product");
-        assert_parts_are_serial(&col(1), spgemm(&a2, &b2), "replayed product");
-        for (_, replayed, fresh) in &parts {
-            assert!(replayed.same_pattern(fresh));
         }
     }
 

@@ -7,9 +7,9 @@
 //! bounded interleaving checker. Everything in [`crate::pool`] and the
 //! scope machinery must route its mutexes, condvars, atomics, and worker
 //! spawns through this module; `std::sync` imports elsewhere in those
-//! files are a bug (and `famg-lint` has no say here — the model build
-//! itself stops compiling if a type leaks, because modeled and std guards
-//! don't mix).
+//! files are a bug (and famg-analyze's site rules have no say here — the
+//! model build itself stops compiling if a type leaks, because modeled and
+//! std guards don't mix).
 
 #[cfg(not(famg_model))]
 pub(crate) use std::sync::atomic::{AtomicUsize, Ordering};

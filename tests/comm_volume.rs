@@ -259,48 +259,34 @@ const AMG_MESSAGES_ITERATIONS_FLOPS: (u64, usize, u64) = (294, 8, 698_784);
 
 /// Setup-phase `(messages, bytes)` of the 2-rank build on the 8³ 7-point
 /// Laplacian, summed over ranks.
-fn setup_traffic(cfg: &AmgConfig, frozen: bool) -> (u64, u64) {
+fn setup_traffic(cfg: &AmgConfig) -> (u64, u64) {
     let a = laplace3d_7pt(8, 8, 8);
     let starts = default_partition(a.nrows(), 2);
     let (parts, _) = run_ranks(2, |c| {
         let r = c.rank();
         let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-        let h = if frozen {
-            DistHierarchy::build_frozen(c, pa, cfg, DistOptFlags::all()).0
-        } else {
-            DistHierarchy::build(c, pa, cfg, DistOptFlags::all())
-        };
-        h.setup_comm
+        DistHierarchy::build(c, pa, cfg, DistOptFlags::all()).setup_comm
     });
     parts
         .iter()
         .fold((0, 0), |(m, b), v| (m + v.messages, b + v.bytes))
 }
 
-/// The setup asks for nothing a rank already holds. Until PR 22 a frozen
-/// build ran every Galerkin product's row gather twice and a request round
-/// a third time (`DistSpgemmPlan::new` called `dist_spgemm`, gathered the
-/// same rows again for the renumbering and planned the values-only gather
-/// separately), and extended+i planned an ad-hoc exchange for the C/F codes
-/// of `S.colmap`, a subset of the `A.colmap` codes it had just fetched: one
-/// request and one reply per rank on each of `ei4`'s two extended+i levels,
-/// the whole difference of its plain build. `mp` here is one multipass level
-/// above the coarsest; its two messages were the all-gather of the coarse
-/// partition for a direct-interpolation `ParCsr` that multipass built only
-/// to read its rows back. A frozen build now costs exactly a plain one.
+/// The setup asks for nothing a rank already holds. Until 7fef7f1
+/// extended+i planned an ad-hoc exchange for the C/F codes of `S.colmap`,
+/// a subset of the `A.colmap` codes it had just fetched: one request and
+/// one reply per rank on each of `ei4`'s two extended+i levels, the whole
+/// difference of its build. `mp` here is one multipass level above the
+/// coarsest; its two messages were the all-gather of the coarse partition
+/// for a direct-interpolation `ParCsr` that multipass built only to read
+/// its rows back.
 #[test]
 fn setup_traffic_is_pinned() {
-    let ei4 = AmgConfig::multi_node_ei4();
-    let mp = AmgConfig::multi_node_mp();
     let got = [
-        setup_traffic(&ei4, false),
-        setup_traffic(&ei4, true),
-        setup_traffic(&mp, false),
+        setup_traffic(&AmgConfig::multi_node_ei4()),
+        setup_traffic(&AmgConfig::multi_node_mp()),
     ];
-    println!(
-        "ei4 build {:?} frozen {:?}, mp build {:?}",
-        got[0], got[1], got[2]
-    );
+    println!("ei4 build {:?}, mp build {:?}", got[0], got[1]);
     assert_eq!(got, SETUP_MESSAGES_BYTES);
     for (now, before) in got.iter().zip(&SETUP_MESSAGES_BYTES_AT_PARENT) {
         assert!(
@@ -310,11 +296,10 @@ fn setup_traffic_is_pinned() {
     }
 }
 
-/// `ei4` build, `ei4` frozen build, `mp` build; recorded at this change.
-const SETUP_MESSAGES_BYTES: [(u64, u64); 3] = [(217, 152_046), (217, 152_046), (177, 83_480)];
-/// The same three at 692002a, the parent of PR 22.
-const SETUP_MESSAGES_BYTES_AT_PARENT: [(u64, u64); 3] =
-    [(225, 155_374), (257, 217_662), (179, 83_496)];
+/// `ei4` build, `mp` build; recorded at 7fef7f1.
+const SETUP_MESSAGES_BYTES: [(u64, u64); 2] = [(217, 152_046), (177, 83_480)];
+/// The same two at 692002a, the parent of 7fef7f1.
+const SETUP_MESSAGES_BYTES_AT_PARENT: [(u64, u64); 2] = [(225, 155_374), (179, 83_496)];
 
 /// The 4-rank leg of `comm_volume --smoke` (8³ rows per rank stacked in
 /// z, `multi_node_ei4`, FGMRES to 1e-7 after a 50-vector restart): rank

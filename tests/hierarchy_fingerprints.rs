@@ -12,7 +12,7 @@
 //!
 //! The `dist` section pins the distributed hierarchy the same way: every
 //! level's operator and interpolation (`diag`, `offd`, `colmap`) and the
-//! global level sizes, at one and two ranks, built and refreshed. Its
+//! global level sizes, at one and two ranks, built. Its
 //! constants were recorded at PR 22 itself — the change that made the
 //! distributed builders run the serial row kernels, which emit a row's
 //! weights in discovery order and let `truncate_row` rescale in that order
@@ -228,29 +228,17 @@ fn dist_configs() -> [(&'static str, AmgConfig); 3] {
 /// Recorded at PR 22 (see the module docs).
 const EXPECTED_DIST: &[(&str, u64)] = &[
     ("dist/laplace2d/mp/1r/build", 0x805d0be59c4a5c9e),
-    ("dist/laplace2d/mp/1r/refresh", 0x2bab7bacf44cb720),
     ("dist/laplace2d/mp/2r/build", 0xdfc5993d8aecb1cf),
-    ("dist/laplace2d/mp/2r/refresh", 0x7c4d9f3f68cebec0),
     ("dist/laplace2d/ei4/1r/build", 0x3aa9c47e3a15fbb5),
-    ("dist/laplace2d/ei4/1r/refresh", 0x26e584a3eceece67),
     ("dist/laplace2d/ei4/2r/build", 0x386d7d4b9a814c30),
-    ("dist/laplace2d/ei4/2r/refresh", 0x3b34540ca6537c1c),
     ("dist/laplace2d/2s_ei444/1r/build", 0x9b0aa2f568ce2a47),
-    ("dist/laplace2d/2s_ei444/1r/refresh", 0xae72f637854c004a),
     ("dist/laplace2d/2s_ei444/2r/build", 0x50183b0fa632db23),
-    ("dist/laplace2d/2s_ei444/2r/refresh", 0x5bf23fa4797bfac9),
     ("dist/varcoef3d_7pt/mp/1r/build", 0xcc4006185da1bc3d),
-    ("dist/varcoef3d_7pt/mp/1r/refresh", 0x7c1079e2258abd1e),
     ("dist/varcoef3d_7pt/mp/2r/build", 0xf51a613fd876a04f),
-    ("dist/varcoef3d_7pt/mp/2r/refresh", 0x14da8f8d788b01d2),
     ("dist/varcoef3d_7pt/ei4/1r/build", 0xe93e4a0fdf8879ad),
-    ("dist/varcoef3d_7pt/ei4/1r/refresh", 0xd425a79382d3e84b),
     ("dist/varcoef3d_7pt/ei4/2r/build", 0xcd5bfb927c85f3fd),
-    ("dist/varcoef3d_7pt/ei4/2r/refresh", 0x1d2f5839e0d4195d),
     ("dist/varcoef3d_7pt/2s_ei444/1r/build", 0x630e687ed51f7181),
-    ("dist/varcoef3d_7pt/2s_ei444/1r/refresh", 0x5fee617826bc5e3c),
     ("dist/varcoef3d_7pt/2s_ei444/2r/build", 0xb07632ab5f767855),
-    ("dist/varcoef3d_7pt/2s_ei444/2r/refresh", 0x6c6c0195b2e5ebf8),
 ];
 
 #[test]
@@ -258,7 +246,6 @@ fn dist_hierarchy_fingerprints_match_recorded() {
     let mut got: Vec<(String, u64)> = Vec::new();
     let [lap, var, _] = operators();
     for (oname, a) in [lap, var] {
-        let (base, drifted) = (scaled(&a, 0.0), scaled(&a, 1.0));
         for (cname, cfg) in dist_configs() {
             // Level 0's interpolation, reassembled, per rank count.
             let mut p0: Vec<Csr> = Vec::new();
@@ -266,35 +253,18 @@ fn dist_hierarchy_fingerprints_match_recorded() {
                 let starts = default_partition(a.nrows(), nranks);
                 let (per_rank, _) = run_ranks(nranks, |c| {
                     let r = c.rank();
-                    let split = |m: &Csr| {
-                        ParCsr::from_global_rows(m, starts[r], starts[r + 1], starts.clone(), r)
-                    };
-                    let built = DistHierarchy::build(c, split(&a), &cfg, DistOptFlags::all());
+                    let pa =
+                        ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
+                    let built = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
                     assert!(built.num_levels() >= 2, "{oname}/{cname}: single level");
-                    let (mut h, mut frozen) =
-                        DistHierarchy::build_frozen(c, split(&base), &cfg, DistOptFlags::all());
-                    h.refresh(c, split(&drifted), &mut frozen)
-                        .unwrap_or_else(|e| panic!("{oname}/{cname}: {e}"));
-                    let fp = hash_dist_hierarchy(&h);
-                    let fresh = DistHierarchy::build(c, split(&drifted), &cfg, DistOptFlags::all());
-                    assert_eq!(
-                        fp,
-                        hash_dist_hierarchy(&fresh),
-                        "{oname}/{cname}: refresh differs from a rebuild"
-                    );
                     let p = built.levels[0].p.clone().expect("level 0 interpolates");
-                    (hash_dist_hierarchy(&built), fp, p)
+                    (hash_dist_hierarchy(&built), p)
                 });
-                let fold = |k: usize| {
-                    per_rank
-                        .iter()
-                        .fold(FNV_SEED, |f, r| fnv1a(f, [r.0, r.1][k]))
-                };
                 if nranks <= 2 {
-                    got.push((format!("dist/{oname}/{cname}/{nranks}r/build"), fold(0)));
-                    got.push((format!("dist/{oname}/{cname}/{nranks}r/refresh"), fold(1)));
+                    let fp = per_rank.iter().fold(FNV_SEED, |f, r| fnv1a(f, r.0));
+                    got.push((format!("dist/{oname}/{cname}/{nranks}r/build"), fp));
                 }
-                let parts: Vec<ParCsr> = per_rank.into_iter().map(|r| r.2).collect();
+                let parts: Vec<ParCsr> = per_rank.into_iter().map(|r| r.1).collect();
                 p0.push(to_global(&parts));
             }
             let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

@@ -38,7 +38,7 @@ fn main() {
                 let r = c.rank();
                 let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
                 let ps = dist_strength(&pa, 0.25, 0.8, r);
-                let dc = dist_pmis(c, &ps, 3, None);
+                let dc = dist_pmis(c, &ps, 3);
                 let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
                 let p = dist_extended_i(c, &pa, &plan, &ps, &dc, None, true);
                 let rt = dist_transpose(c, &p);
@@ -65,7 +65,7 @@ fn main() {
             let pa =
                 ParCsr::from_global_rows(&a27, starts27[r], starts27[r + 1], starts27.clone(), r);
             let ps = dist_strength(&pa, 0.25, 0.8, r);
-            let dc = dist_pmis(c, &ps, 3, None);
+            let dc = dist_pmis(c, &ps, 3);
             let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
             dist_extended_i(c, &pa, &plan, &ps, &dc, None, filter)
         });

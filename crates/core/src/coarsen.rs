@@ -11,8 +11,9 @@
 //! those nobody depends on (F from the start), a round is a *selection* —
 //! an undecided point joins C iff its measure strictly beats every
 //! undecided neighbour's in `S_i ∪ Sᵀ_i` — and a *demotion* — an undecided
-//! point with a C-point in `S_i ∪ Sᵀ_i` becomes F — until a round selects
-//! nothing; what is still undecided then is F.
+//! point with a C-point in `S_i ∪ Sᵀ_i` becomes F — until no point is
+//! undecided or a round selects nothing (what is still undecided then is
+//! F).
 //!
 //! [`pmis`] never forms `Sᵀ`: transposing it cost more than the rounds and
 //! moved values nobody reads. `|Sᵀ_i|` is a histogram of `S`'s column
@@ -23,15 +24,20 @@
 //! and pushes along `S_c` from the points just selected (`j ∈ S_c` is
 //! `c ∈ Sᵀ_j`).
 //!
+//! [`pmis_rounds`] is written once: serially it runs on the whole grid, on
+//! ranks (`famg_dist::coarsen`) on each rank's owned points.
+//!
 //! Random weights come from the counter-based generator in [`crate::rng`]
 //! and a flag is a set membership, so the C/F splitting is identical for
 //! any thread count (the paper's reason for switching to MKL's parallel
 //! RNG in §3.3).
 
+use crate::interp::CfMap;
 use crate::rng::uniform01;
 use famg_sparse::partition::{num_threads, split_evenly};
-use famg_sparse::Csr;
+use famg_sparse::{Col, Csr};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of a coarsening pass.
@@ -50,21 +56,38 @@ impl Coarsening {
     }
 }
 
-/// A point's word in [`pmis`]: below `FINE` it is undecided and holds the
-/// last round that flagged it (0: none yet).
+/// A point's word in [`pmis_rounds`]: below `FINE` it is undecided and
+/// holds the last round that flagged it (0: none yet).
 const FINE: u32 = u32::MAX - 1;
 const COARSE: u32 = u32::MAX;
 
-// The words of `pmis` are idempotent flags: within a phase every store to
-// a word writes the same value (the round's stamp, or `FINE`) and no load
-// of the phase tells the word before such a store from the word after it.
-// Phases are separated by the pool's join, and nothing else is published
-// through the words.
+// The words of `pmis_rounds` are idempotent flags: within a phase every
+// store to a word writes the same value (the round's stamp, or `FINE`) and
+// no load of the phase tells the word before such a store from the word
+// after it. Phases are separated by the pool's join, and the sync between
+// them runs on the calling thread; nothing else is published through the
+// words.
 fn get(word: &AtomicU32) -> u32 {
     word.load(Ordering::Relaxed) // ORDERING: idempotent flag, see above.
 }
 fn put(word: &AtomicU32, v: u32) {
     word.store(v, Ordering::Relaxed); // ORDERING: idempotent flag, see above.
+}
+
+/// Every local point's word in [`pmis_rounds`].
+pub struct Marks(Vec<AtomicU32>);
+
+impl Marks {
+    /// Point `i`'s state as it travels to the ranks whose halo holds it:
+    /// 0 undecided, 1 F, 2 C.
+    pub fn code(&self, i: usize) -> f64 {
+        f64::from(get(&self.0[i]).saturating_sub(FINE - 1))
+    }
+
+    /// Sets point `i` to the state its owner sent.
+    pub fn set_code(&self, i: usize, code: f64) {
+        put(&self.0[i], [0, FINE, COARSE][code as usize]);
+    }
 }
 
 /// Per block of `s`'s nonzeros, the histogram of their column indices:
@@ -85,45 +108,67 @@ fn dependants(s: &Csr) -> Vec<Vec<u32>> {
 }
 
 /// PMIS coarsening over strength matrix `s` (row `i` = points `i`
-/// strongly depends on).
+/// strongly depends on): [`pmis_rounds`] on the whole grid.
+pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
+    let n = s.nrows();
+    assert_eq!(n, s.ncols());
+    let counts = dependants(s);
+    let measure: Vec<f64> = (0..n)
+        .into_par_iter()
+        .with_min_len(4096)
+        .map(|i| {
+            let d: u32 = counts.iter().map(|c| c[i]).sum();
+            f64::from(d) + uniform01(seed, i as u64)
+        })
+        .collect();
+    drop(counts);
+    let is_coarse = pmis_rounds(s, 0..n, &measure, |_| {}, |sel, und| sel && und);
+    Coarsening::from_marker(is_coarse)
+}
+
+/// The PMIS rounds over the points `own` of a local index space; returns
+/// their C/F marker. The owned rows of `s` hold every `S`-edge incident to
+/// an owned point (an edge may be stored twice); `measure` is
+/// `|Sᵀ_i| + rand` for every local point (below 1: F from the start).
+///
+/// A round visits owned points only; a flag or demotion pushed onto a halo
+/// point lands in a word the next `refresh` overwrites, its owner seeing
+/// the same edge in its own row. `refresh` makes every halo word its
+/// owner's after the selection and after the demotion; the rounds go on
+/// while `more(selected, undecided)`, whether a point was selected this
+/// round and one is undecided, anywhere. Both run on the calling thread.
 ///
 /// After the first round, a round visits the undecided points only: they
 /// are kept, ascending, in an active list that each round's demotion pass
 /// shrinks. Which points a pass visits changes nothing it decides, since
 /// a decided point's word is final and the flags are set memberships.
-pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
-    let n = s.nrows();
-    assert_eq!(n, s.ncols());
-    let counts = dependants(s);
-    // measure(i) = |{j : j depends on i}| + rand[0,1); nobody depends on
-    // i: it can never be a useful C-point, F from the start.
-    let mut measure = vec![0.0f64; n];
-    let mut start = vec![0u32; n];
-    measure
-        .par_iter_mut()
-        .zip(start.par_iter_mut())
-        .enumerate()
-        .with_min_len(4096)
-        .for_each(|(i, (m, w))| {
-            let d: u32 = counts.iter().map(|c| c[i]).sum();
-            *m = f64::from(d) + uniform01(seed, i as u64);
-            *w = if d == 0 { FINE } else { 0 };
-        });
-    drop(counts);
-    let mark: Vec<AtomicU32> = start.into_iter().map(AtomicU32::new).collect();
+pub fn pmis_rounds(
+    s: &Csr,
+    own: Range<usize>,
+    measure: &[f64],
+    mut refresh: impl FnMut(&Marks),
+    mut more: impl FnMut(bool, bool) -> bool,
+) -> Vec<bool> {
+    debug_assert_eq!(measure.len(), s.nrows());
+    let marks = Marks(
+        (measure.par_iter())
+            .with_min_len(4096)
+            .map(|&m| AtomicU32::new(if m < 1.0 { FINE } else { 0 }))
+            .collect(),
+    );
+    let mark = &marks.0;
     let undecided = |i: usize| get(&mark[i]) < FINE;
-    // The points a round visits, ascending: every point in the first, then
-    // those still undecided after the round before.
+    // The points a round visits, ascending: every owned point in the first,
+    // then those still undecided after the round before.
     let mut active: Option<Vec<usize>> = None;
 
-    // Round-based parallel MIS.
     for round in 1..FINE {
-        let len = active.as_ref().map_or(n, Vec::len);
+        let len = active.as_ref().map_or(own.len(), Vec::len);
         let visit = || {
             (0..len)
                 .into_par_iter()
                 .with_min_len(512)
-                .map(|k| active.as_ref().map_or(k, |a| a[k]))
+                .map(|k| active.as_ref().map_or(own.start + k, |a| a[k]))
                 .filter(|&i| undecided(i))
         };
         // Selection: every S-edge between two undecided points flags the
@@ -143,12 +188,7 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
         // … and an undecided point no edge flagged this round joins C.
         let selected: Vec<usize> = visit().filter(|&i| get(&mark[i]) != round).collect();
         selected.iter().for_each(|&c| put(&mark[c], COARSE));
-        if selected.is_empty() {
-            // No undecided point can win => no undecided points remain
-            // (in any component the max-measure point always wins).
-            debug_assert!(!(0..n).any(undecided));
-            break;
-        }
+        refresh(&marks);
         // Demotion: undecided points adjacent to a C-point in the
         // *symmetrized* graph become F. Checking only `s` rows (as
         // early BoomerAMG did) breaks independence on asymmetric
@@ -161,7 +201,7 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
         selected.par_iter().with_min_len(512).for_each(|&c| {
             s.col_iter(c).for_each(|j| put(&mark[j], FINE));
         });
-        let next = visit()
+        let next: Vec<usize> = visit()
             .filter(|&i| {
                 let demoted = s.col_iter(i).any(|j| get(&mark[j]) == COARSE);
                 if demoted {
@@ -170,20 +210,46 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
                 !demoted
             })
             .collect();
+        if !more(!selected.is_empty(), !next.is_empty()) {
+            break;
+        }
         active = Some(next);
+        refresh(&marks);
     }
-    let mut is_coarse = vec![false; n];
-    is_coarse
-        .par_iter_mut()
-        .zip(mark.par_iter())
+    (own.into_par_iter())
         .with_min_len(4096)
-        .for_each(|(c, m)| *c = get(m) == COARSE);
-    let ncoarse = is_coarse
-        .par_iter()
-        .with_min_len(4096)
-        .filter(|&&c| c)
-        .count();
-    Coarsening { is_coarse, ncoarse }
+        .map(|i| get(&mark[i]) == COARSE)
+        .collect()
+}
+
+/// The rows of the distance-≤2 strength graph among C-points (`S²`) for
+/// the C-points in `rows`: the coarse indices (`cf.cmap`) of the C-points
+/// within two strength edges of each (`i → p` or `i → x → p`), self
+/// excluded, each once, ascending. PMIS reads the pattern only, so every
+/// value is 1.
+pub fn distance_two_rows(s: &Csr, cf: &CfMap, rows: Range<usize>) -> Csr {
+    let mut rowptr = vec![0];
+    let mut colidx: Vec<Col> = Vec::new();
+    let mut seen = vec![usize::MAX; cf.nc];
+    for i in rows.filter(|&i| cf.is_coarse[i]) {
+        let me = cf.cmap[i];
+        seen[me] = me;
+        let row_start = colidx.len();
+        let mut push = |p: usize| {
+            if cf.is_coarse[p] && seen[cf.cmap[p]] != me {
+                seen[cf.cmap[p]] = me;
+                colidx.push(Col::new(cf.cmap[p]));
+            }
+        };
+        for j in s.col_iter(i) {
+            push(j);
+            s.col_iter(j).for_each(&mut push);
+        }
+        colidx[row_start..].sort_unstable();
+        rowptr.push(colidx.len());
+    }
+    let values = vec![1.0; colidx.len()];
+    Csr::from_parts_unchecked(rowptr.len() - 1, cf.nc, rowptr, colidx, values)
 }
 
 /// Aggressive coarsening: a second PMIS pass over the distance-≤2
@@ -194,40 +260,12 @@ pub fn pmis(s: &Csr, seed: u64) -> Coarsening {
 /// final splitting (a subset of the first-pass C-points).
 pub fn aggressive_pmis_stages(s: &Csr, seed: u64) -> (Coarsening, Coarsening) {
     let first = pmis(s, seed);
-    let n = s.nrows();
-    // Map C-points to compact indices.
-    let mut cidx = vec![usize::MAX; n];
-    let mut cpts = Vec::with_capacity(first.ncoarse);
-    for i in 0..n {
-        if first.is_coarse[i] {
-            cidx[i] = cpts.len();
-            cpts.push(i);
-        }
-    }
-    // Build S2 over C-points: c ~ d iff d reachable from c within two
-    // strength edges (c→d or c→x→d).
-    let mut trips: Vec<(usize, usize, f64)> = Vec::new();
-    for (ci, &i) in cpts.iter().enumerate() {
-        let mut push = |j: usize| {
-            if j != i && cidx[j] != usize::MAX {
-                trips.push((ci, cidx[j], 1.0));
-            }
-        };
-        for j in s.col_iter(i) {
-            push(j);
-            for k in s.col_iter(j) {
-                push(k);
-            }
-        }
-    }
-    let s2 = Csr::from_triplets(cpts.len(), cpts.len(), trips);
+    let cf = CfMap::new(first.is_coarse.clone());
+    let s2 = distance_two_rows(s, &cf, 0..s.nrows());
     let second = pmis(&s2, seed.wrapping_add(1));
-    let mut is_coarse = vec![false; n];
-    for (ci, &i) in cpts.iter().enumerate() {
-        if second.is_coarse[ci] {
-            is_coarse[i] = true;
-        }
-    }
+    let is_coarse = (cf.is_coarse.iter().zip(&cf.cmap))
+        .map(|(&c, &k)| c && second.is_coarse[k])
+        .collect();
     (first, Coarsening::from_marker(is_coarse))
 }
 
@@ -486,6 +524,16 @@ mod tests {
         let s = strength(&a, 0.25, 0.8);
         let agg = aggressive_pmis(&s, 9);
         validate_cf(&s, &agg, 4).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// A round that selects nothing ends the rounds: two neighbours whose
+    /// measures tie flag each other, and both stay F.
+    #[test]
+    fn a_round_that_selects_nothing_ends_the_rounds() {
+        let s = Csr::from_triplets(2, 2, vec![(0, 1, -1.0), (1, 0, -1.0)]);
+        let more = |sel: bool, und: bool| sel && und;
+        let c = pmis_rounds(&s, 0..2, &[1.5, 1.5], |_| {}, more);
+        assert_eq!(c, [false, false]);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Distributed PMIS coarsening and its aggressive second pass.
 //!
-//! The same round-based MIS as the shared-memory version, with neighbour
-//! state/measure obtained through halo exchanges. Random weights are the
-//! counter-based generator keyed on *global* point indices, so the C/F
-//! splitting is identical for every rank count — which lets the tests
-//! compare the distributed result bitwise against `famg_core::coarsen` on
-//! symmetric strength patterns (the demotion round here looks at `S` rows
-//! only, the shared-memory one at `S ∪ Sᵀ`; ROADMAP item 2(a)).
+//! The rounds are the serial ones (`famg_core::coarsen::pmis_rounds`) on
+//! each rank's owned points. An owned point's row holds its `S` row plus
+//! the edges other ranks store towards it (the off-rank part of `Sᵀ_i`,
+//! routed once, pattern only), the halo's states are refreshed over one
+//! [`VectorExchange`] plan between phases, and the weights are keyed on
+//! *global* indices: the C/F splitting is the serial `pmis` bit for bit at
+//! every rank count, on any strength pattern.
 
-use crate::comm::Comm;
+use crate::comm::{wire, Comm};
 use crate::halo::{fetch_values, gather_rows, VectorExchange};
-use crate::parcsr::{ExtSpace, ParCsr};
-use crate::spgemm::dist_transpose;
+use crate::parcsr::{owner_of, ExtSpace, ParCsr};
+use famg_core::coarsen::{distance_two_rows, pmis_rounds, Marks};
 use famg_core::interp::CfMap;
 use famg_core::rng::uniform01;
-use famg_sparse::{Col, Csr};
+use famg_sparse::Csr;
 
 /// One rank's share of a C/F splitting.
 #[derive(Debug)]
@@ -101,90 +101,79 @@ impl DistCoarsening {
     }
 }
 
-const UNDECIDED: f64 = 0.0;
-const COARSE: f64 = 1.0;
-const FINE: f64 = 2.0;
-
 /// Distributed PMIS over a distributed strength matrix (square
-/// partition). `active` masks the candidate set (used by the aggressive
-/// second pass); inactive points are fine from the start. The random
-/// weight of local point `i` is keyed on its global index `row_start + i`.
-pub fn dist_pmis(comm: &Comm, s: &ParCsr, seed: u64, active: Option<&[bool]>) -> DistCoarsening {
+/// partition; module docs). The random weight of local point `i` is keyed
+/// on its global index `row_start + i`.
+pub fn dist_pmis(comm: &Comm, s: &ParCsr, seed: u64) -> DistCoarsening {
+    let rank = comm.rank();
     let nl = s.local_rows();
-    let st = dist_transpose(comm, s);
-    assert_eq!(st.local_rows(), nl, "PMIS needs a square partition");
+    let own = (s.row_start, s.row_end);
+    assert_eq!(s.col_range(rank), own, "PMIS needs a square partition");
 
-    // Measures: |Sᵀ_i| + rand(global index).
-    let measure: Vec<f64> = (0..nl)
-        .map(|i| {
-            st.diag.row_nnz(i) as f64
-                + st.offd.row_nnz(i) as f64
-                + uniform01(seed, (s.row_start + i) as u64)
-        })
-        .collect();
-    let mut state: Vec<f64> = (0..nl)
-        .map(|i| {
-            let inactive = active.is_some_and(|a| !a[i]);
-            if inactive || st.diag.row_nnz(i) + st.offd.row_nnz(i) == 0 {
-                FINE
-            } else {
-                UNDECIDED
-            }
-        })
-        .collect();
-
-    // Halo plans over both neighbour directions.
-    let plan_s = VectorExchange::plan(comm, &s.colmap, &s.col_starts);
-    let plan_st = VectorExchange::plan(comm, &st.colmap, &st.col_starts);
-    let measure_ext_s = plan_s.exchange(comm, &measure);
-    let measure_ext_st = plan_st.exchange(comm, &measure);
-
-    loop {
-        let state_ext_s = plan_s.exchange(comm, &state);
-        let state_ext_st = plan_st.exchange(comm, &state);
-        // Selection round.
-        let mut selected = Vec::new();
-        for i in 0..nl {
-            if state[i] != UNDECIDED {
-                continue;
-            }
-            let m = measure[i];
-            let win_local = |j: usize| state[j] != UNDECIDED || m > measure[j];
-            let wins = s.diag.col_iter(i).all(&win_local)
-                && st.diag.col_iter(i).all(win_local)
-                && s.offd
-                    .col_iter(i)
-                    .all(|k| state_ext_s[k] != UNDECIDED || m > measure_ext_s[k])
-                && st
-                    .offd
-                    .col_iter(i)
-                    .all(|k| state_ext_st[k] != UNDECIDED || m > measure_ext_st[k]);
-            if wins {
-                selected.push(i);
-            }
-        }
-        for &i in &selected {
-            state[i] = COARSE;
-        }
-        // Demotion round: undecided points depending on a C-point.
-        let state_ext_s = plan_s.exchange(comm, &state);
-        for i in 0..nl {
-            if state[i] != UNDECIDED {
-                continue;
-            }
-            let dep_coarse = s.diag.col_iter(i).any(|j| state[j] == COARSE)
-                || s.offd.col_iter(i).any(|k| state_ext_s[k] == COARSE);
-            if dep_coarse {
-                state[i] = FINE;
-            }
-        }
-        let undecided = state.contains(&UNDECIDED);
-        if !comm.allreduce_or(undecided, 0x61) {
-            break;
+    // Each off-rank entry `i → j` of S travels to the owner of `j` as the
+    // pair (j, i): one flat bundle per owner.
+    let mut sends = vec![Vec::new(); comm.size()];
+    for i in 0..nl {
+        for g in s.offd.col_iter(i).map(|k| s.colmap[k]) {
+            sends[owner_of(&s.col_starts, g)].extend([g, s.row_start + i]);
         }
     }
+    let sends: Vec<(usize, Vec<usize>)> = (sends.into_iter().enumerate())
+        .filter(|b| !b.1.is_empty())
+        .collect();
+    let inbound = comm.alltoallv(sends, 0x64, |p| wire::idxs(p.len()));
+    let mut incoming: Vec<(usize, usize)> = (inbound.iter())
+        .flat_map(|(_, p)| p.chunks_exact(2).map(|e| (e[0], e[1])))
+        .collect();
+    incoming.sort_unstable();
 
-    let is_coarse: Vec<bool> = state.iter().map(|&st| st == COARSE).collect();
+    // Owned row i: S_i, then the sources of the edges routed to i. |Sᵀ_i|
+    // is the owned rows' entries in column i plus the routed ones.
+    let space = ExtSpace::with_received(own, &s.colmap, incoming.iter().map(|e| e.1));
+    let mut dependants = vec![0u32; nl];
+    for &c in s.diag.colidx() {
+        dependants[usize::from(c)] += 1;
+    }
+    let mut rowptr = vec![0usize; space.own.start + 1];
+    let mut colidx = Vec::with_capacity(s.local_nnz() + incoming.len());
+    let mut routed = incoming.iter().peekable();
+    for (i, d) in dependants.iter_mut().enumerate() {
+        s.visit_global_row(i, rank, |g, _| colidx.push(space.col(g)));
+        while let Some(&(_, g)) = routed.next_if(|e| e.0 == s.row_start + i) {
+            colidx.push(space.col(g));
+            *d += 1;
+        }
+        rowptr.push(colidx.len());
+    }
+    let n_ext = space.ext2g.len();
+    rowptr.resize(n_ext + 1, colidx.len());
+    let values = vec![1.0; colidx.len()];
+    let s_ext = Csr::from_parts_unchecked(n_ext, n_ext, rowptr, colidx, values);
+
+    // Measures of the owned points, and of the halo from their owners.
+    let measure: Vec<f64> = (dependants.iter().enumerate())
+        .map(|(i, &d)| f64::from(d) + uniform01(seed, (s.row_start + i) as u64))
+        .collect();
+    let halo: Vec<usize> = space.halo().collect();
+    let plan = VectorExchange::plan(comm, &halo, &s.col_starts);
+    let halo_measure = plan.exchange(comm, &measure);
+    let (below, above) = halo_measure.split_at(space.own.start);
+    let measure: Vec<f64> = (below.iter().chain(&measure).chain(above))
+        .copied()
+        .collect();
+
+    let halo_ids = (0..space.own.start).chain(space.own.end..n_ext);
+    let refresh = |marks: &Marks| {
+        let codes: Vec<f64> = space.own.clone().map(|i| marks.code(i)).collect();
+        for (e, c) in halo_ids.clone().zip(plan.exchange(comm, &codes)) {
+            marks.set_code(e, c);
+        }
+    };
+    let more = |sel: bool, und: bool| {
+        let local = [sel, und].map(|b| f64::from(u8::from(b))).to_vec();
+        comm.allreduce_sum_vec(local, 0x61).iter().all(|&n| n > 0.0)
+    };
+    let is_coarse = pmis_rounds(&s_ext, space.own.clone(), &measure, refresh, more);
     DistCoarsening::from_marker(comm, is_coarse, 0x62)
 }
 
@@ -198,7 +187,7 @@ pub fn dist_aggressive_pmis(
     seed: u64,
 ) -> (DistCoarsening, DistCoarsening) {
     let rank = comm.rank();
-    let first = dist_pmis(comm, s, seed, None);
+    let first = dist_pmis(comm, s, seed);
 
     // Gather full remote S rows for the halo (distance-2 reach), and the
     // C/F state + compact coarse index of every point they name.
@@ -212,38 +201,7 @@ pub fn dist_aggressive_pmis(
     let halo_codes = fetch_values(comm, &halo, &s.col_starts, |li| codes[li]);
     let (cf, coarse) = first.extended(&space, &halo_codes);
     let s_ext = s.extended(rank, &space, &space, Some(&gathered));
-
-    // S2 rows (compact coarse space) of the local C-points: the coarse
-    // points within two strength edges, each once, ascending.
-    let mut rowptr = Vec::with_capacity(first.ncoarse_local + 1);
-    let mut colidx: Vec<Col> = Vec::new();
-    let mut seen = vec![usize::MAX; coarse.ext2g.len()];
-    rowptr.push(0);
-    for i in space.own.clone().filter(|&i| cf.is_coarse[i]) {
-        let me = cf.cmap[i];
-        seen[me] = me;
-        let row_start = colidx.len();
-        let mut push = |p: usize| {
-            if cf.is_coarse[p] && seen[cf.cmap[p]] != me {
-                seen[cf.cmap[p]] = me;
-                colidx.push(Col::new(cf.cmap[p]));
-            }
-        };
-        for j in s_ext.col_iter(i) {
-            push(j);
-            s_ext.col_iter(j).for_each(&mut push);
-        }
-        colidx[row_start..].sort_unstable();
-        rowptr.push(colidx.len());
-    }
-    let values = vec![1.0; colidx.len()];
-    let s2_local = Csr::from_parts_unchecked(
-        first.ncoarse_local,
-        coarse.ext2g.len(),
-        rowptr,
-        colidx,
-        values,
-    );
+    let s2_local = distance_two_rows(&s_ext, &cf, space.own.clone());
     let coarse_starts = first.coarse_starts(comm);
     let s2 = ParCsr::from_local(
         &s2_local,
@@ -253,7 +211,7 @@ pub fn dist_aggressive_pmis(
         first.ncoarse_global,
         coarse_starts,
     );
-    let second = dist_pmis(comm, &s2, seed.wrapping_add(1), None);
+    let second = dist_pmis(comm, &s2, seed.wrapping_add(1));
     // Map back to point space: a point stays coarse if its C-point does.
     let mut kept = second.is_coarse.iter();
     let is_coarse = (first.is_coarse.iter())
@@ -270,100 +228,114 @@ mod tests {
     use crate::parcsr::default_partition;
     use famg_core::coarsen::{aggressive_pmis_stages, pmis};
     use famg_core::strength::strength;
-    use famg_matgen::laplace2d;
+    use famg_matgen::{laplace2d, laplace3d_27pt};
+    use famg_sparse::permute::{permute_symmetric, Permutation};
 
-    fn dist_strength_parts(
-        a: &famg_sparse::Csr,
-        thr: f64,
-        mrs: f64,
-        starts: &[usize],
-        r: usize,
-    ) -> ParCsr {
-        // Strength is row-local: compute globally and slice (the dist
-        // hierarchy computes it locally; this helper is for tests).
-        let s = strength(a, thr, mrs);
-        ParCsr::from_global_rows(&s, starts[r], starts[r + 1], starts.to_vec(), r)
+    /// A seeded random directed strength pattern on `n ≥ 8` points in
+    /// which points 0 and 1 have out-edges only (nobody depends on them)
+    /// and point 2 is isolated (the shape of the serial module's
+    /// `asymmetric_pattern`).
+    fn directed_pattern(n: usize, seed: u64) -> Csr {
+        let mut trips = vec![(0, 3, -1.0), (0, 4, -1.0), (1, 3, -1.0)];
+        for i in 3..n {
+            for k in 0..4u64 {
+                let j = 3 + (uniform01(seed, 4 * i as u64 + k) * (n - 3) as f64) as usize;
+                if j != i && uniform01(seed ^ 0xA5, 4 * i as u64 + k) < 0.6 {
+                    trips.push((i, j.min(n - 1), -1.0));
+                }
+            }
+        }
+        Csr::from_triplets(n, n, trips)
     }
 
+    /// The strength pattern the serial build's PMIS reads at level 1 of the
+    /// 27-point operator: level 1's operator read back through its CF
+    /// permutation to the raw ordering RAP produced.
+    fn level1_strength_27pt() -> Csr {
+        let cfg = famg_core::AmgConfig::single_node_paper();
+        let h = famg_core::Hierarchy::build(&laplace3d_27pt(12, 11, 10), &cfg);
+        let l1 = &h.levels[1];
+        let back = (l1.perm.as_ref()).map(|q| Permutation {
+            forward: q.inverse.clone(),
+            inverse: q.forward.clone(),
+        });
+        let mut a1 = back.map_or_else(|| l1.a.clone(), |q| permute_symmetric(&l1.a, &q));
+        a1.sort_rows();
+        strength(&a1, 0.25, 0.8)
+    }
+
+    /// Runs `f` on each rank's rows of `s` under the partition `starts`.
+    fn on_ranks<T: Send>(
+        s: &Csr,
+        starts: &[usize],
+        f: impl Fn(&Comm, &ParCsr) -> T + Sync,
+    ) -> Vec<T> {
+        let (parts, _) = run_ranks(starts.len() - 1, |c| {
+            let r = c.rank();
+            let ps = ParCsr::from_global_rows(s, starts[r], starts[r + 1], starts.to_vec(), r);
+            f(c, &ps)
+        });
+        parts
+    }
+
+    /// 1-5 ranks, evenly split, and three ranks with an empty middle one.
+    fn partitions(n: usize) -> Vec<Vec<usize>> {
+        let mut all: Vec<Vec<usize>> = (1..=5).map(|r| default_partition(n, r)).collect();
+        all.push(vec![0, n / 2, n / 2, n]);
+        all
+    }
+
+    fn joined<'a>(parts: impl Iterator<Item = &'a DistCoarsening>) -> Vec<bool> {
+        parts.flat_map(|p| p.is_coarse.iter().copied()).collect()
+    }
+
+    /// The splitting is the serial one bitwise, plain and aggressive, on a
+    /// symmetric pattern and on two directed ones, at every rank count and
+    /// with an empty rank.
     #[test]
     fn dist_pmis_matches_serial_for_any_rank_count() {
-        let a = laplace2d(12, 12);
-        let s = strength(&a, 0.25, 0.8);
-        let serial = pmis(&s, 42);
-        for nranks in [1usize, 2, 3, 5] {
-            let starts = default_partition(144, nranks);
-            let (parts, _) = run_ranks(nranks, |c| {
-                let ps = dist_strength_parts(&a, 0.25, 0.8, &starts, c.rank());
-                dist_pmis(c, &ps, 42, None)
-            });
-            let mut combined = Vec::new();
-            for p in &parts {
-                combined.extend_from_slice(&p.is_coarse);
+        let directed = directed_pattern(700, 17);
+        let level1 = level1_strength_27pt();
+        for s in [&directed, &level1] {
+            let one_way = (0..s.nrows()).any(|i| s.col_iter(i).any(|j| s.get(j, i).is_none()));
+            assert!(one_way, "the pattern is directed");
+        }
+        let cases = [
+            ("laplace2d", strength(&laplace2d(12, 12), 0.25, 0.8)),
+            ("directed", directed),
+            ("27pt level 1", level1),
+        ];
+        for (name, s) in &cases {
+            let serial = pmis(s, 42);
+            let (first, fin) = aggressive_pmis_stages(s, 42);
+            for starts in partitions(s.nrows()) {
+                let plain = on_ranks(s, &starts, |c, ps| dist_pmis(c, ps, 42));
+                assert_eq!(joined(plain.iter()), serial.is_coarse, "{name}, {starts:?}");
+                assert_eq!(plain[0].ncoarse_global, serial.ncoarse);
+                let agg = on_ranks(s, &starts, |c, ps| dist_aggressive_pmis(c, ps, 42));
+                assert_eq!(joined(agg.iter().map(|p| &p.0)), first.is_coarse, "{name}");
+                assert_eq!(
+                    joined(agg.iter().map(|p| &p.1)),
+                    fin.is_coarse,
+                    "{name}, {starts:?}"
+                );
             }
-            assert_eq!(combined, serial.is_coarse, "nranks {nranks}");
-            assert_eq!(parts[0].ncoarse_global, serial.ncoarse);
         }
     }
 
     #[test]
     fn coarse_numbering_is_a_partition() {
-        let a = laplace2d(10, 10);
-        let starts = default_partition(100, 4);
-        let (parts, _) = run_ranks(4, |c| {
-            let ps = dist_strength_parts(&a, 0.25, 0.8, &starts, c.rank());
-            let dc = dist_pmis(c, &ps, 7, None);
+        let s = strength(&laplace2d(10, 10), 0.25, 0.8);
+        let parts = on_ranks(&s, &default_partition(100, 4), |c, ps| {
+            let dc = dist_pmis(c, ps, 7);
             let idx: Vec<usize> = (0..ps.local_rows())
                 .filter(|&i| dc.is_coarse[i])
                 .map(|i| dc.coarse_index(i))
                 .collect();
-            (dc.coarse_start, idx, dc.ncoarse_global)
+            (idx, dc.ncoarse_global)
         });
-        let mut all: Vec<usize> = Vec::new();
-        for (_, idx, _) in &parts {
-            all.extend_from_slice(idx);
-        }
+        let mut all: Vec<usize> = parts.iter().flat_map(|p| p.0.iter().copied()).collect();
         all.sort_unstable();
-        let total = parts[0].2;
-        assert_eq!(all, (0..total).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn active_mask_restricts_candidates() {
-        let a = laplace2d(8, 8);
-        let starts = default_partition(64, 2);
-        let (parts, _) = run_ranks(2, |c| {
-            let ps = dist_strength_parts(&a, 0.25, 0.8, &starts, c.rank());
-            // Only even global points may become coarse.
-            let active: Vec<bool> = (starts[c.rank()]..starts[c.rank() + 1])
-                .map(|g| g % 2 == 0)
-                .collect();
-            let dc = dist_pmis(c, &ps, 3, Some(&active));
-            (active, dc.is_coarse)
-        });
-        for (active, is_coarse) in parts {
-            for (a, c) in active.iter().zip(&is_coarse) {
-                assert!(*a || !*c, "inactive point became coarse");
-            }
-        }
-    }
-
-    #[test]
-    fn dist_aggressive_matches_serial() {
-        let a = laplace2d(14, 14);
-        let s = strength(&a, 0.25, 0.8);
-        let (serial_first, serial_final) = aggressive_pmis_stages(&s, 11);
-        let starts = default_partition(196, 3);
-        let (parts, _) = run_ranks(3, |c| {
-            let ps = dist_strength_parts(&a, 0.25, 0.8, &starts, c.rank());
-            dist_aggressive_pmis(c, &ps, 11)
-        });
-        let mut first = Vec::new();
-        let mut fin = Vec::new();
-        for (f, g) in &parts {
-            first.extend_from_slice(&f.is_coarse);
-            fin.extend_from_slice(&g.is_coarse);
-        }
-        assert_eq!(first, serial_first.is_coarse);
-        assert_eq!(fin, serial_final.is_coarse);
+        assert_eq!(all, (0..parts[0].1).collect::<Vec<_>>());
     }
 }

@@ -293,7 +293,7 @@ impl DistHierarchy {
             let (ckind, ikind) = cfg.level_scheme(lvl_idx);
             let seed = cfg.seed.wrapping_add(lvl_idx as u64);
             let (stage1, coarsening): (Option<DistCoarsening>, DistCoarsening) = match ckind {
-                CoarsenKind::Pmis => (None, dist_pmis(comm, &s, seed, None)),
+                CoarsenKind::Pmis => (None, dist_pmis(comm, &s, seed)),
                 CoarsenKind::AggressivePmis => {
                     let (f, fin) = dist_aggressive_pmis(comm, &s, seed);
                     (Some(f), fin)
@@ -546,11 +546,11 @@ mod tests {
             let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             (h.stats.level_rows.clone(), h.num_levels())
         });
-        // On this small operator the level sizes match the serial build's
-        // at every level. That is not a property of the two PMIS loops: the
-        // distributed round demotes along `S` only, the serial one along
-        // `S ∪ Sᵀ`, and larger operators part below level 1
-        // (`one_rank_matches_the_serial_build_on_levels_0_and_1`).
+        // Both builds run the same PMIS rounds with weights keyed on the
+        // global index, so three ranks coarsen as the serial build does
+        // while no rounding difference of the distributed Galerkin product
+        // flips a strength test (`one_rank_matches_the_serial_build_at_every_level`
+        // compares every level's operator).
         for (rows, _) in &parts {
             assert_eq!(rows[0], 576);
             assert_eq!(rows, &serial.stats.level_rows, "level rows diverged");
@@ -558,52 +558,59 @@ mod tests {
     }
 
     /// One rank runs the distributed builders on the whole operator, so its
-    /// first two levels are the serial build's: the same sizes, and level
-    /// 1's operator is the serial one read back through its CF permutation,
-    /// to rounding (the two Galerkin products sum in different orders).
-    /// Only levels 0 and 1 are compared. Below them the two PMIS rounds
-    /// part ways (ROADMAP item 2(a), which extends this test to every
-    /// level).
+    /// hierarchy is the serial build's at every level: the same sizes, and
+    /// each level's operator is the serial one read back through its CF
+    /// permutation, to rounding (the two Galerkin products sum in
+    /// different orders; no rounding difference flips a strength test on
+    /// these operators, so both builds coarsen the same graphs).
     #[test]
-    fn one_rank_matches_the_serial_build_on_levels_0_and_1() {
+    fn one_rank_matches_the_serial_build_at_every_level() {
         use famg_matgen::{laplace3d_27pt, reservoir_field, varcoef3d_7pt};
-        let cfg = AmgConfig::single_node_paper();
-        for a in [
-            laplace2d(60, 50),
-            laplace3d_27pt(14, 13, 12),
-            varcoef3d_7pt(14, 12, 10, &reservoir_field(14, 12, 10, 4, 2.0, 2, 2026)),
-        ] {
-            let serial = famg_core::Hierarchy::build(&a, &cfg);
-            let n = a.nrows();
-            let (mut parts, _) = run_ranks(1, |c| {
-                let pa = ParCsr::from_global_rows(&a, 0, n, vec![0, n], 0);
-                DistHierarchy::build(c, pa, &cfg, DistOptFlags::all())
-            });
-            let dist = parts.pop().expect("one rank");
-            let (ds, ss) = (&dist.stats, &serial.stats);
-            assert_eq!(ds.level_rows[..2], ss.level_rows[..2]);
-            assert_eq!(ds.level_nnz[..2], ss.level_nnz[..2]);
-            let (d1, s1) = (&dist.levels[1].a, &serial.levels[1]);
-            let fwd = s1.perm.as_ref().map(|q| q.forward.as_slice());
-            let inv = s1.perm.as_ref().map(|q| q.inverse.as_slice());
-            for i in 0..d1.local_rows() {
-                let mut want: Vec<(usize, f64)> =
-                    s1.a.row_iter(fwd.map_or(i, |f| f[i]))
-                        .map(|(j, v)| (inv.map_or(j, |q| q[j]), v))
-                        .collect();
-                want.sort_by_key(|e| e.0);
-                let got = d1.global_row(i, 0);
-                assert_eq!(
-                    got.iter().map(|e| e.0).collect::<Vec<_>>(),
-                    want.iter().map(|e| e.0).collect::<Vec<_>>(),
-                    "level 1 row {i}: pattern differs"
-                );
-                for ((_, x), (_, y)) in got.iter().zip(&want) {
-                    assert!(
-                        (x - y).abs() <= 1e-10 * y.abs(),
-                        "level 1 row {i}: {x} vs {y}"
+        let field = reservoir_field(14, 12, 10, 4, 2.0, 2, 2026);
+        let operators = [
+            ("laplace2d", laplace2d(60, 50)),
+            ("laplace3d_27pt", laplace3d_27pt(14, 13, 12)),
+            ("varcoef3d_7pt", varcoef3d_7pt(14, 12, 10, &field)),
+        ];
+        let configs = [
+            ("paper", AmgConfig::single_node_paper()),
+            ("mp", AmgConfig::multi_node_mp()),
+            ("2s_ei444", AmgConfig::multi_node_2s_ei444()),
+        ];
+        for (cname, cfg) in &configs {
+            for (aname, a) in &operators {
+                let serial = famg_core::Hierarchy::build(a, cfg);
+                let n = a.nrows();
+                let (mut parts, _) = run_ranks(1, |c| {
+                    let pa = ParCsr::from_global_rows(a, 0, n, vec![0, n], 0);
+                    DistHierarchy::build(c, pa, cfg, DistOptFlags::all())
+                });
+                let dist = parts.pop().expect("one rank");
+                let (ds, ss) = (&dist.stats, &serial.stats);
+                for (l, (d, s)) in dist.levels.iter().zip(&serial.levels).enumerate() {
+                    let what = format!("{cname}, {aname}, level {l}");
+                    assert_eq!(ds.level_rows[l], ss.level_rows[l], "{what}: rows");
+                    assert_eq!(ds.level_nnz[l], ss.level_nnz[l], "{what}: nnz");
+                    // The serial operator on the raw ordering its RAP made.
+                    let fwd = s.perm.as_ref().map(|q| q.forward.as_slice());
+                    let inv = s.perm.as_ref().map(|q| q.inverse.as_slice());
+                    let raw = famg_sparse::Csr::from_triplets(
+                        s.a.nrows(),
+                        s.a.ncols(),
+                        (0..s.a.nrows()).flat_map(|i| {
+                            (s.a.row_iter(fwd.map_or(i, |f| f[i])))
+                                .map(move |(j, v)| (i, inv.map_or(j, |q| q[j]), v))
+                        }),
                     );
+                    let got = crate::parcsr::to_global(std::slice::from_ref(&d.a));
+                    assert_eq!(got.rowptr(), raw.rowptr(), "{what}: row lengths");
+                    assert_eq!(got.colidx(), raw.colidx(), "{what}: columns");
+                    for (x, y) in got.values().iter().zip(raw.values()) {
+                        assert!((x - y).abs() <= 1e-10 * y.abs(), "{what}: {x} vs {y}");
+                    }
                 }
+                assert_eq!(ds.level_rows, ss.level_rows, "{cname}, {aname}");
+                assert_eq!(ds.level_nnz, ss.level_nnz, "{cname}, {aname}");
             }
         }
     }

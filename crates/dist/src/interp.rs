@@ -415,7 +415,7 @@ mod tests {
                         let (parts, _) = run_ranks(starts.len() - 1, |c| {
                             let pa = split(&a, &starts, c.rank());
                             let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-                            let dc = dist_pmis(c, &ps, 9, None);
+                            let dc = dist_pmis(c, &ps, 9);
                             let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
                             dist_extended_i(c, &pa, &plan, &ps, &dc, trunc.as_ref(), filter)
                         });
@@ -438,7 +438,7 @@ mod tests {
             let (parts, report) = run_ranks(4, |c| {
                 let pa = split(&a, &starts, c.rank());
                 let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-                let dc = dist_pmis(c, &ps, 13, None);
+                let dc = dist_pmis(c, &ps, 13);
                 let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
                 dist_extended_i(c, &pa, &plan, &ps, &dc, None, filter)
             });

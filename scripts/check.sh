@@ -6,7 +6,8 @@
 #
 # Usage: check.sh [--fast]
 #   --fast   formatting, clippy, famg-analyze, the base test suite, and the
-#            benchmark package's own tests only; skips the validate-feature
+#            benchmark package's own tests only, then prints the kernel
+#            crates' line counts (information only); skips the validate-feature
 #            matrix, the model checker, and the release-mode
 #            regression/bench stages. For inner-loop edits — a merge still
 #            requires the full run.
@@ -68,6 +69,10 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 if [[ "$FAST" == "1" ]]; then
     echo "==> fast mode: skipping validate matrix, famg-model, and release stages"
     echo "==> all fast checks passed"
+    # Information, not a gate: the kernel crates' size, as ROADMAP's line
+    # bars count it.
+    echo "==> kernel crate lines (scripts/count_lines.py)"
+    python3 scripts/count_lines.py . || echo "(line count unavailable)"
     exit 0
 fi
 

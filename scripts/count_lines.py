@@ -1,7 +1,9 @@
 """Counts the lines of the four kernel crates' sources, split into test and
 non-test lines.
 
-Usage: python3 count_lines.py <checkout root>
+Usage: python3 scripts/count_lines.py [checkout root]   (default: this checkout)
+
+Every line bar in ROADMAP.md is read with this script.
 
 A line is a test line when it lies in an item that carries `#[cfg(test)]`
 (from the attribute to the item's closing brace, or its `;`), or in a file
@@ -55,7 +57,7 @@ def split(text, whole_file_test):
 
 
 def main():
-    root = pathlib.Path(sys.argv[1])
+    root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(__file__).resolve().parent.parent
     total_non, total_test = 0, 0
     for crate in CRATES:
         non, test = 0, 0

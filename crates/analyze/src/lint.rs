@@ -23,13 +23,13 @@
 //!   in kernel code outside the sanctioned bench/telemetry allowlist
 //!   ([`WALLCLOCK_ALLOWLIST`]); timing reads in compute paths are a
 //!   determinism and reproducibility hazard.
-//! * **`index-narrowing`** — `as u32` must not appear in numeric kernel
-//!   modules: a column index narrows to 32 bits only through `Col`'s
-//!   constructors (`crates/sparse/src/csr.rs`, the one file on
-//!   [`NARROWING_ALLOWLIST`], where a `// NARROWING:` comment states the
-//!   bound), and every other `u32` index is made by a checked
-//!   `u32::try_from` (the extended+i tape's `idx()`). A silent `as u32`
-//!   wraps instead of failing.
+//! * **`index-narrowing`** — `as u32`, `as u16` and `as u8` must not
+//!   appear in numeric kernel modules: a column index narrows to 32 bits
+//!   only through `Col`'s constructors (`crates/sparse/src/csr.rs`, the one
+//!   file on [`NARROWING_ALLOWLIST`], where a `// NARROWING:` comment
+//!   states the bound), and every other narrow integer is made by a
+//!   checked `try_from` (the extended+i tape's 16-bit streams go through
+//!   its `narrow()`). A silent cast wraps instead of failing.
 //!
 //! The rules match token sequences (`unsafe {`, `as u32`,
 //! `Ordering::Relaxed`), so a form split across lines is caught on the
@@ -55,7 +55,8 @@ pub mod id {
     pub const HASHMAP: &str = "hashmap-kernel";
     /// `Instant::now`/`SystemTime` outside the bench/telemetry allowlist.
     pub const WALLCLOCK: &str = "wallclock-kernel";
-    /// `as u32` in a numeric kernel module outside the narrowing allowlist.
+    /// `as u32`/`as u16`/`as u8` in a numeric kernel module outside the
+    /// narrowing allowlist.
     pub const NARROWING: &str = "index-narrowing";
 }
 
@@ -73,7 +74,7 @@ pub const WALLCLOCK_ALLOWLIST: &[&str] = &[
     "crates/dist/src/comm.rs",
 ];
 
-/// Kernel files that may narrow with `as u32`, on a line vouched for by a
+/// Kernel files that may narrow with a cast, on a line vouched for by a
 /// `// NARROWING:` comment: `Col`'s constructors.
 pub const NARROWING_ALLOWLIST: &[&str] = &["crates/sparse/src/csr.rs"];
 
@@ -88,6 +89,9 @@ const KERNEL_CRATES: &[&str] = &[
     // containers.
     "crates/dist/src",
 ];
+
+/// The integer types a cast may narrow an index or a count to.
+const NARROW_TYPES: &[&str] = &["u32", "u16", "u8"];
 
 /// The weak orderings, in the order a line naming several reports them.
 const WEAK_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel"];
@@ -191,16 +195,23 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
             );
         }
 
-        // index-narrowing: `as u32` only where a Col is made.
-        let narrows = |k: usize| t[k].is_ident("as") && next_is(k, &|n| n.is_ident("u32"));
-        if kernel && has(&narrows) && !(narrowing_allowed && vouched("NARROWING:")) {
+        // index-narrowing: a narrowing cast only where a Col is made.
+        let cast = on_line.iter().find_map(|&k| {
+            let ty = NARROW_TYPES
+                .iter()
+                .find(|ty| next_is(k, &|n| n.is_ident(ty)))?;
+            t[k].is_ident("as").then_some(*ty)
+        });
+        let allowed = narrowing_allowed && vouched("NARROWING:");
+        if let Some(ty) = cast.filter(|_| kernel && !allowed) {
             report(
                 line,
                 id::NARROWING,
-                "`as u32` in a numeric kernel module silently wraps an index wider than \
-                 32 bits — make a column with `Col::new`/`Col::try_from`, any other u32 \
-                 with `u32::try_from`"
-                    .to_string(),
+                format!(
+                    "`as {ty}` in a numeric kernel module silently wraps a value wider than \
+                     {ty} — make a column with `Col::new`/`Col::try_from`, any other {ty} \
+                     with `{ty}::try_from`"
+                ),
             );
         }
 
@@ -325,6 +336,29 @@ mod tests {
         assert_eq!(rules("crates/sparse/src/x.rs", src).len(), 1);
         assert_eq!(rules("crates/dist/src/x.rs", src).len(), 1);
         assert!(rules("crates/matgen/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn narrowing_casts_flagged_in_kernel_crates() {
+        for ty in ["u32", "u16", "u8"] {
+            let src = format!("let x = i as {ty};\n");
+            let got = lint_source("crates/core/src/x.rs", &src);
+            assert_eq!(got.len(), 1, "as {ty}");
+            assert_eq!((got[0].line, got[0].rule), (1, id::NARROWING));
+            assert!(
+                got[0].message.starts_with(&format!("`as {ty}`")),
+                "{}",
+                got[0]
+            );
+            assert!(rules("crates/matgen/src/x.rs", &src).is_empty(), "as {ty}");
+        }
+        // Widening, and checked narrowing, are fine.
+        let src = "let x = i as u64 + u16::try_from(j).unwrap() as usize;\n";
+        assert!(rules("crates/sparse/src/x.rs", src).is_empty());
+        // `Col`'s constructors may cast where a comment states the bound.
+        let src = "// NARROWING: checked above.\nlet c = i as u32;\n";
+        assert!(rules("crates/sparse/src/csr.rs", src).is_empty());
+        assert_eq!(rules("crates/sparse/src/x.rs", src), [(2, id::NARROWING)]);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::stats::{PhaseTimes, SetupStats};
 use crate::strength::strength;
 use famg_sparse::dense::{DenseMatrix, LuFactor};
 use famg_sparse::partition::{num_threads, split_evenly, split_mut_at};
-use famg_sparse::permute::{stored_positions, Permutation, RowOrder};
+use famg_sparse::permute::{Permutation, RowOrder};
 use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
@@ -133,9 +133,10 @@ pub(crate) fn build_smoother(
 
 /// Builds the interpolation operator for one level according to the
 /// configured scheme. Returns the full `n × nc` operator and, with `record`
-/// (a refreshable build), the replay tape of an extended+i level: the
-/// recording run *is* that level's build. It truncates row by row, which
-/// is the operator `truncate_matrix` returns when `fused_truncation` is off.
+/// (a refreshable build), the replay tape of an extended+i level whose rows
+/// fit the tape's 16 bits: the recording run *is* that level's build. It
+/// truncates row by row, which is the operator `truncate_matrix` returns
+/// when `fused_truncation` is off.
 pub(crate) fn build_interp(
     a: &Csr,
     s: &Csr,
@@ -153,8 +154,7 @@ pub(crate) fn build_interp(
     let trunc_arg = if fused { Some(&t) } else { None };
     let p = match kind {
         InterpKind::ExtendedI if record => {
-            let (p, tape) = ExtITape::capture(a, s, cf, Some(&t));
-            return (p, Some(tape));
+            return ExtITape::capture(a, s, cf, Some(&t));
         }
         InterpKind::ExtendedI => extended_i(a, s, cf, trunc_arg),
         InterpKind::Multipass => multipass(a, s, cf, trunc_arg),
@@ -419,15 +419,9 @@ impl Hierarchy {
             if let Some(cap) = capture.as_deref_mut() {
                 let _span = famg_prof::scope_at("capture", lvl_idx);
                 let interp = match (tape, rerun, p_left) {
-                    // The tape was recorded on the raw operand; the level
-                    // keeps only the stored one, so it moves there (to the
-                    // rows' pre-partition order, the one a refresh reads).
-                    (Some(mut tape), ..) => {
-                        if perm.is_some() {
-                            tape.remap(&stored_positions(&a_level, perm.as_ref()));
-                        }
-                        FrozenInterp::Tape(tape)
-                    }
+                    // Recorded on the raw operand in in-row offsets, the
+                    // tape replays on the stored one as it is.
+                    (Some(tape), ..) => FrozenInterp::Tape(tape),
                     (None, Some((s, stage1, cf)), Some(p)) => {
                         FrozenInterp::Rerun(Rerun { s, stage1, cf, p })
                     }

@@ -78,22 +78,22 @@ pub fn remote_entry_is_read(
 }
 
 /// Observer of the row kernel's arithmetic: every operand is reported by
-/// its nnz position in `A`, in the order the kernel consumes it. The
-/// builder runs with `()` (all calls compile away); the replay tape
-/// ([`super::tape`]) records them, so it repeats the builder's additions
-/// in the builder's order by construction.
+/// its offset in its own row of `A` (row `i` or row `k`), in the order the
+/// kernel consumes it. The builder runs with `()` (all calls compile away);
+/// the replay tape ([`super::tape`]) records them, so it repeats the
+/// builder's additions in the builder's order by construction.
 pub(super) trait Sink: Send {
-    /// `ã_ii += a[pos]` (the diagonal or a weak neighbour outside `Ĉ_i`).
-    fn diag_term(&mut self, _pos: usize) {}
-    /// `num[slot] += a[pos]` (`a_ij`, `j ∈ Ĉ_i`).
-    fn direct_term(&mut self, _pos: usize, _slot: usize) {}
-    /// `num[slot] += (a_ik / b_ik) · a[pos]`.
-    fn dist_term(&mut self, _pos: usize, _slot: usize) {}
-    /// Closes strong fine neighbour `k` (`a_ik` at `aik`). `lumped` means
-    /// `b_ik == 0`: `ã_ii += a[aik]` and no `dist_term` was reported.
-    /// Otherwise `b_ik` summed, in row-`k` order, the positions of this
-    /// neighbour's `dist_term`s and `ā_ki` at `abar` where it falls, and
-    /// `ã_ii += (a_ik / b_ik) · a[abar]`, `abar` absent ⇒ 0.
+    /// `ã_ii += a_i[off]` (the diagonal or a weak neighbour outside `Ĉ_i`).
+    fn diag_term(&mut self, _off: usize) {}
+    /// `num[slot] += a_i[off]` (`a_ij`, `j ∈ Ĉ_i`).
+    fn direct_term(&mut self, _off: usize, _slot: usize) {}
+    /// `num[slot] += (a_ik / b_ik) · a_k[off]`.
+    fn dist_term(&mut self, _off: usize, _slot: usize) {}
+    /// Closes strong fine neighbour `k` (`a_ik` at `a_i[aik]`). `lumped`
+    /// means `b_ik == 0`: `ã_ii += a_ik` and no `dist_term` was reported.
+    /// Otherwise `b_ik` summed, in row-`k` order, this neighbour's
+    /// `dist_term`s and `ā_ki` at `a_k[abar]` where it falls, and
+    /// `ã_ii += (a_ik / b_ik) · a_k[abar]`, `abar` absent ⇒ 0.
     fn end_neighbour(&mut self, _aik: usize, _abar: Option<usize>, _lumped: bool) {}
     /// Numerator `slot` is emitted as the row's next weight, in column
     /// `col` of `P`.
@@ -110,8 +110,8 @@ impl Sink for () {}
 #[derive(Clone, Copy)]
 struct Opp {
     col: usize,
-    /// nnz position in `A`.
-    pos: usize,
+    /// Offset in its row of `A`.
+    off: usize,
     val: f64,
 }
 
@@ -139,7 +139,6 @@ impl CoarseView {
             strong_len: Vec<usize>,
             strong: Vec<Col>,
         }
-        let av = a.values();
         let parts: Vec<Part> = blocks
             .par_iter()
             .map(|rows| {
@@ -151,20 +150,19 @@ impl CoarseView {
                     strong: Vec::new(),
                 };
                 for k in rows.clone() {
-                    let r = a.row_range(k);
-                    let cols = &a.colidx()[r.clone()];
+                    let (cols, vals) = (a.row_cols(k), a.row_vals(k));
                     let akk = cols
                         .iter()
                         .position(|&c| usize::from(c) == k)
-                        .map_or(0.0, |o| av[r.start + o]);
+                        .map_or(0.0, |o| vals[o]);
                     p.diag.push(akk);
                     let (opp0, strong0) = (p.opp.len(), p.strong.len());
                     if !cf.is_coarse[k] {
                         // `l` coarse and `k` fine, so `l ≠ k` already.
-                        for (pos, &col) in r.zip(cols) {
-                            let (col, val) = (usize::from(col), av[pos]);
+                        for (off, (&col, &val)) in cols.iter().zip(vals).enumerate() {
+                            let col = usize::from(col);
                             if cf.is_coarse[col] && opposes(val, akk) {
-                                p.opp.push(Opp { col, pos, val });
+                                p.opp.push(Opp { col, off, val });
                             }
                         }
                         let coarse = |l: &&Col| cf.is_coarse[usize::from(**l)];
@@ -221,6 +219,8 @@ struct Scratch {
     num: Vec<f64>,
     /// View entries read by the distance-2 sweeps.
     visited: usize,
+    /// Columns of neighbour rows compared in the search for `a_ki`.
+    scanned: usize,
 }
 
 impl Scratch {
@@ -232,6 +232,7 @@ impl Scratch {
             chat: Vec::new(),
             num: Vec::new(),
             visited: 0,
+            scanned: 0,
         }
     }
 
@@ -258,7 +259,6 @@ fn fine_row<K: Sink>(
     sink: &mut K,
 ) -> f64 {
     let stamp = i + 1;
-    let av = a.values();
     sc.chat.clear();
     sc.num.clear();
     // --- Step 1: mark S_i and build Ĉ_i. ---
@@ -282,48 +282,46 @@ fn fine_row<K: Sink>(
     }
     // --- Steps 2–4: diagonal, numerators, distribution. ---
     let mut atilde = 0.0f64;
+    let vals_i = a.row_vals(i);
     // First pass over A_i: diagonal, weak lumping, direct numerator
     // contributions.
-    let row_i = a.row_range(i);
-    for (pos, j) in row_i.clone().zip(a.col_iter(i)) {
+    for (off, j) in a.col_iter(i).enumerate() {
         if j == i {
-            atilde += av[pos];
-            sink.diag_term(pos);
+            atilde += vals_i[off];
+            sink.diag_term(off);
         } else if sc.chat_stamp[j] == stamp {
-            sc.num[sc.chat_slot[j]] += av[pos];
-            sink.direct_term(pos, sc.chat_slot[j]);
+            sc.num[sc.chat_slot[j]] += vals_i[off];
+            sink.direct_term(off, sc.chat_slot[j]);
         } else if sc.strong[j] != stamp {
             // Weak neighbour outside Ĉ_i: lump into diagonal.
-            atilde += av[pos];
-            sink.diag_term(pos);
+            atilde += vals_i[off];
+            sink.diag_term(off);
         }
         // Strong fine neighbours handled below; strong coarse
         // neighbours are in Ĉ_i (handled above).
     }
     // Distribution through strong fine neighbours.
-    for (aik_pos, k) in row_i.zip(a.col_iter(i)) {
+    for (aik_off, k) in a.col_iter(i).enumerate() {
         if k == i || sc.strong[k] != stamp || cf.is_coarse[k] {
             continue;
         }
-        let aik = av[aik_pos];
+        let aik = vals_i[aik_off];
         let akk = view.diag[k];
         let opp = view.opp(k);
         // ā_ki: `i` is fine, so it is not in the view; a compare-only
         // scan of row k's columns finds it.
-        let row_k = a.row_range(k);
-        let abar_pos = a.colidx()[row_k.clone()]
-            .iter()
-            .position(|&l| usize::from(l) == i)
-            .map(|o| row_k.start + o)
-            .filter(|&p| opposes(av[p], akk));
+        let (cols_k, vals_k) = (a.row_cols(k), a.row_vals(k));
+        let found = cols_k.iter().position(|&l| usize::from(l) == i);
+        sc.scanned += found.map_or(cols_k.len(), |o| o + 1);
+        let abar_off = found.filter(|&o| opposes(vals_k[o], akk));
         // b_ik = Σ_{l∈Ĉ_i∪{i}} ā_kl, summed in row-k order (ā_ki falls
         // between the view entries stored before and after it).
         let (before, after) =
-            opp.split_at(abar_pos.map_or(opp.len(), |p| opp.partition_point(|e| e.pos < p)));
+            opp.split_at(abar_off.map_or(opp.len(), |o| opp.partition_point(|e| e.off < o)));
         let mut bik = sum_members(0.0, before, sc, stamp);
         let mut abar_ki = 0.0f64;
-        if let Some(p) = abar_pos {
-            abar_ki = av[p];
+        if let Some(o) = abar_off {
+            abar_ki = vals_k[o];
             bik += abar_ki;
         }
         bik = sum_members(bik, after, sc, stamp);
@@ -332,7 +330,7 @@ fn fine_row<K: Sink>(
             // Nothing to distribute to: lump a_ik (HYPRE's guard
             // against zero denominators).
             atilde += aik;
-            sink.end_neighbour(aik_pos, None, true);
+            sink.end_neighbour(aik_off, None, true);
             continue;
         }
         let coef = aik / bik;
@@ -340,11 +338,11 @@ fn fine_row<K: Sink>(
         for e in opp {
             if sc.chat_stamp[e.col] == stamp {
                 sc.num[sc.chat_slot[e.col]] += coef * e.val;
-                sink.dist_term(e.pos, sc.chat_slot[e.col]);
+                sink.dist_term(e.off, sc.chat_slot[e.col]);
             }
         }
         sc.visited += opp.len();
-        sink.end_neighbour(aik_pos, abar_pos, false);
+        sink.end_neighbour(aik_off, abar_off, false);
     }
     atilde
 }
@@ -391,6 +389,7 @@ pub(super) fn build<K: Sink>(
         colidx: Vec<Col>,
         values: Vec<f64>,
         visited: usize,
+        scanned: usize,
         sink: K,
     }
 
@@ -402,6 +401,7 @@ pub(super) fn build<K: Sink>(
                 colidx: Vec::new(),
                 values: Vec::new(),
                 visited: 0,
+                scanned: 0,
                 sink: new_sink(rows.start),
             };
             let mut sc = Scratch::new(n);
@@ -439,7 +439,7 @@ pub(super) fn build<K: Sink>(
                 ch.values.extend_from_slice(&out_vals);
                 ch.sink.end_row(sc.chat.len(), &out_cols);
             }
-            ch.visited = sc.visited;
+            (ch.visited, ch.scanned) = (sc.visited, sc.scanned);
             ch
         })
         .collect();
@@ -448,6 +448,10 @@ pub(super) fn build<K: Sink>(
     famg_prof::counter(
         "interp_entries_visited",
         chunks.iter().map(|c| c.visited as u64).sum(),
+    );
+    famg_prof::counter(
+        "interp_abar_scanned",
+        chunks.iter().map(|c| c.scanned as u64).sum(),
     );
     let p = Csr::from_parts_unchecked(
         rows.len(),

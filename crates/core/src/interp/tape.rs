@@ -6,7 +6,7 @@
 //! of those decisions is fixed, and the weight computation collapses to a
 //! straight-line arithmetic circuit over `A`'s value array. [`ExtITape`]
 //! records that circuit at freeze time — for each accumulation the builder
-//! performs, the nnz index it reads — and replay re-executes it against new
+//! performs, the entry it reads — and replay re-executes it against new
 //! values, writing the kept weights in place into the level's `P_F`, with no
 //! hashing, no marker stamping, and no per-row allocation.
 //!
@@ -16,15 +16,15 @@
 //! therefore performs the *same additions in the same order* as the
 //! builder, truncation's rescale included, and on inputs that induce the
 //! same frozen decisions the result is bitwise identical to
-//! `extended_i(a, s, cf, trunc)`. The tape holds index streams only; the
-//! operator is the caller's, and its positions are positions in that
-//! operator's value array. Capture records them in the level's raw
-//! operator, the one the builder reads; the hierarchy then moves them
-//! ([`ExtITape::remap`]) onto the operator it stores — CF-permuted, its
-//! rows in the order they had before the smoother partitioned them, the
-//! layout a refresh holds it in — and replays there, on the level's only
-//! copy. The decisions frozen into the tape (beyond the sparsity pattern
-//! itself) are:
+//! `extended_i(a, s, cf, trunc)`.
+//!
+//! Each read is a 16-bit offset in its own row — row `i`, or row `k` for
+//! `b_ik`'s terms and `ā_ki` — found through the caller's row map and
+//! `a_ik`'s column, so one tape replays on the raw operand capture read
+//! and on the CF-permuted one a refresh holds, whose rows keep the raw
+//! in-row order. A level whose rows or `Ĉ_i` need more than 16 bits
+//! records no tape and re-runs its builder. The decisions frozen into the
+//! tape (beyond the sparsity pattern itself) are:
 //!
 //! * the sign filter `ā_kl = a_kl` iff `sign(a_kl) ≠ sign(a_kk)`,
 //! * the zero-denominator lump `b_ik == 0`,
@@ -41,201 +41,181 @@ use super::extended_i::{build, Sink};
 use famg_sparse::Csr;
 use rayon::prelude::*;
 
-/// One distribution term: `k` is a strong fine neighbour of the row.
+/// One strong fine neighbour `k` of the row.
 ///
-/// Its `dist_*` terms are `b_ik`'s, in row-`k` order: each `ā_kl`,
-/// `l ∈ Ĉ_i`, and `ā_ki` where it falls, in the [`SPARE`] slot. An empty
-/// range encodes the frozen lump decision (`b_ik == 0` at capture): replay
-/// adds `a[aik]` straight into the diagonal. Otherwise replay sums
-/// `b_ik`, computes `coef = a[aik] / b_ik`, adds `coef · a[abar]` to the
-/// diagonal and `coef · a[l]` to each term's slot.
+/// Its `dist` terms are `b_ik`'s, in row-`k` order: each `ā_kl`,
+/// `l ∈ Ĉ_i`, and `ā_ki` where it falls, in the [`SPARE`] slot. No terms
+/// encode the frozen lump decision (`b_ik == 0` at capture): replay adds
+/// `a_ik` straight into the diagonal. Otherwise replay sums `b_ik`,
+/// computes `coef = a_ik / b_ik`, adds `coef · ā_ki` to the diagonal and
+/// `coef · a_kl` to each term's slot.
 #[derive(Debug, Clone, Copy)]
 struct KOp {
-    /// nnz index of `a_ik` in the row of `i`.
-    aik: u32,
-    /// nnz index of `ā_ki` in row `k` (`u32::MAX` when absent → 0.0).
-    abar: u32,
-    /// Exclusive end of this op's terms in `dist_*` (start = previous
-    /// op's end; ops are laid out in replay order).
-    dist_end: u32,
+    /// Offset of `a_ik` in row `i`.
+    aik: u16,
+    /// Offset of `ā_ki` in row `k` ([`ABSENT`] → 0.0).
+    abar: u16,
+    /// Number of this op's terms in `dist`, which follow the previous
+    /// op's (ops are laid out in replay order).
+    dist_len: u16,
 }
 
 /// The numerator slot `ā_ki`'s distribution term adds into and nothing
 /// reads: numerator `s` of a row is stored as slot `s + 1`.
-const SPARE: u32 = 0;
+const SPARE: u16 = 0;
+
+/// [`KOp::abar`] when row `k` holds no opposite-sign `a_ki`: the one value
+/// no stream entry takes (see [`narrow`]).
+const ABSENT: u16 = u16::MAX;
+
+/// How many entries one row has in each per-row stream, and its numerator
+/// count `|Ĉ_i|`.
+#[derive(Debug, Clone, Copy)]
+struct RowLens {
+    nslots: u16,
+    at: u16,
+    dn: u16,
+    kops: u16,
+    em: u16,
+}
 
 /// The circuit of one contiguous block of rows, recorded by the row
 /// kernel through [`Sink`].
 ///
-/// All index streams are flat, in capture (= replay) order, with per-row
-/// boundaries in `*_ptr` arrays; `KOp` sub-streams chain via running
-/// cursors. Indices are `u32` — the tape refuses to capture operators
-/// with ≥ 2³² nonzeros, far beyond a single node's memory anyway.
-#[derive(Debug)]
+/// All streams are flat, in capture (= replay) order; replay walks them
+/// with running cursors, each row advancing them by its [`RowLens`] and
+/// each op the distribution cursor by its `dist_len`.
+#[derive(Debug, Default)]
 struct TapePart {
-    /// First row of the block; the `*_ptr` arrays and `nslots` are
-    /// indexed by `row - first_row`.
+    /// First row of the block, the point of `rows[0]`.
     first_row: usize,
-    /// Numerator slot count (`|Ĉ_i|`) per row.
-    nslots: Vec<u32>,
-    /// Per-row range into `at_idx` (direct diagonal terms).
-    at_ptr: Vec<u32>,
-    /// nnz indices summed directly into `ã_ii` (diagonal + weak lumps).
-    at_idx: Vec<u32>,
-    /// Per-row range into `dn_idx`/`dn_slot` (direct numerator terms).
-    dn_ptr: Vec<u32>,
-    /// nnz index of each direct `a_ij`, `j ∈ Ĉ_i`.
-    dn_idx: Vec<u32>,
-    /// Numerator slot the direct term adds into.
-    dn_slot: Vec<u32>,
-    /// Per-row range into `kops`.
-    k_ptr: Vec<u32>,
+    rows: Vec<RowLens>,
+    /// Offsets in row `i` summed directly into `ã_ii` (diagonal + weak
+    /// lumps).
+    at_off: Vec<u16>,
+    /// Offset in row `i` of each direct `a_ij`, `j ∈ Ĉ_i`, and the
+    /// numerator slot it adds into.
+    dn: Vec<[u16; 2]>,
     kops: Vec<KOp>,
-    /// `b_ik` term nnz indices (row-`k` scan order, `l = i` included).
-    dist_idx: Vec<u32>,
-    /// Numerator slot each term adds into ([`SPARE`] for `ā_ki`).
-    dist_slot: Vec<u32>,
-    /// Per-row range into `em_slot`/`em_keep`.
-    em_ptr: Vec<u32>,
+    /// `b_ik` terms: offset in row `k` (row-`k` order, `l = i` included)
+    /// and the numerator slot each adds into ([`SPARE`] for `ā_ki`).
+    dist: Vec<[u16; 2]>,
     /// Slots emitted as weights, in emit order.
-    em_slot: Vec<u32>,
-    /// Whether the emitted weight survived truncation.
-    em_keep: Vec<bool>,
+    em_slot: Vec<u16>,
+    /// Bit `e` is set when emitted weight `e` survived truncation.
+    em_keep: Vec<u64>,
+    /// Stream lengths (`at`, `dn`, `kops`, `em`) when the open row began,
+    /// and `dist` when its open op did.
+    row_start: [usize; 4],
+    op_start: usize,
     /// Columns of the open row's emitted weights (scratch for `end_row`).
     row_cols: Vec<usize>,
+    /// Set once an entry needed more than 16 bits: the part is dropped.
+    overflow: bool,
 }
 
-/// Narrows to a stream index; `u32::MAX` is [`KOp::abar`]'s "absent".
-fn idx(x: usize) -> u32 {
-    let fits = u32::try_from(x).ok().filter(|&i| i < u32::MAX);
-    fits.expect("extended+i tape: index stream exceeds u32")
+/// Narrows an in-row offset, a per-row count or a numerator slot to its
+/// stream entry; `None` from [`ABSENT`] up.
+fn narrow(x: usize) -> Option<u16> {
+    u16::try_from(x).ok().filter(|&v| v != ABSENT)
 }
 
 impl TapePart {
-    fn new(first_row: usize) -> Self {
-        TapePart {
-            first_row,
-            nslots: Vec::new(),
-            at_ptr: vec![0],
-            at_idx: Vec::new(),
-            dn_ptr: vec![0],
-            dn_idx: Vec::new(),
-            dn_slot: Vec::new(),
-            k_ptr: vec![0],
-            kops: Vec::new(),
-            dist_idx: Vec::new(),
-            dist_slot: Vec::new(),
-            em_ptr: vec![0],
-            em_slot: Vec::new(),
-            em_keep: Vec::new(),
-            row_cols: Vec::new(),
-        }
+    /// `x` as a stream entry; one that does not fit marks the part.
+    fn entry(&mut self, x: usize) -> u16 {
+        narrow(x).unwrap_or_else(|| {
+            self.overflow = true;
+            0
+        })
     }
 
     /// Gives back what the streams' doubling growth reserved beyond their
     /// lengths (about a third of a tape): a frozen setup keeps its tapes.
     fn trim(&mut self) {
-        self.nslots.shrink_to_fit();
-        self.at_ptr.shrink_to_fit();
-        self.at_idx.shrink_to_fit();
-        self.dn_ptr.shrink_to_fit();
-        self.dn_idx.shrink_to_fit();
-        self.dn_slot.shrink_to_fit();
-        self.k_ptr.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        self.at_off.shrink_to_fit();
+        self.dn.shrink_to_fit();
         self.kops.shrink_to_fit();
-        self.dist_idx.shrink_to_fit();
-        self.dist_slot.shrink_to_fit();
-        self.em_ptr.shrink_to_fit();
+        self.dist.shrink_to_fit();
         self.em_slot.shrink_to_fit();
         self.em_keep.shrink_to_fit();
         self.row_cols = Vec::new();
     }
 
-    /// Rewrites every operand position the circuit reads, `k → map[k]`.
-    fn remap(&mut self, map: &[u32]) {
-        let at = |k: &mut u32| *k = map[*k as usize];
-        self.at_idx.iter_mut().for_each(at);
-        self.dn_idx.iter_mut().for_each(at);
-        self.dist_idx.iter_mut().for_each(at);
-        for op in &mut self.kops {
-            at(&mut op.aik);
-            if op.abar != u32::MAX {
-                at(&mut op.abar);
-            }
-        }
-    }
-
-    /// Recomputes this block's fine-row weights from `av` and writes the
-    /// kept ones of point `i` into row `row(i)` of the operator `rowptr`
-    /// and `values` lay out; `num` is scratch of `max_slots + 1` entries.
-    /// `rescale` repeats `truncate_row`'s: `sum_before` adds every emitted
-    /// weight in emit order, `sum_after` the kept ones in theirs.
+    /// Recomputes this block's fine-row weights from `a`'s values, row `i`
+    /// of the circuit being row `row(i)` of `a`, and writes the kept ones
+    /// into `out`; `num` is scratch of `max_slots + 1` entries. `rescale`
+    /// repeats `truncate_row`'s: `sum_before` adds every emitted weight in
+    /// emit order, `sum_after` the kept ones in theirs.
     fn replay(
         &self,
-        av: &[f64],
-        rowptr: &[usize],
-        values: &RowsPtr,
+        a: &Csr,
         row: &impl Fn(usize) -> usize,
+        out: &OutRows<'_>,
         num: &mut [f64],
         rescale: bool,
     ) {
-        // Running cursor into the distribution terms.
-        let mut cd = 0usize;
-        for r in 0..self.nslots.len() {
-            let kr = self.k_ptr[r] as usize..self.k_ptr[r + 1] as usize;
-            let er = self.em_ptr[r] as usize..self.em_ptr[r + 1] as usize;
-            if er.is_empty() {
+        let (rowptr, colidx, av) = (a.rowptr(), a.colidx(), a.values());
+        // Running cursors into the streams.
+        let (mut ca, mut cn, mut ck, mut cd, mut ce) = (0, 0, 0, 0, 0);
+        for (r, lens) in self.rows.iter().enumerate() {
+            let at = ca..ca + usize::from(lens.at);
+            let dn = cn..cn + usize::from(lens.dn);
+            let kops = &self.kops[ck..ck + usize::from(lens.kops)];
+            let em = ce..ce + usize::from(lens.em);
+            (ca, cn, ck, ce) = (at.end, dn.end, ck + kops.len(), em.end);
+            if em.is_empty() {
                 // Coarse identity row, empty row, or frozen-dead row:
                 // nothing to write; skip the cursor past any recorded
                 // (unemitted) work.
-                if let Some(last) = self.kops[kr.clone()].last() {
-                    cd = last.dist_end as usize;
-                }
+                let skipped: usize = kops.iter().map(|op| usize::from(op.dist_len)).sum();
+                cd += skipped;
                 continue;
             }
-            for s in &mut num[..=self.nslots[r] as usize] {
+            let a_row = row(self.first_row + r);
+            let row_i = rowptr[a_row]..rowptr[a_row + 1];
+            let vals_i = &av[row_i.clone()];
+            let a_i = |o: u16| vals_i[usize::from(o)];
+            for s in &mut num[..=usize::from(lens.nslots)] {
                 *s = 0.0;
             }
             let mut atilde = 0.0f64;
-            for &ix in &self.at_idx[self.at_ptr[r] as usize..self.at_ptr[r + 1] as usize] {
-                atilde += av[ix as usize];
+            for &o in &self.at_off[at] {
+                atilde += a_i(o);
             }
-            let dnr = self.dn_ptr[r] as usize..self.dn_ptr[r + 1] as usize;
-            for (&ix, &sl) in self.dn_idx[dnr.clone()].iter().zip(&self.dn_slot[dnr]) {
-                num[sl as usize] += av[ix as usize];
+            for &[o, sl] in &self.dn[dn] {
+                num[usize::from(sl)] += a_i(o);
             }
-            for op in &self.kops[kr] {
-                let dr = cd..op.dist_end as usize;
+            for op in kops {
+                let dr = cd..cd + usize::from(op.dist_len);
                 cd = dr.end;
                 if dr.is_empty() {
                     // Frozen lump.
-                    atilde += av[op.aik as usize];
+                    atilde += a_i(op.aik);
                     continue;
                 }
-                let terms = &self.dist_idx[dr.clone()];
-                let bik = terms.iter().fold(0.0f64, |b, &ix| b + av[ix as usize]);
-                let coef = av[op.aik as usize] / bik;
-                let abar = if op.abar == u32::MAX {
-                    0.0
-                } else {
-                    av[op.abar as usize]
-                };
-                atilde += coef * abar;
-                for (&ix, &sl) in terms.iter().zip(&self.dist_slot[dr]) {
-                    num[sl as usize] += coef * av[ix as usize];
+                // Row `k` of `a` is the one `a_ik`'s column names.
+                let k = usize::from(colidx[row_i.start + usize::from(op.aik)]);
+                let vals_k = &av[rowptr[k]..rowptr[k + 1]];
+                let a_k = |o: u16| vals_k[usize::from(o)];
+                let terms = &self.dist[dr];
+                let bik = terms.iter().fold(0.0f64, |b, &[o, _]| b + a_k(o));
+                let coef = a_i(op.aik) / bik;
+                atilde += coef * if op.abar == ABSENT { 0.0 } else { a_k(op.abar) };
+                for &[o, sl] in terms {
+                    num[usize::from(sl)] += coef * a_k(o);
                 }
             }
-            let out_row = row(self.first_row + r);
             // SAFETY: `row` is injective on the points of every part, and
             // the parts cover disjoint points: this is the only writer of
-            // the row's value range, which `rowptr` bounds within `values`.
-            let dst = unsafe { values.row(rowptr[out_row]..rowptr[out_row + 1]) };
+            // the row.
+            let dst = unsafe { out.row(a_row) };
             let mut end = 0;
             let mut sum_before = 0.0f64;
-            for (&sl, &keep) in self.em_slot[er.clone()].iter().zip(&self.em_keep[er]) {
-                let w = -num[sl as usize] / atilde;
+            for (e, &sl) in em.clone().zip(&self.em_slot[em]) {
+                let w = -num[usize::from(sl)] / atilde;
                 sum_before += w;
-                if keep {
+                if self.em_keep[e / 64] >> (e % 64) & 1 != 0 {
                     dst[end] = w;
                     end += 1;
                 }
@@ -250,73 +230,99 @@ impl TapePart {
     }
 }
 
-/// The value buffer the parts of one replay write, each its own rows.
-struct RowsPtr(*mut f64, usize);
+/// The operator the parts of one replay write, each its own rows: the last
+/// `rowptr.len() − 1` rows of the layout `a` has, from row `first` on.
+struct OutRows<'a> {
+    rowptr: &'a [usize],
+    first: usize,
+    values: *mut f64,
+    len: usize,
+}
 // SAFETY: replay hands each part rows no other part writes (see
-// `TapePart::replay`), and nothing reads the buffer until they join.
-unsafe impl Sync for RowsPtr {}
+// `TapePart::replay`), and nothing reads the values until they join.
+unsafe impl Sync for OutRows<'_> {}
 
-impl RowsPtr {
-    /// The values at `range`.
+impl OutRows<'_> {
+    /// The values of layout row `r`.
     ///
     /// # Safety
     /// No other reference to any of them may be live meanwhile.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row(&self, range: std::ops::Range<usize>) -> &mut [f64] {
-        assert!(range.start <= range.end && range.end <= self.1);
+    unsafe fn row(&self, r: usize) -> &mut [f64] {
+        let range = self.rowptr[r - self.first]..self.rowptr[r - self.first + 1];
+        assert!(range.start <= range.end && range.end <= self.len);
         // SAFETY: in bounds (checked above) and unaliased per the contract.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start), range.len()) }
+        unsafe { std::slice::from_raw_parts_mut(self.values.add(range.start), range.len()) }
     }
 }
 
 impl Sink for TapePart {
-    fn diag_term(&mut self, pos: usize) {
-        self.at_idx.push(idx(pos));
+    fn diag_term(&mut self, off: usize) {
+        let o = self.entry(off);
+        self.at_off.push(o);
     }
 
-    fn direct_term(&mut self, pos: usize, slot: usize) {
-        self.dn_idx.push(idx(pos));
-        self.dn_slot.push(idx(slot + 1));
+    fn direct_term(&mut self, off: usize, slot: usize) {
+        let term = [self.entry(off), self.entry(slot + 1)];
+        self.dn.push(term);
     }
 
-    fn dist_term(&mut self, pos: usize, slot: usize) {
-        self.dist_idx.push(idx(pos));
-        self.dist_slot.push(idx(slot + 1));
+    fn dist_term(&mut self, off: usize, slot: usize) {
+        let term = [self.entry(off), self.entry(slot + 1)];
+        self.dist.push(term);
     }
 
     fn end_neighbour(&mut self, aik: usize, abar: Option<usize>, lumped: bool) {
         // This op's terms ascend in row `k`, as `b_ik` sums: `ā_ki` goes
         // between those stored before and after it.
-        let d0 = self.kops.last().map_or(0, |op| op.dist_end as usize);
-        if let (Some(p), false) = (abar, lumped) {
-            let at = d0 + self.dist_idx[d0..].partition_point(|&ix| (ix as usize) < p);
-            self.dist_idx.insert(at, idx(p));
-            self.dist_slot.insert(at, SPARE);
+        let d0 = self.op_start;
+        let abar = abar.map_or(ABSENT, |o| self.entry(o));
+        if !lumped && abar != ABSENT {
+            let at = d0 + self.dist[d0..].partition_point(|&[o, _]| o < abar);
+            self.dist.insert(at, [abar, SPARE]);
         }
-        self.kops.push(KOp {
-            aik: idx(aik),
-            abar: abar.map_or(u32::MAX, idx),
-            dist_end: idx(self.dist_idx.len()),
-        });
+        self.op_start = self.dist.len();
+        let op = KOp {
+            aik: self.entry(aik),
+            abar,
+            dist_len: self.entry(self.op_start - d0),
+        };
+        self.kops.push(op);
     }
 
     fn emit(&mut self, slot: usize, col: usize) {
-        self.em_slot.push(idx(slot + 1));
+        let sl = self.entry(slot + 1);
+        self.em_slot.push(sl);
         self.row_cols.push(col);
     }
 
     fn end_row(&mut self, nslots: usize, kept: &[usize]) {
         // Survivors keep their order: one walk over both column lists.
+        let first = self.em_slot.len() - self.row_cols.len();
+        self.em_keep.resize(self.em_slot.len().div_ceil(64), 0);
         let mut kept = kept.iter().peekable();
-        for col in self.row_cols.drain(..) {
-            self.em_keep.push(kept.next_if_eq(&&col).is_some());
+        for (e, col) in (first..).zip(self.row_cols.drain(..)) {
+            if kept.next_if_eq(&&col).is_some() {
+                self.em_keep[e / 64] |= 1 << (e % 64);
+            }
         }
         debug_assert!(kept.next().is_none(), "kept set left the emitted one");
-        self.nslots.push(idx(nslots));
-        self.at_ptr.push(idx(self.at_idx.len()));
-        self.dn_ptr.push(idx(self.dn_idx.len()));
-        self.k_ptr.push(idx(self.kops.len()));
-        self.em_ptr.push(idx(self.em_slot.len()));
+        let ends = [
+            self.at_off.len(),
+            self.dn.len(),
+            self.kops.len(),
+            self.em_slot.len(),
+        ];
+        let [at, dn, kops, em] = std::array::from_fn(|s| self.entry(ends[s] - self.row_start[s]));
+        let nslots = self.entry(nslots);
+        self.rows.push(RowLens {
+            nslots,
+            at,
+            dn,
+            kops,
+            em,
+        });
+        self.row_start = ends;
     }
 }
 
@@ -343,15 +349,31 @@ pub struct TapeMismatch(pub &'static str);
 impl ExtITape {
     /// Builds the extended+i operator — bitwise `extended_i(a, s, cf,
     /// trunc)`, it is the same kernel run — and records its numeric
-    /// circuit, kept set included, on the way.
-    pub fn capture(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> (Csr, ExtITape) {
-        let (p, mut parts) = build(a, s, cf, 0..a.nrows(), trunc, TapePart::new);
+    /// circuit, kept set included, on the way. The tape is `None` when an
+    /// offset, a per-row count or a slot reaches 65 535 ([`ABSENT`]): a
+    /// row it reads of 65 536 entries or more (of 65 535 when every entry
+    /// lands in one stream), or a `Ĉ_i` of 65 535 points or more.
+    pub fn capture(
+        a: &Csr,
+        s: &Csr,
+        cf: &CfMap,
+        trunc: Option<&TruncParams>,
+    ) -> (Csr, Option<ExtITape>) {
+        let new = |first_row| TapePart {
+            first_row,
+            ..TapePart::default()
+        };
+        let (p, mut parts) = build(a, s, cf, 0..a.nrows(), trunc, new);
+        if parts.iter().any(|part| part.overflow) {
+            return (p, None);
+        }
         parts.iter_mut().for_each(TapePart::trim);
         let max_slots = parts
             .iter()
-            .flat_map(|p| &p.nslots)
+            .flat_map(|p| &p.rows)
+            .map(|r| usize::from(r.nslots))
             .max()
-            .map_or(0, |&m| m as usize);
+            .unwrap_or(0);
         let tape = ExtITape {
             a_shape: (a.nrows(), a.nnz()),
             p_nnz: p.nnz(),
@@ -359,7 +381,7 @@ impl ExtITape {
             max_slots,
             parts,
         };
-        (p, tape)
+        (p, Some(tape))
     }
 
     /// Re-executes the frozen circuit against `a`'s values over `p`, the
@@ -374,31 +396,32 @@ impl ExtITape {
             return Err(TapeMismatch("extended+i tape pattern"));
         }
         let mut out = p.clone();
-        self.replay_into(a, &mut out, |i| i);
+        self.replay_into(a, |i| i, &mut out);
         Ok(out)
     }
 
-    /// Writes each kept fine weight of point `i`, recomputed from `a`'s
-    /// values, in place into row `row(i)` of `out`: the operator capture
-    /// built (`row` the identity) or its fine rows in point order (`P_F`,
-    /// `row(i) = perm(i) − nc`), one part per task. Nothing else is
-    /// touched; the caller has checked the shapes, as [`ExtITape::replay`]
-    /// does, and `row` is injective on the fine points.
-    pub(crate) fn replay_into(&self, a: &Csr, out: &mut Csr, row: impl Fn(usize) -> usize + Sync) {
+    /// Writes each kept fine weight of point `i`, recomputed from the
+    /// values of `a`, whose row `row(i)` is point `i`'s, in place into
+    /// `out`, which holds the last rows of that layout: the operator
+    /// capture built (`row` the identity) or the fine rows of a CF-permuted
+    /// operand (`P_F`), one part per task. Each row of `a` must keep the
+    /// captured operand's in-row order. Nothing else is touched; the
+    /// caller has checked the shapes, as [`ExtITape::replay`] does, and
+    /// `row` is injective on the fine points.
+    pub(crate) fn replay_into(&self, a: &Csr, row: impl Fn(usize) -> usize + Sync, out: &mut Csr) {
+        let first = a.nrows() - out.nrows();
         let (rowptr, _, values) = out.pattern_and_values_mut();
-        let values = RowsPtr(values.as_mut_ptr(), values.len());
+        let (len, values) = (values.len(), values.as_mut_ptr());
+        let out = OutRows {
+            rowptr,
+            first,
+            values,
+            len,
+        };
         self.parts.par_iter().for_each(|part| {
             let mut num = vec![0.0f64; self.max_slots + 1];
-            part.replay(a.values(), rowptr, &values, &row, &mut num, self.rescale);
+            part.replay(a, &row, &out, &mut num, self.rescale);
         });
-    }
-
-    /// Moves the circuit onto another layout of its operand: every
-    /// position `k` it reads becomes `map[k]` (the level's
-    /// `stored_positions`).
-    pub(crate) fn remap(&mut self, map: &[u32]) {
-        assert_eq!(map.len(), self.a_shape.1, "extended+i tape: position map");
-        self.parts.par_iter_mut().for_each(|p| p.remap(map));
     }
 }
 
@@ -463,6 +486,12 @@ mod tests {
         )
     }
 
+    /// A capture whose rows fit the tape.
+    fn capture(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> (Csr, ExtITape) {
+        let (p, tape) = ExtITape::capture(a, s, cf, trunc);
+        (p, tape.expect("rows within 16 bits"))
+    }
+
     fn setup(a: &Csr, seed: u64) -> (Csr, CfMap) {
         let s = strength(a, 0.25, 0.8);
         let c = pmis(&s, seed);
@@ -499,7 +528,7 @@ mod tests {
         let t = TruncParams::paper();
         for (a, s, cf) in [(&a7, &s7, &cf7), (&av, &sv, &cfv), (&a27, &s27, &cf27)] {
             for trunc in [None, Some(&t)] {
-                let (p, tape) = ExtITape::capture(a, s, cf, trunc);
+                let (p, tape) = capture(a, s, cf, trunc);
                 assert_eq!(p, extended_i(a, s, cf, trunc));
                 // Same values: replay is the identity.
                 assert_eq!(tape.replay(a, &p).unwrap(), p);
@@ -515,7 +544,7 @@ mod tests {
         assert!(a1.same_pattern(&a2));
         let t = TruncParams::paper();
         for trunc in [None, Some(&t)] {
-            let (p, tape) = ExtITape::capture(&a1, &s, &cf, trunc);
+            let (p, tape) = capture(&a1, &s, &cf, trunc);
             assert_eq!(
                 tape.replay(&a2, &p).unwrap(),
                 extended_i(&a2, &s, &cf, trunc)
@@ -534,7 +563,7 @@ mod tests {
         cf: &CfMap,
         t: &TruncParams,
     ) -> (Csr, Csr) {
-        let (p, tape) = ExtITape::capture(a1, s, cf, Some(t));
+        let (p, tape) = capture(a1, s, cf, Some(t));
         let raw2 = extended_i(a2, s, cf, None);
         let got = tape.replay(a2, &p).unwrap();
         assert_eq!(got, project_onto_frozen(&raw2, &p));
@@ -595,8 +624,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds u32")]
-    fn the_absent_sentinel_is_not_an_index() {
-        idx(u32::MAX as usize);
+    fn the_absent_sentinel_is_not_an_entry() {
+        assert_eq!(narrow(ABSENT as usize - 1), Some(ABSENT - 1));
+        assert_eq!(narrow(ABSENT as usize), None);
+        assert_eq!(narrow(1 << 20), None);
     }
 }

@@ -26,9 +26,10 @@
 //! 1. the operator arrives in that order: level 0's written from the
 //!    caller's through the level's permutation, a coarser one by the RAP
 //!    of the level above;
-//! 2. an extended+i level replays the circuit its build recorded, moved
-//!    at capture onto the stored operator's positions, straight into the
-//!    level's `P_F` (a composed scheme re-runs its builder instead);
+//! 2. an extended+i level replays the circuit its build recorded on the
+//!    raw operator, whose in-row order this one keeps, straight into the
+//!    level's `P_F` (a composed scheme, or a level too wide for a tape,
+//!    re-runs its builder instead);
 //! 3. `P_Fᵀ` (or the cached `R`) is refilled in its own buffers;
 //! 4. the numeric-only RAP writes each coarse row into the next level's
 //!    stored row, matched by column, after putting that operator's
@@ -47,7 +48,7 @@
 //!   yields a hierarchy bitwise identical to a from-scratch
 //!   [`Hierarchy::build`] on that operator.
 //! * A mismatched input pattern, a [`FrozenSetup`] of another hierarchy,
-//!   or values that drive a composed scheme off the frozen sparsity return
+//!   or values that drive a re-run builder off the frozen sparsity return
 //!   [`RefreshError::PatternMismatch`] and leave every level bitwise as it
 //!   was: the checks run before any write, and the levels that can still
 //!   be refused are refreshed on copies and swapped in once the last has
@@ -98,12 +99,13 @@ pub struct FrozenLevel {
 /// A frozen level's interpolation decisions.
 #[derive(Debug)]
 pub(crate) enum FrozenInterp {
-    /// Extended+i: the circuit its build recorded, kept set included, its
-    /// positions moved onto the level's stored operator. It replays into
+    /// Extended+i: the circuit its build recorded, kept set included, in
+    /// offsets within rows. It replays on the level's stored operator into
     /// the live `P_F` (or `P`), so no operator is kept beside.
     Tape(ExtITape),
-    /// Multipass and two-stage: the composed builder is re-run on the
-    /// level's raw operand and must land exactly on the frozen sparsity.
+    /// Multipass, two-stage, and extended+i where a row outgrows the
+    /// tape: the builder is re-run on the level's raw operand and must
+    /// land exactly on the frozen sparsity.
     Rerun(Rerun),
 }
 
@@ -224,12 +226,12 @@ impl std::fmt::Display for RefreshError {
 
 impl std::error::Error for RefreshError {}
 
-/// Rebuilds a composed scheme's interpolation weights over the frozen
-/// inputs.
+/// Rebuilds a level's interpolation weights over the frozen inputs.
 ///
-/// Multipass and two-stage truncate *inside* their stages, so they are
-/// re-run in full and must land exactly on the frozen pattern; drifting
-/// off it is the one error a refresh can meet past its guards.
+/// Multipass and two-stage truncate *inside* their stages, so they (and an
+/// extended+i level without a tape) are re-run in full and must land
+/// exactly on the frozen pattern; drifting off it is the one error a
+/// refresh can meet past its guards.
 fn refresh_interp(a: &Csr, r: &Rerun, level: usize, cfg: &AmgConfig) -> Result<Csr, RefreshError> {
     let (_, ikind) = cfg.level_scheme(level);
     let (p, _) = build_interp(a, &r.s, &r.cf, r.stage1.as_ref(), ikind, cfg, false);
@@ -291,11 +293,12 @@ fn refresh_level(
     let interp_span = famg_prof::scope_at("interp", idx);
     match &fl.interp {
         FrozenInterp::Tape(tape) => {
-            // Fine point `i` is row `perm(i) − nc` of `P_F`, row `i` of `P`.
+            // Fine point `i` is row `perm(i)` of `a`, and row `perm(i) − nc`
+            // of `P_F` or row `i` of `P`.
             if let Some(TransferOps::CfBlock { pf: out, .. } | TransferOps::Full { p: out, .. }) =
                 &mut lvl.ops
             {
-                tape.replay_into(&a, out, |i| perm.map_or(i, |q| q.forward[i] - nc));
+                tape.replay_into(&a, |i| perm.map_or(i, |q| q.forward[i]), out);
             }
         }
         FrozenInterp::Rerun(r) => {
@@ -414,7 +417,7 @@ impl Hierarchy {
     ) -> Result<(), RefreshError> {
         let nl = frozen.levels.len();
         // The commit point: one past the last level that can be refused,
-        // a composed scheme re-run without a tape (see `refresh_interp`).
+        // a builder re-run without a tape (see `refresh_interp`).
         // The levels above it are refreshed on copies.
         let fallible = |l: &usize| matches!(frozen.levels[*l].interp, FrozenInterp::Rerun(_));
         let commit = (0..nl).rev().find(fallible).map_or(0, |l| l + 1);
@@ -794,6 +797,38 @@ mod tests {
                 let lu = |h: &Hierarchy| format!("{:?}", h.coarse_lu);
                 assert_eq!(lu(&h), lu(&full), "{:?}", cfg.opt);
                 assert_eq!(fingerprint(&h), fingerprint(&full), "{:?}", cfg.opt);
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_past_16_bits_freezes_its_level_as_a_rerun() {
+        // A chain whose point 0 also couples weakly to all the others: row
+        // 0 holds 70 000 entries, all strong, and no point depends on 0,
+        // so it is a fine row the kernel reads, past the tape's offsets.
+        let n = 70_000;
+        let eps = 1e-3;
+        let mut trips = vec![(0, 0, 1.0 + eps * (n - 1) as f64)];
+        for i in 1..n {
+            trips.extend([(i, i, 2.0 + eps), (i, 0, -eps), (0, i, -eps)]);
+            trips.extend((i > 1).then_some((i, i - 1, -1.0)));
+            trips.extend((i + 1 < n).then_some((i, i + 1, -1.0)));
+        }
+        let a = Csr::from_triplets(n, n, trips);
+        // Twice the values: every decision and every weight the same bits.
+        let mut a2 = a.clone();
+        a2.values_mut().iter_mut().for_each(|v| *v *= 2.0);
+        for cfg in [
+            AmgConfig::single_node_paper(),
+            AmgConfig::single_node_baseline(),
+        ] {
+            let (mut h, mut frozen) = Hierarchy::build_frozen(&a, &cfg);
+            assert!(h.num_levels() >= 2, "{:?}", cfg.opt);
+            assert!(matches!(frozen.levels[0].interp, FrozenInterp::Rerun(_)));
+            for next in [&a2, &a] {
+                h.refresh(next, &mut frozen).unwrap();
+                let fresh = fingerprint(&Hierarchy::build(next, &cfg));
+                assert_eq!(fingerprint(&h), fresh, "{:?}", cfg.opt);
             }
         }
     }

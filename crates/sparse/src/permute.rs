@@ -354,9 +354,10 @@ impl RowOrder {
 /// Writes `group` as the two-bit code of entry `k` (`k` counted from the
 /// start of `codes`).
 fn set_code(codes: &mut [u8], k: usize, group: usize) {
+    let code = u8::try_from(group).expect("both callers check group < 4");
     let shift = 2 * (k % 4);
     let byte = &mut codes[k / 4];
-    *byte = (*byte & !(3 << shift)) | ((group as u8) << shift);
+    *byte = (*byte & !(3 << shift)) | (code << shift);
 }
 
 /// One block of a [`RowOrder`] being recorded in parallel (see
@@ -411,36 +412,10 @@ fn row_blocks<'a>(
         .collect()
 }
 
-/// Where each entry of a raw operator lies in the `stored` one
-/// `permute_symmetric` made of it with `perm`, in any in-row order that
-/// keeps the raw one (`None` = the identity): entry `k` of raw row `r`,
-/// counted from the row's start, is stored position `map[k]`.
-///
-/// # Panics
-/// When `stored` has `u32::MAX` nonzeros or more.
-pub fn stored_positions(stored: &Csr, perm: Option<&Permutation>) -> Vec<u32> {
-    let fits = u32::try_from(stored.nnz()).is_ok_and(|n| n < u32::MAX);
-    assert!(
-        fits,
-        "stored positions: {} nonzeros exceed u32",
-        stored.nnz()
-    );
-    let n = stored.nrows();
-    let stored_row = |r: usize| perm.map_or(r, |q| q.forward[r]);
-    // Every position fits: the nonzero count was checked above.
-    let pos = |p: usize| u32::try_from(p).expect("checked above");
-    let mut map = Vec::with_capacity(stored.nnz());
-    for r in 0..n {
-        let row = stored.row_range(stored_row(r));
-        map.extend(pos(row.start)..pos(row.end));
-    }
-    map
-}
-
-/// The raw operator a `stored` one was made from (see
-/// [`stored_positions`]): row `r` is stored row `perm(r)`, its columns
-/// mapped back through `perm⁻¹` — bitwise the matrix `permute_symmetric`
-/// was given when `stored` holds its rows in their raw in-row order.
+/// The raw operator a `stored` one was made from by `permute_symmetric`:
+/// row `r` is stored row `perm(r)`, its columns mapped back through
+/// `perm⁻¹` — bitwise the matrix `permute_symmetric` was given when
+/// `stored` holds its rows in their raw in-row order.
 pub fn unpermute_symmetric(stored: &Csr, perm: &Permutation) -> Csr {
     assert_eq!(stored.nrows(), perm.len());
     let back = Permutation {
@@ -695,17 +670,8 @@ pub(crate) mod tests {
             restored.values_mut().fill(f64::NAN);
             permute_symmetric_into(&a, &q, &mut restored);
             assert_eq!(restored, before, "n={n}");
-            // Back to the raw operator, and each raw entry's place.
+            // Back to the raw operator.
             assert_eq!(unpermute_symmetric(&restored, &q), a, "n={n}");
-            let map = stored_positions(&restored, Some(&q));
-            for i in 0..n {
-                for k in a.row_range(i) {
-                    let at = map[k] as usize;
-                    assert!(restored.row_range(q.forward[i]).contains(&at));
-                    assert_eq!(restored.colidx()[at], q.col(a.colidx()[k]));
-                    assert_eq!(restored.values()[at].to_bits(), a.values()[k].to_bits());
-                }
-            }
             order.partition(&mut restored);
             assert_eq!(restored, stored, "n={n}");
         }

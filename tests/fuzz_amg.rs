@@ -193,6 +193,7 @@ fn extended_i_matches_eq1_evaluated_from_the_definitions() {
             let want = eq1_reference(&a, &s, &cf, &mut cov);
             let got = extended_i(&a, &s, &cf, None).to_dense();
             let (raw, tape) = ExtITape::capture(&a, &s, &cf, None);
+            let tape = tape.expect("rows within 16 bits");
             assert_eq!(raw.to_dense(), got, "case {case}/{which}: capture");
             assert_eq!(
                 tape.replay(&a, &raw).expect("same operand").to_dense(),

@@ -169,6 +169,7 @@ fn captured_level() -> (Csr, Csr, CfMap, Csr, ExtITape) {
     let s = strength(&a, 0.25, 0.8);
     let cf = CfMap::new(pmis(&s, 1).is_coarse);
     let (p, tape) = ExtITape::capture(&a, &s, &cf, Some(&TruncParams::paper()));
+    let tape = tape.expect("rows within 16 bits");
     (a, s, cf, p, tape)
 }
 

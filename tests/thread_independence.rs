@@ -202,6 +202,7 @@ fn fp_interp() -> (u64, u64) {
     h = hash_csr(h, &extended_i(&a, &s, &cf, Some(&TruncParams::paper())));
     h = hash_csr(h, &extended_i(&a, &s, &cf, None));
     let (raw, tape) = ExtITape::capture(&a, &s, &cf, None);
+    let tape = tape.expect("rows within 16 bits");
     h = hash_csr(h, &raw);
     let mut drifted = a.clone();
     for (k, v) in drifted.values_mut().iter_mut().enumerate() {
@@ -211,6 +212,7 @@ fn fp_interp() -> (u64, u64) {
     // The recording run that a refreshable setup makes: truncated operator
     // and a replay that lands on its kept set.
     let (p, tape) = ExtITape::capture(&a, &s, &cf, Some(&TruncParams::paper()));
+    let tape = tape.expect("rows within 16 bits");
     let replayed = tape.replay(&drifted, &p).expect("same layout");
     (h, hash_csr(hash_csr(FNV_SEED, &p), &replayed))
 }

@@ -3,8 +3,7 @@
 //! problem. Reports the slowdown each missing optimization causes in its
 //! targeted component — the per-knob version of Fig. 5. A flag is toggled
 //! only from a configuration that reads it: `row_fused_rap` and
-//! `keep_transpose` from `cf_reorder = false`, and `one_pass_spgemm`
-//! (read only by two-stage interpolation) not at all.
+//! `keep_transpose` from `cf_reorder = false`.
 //!
 //! Usage: `cargo run --release -p famg-bench --bin ablation_flags
 //!         [--scale 0.25]`
@@ -118,7 +117,7 @@ fn main() {
     }
 
     println!("\n`vs ref` > 1 means removing the optimization costs time, against");
-    println!("the `(ref)` row above it. one_pass_spgemm has no row: with extended+i");
-    println!("the single-node path runs no SpGEMM (its triple products are the fused");
-    println!("RAP kernels); text_flops_fusion times the SpGEMM kernels side by side.");
+    println!("the `(ref)` row above it. SpGEMM has no row: with extended+i the");
+    println!("single-node path runs none (its triple products are the fused RAP");
+    println!("kernels); text_flops_fusion times the SpGEMM kernels side by side.");
 }

@@ -21,7 +21,7 @@ use crate::interp::{
     extended_i, multipass, truncate_matrix, two_stage_extended_i, CfMap, ExtITape, TruncParams,
 };
 use crate::params::{AmgConfig, CoarsenKind, InterpKind};
-use crate::refresh::{FrozenInterp, FrozenLevel, FrozenSetup, Rerun};
+use crate::refresh::{FrozenLevel, FrozenSetup};
 use crate::reorder::cf_reorder;
 use crate::smoother::Smoother;
 use crate::stats::{PhaseTimes, SetupStats};
@@ -29,7 +29,6 @@ use crate::strength::strength;
 use famg_sparse::dense::{DenseMatrix, LuFactor};
 use famg_sparse::partition::{num_threads, split_evenly, split_mut_at};
 use famg_sparse::permute::{Permutation, RowOrder};
-use famg_sparse::spgemm::SpgemmKernel;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
 use famg_sparse::{Col, Csr};
@@ -137,7 +136,7 @@ pub(crate) fn build_smoother(
 /// fit the tape's 16 bits: the recording run *is* that level's build. It
 /// truncates row by row, which is the operator `truncate_matrix` returns
 /// when `fused_truncation` is off.
-pub(crate) fn build_interp(
+fn build_interp(
     a: &Csr,
     s: &Csr,
     cf: &CfMap,
@@ -160,16 +159,6 @@ pub(crate) fn build_interp(
         InterpKind::Multipass => multipass(a, s, cf, trunc_arg),
         InterpKind::TwoStageExtendedI => {
             let stage1 = stage1.expect("two-stage interpolation requires aggressive coarsening");
-            // The cache-residency heuristic only applies when enabled;
-            // otherwise the one-pass flag forces a kernel so the ablation
-            // bins measure each in isolation.
-            let kernel = if cfg.opt.adaptive_spgemm {
-                SpgemmKernel::Auto
-            } else if cfg.opt.one_pass_spgemm {
-                SpgemmKernel::OnePass
-            } else {
-                SpgemmKernel::TwoPass
-            };
             let final_c = Coarsening::from_marker(cf.is_coarse.clone());
             // Two-stage truncates at every stage by definition.
             let p = two_stage_extended_i(
@@ -180,7 +169,6 @@ pub(crate) fn build_interp(
                 cfg.strength_threshold,
                 cfg.max_row_sum,
                 Some(&t),
-                kernel,
             );
             return (p, None);
         }
@@ -262,9 +250,13 @@ impl Hierarchy {
     }
 
     /// Runs the setup phase and additionally captures a [`FrozenSetup`]
-    /// holding every pattern-derived decision, so later same-pattern
+    /// holding the pattern-derived decisions of the leading levels stored
+    /// the paper's way with an extended+i tape, so later same-pattern
     /// operators can be absorbed through [`Hierarchy::refresh`] without
-    /// re-running strength, coarsening, reordering, or symbolic RAP.
+    /// re-running strength, coarsening, reordering, or symbolic RAP there.
+    /// Below the first level that is not (a composed scheme, a row past
+    /// the tape's 16 bits, an `OptFlags` ablation layout) nothing is kept,
+    /// and a refresh rebuilds those levels at setup cost.
     pub fn build_frozen(a: &Csr, cfg: &AmgConfig) -> (Hierarchy, FrozenSetup) {
         let mut captured = Vec::new();
         let h = Self::build_impl(a, cfg, Some(&mut captured));
@@ -276,11 +268,7 @@ impl Hierarchy {
         (h, frozen)
     }
 
-    fn build_impl(
-        a: &Csr,
-        cfg: &AmgConfig,
-        mut capture: Option<&mut Vec<FrozenLevel>>,
-    ) -> Hierarchy {
+    fn build_impl(a: &Csr, cfg: &AmgConfig, capture: Option<&mut Vec<FrozenLevel>>) -> Hierarchy {
         assert_eq!(a.nrows(), a.ncols(), "AMG needs a square operator");
         #[cfg(feature = "validate")]
         enforce(0, "input structure", famg_check::check_csr(a));
@@ -288,22 +276,54 @@ impl Hierarchy {
         // from the captured tree after it closes.
         let root_span = famg_prof::scope("setup");
         let mut stats = SetupStats::default();
-        let mut levels: Vec<Level> = Vec::new();
         // The level's operator on its raw ordering: the caller's at level
-        // 0, read in place, and below it the RAP of the level above.
-        let mut current: Cow<'_, Csr> = Cow::Borrowed(a);
+        // 0, read in place.
+        let (levels, coarse_lu) = Self::build_levels(Cow::Borrowed(a), 0, cfg, capture, &mut stats);
 
+        drop(root_span);
+        let profile = famg_prof::take();
+        let times = profile
+            .find_root("setup")
+            .map(PhaseTimes::from_span)
+            .unwrap_or_default();
+
+        Hierarchy {
+            levels,
+            coarse_lu,
+            config: cfg.clone(),
+            stats,
+            times,
+            profile,
+        }
+    }
+
+    /// The setup's level loop from level `first` down: `current` is that
+    /// level's operator on its raw ordering, and below it each level's is the
+    /// RAP of the level above. Returns the levels from `first` on, the last the
+    /// coarsest, with the coarsest's LU, and pushes their rows to `stats`.
+    ///
+    /// With `capture` (a refreshable build) it records each leading level that
+    /// is stored the paper's way — CF-permuted, rows partitioned for the
+    /// reordered smoother — and built by extended+i with a tape, and stops
+    /// recording at the first level that is not: a refresh rebuilds from there.
+    pub(crate) fn build_levels(
+        mut current: Cow<'_, Csr>,
+        first: usize,
+        cfg: &AmgConfig,
+        mut capture: Option<&mut Vec<FrozenLevel>>,
+        stats: &mut SetupStats,
+    ) -> (Vec<Level>, Option<LuFactor>) {
+        let mut levels: Vec<Level> = Vec::new();
         loop {
             let n = current.nrows();
             stats.level_rows.push(n);
             stats.level_nnz.push(current.nnz());
-            let at_capacity = levels.len() + 1 >= cfg.max_levels;
-            if n <= cfg.coarse_solve_size || at_capacity {
+            let lvl_idx = first + levels.len();
+            if n <= cfg.coarse_solve_size || lvl_idx + 1 >= cfg.max_levels {
                 break;
             }
 
             // --- Strength + coarsening. ---
-            let lvl_idx = levels.len();
             let strength_span = famg_prof::scope_at("strength", lvl_idx);
             let s = strength(&current, cfg.strength_threshold, cfg.max_row_sum);
             drop(strength_span);
@@ -337,27 +357,22 @@ impl Hierarchy {
             // whichever way the level is stored. ---
             let interp_span = famg_prof::scope_at("interp", lvl_idx);
             let cf = CfMap::new(coarsening.is_coarse.clone());
-            let recording = capture.is_some();
-            let s1 = stage1.as_ref();
-            let (p, tape) = build_interp(&current, &s, &cf, s1, ikind, cfg, recording);
+            let record = capture.is_some() && cfg.opt.cf_reorder && cfg.opt.reordered_smoother;
+            let (p, tape) = build_interp(&current, &s, &cf, stage1.as_ref(), ikind, cfg, record);
             drop(interp_span);
             stats.interp_nnz.push(p.nnz());
-            // `S` is done with: freed before the level's largest allocations,
-            // or moved, at its exact length, into a builder's frozen level.
-            // A tape level keeps none.
-            let rerun = if recording && tape.is_none() {
-                Some((s, stage1, cf))
-            } else {
-                drop(s);
-                None
-            };
+            // `S` is done with: freed before the level's largest allocations.
+            drop(s);
+            if tape.is_none() {
+                capture = None;
+            }
             #[cfg(feature = "validate")]
             let validate = |a_raw: &Csr, next: &Csr| {
                 let exact = !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI);
                 validate_level(lvl_idx, a_raw, &coarsening.is_coarse, &p, next, exact);
             };
 
-            let (a_level, perm, ops, smoother, order, next, p_left) = if cfg.opt.cf_reorder {
+            let (a_level, perm, ops, smoother, order, next) = if cfg.opt.cf_reorder {
                 // --- Optimized path: permute `A` coarse-first, once; the
                 // raw one is then done with (`validate` checks RAP on it). ---
                 let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
@@ -371,10 +386,10 @@ impl Hierarchy {
                 let pf = extract_fine_block(&p, &ord.perm, nc, lvl_idx);
                 let pft = transpose_par(&pf);
                 drop(extract_span);
-                // `P` is done with unless a builder's frozen level keeps it
-                // (or `validate` reads it, below): freed before RAP.
+                // `P` is done with (unless `validate` reads it, below): freed
+                // before RAP.
                 #[cfg(not(feature = "validate"))]
-                let p = rerun.is_some().then_some(p);
+                drop(p);
 
                 // --- RAP over the CF blocks of `ap`, read in place. ---
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
@@ -382,15 +397,13 @@ impl Hierarchy {
                 drop(rap_span);
                 #[cfg(feature = "validate")]
                 validate(&current, &next);
-                #[cfg(feature = "validate")]
-                let p = rerun.is_some().then_some(p);
 
                 // --- Smoother (reorders rows of `ap` in place). ---
                 let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
-                let (smoother, order) = build_smoother(&mut ap, nc, None, cfg, recording);
+                let (smoother, order) = build_smoother(&mut ap, nc, None, cfg, tape.is_some());
                 drop(smoother_span);
                 let ops = TransferOps::CfBlock { pf, pft };
-                (ap, Some(ord.perm), ops, smoother, order, next, p)
+                (ap, Some(ord.perm), ops, smoother, order, next)
             } else {
                 // --- Baseline path: original ordering throughout. ---
                 let rap_span = famg_prof::scope_at("rap", lvl_idx);
@@ -412,21 +425,13 @@ impl Hierarchy {
                 let (smoother, order) = build_smoother(&mut cur, nc, marker, cfg, false);
                 let r = cfg.opt.keep_transpose.then_some(r);
                 drop(smoother_span);
-                let p_left = rerun.is_some().then(|| p.clone());
                 let ops = TransferOps::Full { p, r };
-                (cur, None, ops, smoother, order, next, p_left)
+                (cur, None, ops, smoother, order, next)
             };
-            if let Some(cap) = capture.as_deref_mut() {
+            if let (Some(cap), Some(interp), Some(order)) = (capture.as_deref_mut(), tape, order) {
+                // Recorded on the raw operand in in-row offsets, the tape
+                // replays on the stored one as it is.
                 let _span = famg_prof::scope_at("capture", lvl_idx);
-                let interp = match (tape, rerun, p_left) {
-                    // Recorded on the raw operand in in-row offsets, the
-                    // tape replays on the stored one as it is.
-                    (Some(tape), ..) => FrozenInterp::Tape(tape),
-                    (None, Some((s, stage1, cf)), Some(p)) => {
-                        FrozenInterp::Rerun(Rerun { s, stage1, cf, p })
-                    }
-                    _ => unreachable!("a recording build keeps a tape or a builder's inputs"),
-                };
                 let next = (next.nrows(), next.nnz());
                 cap.push(FrozenLevel {
                     interp,
@@ -445,24 +450,9 @@ impl Hierarchy {
             current = Cow::Owned(next);
         }
 
-        let (coarsest, coarse_lu) = coarsest_level(current.into_owned(), levels.len(), cfg);
+        let (coarsest, coarse_lu) = coarsest_level(current.into_owned(), first + levels.len(), cfg);
         levels.push(coarsest);
-
-        drop(root_span);
-        let profile = famg_prof::take();
-        let times = profile
-            .find_root("setup")
-            .map(PhaseTimes::from_span)
-            .unwrap_or_default();
-
-        Hierarchy {
-            levels,
-            coarse_lu,
-            config: cfg.clone(),
-            stats,
-            times,
-            profile,
-        }
+        (levels, coarse_lu)
     }
 
     /// Checks the structural invariants the cycle kernels rely on,

@@ -21,7 +21,9 @@ use super::common::{truncate_matrix, CfMap, TruncParams};
 use super::extended_i::extended_i;
 use crate::coarsen::Coarsening;
 use crate::strength::strength;
-use famg_sparse::spgemm::{spgemm_with, SpgemmKernel};
+use famg_sparse::spgemm::{
+    spgemm_flops_bound, spgemm_one_pass, spgemm_two_pass, SPGEMM_TWO_PASS_MAX_FLOPS,
+};
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::rap_row_fused;
 use famg_sparse::Csr;
@@ -31,10 +33,10 @@ use famg_sparse::Csr;
 /// `stage1` is the first-pass PMIS splitting, `final_c` the aggressive
 /// (second-pass) splitting; `final_c` C-points must be a subset of
 /// `stage1` C-points (as produced by
-/// [`crate::coarsen::aggressive_pmis_stages`]). `kernel` picks the
-/// SpGEMM implementation for the `P1·P2` composition (all kernels give
-/// identical results; the hierarchy passes the config-selected one).
-#[allow(clippy::too_many_arguments)]
+/// [`crate::coarsen::aggressive_pmis_stages`]). The `P1·P2` composition
+/// takes the two-pass SpGEMM when its work bound is cache-sized
+/// ([`SPGEMM_TWO_PASS_MAX_FLOPS`]), the one-pass kernel above it; both give
+/// identical results.
 pub fn two_stage_extended_i(
     a: &Csr,
     s: &Csr,
@@ -43,7 +45,6 @@ pub fn two_stage_extended_i(
     strength_threshold: f64,
     max_row_sum: f64,
     trunc: Option<&TruncParams>,
-    kernel: SpgemmKernel,
 ) -> Csr {
     let n = a.nrows();
     assert_eq!(stage1.is_coarse.len(), n);
@@ -63,7 +64,11 @@ pub fn two_stage_extended_i(
     let cf2 = CfMap::new(is_final_in_stage1);
     let p2 = extended_i(&a1, &s1, &cf2, trunc);
     // Compose and truncate the product.
-    let p = spgemm_with(kernel, &p1, &p2);
+    let p = if spgemm_flops_bound(&p1, &p2) <= SPGEMM_TWO_PASS_MAX_FLOPS {
+        spgemm_two_pass(&p1, &p2)
+    } else {
+        spgemm_one_pass(&p1, &p2)
+    };
     match trunc {
         Some(t) => truncate_matrix(&p, t),
         None => p,
@@ -86,7 +91,7 @@ mod tests {
     #[test]
     fn shape_and_identity_rows() {
         let (a, s, first, fin) = setup(16, 16, 1);
-        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, None, SpgemmKernel::Auto);
+        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, None);
         assert_eq!(p.nrows(), a.nrows());
         assert_eq!(p.ncols(), fin.ncoarse);
         // Final C-points interpolate to themselves with weight 1.
@@ -103,7 +108,7 @@ mod tests {
         let a = famg_matgen::laplace2d_neumann(20, 20);
         let s = strength(&a, 0.25, 10.0);
         let (first, fin) = aggressive_pmis_stages(&s, 3);
-        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 10.0, None, SpgemmKernel::Auto);
+        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 10.0, None);
         for i in 0..a.nrows() {
             if p.row_nnz(i) > 0 {
                 let w: f64 = p.row_vals(i).iter().sum();
@@ -116,16 +121,7 @@ mod tests {
     fn truncation_caps_rows() {
         let (a, s, first, fin) = setup(20, 20, 5);
         let t = TruncParams::paper();
-        let p = two_stage_extended_i(
-            &a,
-            &s,
-            &first,
-            &fin,
-            0.25,
-            0.8,
-            Some(&t),
-            SpgemmKernel::Auto,
-        );
+        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, Some(&t));
         for i in 0..a.nrows() {
             if !fin.is_coarse[i] {
                 assert!(p.row_nnz(i) <= 4, "row {i}: {}", p.row_nnz(i));
@@ -136,16 +132,7 @@ mod tests {
     #[test]
     fn covers_fine_points_despite_aggressive_coarsening() {
         let (a, s, first, fin) = setup(24, 24, 7);
-        let p = two_stage_extended_i(
-            &a,
-            &s,
-            &first,
-            &fin,
-            0.25,
-            0.8,
-            Some(&TruncParams::paper()),
-            SpgemmKernel::Auto,
-        );
+        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, Some(&TruncParams::paper()));
         let mut uncovered = 0usize;
         for i in 0..a.nrows() {
             if !fin.is_coarse[i] && s.row_nnz(i) > 0 && p.row_nnz(i) == 0 {

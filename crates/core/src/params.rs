@@ -36,8 +36,6 @@ pub enum InterpKind {
 /// `OptFlags::none()` is `HYPRE_base`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptFlags {
-    /// One-pass SpGEMM with per-thread chunks instead of two-pass (§3.1.1).
-    pub one_pass_spgemm: bool,
     /// Row-fused RAP (Fig. 1a) instead of scalar-fused (Fig. 1b).
     pub row_fused_rap: bool,
     /// CF permutation + identity-block RAP and interpolation/restriction.
@@ -50,41 +48,30 @@ pub struct OptFlags {
     pub fused_residual_norm: bool,
     /// Fuse interpolation truncation into row construction (§3.1.2).
     pub fused_truncation: bool,
-    /// Pick the SpGEMM kernel per product by estimated flops: cache-resident
-    /// products take the two-pass kernel (whose second pass writes straight
-    /// into the exact-sized output, beating the one-pass chunk copy on small
-    /// levels — the 4.2 ms vs 5.0 ms anomaly in EXPERIMENTS.md), large ones
-    /// take the one-pass kernel. When off, `one_pass_spgemm` alone decides,
-    /// so the ablation bins can still force either kernel unconditionally.
-    pub adaptive_spgemm: bool,
 }
 
 impl OptFlags {
     /// Every optimization enabled — the paper's `HYPRE_opt`.
     pub const fn all() -> Self {
         OptFlags {
-            one_pass_spgemm: true,
             row_fused_rap: true,
             cf_reorder: true,
             keep_transpose: true,
             reordered_smoother: true,
             fused_residual_norm: true,
             fused_truncation: true,
-            adaptive_spgemm: true,
         }
     }
 
     /// Every optimization disabled — the paper's `HYPRE_base`.
     pub const fn none() -> Self {
         OptFlags {
-            one_pass_spgemm: false,
             row_fused_rap: false,
             cf_reorder: false,
             keep_transpose: false,
             reordered_smoother: false,
             fused_residual_norm: false,
             fused_truncation: false,
-            adaptive_spgemm: false,
         }
     }
 }

@@ -205,7 +205,10 @@ impl AmgSolver {
 
     /// Runs the setup phase and keeps the pattern-derived structure so
     /// later same-pattern operators can be absorbed with
-    /// [`AmgSolver::refresh`] instead of a full re-setup.
+    /// [`AmgSolver::refresh`] instead of a full re-setup. With the paper's
+    /// configuration that is every level; a composed scheme or an
+    /// `OptFlags` ablation layout keeps nothing from its first such level
+    /// down, and a refresh rebuilds those levels ([`crate::refresh`]).
     pub fn setup_refreshable(a: &Csr, cfg: &AmgConfig) -> Self {
         let (hierarchy, frozen) = Hierarchy::build_frozen(a, cfg);
         let ws = Workspaces::new(&hierarchy);
@@ -217,14 +220,25 @@ impl AmgSolver {
     }
 
     /// Absorbs a same-pattern operator by re-running only the numeric
-    /// setup stages (see [`crate::refresh`]). Errors — including a
-    /// mismatched sparsity pattern — leave the solver fully usable with
-    /// its previous operator.
+    /// setup stages of the recorded levels and rebuilding the others (see
+    /// [`crate::refresh`]). Its only errors — a mismatched sparsity
+    /// pattern, a missing frozen setup — leave the solver fully usable
+    /// with its previous operator.
     pub fn refresh(&mut self, a: &Csr) -> Result<(), RefreshError> {
         let frozen = self.frozen.as_mut().ok_or(RefreshError::NoFrozenSetup)?;
-        self.hierarchy.refresh(a, frozen)
-        // Level sizes are unchanged (same patterns), so the cycle
-        // workspace stays valid as-is.
+        let sizes = |h: &Hierarchy| {
+            h.levels
+                .iter()
+                .map(|l| (l.a.nrows(), l.nc))
+                .collect::<Vec<_>>()
+        };
+        let before = sizes(&self.hierarchy);
+        self.hierarchy.refresh(a, frozen)?;
+        // Replayed levels keep their sizes; rebuilt ones may coarsen anew.
+        if sizes(&self.hierarchy) != before {
+            self.ws = Workspaces::new(&self.hierarchy);
+        }
+        Ok(())
     }
 
     /// Wraps an externally assembled hierarchy, rejecting one that

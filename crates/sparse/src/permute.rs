@@ -412,24 +412,6 @@ fn row_blocks<'a>(
         .collect()
 }
 
-/// The raw operator a `stored` one was made from by `permute_symmetric`:
-/// row `r` is stored row `perm(r)`, its columns mapped back through
-/// `perm⁻¹` — bitwise the matrix `permute_symmetric` was given when
-/// `stored` holds its rows in their raw in-row order.
-pub fn unpermute_symmetric(stored: &Csr, perm: &Permutation) -> Csr {
-    assert_eq!(stored.nrows(), perm.len());
-    let back = Permutation {
-        forward: perm.inverse.clone(),
-        inverse: perm.forward.clone(),
-    };
-    move_rows(stored, &back, |s, cols, vals| {
-        for (dst, &c) in cols.iter_mut().zip(stored.row_cols(s)) {
-            *dst = Col::new(perm.inverse[usize::from(c)]);
-        }
-        vals.copy_from_slice(stored.row_vals(s));
-    })
-}
-
 /// [`permute_symmetric`] into `out`, a matrix with its row pointer:
 /// column indices and values are written, nothing is allocated.
 ///
@@ -670,8 +652,6 @@ pub(crate) mod tests {
             restored.values_mut().fill(f64::NAN);
             permute_symmetric_into(&a, &q, &mut restored);
             assert_eq!(restored, before, "n={n}");
-            // Back to the raw operator.
-            assert_eq!(unpermute_symmetric(&restored, &q), a, "n={n}");
             order.partition(&mut restored);
             assert_eq!(restored, stored, "n={n}");
         }

@@ -212,21 +212,10 @@ pub fn spgemm(a: &Csr, b: &Csr) -> Csr {
     spgemm_one_pass(a, b)
 }
 
-/// Which SpGEMM implementation [`spgemm_with`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpgemmKernel {
-    /// Size-based choice: two-pass below
-    /// [`SPGEMM_TWO_PASS_MAX_FLOPS`], one-pass above.
-    Auto,
-    /// Always the one-pass chunked kernel (§3.1.1 optimized).
-    OnePass,
-    /// Always the two-pass symbolic+numeric kernel (baseline).
-    TwoPass,
-}
-
-/// Work bound below which [`SpgemmKernel::Auto`] picks the two-pass
-/// kernel. The one-pass kernel trades the second read of `B` for a
-/// chunk-to-output copy; when the whole product is cache-resident the
+/// Work bound below which a caller that picks its kernel by size (the
+/// two-stage interpolation's `P1·P2`) takes the two-pass kernel. The
+/// one-pass kernel trades the second read of `B` for a chunk-to-output
+/// copy; when the whole product is cache-resident the
 /// re-read of `B` is served from cache and the extra copy is the larger
 /// cost (EXPERIMENTS.md records 4.2 ms two-pass vs 5.0 ms one-pass at
 /// such a scale). The bound is the same upper estimate the one-pass
@@ -237,25 +226,6 @@ pub const SPGEMM_TWO_PASS_MAX_FLOPS: usize = 1 << 16;
 /// `A.colidx` and `B.rowptr`).
 pub fn spgemm_flops_bound(a: &Csr, b: &Csr) -> usize {
     a.colidx().iter().map(|&j| b.row_nnz(usize::from(j))).sum()
-}
-
-/// SpGEMM with an explicit kernel choice. `Auto` applies the
-/// cache-residency heuristic; the other variants force a path (used by
-/// the ablation benches so either kernel stays measurable in isolation).
-/// All kernels produce identical results, so the choice is purely a
-/// performance knob.
-pub fn spgemm_with(kernel: SpgemmKernel, a: &Csr, b: &Csr) -> Csr {
-    match kernel {
-        SpgemmKernel::Auto => {
-            if spgemm_flops_bound(a, b) <= SPGEMM_TWO_PASS_MAX_FLOPS {
-                spgemm_two_pass(a, b)
-            } else {
-                spgemm_one_pass(a, b)
-            }
-        }
-        SpgemmKernel::OnePass => spgemm_one_pass(a, b),
-        SpgemmKernel::TwoPass => spgemm_two_pass(a, b),
-    }
 }
 
 #[cfg(test)]
@@ -423,11 +393,7 @@ mod tests {
     fn kernel_selection_results_identical() {
         let a = random_csr(80, 70, 4, 201);
         let b = random_csr(70, 60, 3, 202);
-        let auto = spgemm_with(SpgemmKernel::Auto, &a, &b);
-        let one = spgemm_with(SpgemmKernel::OnePass, &a, &b);
-        let two = spgemm_with(SpgemmKernel::TwoPass, &a, &b);
-        assert_eq!(auto, one);
-        assert_eq!(auto, two);
+        assert_eq!(spgemm_one_pass(&a, &b), spgemm_two_pass(&a, &b));
     }
 
     #[test]

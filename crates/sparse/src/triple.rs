@@ -23,16 +23,15 @@
 //! Each variant has a `*_flops` twin that walks the same loop structure and
 //! tallies operations, reproducing the paper's 1.73× flop-ratio claim.
 //!
-//! [`rap_row_fused_numeric`], [`rap_scalar_fused_numeric`] and
-//! [`rap_cf_numeric`] re-compute values over a frozen output pattern
+//! [`rap_cf_numeric`] re-computes values over a frozen output pattern
 //! (the triple-product analogue of [`crate::spgemm::numeric_only`]): the
 //! output-side sparse accumulator is replaced by a marker array
 //! pre-seeded from the frozen column indices, so every accumulation is an
-//! indexed add behind one range compare. Each numeric twin walks the
-//! *exact* loop structure of its full kernel (the CF pair shares one row
-//! loop), so the floating-point accumulation order — and therefore every
-//! output value — is identical bit for bit. A frozen pattern that does not
-//! cover the product is a panic naming the row, in every build profile.
+//! indexed add behind one range compare. It shares its row loop with
+//! [`rap_cf`], so the floating-point accumulation order — and therefore
+//! every output value — is identical bit for bit. A frozen pattern that
+//! does not cover the product is a panic naming the row, in every build
+//! profile.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use crate::counters::FlopCount;
@@ -439,99 +438,15 @@ impl<'a> FrozenRow<'a> {
     }
 }
 
-/// Numeric-only row-fused triple product: recomputes `C = R·A·P` over the
-/// frozen pattern of a prior [`rap_row_fused`] with the same inputs'
-/// sparsity. Mirrors the full kernel's loop structure exactly, so the
-/// result is bitwise identical to re-running [`rap_row_fused`].
-///
-/// # Panics
-/// If the product structure deviates from `c`'s pattern (`c`'s values
-/// are then partly overwritten, its pattern untouched).
-pub fn rap_row_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
-    assert_eq!(r.ncols(), a.nrows());
-    assert_eq!(a.ncols(), p.nrows());
-    assert_eq!(c.nrows(), r.nrows());
-    assert_eq!(c.ncols(), p.ncols());
-    if r.nrows() == 0 {
-        return;
-    }
-    let blocks = split_rows_by_nnz(r.rowptr(), num_threads());
-    let ncols = c.ncols();
-    let (rowptr, colidx, values) = c.pattern_and_values_mut();
-    let ptr = ValuesPtr(values.as_mut_ptr());
-    rayon::scope(|s| {
-        for range in &blocks {
-            let range = range.clone();
-            let ptr = &ptr;
-            s.spawn(move |_| {
-                let mut spa_b = Spa::new(a.ncols());
-                let mut marker = vec![usize::MAX; ncols];
-                for i in range {
-                    // SAFETY: blocks tile the rows disjointly.
-                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i, None) };
-                    for (j, rv) in r.row_iter(i) {
-                        for (k, av) in a.row_iter(j) {
-                            spa_b.add(k, rv * av);
-                        }
-                    }
-                    for (pos, &k) in spa_b.cols().iter().enumerate() {
-                        let bv = spa_b.vals()[pos];
-                        for (l, pv) in p.row_iter(k) {
-                            out.add(l, bv * pv);
-                        }
-                    }
-                    spa_b.reset();
-                }
-            });
-        }
-    });
-}
-
-/// Numeric-only scalar-fused triple product over a frozen
-/// [`rap_scalar_fused`] pattern; bitwise identical to re-running the full
-/// kernel. No intermediate accumulator at all. Panics like
-/// [`rap_row_fused_numeric`] on a pattern that does not cover the product.
-pub fn rap_scalar_fused_numeric(r: &Csr, a: &Csr, p: &Csr, c: &mut Csr) {
-    assert_eq!(r.ncols(), a.nrows());
-    assert_eq!(a.ncols(), p.nrows());
-    assert_eq!(c.nrows(), r.nrows());
-    assert_eq!(c.ncols(), p.ncols());
-    if r.nrows() == 0 {
-        return;
-    }
-    let blocks = split_rows_by_nnz(r.rowptr(), num_threads());
-    let ncols = c.ncols();
-    let (rowptr, colidx, values) = c.pattern_and_values_mut();
-    let ptr = ValuesPtr(values.as_mut_ptr());
-    rayon::scope(|s| {
-        for range in &blocks {
-            let range = range.clone();
-            let ptr = &ptr;
-            s.spawn(move |_| {
-                let mut marker = vec![usize::MAX; ncols];
-                for i in range {
-                    // SAFETY: blocks tile the rows disjointly.
-                    let out = unsafe { FrozenRow::seed(&mut marker, rowptr, colidx, ptr, i, None) };
-                    for (j, rv) in r.row_iter(i) {
-                        for (k, av) in a.row_iter(j) {
-                            let temp = rv * av;
-                            for (l, pv) in p.row_iter(k) {
-                                out.add(l, temp * pv);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// Numeric-only CF-block triple product over a frozen [`rap_cf`] pattern;
 /// bitwise identical to re-running the full kernel (both run [`cf_row`]).
 /// The fine-width intermediate `B_i` keeps its sparse accumulator (its
 /// pattern is not part of the frozen artifact); only the coarse output
-/// side is an indexed add. Panics like [`rap_row_fused_numeric`] on a
-/// pattern that does not cover the product.
+/// side is an indexed add.
+///
+/// # Panics
+/// If the product structure deviates from `c`'s pattern (`c`'s values
+/// are then partly overwritten, its pattern untouched).
 pub fn rap_cf_numeric(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr, c: &mut Csr) {
     rap_cf_numeric_into(a_perm, nc, pf, pft, c, None);
 }
@@ -542,8 +457,8 @@ pub fn rap_cf_numeric(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr, c: &mut Csr)
 /// `permute_symmetric(rap_cf(..), c_perm)` with `c`'s own in-row order.
 ///
 /// # Panics
-/// On mismatched shapes, and like [`rap_row_fused_numeric`] on a pattern
-/// that does not cover the product.
+/// On mismatched shapes, and like [`rap_cf_numeric`] on a pattern that
+/// does not cover the product.
 pub fn rap_cf_numeric_into(
     a_perm: &Csr,
     nc: usize,
@@ -742,29 +657,6 @@ mod tests {
     }
 
     #[test]
-    fn row_fused_numeric_bitwise_matches_full() {
-        let r = random_csr(40, 60, 3, 51);
-        let a = random_csr(60, 60, 4, 52);
-        let p = random_csr(60, 40, 2, 53);
-        let mut c = rap_row_fused(&r, &a, &p);
-        let (r2, a2, p2) = (perturb(&r, 61), perturb(&a, 62), perturb(&p, 63));
-        rap_row_fused_numeric(&r2, &a2, &p2, &mut c);
-        let full = rap_row_fused(&r2, &a2, &p2);
-        assert_eq!(c, full); // identical pattern AND bitwise values
-    }
-
-    #[test]
-    fn scalar_fused_numeric_bitwise_matches_full() {
-        let r = random_csr(35, 50, 3, 71);
-        let a = random_csr(50, 50, 4, 72);
-        let p = random_csr(50, 35, 2, 73);
-        let mut c = rap_scalar_fused(&r, &a, &p);
-        let (r2, a2, p2) = (perturb(&r, 81), perturb(&a, 82), perturb(&p, 83));
-        rap_scalar_fused_numeric(&r2, &a2, &p2, &mut c);
-        assert_eq!(c, rap_scalar_fused(&r2, &a2, &p2));
-    }
-
-    #[test]
     fn cf_numeric_bitwise_matches_full() {
         let (nc, nf) = (30, 45);
         let (a, pf) = cf_fixture(nc, nf, 91);
@@ -772,39 +664,6 @@ mod tests {
         let (a2, pf2) = (perturb(&a, 92), perturb(&pf, 93));
         rap_cf_numeric_from_parts(&a2, nc, &pf2, &mut c);
         assert_eq!(c, rap_cf_from_parts(&a2, nc, &pf2));
-    }
-
-    #[test]
-    fn numeric_rap_empty_rows() {
-        // R with empty rows (and A with an empty row) -> empty output rows
-        // the numeric kernels must seed and skip without touching memory
-        // out of range.
-        let r = Csr::from_triplets(4, 3, vec![(1, 0, 2.0), (3, 2, 1.0)]);
-        let a = Csr::from_triplets(3, 3, vec![(0, 1, 1.5), (2, 2, -1.0)]);
-        let p = Csr::from_triplets(3, 2, vec![(1, 0, 0.5), (2, 1, 2.0)]);
-        let mut c = rap_row_fused(&r, &a, &p);
-        assert_eq!(c.row_nnz(0), 0);
-        rap_row_fused_numeric(&r, &a, &p, &mut c);
-        assert_eq!(c, rap_row_fused(&r, &a, &p));
-        let mut cs = rap_scalar_fused(&r, &a, &p);
-        rap_scalar_fused_numeric(&r, &a, &p, &mut cs);
-        assert_eq!(cs, rap_scalar_fused(&r, &a, &p));
-    }
-
-    #[test]
-    fn numeric_rap_zero_fill_entries() {
-        // Exactly cancelling contributions leave explicit 0.0 entries in
-        // the pattern; the numeric refresh must reproduce them (and give
-        // them new nonzero values once the cancellation breaks).
-        let r = Csr::from_triplets(1, 2, vec![(0, 0, 1.0), (0, 1, -1.0)]);
-        let a = Csr::from_triplets(2, 2, vec![(0, 0, 1.0), (1, 0, 1.0)]);
-        let p = Csr::from_triplets(2, 1, vec![(0, 0, 1.0)]);
-        let mut c = rap_row_fused(&r, &a, &p);
-        assert_eq!(c.nnz(), 1);
-        assert_eq!(c.values(), [0.0]); // cancelled, structurally present
-        let r2 = Csr::from_triplets(1, 2, vec![(0, 0, 2.0), (0, 1, -1.0)]);
-        rap_row_fused_numeric(&r2, &a, &p, &mut c);
-        assert_eq!(c.values(), [1.0]);
     }
 
     #[test]
@@ -817,13 +676,6 @@ mod tests {
         let (a2, pf2) = (perturb(&a, 112), perturb(&pf, 113));
         rap_cf_numeric_from_parts(&a2, 1, &pf2, &mut c);
         assert_eq!(c, rap_cf_from_parts(&a2, 1, &pf2));
-        // Full-matrix R/A/P analogue.
-        let p = Csr::from_triplets(3, 1, vec![(0, 0, 1.0), (1, 0, 0.5), (2, 0, 0.25)]);
-        let r = transpose(&p);
-        let a3 = random_csr(3, 3, 2, 114);
-        let mut c3 = rap_row_fused(&r, &a3, &p);
-        rap_row_fused_numeric(&r, &perturb(&a3, 115), &p, &mut c3);
-        assert_eq!(c3, rap_row_fused(&r, &perturb(&a3, 115), &p));
     }
 
     #[test]
@@ -962,26 +814,6 @@ mod tests {
     // A frozen pattern that does not cover the product must be a panic in
     // every profile (`cargo test --release` runs these too): the range
     // test is all that keeps the indexed add inside the row.
-
-    #[test]
-    #[should_panic(expected = "frozen pattern of row")]
-    fn row_fused_numeric_rejects_a_short_pattern() {
-        let r = random_csr(20, 30, 3, 151);
-        let a = random_csr(30, 30, 4, 152);
-        let p = random_csr(30, 20, 2, 153);
-        let mut c = drop_one_entry(&rap_row_fused(&r, &a, &p));
-        rap_row_fused_numeric(&r, &a, &p, &mut c);
-    }
-
-    #[test]
-    #[should_panic(expected = "frozen pattern of row")]
-    fn scalar_fused_numeric_rejects_a_short_pattern() {
-        let r = random_csr(20, 30, 3, 161);
-        let a = random_csr(30, 30, 4, 162);
-        let p = random_csr(30, 20, 2, 163);
-        let mut c = drop_one_entry(&rap_scalar_fused(&r, &a, &p));
-        rap_scalar_fused_numeric(&r, &a, &p, &mut c);
-    }
 
     #[test]
     #[should_panic(expected = "frozen pattern of row")]

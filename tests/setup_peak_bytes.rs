@@ -25,6 +25,13 @@
 //! 2.67–2.68 × since; its bound, 5.5 × until then, is 3.0 ×, so a return
 //! to 32-bit streams fails it.
 //!
+//! A frozen setup of `mp`, whose level 0 is composed, used to keep level
+//! 0's `S`, `P` and CF maps for a builder re-run and a tape for every level
+//! below: 2.09 × against a plain build's 0.96 ×. It records no level now,
+//! and a refresh rebuilds them all, so it keeps the build and the input's
+//! pattern (0.27 ×): 1.23 × at pool sizes 1, 2 and 4, pinned to that sum
+//! within `MP_FROZEN_SLACK`.
+//!
 //! One test function: the counters are process-wide, and a second test
 //! thread would allocate into the window.
 
@@ -152,4 +159,28 @@ fn a_build_peaks_near_twice_the_operator() {
         peak <= bound,
         "a refresh's high-water is {peak:.2} x the operator"
     );
+    drop((hf, frozen));
+
+    // `mp` records no level, its level 0 being composed: its frozen setup
+    // is a plain build and the input's pattern.
+    let mp = AmgConfig {
+        smoother_tasks: Some(2),
+        ..AmgConfig::multi_node_mp()
+    };
+    let (h, _, plain) = measured(unit, || Hierarchy::build(&a, &mp));
+    drop(h);
+    let ((h, frozen), _, kept) = measured(unit, || Hierarchy::build_frozen(&a, &mp));
+    let pattern = std::mem::size_of_val(a.rowptr()) + std::mem::size_of_val(a.colidx());
+    let pattern = pattern as f64 / unit as f64;
+    println!("mp: build keeps {plain:.3} x, build_frozen {kept:.3} x, the pattern {pattern:.3} x");
+    assert!(
+        kept <= plain + pattern + MP_FROZEN_SLACK,
+        "an mp frozen setup keeps {kept:.3} x the operator, a build {plain:.3} x"
+    );
+    drop((h, frozen));
 }
+
+/// What an `mp` frozen setup may keep beyond a plain build and the input
+/// pattern, in units of the operator: allocator rounding and the
+/// profile's records.
+const MP_FROZEN_SLACK: f64 = 0.01;

@@ -210,37 +210,33 @@ fn refreshable_setup_runs_extended_i_once_per_level() {
         return;
     }
     let a = varcoef3d_7pt(2 * NX, 2 * NY, 2 * NZ, &vec![1.0; 8 * NX * NY * NZ]);
-    for cfg in [
-        AmgConfig::single_node_paper(),
-        AmgConfig::single_node_baseline(),
-    ] {
-        let plain = AmgSolver::setup(&a, &cfg);
-        // Three refreshable setups: a span is read as its fastest run, so
-        // being descheduled inside a microsecond-long one decides nothing.
-        let runs: Vec<AmgSolver> = (0..3)
-            .map(|_| AmgSolver::setup_refreshable(&a, &cfg))
-            .collect();
-        fn profile(s: &AmgSolver) -> &famg_prof::Profile {
-            &s.hierarchy().profile
-        }
-        let visited = |s: &AmgSolver| profile(s).total_counter("interp_entries_visited");
-        assert!(visited(&plain) > 0);
-        assert_eq!(visited(&runs[0]), visited(&plain));
+    let cfg = AmgConfig::single_node_paper();
+    let plain = AmgSolver::setup(&a, &cfg);
+    // Three refreshable setups: a span is read as its fastest run, so
+    // being descheduled inside a microsecond-long one decides nothing.
+    let runs: Vec<AmgSolver> = (0..3)
+        .map(|_| AmgSolver::setup_refreshable(&a, &cfg))
+        .collect();
+    fn profile(s: &AmgSolver) -> &famg_prof::Profile {
+        &s.hierarchy().profile
+    }
+    let visited = |s: &AmgSolver| profile(s).total_counter("interp_entries_visited");
+    assert!(visited(&plain) > 0);
+    assert_eq!(visited(&runs[0]), visited(&plain));
 
-        let fastest = |name: &str, level: usize| {
-            let walls = runs.iter().map(|s| {
-                let root = profile(s).find_root("setup").expect("setup span");
-                let mut spans = root.children.iter();
-                let found = spans.find(|c| c.name == name && c.level == level);
-                found.expect("a span per stage and level").wall
-            });
-            walls.min().expect("three runs")
-        };
-        let levels = runs[0].hierarchy().num_levels() - 1;
-        assert!(levels >= 2);
-        for l in 0..levels {
-            assert!(fastest("capture", l) <= fastest("interp", l), "level {l}");
-        }
+    let fastest = |name: &str, level: usize| {
+        let walls = runs.iter().map(|s| {
+            let root = profile(s).find_root("setup").expect("setup span");
+            let mut spans = root.children.iter();
+            let found = spans.find(|c| c.name == name && c.level == level);
+            found.expect("a span per stage and level").wall
+        });
+        walls.min().expect("three runs")
+    };
+    let levels = runs[0].hierarchy().num_levels() - 1;
+    assert!(levels >= 2);
+    for l in 0..levels {
+        assert!(fastest("capture", l) <= fastest("interp", l), "level {l}");
     }
 }
 

@@ -10,11 +10,12 @@
 //! `str_thr = 0.25` and `0.6` ("selected the one for faster time to
 //! solution for each matrix"): both are run and the faster kept.
 //!
-//! Times are normalized to HYPRE_base's time to solution per matrix, as
-//! in the paper's figure. Absolute numbers depend on the host; the shape
+//! HYPRE_base is `famg_bench::baseline`, HYPRE_opt the library's solver,
+//! both on the paper's configuration. Times are normalized to HYPRE_base's
+//! time to solution per matrix, as in the paper's figure. Absolute numbers depend on the host; the shape
 //! (who wins, which components shrink) is the reproduction target.
 
-use famg_bench::{arg_scale, arg_value, fmt_secs};
+use famg_bench::{arg_scale, arg_value, baseline, fmt_secs};
 use famg_core::params::AmgConfig;
 use famg_core::solver::AmgSolver;
 use famg_core::stats::PhaseTimes;
@@ -27,37 +28,47 @@ struct Run {
     opcx: f64,
 }
 
-fn run_with(a: &famg_sparse::Csr, cfg: &AmgConfig) -> Run {
-    let solver = AmgSolver::setup(a, cfg);
+/// One setup and solve by HYPRE_base (`base`) or HYPRE_opt.
+fn run_with(a: &famg_sparse::Csr, cfg: &AmgConfig, base: bool) -> Run {
     let b = rhs::ones(a.nrows());
     let mut x = vec![0.0; a.nrows()];
-    let res = solver.solve(&b, &mut x);
+    let (setup, res, opcx) = if base {
+        let h = baseline::setup(a, cfg);
+        let res = h.solve(&b, &mut x);
+        (h.times.clone(), res, h.stats.operator_complexity())
+    } else {
+        let solver = AmgSolver::setup(a, cfg);
+        let res = solver.solve(&b, &mut x);
+        let h = solver.hierarchy();
+        (h.times.clone(), res, h.stats.operator_complexity())
+    };
     assert!(
         res.converged,
         "solver did not converge (relres {})",
         res.final_relres
     );
     Run {
-        setup: solver.hierarchy().times.clone(),
+        setup,
         solve: res.times,
         iterations: res.iterations,
-        opcx: solver.hierarchy().stats.operator_complexity(),
+        opcx,
     }
 }
 
 /// Runs with `str_thr = 0.25`, or — under `--select-thr` — with both
 /// Table 3 candidates (0.25, 0.6), keeping the faster (the paper's
 /// per-matrix selection rule).
-fn run(a: &famg_sparse::Csr, cfg: &AmgConfig, select_thr: bool) -> Run {
-    let r25 = run_with(a, cfg);
+fn run(a: &famg_sparse::Csr, base: bool, select_thr: bool) -> Run {
+    let cfg = AmgConfig::single_node_paper();
+    let r25 = run_with(a, &cfg, base);
     if !select_thr {
         return r25;
     }
     let cfg60 = AmgConfig {
         strength_threshold: 0.6,
-        ..cfg.clone()
+        ..cfg
     };
-    let r60 = run_with(a, &cfg60);
+    let r60 = run_with(a, &cfg60, base);
     let t25 = r25.setup.setup_total() + r25.solve.solve_total();
     let t60 = r60.setup.setup_total() + r60.solve.solve_total();
     if t60 < t25 {
@@ -98,8 +109,8 @@ fn main() {
             }
         }
         let a = (m.gen)(scale);
-        let base = run(&a, &AmgConfig::single_node_baseline(), select_thr);
-        let opt = run(&a, &AmgConfig::single_node_paper(), select_thr);
+        let base = run(&a, true, select_thr);
+        let opt = run(&a, false, select_thr);
         let tb = base.setup.setup_total() + base.solve.solve_total();
         let to = opt.setup.setup_total() + opt.solve.solve_total();
         let speedup = tb.as_secs_f64() / to.as_secs_f64();

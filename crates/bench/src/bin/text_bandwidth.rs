@@ -15,6 +15,7 @@
 //! Usage: `cargo run --release -p famg-bench --bin text_bandwidth
 //!         [--scale 0.3]`
 
+use famg_bench::baseline::HybridGs;
 use famg_bench::{arg_scale, best_of};
 use famg_core::coarsen::pmis;
 use famg_core::reorder::cf_reorder;
@@ -100,8 +101,9 @@ fn main() -> ExitCode {
     let mut ws = Workspace::new();
     let mut xs = vec![0.0; a.nrows()];
     let marker = (0..a.nrows()).map(|i| i < ord.nc).collect();
-    let base = Smoother::hybrid_base(&ap, marker, nthreads);
-    let ((), t) = best_of(5, || base.pre_smooth(&ap, &b, &mut xs, &mut ws, false));
+    let base = HybridGs::new(&ap, marker, nthreads);
+    let mut temp = Vec::new();
+    let ((), t) = best_of(5, || base.pre_smooth(&ap, &b, &mut xs, &mut temp));
     ok &= report("hybrid GS sweep (Fig. 2a)", t, traffic::gs_sweep_bytes(&ap));
     let sm = Smoother::hybrid_opt(&mut ap, ord.nc, nthreads);
     let ((), t) = best_of(5, || sm.pre_smooth(&ap, &b, &mut xs, &mut ws, false));

@@ -10,14 +10,15 @@
 //! A second table times the setup kernels' variants side by side on one
 //! 192² Laplacian fixture: SpGEMM two-pass / one-pass / numeric-only, the
 //! four Galerkin triple products (unfused, Fig. 1b, Fig. 1a, CF-block),
-//! and the sequential vs parallel transpose.
+//! extended+i with truncation fused into its rows vs a separate pass
+//! (§3.1.2), and the sequential vs parallel transpose.
 //!
 //! Usage: `cargo run --release -p famg-bench --bin text_flops_fusion
 //!         [--scale 0.15]`
 
 use famg_bench::{arg_scale, best_of, fmt_secs, rap_fixture, rap_fixture_2d};
 use famg_core::coarsen::pmis;
-use famg_core::interp::{extended_i, CfMap, TruncParams};
+use famg_core::interp::{extended_i, truncate_matrix, CfMap, TruncParams};
 use famg_core::reorder::cf_reorder;
 use famg_core::strength::strength;
 use famg_matgen::{laplace2d, suite};
@@ -99,7 +100,8 @@ fn kernel_variants() {
     // rows of P (its coarse rows are the identity).
     let a = laplace2d(SIDE, SIDE);
     let s = strength(&a, 0.25, 0.8);
-    let (ap, ord) = cf_reorder(&a, &pmis(&s, 3).is_coarse);
+    let c = pmis(&s, 3);
+    let (ap, ord) = cf_reorder(&a, &c.is_coarse);
     let cf = CfMap::new((0..a.nrows()).map(|i| i < ord.nc).collect());
     let p = extended_i(
         &ap,
@@ -117,6 +119,17 @@ fn kernel_variants() {
     );
     let (_, t) = best_of(5, || rap_cf_from_parts(&ap, ord.nc, &pf));
     row("RAP CF-block (fine block only)", t);
+
+    // §3.1.2: the same level-0 interpolation, truncated row by row as it
+    // is built, or as a second pass over the whole untruncated operator.
+    let cf = CfMap::new(c.is_coarse);
+    let trunc = TruncParams::paper();
+    let (_, t) = best_of(5, || extended_i(&a, &s, &cf, Some(&trunc)));
+    row("extended+i, truncation fused", t);
+    let (_, t) = best_of(5, || {
+        truncate_matrix(&extended_i(&a, &s, &cf, None), &trunc)
+    });
+    row("extended+i, then truncate_matrix", t);
 
     let (_, t) = best_of(5, || transpose(&f.p));
     row("transpose P, sequential", t);

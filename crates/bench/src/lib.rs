@@ -18,8 +18,13 @@
 //! | `text_dist_opts`      | §4.2/4.3/4.4 distributed-optimization claims |
 //!
 //! The kernel microbenchmarks (SpMV variants, transpose, SpGEMM, the four
-//! RAP variants, the Fig. 2a/2b sweeps) are rows of `text_bandwidth` and
-//! `text_flops_fusion`.
+//! RAP variants, fused vs separate truncation, the Fig. 2a/2b sweeps) are
+//! rows of `text_bandwidth` and `text_flops_fusion`.
+//!
+//! [`baseline`] is `HYPRE_base`, the program Fig. 5 compares the solver
+//! against.
+
+pub mod baseline;
 
 use famg_core::coarsen::pmis;
 use famg_core::interp::{extended_i, CfMap, TruncParams};

@@ -5,19 +5,16 @@
 //! The coarsest level is solved directly (dense LU) when small enough,
 //! otherwise relaxed with extra smoothing sweeps.
 //!
-//! Optimized-path levels store CF-permuted operators; restriction output
-//! is scattered through the child level's permutation and prolongation
-//! input gathered back, so each level works entirely in its own stored
-//! ordering.
+//! Levels above the coarsest store CF-permuted operators; restriction
+//! output is scattered through the child level's permutation and
+//! prolongation input gathered back, so each level works entirely in its
+//! own stored ordering.
 
-use crate::hierarchy::{Hierarchy, TransferOps};
+use crate::hierarchy::Hierarchy;
 use crate::smoother::Workspace;
 use famg_sparse::counters::flops;
 use famg_sparse::multivec::{gather_col, scatter_col};
-use famg_sparse::spmm::{
-    interp_apply_add_rows, residual_rows, restrict_apply_rows, spmm_axpby_rows, spmm_rows,
-};
-use famg_sparse::transpose::transpose_par;
+use famg_sparse::spmm::{interp_apply_add_rows, residual_rows, restrict_apply_rows};
 use famg_sparse::MultiVec;
 
 /// Reusable per-level buffers for V-cycles over `k`-interleaved blocks
@@ -212,21 +209,8 @@ fn cycle_level(
         } else {
             &mut bc[..]
         };
-        match ops {
-            TransferOps::CfBlock { pft, .. } => {
-                famg_prof::counter("flops", flops::spmm(pft.nnz(), k));
-                restrict_apply_rows(pft, nc, &r, k, out);
-            }
-            TransferOps::Full { p, r: rt } => {
-                famg_prof::counter("flops", flops::spmm(p.nnz(), k));
-                if let Some(rt) = rt {
-                    spmm_rows(rt, &r, k, out);
-                } else {
-                    // Baseline: transpose P on every restriction.
-                    spmm_rows(&transpose_par(p), &r, k, out);
-                }
-            }
-        }
+        famg_prof::counter("flops", flops::spmm(ops.pft.nnz(), k));
+        restrict_apply_rows(&ops.pft, nc, &r, k, out);
     }
     ws.r[level] = r;
     if let Some(q) = child_perm {
@@ -253,16 +237,8 @@ fn cycle_level(
     // Prolongate and correct.
     {
         let _s = famg_prof::scope_at("prolong", level);
-        match ops {
-            TransferOps::CfBlock { pf, .. } => {
-                famg_prof::counter("flops", flops::spmm(pf.nnz(), k));
-                interp_apply_add_rows(pf, nc, &xc, k, x);
-            }
-            TransferOps::Full { p, .. } => {
-                famg_prof::counter("flops", flops::spmm(p.nnz(), k) + (n * k) as u64);
-                spmm_axpby_rows(p, 1.0, &xc, 1.0, k, x);
-            }
-        }
+        famg_prof::counter("flops", flops::spmm(ops.pf.nnz(), k));
+        interp_apply_add_rows(&ops.pf, nc, &xc, k, x);
     }
     ws.bc[level] = bc;
     ws.xc[level] = xc;
@@ -315,19 +291,9 @@ mod tests {
     fn single_vcycle_reduces_residual_strongly() {
         let a = laplace2d(24, 24);
         let b = rhs::ones(a.nrows());
-        for cfg in [
-            AmgConfig::single_node_paper(),
-            AmgConfig::single_node_baseline(),
-        ] {
-            let res = run_cycles(&a, &cfg, &b, 1);
-            // PMIS + extended+i V(1,1) factors are typically 0.1–0.4.
-            assert!(
-                res[0] < 0.45,
-                "V-cycle left relative residual {} (opt={})",
-                res[0],
-                cfg.opt.cf_reorder
-            );
-        }
+        let res = run_cycles(&a, &AmgConfig::single_node_paper(), &b, 1);
+        // PMIS + extended+i V(1,1) factors are typically 0.1–0.4.
+        assert!(res[0] < 0.45, "V-cycle left relative residual {}", res[0]);
     }
 
     #[test]

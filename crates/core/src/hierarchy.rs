@@ -1,25 +1,22 @@
 //! Multigrid hierarchy construction — the AMG setup phase.
 //!
-//! Per level: strength matrix → coarsening → interpolation → (optional CF
-//! permutation of `A`) → Galerkin RAP → smoother setup. Every step
-//! dispatches between the baseline and optimized kernels according to
-//! [`crate::params::OptFlags`], so the paper's Fig. 5 component speedups
-//! can be measured on identical hierarchies.
+//! Per level: strength matrix → coarsening → interpolation with fused
+//! truncation → CF permutation of `A` → CF-block Galerkin RAP → reordered
+//! smoother setup: the paper's `HYPRE_opt`. (`HYPRE_base`, the program
+//! Fig. 5 compares it with, is `famg_bench::baseline`.)
 //!
 //! Setup is bound by memory traffic, so a level moves each operator once.
 //! Strength, coarsening and interpolation read the level's *raw* operator
 //! (the caller's at level 0, borrowed; the RAP of the level above below
-//! it) on both paths: §3.1.2's coarse-first permutation is one of `A`, for
-//! the triple product and the smoother, and of `P`'s rows — here, taking
-//! `P`'s fine rows in order. `S` is freed after interpolation, the raw
+//! it): §3.1.2's coarse-first permutation is one of `A`, for the triple
+//! product and the smoother, and of `P`'s rows — here, taking `P`'s fine
+//! rows in order. `S` is freed after interpolation, the raw
 //! operator after the permutation and `P` once `P_F` is taken from it: a
 //! level peaks in RAP, on `A_perm`, `P_F`, `P_Fᵀ` and the product
 //! (DESIGN.md §3.4 has the table).
 
 use crate::coarsen::{aggressive_pmis_stages, pmis, Coarsening};
-use crate::interp::{
-    extended_i, multipass, truncate_matrix, two_stage_extended_i, CfMap, ExtITape, TruncParams,
-};
+use crate::interp::{extended_i, multipass, two_stage_extended_i, CfMap, ExtITape, TruncParams};
 use crate::params::{AmgConfig, CoarsenKind, InterpKind};
 use crate::refresh::{FrozenLevel, FrozenSetup};
 use crate::reorder::cf_reorder;
@@ -30,41 +27,28 @@ use famg_sparse::dense::{DenseMatrix, LuFactor};
 use famg_sparse::partition::{num_threads, split_evenly, split_mut_at};
 use famg_sparse::permute::{Permutation, RowOrder};
 use famg_sparse::transpose::transpose_par;
-use famg_sparse::triple::{rap_cf, rap_row_fused, rap_scalar_fused};
+use famg_sparse::triple::rap_cf;
 use famg_sparse::{Col, Csr};
 use rayon::prelude::*;
 use std::borrow::Cow;
 
-/// Grid-transfer operators between a level and the next coarser one.
+/// Grid-transfer operators between a CF-permuted level and the next
+/// coarser one: only the fine block `P_F` of `P = [I; P_F]` (the fine rows
+/// of the interpolation operator, in point order) plus its transpose, kept
+/// from setup.
 #[derive(Debug, Clone)]
-pub enum TransferOps {
-    /// Baseline representation: the full `n × nc` interpolation operator
-    /// (identity rows interleaved). `r` is `Pᵀ`, kept only under the
-    /// `keep_transpose` optimization; otherwise restriction re-transposes
-    /// `P` on every application, as baseline HYPRE did.
-    Full {
-        /// Interpolation operator.
-        p: Csr,
-        /// Cached transpose, if `keep_transpose` is on.
-        r: Option<Csr>,
-    },
-    /// Optimized representation over the CF-permuted level: only the fine
-    /// block `P_F` of `P = [I; P_F]` (the fine rows of the interpolation
-    /// operator, in point order) plus its transpose (kept from setup).
-    CfBlock {
-        /// Fine rows of the interpolation operator (`nf × nc`).
-        pf: Csr,
-        /// `P_Fᵀ` (`nc × nf`).
-        pft: Csr,
-    },
+pub struct TransferOps {
+    /// Fine rows of the interpolation operator (`nf × nc`).
+    pub pf: Csr,
+    /// `P_Fᵀ` (`nc × nf`).
+    pub pft: Csr,
 }
 
 /// One multigrid level.
 #[derive(Debug, Clone)]
 pub struct Level {
-    /// The operator (CF-permuted when the level was built with
-    /// `cf_reorder`; row-internally reordered when the optimized smoother
-    /// is active — neither affects SpMV semantics).
+    /// The operator: CF-permuted above the coarsest level, and each row's
+    /// entries reordered for the smoother — neither affects SpMV semantics.
     pub a: Csr,
     /// The permutation mapping this level's raw index space (as produced
     /// by the parent's RAP) to the stored ordering. `None` = identity.
@@ -98,17 +82,13 @@ pub struct Hierarchy {
     pub profile: famg_prof::Profile,
 }
 
-/// The level's hybrid Gauss-Seidel, over `a` in its stored ordering.
-/// `is_coarse` is the C/F marker of an unpermuted operator; `None` says `a`
-/// is CF-permuted, its coarse points the first `nc` rows. The reordered
-/// kernel (Fig. 2b) needs those coarse-first rows, so it is built only on
-/// a permuted operator; every other level gets the baseline kernel
-/// (Fig. 2a) with its true marker. With `record`, the reordered kernel
-/// also returns the in-row order its partition moved `a` out of.
+/// The level's reordered hybrid Gauss-Seidel (Fig. 2b), over `a` in its
+/// stored ordering: CF-permuted, its coarse points the first `nc` rows.
+/// With `record`, it also returns the in-row order its partition moved `a`
+/// out of.
 pub(crate) fn build_smoother(
     a: &mut Csr,
     nc: usize,
-    is_coarse: Option<&[bool]>,
     cfg: &AmgConfig,
     record: bool,
 ) -> (Smoother, Option<RowOrder>) {
@@ -118,24 +98,16 @@ pub(crate) fn build_smoother(
     let nthreads = cfg
         .smoother_tasks
         .unwrap_or_else(famg_sparse::partition::num_threads);
-    let marker = match is_coarse {
-        None if cfg.opt.reordered_smoother => {
-            let mut order = record.then(|| RowOrder::new(a.nnz()));
-            let smoother = Smoother::hybrid_opt_recording(a, nc, nthreads, order.as_mut());
-            return (smoother, order);
-        }
-        None => (0..a.nrows()).map(|i| i < nc).collect(),
-        Some(m) => m.to_vec(),
-    };
-    (Smoother::hybrid_base(a, marker, nthreads), None)
+    let mut order = record.then(|| RowOrder::new(a.nnz()));
+    let smoother = Smoother::hybrid_opt_recording(a, nc, nthreads, order.as_mut());
+    (smoother, order)
 }
 
 /// Builds the interpolation operator for one level according to the
-/// configured scheme. Returns the full `n × nc` operator and, with `record`
-/// (a refreshable build), the replay tape of an extended+i level whose rows
-/// fit the tape's 16 bits: the recording run *is* that level's build. It
-/// truncates row by row, which is the operator `truncate_matrix` returns
-/// when `fused_truncation` is off.
+/// configured scheme, truncating row by row as each row is built (§3.1.2).
+/// Returns the full `n × nc` operator and, with `record` (a refreshable
+/// build), the replay tape of an extended+i level whose rows fit the
+/// tape's 16 bits: the recording run *is* that level's build.
 fn build_interp(
     a: &Csr,
     s: &Csr,
@@ -149,19 +121,15 @@ fn build_interp(
         factor: cfg.trunc_factor,
         max_elements: cfg.max_elements,
     };
-    let fused = cfg.opt.fused_truncation;
-    let trunc_arg = if fused { Some(&t) } else { None };
     let p = match kind {
-        InterpKind::ExtendedI if record => {
-            return ExtITape::capture(a, s, cf, Some(&t));
-        }
-        InterpKind::ExtendedI => extended_i(a, s, cf, trunc_arg),
-        InterpKind::Multipass => multipass(a, s, cf, trunc_arg),
+        InterpKind::ExtendedI if record => return ExtITape::capture(a, s, cf, Some(&t)),
+        InterpKind::ExtendedI => extended_i(a, s, cf, Some(&t)),
+        InterpKind::Multipass => multipass(a, s, cf, Some(&t)),
         InterpKind::TwoStageExtendedI => {
             let stage1 = stage1.expect("two-stage interpolation requires aggressive coarsening");
             let final_c = Coarsening::from_marker(cf.is_coarse.clone());
             // Two-stage truncates at every stage by definition.
-            let p = two_stage_extended_i(
+            two_stage_extended_i(
                 a,
                 s,
                 stage1,
@@ -169,16 +137,10 @@ fn build_interp(
                 cfg.strength_threshold,
                 cfg.max_row_sum,
                 Some(&t),
-            );
-            return (p, None);
+            )
         }
     };
-    if fused {
-        (p, None)
-    } else {
-        // Baseline path: truncate as a separate pass over the full matrix.
-        (truncate_matrix(&p, &t), None)
-    }
+    (p, None)
 }
 
 /// Panics with a level-tagged report if a `famg-check` validator fails.
@@ -189,7 +151,7 @@ fn enforce(level: usize, what: &str, result: famg_check::CheckResult) {
     }
 }
 
-/// Validates one freshly built level (either path) on its raw ordering —
+/// Validates one freshly built level on its raw ordering —
 /// the one `a_level`, `is_coarse` and `p_full` share — before the smoother
 /// reorders the stored operator in place; the CF splitting is checked where
 /// it is made, while `S` is alive. `rowsum_exact` says whether the
@@ -255,8 +217,8 @@ impl Hierarchy {
     /// operators can be absorbed through [`Hierarchy::refresh`] without
     /// re-running strength, coarsening, reordering, or symbolic RAP there.
     /// Below the first level that is not (a composed scheme, a row past
-    /// the tape's 16 bits, an `OptFlags` ablation layout) nothing is kept,
-    /// and a refresh rebuilds those levels at setup cost.
+    /// the tape's 16 bits) nothing is kept, and a refresh rebuilds those
+    /// levels at setup cost.
     pub fn build_frozen(a: &Csr, cfg: &AmgConfig) -> (Hierarchy, FrozenSetup) {
         let mut captured = Vec::new();
         let h = Self::build_impl(a, cfg, Some(&mut captured));
@@ -302,10 +264,9 @@ impl Hierarchy {
     /// RAP of the level above. Returns the levels from `first` on, the last the
     /// coarsest, with the coarsest's LU, and pushes their rows to `stats`.
     ///
-    /// With `capture` (a refreshable build) it records each leading level that
-    /// is stored the paper's way — CF-permuted, rows partitioned for the
-    /// reordered smoother — and built by extended+i with a tape, and stops
-    /// recording at the first level that is not: a refresh rebuilds from there.
+    /// With `capture` (a refreshable build) it records each leading level
+    /// built by extended+i with a tape, and stops recording at the first
+    /// level that is not: a refresh rebuilds from there.
     pub(crate) fn build_levels(
         mut current: Cow<'_, Csr>,
         first: usize,
@@ -319,7 +280,7 @@ impl Hierarchy {
             stats.level_rows.push(n);
             stats.level_nnz.push(current.nnz());
             let lvl_idx = first + levels.len();
-            if n <= cfg.coarse_solve_size || lvl_idx + 1 >= cfg.max_levels {
+            if cfg.stops_at(n, lvl_idx) {
                 break;
             }
 
@@ -330,15 +291,14 @@ impl Hierarchy {
             let coarsen_span = famg_prof::scope_at("coarsen", lvl_idx);
             let (ckind, ikind) = cfg.level_scheme(lvl_idx);
             let (stage1, coarsening) = match ckind {
-                CoarsenKind::Pmis => (None, pmis(&s, cfg.seed.wrapping_add(lvl_idx as u64))),
+                CoarsenKind::Pmis => (None, pmis(&s, cfg.level_seed(lvl_idx))),
                 CoarsenKind::AggressivePmis => {
-                    let (first, fin) =
-                        aggressive_pmis_stages(&s, cfg.seed.wrapping_add(lvl_idx as u64));
+                    let (first, fin) = aggressive_pmis_stages(&s, cfg.level_seed(lvl_idx));
                     (Some(first), fin)
                 }
             };
             drop(coarsen_span);
-            if coarsening.ncoarse == 0 || coarsening.ncoarse == n {
+            if AmgConfig::coarsening_stalls(n, coarsening.ncoarse) {
                 break; // cannot coarsen further
             }
             let nc = coarsening.ncoarse;
@@ -353,12 +313,18 @@ impl Hierarchy {
                 ),
             );
 
-            // --- Interpolation: the level's one run, on the raw ordering
-            // whichever way the level is stored. ---
+            // --- Interpolation: the level's one run, on the raw ordering. ---
             let interp_span = famg_prof::scope_at("interp", lvl_idx);
             let cf = CfMap::new(coarsening.is_coarse.clone());
-            let record = capture.is_some() && cfg.opt.cf_reorder && cfg.opt.reordered_smoother;
-            let (p, tape) = build_interp(&current, &s, &cf, stage1.as_ref(), ikind, cfg, record);
+            let (p, tape) = build_interp(
+                &current,
+                &s,
+                &cf,
+                stage1.as_ref(),
+                ikind,
+                cfg,
+                capture.is_some(),
+            );
             drop(interp_span);
             stats.interp_nnz.push(p.nnz());
             // `S` is done with: freed before the level's largest allocations.
@@ -366,68 +332,39 @@ impl Hierarchy {
             if tape.is_none() {
                 capture = None;
             }
+
+            // --- Permute `A` coarse-first, once; the raw one is then done
+            // with (`validate` checks RAP on it). ---
+            let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
+            let (mut ap, ord) = cf_reorder(&current, &coarsening.is_coarse);
+            drop(reorder_span);
+            #[cfg(not(feature = "validate"))]
+            drop(current);
+
+            // --- P_F = the fine rows of `P`; keep the transpose. ---
+            let extract_span = famg_prof::scope_at("extract_p", lvl_idx);
+            let pf = extract_fine_block(&p, &ord.perm, nc, lvl_idx);
+            let pft = transpose_par(&pf);
+            drop(extract_span);
+            // `P` is done with (unless `validate` reads it, below): freed
+            // before RAP.
+            #[cfg(not(feature = "validate"))]
+            drop(p);
+
+            // --- RAP over the CF blocks of `ap`, read in place. ---
+            let rap_span = famg_prof::scope_at("rap", lvl_idx);
+            let next = rap_cf(&ap, nc, &pf, &pft);
+            drop(rap_span);
             #[cfg(feature = "validate")]
-            let validate = |a_raw: &Csr, next: &Csr| {
+            {
                 let exact = !matches!(ikind, InterpKind::Multipass | InterpKind::TwoStageExtendedI);
-                validate_level(lvl_idx, a_raw, &coarsening.is_coarse, &p, next, exact);
-            };
+                validate_level(lvl_idx, &current, &coarsening.is_coarse, &p, &next, exact);
+            }
 
-            let (a_level, perm, ops, smoother, order, next) = if cfg.opt.cf_reorder {
-                // --- Optimized path: permute `A` coarse-first, once; the
-                // raw one is then done with (`validate` checks RAP on it). ---
-                let reorder_span = famg_prof::scope_at("cf_reorder", lvl_idx);
-                let (mut ap, ord) = cf_reorder(&current, &coarsening.is_coarse);
-                drop(reorder_span);
-                #[cfg(not(feature = "validate"))]
-                drop(current);
-
-                // --- P_F = the fine rows of `P`; keep the transpose. ---
-                let extract_span = famg_prof::scope_at("extract_p", lvl_idx);
-                let pf = extract_fine_block(&p, &ord.perm, nc, lvl_idx);
-                let pft = transpose_par(&pf);
-                drop(extract_span);
-                // `P` is done with (unless `validate` reads it, below): freed
-                // before RAP.
-                #[cfg(not(feature = "validate"))]
-                drop(p);
-
-                // --- RAP over the CF blocks of `ap`, read in place. ---
-                let rap_span = famg_prof::scope_at("rap", lvl_idx);
-                let next = rap_cf(&ap, nc, &pf, &pft);
-                drop(rap_span);
-                #[cfg(feature = "validate")]
-                validate(&current, &next);
-
-                // --- Smoother (reorders rows of `ap` in place). ---
-                let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
-                let (smoother, order) = build_smoother(&mut ap, nc, None, cfg, tape.is_some());
-                drop(smoother_span);
-                let ops = TransferOps::CfBlock { pf, pft };
-                (ap, Some(ord.perm), ops, smoother, order, next)
-            } else {
-                // --- Baseline path: original ordering throughout. ---
-                let rap_span = famg_prof::scope_at("rap", lvl_idx);
-                let r = transpose_par(&p);
-                let next = if cfg.opt.row_fused_rap {
-                    rap_row_fused(&r, &current, &p)
-                } else {
-                    rap_scalar_fused(&r, &current, &p)
-                };
-                drop(rap_span);
-                #[cfg(feature = "validate")]
-                validate(&current, &next);
-
-                // The level owns the unpermuted operator: the caller's is
-                // copied here, a RAP moves in.
-                let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
-                let mut cur = current.into_owned();
-                let marker = Some(&coarsening.is_coarse[..]);
-                let (smoother, order) = build_smoother(&mut cur, nc, marker, cfg, false);
-                let r = cfg.opt.keep_transpose.then_some(r);
-                drop(smoother_span);
-                let ops = TransferOps::Full { p, r };
-                (cur, None, ops, smoother, order, next)
-            };
+            // --- Smoother (reorders rows of `ap` in place). ---
+            let smoother_span = famg_prof::scope_at("smoother_setup", lvl_idx);
+            let (smoother, order) = build_smoother(&mut ap, nc, cfg, tape.is_some());
+            drop(smoother_span);
             if let (Some(cap), Some(interp), Some(order)) = (capture.as_deref_mut(), tape, order) {
                 // Recorded on the raw operand in in-row offsets, the tape
                 // replays on the stored one as it is.
@@ -441,10 +378,10 @@ impl Hierarchy {
                 });
             }
             levels.push(Level {
-                a: a_level,
-                perm,
+                a: ap,
+                perm: Some(ord.perm),
                 nc,
-                ops: Some(ops),
+                ops: Some(TransferOps { pf, pft }),
                 smoother,
             });
             current = Cow::Owned(next);
@@ -495,28 +432,15 @@ impl Hierarchy {
             if self.levels[i + 1].a.nrows() != nc {
                 return fail(i, "next level's row count differs from nc");
             }
-            match ops {
-                TransferOps::Full { p, r } => {
-                    if p.nrows() != n || p.ncols() != nc {
-                        return fail(i, "interpolation operator has wrong dimensions");
-                    }
-                    if let Some(rt) = r {
-                        if rt.nrows() != nc || rt.ncols() != n {
-                            return fail(i, "cached restriction has wrong dimensions");
-                        }
-                    }
-                }
-                TransferOps::CfBlock { pf, pft } => {
-                    if nc > n {
-                        return fail(i, "nc exceeds the level size");
-                    }
-                    if pf.nrows() != n - nc || pf.ncols() != nc {
-                        return fail(i, "P_F block has wrong dimensions");
-                    }
-                    if pft.nrows() != nc || pft.ncols() != n - nc {
-                        return fail(i, "P_F transpose has wrong dimensions");
-                    }
-                }
+            let TransferOps { pf, pft } = ops;
+            if nc > n {
+                return fail(i, "nc exceeds the level size");
+            }
+            if pf.nrows() != n - nc || pf.ncols() != nc {
+                return fail(i, "P_F block has wrong dimensions");
+            }
+            if pft.nrows() != nc || pft.ncols() != n - nc {
+                return fail(i, "P_F transpose has wrong dimensions");
             }
         }
         Ok(())
@@ -538,7 +462,7 @@ impl Hierarchy {
 fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuFactor>) {
     let _span = famg_prof::scope_at("coarse", idx);
     let coarse_lu = coarse_lu(&a, cfg);
-    let (smoother, _) = build_smoother(&mut a, 0, None, cfg, false);
+    let (smoother, _) = build_smoother(&mut a, 0, cfg, false);
     let level = Level {
         a,
         perm: None,
@@ -629,51 +553,8 @@ pub(crate) fn extract_fine_block(p: &Csr, perm: &Permutation, nc: usize, level: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use famg_matgen::{laplace2d, laplace3d_7pt};
+    use famg_matgen::laplace2d;
     use famg_sparse::permute::cf_permutation;
-
-    /// The levels above the coarsest, each with the marker of its baseline
-    /// hybrid GS; panics on a level that runs the reordered kernel.
-    fn baseline_markers(h: &Hierarchy) -> Vec<(&Level, &[bool])> {
-        let above = &h.levels[..h.num_levels() - 1];
-        assert!(above.len() >= 2, "{} levels", h.num_levels());
-        (above.iter().enumerate())
-            .map(|(l, lvl)| match &lvl.smoother {
-                Smoother::HybridBase { is_coarse, .. } => (lvl, &is_coarse[..]),
-                Smoother::HybridOpt { .. } => panic!("level {l} runs the reordered kernel"),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn a_permuted_level_without_the_reordered_kernel_relaxes_its_first_nc_rows_as_c() {
-        // The `- reordered_smoother` ablation row: the operator is stored
-        // coarse-first, so the baseline kernel's C-points are rows `0..nc`.
-        let mut cfg = AmgConfig::single_node_paper();
-        cfg.opt.reordered_smoother = false;
-        let h = Hierarchy::build(&laplace2d(32, 32), &cfg);
-        for (l, (lvl, is_coarse)) in baseline_markers(&h).into_iter().enumerate() {
-            assert!(lvl.perm.is_some(), "level {l} is CF-permuted");
-            let want: Vec<bool> = (0..lvl.a.nrows()).map(|i| i < lvl.nc).collect();
-            assert_eq!(is_coarse, want, "level {l}");
-        }
-    }
-
-    #[test]
-    fn an_unpermuted_level_relaxes_with_its_coarsening() {
-        // The `- cf_reorder` ablation row: Fig. 2b needs coarse-first rows,
-        // so the level gets the baseline kernel and the splitting PMIS made.
-        let mut cfg = AmgConfig::single_node_paper();
-        cfg.opt.cf_reorder = false;
-        let h = Hierarchy::build(&laplace2d(32, 32), &cfg);
-        for (l, (lvl, is_coarse)) in baseline_markers(&h).into_iter().enumerate() {
-            assert!(lvl.perm.is_none(), "level {l} is stored unpermuted");
-            let s = strength(&lvl.a, cfg.strength_threshold, cfg.max_row_sum);
-            let want = pmis(&s, cfg.seed.wrapping_add(l as u64)).is_coarse;
-            assert_eq!(want.iter().filter(|&&c| c).count(), lvl.nc, "level {l}");
-            assert_eq!(is_coarse, want, "level {l}");
-        }
-    }
 
     #[test]
     fn builds_multiple_levels_opt() {
@@ -689,22 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn builds_multiple_levels_baseline() {
-        let a = laplace2d(32, 32);
-        let h = Hierarchy::build(&a, &AmgConfig::single_node_baseline());
-        assert!(h.num_levels() >= 3);
-        assert!(h.coarse_lu.is_some());
-        // Baseline keeps full P.
-        match h.levels[0].ops.as_ref().unwrap() {
-            TransferOps::Full { p, r } => {
-                assert_eq!(p.nrows(), a.nrows());
-                assert!(r.is_none(), "baseline must not keep the transpose");
-            }
-            TransferOps::CfBlock { .. } => panic!("baseline should use Full ops"),
-        }
-    }
-
-    #[test]
     fn operator_complexity_bounded() {
         // With ei(4) truncation the paper keeps operator complexity
         // small; ours must stay well below 3 on a 2D Laplacian.
@@ -712,15 +577,6 @@ mod tests {
         let h = Hierarchy::build(&a, &AmgConfig::single_node_paper());
         let oc = h.stats.operator_complexity();
         assert!(oc > 1.0 && oc < 3.0, "operator complexity {oc}");
-    }
-
-    #[test]
-    fn baseline_and_opt_same_grid_sizes() {
-        // Same seed, same coarsening -> identical level dimensions.
-        let a = laplace3d_7pt(10, 10, 10);
-        let hb = Hierarchy::build(&a, &AmgConfig::single_node_baseline());
-        let ho = Hierarchy::build(&a, &AmgConfig::single_node_paper());
-        assert_eq!(hb.stats.level_rows, ho.stats.level_rows);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! coarse entries of opposite sign to `a_kk` (the middle class of the
 //! paper's three-way row partition) and `ā_ki`. Instead of reordering `A`
 //! in place, one O(nnz) pass gathers that class into a read-only
-//! [`CoarseView`]; `A` keeps its row order, so RAP, SpMV and the
-//! non-permuted baseline see the same matrix as before. The per-row loop
+//! [`CoarseView`]; `A` keeps its row order, so RAP and SpMV see the same
+//! matrix as before. The per-row loop
 //! itself does not allocate: on two pool threads a heap allocation per row
 //! serialises the threads on the allocator and costs more than the
 //! arithmetic (DESIGN.md §3).
@@ -35,7 +35,7 @@ use std::ops::Range;
 /// Builds the extended+i interpolation operator (`n × nc`).
 ///
 /// `trunc = Some(p)` applies fused per-row truncation; `None` returns the
-/// untruncated operator (the baseline then truncates as a separate pass).
+/// untruncated operator (`HYPRE_base` then truncates it in a separate pass).
 pub fn extended_i(a: &Csr, s: &Csr, cf: &CfMap, trunc: Option<&TruncParams>) -> Csr {
     extended_i_rows(a, s, cf, 0..a.nrows(), trunc)
 }

@@ -1,9 +1,10 @@
 //! # famg-core
 //!
-//! Classical (BoomerAMG-style) algebraic multigrid, reproducing the solver
-//! of Park et al., SC '15, with both the *baseline* (HYPRE 2.10.0b-like)
-//! and *optimized* code paths so every speedup in the paper's Fig. 5 can
-//! be measured as an ablation:
+//! Classical (BoomerAMG-style) algebraic multigrid, reproducing the
+//! optimized solver (`HYPRE_opt`) of Park et al., SC '15. Each optimization
+//! has a baseline (HYPRE 2.10.0b-like) twin that the benchmarks time beside
+//! it, and `HYPRE_base` as a whole, the program the paper's Fig. 5 compares
+//! against, is `famg_bench::baseline`:
 //!
 //! | Paper §                | Baseline twin            | Optimized twin          |
 //! |------------------------|--------------------------|-------------------------|
@@ -22,8 +23,7 @@
 //! * [`interp`] — interpolation operators: extended+i (distance-2),
 //!   multipass, and 2-stage extended+i,
 //! * [`reorder`] — CF permutation plumbing and the intra-row GS partition,
-//! * [`smoother`] — hybrid Gauss-Seidel (baseline Fig. 2a + optimized
-//!   Fig. 2b),
+//! * [`smoother`] — reordered hybrid Gauss-Seidel (Fig. 2b),
 //! * [`hierarchy`] — multigrid level construction (setup phase),
 //! * [`refresh`] — numeric-refresh setup over frozen pattern structure
 //!   for same-pattern operator sequences,
@@ -48,7 +48,7 @@ pub mod stats;
 pub mod strength;
 
 pub use hierarchy::Hierarchy;
-pub use params::{AmgConfig, CoarsenKind, InterpKind, OptFlags};
+pub use params::{AmgConfig, CoarsenKind, InterpKind};
 pub use refresh::{FrozenSetup, RefreshError};
 pub use solver::{AmgSolver, BatchSolveResult, SolveError, SolveResult};
 pub use stats::{PhaseTimes, SetupStats};

@@ -1,9 +1,10 @@
 //! Solver configuration, mirroring the paper's Tables 3 and 4.
 //!
-//! The solver runs what the paper runs: a V-cycle, C-F hybrid
-//! Gauss-Seidel (Fig. 2b, or Fig. 2a under `OptFlags::none()`), PMIS or
-//! aggressive PMIS, and the interpolations `ei(4)`, `mp` and `2s-ei(444)`.
-//! Only the choices that a workload or a figure varies are fields here.
+//! The solver runs what the paper's `HYPRE_opt` runs: a V-cycle, the
+//! reordered C-F hybrid Gauss-Seidel (Fig. 2b), PMIS or aggressive PMIS,
+//! and the interpolations `ei(4)`, `mp` and `2s-ei(444)`. Only the choices
+//! that a workload or a figure varies are fields here; `HYPRE_base`, the
+//! program Fig. 5 compares against, is `famg_bench::baseline`.
 
 /// Coarsening algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,57 +30,6 @@ pub enum InterpKind {
     /// Two-stage extended+i for aggressive coarsening [Yang 2010] —
     /// `2s-ei(444)` in Fig. 6/8.
     TwoStageExtendedI,
-}
-
-/// Per-optimization switches so each paper optimization can be ablated
-/// independently. `OptFlags::all()` is the paper's `HYPRE_opt`,
-/// `OptFlags::none()` is `HYPRE_base`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptFlags {
-    /// Row-fused RAP (Fig. 1a) instead of scalar-fused (Fig. 1b).
-    pub row_fused_rap: bool,
-    /// CF permutation + identity-block RAP and interpolation/restriction.
-    pub cf_reorder: bool,
-    /// Keep `R = Pᵀ` from setup instead of transposing per restriction.
-    pub keep_transpose: bool,
-    /// Reordered hybrid GS (Fig. 2b) instead of branchy baseline (Fig. 2a).
-    pub reordered_smoother: bool,
-    /// Fused SpMV + inner product for residual norms (§3.3).
-    pub fused_residual_norm: bool,
-    /// Fuse interpolation truncation into row construction (§3.1.2).
-    pub fused_truncation: bool,
-}
-
-impl OptFlags {
-    /// Every optimization enabled — the paper's `HYPRE_opt`.
-    pub const fn all() -> Self {
-        OptFlags {
-            row_fused_rap: true,
-            cf_reorder: true,
-            keep_transpose: true,
-            reordered_smoother: true,
-            fused_residual_norm: true,
-            fused_truncation: true,
-        }
-    }
-
-    /// Every optimization disabled — the paper's `HYPRE_base`.
-    pub const fn none() -> Self {
-        OptFlags {
-            row_fused_rap: false,
-            cf_reorder: false,
-            keep_transpose: false,
-            reordered_smoother: false,
-            fused_residual_norm: false,
-            fused_truncation: false,
-        }
-    }
-}
-
-impl Default for OptFlags {
-    fn default() -> Self {
-        OptFlags::all()
-    }
 }
 
 /// Full AMG configuration.
@@ -122,8 +72,6 @@ pub struct AmgConfig {
     /// this to a fixed value to get bitwise identical solves across pool
     /// sizes (the thread-independence tests do exactly that).
     pub smoother_tasks: Option<usize>,
-    /// Which paper optimizations are active.
-    pub opt: OptFlags,
 }
 
 impl Default for AmgConfig {
@@ -152,15 +100,6 @@ impl AmgConfig {
             max_iterations: 200,
             seed: 0xFA6,
             smoother_tasks: None,
-            opt: OptFlags::all(),
-        }
-    }
-
-    /// The same settings with every optimization disabled (`HYPRE_base`).
-    pub fn single_node_baseline() -> Self {
-        AmgConfig {
-            opt: OptFlags::none(),
-            ..AmgConfig::single_node_paper()
         }
     }
 
@@ -215,6 +154,26 @@ impl AmgConfig {
     pub fn coarse_lu_fits(&self, n: usize) -> bool {
         n > 0 && n <= self.coarse_solve_size
     }
+
+    /// Whether the level loop stops at level `level`, of `n` (global) rows,
+    /// without coarsening it: the operator is small enough for the coarse
+    /// solve, or it is the `max_levels`-th level. The serial and the
+    /// distributed builds and `famg_bench::baseline` all stop by this rule
+    /// and by [`AmgConfig::coarsening_stalls`].
+    pub fn stops_at(&self, n: usize, level: usize) -> bool {
+        n <= self.coarse_solve_size || level + 1 >= self.max_levels
+    }
+
+    /// The coarsening seed of level `level`.
+    pub fn level_seed(&self, level: usize) -> u64 {
+        self.seed.wrapping_add(level as u64)
+    }
+
+    /// Whether a coarsening of `n` points that selected `nc` of them ends
+    /// the hierarchy: selecting none or all of them gives no coarser level.
+    pub fn coarsening_stalls(n: usize, nc: usize) -> bool {
+        nc == 0 || nc == n
+    }
 }
 
 #[cfg(test)]
@@ -231,13 +190,6 @@ mod tests {
         assert_eq!(c.max_elements, 4);
         assert_eq!(c.tolerance, 1e-7);
         assert_eq!(c.interp, InterpKind::ExtendedI);
-    }
-
-    #[test]
-    fn baseline_disables_everything() {
-        let c = AmgConfig::single_node_baseline();
-        assert_eq!(c.opt, OptFlags::none());
-        assert!(!c.opt.row_fused_rap);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!
 //! Time-dependent and Newton-type workloads re-solve with the *same
 //! pattern* and new values hundreds of times. [`Hierarchy::build_frozen`]
-//! captures the pattern-derived half of the leading levels stored the
-//! paper's way — CF-permuted, rows partitioned for the reordered smoother,
-//! interpolated by extended+i with a tape — into a [`FrozenSetup`], and
-//! stops at the first level that is not (a composed scheme, a row past
-//! the tape's 16 bits, an `OptFlags` ablation layout). [`Hierarchy::refresh`]
+//! captures the pattern-derived half of the leading levels — CF-permuted,
+//! rows partitioned for the reordered smoother, interpolated by extended+i
+//! with a tape — into a [`FrozenSetup`], and stops at the first level
+//! without a tape (a composed scheme, a row past the tape's 16 bits).
+//! [`Hierarchy::refresh`]
 //! replays those levels with numeric passes only, each over the operator
 //! the hierarchy stores, which is the level's only copy. The partition is
 //! the smoother's and depends on the pattern alone; the build's RAP read
@@ -67,7 +67,6 @@
 use crate::hierarchy::{coarse_lu, Hierarchy, Level, TransferOps};
 use crate::interp::ExtITape;
 use crate::params::AmgConfig;
-use crate::smoother::Smoother;
 use crate::stats::PhaseTimes;
 use famg_sparse::permute::{copy_values_by_column, permute_symmetric_into, RowOrder};
 use famg_sparse::transpose::transpose_par_into;
@@ -103,8 +102,8 @@ pub struct FrozenSetup {
     /// Finest-level column indices, for the input-pattern guard.
     pub(crate) fine_colidx: Vec<Col>,
     /// The recorded levels, finest first: every level above the coarsest
-    /// with the paper's configuration, none with a composed scheme on
-    /// level 0 or an ablation layout.
+    /// with the paper's single-node configuration, none with a composed
+    /// scheme on level 0.
     pub(crate) levels: Vec<FrozenLevel>,
 }
 
@@ -137,8 +136,8 @@ impl FrozenSetup {
             }
             let lvl = levels.get(idx);
             // `P` in its full form: `P_F` lacks one unit row per C-point.
-            let stored = lvl.is_some_and(|l| match (&l.ops, &l.perm, &l.smoother) {
-                (Some(TransferOps::CfBlock { pf, .. }), Some(q), Smoother::HybridOpt { .. }) => {
+            let stored = lvl.is_some_and(|l| match (&l.ops, &l.perm) {
+                (Some(TransferOps { pf, .. }), Some(q)) => {
                     let p_shape = (pf.nrows() + l.nc, pf.nnz() + l.nc);
                     (q.len(), l.nc, p_shape) == (shape.0, fl.nc, (shape.0, fl.interp.p_nnz))
                 }
@@ -210,8 +209,8 @@ fn refresh_level(
     fl: &FrozenLevel,
     idx: usize,
 ) -> Csr {
-    let (Some(q), Some(TransferOps::CfBlock { pf, pft })) = (&lvl.perm, &mut lvl.ops) else {
-        unreachable!("the refresh guard found level {idx} stored the paper's way");
+    let (Some(q), Some(TransferOps { pf, pft })) = (&lvl.perm, &mut lvl.ops) else {
+        unreachable!("the refresh guard found level {idx} CF-permuted");
     };
     let nc = fl.nc;
     let mut a = incoming.unwrap_or_else(|| std::mem::replace(&mut lvl.a, Csr::zero(0, 0)));
@@ -383,7 +382,6 @@ fn validate_refresh(levels: &[Level], a: &Csr, cfg: &AmgConfig) {
 mod tests {
     use super::*;
     use crate::cycle::{vcycle, CycleWorkspace};
-    use crate::params::InterpKind;
     use crate::solver::{AmgSolver, SolveError};
     use famg_matgen::{laplace2d, varcoef3d_7pt};
     use std::panic::AssertUnwindSafe;
@@ -404,22 +402,11 @@ mod tests {
             .collect()
     }
 
-    fn configs() -> Vec<AmgConfig> {
-        // Two ablation rows besides: the full `P` with its transpose kept
-        // (refilled in place), and permuted levels the baseline kernel
-        // relaxes (no row partition to undo).
-        let paper = AmgConfig::single_node_paper();
-        let mut unpermuted = paper.clone();
-        unpermuted.opt.cf_reorder = false;
-        let mut unpartitioned = paper.clone();
-        unpartitioned.opt.reordered_smoother = false;
-        vec![
-            paper,
-            AmgConfig::single_node_baseline(),
+    fn configs() -> [AmgConfig; 3] {
+        [
+            AmgConfig::single_node_paper(),
             AmgConfig::multi_node_mp(),
             AmgConfig::multi_node_2s_ei444(),
-            unpermuted,
-            unpartitioned,
         ]
     }
 
@@ -442,25 +429,15 @@ mod tests {
                 );
                 match (r.ops.as_ref(), f.ops.as_ref()) {
                     (None, None) => {}
-                    (
-                        Some(TransferOps::Full { p: rp, r: rr }),
-                        Some(TransferOps::Full { p: fp, r: fr }),
-                    ) => {
-                        assert_eq!(rp, fp, "P differs at level {lvl}");
-                        assert_eq!(rr, fr, "R differs at level {lvl}");
+                    (Some(ro), Some(fo)) => {
+                        assert_eq!(ro.pf, fo.pf, "P_F differs at level {lvl}");
+                        assert_eq!(ro.pft, fo.pft, "P_Fᵀ differs at level {lvl}");
                     }
-                    (
-                        Some(TransferOps::CfBlock { pf: ra, pft: rb }),
-                        Some(TransferOps::CfBlock { pf: fa, pft: fb }),
-                    ) => {
-                        assert_eq!(ra, fa, "P_F differs at level {lvl}");
-                        assert_eq!(rb, fb, "P_Fᵀ differs at level {lvl}");
-                    }
-                    _ => panic!("transfer representation differs at level {lvl}"),
+                    _ => panic!("transfer operators differ at level {lvl}"),
                 }
             }
             // The smoothers and the coarse LU too, through a V-cycle.
-            assert_eq!(fingerprint(&h), fingerprint(&full), "{:?}", cfg.opt);
+            assert_eq!(fingerprint(&h), fingerprint(&full), "{:?}", cfg.interp);
         }
     }
 
@@ -541,13 +518,8 @@ mod tests {
             if let Some(q) = &lvl.perm {
                 f = q.forward.iter().fold(f, |f, &v| fnv1a(f, v as u64));
             }
-            match &lvl.ops {
-                Some(TransferOps::CfBlock { pf, pft }) => f = hash_csr(hash_csr(f, pf), pft),
-                Some(TransferOps::Full { p, r }) => {
-                    f = hash_csr(f, p);
-                    f = r.as_ref().map_or(f, |r| hash_csr(f, r));
-                }
-                None => {}
+            if let Some(TransferOps { pf, pft }) = &lvl.ops {
+                f = hash_csr(hash_csr(f, pf), pft);
             }
         }
         let b: Vec<f64> = (0..h.n()).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -622,21 +594,17 @@ mod tests {
             .collect();
         let rough = varcoef3d_7pt(nx, ny, nz, &rough);
         let b = vec![1.0; a.nrows()];
-        for cfg in [
-            AmgConfig::multi_node_2s_ei444(),
-            AmgConfig::single_node_baseline(),
-        ] {
-            let mut solver = AmgSolver::setup_refreshable(&a, &cfg);
-            let fresh = AmgSolver::setup(&rough, &cfg);
-            let rows = |s: &AmgSolver| s.hierarchy().stats.level_rows.clone();
-            assert_ne!(rows(&solver), rows(&fresh), "{:?}", cfg.opt);
-            solver.refresh(&rough).unwrap();
-            assert_eq!(rows(&solver), rows(&fresh), "{:?}", cfg.opt);
-            let (mut x1, mut x2) = (vec![0.0; a.nrows()], vec![0.0; a.nrows()]);
-            let (r1, r2) = (solver.solve(&b, &mut x1), fresh.solve(&b, &mut x2));
-            assert_eq!(r1.iterations, r2.iterations, "{:?}", cfg.opt);
-            assert_eq!(x1, x2, "{:?}", cfg.opt);
-        }
+        let cfg = AmgConfig::multi_node_2s_ei444();
+        let mut solver = AmgSolver::setup_refreshable(&a, &cfg);
+        let fresh = AmgSolver::setup(&rough, &cfg);
+        let rows = |s: &AmgSolver| s.hierarchy().stats.level_rows.clone();
+        assert_ne!(rows(&solver), rows(&fresh));
+        solver.refresh(&rough).unwrap();
+        assert_eq!(rows(&solver), rows(&fresh));
+        let (mut x1, mut x2) = (vec![0.0; a.nrows()], vec![0.0; a.nrows()]);
+        let (r1, r2) = (solver.solve(&b, &mut x1), fresh.solve(&b, &mut x2));
+        assert_eq!(r1.iterations, r2.iterations);
+        assert_eq!(x1, x2);
     }
 
     #[test]
@@ -648,43 +616,18 @@ mod tests {
             .row_range(5)
             .find(|&k| usize::from(singular.colidx()[k]) == 5);
         singular.values_mut()[at.expect("stored diagonal")] = 0.0;
-        for cfg in [
-            AmgConfig::single_node_paper(),
-            AmgConfig::single_node_baseline(),
-        ] {
-            let mut solver = AmgSolver::setup_refreshable(&a, &cfg);
-            let refresh = AssertUnwindSafe(|| solver.refresh(&singular));
-            assert!(std::panic::catch_unwind(refresh).is_err(), "{:?}", cfg.opt);
-            let (b, mut x) = (vec![1.0; n], vec![0.0; n]);
-            let solved = solver.try_solve(&b, &mut x);
-            assert!(
-                matches!(solved, Err(SolveError::MalformedHierarchy { .. })),
-                "{solved:?}"
-            );
-            let what = "frozen setup";
-            let refused = Err(RefreshError::PatternMismatch { level: 0, what });
-            assert_eq!(solver.refresh(&a), refused);
-        }
-    }
-
-    #[test]
-    fn refresh_covers_all_interp_kinds() {
-        // Both tape arms: `P_F` in place (`CfBlock`) and the full `P`.
-        let (nx, ny, nz) = (10, 10, 6);
-        let a1 = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.1));
-        let a2 = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.9));
-        for cfg in [
-            AmgConfig::single_node_paper(),
-            AmgConfig::single_node_baseline(),
-        ] {
-            assert_eq!(cfg.interp, InterpKind::ExtendedI);
-            let (mut h, mut frozen) = Hierarchy::build_frozen(&a1, &cfg);
-            h.refresh(&a2, &mut frozen).unwrap();
-            let full = Hierarchy::build(&a2, &cfg);
-            for (lvl, (r, f)) in h.levels.iter().zip(&full.levels).enumerate() {
-                assert_eq!(r.a, f.a, "{:?} level {lvl}", cfg.opt);
-            }
-        }
+        let mut solver = AmgSolver::setup_refreshable(&a, &AmgConfig::single_node_paper());
+        let refresh = AssertUnwindSafe(|| solver.refresh(&singular));
+        assert!(std::panic::catch_unwind(refresh).is_err());
+        let (b, mut x) = (vec![1.0; n], vec![0.0; n]);
+        let solved = solver.try_solve(&b, &mut x);
+        assert!(
+            matches!(solved, Err(SolveError::MalformedHierarchy { .. })),
+            "{solved:?}"
+        );
+        let what = "frozen setup";
+        let refused = Err(RefreshError::PatternMismatch { level: 0, what });
+        assert_eq!(solver.refresh(&a), refused);
     }
 
     #[test]
@@ -696,24 +639,20 @@ mod tests {
         for ((nx, ny, nz), max_levels) in cases {
             let a1 = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.0));
             let a2 = varcoef3d_7pt(nx, ny, nz, &fields(nx, ny, nz, 0.35));
-            for base in [
-                AmgConfig::single_node_paper(),
-                AmgConfig::single_node_baseline(),
-            ] {
-                let cfg = AmgConfig {
-                    max_levels: max_levels.unwrap_or(base.max_levels),
-                    ..base
-                };
-                let (mut h, mut frozen) = Hierarchy::build_frozen(&a1, &cfg);
-                assert_eq!(h.num_levels(), 1, "{nx}x{ny}x{nz}");
-                assert_eq!(h.coarse_lu.is_some(), max_levels.is_none());
-                h.refresh(&a2, &mut frozen).unwrap();
-                let full = Hierarchy::build(&a2, &cfg);
-                assert_eq!(h.levels[0].a, full.levels[0].a, "{:?}", cfg.opt);
-                let lu = |h: &Hierarchy| format!("{:?}", h.coarse_lu);
-                assert_eq!(lu(&h), lu(&full), "{:?}", cfg.opt);
-                assert_eq!(fingerprint(&h), fingerprint(&full), "{:?}", cfg.opt);
-            }
+            let paper = AmgConfig::single_node_paper();
+            let cfg = AmgConfig {
+                max_levels: max_levels.unwrap_or(paper.max_levels),
+                ..paper
+            };
+            let (mut h, mut frozen) = Hierarchy::build_frozen(&a1, &cfg);
+            assert_eq!(h.num_levels(), 1, "{nx}x{ny}x{nz}");
+            assert_eq!(h.coarse_lu.is_some(), max_levels.is_none());
+            h.refresh(&a2, &mut frozen).unwrap();
+            let full = Hierarchy::build(&a2, &cfg);
+            assert_eq!(h.levels[0].a, full.levels[0].a);
+            let lu = |h: &Hierarchy| format!("{:?}", h.coarse_lu);
+            assert_eq!(lu(&h), lu(&full));
+            assert_eq!(fingerprint(&h), fingerprint(&full));
         }
     }
 
@@ -734,18 +673,14 @@ mod tests {
         // Twice the values: every decision and every weight the same bits.
         let mut a2 = a.clone();
         a2.values_mut().iter_mut().for_each(|v| *v *= 2.0);
-        for cfg in [
-            AmgConfig::single_node_paper(),
-            AmgConfig::single_node_baseline(),
-        ] {
-            let (mut h, mut frozen) = Hierarchy::build_frozen(&a, &cfg);
-            assert!(h.num_levels() >= 2, "{:?}", cfg.opt);
-            assert!(frozen.levels.is_empty(), "{:?}", cfg.opt);
-            for next in [&a2, &a] {
-                h.refresh(next, &mut frozen).unwrap();
-                let fresh = fingerprint(&Hierarchy::build(next, &cfg));
-                assert_eq!(fingerprint(&h), fresh, "{:?}", cfg.opt);
-            }
+        let cfg = AmgConfig::single_node_paper();
+        let (mut h, mut frozen) = Hierarchy::build_frozen(&a, &cfg);
+        assert!(h.num_levels() >= 2);
+        assert!(frozen.levels.is_empty());
+        for next in [&a2, &a] {
+            h.refresh(next, &mut frozen).unwrap();
+            let fresh = fingerprint(&Hierarchy::build(next, &cfg));
+            assert_eq!(fingerprint(&h), fresh);
         }
     }
 

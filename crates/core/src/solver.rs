@@ -15,7 +15,7 @@ use crate::refresh::{FrozenSetup, RefreshError};
 use crate::stats::PhaseTimes;
 use famg_sparse::counters::flops;
 use famg_sparse::multivec::dot_rows;
-use famg_sparse::spmm::{residual_rows, spmm_rows};
+use famg_sparse::spmm::residual_rows;
 use famg_sparse::{Csr, MultiVec};
 use std::sync::{Mutex, MutexGuard};
 
@@ -206,9 +206,9 @@ impl AmgSolver {
     /// Runs the setup phase and keeps the pattern-derived structure so
     /// later same-pattern operators can be absorbed with
     /// [`AmgSolver::refresh`] instead of a full re-setup. With the paper's
-    /// configuration that is every level; a composed scheme or an
-    /// `OptFlags` ablation layout keeps nothing from its first such level
-    /// down, and a refresh rebuilds those levels ([`crate::refresh`]).
+    /// single-node configuration that is every level; a composed scheme
+    /// keeps nothing from its first such level down, and a refresh
+    /// rebuilds those levels ([`crate::refresh`]).
     pub fn setup_refreshable(a: &Csr, cfg: &AmgConfig) -> Self {
         let (hierarchy, frozen) = Hierarchy::build_frozen(a, cfg);
         let ws = Workspaces::new(&hierarchy);
@@ -442,16 +442,7 @@ impl AmgSolver {
         let norm_of = |px: &[f64], r: &mut [f64], out: &mut [f64]| {
             let _s = famg_prof::scope("blas1");
             famg_prof::counter("flops", flops::spmm(a.nnz(), k) + flops::dot_batch(n, k));
-            if cfg.opt.fused_residual_norm {
-                residual_rows(a, px, &pb, r, k, out);
-            } else {
-                // The §3.3 ablation baseline: residual and norm in two sweeps.
-                spmm_rows(a, px, k, r);
-                for (ri, bi) in r.iter_mut().zip(&pb) {
-                    *ri = bi - *ri;
-                }
-                dot_rows(r, r, k, out);
-            }
+            residual_rows(a, px, &pb, r, k, out);
             for (o, bn) in out.iter_mut().zip(&bnorms) {
                 *o = o.sqrt() / bn;
             }
@@ -503,7 +494,7 @@ impl AmgSolver {
 mod tests {
     use super::*;
     use crate::params::AmgConfig;
-    use famg_matgen::{amg2013_like, laplace2d, laplace3d_7pt, rhs};
+    use famg_matgen::{amg2013_like, laplace2d, rhs};
     use famg_sparse::spmv::residual_norm_sq;
     use famg_sparse::vecops;
 
@@ -524,40 +515,6 @@ mod tests {
         assert!(res.converged, "relres {}", res.final_relres);
         assert!(res.iterations < 30, "iterations {}", res.iterations);
         check_solution(&a, &b, &x, 1e-7);
-    }
-
-    #[test]
-    fn solves_laplace2d_baseline() {
-        let a = laplace2d(48, 48);
-        let b = rhs::ones(a.nrows());
-        let solver = AmgSolver::setup(&a, &AmgConfig::single_node_baseline());
-        let mut x = vec![0.0; a.nrows()];
-        let res = solver.solve(&b, &mut x);
-        assert!(res.converged);
-        check_solution(&a, &b, &x, 1e-7);
-    }
-
-    #[test]
-    fn baseline_and_optimized_same_convergence_class() {
-        // The paper verifies (with matched RNG) identical iteration
-        // counts; our base/opt paths differ only in smoother task
-        // geometry, so iteration counts must be very close.
-        let a = laplace3d_7pt(12, 12, 12);
-        let b = rhs::random(a.nrows(), 3);
-        let so = AmgSolver::setup(&a, &AmgConfig::single_node_paper());
-        let sb = AmgSolver::setup(&a, &AmgConfig::single_node_baseline());
-        let mut xo = vec![0.0; a.nrows()];
-        let mut xb = vec![0.0; a.nrows()];
-        let ro = so.solve(&b, &mut xo);
-        let rb = sb.solve(&b, &mut xb);
-        assert!(ro.converged && rb.converged);
-        let diff = ro.iterations.abs_diff(rb.iterations);
-        assert!(
-            diff <= 2,
-            "iterations diverged: opt {} vs base {}",
-            ro.iterations,
-            rb.iterations
-        );
     }
 
     #[test]
@@ -703,7 +660,7 @@ mod tests {
     #[test]
     fn check_shape_rejects_bad_transfer_dimensions() {
         let a = laplace2d(16, 16);
-        let mut h = Hierarchy::build(&a, &AmgConfig::single_node_baseline());
+        let mut h = Hierarchy::build(&a, &AmgConfig::single_node_paper());
         // Corrupt the stated coarse size on the finest level.
         h.levels[0].nc += 1;
         let err = h.check_shape().unwrap_err();
@@ -714,44 +671,35 @@ mod tests {
     }
 
     /// Batched solve: every column bitwise identical to the solo solve
-    /// of that right-hand side, across widths and both residual-norm
-    /// paths (fused and unfused).
+    /// of that right-hand side, across widths.
     #[test]
     fn solve_batch_bitwise_matches_solo_columns() {
         let a = laplace2d(28, 28);
         let n = a.nrows();
-        for fused in [true, false] {
-            let mut cfg = AmgConfig::single_node_paper();
-            cfg.opt.fused_residual_norm = fused;
-            let solver = AmgSolver::setup(&a, &cfg);
-            for k in [1usize, 2, 3, 4, 8, 9] {
-                let cols: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 100 + j as u64)).collect();
-                let b = MultiVec::from_columns(&cols);
-                let mut x = MultiVec::new(n, k);
-                let res = solver.solve_batch(&b, &mut x);
-                assert!(res.all_converged());
-                assert_eq!(res.k(), k);
-                for (j, col) in cols.iter().enumerate() {
-                    let mut xs = vec![0.0; n];
-                    let solo = solver.solve(col, &mut xs);
-                    assert_eq!(
-                        res.iterations[j], solo.iterations,
-                        "fused={fused} k={k} col {j} iteration count"
-                    );
-                    assert_eq!(
-                        res.final_relres[j].to_bits(),
-                        solo.final_relres.to_bits(),
-                        "fused={fused} k={k} col {j} final relres"
-                    );
-                    assert_eq!(res.history[j], solo.history);
-                    let xb = x.col(j);
-                    for (i, (bv, sv)) in xb.iter().zip(&xs).enumerate() {
-                        assert_eq!(
-                            bv.to_bits(),
-                            sv.to_bits(),
-                            "fused={fused} k={k} col {j} row {i}"
-                        );
-                    }
+        let solver = AmgSolver::setup(&a, &AmgConfig::single_node_paper());
+        for k in [1usize, 2, 3, 4, 8, 9] {
+            let cols: Vec<Vec<f64>> = (0..k).map(|j| rhs::random(n, 100 + j as u64)).collect();
+            let b = MultiVec::from_columns(&cols);
+            let mut x = MultiVec::new(n, k);
+            let res = solver.solve_batch(&b, &mut x);
+            assert!(res.all_converged());
+            assert_eq!(res.k(), k);
+            for (j, col) in cols.iter().enumerate() {
+                let mut xs = vec![0.0; n];
+                let solo = solver.solve(col, &mut xs);
+                assert_eq!(
+                    res.iterations[j], solo.iterations,
+                    "k={k} col {j} iteration count"
+                );
+                assert_eq!(
+                    res.final_relres[j].to_bits(),
+                    solo.final_relres.to_bits(),
+                    "k={k} col {j} final relres"
+                );
+                assert_eq!(res.history[j], solo.history);
+                let xb = x.col(j);
+                for (i, (bv, sv)) in xb.iter().zip(&xs).enumerate() {
+                    assert_eq!(bv.to_bits(), sv.to_bits(), "k={k} col {j} row {i}");
                 }
             }
         }

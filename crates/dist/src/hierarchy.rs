@@ -280,18 +280,17 @@ impl DistHierarchy {
             stats
                 .level_nnz
                 .push(comm.allreduce_sum_usize(current.local_nnz(), 0x80));
-            let at_capacity = levels.len() + 1 >= cfg.max_levels;
-            if n_global <= cfg.coarse_solve_size || at_capacity {
+            let lvl_idx = levels.len();
+            if cfg.stops_at(n_global, lvl_idx) {
                 break;
             }
 
-            let lvl_idx = levels.len();
             let strength_span = famg_prof::scope_at("strength", lvl_idx);
             let s = dist_strength(&current, cfg.strength_threshold, cfg.max_row_sum, rank);
             drop(strength_span);
             let coarsen_span = famg_prof::scope_at("coarsen", lvl_idx);
             let (ckind, ikind) = cfg.level_scheme(lvl_idx);
-            let seed = cfg.seed.wrapping_add(lvl_idx as u64);
+            let seed = cfg.level_seed(lvl_idx);
             let (stage1, coarsening): (Option<DistCoarsening>, DistCoarsening) = match ckind {
                 CoarsenKind::Pmis => (None, dist_pmis(comm, &s, seed)),
                 CoarsenKind::AggressivePmis => {
@@ -300,7 +299,7 @@ impl DistHierarchy {
                 }
             };
             drop(coarsen_span);
-            if coarsening.ncoarse_global == 0 || coarsening.ncoarse_global == n_global {
+            if AmgConfig::coarsening_stalls(n_global, coarsening.ncoarse_global) {
                 break;
             }
 

@@ -45,10 +45,6 @@ pub fn transpose(a: &Csr) -> Csr {
 /// Produces output bitwise identical to [`transpose`] for any thread count:
 /// each thread scatters into per-(thread, output-row) disjoint ranges whose
 /// order matches the sequential sweep.
-// ALLOC: the solve-path caller is the ReTranspose ablation baseline,
-// which deliberately re-transposes R every cycle to measure what the
-// cached-transpose production path saves; its allocations are the
-// quantity under test.
 pub fn transpose_par(a: &Csr) -> Csr {
     let (nrows, ncols, nnz) = (a.nrows(), a.ncols(), a.nnz());
     let nthreads = crate::partition::num_threads();

@@ -5,10 +5,11 @@
 //! change that moves both sides the same way passes them. These FNV-1a
 //! fingerprints (the hasher of `solve_fingerprints.rs`) cover, per level,
 //! the operator, the CF permutation and the transfer operators (`P_F` and
-//! `P_Fᵀ`, or `P` and `R`) of a full build and of a frozen build refreshed
-//! with a drifted operator, and were recorded by running this file at
-//! b083e2f — the last commit whose CF-block RAP split `A_perm` into four
-//! block copies and whose refresh replayed frozen gather maps.
+//! `P_Fᵀ`) of a full build and of a frozen build refreshed with a drifted
+//! operator, and were recorded by running this file at b083e2f — the last
+//! commit whose CF-block RAP split `A_perm` into four block copies and
+//! whose refresh replayed frozen gather maps. The `baseline` rows recorded
+//! beside them pin `famg_bench::baseline` now (`crates/bench/tests`).
 //!
 //! The `dist` section pins the distributed hierarchy the same way: every
 //! level's operator and interpolation (`diag`, `offd`, `colmap`) and the
@@ -72,17 +73,8 @@ fn hash_hierarchy(hier: &Hierarchy) -> u64 {
         if let Some(q) = &lvl.perm {
             h = hash_usizes(h, &q.forward);
         }
-        match &lvl.ops {
-            None => {}
-            Some(TransferOps::CfBlock { pf, pft }) => {
-                h = hash_csr(hash_csr(h, pf), pft);
-            }
-            Some(TransferOps::Full { p, r }) => {
-                h = hash_csr(h, p);
-                if let Some(r) = r {
-                    h = hash_csr(h, r);
-                }
-            }
+        if let Some(TransferOps { pf, pft }) = &lvl.ops {
+            h = hash_csr(hash_csr(h, pf), pft);
         }
     }
     h
@@ -117,7 +109,7 @@ fn operators() -> [(&'static str, Csr); 3] {
     ]
 }
 
-fn configs() -> [(&'static str, AmgConfig); 4] {
+fn configs() -> [(&'static str, AmgConfig); 3] {
     // The optimized smoother orders each row by its task's boundaries, so
     // the stored operators depend on the task count: pin it.
     let pin = |cfg: AmgConfig| AmgConfig {
@@ -126,7 +118,6 @@ fn configs() -> [(&'static str, AmgConfig); 4] {
     };
     [
         ("paper", pin(AmgConfig::single_node_paper())),
-        ("baseline", pin(AmgConfig::single_node_baseline())),
         ("mp", pin(AmgConfig::multi_node_mp())),
         ("2s_ei444", pin(AmgConfig::multi_node_2s_ei444())),
     ]
@@ -144,24 +135,18 @@ fn configs() -> [(&'static str, AmgConfig); 4] {
 const EXPECTED: &[(&str, u64)] = &[
     ("laplace2d/paper/build", 0x574c9b429b2c1829),
     ("laplace2d/paper/refresh", 0x4e6402de23fc1271),
-    ("laplace2d/baseline/build", 0x90c18e4d97f804f7),
-    ("laplace2d/baseline/refresh", 0x4f43230cbea118f0),
     ("laplace2d/mp/build", 0x99e1f25ae81b7673),
     ("laplace2d/mp/refresh", 0xb0451d21ecac83f2),
     ("laplace2d/2s_ei444/build", 0x337b8e576a9d4434),
     ("laplace2d/2s_ei444/refresh", 0xd49a725b7dfdbcd2),
     ("varcoef3d_7pt/paper/build", 0x56585f951f2ad579),
     ("varcoef3d_7pt/paper/refresh", 0x7d0431281ffce5dc),
-    ("varcoef3d_7pt/baseline/build", 0xfcef2daa1505b5c6),
-    ("varcoef3d_7pt/baseline/refresh", 0xf1932013f979ec57),
     ("varcoef3d_7pt/mp/build", 0x9160b4f69a2a9ae4),
     ("varcoef3d_7pt/mp/refresh", 0x10266dee0691d769),
     ("varcoef3d_7pt/2s_ei444/build", 0x67910f35f919edfc),
     ("varcoef3d_7pt/2s_ei444/refresh", 0x139765ea1fe0bb7a),
     ("laplace3d_27pt/paper/build", 0x33e4656e8506661b),
     ("laplace3d_27pt/paper/refresh", 0xd738415365f469a0),
-    ("laplace3d_27pt/baseline/build", 0x20c2c06e35495c04),
-    ("laplace3d_27pt/baseline/refresh", 0x2e7739abf944ebaf),
     ("laplace3d_27pt/mp/build", 0xf1ea4786a0719292),
     ("laplace3d_27pt/mp/refresh", 0x7abb7670980e0e26),
     ("laplace3d_27pt/2s_ei444/build", 0xac4374afa79000a2),

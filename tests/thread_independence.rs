@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{graph_laplacian, random_csr, random_marker, FuzzRng};
+use common::{graph_laplacian, random_csr, FuzzRng};
 use famg::core::coarsen::pmis;
 use famg::core::hierarchy::TransferOps;
 use famg::core::interp::{extended_i, CfMap, ExtITape, TruncParams};
@@ -66,8 +66,8 @@ fn hash_f64s(h: u64, xs: &[f64]) -> u64 {
 }
 
 /// Every level of a hierarchy: its stored operator and permutation, `P_F`
-/// and `P_Fᵀ` (or `P` and `R`), and its smoother — the GS partition's
-/// boundaries, inverse diagonal and snapshot columns.
+/// and `P_Fᵀ`, and its smoother — the GS partition's boundaries, inverse
+/// diagonal and snapshot columns.
 fn hash_hierarchy(h: u64, hier: &Hierarchy) -> u64 {
     let mut h = hash_u64s(h, [hier.levels.len() as u64]);
     for lvl in &hier.levels {
@@ -76,25 +76,14 @@ fn hash_hierarchy(h: u64, hier: &Hierarchy) -> u64 {
         if let Some(q) = &lvl.perm {
             h = hash_u64s(h, q.forward.iter().map(|&i| i as u64));
         }
-        match &lvl.ops {
-            None => {}
-            Some(TransferOps::CfBlock { pf, pft }) => h = hash_csr(hash_csr(h, pf), pft),
-            Some(TransferOps::Full { p, r }) => {
-                h = hash_csr(h, p);
-                if let Some(r) = r {
-                    h = hash_csr(h, r);
-                }
-            }
+        if let Some(TransferOps { pf, pft }) = &lvl.ops {
+            h = hash_csr(hash_csr(h, pf), pft);
         }
-        match &lvl.smoother {
-            Smoother::HybridOpt { part } => {
-                h = hash_u64s(h, part.up_start.iter().map(|&o| u64::from(o)));
-                h = hash_u64s(h, part.ext_start.iter().map(|&o| u64::from(o)));
-                h = hash_f64s(h, &part.dinv);
-                h = hash_u64s(h, part.ext_cols.iter().map(|&c| usize::from(c) as u64));
-            }
-            Smoother::HybridBase { dinv, .. } => h = hash_f64s(h, dinv),
-        }
+        let part = &lvl.smoother.part;
+        h = hash_u64s(h, part.up_start.iter().map(|&o| u64::from(o)));
+        h = hash_u64s(h, part.ext_start.iter().map(|&o| u64::from(o)));
+        h = hash_f64s(h, &part.dinv);
+        h = hash_u64s(h, part.ext_cols.iter().map(|&c| usize::from(c) as u64));
     }
     h
 }
@@ -218,35 +207,19 @@ fn fp_interp() -> (u64, u64) {
 }
 
 fn fp_smoother_sweeps() -> u64 {
-    let mut h = FNV_SEED;
     let a0 = laplace2d(64, 64);
     let n = a0.nrows();
     let s = strength(&a0, 0.25, 0.8);
     let coarse = pmis(&s, 1);
     let (mut ap, ord) = cf_reorder(&a0, &coarse.is_coarse);
-    let ap_base = ap.clone();
-    let base = Smoother::hybrid_base(&ap_base, (0..n).map(|i| i < ord.nc).collect(), PINNED_TASKS);
-    let opt = Smoother::hybrid_opt(&mut ap, ord.nc, PINNED_TASKS);
+    let sm = Smoother::hybrid_opt(&mut ap, ord.nc, PINNED_TASKS);
     let b = vec![1.0; n];
     let mut ws = Workspace::new();
-    for (sm, mat) in [(&base, &ap_base), (&opt, &ap)] {
-        let mut x = vec![0.0; n];
-        for sweep in 0..3 {
-            sm.pre_smooth(mat, &b, &mut x, &mut ws, sweep == 0);
-        }
-        h = hash_f64s(h, &x);
-    }
-    // Random marker + random graph, baseline hybrid only.
-    let mut rng = FuzzRng::new(0x5EED);
-    let g = graph_laplacian(&mut rng, 3000, 4000, 0.5);
-    let marker = random_marker(&mut rng, g.nrows());
-    let hb = Smoother::hybrid_base(&g, marker, PINNED_TASKS);
-    let bg = vec![1.0; g.nrows()];
-    let mut xg = vec![0.0; g.nrows()];
+    let mut x = vec![0.0; n];
     for sweep in 0..3 {
-        hb.pre_smooth(&g, &bg, &mut xg, &mut ws, sweep == 0);
+        sm.pre_smooth(&ap, &b, &mut x, &mut ws, sweep == 0);
     }
-    hash_f64s(h, &xg)
+    hash_f64s(FNV_SEED, &x)
 }
 
 fn fp_e2e_solve() -> u64 {

@@ -5,6 +5,9 @@
 //! It runs the single-node scheme (PMIS + extended+i on every level) with
 //! none of §3's optimizations:
 //!
+//! * strength of connection by the sequential row loop
+//!   ([`strength_seq`]), where `HYPRE_opt` runs its row blocks in parallel
+//!   (PMIS has no sequential twin, so both programs run the same one);
 //! * interpolation truncated in a separate pass over the whole operator;
 //! * the full `P`, identity rows interleaved, on the unpermuted level;
 //! * the Galerkin product scalar-fused (Fig. 1b);
@@ -21,7 +24,7 @@ use famg_core::interp::{extended_i, truncate_matrix, CfMap, TruncParams};
 use famg_core::params::{AmgConfig, CoarsenKind, InterpKind};
 use famg_core::solver::SolveResult;
 use famg_core::stats::{PhaseTimes, SetupStats};
-use famg_core::strength::strength;
+use famg_core::strength::strength_seq;
 use famg_sparse::dense::{DenseMatrix, LuFactor};
 use famg_sparse::partition::{num_threads, split_mut_at, split_rows_by_nnz};
 use famg_sparse::spmm::spmm_axpby_rows;
@@ -164,7 +167,7 @@ pub fn setup(a: &Csr, cfg: &AmgConfig) -> Baseline {
             break;
         }
         let span = famg_prof::scope_at("strength", l);
-        let s = strength(&current, cfg.strength_threshold, cfg.max_row_sum);
+        let s = strength_seq(&current, 0..n, cfg.strength_threshold, cfg.max_row_sum);
         drop(span);
         let span = famg_prof::scope_at("coarsen", l);
         let c = pmis(&s, cfg.level_seed(l));

@@ -16,7 +16,7 @@ use famg_dist::comm::run_ranks;
 use famg_dist::halo::{exchange_adhoc, VectorExchange};
 use famg_dist::interp::{dist_extended_i, dist_strength};
 use famg_dist::parcsr::{default_partition, ParCsr};
-use famg_dist::spgemm::{dist_spgemm, dist_transpose};
+use famg_dist::spgemm::{dist_rap, dist_transpose};
 use famg_matgen::{laplace3d_7pt, rhs};
 
 fn main() {
@@ -41,9 +41,7 @@ fn main() {
                 let dc = dist_pmis(c, &ps, 3);
                 let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
                 let p = dist_extended_i(c, &pa, &plan, &ps, &dc, None, true);
-                let rt = dist_transpose(c, &p);
-                let ra = dist_spgemm(c, &rt, &pa, par);
-                dist_spgemm(c, &ra, &p, par)
+                dist_rap(c, &dist_transpose(c, &p), &pa, &p, par)
             });
         });
         println!(

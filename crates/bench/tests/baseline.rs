@@ -4,6 +4,7 @@
 //! configuration, bit for bit.
 
 use famg_bench::baseline;
+use famg_core::strength::{strength, strength_seq};
 use famg_core::{AmgConfig, AmgSolver};
 use famg_matgen::{laplace2d, laplace3d_27pt, reservoir_field, rhs, suite, varcoef3d_7pt};
 use famg_sparse::spmv::residual_norm_sq;
@@ -100,6 +101,23 @@ fn baseline_suite_matches_optimized_convergence() {
             m.name,
             ro.iterations,
             rb.iterations
+        );
+    }
+}
+
+/// The baseline's sequential strength is the library's parallel one bit
+/// for bit, so moving `HYPRE_base` onto it changes no hierarchy.
+#[test]
+fn sequential_strength_is_the_parallel_one() {
+    for m in suite().into_iter().take(4) {
+        let a = (m.gen)(0.3);
+        let par = strength(&a, 0.25, 0.8);
+        let seq = strength_seq(&a, 0..a.nrows(), 0.25, 0.8);
+        assert_eq!(
+            hash_csr(FNV_SEED, &seq),
+            hash_csr(FNV_SEED, &par),
+            "{}",
+            m.name
         );
     }
 }

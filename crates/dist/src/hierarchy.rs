@@ -12,7 +12,7 @@ use crate::comm::{Comm, CommPhase};
 use crate::halo::VectorExchange;
 use crate::interp::{dist_extended_i, dist_multipass, dist_strength, dist_two_stage_extended_i};
 use crate::parcsr::ParCsr;
-use crate::spgemm::{dist_spgemm, dist_transpose};
+use crate::spgemm::{dist_rap, dist_transpose};
 use famg_core::interp::TruncParams;
 use famg_core::params::{AmgConfig, CoarsenKind, InterpKind};
 use famg_core::solver::SolveError;
@@ -326,8 +326,7 @@ impl DistHierarchy {
 
             let rap_span = famg_prof::scope_at("rap", lvl_idx);
             let r = dist_transpose(comm, &p);
-            let ra = dist_spgemm(comm, &r, &current, dopt.parallel_renumber);
-            let next = dist_spgemm(comm, &ra, &p, dopt.parallel_renumber);
+            let next = dist_rap(comm, &r, &current, &p, dopt.parallel_renumber);
             drop(rap_span);
 
             #[cfg(feature = "validate")]

@@ -28,7 +28,7 @@ use crate::coarsen::DistCoarsening;
 use crate::comm::Comm;
 use crate::halo::{fetch_values, gather_rows, GatheredRows, VectorExchange};
 use crate::parcsr::{ExtSpace, ParCsr};
-use crate::spgemm::{dist_spgemm, dist_transpose};
+use crate::spgemm::{dist_rap, dist_spgemm, dist_transpose};
 use famg_core::interp::{
     extended_i_rows, remote_entry_is_read, truncate_matrix, CfMap, Multipass, TruncParams,
 };
@@ -287,7 +287,7 @@ pub fn dist_multipass(
 }
 
 /// Distributed two-stage extended+i: extended+i to the stage-1 C-points,
-/// Galerkin stage-1 operator via distributed SpGEMM, extended+i among the
+/// Galerkin stage-1 operator by [`dist_rap`], extended+i among the
 /// stage-1 C-points, product, truncation at every stage. `plan_a` covers
 /// `a`'s colmap; the stage-1 operator gets its own plan here.
 #[allow(clippy::too_many_arguments)]
@@ -305,9 +305,7 @@ pub fn dist_two_stage_extended_i(
 ) -> ParCsr {
     let rank = comm.rank();
     let p1 = dist_extended_i(comm, a, plan_a, s, stage1, trunc, filter_remote);
-    let r1 = dist_transpose(comm, &p1);
-    let ra = dist_spgemm(comm, &r1, a, true);
-    let a1 = dist_spgemm(comm, &ra, &p1, true);
+    let a1 = dist_rap(comm, &dist_transpose(comm, &p1), a, &p1, true);
     let s1 = dist_strength(&a1, strength_threshold, max_row_sum, rank);
     // Final C-points within the stage-1 coarse space.
     let marker: Vec<bool> = (0..a.local_rows())
@@ -337,6 +335,8 @@ mod tests {
     use famg_core::interp::{extended_i, multipass, CfMap};
     use famg_core::strength::strength;
     use famg_matgen::{amg2013_like, laplace2d, reservoir_field, varcoef3d_7pt};
+    use famg_sparse::transpose::transpose_par;
+    use famg_sparse::triple::rap_row_fused;
 
     fn split(a: &Csr, starts: &[usize], r: usize) -> ParCsr {
         ParCsr::from_global_rows(a, starts[r], starts[r + 1], starts.to_vec(), r)
@@ -472,6 +472,30 @@ mod tests {
                     let what = format!("{name} {starts:?} trunc {}", trunc.is_some());
                     assert_parts_are_serial(&parts, p_ref.clone(), &what);
                 }
+            }
+        }
+    }
+
+    /// The serial `2s_ei444` stage-1 operator (`rap_row_fused` over
+    /// `P1ᵀ`, `A`, `P1`) is the distributed one bit for bit.
+    #[test]
+    fn dist_stage1_operator_matches_serial() {
+        let t = TruncParams::paper();
+        for (name, a) in operators() {
+            let s = strength(&a, 0.25, 0.8);
+            let (first, _) = aggressive_pmis_stages(&s, 3);
+            let p1 = extended_i(&a, &s, &CfMap::new(first.is_coarse.clone()), Some(&t));
+            let a1_ref = rap_row_fused(&transpose_par(&p1), &a, &p1);
+            for starts in partitions(a.nrows()) {
+                let (parts, _) = run_ranks(starts.len() - 1, |c| {
+                    let pa = split(&a, &starts, c.rank());
+                    let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
+                    let (first, _) = dist_aggressive_pmis(c, &ps, 3);
+                    let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
+                    let p1 = dist_extended_i(c, &pa, &plan, &ps, &first, Some(&t), true);
+                    dist_rap(c, &dist_transpose(c, &p1), &pa, &p1, true)
+                });
+                assert_parts_are_serial(&parts, a1_ref.clone(), &format!("{name} {starts:?}"));
             }
         }
     }

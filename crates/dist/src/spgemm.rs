@@ -1,4 +1,5 @@
-//! Distributed SpGEMM (Fig. 3c) and distributed transpose.
+//! Distributed SpGEMM (Fig. 3c), the fused Galerkin product and the
+//! distributed transpose.
 //!
 //! `C = A · B` with `A`'s column partition matching `B`'s row partition:
 //! each rank gathers the remote `B` rows its `A.colmap` references,
@@ -11,6 +12,10 @@
 //! ascending global id ([`ExtSpace`]), so every entry of `C` sums its terms
 //! in ascending global inner index — at any rank count the serial product's
 //! bits.
+//!
+//! [`dist_rap`] is `R · A · P` as one such product with two gathers (the
+//! `A` rows `R` names, the `P` rows they reach) and [`rap_row_fused`] as
+//! the kernel: the two sorted products' result bit for bit, no `R·A` formed.
 
 use crate::comm::Comm;
 use crate::halo::{gather_rows, owner_runs};
@@ -18,11 +23,40 @@ use crate::parcsr::{ExtSpace, ParCsr};
 use crate::renumber::{renumber_par, renumber_seq};
 use famg_sparse::spgemm::spgemm;
 use famg_sparse::transpose::transpose_par;
+use famg_sparse::triple::rap_row_fused;
 use famg_sparse::{Col, Csr};
 
-/// This rank's rows of `C = A · B` over the column space of `B`'s local
-/// rows, columns ascending, with that space.
-fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> (Csr, ExtSpace) {
+/// `B`'s rows and the remote ones `needed` (sorted ids, owned as
+/// `row_starts` says) as an extended CSR over `rows`, and its column space:
+/// `B`'s own plus the gathered rows' new columns, renumbered by Fig. 4.
+fn gather_extended(
+    comm: &Comm,
+    b: &ParCsr,
+    rows: &ExtSpace,
+    needed: &[usize],
+    row_starts: &[usize],
+    par: bool,
+) -> (Csr, ExtSpace) {
+    let rank = comm.rank();
+    let halo = gather_rows(comm, needed, row_starts, |li, _, emit| {
+        b.visit_global_row(li, rank, emit);
+    });
+    let own_cols = b.col_range(rank);
+    let new = if par {
+        renumber_par(&halo.cols, &b.colmap, own_cols)
+    } else {
+        renumber_seq(&halo.cols, &b.colmap, own_cols)
+    };
+    let mut cols = b.col_space(rank);
+    cols.insert_sorted(&new);
+    (b.extended(rank, rows, &cols, Some(&halo)), cols)
+}
+
+/// Distributed sparse matrix–matrix product.
+///
+/// `par` selects the Fig. 4 parallel renumbering (the optimized path) or
+/// the ordered-set sequential baseline.
+pub fn dist_spgemm(comm: &Comm, a: &ParCsr, b: &ParCsr, par: bool) -> ParCsr {
     // "spgemm" spans inherit the enclosing phase's Fig. 5 bucket (RAP
     // during setup) in `PhaseTimes::from_span`.
     let _span = famg_prof::scope("spgemm");
@@ -32,33 +66,10 @@ fn product(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> (Csr
         row_partition(b, comm, 0x50),
         "A's column partition must match B's row partition"
     );
-    // Gather the remote B rows referenced by A's off-diagonal part.
-    let halo = gather_rows(comm, &a.colmap, &a.col_starts, |li, _, emit| {
-        b.visit_global_row(li, rank, emit);
-    });
-    // Renumber received columns into B's extended off-diagonal space.
-    let own_cols = b.col_range(rank);
-    let new = if parallel_renumber {
-        renumber_par(&halo.cols, &b.colmap, own_cols)
-    } else {
-        renumber_seq(&halo.cols, &b.colmap, own_cols)
-    };
-    let mut cols = b.col_space(rank);
-    cols.insert_sorted(&new);
     let inner = a.col_space(rank);
-    let a_loc = a.merged(rank, &inner);
-    let b_ext = b.extended(rank, &inner, &cols, Some(&halo));
-    let mut c = spgemm(&a_loc, &b_ext);
+    let (b_ext, cols) = gather_extended(comm, b, &inner, &a.colmap, &a.col_starts, par);
+    let mut c = spgemm(&a.merged(rank, &inner), &b_ext);
     c.sort_rows();
-    (c, cols)
-}
-
-/// Distributed sparse matrix–matrix product.
-///
-/// `parallel_renumber` selects the Fig. 4 parallel renumbering (the
-/// optimized path) or the ordered-set sequential baseline.
-pub fn dist_spgemm(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool) -> ParCsr {
-    let (c, cols) = product(comm, a, b, parallel_renumber);
     ParCsr::from_local(
         &c,
         &cols,
@@ -66,6 +77,48 @@ pub fn dist_spgemm(comm: &Comm, a: &ParCsr, b: &ParCsr, parallel_renumber: bool)
         a.row_end,
         b.global_cols,
         b.col_starts.clone(),
+    )
+}
+
+/// Distributed Galerkin product `R · A · P` as one fused product: gather
+/// the remote `A` rows `R` names and then the remote `P` rows those reach,
+/// each once, and run [`rap_row_fused`] on `R`'s owned rows over the two
+/// extended operands. `A` and `P` share a row partition, which `R`'s
+/// column partition must match; `par` as in [`dist_spgemm`]. The result is
+/// `dist_spgemm(dist_spgemm(R, A), P)` bit for bit, without forming `R·A`.
+pub fn dist_rap(comm: &Comm, r: &ParCsr, a: &ParCsr, p: &ParCsr, par: bool) -> ParCsr {
+    let _span = famg_prof::scope("spgemm");
+    let rank = comm.rank();
+    assert_eq!(
+        r.col_starts,
+        row_partition(a, comm, 0x50),
+        "R's column partition must match A's row partition"
+    );
+    assert_eq!((p.row_start, p.row_end), (a.row_start, a.row_end));
+    let inner = r.col_space(rank);
+    let r_loc = r.merged(rank, &inner);
+    let (a_ext, mid) = gather_extended(comm, a, &inner, &r.colmap, &r.col_starts, par);
+    // The P rows R·A reaches off-rank: the halo columns of the gathered A
+    // rows and of the owned boundary rows R names (an interior row has none).
+    let mut named = vec![false; a.local_rows()];
+    for &j in r.diag.colidx() {
+        named[usize::from(j)] = true;
+    }
+    let own_rows = a.boundary_rows.iter().filter(|&&i| named[i]);
+    let halo_rows = (0..inner.own.start).chain(inner.own.end..inner.ext2g.len());
+    let mut reached = vec![false; mid.ext2g.len()];
+    let rows = own_rows.map(|&i| inner.own.start + i).chain(halo_rows);
+    rows.for_each(|j| a_ext.col_iter(j).for_each(|k| reached[k] = true));
+    let halo = (0..mid.own.start).chain(mid.own.end..mid.ext2g.len());
+    let needed: Vec<usize> = halo.filter(|&k| reached[k]).map(|k| mid.ext2g[k]).collect();
+    let (p_ext, cols) = gather_extended(comm, p, &mid, &needed, &r.col_starts, par);
+    ParCsr::from_local(
+        &rap_row_fused(&r_loc, &a_ext, &p_ext),
+        &cols,
+        r.row_start,
+        r.row_end,
+        p.global_cols,
+        p.col_starts.clone(),
     )
 }
 
@@ -243,24 +296,52 @@ mod tests {
     }
 
     #[test]
-    fn rap_via_dist_ops_matches_serial() {
-        // A full distributed R·A·P against the serial fused kernel.
-        let a = laplace2d(6, 6);
-        // P: simple aggregation of 2 points per aggregate (36 -> 18).
-        let p = Csr::from_triplets(36, 18, (0..36).map(|i| (i, i / 2, 1.0)).collect::<Vec<_>>());
-        let r = transpose(&p);
-        let c_ref = spgemm(&spgemm(&r, &a), &p);
-        let starts = default_partition(36, 3);
-        let cstarts = default_partition(18, 3);
-        let (parts, _) = run_ranks(3, |c| {
-            let rk = c.rank();
-            let pa = split(&a, &starts, rk);
-            // P distributed by fine rows with coarse column partition.
-            let pp = ParCsr::from_global_rows(&p, starts[rk], starts[rk + 1], cstarts.clone(), rk);
-            let pr = dist_transpose(c, &pp);
-            let ra = dist_spgemm(c, &pr, &pa, true);
-            dist_spgemm(c, &ra, &pp, true)
-        });
-        assert_parts_are_serial(&parts, c_ref, "R·A·P");
+    fn dist_rap_is_two_dist_spgemms_bitwise() {
+        let a = skewed(laplace2d(9, 8));
+        // P: a smoothed aggregation of 3 points per aggregate (72 -> 24),
+        // so rows reach coarse columns owned elsewhere.
+        let p = skewed(Csr::from_triplets(
+            72,
+            24,
+            (0..72).flat_map(|i| {
+                let c = i / 3;
+                [
+                    (i, c, 1.0),
+                    (i, (c + 1) % 24, 0.25),
+                    (i, (c + 8) % 24, -0.125),
+                ]
+            }),
+        ));
+        let serial = rap_row_fused(&transpose(&p), &a, &p);
+        for nranks in [1usize, 2, 3, 4] {
+            let mut fine = default_partition(72, nranks);
+            let mut coarse = default_partition(24, nranks);
+            for _ in 0..2 {
+                for par in [false, true] {
+                    let (parts, _) = run_ranks(fine.len() - 1, |c| {
+                        let rk = c.rank();
+                        let pa = split(&a, &fine, rk);
+                        let pp = ParCsr::from_global_rows(
+                            &p,
+                            fine[rk],
+                            fine[rk + 1],
+                            coarse.clone(),
+                            rk,
+                        );
+                        let r = dist_transpose(c, &pp);
+                        let fused = dist_rap(c, &r, &pa, &pp, par);
+                        let ra = dist_spgemm(c, &r, &pa, par);
+                        (fused, dist_spgemm(c, &ra, &pp, par))
+                    });
+                    let (fused, two): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+                    let what = format!("{fine:?} par {par}");
+                    assert_parts_are_serial(&fused, to_global(&two), &what);
+                    assert_parts_are_serial(&fused, serial.clone(), &what);
+                }
+                // Again with an empty rank in the middle.
+                fine.insert(1, fine[1]);
+                coarse.insert(1, coarse[1]);
+            }
+        }
     }
 }

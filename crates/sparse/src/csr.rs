@@ -409,24 +409,26 @@ impl Csr {
         out
     }
 
-    /// Sorts column indices (and values) within every row ascending.
+    /// Sorts every row's columns (and values) ascending, equal columns stably.
     pub fn sort_rows(&mut self) {
-        // One scratch row for the whole matrix: a product's rows are all
-        // unsorted, and a pair of allocations per row costs more than the
-        // sort.
-        let mut row: Vec<(Col, f64)> = Vec::new();
+        // One scratch row for the whole matrix (a pair of allocations per row
+        // costs more than the sort), sorted as `column << 32 | position` keys.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut row: Vec<f64> = Vec::new();
         for i in 0..self.nrows {
             let r = self.rowptr[i]..self.rowptr[i + 1];
             let (cols, vals) = (&mut self.colidx[r.clone()], &mut self.values[r]);
             if cols.windows(2).all(|w| w[0] < w[1]) {
                 continue;
             }
+            keys.clear();
+            keys.extend((cols.iter().zip(0u64..)).map(|(&c, k)| u64::from(c.0) << 32 | k));
+            keys.sort_unstable();
             row.clear();
-            row.extend(cols.iter().copied().zip(vals.iter().copied()));
-            row.sort_unstable_by_key(|&(c, _)| c);
-            for (k, &(c, v)) in row.iter().enumerate() {
-                cols[k] = c;
-                vals[k] = v;
+            row.extend_from_slice(vals);
+            for (k, &key) in keys.iter().enumerate() {
+                cols[k] = Col::new((key >> 32) as usize);
+                vals[k] = row[(key & u64::from(u32::MAX)) as usize];
             }
         }
     }
@@ -564,6 +566,66 @@ mod tests {
         assert!(a.rows_sorted());
         assert_eq!(a.row_cols(0), cols(&[0, 2, 3]));
         assert_eq!(a.row_vals(0), &[0.5, 2.0, 3.0]);
+    }
+
+    /// The tuple sort `sort_rows` used before its packed keys: unstable
+    /// on equal columns.
+    fn sort_rows_by_tuples(m: &mut Csr) {
+        for i in 0..m.nrows {
+            let r = m.rowptr[i]..m.rowptr[i + 1];
+            let mut row: Vec<(Col, f64)> = (m.colidx[r.clone()].iter().copied())
+                .zip(m.values[r.clone()].iter().copied())
+                .collect();
+            row.sort_unstable_by_key(|&(c, _)| c);
+            for (k, (c, v)) in r.zip(row) {
+                m.colidx[k] = c;
+                m.values[k] = v;
+            }
+        }
+    }
+
+    #[test]
+    fn sort_rows_matches_the_tuple_sort_and_is_stable() {
+        let mut state = 0x5EEDu64;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let ncols = 300;
+        let (mut rowptr, mut colidx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..200 {
+            // Distinct columns in random order, some rows empty or sorted.
+            let mut row: Vec<usize> = (0..ncols).filter(|_| next(10) < 3).collect();
+            if i % 7 != 0 {
+                for k in (1..row.len()).rev() {
+                    row.swap(k, next(k + 1));
+                }
+            }
+            row.truncate(next(90));
+            values.extend(row.iter().map(|&c| c as f64 - 0.5 * f64::from(i)));
+            colidx.extend(row.into_iter().map(Col::new));
+            rowptr.push(colidx.len());
+        }
+        let unsorted = Csr::from_parts(200, ncols, rowptr, colidx, values);
+        let (mut got, mut want) = (unsorted.clone(), unsorted);
+        got.sort_rows();
+        sort_rows_by_tuples(&mut want);
+        assert_eq!(got.colidx, want.colidx);
+        let bits = |m: &Csr| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // Equal columns keep their input order.
+        let mut dup = Csr::from_parts_unchecked(
+            1,
+            4,
+            vec![0, 6],
+            cols(&[3, 1, 3, 0, 1, 3]),
+            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        );
+        dup.sort_rows();
+        assert_eq!(dup.row_cols(0), cols(&[0, 1, 1, 3, 3, 3]));
+        assert_eq!(dup.row_vals(0), &[4.0, 2.0, 5.0, 1.0, 3.0, 6.0]);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   CF-block decomposition that exploits the identity block of `P`,
 //! * [`transpose`] — sequential and parallel (counting-sort) transposes,
 //! * [`permute`] — symmetric permutations and CF reorderings,
-//! * [`spa`] — the marker-array sparse accumulator idiom,
+//! * [`spa`] — sparse accumulators: the marker-array idiom and a column-ordered one,
 //! * [`vecops`] — level-1 vector kernels (dot, axpy, norms) with
 //!   sequential and rayon-parallel versions,
 //! * [`dense`] — a small dense matrix with LU factorization used for the

@@ -7,7 +7,8 @@
 //! sentinel older than the current row's start offset when the column has
 //! not yet been seen. The marker array doubles as the inverse map of the
 //! output row's column indices — exactly the structure the paper identifies
-//! as the branch-heavy bottleneck of the setup phase.
+//! as the branch-heavy bottleneck of the setup phase. [`OrderedSpa`] hands
+//! its row back in column order, for kernels whose sums must follow it.
 
 use crate::csr::Col;
 
@@ -40,18 +41,6 @@ impl Spa {
         }
     }
 
-    /// Number of distinct columns accumulated in the current row.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// True when the current row holds no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
     /// Adds `v` into column `c` of the current row.
     #[inline]
     pub fn add(&mut self, c: usize, v: f64) {
@@ -64,12 +53,6 @@ impl Spa {
         }
     }
 
-    /// Position of column `c` in the current row, if present.
-    #[inline]
-    pub fn position(&self, c: usize) -> Option<usize> {
-        self.slot(c)
-    }
-
     /// The marker test in one compare: a stamp of an earlier row (below
     /// `epoch`) and `STALE` both wrap to at least `usize::MAX / 2` past the
     /// epoch, which [`Spa::reset`] keeps at most that.
@@ -77,12 +60,6 @@ impl Spa {
     fn slot(&self, c: usize) -> Option<usize> {
         let p = self.marker[c].wrapping_sub(self.epoch);
         (p < self.cols.len()).then_some(p)
-    }
-
-    /// The value accumulated for column `c` in the current row (0.0 absent).
-    #[inline]
-    pub fn get(&self, c: usize) -> f64 {
-        self.position(c).map_or(0.0, |p| self.vals[p])
     }
 
     /// Columns of the current row in first-touch order.
@@ -107,18 +84,6 @@ impl Spa {
         n
     }
 
-    /// Appends the current row *sorted by column* (used where downstream
-    /// kernels require sorted rows) and resets.
-    pub fn flush_sorted_into(&mut self, colidx: &mut Vec<Col>, values: &mut Vec<f64>) -> usize {
-        let n = self.cols.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&k| self.cols[k]);
-        colidx.extend(order.iter().map(|&k| Col::new(self.cols[k])));
-        values.extend(order.iter().map(|&k| self.vals[k]));
-        self.reset();
-        n
-    }
-
     /// Discards the current row's contents.
     #[inline]
     pub fn reset(&mut self) {
@@ -135,6 +100,76 @@ impl Spa {
     }
 }
 
+/// A sparse accumulator that drains its row in ascending column order: a
+/// dense value array beside a bitmap of the touched columns, scanned over
+/// the row's window; a row wider than [`OrderedSpa::WORDS_PER_ENTRY`] words
+/// per entry sorts its column list instead (the same order, the same sums).
+pub struct OrderedSpa {
+    /// Value of every touched column (stale elsewhere).
+    vals: Vec<f64>,
+    /// Bit `c % 64` of word `c / 64` is set iff column `c` is touched.
+    bits: Vec<u64>,
+    /// Touched columns, first-touch order.
+    cols: Vec<Col>,
+}
+
+impl OrderedSpa {
+    /// The widest window, in bitmap words per entry, a drain scans (a word
+    /// costs about a sort's step per entry; a 3-D `R_i·A` row spans ~3).
+    pub const WORDS_PER_ENTRY: usize = 8;
+
+    /// Creates an accumulator for vectors with `ncols` columns.
+    pub fn new(ncols: usize) -> Self {
+        let (vals, bits) = (vec![0.0; ncols], vec![0; ncols.div_ceil(64)]);
+        OrderedSpa {
+            vals,
+            bits,
+            cols: Vec::new(),
+        }
+    }
+
+    /// Adds `v` into column `c` of the current row.
+    #[inline]
+    pub fn add(&mut self, c: usize, v: f64) {
+        let (w, bit) = (c / 64, 1u64 << (c % 64));
+        if self.bits[w] & bit == 0 {
+            self.bits[w] |= bit;
+            self.vals[c] = v;
+            self.cols.push(Col::new(c));
+        } else {
+            self.vals[c] += v;
+        }
+    }
+
+    /// Calls `f(column, value)` for every column of the current row in
+    /// ascending order, and resets for the next row.
+    pub fn drain(&mut self, mut f: impl FnMut(usize, f64)) {
+        let words = self.cols.iter().map(|&c| usize::from(c) / 64);
+        let (lo, hi) = words.fold((usize::MAX, 0), |(l, h), w| (l.min(w), h.max(w)));
+        if lo > hi {
+            return;
+        }
+        if hi - lo < Self::WORDS_PER_ENTRY * self.cols.len() {
+            for (w, bits) in (lo..).zip(&mut self.bits[lo..=hi]) {
+                let mut word = std::mem::take(bits);
+                while word != 0 {
+                    let c = w * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    f(c, self.vals[c]);
+                }
+            }
+        } else {
+            self.cols.sort_unstable();
+            for &c in &self.cols {
+                let c = usize::from(c);
+                self.bits[c / 64] = 0;
+                f(c, self.vals[c]);
+            }
+        }
+        self.cols.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,10 +180,8 @@ mod tests {
         spa.add(3, 1.0);
         spa.add(5, 2.0);
         spa.add(3, 4.0);
-        assert_eq!(spa.len(), 2);
-        assert_eq!(spa.get(3), 5.0);
-        assert_eq!(spa.get(5), 2.0);
-        assert_eq!(spa.get(0), 0.0);
+        assert_eq!(spa.cols(), &[3, 5]);
+        assert_eq!(spa.vals(), &[5.0, 2.0]);
     }
 
     #[test]
@@ -163,20 +196,7 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(cols, [5, 2].map(Col::new));
         assert_eq!(vals, vec![2.0, 2.0]);
-        assert!(spa.is_empty());
-    }
-
-    #[test]
-    fn flush_sorted_orders_columns() {
-        let mut spa = Spa::new(8);
-        spa.add(5, 1.0);
-        spa.add(2, 2.0);
-        spa.add(7, 3.0);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        spa.flush_sorted_into(&mut cols, &mut vals);
-        assert_eq!(cols, [2, 5, 7].map(Col::new));
-        assert_eq!(vals, vec![2.0, 1.0, 3.0]);
+        assert!(spa.cols().is_empty());
     }
 
     #[test]
@@ -186,10 +206,9 @@ mod tests {
         spa.add(2, 2.0);
         spa.reset();
         // Column 1 must read as absent in the new row.
-        assert_eq!(spa.get(1), 0.0);
+        assert!(spa.cols().is_empty());
         spa.add(1, 7.0);
-        assert_eq!(spa.get(1), 7.0);
-        assert_eq!(spa.len(), 1);
+        assert_eq!((spa.cols(), spa.vals()), (&[1][..], &[7.0][..]));
     }
 
     #[test]
@@ -198,18 +217,39 @@ mod tests {
         for row in 0..1000 {
             spa.add(row % 3, 1.0);
             spa.add((row + 1) % 3, 1.0);
-            assert_eq!(spa.len(), 2);
+            assert_eq!(spa.cols().len(), 2);
             spa.reset();
         }
     }
 
     #[test]
-    fn position_lookup() {
-        let mut spa = Spa::new(6);
-        spa.add(4, 1.0);
-        spa.add(0, 1.0);
-        assert_eq!(spa.position(4), Some(0));
-        assert_eq!(spa.position(0), Some(1));
-        assert_eq!(spa.position(2), None);
+    fn ordered_spa_drains_ascending_on_both_routes() {
+        let mut spa = OrderedSpa::new(5000);
+        // Dense window (bitmap scan), then a sparse one (sorted list), then
+        // the dense one again: each drain leaves nothing behind.
+        for cols in [
+            &[70usize, 3, 64, 65, 3][..],
+            &[4999, 0, 2500],
+            &[65, 70, 64],
+        ] {
+            for &c in cols {
+                spa.add(c, c as f64);
+            }
+            let mut got = Vec::new();
+            spa.drain(|c, v| got.push((c, v)));
+            let mut want: Vec<usize> = cols.to_vec();
+            want.sort_unstable();
+            want.dedup();
+            let want: Vec<(usize, f64)> = want
+                .iter()
+                .map(|&c| {
+                    (
+                        c,
+                        c as f64 * cols.iter().filter(|&&d| d == c).count() as f64,
+                    )
+                })
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 }

@@ -67,11 +67,49 @@ pub fn spgemm_two_pass(a: &Csr, b: &Csr) -> Csr {
     Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
 }
 
-/// Per-thread output staging buffer for the one-pass kernel.
-struct Chunk {
-    row_nnz: Vec<usize>,
-    colidx: Vec<Col>,
-    values: Vec<f64>,
+/// Per-thread output rows of the one-pass kernel and the fused RAPs.
+pub(crate) struct Chunk {
+    pub(crate) row_nnz: Vec<usize>,
+    pub(crate) colidx: Vec<Col>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl Chunk {
+    /// A chunk for `rows` rows and `cap` entries.
+    pub(crate) fn new(rows: usize, cap: usize) -> Chunk {
+        let (colidx, values) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        Chunk {
+            row_nnz: Vec::with_capacity(rows),
+            colidx,
+            values,
+        }
+    }
+}
+
+/// Concatenates the chunks into one matrix: `rowptr` from the row counts,
+/// then the payloads (contiguous writes — the cheap side of the trade).
+pub(crate) fn stitch(nrows: usize, ncols: usize, chunks: Vec<Chunk>) -> Csr {
+    let mut rowptr = vec![0usize; nrows + 1];
+    let mut idx = 0usize;
+    let mut acc = 0usize;
+    for c in &chunks {
+        for &n in &c.row_nnz {
+            rowptr[idx] = acc;
+            acc += n;
+            idx += 1;
+        }
+    }
+    rowptr[nrows] = acc;
+    let mut colidx = vec![Col::default(); acc];
+    let mut values = vec![0.0f64; acc];
+    let mut dst = 0usize;
+    for c in &chunks {
+        let n = c.colidx.len();
+        colidx[dst..dst + n].copy_from_slice(&c.colidx);
+        values[dst..dst + n].copy_from_slice(&c.values);
+        dst += n;
+    }
+    Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
 }
 
 /// One-pass SpGEMM with per-thread pre-allocated chunks (the paper's
@@ -97,11 +135,7 @@ pub fn spgemm_one_pass(a: &Csr, b: &Csr) -> Csr {
                     .clone()
                     .map(|i| a.col_iter(i).map(|j| b.row_nnz(j)).sum::<usize>())
                     .sum();
-                let mut c = Chunk {
-                    row_nnz: Vec::with_capacity(r.len()),
-                    colidx: Vec::with_capacity(bound),
-                    values: Vec::with_capacity(bound),
-                };
+                let mut c = Chunk::new(r.len(), bound);
                 let mut spa = Spa::new(ncols);
                 for i in r.clone() {
                     for (j, av) in a.row_iter(i) {
@@ -117,34 +151,7 @@ pub fn spgemm_one_pass(a: &Csr, b: &Csr) -> Csr {
             .collect()
     };
 
-    // Stitch: build rowptr from chunk row counts, then copy chunk payloads
-    // (contiguous writes — the cheap side of the paper's trade).
-    let mut rowptr = vec![0usize; nrows + 1];
-    {
-        let mut idx = 0usize;
-        let mut acc = 0usize;
-        for c in &chunks {
-            for &n in &c.row_nnz {
-                rowptr[idx] = acc;
-                acc += n;
-                idx += 1;
-            }
-        }
-        rowptr[nrows] = acc;
-    }
-    let nnz = rowptr[nrows];
-    let mut colidx = vec![Col::default(); nnz];
-    let mut values = vec![0.0f64; nnz];
-    {
-        let mut dst = 0usize;
-        for c in &chunks {
-            let n = c.colidx.len();
-            colidx[dst..dst + n].copy_from_slice(&c.colidx);
-            values[dst..dst + n].copy_from_slice(&c.values);
-            dst += n;
-        }
-    }
-    Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
+    stitch(nrows, ncols, chunks)
 }
 
 /// Recomputes `C = A * B` values over a frozen symbolic pattern.

@@ -6,7 +6,7 @@
 //!   rows of the temporary `B` are streamed from memory when `C` is formed.
 //! * [`rap_row_fused`] — Fig. 1(a), the paper's kernel: immediately after
 //!   forming row `B_i` it is multiplied into `C_i` while cache-hot. No
-//!   temporary matrix is materialized.
+//!   temporary matrix is materialized, and `B_i` is consumed in column order.
 //! * [`rap_scalar_fused`] — Fig. 1(b), the HYPRE-baseline fusion: the
 //!   product is expanded at scalar granularity
 //!   (`c_il += (r_ij·a_jk)·p_kl`), which avoids the `B_i` buffer entirely
@@ -38,8 +38,8 @@ use crate::counters::FlopCount;
 use crate::csr::{Col, Csr};
 use crate::partition::{num_threads, split_rows_by_nnz};
 use crate::permute::Permutation;
-use crate::spa::Spa;
-use crate::spgemm::spgemm;
+use crate::spa::{OrderedSpa, Spa};
+use crate::spgemm::{spgemm, stitch, Chunk};
 use crate::transpose::transpose_par;
 
 /// Sparse matrix addition `alpha*A + beta*B` (same shape).
@@ -47,19 +47,22 @@ pub fn csr_add(alpha: f64, a: &Csr, beta: f64, b: &Csr) -> Csr {
     assert_eq!(a.nrows(), b.nrows());
     assert_eq!(a.ncols(), b.ncols());
     let nrows = a.nrows();
-    let mut spa = Spa::new(a.ncols());
+    let mut acc = OrderedSpa::new(a.ncols());
     let mut rowptr = Vec::with_capacity(nrows + 1);
     let mut colidx = Vec::new();
     let mut values = Vec::new();
     rowptr.push(0);
     for i in 0..nrows {
         for (c, v) in a.row_iter(i) {
-            spa.add(c, alpha * v);
+            acc.add(c, alpha * v);
         }
         for (c, v) in b.row_iter(i) {
-            spa.add(c, beta * v);
+            acc.add(c, beta * v);
         }
-        spa.flush_sorted_into(&mut colidx, &mut values);
+        acc.drain(|c, v| {
+            colidx.push(Col::new(c));
+            values.push(v);
+        });
         rowptr.push(colidx.len());
     }
     Csr::from_parts_unchecked(nrows, a.ncols(), rowptr, colidx, values)
@@ -71,39 +74,12 @@ pub fn rap_unfused(r: &Csr, a: &Csr, p: &Csr) -> Csr {
     spgemm(&b, p)
 }
 
-/// Per-thread staging chunk shared by the fused kernels.
-struct Chunk {
-    row_nnz: Vec<usize>,
-    colidx: Vec<Col>,
-    values: Vec<f64>,
-}
-
-fn stitch(nrows: usize, ncols: usize, chunks: Vec<Chunk>) -> Csr {
-    let mut rowptr = vec![0usize; nrows + 1];
-    let mut idx = 0usize;
-    let mut acc = 0usize;
-    for c in &chunks {
-        for &n in &c.row_nnz {
-            rowptr[idx] = acc;
-            acc += n;
-            idx += 1;
-        }
-    }
-    rowptr[nrows] = acc;
-    let mut colidx = vec![Col::default(); acc];
-    let mut values = vec![0.0f64; acc];
-    let mut dst = 0usize;
-    for c in &chunks {
-        let n = c.colidx.len();
-        colidx[dst..dst + n].copy_from_slice(&c.colidx);
-        values[dst..dst + n].copy_from_slice(&c.values);
-        dst += n;
-    }
-    Csr::from_parts_unchecked(nrows, ncols, rowptr, colidx, values)
-}
-
 /// Row-fused triple product (Fig. 1a): for each row, form `B_i = R_i·A`
 /// then immediately `C_i = B_i·P` while `B_i` is cache-resident.
+///
+/// `B_i` is consumed in ascending column order ([`OrderedSpa`]) and `C_i`
+/// flushed sorted: `spgemm(sort(spgemm(R, A)), P)` with sorted rows, bit
+/// for bit, without materializing or sorting `R·A`.
 pub fn rap_row_fused(r: &Csr, a: &Csr, p: &Csr) -> Csr {
     assert_eq!(r.ncols(), a.nrows());
     assert_eq!(a.ncols(), p.nrows());
@@ -118,30 +94,28 @@ pub fn rap_row_fused(r: &Csr, a: &Csr, p: &Csr) -> Csr {
         blocks
             .par_iter()
             .map(|range| {
-                let mut c = Chunk {
-                    row_nnz: Vec::with_capacity(range.len()),
-                    colidx: Vec::new(),
-                    values: Vec::new(),
-                };
-                let mut spa_b = Spa::new(a.ncols());
-                let mut spa_c = Spa::new(ncols);
+                let mut c = Chunk::new(range.len(), 0);
+                let mut acc_b = OrderedSpa::new(a.ncols());
+                let mut acc_c = OrderedSpa::new(ncols);
                 for i in range.clone() {
                     // B_i = Σ_j r_ij · A_j
                     for (j, rv) in r.row_iter(i) {
                         for (k, av) in a.row_iter(j) {
-                            spa_b.add(k, rv * av);
+                            acc_b.add(k, rv * av);
                         }
                     }
                     // C_i = Σ_k b_ik · P_k, consuming B_i out of cache.
-                    for (pos, &k) in spa_b.cols().iter().enumerate() {
-                        let bv = spa_b.vals()[pos];
+                    acc_b.drain(|k, bv| {
                         for (l, pv) in p.row_iter(k) {
-                            spa_c.add(l, bv * pv);
+                            acc_c.add(l, bv * pv);
                         }
-                    }
-                    spa_b.reset();
-                    let n = spa_c.flush_into(&mut c.colidx, &mut c.values);
-                    c.row_nnz.push(n);
+                    });
+                    let before = c.colidx.len();
+                    acc_c.drain(|l, v| {
+                        c.colidx.push(Col::new(l));
+                        c.values.push(v);
+                    });
+                    c.row_nnz.push(c.colidx.len() - before);
                 }
                 c
             })
@@ -168,11 +142,7 @@ pub fn rap_scalar_fused(r: &Csr, a: &Csr, p: &Csr) -> Csr {
         blocks
             .par_iter()
             .map(|range| {
-                let mut c = Chunk {
-                    row_nnz: Vec::with_capacity(range.len()),
-                    colidx: Vec::new(),
-                    values: Vec::new(),
-                };
+                let mut c = Chunk::new(range.len(), 0);
                 let mut spa_c = Spa::new(ncols);
                 for i in range.clone() {
                     for (j, rv) in r.row_iter(i) {
@@ -320,11 +290,7 @@ pub fn rap_cf(a_perm: &Csr, nc: usize, pf: &Csr, pft: &Csr) -> Csr {
         blocks
             .par_iter()
             .map(|range| {
-                let mut ch = Chunk {
-                    row_nnz: Vec::with_capacity(range.len()),
-                    colidx: Vec::new(),
-                    values: Vec::new(),
-                };
+                let mut ch = Chunk::new(range.len(), 0);
                 let mut spa_b = Spa::new(nf);
                 let mut spa_c = Spa::new(nc);
                 for i in range.clone() {
@@ -538,27 +504,93 @@ mod tests {
         assert_eq!(c.get(1, 1), Some(4.0));
     }
 
+    /// The unfused product with `R·A`'s rows sorted in between and the
+    /// result's rows sorted: the summation order the row-fused kernel keeps.
+    fn two_products(r: &Csr, a: &Csr, p: &Csr) -> Csr {
+        let mut b = spgemm(r, a);
+        b.sort_rows();
+        let mut c = spgemm(&b, p);
+        c.sort_rows();
+        c
+    }
+
+    fn assert_bitwise(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!(got.rowptr(), want.rowptr(), "{what}: row lengths");
+        assert_eq!(got.colidx(), want.colidx(), "{what}: columns");
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
     #[test]
     fn fused_variants_match_unfused() {
         let r = random_csr(40, 60, 3, 1);
         let a = random_csr(60, 60, 4, 2);
         let p = random_csr(60, 40, 2, 3);
         let c0 = rap_unfused(&r, &a, &p);
-        let c1 = rap_row_fused(&r, &a, &p);
         let c2 = rap_scalar_fused(&r, &a, &p);
-        assert!(c0.frob_diff(&c1) < 1e-9);
         assert!(c0.frob_diff(&c2) < 1e-9);
     }
 
     #[test]
-    fn row_fused_matches_unfused_large() {
+    fn row_fused_is_the_sorted_two_product_result_bitwise() {
         let n = 1500;
-        let r = random_csr(n / 2, n, 4, 11);
-        let a = random_csr(n, n, 5, 12);
-        let p = transpose(&r);
-        let c0 = rap_unfused(&r, &a, &p);
-        let c1 = rap_row_fused(&r, &a, &p);
-        assert!(c0.frob_diff(&c1) < 1e-7 * (1.0 + c0.nnz() as f64));
+        let r_big = random_csr(n / 2, n, 4, 11);
+        let (a_cf, pf) = cf_fixture(30, 45, 17);
+        let p_cf = full_p(30, &pf);
+        // Rows of `A` that span the whole column range in three entries, so
+        // every `B_i` is wider than `WORDS_PER_ENTRY` bitmap words per entry
+        // and takes the sorted route.
+        let m = 4000;
+        assert!(m / 64 > 3 * OrderedSpa::WORDS_PER_ENTRY);
+        let wide = Csr::from_triplets(
+            m,
+            m,
+            (0..m).flat_map(|i| [(i, 0, 1.0 + i as f64), (i, i, 4.0), (i, m - 1, -0.5)]),
+        );
+        // Explicit zeros, of both signs, in every operand: no structural
+        // entry may be dropped, and `0.0 + -0.0` must come out as it does
+        // in the two products.
+        let zeroed = |m: Csr, seed: usize| {
+            let mut m = m;
+            for (k, v) in m.values_mut().iter_mut().enumerate() {
+                match (k + seed) % 5 {
+                    0 => *v = 0.0,
+                    1 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            m
+        };
+        let cases = [
+            (
+                "random",
+                random_csr(40, 60, 3, 1),
+                random_csr(60, 60, 4, 2),
+                random_csr(60, 40, 2, 3),
+            ),
+            (
+                "random large",
+                r_big.clone(),
+                random_csr(n, n, 5, 12),
+                transpose(&r_big),
+            ),
+            ("cf", transpose(&p_cf), a_cf, p_cf),
+            (
+                "wide",
+                random_csr(m / 4, m, 0, 21),
+                wide,
+                random_csr(m, m / 4, 2, 22),
+            ),
+            (
+                "zeros",
+                zeroed(random_csr(40, 60, 3, 31), 0),
+                zeroed(random_csr(60, 60, 4, 32), 1),
+                zeroed(random_csr(60, 40, 2, 33), 2),
+            ),
+        ];
+        for (what, r, a, p) in &cases {
+            assert_bitwise(&rap_row_fused(r, a, p), &two_products(r, a, p), what);
+        }
     }
 
     #[test]

@@ -300,8 +300,12 @@ fn setup_traffic_is_pinned() {
 /// (177, 83 480); re-recorded when the distributed PMIS became the serial
 /// rounds, which route `S`'s off-rank pattern once and refresh the halo
 /// twice a round over one plan, where the old loop transposed `S`, planned
-/// two halos and exchanged three times a round.
-const SETUP_MESSAGES_BYTES: [(u64, u64); 2] = [(175, 135_560), (139, 69_414)];
+/// two halos and exchanged three times a round, as (175, 135 560) and
+/// (139, 69 414); re-recorded when the distributed RAP became one fused
+/// product: its `R·A` no longer all-gathers and all-reduces `P`'s row
+/// partition, two messages and 16 bytes per rank on each RAP (`ei4` runs
+/// two, `mp` one).
+const SETUP_MESSAGES_BYTES: [(u64, u64); 2] = [(167, 135_496), (135, 69_382)];
 /// The same two at 692002a, the parent of 7fef7f1.
 const SETUP_MESSAGES_BYTES_AT_PARENT: [(u64, u64); 2] = [(225, 155_374), (179, 83_496)];
 
@@ -347,13 +351,16 @@ fn bench_smoke_run_is_pinned() {
 /// re-recorded when the distributed PMIS became the serial rounds (the
 /// splitting below level 0 moved, and the setup's traffic with it:
 /// complexity 2.5617 → 2.5278, 2 527 → 2 319 messages, 919 817 → 837 833
-/// bytes, 7 iterations unchanged).
+/// bytes, 7 iterations unchanged); re-recorded when the distributed RAP
+/// became one fused product, which checks the fine row partition once
+/// per level instead of twice (2 319 → 2 283 messages, 837 833 → 837 377
+/// bytes, the hierarchy and the solve unchanged).
 const COMM_VOLUME_SMOKE: SmokeFigures = SmokeFigures {
     iterations: 7,
     operator_complexity: 2.5278367718446604,
     grid_complexity: 1.42529296875,
     levels: 4,
     flops: 3_119_320,
-    comm_bytes: 837_833,
-    comm_messages: 2_319,
+    comm_bytes: 837_377,
+    comm_messages: 2_283,
 };

@@ -131,26 +131,30 @@ fn configs() -> [(&'static str, AmgConfig); 3] {
 /// magnitude ties towards the smaller column, so on tied weights the kept
 /// set follows the ordering. Their `/refresh` twins (drifted values, no
 /// ties) and every other row did not move: tie-breaking, not arithmetic
-/// (`results/pr24_e2e/fingerprints_moved.txt`).
+/// (`results/pr24_e2e/fingerprints_moved.txt`). All six `2s_ei444` rows
+/// were re-recorded when `rap_row_fused` began to consume `B_i = R_i·A` in
+/// ascending column order (the order of the distributed RAP, so the
+/// stage-1 Galerkin operator `A1` is summed as the two sorted products
+/// sum it); the `paper` and `mp` rows do not run that kernel.
 const EXPECTED: &[(&str, u64)] = &[
     ("laplace2d/paper/build", 0x574c9b429b2c1829),
     ("laplace2d/paper/refresh", 0x4e6402de23fc1271),
     ("laplace2d/mp/build", 0x99e1f25ae81b7673),
     ("laplace2d/mp/refresh", 0xb0451d21ecac83f2),
-    ("laplace2d/2s_ei444/build", 0x337b8e576a9d4434),
-    ("laplace2d/2s_ei444/refresh", 0xd49a725b7dfdbcd2),
+    ("laplace2d/2s_ei444/build", 0xdce1d6610057a6b3),
+    ("laplace2d/2s_ei444/refresh", 0xf939960b80ade9a7),
     ("varcoef3d_7pt/paper/build", 0x56585f951f2ad579),
     ("varcoef3d_7pt/paper/refresh", 0x7d0431281ffce5dc),
     ("varcoef3d_7pt/mp/build", 0x9160b4f69a2a9ae4),
     ("varcoef3d_7pt/mp/refresh", 0x10266dee0691d769),
-    ("varcoef3d_7pt/2s_ei444/build", 0x67910f35f919edfc),
-    ("varcoef3d_7pt/2s_ei444/refresh", 0x139765ea1fe0bb7a),
+    ("varcoef3d_7pt/2s_ei444/build", 0x7f2a7405fc2cb433),
+    ("varcoef3d_7pt/2s_ei444/refresh", 0x74690bfeb05c3043),
     ("laplace3d_27pt/paper/build", 0x33e4656e8506661b),
     ("laplace3d_27pt/paper/refresh", 0xd738415365f469a0),
     ("laplace3d_27pt/mp/build", 0xf1ea4786a0719292),
     ("laplace3d_27pt/mp/refresh", 0x7abb7670980e0e26),
-    ("laplace3d_27pt/2s_ei444/build", 0xac4374afa79000a2),
-    ("laplace3d_27pt/2s_ei444/refresh", 0x443f63bcf051e9a0),
+    ("laplace3d_27pt/2s_ei444/build", 0xd3c22924314c907d),
+    ("laplace3d_27pt/2s_ei444/refresh", 0xcfccb9b38ef238cd),
 ];
 
 #[test]

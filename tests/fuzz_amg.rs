@@ -1,17 +1,18 @@
-//! Deterministic fuzz tests for the AMG components: coarsening
-//! validity, interpolation invariants, and end-to-end convergence on
-//! random diagonally dominant SPD systems.
+//! Deterministic fuzz tests for the AMG components: PMIS and extended+i
+//! against the reference AMG's definitions (`common::reference`),
+//! truncation against its specification, interpolation invariants, and
+//! end-to-end convergence on random diagonally dominant SPD systems.
 
 mod common;
 
+use common::reference::{self as re, Eq1Coverage};
 use common::{graph_laplacian, random_marker, random_permutation, FuzzRng};
-use famg::core::coarsen::{pmis, validate_cf};
+use famg::core::coarsen::pmis;
 use famg::core::interp::{extended_i, truncate_row, CfMap, ExtITape, TruncParams};
 use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver};
 use famg::sparse::permute::{cf_permutation, permute_symmetric};
 use famg::sparse::Csr;
-use std::collections::BTreeSet;
 
 const CASES: u64 = 32;
 
@@ -24,7 +25,11 @@ fn pmis_always_valid() {
         let a = graph_laplacian(&mut rng, n, extra, 0.0);
         let s = strength(&a, 0.25, 10.0);
         let c = pmis(&s, case);
-        validate_cf(&s, &c, 1).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let want = re::pmis(&re::pattern(&s), case);
+        assert!(
+            c.is_coarse == want,
+            "case {case}: PMIS differs from its definition"
+        );
         // Non-trivial coarsening on non-trivial graphs.
         if s.nnz() > 0 {
             assert!(c.ncoarse > 0, "case {case}");
@@ -53,92 +58,6 @@ fn extended_i_rows_sum_to_one_on_zero_rowsum_operators() {
             }
         }
     }
-}
-
-/// How often the inputs of [`eq1_reference`] hit each guarded corner case.
-#[derive(Default)]
-struct Eq1Coverage {
-    lumped_bik: usize,
-    empty_chat: usize,
-    zero_atilde: usize,
-    missing_aki: usize,
-    same_sign_coarse: usize,
-}
-
-/// Eq. 1 evaluated straight from its definitions on a dense copy of `A`,
-/// with the neighbour sets as `BTreeSet`s — no markers, no view, no shared
-/// code with `extended_i`. Returns the dense `n × nc` operator.
-fn eq1_reference(a: &Csr, s: &Csr, cf: &CfMap, cov: &mut Eq1Coverage) -> Vec<Vec<f64>> {
-    let n = a.nrows();
-    let dense = a.to_dense();
-    let at = |i: usize, j: usize| dense[i * n + j];
-    let stored = |i: usize, j: usize| a.col_iter(i).any(|c| c == j);
-    // ā_kl: a_kl where it opposes the sign of a_kk, else 0.
-    let abar = |k: usize, l: usize| {
-        if at(k, l) * at(k, k) < 0.0 {
-            at(k, l)
-        } else {
-            0.0
-        }
-    };
-    let strong = |i: usize| -> BTreeSet<usize> { s.col_iter(i).collect() };
-    let coarse = |set: &BTreeSet<usize>| -> BTreeSet<usize> {
-        set.iter().copied().filter(|&j| cf.is_coarse[j]).collect()
-    };
-    let mut p = vec![vec![0.0f64; cf.nc]; n];
-    for i in 0..n {
-        if cf.is_coarse[i] {
-            p[i][cf.cmap[i]] = 1.0;
-            continue;
-        }
-        let s_i = strong(i);
-        let f_i: BTreeSet<usize> = s_i.iter().copied().filter(|&j| !cf.is_coarse[j]).collect();
-        let mut chat = coarse(&s_i);
-        for &k in &f_i {
-            chat.extend(coarse(&strong(k)));
-        }
-        if chat.is_empty() {
-            cov.empty_chat += 1;
-            continue;
-        }
-        let b = |k: usize| chat.iter().map(|&l| abar(k, l)).sum::<f64>() + abar(k, i);
-        // ã_ii: diagonal, weak neighbours outside Ĉ_i, the distributed
-        // share that returns to i, and a_ik itself where b_ik = 0.
-        let mut atilde = at(i, i);
-        for nbr in (0..n).filter(|&j| j != i && stored(i, j)) {
-            if !chat.contains(&nbr) && !s_i.contains(&nbr) {
-                atilde += at(i, nbr);
-            }
-        }
-        for &k in &f_i {
-            if !stored(k, i) {
-                cov.missing_aki += 1;
-            }
-            cov.same_sign_coarse += chat
-                .iter()
-                .filter(|&&l| stored(k, l) && abar(k, l) == 0.0)
-                .count();
-            if b(k) == 0.0 {
-                cov.lumped_bik += 1;
-                atilde += at(i, k);
-            } else {
-                atilde += at(i, k) * abar(k, i) / b(k);
-            }
-        }
-        if atilde == 0.0 {
-            cov.zero_atilde += 1;
-            continue;
-        }
-        for &j in &chat {
-            let through: f64 = f_i
-                .iter()
-                .filter(|&&k| b(k) != 0.0)
-                .map(|&k| at(i, k) * abar(k, j) / b(k))
-                .sum();
-            p[i][cf.cmap[j]] = -(at(i, j) + through) / atilde;
-        }
-    }
-    p
 }
 
 #[test]
@@ -189,8 +108,9 @@ fn extended_i_matches_eq1_evaluated_from_the_definitions() {
             ),
         ];
         for (which, (a, s, is_coarse)) in orderings.into_iter().enumerate() {
+            let want = re::extended_i(&re::dense(&a), &re::pattern(&s), &is_coarse, &mut cov);
             let cf = CfMap::new(is_coarse);
-            let want = eq1_reference(&a, &s, &cf, &mut cov);
+            let want = re::to_dense(&want, cf.nc);
             let got = extended_i(&a, &s, &cf, None).to_dense();
             let (raw, tape) = ExtITape::capture(&a, &s, &cf, None);
             let tape = tape.expect("rows within 16 bits");
@@ -221,34 +141,6 @@ fn extended_i_matches_eq1_evaluated_from_the_definitions() {
     );
 }
 
-/// `truncate_row` as its documentation states it, written the obvious way:
-/// threshold, sort an index list by (|w| descending, column ascending),
-/// keep the first `max_elements`, restore the original order, rescale.
-fn truncate_spec(cols: &[usize], vals: &[f64], p: &TruncParams) -> (Vec<usize>, Vec<f64>) {
-    let max_abs = vals.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    let mut kept: Vec<usize> = (0..cols.len())
-        .filter(|&i| vals[i].abs() >= p.factor * max_abs)
-        .collect();
-    if p.max_elements > 0 && kept.len() > p.max_elements {
-        kept.sort_by(|&x, &y| {
-            (vals[y].abs().total_cmp(&vals[x].abs())).then(cols[x].cmp(&cols[y]))
-        });
-        kept.truncate(p.max_elements);
-        kept.sort_unstable();
-    }
-    let before: f64 = vals.iter().sum();
-    let after: f64 = kept.iter().map(|&i| vals[i]).sum();
-    let scale = if before != 0.0 && after != 0.0 {
-        before / after
-    } else {
-        1.0
-    };
-    (
-        kept.iter().map(|&i| cols[i]).collect(),
-        kept.iter().map(|&i| vals[i] * scale).collect(),
-    )
-}
-
 #[test]
 fn truncate_row_matches_its_specification() {
     let max_elements = 4usize;
@@ -272,7 +164,7 @@ fn truncate_row_matches_its_specification() {
             factor: [0.0, 0.1, 0.3][rng.below(3)],
             max_elements: if case % 7 == 6 { 0 } else { max_elements },
         };
-        let (want_cols, want_vals) = truncate_spec(&cols, &vals, &p);
+        let (want_cols, want_vals) = re::truncate_spec(&cols, &vals, &p);
         let (mut got_cols, mut got_vals) = (cols.clone(), vals.clone());
         let capacity = (got_cols.capacity(), got_vals.capacity());
         truncate_row(&mut got_cols, &mut got_vals, &p);

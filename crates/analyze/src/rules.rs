@@ -73,7 +73,7 @@ pub const SOLVE_ROOTS: &[&str] = &[
 ];
 
 /// Name prefixes the alloc-rule BFS does not descend into: setup,
-/// (re)construction, and validation are allowed to allocate. The panic
+/// (re)construction, and shape checks are allowed to allocate. The panic
 /// rule has no such cut.
 pub const SETUP_PREFIXES: &[&str] = &[
     "setup",
@@ -84,8 +84,6 @@ pub const SETUP_PREFIXES: &[&str] = &[
     "refresh",
     "freeze",
     "check_",
-    "validate",
-    "galerkin",
     "coarsen",
     "factor",
     "strength",

@@ -273,7 +273,8 @@ pub fn aggressive_pmis_stages(s: &Csr, seed: u64) -> (Coarsening, Coarsening) {
 /// strength-graph neighbours, and (2) every F-point with strong
 /// dependencies has at least one C-point within distance `dist` in the
 /// strength graph.
-pub fn validate_cf(s: &Csr, c: &Coarsening, dist: usize) -> Result<(), String> {
+#[cfg(test)]
+pub(crate) fn validate_cf(s: &Csr, c: &Coarsening, dist: usize) -> Result<(), String> {
     let n = s.nrows();
     let st = famg_sparse::transpose::transpose(s);
     // Independence over the symmetrized graph.

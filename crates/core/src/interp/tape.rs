@@ -34,7 +34,7 @@
 //!
 //! Values that flip any of them produce a consistent-but-different
 //! operator (the frozen-symbolic trade documented in
-//! [`crate::refresh`]); the `validate` feature's cross-check reports it.
+//! [`crate::refresh`]).
 
 use super::common::{CfMap, TruncParams};
 use super::extended_i::{build, Sink};

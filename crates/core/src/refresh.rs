@@ -59,10 +59,11 @@
 //!   moved out of their level while they are written, and the levels a
 //!   refresh rebuilds are dropped first — which
 //!   [`Hierarchy::check_shape`], `try_` solves and the next refresh refuse.
-//! * Under the `validate` feature each refresh cross-checks itself
-//!   against a from-scratch build and panics if any level drifts beyond
-//!   1e-12, catching value changes that silently flip a frozen decision
-//!   (e.g. a strength threshold crossing).
+//! * A refresh does not re-make the frozen decisions, so values that would
+//!   flip one (a strength threshold crossing, say) give a consistent
+//!   Galerkin hierarchy that is no longer the one a full setup would
+//!   build. `tests/reference_amg.rs` pins refreshed hierarchies to the
+//!   reference AMG on the operator they absorbed.
 
 use crate::hierarchy::{coarse_lu, Hierarchy, Level, TransferOps};
 use crate::interp::ExtITape;
@@ -268,17 +269,11 @@ impl Hierarchy {
         let cfg = self.config.clone();
         // Root span: the refresh is a (numeric-only) setup, so its tree
         // reuses the setup span names and buckets into the same Fig. 5
-        // categories via `PhaseTimes::from_span`. It is closed and its
-        // tree captured before validate_refresh, whose nested full build
-        // captures its own profile and must see a clean span stack.
+        // categories via `PhaseTimes::from_span`.
         let root_span = famg_prof::scope("refresh");
         self.refresh_levels(a, frozen, &cfg);
         drop(root_span);
         let profile = famg_prof::take();
-
-        #[cfg(feature = "validate")]
-        validate_refresh(&self.levels, a, &cfg);
-
         self.times = profile
             .find_root("refresh")
             .map(PhaseTimes::from_span)
@@ -342,39 +337,6 @@ impl Hierarchy {
         coarsest.smoother.refill_diagonal(&op);
         self.coarse_lu = coarse_lu(&op, cfg);
         coarsest.a = op;
-    }
-}
-
-/// `validate`-feature cross-check: a refreshed hierarchy must agree with
-/// a from-scratch build on the same numeric operator to 1e-12 on every
-/// level (same patterns, same values). A failure means the new values
-/// silently flipped a frozen pattern decision — the refresh result is
-/// still a consistent Galerkin hierarchy, but no longer the one a full
-/// setup would produce.
-#[cfg(feature = "validate")]
-fn validate_refresh(levels: &[Level], a: &Csr, cfg: &AmgConfig) {
-    let fresh = Hierarchy::build(a, cfg);
-    assert_eq!(
-        fresh.levels.len(),
-        levels.len(),
-        "refresh validation: level count drifted"
-    );
-    for (lvl, (refreshed, scratch)) in levels.iter().zip(&fresh.levels).enumerate() {
-        assert!(
-            refreshed.a.same_pattern(&scratch.a),
-            "refresh validation: operator pattern drifted at level {lvl}"
-        );
-        let scale = scratch
-            .a
-            .values()
-            .iter()
-            .fold(1.0f64, |m, v| m.max(v.abs()));
-        for (x, y) in refreshed.a.values().iter().zip(scratch.a.values()) {
-            assert!(
-                (x - y).abs() <= 1e-12 * scale,
-                "refresh validation: operator values drifted at level {lvl}: {x} vs {y}"
-            );
-        }
     }
 }
 

@@ -19,90 +19,6 @@ use famg_core::solver::SolveError;
 use famg_core::stats::{CommVolume, PhaseTimes, SetupStats};
 use famg_sparse::dense::{DenseMatrix, LuFactor};
 
-/// Borrows one rank's ParCSR matrix as raw parts for `famg-check`.
-#[cfg(feature = "validate")]
-fn parcsr_parts(m: &ParCsr, rank: usize) -> famg_check::ParCsrParts<'_> {
-    let (col_start, col_end) = m.col_range(rank);
-    famg_check::ParCsrParts {
-        row_start: m.row_start,
-        row_end: m.row_end,
-        col_start,
-        col_end,
-        global_cols: m.global_cols,
-        diag: &m.diag,
-        offd: &m.offd,
-        colmap: &m.colmap,
-    }
-}
-
-#[cfg(feature = "validate")]
-fn enforce(rank: usize, level: usize, what: &str, result: famg_check::CheckResult) {
-    if let Err(v) = result {
-        panic!(
-            "distributed hierarchy validation failed on rank {rank} at level {level} ({what}): {v}"
-        );
-    }
-}
-
-/// Per-rank checks at one distributed level boundary: ParCSR structural
-/// invariants of the level operator, P, R and the Galerkin coarse
-/// operator, plus the local interpolation identity rows. Checks that
-/// need a global gather (CF independence across ranks, the Galerkin
-/// cross-check) are covered by the serial validators under
-/// `famg-core/validate`; PMIS and the interpolation schemes are
-/// rank-count invariant, so the serial run exercises the same splitting.
-#[cfg(feature = "validate")]
-fn validate_dist_level(
-    rank: usize,
-    level: usize,
-    a: &ParCsr,
-    p: &ParCsr,
-    r: &ParCsr,
-    next: &ParCsr,
-    is_coarse: &[bool],
-) {
-    enforce(
-        rank,
-        level,
-        "level operator",
-        famg_check::check_parcsr(&parcsr_parts(a, rank)),
-    );
-    enforce(
-        rank,
-        level,
-        "interpolation",
-        famg_check::check_parcsr(&parcsr_parts(p, rank)),
-    );
-    enforce(
-        rank,
-        level,
-        "restriction",
-        famg_check::check_parcsr(&parcsr_parts(r, rank)),
-    );
-    enforce(
-        rank,
-        level + 1,
-        "coarse operator",
-        famg_check::check_parcsr(&parcsr_parts(next, rank)),
-    );
-    // Each owned C-point interpolates only from itself with weight one.
-    // Coarse points keep their owning rank, so the entry must sit in the
-    // diag block and the offd row must be empty.
-    for (i, &coarse) in is_coarse.iter().enumerate() {
-        if !coarse {
-            continue;
-        }
-        assert!(
-            p.offd.row_nnz(i) == 0 && p.diag.row_nnz(i) == 1 && p.diag.row_vals(i) == [1.0],
-            "distributed hierarchy validation failed on rank {rank} at level {level} \
-             (interp C-row): local C-point {i} is not an identity row \
-             (diag nnz {}, offd nnz {})",
-            p.diag.row_nnz(i),
-            p.offd.row_nnz(i)
-        );
-    }
-}
-
 /// Multi-node optimization switches (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DistOptFlags {
@@ -140,23 +56,9 @@ impl DistOptFlags {
 }
 
 impl Default for DistOptFlags {
-    /// [`DistOptFlags::all`], except that `overlap_comm` honors the
-    /// `FAMG_OVERLAP_COMM` environment variable (`0`/`false`/`off`
-    /// disable it) — the CI hook that runs the dist suites in both halo
-    /// modes without touching every construction site.
+    /// [`DistOptFlags::all`].
     fn default() -> Self {
-        DistOptFlags {
-            overlap_comm: overlap_comm_env_default(),
-            ..DistOptFlags::all()
-        }
-    }
-}
-
-/// Reads the `FAMG_OVERLAP_COMM` toggle (default: on).
-fn overlap_comm_env_default() -> bool {
-    match std::env::var("FAMG_OVERLAP_COMM") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
+        DistOptFlags::all()
     }
 }
 
@@ -329,17 +231,6 @@ impl DistHierarchy {
             let next = dist_rap(comm, &r, &current, &p, dopt.parallel_renumber);
             drop(rap_span);
 
-            #[cfg(feature = "validate")]
-            validate_dist_level(
-                rank,
-                levels.len(),
-                &current,
-                &p,
-                &r,
-                &next,
-                &coarsening.is_coarse,
-            );
-
             let plan_span = famg_prof::scope_at("halo_plan", lvl_idx);
             let plan_p = VectorExchange::plan(comm, &p.colmap, &p.col_starts);
             let plan_r = VectorExchange::plan(comm, &r.colmap, &r.col_starts);
@@ -361,13 +252,6 @@ impl DistHierarchy {
 
         // Coarsest level: gather to rank 0 and factor.
         let _scope = comm.scoped(levels.len(), CommPhase::Setup);
-        #[cfg(feature = "validate")]
-        enforce(
-            rank,
-            levels.len(),
-            "coarsest operator",
-            famg_check::check_parcsr(&parcsr_parts(&current, rank)),
-        );
         let coarse_span = famg_prof::scope_at("coarse", levels.len());
         let coarse_lu = factor_coarsest(comm, &current, rank, cfg);
         let plan_a = VectorExchange::plan(comm, &current.colmap, &current.col_starts);

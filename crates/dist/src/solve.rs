@@ -757,22 +757,36 @@ mod tests {
         let n = a.nrows();
         let b = rhs::ones(n);
         let starts = default_partition(n, nranks);
-        let (mut parts, _) = run_ranks(nranks, |c| {
-            let r = c.rank();
-            let pa = ParCsr::from_global_rows(a, starts[r], starts[r + 1], starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, cfg, dopt);
-            let bl = b[starts[r]..starts[r + 1]].to_vec();
-            let mut xl = vec![0.0; bl.len()];
-            let res = if fgmres {
-                dist_fgmres_amg(c, &h, &bl, &mut xl, cfg.tolerance, 200, 50)
-            } else {
-                dist_amg_solve(c, &h, &bl, &mut xl)
+        // Both halo modes: overlap is bitwise neutral by contract, so the
+        // solution and the iteration count must not move.
+        let runs = [true, false].map(|overlap_comm| {
+            let dopt = DistOptFlags {
+                overlap_comm,
+                ..dopt
             };
-            (xl, res.iterations, res.converged, h.stats.level_nnz.clone())
+            let (mut parts, _) = run_ranks(nranks, |c| {
+                let r = c.rank();
+                let pa = ParCsr::from_global_rows(a, starts[r], starts[r + 1], starts.clone(), r);
+                let h = DistHierarchy::build(c, pa, cfg, dopt);
+                let bl = b[starts[r]..starts[r + 1]].to_vec();
+                let mut xl = vec![0.0; bl.len()];
+                let res = if fgmres {
+                    dist_fgmres_amg(c, &h, &bl, &mut xl, cfg.tolerance, 200, 50)
+                } else {
+                    dist_amg_solve(c, &h, &bl, &mut xl)
+                };
+                (xl, res.iterations, res.converged, h.stats.level_nnz.clone())
+            });
+            let x: Vec<f64> = parts.iter().flat_map(|(xl, ..)| xl.clone()).collect();
+            let (_, iters, conv, nnz) = parts.swap_remove(0);
+            (x, iters, conv, nnz)
         });
-        let x: Vec<f64> = parts.iter().flat_map(|(xl, ..)| xl.clone()).collect();
-        let (_, iters, conv, nnz) = parts.swap_remove(0);
-        (x, iters, conv, nnz)
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let [on, off] = &runs;
+        assert_eq!(bits(&on.0), bits(&off.0), "x differs between halo modes");
+        assert_eq!(on.1, off.1, "iterations differ between halo modes");
+        let [on, _] = runs;
+        on
     }
 
     fn check(a: &famg_sparse::Csr, x: &[f64], tol: f64) {
@@ -788,7 +802,7 @@ mod tests {
         let a = laplace2d(24, 24);
         let cfg = AmgConfig::single_node_paper();
         for nranks in [1usize, 3] {
-            let (x, iters, conv, _) = solve_dist(&a, &cfg, nranks, DistOptFlags::default(), false);
+            let (x, iters, conv, _) = solve_dist(&a, &cfg, nranks, DistOptFlags::all(), false);
             assert!(conv, "nranks {nranks}");
             assert!(iters < 40);
             check(&a, &x, cfg.tolerance);
@@ -799,7 +813,7 @@ mod tests {
     fn dist_fgmres_amg_solves_jumpy_problem() {
         let a = amg2013_like(8, 8, 8, 2, 2.0, 3);
         let cfg = AmgConfig::multi_node_ei4();
-        let (x, iters, conv, _) = solve_dist(&a, &cfg, 2, DistOptFlags::default(), true);
+        let (x, iters, conv, _) = solve_dist(&a, &cfg, 2, DistOptFlags::all(), true);
         assert!(conv);
         assert!(iters < 60, "iters {iters}");
         check(&a, &x, cfg.tolerance);
@@ -813,7 +827,7 @@ mod tests {
             AmgConfig::multi_node_mp(),
             AmgConfig::multi_node_2s_ei444(),
         ] {
-            let (x, _, conv, _) = solve_dist(&a, &cfg, 2, DistOptFlags::default(), true);
+            let (x, _, conv, _) = solve_dist(&a, &cfg, 2, DistOptFlags::all(), true);
             assert!(conv, "{:?}", cfg.interp);
             check(&a, &x, cfg.tolerance);
         }
@@ -851,7 +865,7 @@ mod tests {
         let (parts, _) = run_ranks(3, |c| {
             let r = c.rank();
             let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             let bl = b[starts[r]..starts[r + 1]].to_vec();
             let mut xl = vec![0.0; bl.len()];
             let res = dist_pcg_amg(c, &h, &bl, &mut xl, 1e-7, 100);
@@ -876,7 +890,7 @@ mod tests {
         run_ranks(3, |c| {
             let r = c.rank();
             let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             // Pre-warm the clock past the hierarchy's own traffic.
             for _ in 0..3 {
                 c.barrier();
@@ -903,7 +917,7 @@ mod tests {
         run_ranks(2, |c| {
             let r = c.rank();
             let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             let n = starts[r + 1] - starts[r];
             let bad_b = vec![1.0; n + 1];
             let mut x = vec![0.0; n];
@@ -936,7 +950,7 @@ mod tests {
         run_ranks(2, |c| {
             let r = c.rank();
             let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let mut h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let mut h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             assert!(h.num_levels() > 1, "problem too small to be multilevel");
             // Knock out one transfer operator on a non-coarsest level.
             h.levels[0].plan_r = None;
@@ -964,7 +978,7 @@ mod tests {
             let (parts, _) = run_ranks(2, |c| {
                 let r = c.rank();
                 let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-                let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+                let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
                 let mut bl = vec![1.0; starts[r + 1] - starts[r]];
                 if r == 1 {
                     bl[3] = bad;
@@ -996,7 +1010,7 @@ mod tests {
         run_ranks(2, |c| {
             let r = c.rank();
             let pa = ParCsr::from_global_rows(&a, starts[r], starts[r + 1], starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             // Setup captured its own profile with a "setup" root.
             let setup_root = h.profile.find_root("setup").expect("setup profile");
             assert!(setup_root.wall > std::time::Duration::ZERO);
@@ -1038,7 +1052,7 @@ mod tests {
             coarse_solve_size: 8,
             ..AmgConfig::single_node_paper()
         };
-        let (x, _, conv, _) = solve_dist(&a, &cfg, 5, DistOptFlags::default(), false);
+        let (x, _, conv, _) = solve_dist(&a, &cfg, 5, DistOptFlags::all(), false);
         assert!(conv);
         check(&a, &x, cfg.tolerance);
     }
@@ -1068,7 +1082,7 @@ mod tests {
             for overlap in [false, true] {
                 let dopt = DistOptFlags {
                     overlap_comm: overlap,
-                    ..DistOptFlags::default()
+                    ..DistOptFlags::all()
                 };
                 let starts = default_partition(n, nranks);
                 run_ranks(nranks, |c| {
@@ -1123,7 +1137,7 @@ mod tests {
             let r = c.rank();
             let (s, e) = (starts[r], starts[r + 1]);
             let pa = ParCsr::from_global_rows(&a, s, e, starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             let nl = e - s;
             // k = 0 block: a no-op that must not communicate unevenly.
             let b0 = famg_sparse::MultiVec::new(nl, 0);
@@ -1187,7 +1201,7 @@ mod tests {
             let r = c.rank();
             let (s, e) = (starts[r], starts[r + 1]);
             let pa = ParCsr::from_global_rows(&a, s, e, starts.clone(), r);
-            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::default());
+            let h = DistHierarchy::build(c, pa, &cfg, DistOptFlags::all());
             let nl = e - s;
             let bl: Vec<f64> = (0..nl).map(|i| (s + i) as f64).collect();
             c.barrier();
@@ -1214,8 +1228,8 @@ mod tests {
     fn rank_count_does_not_change_iterations_much() {
         let a = laplace2d(20, 20);
         let cfg = AmgConfig::single_node_paper();
-        let (_, i1, _, _) = solve_dist(&a, &cfg, 1, DistOptFlags::default(), false);
-        let (_, i4, _, _) = solve_dist(&a, &cfg, 4, DistOptFlags::default(), false);
+        let (_, i1, _, _) = solve_dist(&a, &cfg, 1, DistOptFlags::all(), false);
+        let (_, i4, _, _) = solve_dist(&a, &cfg, 4, DistOptFlags::all(), false);
         // Hybrid smoothing degrades slightly with rank count but stays
         // in the same class (the paper's weak-scaling premise).
         assert!(i4 <= i1 + 4, "iters {i1} -> {i4}");

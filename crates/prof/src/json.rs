@@ -1,7 +1,7 @@
 //! Minimal JSON document builder used by the telemetry exporters.
 //!
-//! Writing-only (the parser lives in `famg-check`, which validates the
-//! emitted documents); no external dependencies. Object member order is
+//! Writing-only (the parser that reads the emitted documents back lives in
+//! `famg-check`); no external dependencies. Object member order is
 //! preserved so emitted reports diff cleanly.
 
 /// A JSON value.

@@ -30,7 +30,6 @@
 //! assert!(result.converged);
 //! ```
 
-pub use famg_check as check;
 pub use famg_core as core;
 pub use famg_dist as dist;
 pub use famg_krylov as krylov;

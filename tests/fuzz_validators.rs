@@ -1,20 +1,28 @@
-//! Randomized negative tests for every `famg-check` validator: build a
-//! well-formed object, corrupt it in a random spot, and require the
-//! validator to flag it. Complements the crate's unit tests, which use
-//! hand-built minimal counterexamples.
+//! Randomized negative tests for the checks the reference suites make
+//! (`common::reference` and `Csr::from_parts`): build a well-formed object,
+//! require the check to accept it, corrupt it in a random spot, and require
+//! the check to reject it. They keep the oracle honest: a check that
+//! accepted a corrupted level would let `tests/reference_amg.rs` pass on a
+//! broken setup.
 
 mod common;
 
+use common::reference::{self as re, Dense};
 use common::{graph_laplacian, random_csr, FuzzRng};
-use famg::check;
 use famg::core::coarsen::pmis;
-use famg::core::interp::{extended_i, CfMap};
+use famg::core::interp::{extended_i, CfMap, TruncParams};
 use famg::core::strength::strength;
 use famg::sparse::spgemm::spgemm_one_pass;
 use famg::sparse::transpose::transpose;
 use famg::sparse::{Col, Csr};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CASES: u64 = 24;
+
+/// Whether `check` rejects its input, by panicking.
+fn rejects(check: impl FnOnce()) -> bool {
+    catch_unwind(AssertUnwindSafe(check)).is_err()
+}
 
 /// A random Laplacian plus a PMIS splitting and extended+i P — the
 /// standard well-formed AMG triple the corruption tests start from.
@@ -29,6 +37,10 @@ fn amg_setup(rng: &mut FuzzRng, case: u64) -> (Csr, Csr, Vec<bool>, Csr) {
     (a, s, c.is_coarse, p)
 }
 
+fn rng_extra(rng: &mut FuzzRng, n: usize) -> usize {
+    rng.below(2 * n + 1)
+}
+
 #[test]
 fn structure_checks_catch_random_corruption() {
     for case in 0..CASES {
@@ -36,86 +48,67 @@ fn structure_checks_catch_random_corruption() {
         let n = rng.range(2, 30);
         let extra = rng_extra(&mut rng, n);
         let a = graph_laplacian(&mut rng, n, extra, 0.0);
-        assert!(check::check_csr(&a).is_ok(), "case {case}: clean input");
-        assert!(check::check_sorted_unique(&a).is_ok(), "case {case}");
-        assert!(check::check_no_duplicates(&a).is_ok(), "case {case}");
-        assert!(check::check_symmetric_pattern(&a).is_ok(), "case {case}");
+        let clean = re::dense(&a);
         let nnz = a.nnz();
-        if nnz == 0 {
-            continue;
-        }
         // Non-finite value.
         let mut bad = a.clone();
         let k = rng.below(nnz);
         bad.values_mut()[k] = if rng.bool() { f64::NAN } else { f64::INFINITY };
-        assert!(
-            check::check_finite(&bad).is_err(),
-            "case {case}: NaN slipped through"
-        );
-        assert!(check::check_csr(&bad).is_err(), "case {case}");
+        assert!(rejects(|| drop(re::dense(&bad))), "case {case}: NaN");
         // Out-of-bounds column index.
         let mut bad = a.clone();
         let k = rng.below(nnz);
-        {
-            let (_, cols, _) = bad.rows_mut();
-            cols[k] = Col::new(n + rng.below(5));
-        }
-        assert!(check::check_csr(&bad).is_err(), "case {case}: oob column");
-        // Duplicate column inside a multi-entry row.
-        let mut bad = a.clone();
-        if let Some(i) = (0..n).find(|&i| bad.row_nnz(i) >= 2) {
+        bad.rows_mut().1[k] = Col::new(n + rng.below(5));
+        assert!(rejects(|| drop(re::dense(&bad))), "case {case}: column");
+        assert!(rejects(|| drop(re::pattern(&bad))), "case {case}: column");
+        let multi = (0..n).find(|&i| a.row_nnz(i) >= 2);
+        if let Some(i) = multi {
+            // Duplicate column inside a multi-entry row.
+            let mut bad = a.clone();
             let r = bad.row_range(i);
-            let (_, cols, _) = bad.rows_mut();
+            let cols = bad.rows_mut().1;
             cols[r.start + 1] = cols[r.start];
-            assert!(
-                check::check_no_duplicates(&bad).is_err(),
-                "case {case}: duplicate"
-            );
-            assert!(check::check_sorted_unique(&bad).is_err(), "case {case}");
-        }
-        // Swap two entries of a multi-entry row: unsorted but duplicate-free.
-        let mut bad = a.clone();
-        if let Some(i) = (0..n).find(|&i| bad.row_nnz(i) >= 2) {
-            let r = bad.row_range(i);
-            let (_, cols, _) = bad.rows_mut();
+            assert!(rejects(|| drop(re::dense(&bad))), "case {case}: twice");
+            assert!(rejects(|| drop(re::pattern(&bad))), "case {case}: twice");
+            // Two entries of a row swapped: the fused kernels emit rows
+            // in any order, and so the same matrix.
+            let mut swapped = a.clone();
+            let (_, cols, vals) = swapped.rows_mut();
             cols.swap(r.start, r.start + 1);
-            assert!(
-                check::check_sorted_unique(&bad).is_err(),
-                "case {case}: unsorted"
-            );
-            assert!(check::check_no_duplicates(&bad).is_ok(), "case {case}");
+            vals.swap(r.start, r.start + 1);
+            assert!(re::dense(&swapped) == clean, "case {case}: in-row order");
         }
     }
 }
 
-fn rng_extra(rng: &mut FuzzRng, n: usize) -> usize {
-    rng.below(2 * n + 1)
+/// `Pᵀ A P` by the library's one-pass SpGEMM.
+fn coarse_operator(a: &Csr, p: &Csr) -> Csr {
+    spgemm_one_pass(&spgemm_one_pass(&transpose(p), a), p)
 }
 
 #[test]
 fn symmetry_check_catches_dropped_entries() {
+    // A coarse operator that lost one off-diagonal entry (its pattern no
+    // longer symmetric) is not the Galerkin product.
     for case in 0..CASES {
         let mut rng = FuzzRng::new(0x100 + case);
-        let n = rng.range(3, 25);
-        let extra = rng_extra(&mut rng, n);
-        let a = graph_laplacian(&mut rng, n, extra, 0.0);
-        // Drop one strictly-off-diagonal entry: pattern loses symmetry.
-        let off: Vec<(usize, usize, f64)> = (0..n)
-            .flat_map(|i| a.row_iter(i).map(move |(c, v)| (i, c, v)))
+        let (a, _, _, p) = amg_setup(&mut rng, case);
+        let ac = coarse_operator(&a, &p);
+        let want = re::galerkin(&re::dense(&p), &re::dense(&a));
+        re::assert_close(&re::dense(&ac), &want, 1e-12, "clean");
+        let off: Vec<(usize, usize, f64)> = (0..ac.nrows())
+            .flat_map(|i| ac.row_iter(i).map(move |(c, v)| (i, c, v)))
             .collect();
-        let Some(drop_at) = off.iter().position(|&(i, c, _)| i != c) else {
+        let Some(drop_at) = off.iter().position(|&(i, c, v)| i != c && v != 0.0) else {
             continue;
         };
-        let trips: Vec<(usize, usize, f64)> = off
-            .into_iter()
-            .enumerate()
+        let trips = (off.iter().enumerate())
             .filter(|&(k, _)| k != drop_at)
-            .map(|(_, t)| t)
-            .collect();
-        let bad = Csr::from_triplets(n, n, trips);
+            .map(|(_, &t)| t);
+        let bad = Csr::from_triplets(ac.nrows(), ac.ncols(), trips);
         assert!(
-            check::check_symmetric_pattern(&bad).is_err(),
-            "case {case}: asymmetric pattern passed"
+            rejects(|| re::assert_close(&re::dense(&bad), &want, 1e-12, "dropped")),
+            "case {case}: a dropped entry passed"
         );
     }
 }
@@ -125,68 +118,70 @@ fn cf_splitting_check_catches_promotions_and_demotions() {
     for case in 0..CASES {
         let mut rng = FuzzRng::new(0x200 + case);
         let (_, s, mut is_coarse, _) = amg_setup(&mut rng, case);
-        assert!(
-            check::check_cf_splitting(&s, &is_coarse, 1).is_ok(),
-            "case {case}: valid splitting rejected"
-        );
-        // Promote a random F-point that neighbours a C-point:
-        // independence must break.
+        let graph = re::pattern(&s);
+        assert!(re::pmis(&graph, case) == is_coarse, "case {case}: PMIS");
+        re::assert_independent(&graph, &is_coarse, "clean");
+        // Promote an F-point that neighbours a C-point: the set is no
+        // longer the reference's, nor independent.
         let n = s.nrows();
         let promoted = (0..n).find(|&i| !is_coarse[i] && s.col_iter(i).any(|j| is_coarse[j]));
         if let Some(i) = promoted {
             is_coarse[i] = true;
+            assert!(re::pmis(&graph, case) != is_coarse, "case {case}");
             assert!(
-                check::check_cf_splitting(&s, &is_coarse, 1).is_err(),
+                rejects(|| re::assert_independent(&graph, &is_coarse, "promoted")),
                 "case {case}: adjacent C-points passed"
             );
             is_coarse[i] = false;
         }
-        // Demote every C-point: coverage must break (any strongly
-        // connected F-point is left stranded).
-        let all_f = vec![false; n];
-        if (0..n).any(|i| s.row_nnz(i) > 0 && transpose(&s).row_nnz(i) > 0) {
-            assert!(
-                check::check_cf_splitting(&s, &all_f, 1).is_err(),
-                "case {case}: coverage hole passed"
-            );
+        // Demote every C-point.
+        if is_coarse.iter().any(|&c| c) {
+            assert!(re::pmis(&graph, case) != vec![false; n], "case {case}");
         }
     }
 }
 
 #[test]
 fn interp_checks_catch_corrupted_rows() {
+    let all = TruncParams {
+        factor: 0.0,
+        max_elements: 0,
+    };
     for case in 0..CASES {
         let mut rng = FuzzRng::new(0x300 + case);
-        let (a, _, is_coarse, p) = amg_setup(&mut rng, case);
-        assert!(
-            check::check_interp_c_identity(&p, &is_coarse).is_ok(),
-            "case {case}: valid P rejected"
+        let (a, s, is_coarse, p) = amg_setup(&mut rng, case);
+        let rows = re::extended_i(
+            &re::dense(&a),
+            &re::pattern(&s),
+            &is_coarse,
+            &mut re::Eq1Coverage::default(),
         );
-        assert!(
-            check::check_interp_row_sums(&p, &a, 1e-9).is_ok(),
-            "case {case}: valid row sums rejected"
-        );
+        let clean: Dense = re::dense(&p);
+        re::assert_interp(&clean, &rows, &all, "clean");
+        re::assert_unit_coarse_rows(&clean, &is_coarse, "clean");
         if p.nnz() == 0 {
             continue;
         }
-        // Scale one weight: some row sum (or a C-identity weight) drifts.
+        // Perturb one weight.
         let mut bad = p.clone();
         let k = rng.below(p.nnz());
         bad.values_mut()[k] += 0.37;
-        let row_sums = check::check_interp_row_sums(&bad, &a, 1e-9);
-        let c_ident = check::check_interp_c_identity(&bad, &is_coarse);
+        let bad = re::dense(&bad);
         assert!(
-            row_sums.is_err() || c_ident.is_err(),
-            "case {case}: perturbed weight passed both interp checks"
+            rejects(|| {
+                re::assert_interp(&bad, &rows, &all, "perturbed");
+            }),
+            "case {case}: a perturbed weight passed"
         );
         // Corrupt a C-row weight specifically.
         if let Some(ci) = (0..p.nrows()).find(|&i| is_coarse[i]) {
             let mut bad = p.clone();
             let r = bad.row_range(ci);
             bad.values_mut()[r.start] = 0.5;
+            let bad = re::dense(&bad);
             assert!(
-                check::check_interp_c_identity(&bad, &is_coarse).is_err(),
-                "case {case}: broken C-identity passed"
+                rejects(|| re::assert_unit_coarse_rows(&bad, &is_coarse, "C row")),
+                "case {case}: a broken C row passed"
             );
         }
     }
@@ -194,67 +189,56 @@ fn interp_checks_catch_corrupted_rows() {
 
 #[test]
 fn galerkin_check_catches_wrong_coarse_operator() {
+    // Every row is compared, so a wrong value anywhere is found.
     for case in 0..CASES {
         let mut rng = FuzzRng::new(0x400 + case);
         let (a, _, _, p) = amg_setup(&mut rng, case);
-        let nc = p.ncols();
-        if nc == 0 || p.nnz() == 0 {
+        if p.ncols() == 0 || p.nnz() == 0 {
             continue;
         }
-        let r = transpose(&p);
-        let ac = spgemm_one_pass(&spgemm_one_pass(&r, &a), &p);
-        let samples = check::galerkin_sample_rows(nc, 16);
-        assert!(
-            check::check_galerkin(&ac, &a, &p, &samples, 1e-8).is_ok(),
-            "case {case}: true RAP rejected"
-        );
-        // Perturb one coarse value in a sampled row.
+        let ac = coarse_operator(&a, &p);
+        let want = re::galerkin(&re::dense(&p), &re::dense(&a));
+        re::assert_close(&re::dense(&ac), &want, 1e-12, "clean");
         let mut bad = ac.clone();
-        let Some(&row) = samples.iter().find(|&&i| bad.row_nnz(i) > 0) else {
-            continue;
-        };
-        let rr = bad.row_range(row);
-        bad.values_mut()[rr.start] += 1.0;
+        let k = rng.below(ac.nnz());
+        bad.values_mut()[k] += 1e-6 * (1.0 + bad.values()[k].abs());
         assert!(
-            check::check_galerkin(&bad, &a, &p, &samples, 1e-8).is_err(),
-            "case {case}: corrupted RAP passed"
+            rejects(|| re::assert_close(&re::dense(&bad), &want, 1e-12, "perturbed")),
+            "case {case}: a corrupted coarse operator passed"
         );
     }
 }
 
 #[test]
 fn raw_parts_check_catches_malformed_buffers() {
+    // `Csr::from_parts`, which every checked construction goes through,
+    // refuses malformed buffers in release builds too.
     for case in 0..CASES {
         let mut rng = FuzzRng::new(0x500 + case);
         let (nr, nc) = (rng.range(2, 20), rng.range(2, 20));
         let a = random_csr(&mut rng, nr, nc);
         let (rowptr, colidx, values) = (a.rowptr(), a.colidx(), a.values());
+        let build = |rp: &[usize], ci: &[Col], v: &[f64]| {
+            let (rp, ci, v) = (rp.to_vec(), ci.to_vec(), v.to_vec());
+            rejects(|| drop(Csr::from_parts(nr, nc, rp, ci, v)))
+        };
+        assert!(!build(rowptr, colidx, values), "case {case}");
         assert!(
-            check::check_raw_parts(nr, nc, rowptr, colidx, values).is_ok(),
-            "case {case}"
-        );
-        // Truncated rowptr.
-        assert!(
-            check::check_raw_parts(nr, nc, &rowptr[..nr], colidx, values).is_err(),
-            "case {case}: short rowptr passed"
+            build(&rowptr[..nr], colidx, values),
+            "case {case}: short rowptr"
         );
         // Non-monotone rowptr: spike an interior pointer above the end.
-        if nr >= 2 {
-            let mut bad = rowptr.to_vec();
-            let i = rng.range(1, nr);
-            bad[i] = bad[nr] + 1;
-            assert!(
-                check::check_raw_parts(nr, nc, &bad, colidx, values).is_err(),
-                "case {case}: corrupt rowptr passed"
-            );
-        }
-        // Mismatched value length.
+        let mut bad = rowptr.to_vec();
+        let i = rng.range(1, nr);
+        bad[i] = bad[nr] + 1;
+        assert!(build(&bad, colidx, values), "case {case}: corrupt rowptr");
         if !values.is_empty() {
-            assert!(
-                check::check_raw_parts(nr, nc, rowptr, colidx, &values[..values.len() - 1])
-                    .is_err(),
-                "case {case}: short values passed"
-            );
+            let short = &values[..values.len() - 1];
+            assert!(build(rowptr, colidx, short), "case {case}: short values");
+            let mut cols = colidx.to_vec();
+            let k = rng.below(cols.len());
+            cols[k] = Col::new(nc + rng.below(3));
+            assert!(build(rowptr, &cols, values), "case {case}: column");
         }
     }
 }

@@ -173,8 +173,8 @@ fn serial_batch_masks_converged_and_stalled_columns() {
 }
 
 /// Distributed batch-vs-solo bitwise identity at 1/2/4 ranks in both
-/// halo modes (`FAMG_OVERLAP_COMM` is exercised by sweeping the flag
-/// directly — both modes run in every configuration).
+/// halo modes (the flag is swept directly: both modes run in every
+/// configuration).
 #[test]
 fn dist_batch_columns_match_solo_bitwise_across_ranks() {
     let a = laplace2d(20, 20);

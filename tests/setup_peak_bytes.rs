@@ -148,15 +148,8 @@ fn a_build_peaks_near_twice_the_operator() {
     let (done, peak, kept) = measured(unit, || hf.refresh(&a, &mut frozen));
     done.unwrap();
     println!("refresh: high-water {peak:.2} x, kept {kept:.2} x the operator");
-    // Under `validate` a refresh cross-checks itself against a full build,
-    // whose high-water it then is.
-    let bound = if cfg!(feature = "validate") {
-        2.5
-    } else {
-        0.25
-    };
     assert!(
-        peak <= bound,
+        peak <= 0.25,
         "a refresh's high-water is {peak:.2} x the operator"
     );
     drop((hf, frozen));

@@ -67,7 +67,9 @@ pub struct Level {
 pub struct Hierarchy {
     /// Levels, finest first.
     pub levels: Vec<Level>,
-    /// Dense factorization of the coarsest operator, when small enough.
+    /// Dense factorization of the coarsest operator, when small enough and
+    /// nonsingular ([`LuFactor::new`]); the cycle smooths that level
+    /// otherwise.
     pub coarse_lu: Option<LuFactor>,
     /// Solver configuration the hierarchy was built with.
     pub config: AmgConfig,
@@ -375,7 +377,7 @@ impl Hierarchy {
 }
 
 /// The tail of every setup: the coarsest operator gets its smoother and,
-/// when small enough, a dense LU factorization.
+/// when small enough and nonsingular, a dense LU factorization.
 fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuFactor>) {
     let _span = famg_prof::scope_at("coarse", idx);
     let coarse_lu = coarse_lu(&a, cfg);
@@ -391,13 +393,12 @@ fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuF
 }
 
 /// The dense LU factorization of the coarsest operator, when it is small
-/// enough for one (any in-row order: the dense matrix is the same).
+/// enough for one and nonsingular (any in-row order: the dense matrix is
+/// the same).
 pub(crate) fn coarse_lu(a: &Csr, cfg: &AmgConfig) -> Option<LuFactor> {
-    if cfg.coarse_lu_fits(a.nrows()) {
-        LuFactor::new(&DenseMatrix::from_csr(a))
-    } else {
-        None
-    }
+    let fits = cfg.coarse_lu_fits(a.nrows());
+    fits.then(|| LuFactor::new(&DenseMatrix::from_csr(a)))
+        .flatten()
 }
 
 /// Takes `P_F` out of a full interpolation operator on the raw ordering:

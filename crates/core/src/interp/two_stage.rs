@@ -11,6 +11,12 @@
 //! Truncation is applied *at every stage* (the `(444)` in the paper's
 //! label: `max_elmts = 4` for stage 1, stage 2, and the product).
 //!
+//! The product is summed in the order the distributed build sums it, so
+//! one rank is this operator bit for bit: `P1`'s rows are sorted before
+//! the product (`c_ij = Σ_k p1_ik·p2_kj` runs along `P1`'s stored row) and
+//! the product's rows before truncation (`truncate_row` rescales in
+//! storage order). `P2`'s row order does not reach a sum.
+//!
 //! Note: HYPRE's production implementation assembles the two stages
 //! without materializing `A1`; we form `A1` explicitly via the (already
 //! optimized) triple product — semantically equivalent, with a setup-time
@@ -21,9 +27,7 @@ use super::common::{truncate_matrix, CfMap, TruncParams};
 use super::extended_i::extended_i;
 use crate::coarsen::Coarsening;
 use crate::strength::strength;
-use famg_sparse::spgemm::{
-    spgemm_flops_bound, spgemm_one_pass, spgemm_two_pass, SPGEMM_TWO_PASS_MAX_FLOPS,
-};
+use famg_sparse::spgemm::spgemm;
 use famg_sparse::transpose::transpose_par;
 use famg_sparse::triple::rap_row_fused;
 use famg_sparse::Csr;
@@ -33,10 +37,7 @@ use famg_sparse::Csr;
 /// `stage1` is the first-pass PMIS splitting, `final_c` the aggressive
 /// (second-pass) splitting; `final_c` C-points must be a subset of
 /// `stage1` C-points (as produced by
-/// [`crate::coarsen::aggressive_pmis_stages`]). The `P1·P2` composition
-/// takes the two-pass SpGEMM when its work bound is cache-sized
-/// ([`SPGEMM_TWO_PASS_MAX_FLOPS`]), the one-pass kernel above it; both give
-/// identical results.
+/// [`crate::coarsen::aggressive_pmis_stages`]).
 pub fn two_stage_extended_i(
     a: &Csr,
     s: &Csr,
@@ -51,10 +52,10 @@ pub fn two_stage_extended_i(
     assert_eq!(final_c.is_coarse.len(), n);
     // Stage 1: interpolate everything to the stage-1 C-points.
     let cf1 = CfMap::new(stage1.is_coarse.clone());
-    let p1 = extended_i(a, s, &cf1, trunc);
+    let mut p1 = extended_i(a, s, &cf1, trunc);
+    p1.sort_rows();
     // Stage-1 Galerkin operator.
-    let r1 = transpose_par(&p1);
-    let a1 = rap_row_fused(&r1, a, &p1);
+    let a1 = rap_row_fused(&transpose_par(&p1), a, &p1);
     // Stage 2: among stage-1 C-points, interpolate to the final C-points.
     let s1 = strength(&a1, strength_threshold, max_row_sum);
     let is_final_in_stage1: Vec<bool> = (0..n)
@@ -64,15 +65,10 @@ pub fn two_stage_extended_i(
     let cf2 = CfMap::new(is_final_in_stage1);
     let p2 = extended_i(&a1, &s1, &cf2, trunc);
     // Compose and truncate the product.
-    let p = if spgemm_flops_bound(&p1, &p2) <= SPGEMM_TWO_PASS_MAX_FLOPS {
-        spgemm_two_pass(&p1, &p2)
-    } else {
-        spgemm_one_pass(&p1, &p2)
-    };
-    match trunc {
-        Some(t) => truncate_matrix(&p, t),
-        None => p,
-    }
+    let mut p = spgemm(&p1, &p2);
+    p.sort_rows();
+    let Some(t) = trunc else { return p };
+    truncate_matrix(&p, t)
 }
 
 #[cfg(test)]
@@ -80,28 +76,6 @@ mod tests {
     use super::*;
     use crate::coarsen::aggressive_pmis_stages;
     use famg_matgen::laplace2d;
-
-    fn setup(nx: usize, ny: usize, seed: u64) -> (Csr, Csr, Coarsening, Coarsening) {
-        let a = laplace2d(nx, ny);
-        let s = strength(&a, 0.25, 0.8);
-        let (first, fin) = aggressive_pmis_stages(&s, seed);
-        (a, s, first, fin)
-    }
-
-    #[test]
-    fn shape_and_identity_rows() {
-        let (a, s, first, fin) = setup(16, 16, 1);
-        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, None);
-        assert_eq!(p.nrows(), a.nrows());
-        assert_eq!(p.ncols(), fin.ncoarse);
-        // Final C-points interpolate to themselves with weight 1.
-        let cmap = CfMap::new(fin.is_coarse.clone());
-        for i in 0..a.nrows() {
-            if fin.is_coarse[i] {
-                assert_eq!(p.get(i, cmap.cmap[i]), Some(1.0), "row {i}");
-            }
-        }
-    }
 
     #[test]
     fn constant_preserved_exactly_on_neumann_operator() {
@@ -118,20 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn truncation_caps_rows() {
-        let (a, s, first, fin) = setup(20, 20, 5);
-        let t = TruncParams::paper();
-        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, Some(&t));
-        for i in 0..a.nrows() {
-            if !fin.is_coarse[i] {
-                assert!(p.row_nnz(i) <= 4, "row {i}: {}", p.row_nnz(i));
-            }
-        }
-    }
-
-    #[test]
     fn covers_fine_points_despite_aggressive_coarsening() {
-        let (a, s, first, fin) = setup(24, 24, 7);
+        let a = laplace2d(24, 24);
+        let s = strength(&a, 0.25, 0.8);
+        let (first, fin) = aggressive_pmis_stages(&s, 7);
         let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, Some(&TruncParams::paper()));
         let mut uncovered = 0usize;
         for i in 0..a.nrows() {

@@ -43,7 +43,7 @@ pub struct AmgConfig {
     /// Maximum number of multigrid levels (Table 3: 7; Table 4: 16).
     pub max_levels: usize,
     /// Stop coarsening when a level has at most this many rows; that
-    /// level is solved directly with dense LU.
+    /// level is solved directly with dense LU unless it is singular.
     pub coarse_solve_size: usize,
     /// Coarsening on the top `aggressive_levels` levels (Table 4 applies
     /// aggressive coarsening to the top level only).

@@ -144,7 +144,7 @@ pub struct DistHierarchy {
     /// Levels, finest first.
     pub levels: Vec<DistLevel>,
     /// Coarsest-level dense factorization, held by rank 0 when the level is
-    /// small enough for one ([`AmgConfig::coarse_lu_fits`]).
+    /// nonsingular and small enough for one ([`AmgConfig::coarse_lu_fits`]).
     pub coarse_lu: Option<LuFactor>,
     /// Solver configuration.
     pub config: AmgConfig,
@@ -365,8 +365,8 @@ impl DistHierarchy {
 
 /// Gathers the coarsest operator to rank 0 and densely factors it
 /// (returns `None` on every other rank, and everywhere when the operator
-/// is empty or too large for a dense factorization, which the solve then
-/// smooths instead).
+/// is empty, too large for a dense factorization or singular, which the
+/// solve then smooths instead).
 fn factor_coarsest(
     comm: &Comm,
     current: &ParCsr,
@@ -440,11 +440,14 @@ mod tests {
     }
 
     /// One rank runs the distributed builders on the whole operator, so its
-    /// hierarchy is the serial build's at every level: the same sizes, and
-    /// each level's operator is the serial one read back through its CF
-    /// permutation, to rounding (the two Galerkin products sum in
-    /// different orders; no rounding difference flips a strength test on
-    /// these operators, so both builds coarsen the same graphs).
+    /// hierarchy is the serial build's at every level: the same sizes, level
+    /// 0's `P` the serial `[I; P_F]` read back through its CF permutation bit
+    /// for bit, and each level's operator the serial one read back the same
+    /// way, to 1e-10. The operators are not bitwise: the serial Galerkin
+    /// product is the CF-block `rap_cf` and the ranks' is `rap_row_fused`,
+    /// which sum in different orders (no rounding difference flips a
+    /// strength test on these operators, so both builds coarsen the same
+    /// graphs).
     #[test]
     fn one_rank_matches_the_serial_build_at_every_level() {
         use famg_matgen::{laplace3d_27pt, reservoir_field, varcoef3d_7pt};
@@ -491,6 +494,23 @@ mod tests {
                         assert!((x - y).abs() <= 1e-10 * y.abs(), "{what}: {x} vs {y}");
                     }
                 }
+                // Level 0's `P`: the serial `[I; P_F]` on the raw ordering.
+                let s = &serial.levels[0];
+                let q = s.perm.as_ref().expect("a CF permutation");
+                let pf = &s.ops.as_ref().expect("P_F").pf;
+                let mut trips = Vec::new();
+                for r in 0..n {
+                    let i = q.inverse[r];
+                    if r < s.nc {
+                        trips.push((i, r, 1.0));
+                    } else {
+                        trips.extend(pf.row_iter(r - s.nc).map(|(c, v)| (i, c, v)));
+                    }
+                }
+                let p_serial = famg_sparse::Csr::from_triplets(n, s.nc, trips);
+                let p = dist.levels[0].p.clone().expect("P");
+                let what = format!("{cname}, {aname}, level 0's P");
+                crate::parcsr::assert_parts_are_serial(&[p], p_serial, &what);
                 assert_eq!(ds.level_rows, ss.level_rows, "{cname}, {aname}");
                 assert_eq!(ds.level_nnz, ss.level_nnz, "{cname}, {aname}");
             }

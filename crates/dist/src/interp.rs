@@ -15,6 +15,7 @@
 //! | strength | — | — (row-local) |
 //! | extended+i | C/F codes of `A.colmap`, then of the columns only gathered rows name | `S` rows of `S.colmap`, `A` rows of `A.colmap` |
 //! | multipass | C/F codes of `A.colmap`; per pass the assigned flags of `S.colmap` | per pass, the `P` rows of newly assigned strong halo neighbours |
+//! | two-stage extended+i | extended+i's, on `A` and then on `A1 = P1ᵀAP1`; the `offd` entries of `P1` for `P1ᵀ` | extended+i's on each stage; [`dist_rap`]'s `A` and `P1` rows for `A1`; [`dist_spgemm`]'s `P2` rows for `P1·P2` |
 //!
 //! Extended+i traverses neighbours-of-neighbours, so boundary rows must be
 //! gathered from other ranks like a SpGEMM operand (Fig. 3c). The §4.3
@@ -289,7 +290,9 @@ pub fn dist_multipass(
 /// Distributed two-stage extended+i: extended+i to the stage-1 C-points,
 /// Galerkin stage-1 operator by [`dist_rap`], extended+i among the
 /// stage-1 C-points, product, truncation at every stage. `plan_a` covers
-/// `a`'s colmap; the stage-1 operator gets its own plan here.
+/// `a`'s colmap; the stage-1 operator gets its own plan here. `P1` leaves
+/// `split_p` and the product [`dist_spgemm`] with sorted rows, the order
+/// the serial `two_stage_extended_i` sums and truncates in.
 #[allow(clippy::too_many_arguments)]
 pub fn dist_two_stage_extended_i(
     comm: &Comm,
@@ -332,7 +335,7 @@ mod tests {
     use crate::comm::run_ranks;
     use crate::parcsr::{assert_parts_are_serial, default_partition, to_global};
     use famg_core::coarsen::{aggressive_pmis_stages, pmis};
-    use famg_core::interp::{extended_i, multipass, CfMap};
+    use famg_core::interp::{extended_i, multipass, two_stage_extended_i, CfMap};
     use famg_core::strength::strength;
     use famg_matgen::{amg2013_like, laplace2d, reservoir_field, varcoef3d_7pt};
     use famg_sparse::transpose::transpose_par;
@@ -395,35 +398,78 @@ mod tests {
         }
     }
 
+    /// Serial = ranks: each scheme's `P` on the ranks is the serial
+    /// builder's, pattern and value bits, on every operator and partition
+    /// (an empty rank included), with and without truncation and, where the
+    /// scheme takes it, the wire filter. Extended+i (`ei`) runs on PMIS,
+    /// multipass (`mp`) and two-stage extended+i (`2s`) on aggressive PMIS.
     #[test]
-    fn dist_extended_i_matches_serial() {
-        for (name, a) in operators() {
-            let s = strength(&a, 0.25, 0.8);
-            let c_serial = pmis(&s, 9);
-            if name == "holes" {
-                let through_hole = (0..144).any(|i| {
-                    let fine = |p: usize| !c_serial.is_coarse[p];
-                    fine(i) && s.col_iter(i).any(|k| fine(k) && k % 5 == 2)
-                });
-                assert!(through_hole, "no fine row distributes through a hole");
-            }
-            let cf = CfMap::new(c_serial.is_coarse);
-            for trunc in truncations() {
-                let p_ref = extended_i(&a, &s, &cf, trunc.as_ref());
-                for starts in partitions(a.nrows()) {
-                    for filter in [false, true] {
-                        let (parts, _) = run_ranks(starts.len() - 1, |c| {
-                            let pa = split(&a, &starts, c.rank());
-                            let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-                            let dc = dist_pmis(c, &ps, 9);
-                            let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
-                            dist_extended_i(c, &pa, &plan, &ps, &dc, trunc.as_ref(), filter)
-                        });
-                        let what = format!(
-                            "{name} {starts:?} trunc {} filter {filter}",
-                            trunc.is_some()
-                        );
-                        assert_parts_are_serial(&parts, p_ref.clone(), &what);
+    fn every_scheme_on_ranks_is_the_serial_operator() {
+        let (th, rs) = (0.25, 0.8);
+        for scheme in ["ei", "mp", "2s"] {
+            let filters: &[bool] = if scheme == "mp" {
+                &[false]
+            } else {
+                &[false, true]
+            };
+            for (name, a) in operators() {
+                let s = strength(&a, th, rs);
+                let (first, fin) = aggressive_pmis_stages(&s, 3);
+                let c = if scheme == "ei" {
+                    pmis(&s, 9)
+                } else {
+                    fin.clone()
+                };
+                let cf = CfMap::new(c.is_coarse.clone());
+                let fine = |p: usize| !c.is_coarse[p];
+                if (scheme, name) == ("ei", "holes") {
+                    let through_hole =
+                        (0..144).any(|i| fine(i) && s.col_iter(i).any(|k| fine(k) && k % 5 == 2));
+                    assert!(through_hole, "no fine row distributes through a hole");
+                }
+                for trunc in truncations() {
+                    let t = trunc.as_ref();
+                    let p_ref = match scheme {
+                        "ei" => extended_i(&a, &s, &cf, t),
+                        "mp" => multipass(&a, &s, &cf, t),
+                        _ => two_stage_extended_i(&a, &s, &first, &fin, th, rs, t),
+                    };
+                    assert_eq!(p_ref.ncols(), c.ncoarse, "{scheme} {name}");
+                    // Two-stage rows: a final C-point's is its unit row,
+                    // and the paper truncation keeps at most 4 weights.
+                    for i in (0..a.nrows()).filter(|_| scheme == "2s") {
+                        let w = p_ref.row_vals(i);
+                        let ok = if fine(i) {
+                            t.is_none() || w.len() <= 4
+                        } else {
+                            p_ref.col_iter(i).eq([cf.cmap[i]]) && w == [1.0]
+                        };
+                        assert!(ok, "{name}: two-stage row {i} is {w:?}");
+                    }
+                    for starts in partitions(a.nrows()) {
+                        for &filter in filters {
+                            let (parts, _) = run_ranks(starts.len() - 1, |c| {
+                                let pa = split(&a, &starts, c.rank());
+                                let ps = dist_strength(&pa, th, rs, c.rank());
+                                let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
+                                let (first, fin) = dist_aggressive_pmis(c, &ps, 3);
+                                match scheme {
+                                    "ei" => {
+                                        let dc = dist_pmis(c, &ps, 9);
+                                        dist_extended_i(c, &pa, &plan, &ps, &dc, t, filter)
+                                    }
+                                    "mp" => dist_multipass(c, &pa, &plan, &ps, &fin, t),
+                                    _ => dist_two_stage_extended_i(
+                                        c, &pa, &plan, &ps, &first, &fin, th, rs, t, filter,
+                                    ),
+                                }
+                            });
+                            let what = format!(
+                                "{scheme} {name} {starts:?} trunc {} filter {filter}",
+                                t.is_some()
+                            );
+                            assert_parts_are_serial(&parts, p_ref.clone(), &what);
+                        }
                     }
                 }
             }
@@ -453,29 +499,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dist_multipass_matches_serial() {
-        for (name, a) in operators() {
-            let s = strength(&a, 0.25, 0.8);
-            let (_, fin) = aggressive_pmis_stages(&s, 3);
-            let cf = CfMap::new(fin.is_coarse);
-            for trunc in truncations() {
-                let p_ref = multipass(&a, &s, &cf, trunc.as_ref());
-                for starts in partitions(a.nrows()) {
-                    let (parts, _) = run_ranks(starts.len() - 1, |c| {
-                        let pa = split(&a, &starts, c.rank());
-                        let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-                        let (_, dc) = dist_aggressive_pmis(c, &ps, 3);
-                        let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
-                        dist_multipass(c, &pa, &plan, &ps, &dc, trunc.as_ref())
-                    });
-                    let what = format!("{name} {starts:?} trunc {}", trunc.is_some());
-                    assert_parts_are_serial(&parts, p_ref.clone(), &what);
-                }
-            }
-        }
-    }
-
     /// The serial `2s_ei444` stage-1 operator (`rap_row_fused` over
     /// `P1ᵀ`, `A`, `P1`) is the distributed one bit for bit.
     #[test]
@@ -496,45 +519,6 @@ mod tests {
                     dist_rap(c, &dist_transpose(c, &p1), &pa, &p1, true)
                 });
                 assert_parts_are_serial(&parts, a1_ref.clone(), &format!("{name} {starts:?}"));
-            }
-        }
-    }
-
-    #[test]
-    fn dist_two_stage_shape_and_rows() {
-        let a = laplace2d(14, 14);
-        let starts = default_partition(196, 3);
-        let (parts, _) = run_ranks(3, |c| {
-            let pa = split(&a, &starts, c.rank());
-            let ps = dist_strength(&pa, 0.25, 0.8, c.rank());
-            let (first, fin) = dist_aggressive_pmis(c, &ps, 7);
-            let t = TruncParams::paper();
-            let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
-            let p = dist_two_stage_extended_i(
-                c,
-                &pa,
-                &plan,
-                &ps,
-                &first,
-                &fin,
-                0.25,
-                0.8,
-                Some(&t),
-                true,
-            );
-            (p, fin.is_coarse.clone())
-        });
-        let total_nc = parts[0].0.global_cols;
-        assert!(total_nc > 0 && total_nc < 196 / 4);
-        for (rank, (p, is_coarse)) in parts.iter().enumerate() {
-            for i in 0..p.local_rows() {
-                let row = p.global_row(i, rank);
-                if is_coarse[i] {
-                    assert_eq!(row.len(), 1);
-                    assert_eq!(row[0].1, 1.0);
-                } else {
-                    assert!(row.len() <= 4, "trunc violated: {}", row.len());
-                }
             }
         }
     }

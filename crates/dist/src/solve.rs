@@ -341,9 +341,9 @@ fn coarse_solve(comm: &Comm, h: &DistHierarchy, level: usize, b: &[f64], x: &mut
     if n_global == 0 {
         return;
     }
-    // No factorization (level too big for LU) means every rank smooths
-    // instead; coarse_lu is Some only on rank 0, so agree via a
-    // flag-OR allreduce rather than local inspection.
+    // No factorization (level too big for LU, or singular) means every
+    // rank smooths instead; coarse_lu is Some only on rank 0, so agree via
+    // a flag-OR allreduce rather than local inspection.
     let has_lu = comm.allreduce_or(h.coarse_lu.is_some(), 0x90);
     if !has_lu {
         for _ in 0..4 * h.config.num_sweeps {

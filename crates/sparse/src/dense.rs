@@ -78,6 +78,15 @@ impl DenseMatrix {
     }
 }
 
+/// A pivot at or below `SINGULAR_PIVOT · max|a_ij|` means a singular
+/// matrix. Partially pivoted LU is exact for `A + ΔA`, `|ΔA| ≤ n·ε·|L||U|`
+/// with `|l_ij| ≤ 1` and `|U| ≤ ρ·max|a_ij|` (`ρ` the growth), so rounding
+/// turns a zero pivot into at most about `n·ε·ρ·max|a_ij|`: below the
+/// bound while `n·ρ < 4.5e5`. A pivot `u_kk` under it gives `cond₂(A) ≥
+/// max|a_ij| / (n·|u_kk|) > 1e10 / n`. The suite's coarsest operators read
+/// ≤ 2.5e-15 (pure Neumann graph Laplacians) and ≥ 1.7e-4 (all others).
+pub const SINGULAR_PIVOT: f64 = 1e-10;
+
 /// LU factorization with partial pivoting of a square dense matrix.
 #[derive(Debug, Clone)]
 pub struct LuFactor {
@@ -89,10 +98,12 @@ pub struct LuFactor {
 }
 
 impl LuFactor {
-    /// Factors `a`; returns `None` when the matrix is numerically singular.
+    /// Factors `a`; returns `None` when a pivot is at or below
+    /// [`SINGULAR_PIVOT`] `· max|a_ij|` (an all-zero matrix included).
     pub fn new(a: &DenseMatrix) -> Option<Self> {
         assert_eq!(a.nrows, a.ncols, "LU requires a square matrix");
         let n = a.nrows;
+        let tiny = SINGULAR_PIVOT * a.data.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let mut lu = a.data.clone();
         let mut piv = vec![0usize; n];
         for k in 0..n {
@@ -106,7 +117,7 @@ impl LuFactor {
                     p = i;
                 }
             }
-            if best < 1e-300 {
+            if best <= tiny {
                 return None;
             }
             piv[k] = p;
@@ -184,6 +195,25 @@ mod tests {
     fn lu_detects_singularity() {
         let a = DenseMatrix::from_row_major(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert!(LuFactor::new(&a).is_none());
+    }
+
+    /// The 1-D Neumann Laplacian with edge weights `1/(e+1)` on 5 points is
+    /// singular, and its elimination leaves a last pivot of 1.1e-16, not 0;
+    /// grounding its first point by 1e-3 makes it nonsingular.
+    #[test]
+    fn lu_refuses_a_rounding_size_pivot() {
+        let neumann = |ground: f64| {
+            let mut a = DenseMatrix::zeros(5, 5);
+            for (e, w) in (0..4).map(|e| (e, 1.0 / (e as f64 + 1.0))) {
+                for (i, j, v) in [(e, e, w), (e + 1, e + 1, w), (e, e + 1, -w), (e + 1, e, -w)] {
+                    a.set(i, j, a.get(i, j) + v);
+                }
+            }
+            a.set(0, 0, a.get(0, 0) + ground);
+            a
+        };
+        assert!(LuFactor::new(&neumann(0.0)).is_none());
+        assert!(LuFactor::new(&neumann(1e-3)).is_some());
     }
 
     #[test]

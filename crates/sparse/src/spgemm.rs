@@ -166,7 +166,6 @@ pub fn numeric_only(a: &Csr, b: &Csr, c: &mut Csr) {
     assert_eq!(a.ncols(), b.nrows());
     assert_eq!(c.nrows(), a.nrows());
     assert_eq!(c.ncols(), b.ncols());
-    let nrows = a.nrows();
     let blocks = split_rows_by_nnz(a.rowptr(), num_threads());
     // Split C's value buffer by block boundary so blocks write disjointly.
     let rowptr = c.rowptr().to_vec();
@@ -180,7 +179,6 @@ pub fn numeric_only(a: &Csr, b: &Csr, c: &mut Csr) {
     // the row space disjointly; nobody reads until the scope joins.
     unsafe impl Sync for Ptr {}
     let p = Ptr(values.as_mut_ptr());
-    let _ = nrows;
 
     rayon::scope(|s| {
         for r in &blocks {
@@ -218,16 +216,6 @@ pub fn numeric_only(a: &Csr, b: &Csr, c: &mut Csr) {
 pub fn spgemm(a: &Csr, b: &Csr) -> Csr {
     spgemm_one_pass(a, b)
 }
-
-/// Work bound below which a caller that picks its kernel by size (the
-/// two-stage interpolation's `P1·P2`) takes the two-pass kernel. The
-/// one-pass kernel trades the second read of `B` for a chunk-to-output
-/// copy; when the whole product is cache-resident the
-/// re-read of `B` is served from cache and the extra copy is the larger
-/// cost (EXPERIMENTS.md records 4.2 ms two-pass vs 5.0 ms one-pass at
-/// such a scale). The bound is the same upper estimate the one-pass
-/// kernel sizes its chunks with: `Σ_i Σ_{j∈A_i} nnz(B_j)`.
-pub const SPGEMM_TWO_PASS_MAX_FLOPS: usize = 1 << 16;
 
 /// Cheap upper bound on the multiply-add count of `A·B` (only touches
 /// `A.colidx` and `B.rowptr`).
@@ -394,13 +382,6 @@ mod tests {
         }
         numeric_only(&a2, &b, &mut c);
         assert_eq!(c.to_dense(), spgemm(&a2, &b).to_dense());
-    }
-
-    #[test]
-    fn kernel_selection_results_identical() {
-        let a = random_csr(80, 70, 4, 201);
-        let b = random_csr(70, 60, 3, 202);
-        assert_eq!(spgemm_one_pass(&a, &b), spgemm_two_pass(&a, &b));
     }
 
     #[test]

@@ -105,9 +105,11 @@ cargo test -q --release --test setup_refresh
 # taken (a release assert, not a debug_assert!); the numeric triple
 # products, whose frozen-pattern range test (`FrozenRow::add`) is a release
 # assert too and the refresh writes every coarse operator through it; and
-# the refresh unit tests — transactional errors across the commit point, a
-# composed scheme re-run below level 0, a panic mid-refresh, a frozen setup
-# of another hierarchy — where the in-place path runs in production.
+# the refresh unit tests — a refresh bitwise a rebuild; refusals (an
+# operator of another pattern, a tape handed another level's operand, a
+# frozen setup of another hierarchy) that leave the hierarchy as it was;
+# levels rebuilt below the recorded ones, and a solver moved onto their
+# sizes; a panic mid-refresh — where the in-place path runs in production.
 echo "==> setup + refresh memory high-water, P = [I; P_F] guard, refresh contract (release)"
 cargo test -q --release --test setup_peak_bytes
 cargo test -q --release -p famg-core --lib hierarchy::tests::coarse_

@@ -2,19 +2,21 @@
 //! to pin the library against: dense matrices, strength graphs as sets,
 //! one function per step, and no code shared with the library except the
 //! PMIS random weights ([`uniform01`]), which are part of the splitting's
-//! definition.
+//! definition, and the relative pivot bound below which an operator is
+//! singular ([`SINGULAR_PIVOT`]), which is part of the coarse solve's.
 //!
 //! Setup: classical strength with `max_row_sum` ([`strength`]), PMIS
 //! ([`pmis`]), extended+i by Eq. 1 ([`extended_i`]) truncated as
 //! [`truncate_spec`] states it, the Galerkin product ([`galerkin`]) and a
-//! dense LU solve ([`lu_solve`]); [`hierarchy`] chains them. Solve: a
-//! CF-ordered sequential Gauss-Seidel ([`gauss_seidel`]), the V-cycle
-//! ([`vcycle`]), standalone AMG ([`amg_iterations`]) and AMG-preconditioned
-//! CG ([`pcg_iterations`]).
+//! dense LU solve that refuses a singular operator ([`lu_solve`]);
+//! [`hierarchy`] chains them. Solve: a CF-ordered sequential Gauss-Seidel
+//! ([`gauss_seidel`]), the V-cycle ([`vcycle`]), standalone AMG
+//! ([`amg_iterations`]) and AMG-preconditioned CG ([`pcg_iterations`]).
 
 use famg::core::interp::TruncParams;
 use famg::core::rng::uniform01;
 use famg::core::AmgConfig;
+use famg::sparse::dense::SINGULAR_PIVOT;
 use famg::sparse::Csr;
 use std::collections::BTreeSet;
 
@@ -414,16 +416,21 @@ pub fn galerkin(p: &Dense, a: &Dense) -> Dense {
     c
 }
 
-/// `A x = b` by Gaussian elimination with partial pivoting.
-pub fn lu_solve(a: &Dense, b: &[f64]) -> Vec<f64> {
+/// `A x = b` by Gaussian elimination with partial pivoting, or `None` when
+/// `A` is singular to working precision: a pivot at or below
+/// `SINGULAR_PIVOT · max|a_ij|`.
+pub fn lu_solve(a: &Dense, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.len();
+    let amax = a.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
     let mut m: Dense = a.clone();
     let mut x = b.to_vec();
     for col in 0..n {
         let piv = (col..n)
             .max_by(|&i, &j| m[i][col].abs().total_cmp(&m[j][col].abs()))
             .expect("a row below the diagonal");
-        assert!(m[piv][col] != 0.0, "singular coarse operator");
+        if m[piv][col].abs() <= SINGULAR_PIVOT * amax {
+            return None;
+        }
         m.swap(col, piv);
         x.swap(col, piv);
         for i in col + 1..n {
@@ -438,7 +445,7 @@ pub fn lu_solve(a: &Dense, b: &[f64]) -> Vec<f64> {
         let s: f64 = (i + 1..n).map(|j| m[i][j] * x[j]).sum();
         x[i] = (x[i] - s) / m[i][i];
     }
-    x
+    Some(x)
 }
 
 /// One level of [`hierarchy`]: its operator and, above the coarsest, its
@@ -517,15 +524,17 @@ fn class(is_coarse: &[bool], coarse: bool) -> impl Iterator<Item = usize> + '_ {
 /// One V-cycle on level `l` of `levels`: C-then-F Gauss-Seidel before the
 /// coarse-grid correction, F-then-C after it, `sweeps` passes each; the
 /// coarsest level is solved by LU when it has at most `coarse_solve_size`
-/// rows and smoothed `4 · sweeps` times otherwise.
+/// rows and is nonsingular, and smoothed `4 · sweeps` times otherwise.
 pub fn vcycle(levels: &[Level], l: usize, cfg: &AmgConfig, b: &[f64], x: &mut [f64]) {
     let lvl = &levels[l];
     if l + 1 == levels.len() {
-        if lvl.a.len() <= cfg.coarse_solve_size {
-            x.copy_from_slice(&lu_solve(&lvl.a, b));
-        } else {
-            for _ in 0..4 * cfg.num_sweeps {
-                gauss_seidel(&lvl.a, b, x, 0..b.len());
+        let fits = lvl.a.len() <= cfg.coarse_solve_size;
+        match fits.then(|| lu_solve(&lvl.a, b)).flatten() {
+            Some(sol) => x.copy_from_slice(&sol),
+            None => {
+                for _ in 0..4 * cfg.num_sweeps {
+                    gauss_seidel(&lvl.a, b, x, 0..b.len());
+                }
             }
         }
         return;

@@ -1,7 +1,8 @@
 //! Deterministic fuzz tests for the AMG components: PMIS and extended+i
 //! against the reference AMG's definitions (`common::reference`),
 //! truncation against its specification, interpolation invariants, and
-//! end-to-end convergence on random diagonally dominant SPD systems.
+//! end-to-end convergence on random diagonally dominant SPD systems and on
+//! consistent singular graph Laplacians.
 
 mod common;
 
@@ -9,8 +10,10 @@ use common::reference::{self as re, Eq1Coverage};
 use common::{graph_laplacian, random_marker, random_permutation, FuzzRng};
 use famg::core::coarsen::pmis;
 use famg::core::interp::{extended_i, truncate_row, CfMap, ExtITape, TruncParams};
+use famg::core::rng::uniform01;
 use famg::core::strength::strength;
 use famg::core::{AmgConfig, AmgSolver};
+use famg::matgen::rhs::rhs_for_solution;
 use famg::sparse::permute::{cf_permutation, permute_symmetric};
 use famg::sparse::Csr;
 
@@ -333,5 +336,39 @@ fn hierarchy_levels_strictly_shrink() {
             "case {case}: complexity {}",
             h.stats.operator_complexity()
         );
+    }
+}
+
+/// A pure graph Laplacian is singular, constants its null space, and so is
+/// its coarsest operator: the LU refuses it and the cycle smooths there.
+/// With a consistent `b = A x*` every scheme converges, and the iterate
+/// stays the size of a solution (`x*` plus a small constant) instead of
+/// drifting along the null space through a rounding-size pivot.
+#[test]
+fn amg_converges_on_consistent_singular_graph_laplacians() {
+    let configs = [
+        ("ei4", AmgConfig::single_node_paper()),
+        ("mp", AmgConfig::multi_node_mp()),
+        ("2s-ei444", AmgConfig::multi_node_2s_ei444()),
+    ];
+    for case in 0..10 {
+        let mut rng = FuzzRng::new(0x500 + case);
+        let n = [120, 400][case as usize % 2] + rng.below(50);
+        let extra = rng.below(2 * n + 1);
+        let a = graph_laplacian(&mut rng, n, extra, 0.0);
+        let x_star: Vec<f64> = (0..n).map(|i| uniform01(case, i as u64) - 0.5).collect();
+        let b = rhs_for_solution(&a, &x_star);
+        for (name, cfg) in &configs {
+            let solver = AmgSolver::setup(&a, cfg);
+            assert!(
+                solver.hierarchy().coarse_lu.is_none(),
+                "case {case}, {name}"
+            );
+            let mut x = vec![0.0; n];
+            let res = solver.solve(&b, &mut x);
+            assert!(res.converged, "case {case}, {name}: {:e}", res.final_relres);
+            let x_max = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!(x_max <= 1.0, "case {case}, {name}: max|x| = {x_max:e}");
+        }
     }
 }

@@ -83,8 +83,9 @@ fn hash_hierarchy(hier: &Hierarchy) -> u64 {
 /// `D·A·D` with a smooth, strictly positive diagonal `D`: the same
 /// pattern, symmetry and definiteness, and values with no exact ties left
 /// for a truncation kept-set to hang on. `t` moves `D` by 1e-6 of its
-/// variation — a drift far too small to flip a frozen decision (the
-/// `validate` feature's refresh cross-check runs under this test too).
+/// variation — a drift far too small to flip a frozen decision, so the
+/// refresh replays every recorded level and the test below can hold it
+/// bitwise to a fresh build of the drifted operator.
 fn scaled(a: &Csr, t: f64) -> Csr {
     let d = |i: usize| {
         let x = i as f64;
@@ -135,26 +136,31 @@ fn configs() -> [(&'static str, AmgConfig); 3] {
 /// were re-recorded when `rap_row_fused` began to consume `B_i = R_i·A` in
 /// ascending column order (the order of the distributed RAP, so the
 /// stage-1 Galerkin operator `A1` is summed as the two sorted products
-/// sum it); the `paper` and `mp` rows do not run that kernel.
+/// sum it); the `paper` and `mp` rows do not run that kernel. They were
+/// re-recorded once more when the two-stage product began to sum in the
+/// ranks' order: `P1`'s rows sorted before `P1·P2` (each weight sums
+/// along `P1`'s stored row) and the product's rows sorted before its
+/// truncation (`truncate_row` rescales in storage order), so one rank is
+/// the serial build bit for bit.
 const EXPECTED: &[(&str, u64)] = &[
     ("laplace2d/paper/build", 0x574c9b429b2c1829),
     ("laplace2d/paper/refresh", 0x4e6402de23fc1271),
     ("laplace2d/mp/build", 0x99e1f25ae81b7673),
     ("laplace2d/mp/refresh", 0xb0451d21ecac83f2),
-    ("laplace2d/2s_ei444/build", 0xdce1d6610057a6b3),
-    ("laplace2d/2s_ei444/refresh", 0xf939960b80ade9a7),
+    ("laplace2d/2s_ei444/build", 0x0a817593970220a3),
+    ("laplace2d/2s_ei444/refresh", 0xfd8924ddacf37857),
     ("varcoef3d_7pt/paper/build", 0x56585f951f2ad579),
     ("varcoef3d_7pt/paper/refresh", 0x7d0431281ffce5dc),
     ("varcoef3d_7pt/mp/build", 0x9160b4f69a2a9ae4),
     ("varcoef3d_7pt/mp/refresh", 0x10266dee0691d769),
-    ("varcoef3d_7pt/2s_ei444/build", 0x7f2a7405fc2cb433),
-    ("varcoef3d_7pt/2s_ei444/refresh", 0x74690bfeb05c3043),
+    ("varcoef3d_7pt/2s_ei444/build", 0x7b524794b88d2c3b),
+    ("varcoef3d_7pt/2s_ei444/refresh", 0x694a31602a98a85b),
     ("laplace3d_27pt/paper/build", 0x33e4656e8506661b),
     ("laplace3d_27pt/paper/refresh", 0xd738415365f469a0),
     ("laplace3d_27pt/mp/build", 0xf1ea4786a0719292),
     ("laplace3d_27pt/mp/refresh", 0x7abb7670980e0e26),
-    ("laplace3d_27pt/2s_ei444/build", 0xd3c22924314c907d),
-    ("laplace3d_27pt/2s_ei444/refresh", 0xcfccb9b38ef238cd),
+    ("laplace3d_27pt/2s_ei444/build", 0x69163e539d3ba1b2),
+    ("laplace3d_27pt/2s_ei444/refresh", 0xc2f2ceca4d408753),
 ];
 
 #[test]

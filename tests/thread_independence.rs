@@ -113,8 +113,8 @@ fn fp_builds() -> u64 {
         );
         h = hash_u64s(h, orders.iter().flat_map(|o| o.bytes()).map(u64::from));
         // A power-of-two scaling keeps every strength, sign, row-sum and
-        // truncation comparison, so the `validate` feature's refresh
-        // cross-check holds, and still runs every numeric refresh stage.
+        // truncation comparison, so the refresh takes the decisions a
+        // rebuild would, and still runs every numeric refresh stage.
         let mut scaled = a.clone();
         scaled.values_mut().iter_mut().for_each(|v| *v *= 2.0);
         hf.refresh(&scaled, &mut frozen).expect("same pattern");

@@ -68,8 +68,7 @@ pub struct Hierarchy {
     /// Levels, finest first.
     pub levels: Vec<Level>,
     /// Dense factorization of the coarsest operator, when small enough and
-    /// nonsingular ([`LuFactor::new`]); the cycle smooths that level
-    /// otherwise.
+    /// nonsingular ([`LuFactor::new`]); the cycle smooths it otherwise.
     pub coarse_lu: Option<LuFactor>,
     /// Solver configuration the hierarchy was built with.
     pub config: AmgConfig,
@@ -392,13 +391,14 @@ fn coarsest_level(mut a: Csr, idx: usize, cfg: &AmgConfig) -> (Level, Option<LuF
     (level, coarse_lu)
 }
 
-/// The dense LU factorization of the coarsest operator, when it is small
-/// enough for one and nonsingular (any in-row order: the dense matrix is
-/// the same).
+/// The dense LU of the coarsest operator, when it fits and is nonsingular
+/// (any in-row order: the dense matrix is the same).
 pub(crate) fn coarse_lu(a: &Csr, cfg: &AmgConfig) -> Option<LuFactor> {
-    let fits = cfg.coarse_lu_fits(a.nrows());
-    fits.then(|| LuFactor::new(&DenseMatrix::from_csr(a)))
-        .flatten()
+    if cfg.coarse_lu_fits(a.nrows()) {
+        LuFactor::new(&DenseMatrix::from_csr(a))
+    } else {
+        None
+    }
 }
 
 /// Takes `P_F` out of a full interpolation operator on the raw ordering:
@@ -549,6 +549,16 @@ mod tests {
         let a = laplace2d(4, 4); // 16 <= coarse_solve_size
         let h = Hierarchy::build(&a, &AmgConfig::single_node_paper());
         assert_eq!(h.num_levels(), 1);
+        assert!(h.coarse_lu.is_some());
+    }
+
+    /// Coefficients spread over 1e16 leave the coarsest operator's smallest
+    /// pivot at 2e-14 of its largest entry, but at 0.98 of its own row's:
+    /// it is nonsingular and gets its LU.
+    #[test]
+    fn high_contrast_coarsest_operator_is_factored() {
+        let a = famg_matgen::amg2013_like(8, 8, 8, 2, 8.0, 1);
+        let h = Hierarchy::build(&a, &AmgConfig::single_node_paper());
         assert!(h.coarse_lu.is_some());
     }
 

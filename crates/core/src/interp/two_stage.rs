@@ -55,7 +55,8 @@ pub fn two_stage_extended_i(
     let mut p1 = extended_i(a, s, &cf1, trunc);
     p1.sort_rows();
     // Stage-1 Galerkin operator.
-    let a1 = rap_row_fused(&transpose_par(&p1), a, &p1);
+    let r1 = transpose_par(&p1);
+    let a1 = rap_row_fused(&r1, a, &p1);
     // Stage 2: among stage-1 C-points, interpolate to the final C-points.
     let s1 = strength(&a1, strength_threshold, max_row_sum);
     let is_final_in_stage1: Vec<bool> = (0..n)
@@ -67,8 +68,10 @@ pub fn two_stage_extended_i(
     // Compose and truncate the product.
     let mut p = spgemm(&p1, &p2);
     p.sort_rows();
-    let Some(t) = trunc else { return p };
-    truncate_matrix(&p, t)
+    match trunc {
+        Some(t) => truncate_matrix(&p, t),
+        None => p,
+    }
 }
 
 #[cfg(test)]
@@ -76,6 +79,28 @@ mod tests {
     use super::*;
     use crate::coarsen::aggressive_pmis_stages;
     use famg_matgen::laplace2d;
+
+    fn setup(nx: usize, ny: usize, seed: u64) -> (Csr, Csr, Coarsening, Coarsening) {
+        let a = laplace2d(nx, ny);
+        let s = strength(&a, 0.25, 0.8);
+        let (first, fin) = aggressive_pmis_stages(&s, seed);
+        (a, s, first, fin)
+    }
+
+    #[test]
+    fn shape_and_identity_rows() {
+        let (a, s, first, fin) = setup(16, 16, 1);
+        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, None);
+        assert_eq!(p.nrows(), a.nrows());
+        assert_eq!(p.ncols(), fin.ncoarse);
+        // Final C-points interpolate to themselves with weight 1.
+        let cmap = CfMap::new(fin.is_coarse.clone());
+        for i in 0..a.nrows() {
+            if fin.is_coarse[i] {
+                assert_eq!(p.get(i, cmap.cmap[i]), Some(1.0), "row {i}");
+            }
+        }
+    }
 
     #[test]
     fn constant_preserved_exactly_on_neumann_operator() {
@@ -92,10 +117,20 @@ mod tests {
     }
 
     #[test]
+    fn truncation_caps_rows() {
+        let (a, s, first, fin) = setup(20, 20, 5);
+        let t = TruncParams::paper();
+        let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, Some(&t));
+        for i in 0..a.nrows() {
+            if !fin.is_coarse[i] {
+                assert!(p.row_nnz(i) <= 4, "row {i}: {}", p.row_nnz(i));
+            }
+        }
+    }
+
+    #[test]
     fn covers_fine_points_despite_aggressive_coarsening() {
-        let a = laplace2d(24, 24);
-        let s = strength(&a, 0.25, 0.8);
-        let (first, fin) = aggressive_pmis_stages(&s, 7);
+        let (a, s, first, fin) = setup(24, 24, 7);
         let p = two_stage_extended_i(&a, &s, &first, &fin, 0.25, 0.8, Some(&TruncParams::paper()));
         let mut uncovered = 0usize;
         for i in 0..a.nrows() {

@@ -414,11 +414,11 @@ mod tests {
             };
             for (name, a) in operators() {
                 let s = strength(&a, th, rs);
-                let (first, fin) = aggressive_pmis_stages(&s, 3);
-                let c = if scheme == "ei" {
-                    pmis(&s, 9)
+                let (first, c) = if scheme == "ei" {
+                    (None, pmis(&s, 9))
                 } else {
-                    fin.clone()
+                    let (first, fin) = aggressive_pmis_stages(&s, 3);
+                    (Some(first), fin)
                 };
                 let cf = CfMap::new(c.is_coarse.clone());
                 let fine = |p: usize| !c.is_coarse[p];
@@ -432,7 +432,10 @@ mod tests {
                     let p_ref = match scheme {
                         "ei" => extended_i(&a, &s, &cf, t),
                         "mp" => multipass(&a, &s, &cf, t),
-                        _ => two_stage_extended_i(&a, &s, &first, &fin, th, rs, t),
+                        _ => {
+                            let first = first.as_ref().expect("stage-1 splitting");
+                            two_stage_extended_i(&a, &s, first, &c, th, rs, t)
+                        }
                     };
                     assert_eq!(p_ref.ncols(), c.ncoarse, "{scheme} {name}");
                     // Two-stage rows: a final C-point's is its unit row,
@@ -452,16 +455,21 @@ mod tests {
                                 let pa = split(&a, &starts, c.rank());
                                 let ps = dist_strength(&pa, th, rs, c.rank());
                                 let plan = VectorExchange::plan(c, &pa.colmap, &pa.col_starts);
-                                let (first, fin) = dist_aggressive_pmis(c, &ps, 3);
                                 match scheme {
                                     "ei" => {
                                         let dc = dist_pmis(c, &ps, 9);
                                         dist_extended_i(c, &pa, &plan, &ps, &dc, t, filter)
                                     }
-                                    "mp" => dist_multipass(c, &pa, &plan, &ps, &fin, t),
-                                    _ => dist_two_stage_extended_i(
-                                        c, &pa, &plan, &ps, &first, &fin, th, rs, t, filter,
-                                    ),
+                                    "mp" => {
+                                        let (_, fin) = dist_aggressive_pmis(c, &ps, 3);
+                                        dist_multipass(c, &pa, &plan, &ps, &fin, t)
+                                    }
+                                    _ => {
+                                        let (first, fin) = dist_aggressive_pmis(c, &ps, 3);
+                                        dist_two_stage_extended_i(
+                                            c, &pa, &plan, &ps, &first, &fin, th, rs, t, filter,
+                                        )
+                                    }
                                 }
                             });
                             let what = format!(

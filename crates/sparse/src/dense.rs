@@ -78,13 +78,13 @@ impl DenseMatrix {
     }
 }
 
-/// A pivot at or below `SINGULAR_PIVOT · max|a_ij|` means a singular
-/// matrix. Partially pivoted LU is exact for `A + ΔA`, `|ΔA| ≤ n·ε·|L||U|`
-/// with `|l_ij| ≤ 1` and `|U| ≤ ρ·max|a_ij|` (`ρ` the growth), so rounding
-/// turns a zero pivot into at most about `n·ε·ρ·max|a_ij|`: below the
-/// bound while `n·ρ < 4.5e5`. A pivot `u_kk` under it gives `cond₂(A) ≥
-/// max|a_ij| / (n·|u_kk|) > 1e10 / n`. The suite's coarsest operators read
-/// ≤ 2.5e-15 (pure Neumann graph Laplacians) and ≥ 1.7e-4 (all others).
+/// A pivot at or below `SINGULAR_PIVOT` times the largest entry of its own
+/// original row means a singular matrix. Row scaling commutes with
+/// elimination, so this is one bound on the row-equilibrated matrix, which
+/// scaling a row does not move; there LU's backward error makes a zero
+/// pivot about `n·ε·ρ` (`ρ` the growth), under 1e-10 while `n·ρ < 4.5e5`.
+/// The suite's coarsest operators read ≤ 1.2e-13 when singular (pure
+/// Neumann graph Laplacians) and ≥ 0.25 otherwise.
 pub const SINGULAR_PIVOT: f64 = 1e-10;
 
 /// LU factorization with partial pivoting of a square dense matrix.
@@ -98,12 +98,17 @@ pub struct LuFactor {
 }
 
 impl LuFactor {
-    /// Factors `a`; returns `None` when a pivot is at or below
-    /// [`SINGULAR_PIVOT`] `· max|a_ij|` (an all-zero matrix included).
+    /// Factors `a`; returns `None` at a pivot at or below [`SINGULAR_PIVOT`]
+    /// times the largest entry of its original row (a zero row included).
     pub fn new(a: &DenseMatrix) -> Option<Self> {
         assert_eq!(a.nrows, a.ncols, "LU requires a square matrix");
         let n = a.nrows;
-        let tiny = SINGULAR_PIVOT * a.data.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        // The largest entry of the original row now at each position.
+        let mut row_max: Vec<f64> = a
+            .data
+            .chunks(n.max(1))
+            .map(|r| r.iter().fold(0.0f64, |m, v| m.max(v.abs())))
+            .collect();
         let mut lu = a.data.clone();
         let mut piv = vec![0usize; n];
         for k in 0..n {
@@ -117,7 +122,7 @@ impl LuFactor {
                     p = i;
                 }
             }
-            if best <= tiny {
+            if best <= SINGULAR_PIVOT * row_max[p] {
                 return None;
             }
             piv[k] = p;
@@ -125,6 +130,7 @@ impl LuFactor {
                 for j in 0..n {
                     lu.swap(k * n + j, p * n + j);
                 }
+                row_max.swap(k, p);
             }
             let pivot = lu[k * n + k];
             for i in k + 1..n {
@@ -214,6 +220,28 @@ mod tests {
         };
         assert!(LuFactor::new(&neumann(0.0)).is_none());
         assert!(LuFactor::new(&neumann(1e-3)).is_some());
+    }
+
+    /// Scaling rows moves no pivot across the bound: `diag(1, 1e-11)` and
+    /// an SPD matrix with one row scaled by 1e-12 are factored and solved.
+    #[test]
+    fn lu_factors_a_row_scaled_matrix() {
+        let diag = DenseMatrix::from_row_major(2, 2, vec![1.0, 0.0, 0.0, 1e-11]);
+        let x = LuFactor::new(&diag)
+            .expect("nonsingular")
+            .solve(&[2.0, 3e-11]);
+        assert_eq!(x, vec![2.0, 3.0]);
+        let scaled = DenseMatrix::from_row_major(
+            3,
+            3,
+            vec![4.0, -1.0, 0.0, -1e-12, 4e-12, -1e-12, 0.0, -1.0, 4.0],
+        );
+        let want = [1.0, -2.0, 0.5];
+        let b = scaled.matvec(&want);
+        let x = LuFactor::new(&scaled).expect("nonsingular").solve(&b);
+        for (x, w) in x.iter().zip(want) {
+            assert!((x - w).abs() < 1e-12, "{x} vs {w}");
+        }
     }
 
     #[test]

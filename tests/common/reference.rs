@@ -2,8 +2,7 @@
 //! to pin the library against: dense matrices, strength graphs as sets,
 //! one function per step, and no code shared with the library except the
 //! PMIS random weights ([`uniform01`]), which are part of the splitting's
-//! definition, and the relative pivot bound below which an operator is
-//! singular ([`SINGULAR_PIVOT`]), which is part of the coarse solve's.
+//! definition.
 //!
 //! Setup: classical strength with `max_row_sum` ([`strength`]), PMIS
 //! ([`pmis`]), extended+i by Eq. 1 ([`extended_i`]) truncated as
@@ -16,7 +15,6 @@
 use famg::core::interp::TruncParams;
 use famg::core::rng::uniform01;
 use famg::core::AmgConfig;
-use famg::sparse::dense::SINGULAR_PIVOT;
 use famg::sparse::Csr;
 use std::collections::BTreeSet;
 
@@ -417,20 +415,28 @@ pub fn galerkin(p: &Dense, a: &Dense) -> Dense {
 }
 
 /// `A x = b` by Gaussian elimination with partial pivoting, or `None` when
-/// `A` is singular to working precision: a pivot at or below
-/// `SINGULAR_PIVOT · max|a_ij|`.
+/// `A` is singular to working precision: a pivot at or below 1e-10 times
+/// the largest entry of the row it stands in, as that row was given. With
+/// every row divided by its largest entry, that is a pivot at or below
+/// 1e-10 in a matrix whose entries are at most 1, where rounding leaves
+/// about `n·ε` (ε = 2.2e-16) times the elimination's growth on a pivot
+/// that is 0 exactly.
 pub fn lu_solve(a: &Dense, b: &[f64]) -> Option<Vec<f64>> {
     let n = a.len();
-    let amax = a.iter().flatten().fold(0.0f64, |m, v| m.max(v.abs()));
+    let mut scale: Vec<f64> = a
+        .iter()
+        .map(|r| r.iter().fold(0.0f64, |m, v| m.max(v.abs())))
+        .collect();
     let mut m: Dense = a.clone();
     let mut x = b.to_vec();
     for col in 0..n {
         let piv = (col..n)
             .max_by(|&i, &j| m[i][col].abs().total_cmp(&m[j][col].abs()))
             .expect("a row below the diagonal");
-        if m[piv][col].abs() <= SINGULAR_PIVOT * amax {
+        if m[piv][col].abs() <= 1e-10 * scale[piv] {
             return None;
         }
+        scale.swap(col, piv);
         m.swap(col, piv);
         x.swap(col, piv);
         for i in col + 1..n {
@@ -528,14 +534,14 @@ fn class(is_coarse: &[bool], coarse: bool) -> impl Iterator<Item = usize> + '_ {
 pub fn vcycle(levels: &[Level], l: usize, cfg: &AmgConfig, b: &[f64], x: &mut [f64]) {
     let lvl = &levels[l];
     if l + 1 == levels.len() {
-        let fits = lvl.a.len() <= cfg.coarse_solve_size;
-        match fits.then(|| lu_solve(&lvl.a, b)).flatten() {
-            Some(sol) => x.copy_from_slice(&sol),
-            None => {
-                for _ in 0..4 * cfg.num_sweeps {
-                    gauss_seidel(&lvl.a, b, x, 0..b.len());
-                }
+        if lvl.a.len() <= cfg.coarse_solve_size {
+            if let Some(sol) = lu_solve(&lvl.a, b) {
+                x.copy_from_slice(&sol);
+                return;
             }
+        }
+        for _ in 0..4 * cfg.num_sweeps {
+            gauss_seidel(&lvl.a, b, x, 0..b.len());
         }
         return;
     }

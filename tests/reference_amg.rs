@@ -166,10 +166,11 @@ fn pin_coarsest(a: &Dense, idx: usize, cfg: &AmgConfig, lu: Option<Vec<f64>>, wh
         n <= cfg.coarse_solve_size || idx + 1 >= cfg.max_levels || stalls(),
         "{what}: the build stopped at level {idx} of {n} rows"
     );
-    let want = cfg
-        .coarse_lu_fits(n)
-        .then(|| re::lu_solve(a, &coarse_rhs(n)))
-        .flatten();
+    let want = if cfg.coarse_lu_fits(n) {
+        re::lu_solve(a, &coarse_rhs(n))
+    } else {
+        None
+    };
     match (lu, want) {
         (Some(x), Some(want)) => {
             re::assert_close(&vec![x], &vec![want], 1e-10, &format!("{what}: coarse LU"));
